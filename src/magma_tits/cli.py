@@ -3,8 +3,7 @@
 Subcommands: magic-square, verify, export, coordinate-algebra, decompose,
 tits.  Text output is aligned tables; --format json emits the machine
 contract.  Exit code 0 iff there are no failing witnesses.  Sampled property
-checks use a seeded generator (--seed, default 0); --parallel (or the
-MAGMA_TITS_THREADS environment variable) controls the Jacobi scan workers.
+checks use a seeded generator (--seed, default 0).
 """
 
 import argparse
@@ -43,7 +42,6 @@ def _print_rows(rows, header=None):
 
 
 def cmd_magic_square(args):
-    parallel = args.parallel
     results = []
     ok = True
     for left in COMP_ORDER:
@@ -52,7 +50,7 @@ def cmd_magic_square(args):
             T = tits_by_name(left, "h3:" + right)
             entry = {"right": right, "dim": T.dim}
             if args.jacobi:
-                rep = T.jacobi_report(parallel=parallel)
+                rep = T.jacobi_report()
                 entry["jacobi"] = rep.ok
                 ok = ok and rep.ok
             row["entries"].append(entry)
@@ -165,7 +163,7 @@ def suite_tits(args):
         T = tits_by_name("cayley", "h3:" + right)
         _check(results, "dim T(cayley, h3:%s) = %d" % (right, expected[right]),
                T.dim == expected[right])
-        rep = T.jacobi_report(parallel=args.parallel)
+        rep = T.jacobi_report()
         _check(results, "super-Jacobi on %d-dim case" % expected[right], rep.ok,
                str(rep) if not rep.ok else None)
     for jname in ("h3:ground", "h3:binarion", "h3:quaternion", "h3:cayley",
@@ -389,9 +387,6 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled property checks (default 0)")
-    p.add_argument("--parallel", type=int,
-                   default=int(os.environ.get("MAGMA_TITS_THREADS", "1")),
-                   help="workers for the bulk Jacobi scan")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("magic-square", help="dimensions (and Jacobi) of the 16 constructions")

@@ -114,6 +114,36 @@ class FieldQ:
         return hash("QQ")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic primality test for p < _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise ValueError("primality of %d is not decided: GF(p) needs p < %d"
+                         % (p, _MR_LIMIT))
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldGF:
     """Prime field GF(p), p >= 5 (characteristic 2 and 3 are excluded throughout)."""
 
@@ -122,11 +152,8 @@ class FieldGF:
     def __init__(self, p):
         if p < 5:
             raise ValueError("characteristic must be >= 5, got %d" % p)
-        for d in range(2, p):
-            if d * d > p:
-                break
-            if p % d == 0:
-                raise ValueError("%d is not prime" % p)
+        if not _is_prime(p):
+            raise ValueError("%d is not prime" % p)
         self.p = p
         self.name = "GF(%d)" % p
 
@@ -463,13 +490,6 @@ def flatten_matrix(M):
     for r in M.rows:
         out.extend(r)
     return out
-
-
-def unflatten_matrix(v, nrows, ncols, field=QQ):
-    M = Matrix.zeros(nrows, ncols, field)
-    for i in range(nrows):
-        M.rows[i] = list(v[i * ncols : (i + 1) * ncols])
-    return M
 
 
 class Subspace:

@@ -1,13 +1,13 @@
 """Bulk exact arithmetic helpers.
 
-Rational data with a common denominator cleared is integer data; integer
-matrix products whose entries stay below 2**53 are computed exactly by
-float64 BLAS.  Every fast path here asserts that bound and the callers fall
-back to pure-Python field arithmetic when it cannot be guaranteed, so these
-helpers never introduce approximation.
+Rational data with a common denominator cleared is integer data.  The
+dense tensor checkers (automorphism, derivation, homomorphism,
+structurable) carry such integers in float64 BLAS only when every sum of
+products stays below FLOAT_EXACT_BOUND = 2**53; each caller asserts that
+bound and falls back to pure-field arithmetic otherwise, so these helpers
+never introduce approximation.
 """
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -46,20 +46,3 @@ def matrix_to_int_array(M):
     """Exact Matrix over QQ -> (int ndarray, denominator)."""
     D, flat = scaled_int_entries([x for r in M.rows for x in r])
     return np.array(flat, dtype=np.int64).reshape(M.nrows, M.ncols), D
-
-
-def products_are_exact(*bounds):
-    """True iff a sum of products bounded by the given magnitudes fits in 2**53."""
-    prod = 1.0
-    for b in bounds:
-        prod *= float(b)
-    return prod < FLOAT_EXACT_BOUND
-
-
-def exact_matmul(A, B):
-    """Exact integer matmul; float64 BLAS when safe, object-int otherwise."""
-    bound = A.shape[1] * float(np.abs(A).max(initial=0)) * float(np.abs(B).max(initial=0))
-    if bound < FLOAT_EXACT_BOUND:
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return C.astype(np.int64)
-    return A.astype(object) @ B.astype(object)

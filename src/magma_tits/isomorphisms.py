@@ -58,8 +58,8 @@ def homomorphism_failures(src, tgt, M, max_witnesses=5):
 def _np_hom_ok(src, tgt, M):
     if not src.field.is_rational:
         return False
-    Ts, Ds, _ = src._int_tensors()
-    Tt, Dt, _ = tgt._int_tensors()
+    Ts, Ds = src._int_tensors()
+    Tt, Dt = tgt._int_tensors()
     Am, Dm = matrix_to_int_array(M)
     mmax = float(np.abs(Am).max(initial=0))
     smax = float(np.abs(Ts).max(initial=0))
@@ -69,8 +69,8 @@ def _np_hom_ok(src, tgt, M):
 
 
 def _np_hom_failures(src, tgt, M, max_witnesses):
-    Ts, Ds, _ = src._int_tensors()
-    Tt, Dt, _ = tgt._int_tensors()
+    Ts, Ds = src._int_tensors()
+    Tt, Dt = tgt._int_tensors()
     Am, Dm = matrix_to_int_array(M)
     Tsf = Ts.astype(np.float64)
     Ttf = Tt.astype(np.float64)

@@ -100,22 +100,84 @@ def test_jacobi_anticommutativity_precheck():
     assert not rep.ok and rep.anticom_failures
 
 
+def _random_super_table(rng, field, pool, n=5, density=0.3):
+    """Seeded super-anticommutative table with odd basis elements."""
+    parity = [rng.randint(0, 1) for _ in range(n)]
+    sc = {}
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and not parity[i]:
+                continue
+            want = (parity[i] + parity[j]) % 2
+            row = {k: field.of(rng.choice(pool)) for k in range(n)
+                   if parity[k] == want and rng.random() < density}
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                sign = -1 if (parity[i] and parity[j]) else 1
+                sc[(i, j)] = row
+                sc[(j, i)] = {k: -sign * c for k, c in row.items()}
+    return SuperAlgebra(["b%d" % i for i in range(n)], sc, parity=parity, field=field)
+
+
+def _cyclic_jacobiator(A, i, j, k):
+    p, m = A.parity, A.multiply
+    x, y, z = A.e(i), A.e(j), A.e(k)
+    terms = [(-1 if p[i] and p[k] else 1, m(m(x, y), z)),
+             (-1 if p[j] and p[i] else 1, m(m(y, z), x)),
+             (-1 if p[k] and p[j] else 1, m(m(z, x), y))]
+    return [sum((s * v[l] for s, v in terms), start=A.field.zero) for l in range(A.n)]
+
+
+def _assert_witnesses_hold(A, rep):
+    for i, j, k, shown in rep.failures:
+        jac = _cyclic_jacobiator(A, i, j, k)
+        assert any(jac)
+        assert A.format_vector(jac) == shown
+
+
+def _all_failing_triples(A):
+    """Every (i, j, k), i <= j, with a nonzero jacobiator, in sorted order."""
+    return [(i, j, k) for i in range(A.n) for j in range(i, A.n) for k in range(A.n)
+            if any(_cyclic_jacobiator(A, i, j, k))]
+
+
+JACOBI_POOLS = (
+    (QQ, [Fraction(v) for v in (-2, -1, 1, 2)]),
+    (QQ, [Fraction(1), Fraction(-3), Fraction(2 ** 70), Fraction(1, 2 ** 70),
+          Fraction(-5, 2 ** 70)]),
+    (GF(10007), [1, 2, 5003, 10006]),
+    (GF(2 ** 31 - 1), [1, 3, 2 ** 30, 2 ** 31 - 2]),   # past the int64 sum bound
+)
+
+
 def test_jacobi_fast_agrees_with_reference():
     rng = random.Random(0)
-    for trial in range(8):
-        n = 4
-        sc = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = {k: Fraction(rng.randint(-2, 2)) for k in range(n)}
-                row = {k: c for k, c in row.items() if c}
-                if row:
-                    sc[(i, j)] = row
-                    sc[(j, i)] = {k: -c for k, c in row.items()}
-        A = SuperAlgebra(["b%d" % i for i in range(n)], sc, name="rand%d" % trial)
-        fast = check_super_jacobi(A)
-        ref = check_super_jacobi_reference(A)
-        assert fast.ok == ref.ok
+    for field, pool in JACOBI_POOLS:
+        verdicts = set()
+        for trial in range(40):
+            A = _random_super_table(rng, field, pool, density=rng.choice((0.15, 0.3, 0.5)))
+            fast = check_super_jacobi(A, max_witnesses=A.n ** 3)
+            assert fast.ok == check_super_jacobi_reference(A).ok
+            assert [w[:3] for w in fast.failures] == _all_failing_triples(A)
+            _assert_witnesses_hold(A, fast)
+            verdicts.add(fast.ok)
+        assert verdicts == {True, False}
+
+
+def test_jacobi_constants_past_int64():
+    # [e,f] = 2^70 h is sl2 with f rescaled: the cleared constants pass int64
+    for big in (Fraction(2 ** 70), Fraction(1, 2 ** 70)):
+        sc = {(0, 1): {2: big}, (1, 0): {2: -big},
+              (2, 0): {0: 2}, (0, 2): {0: -2},
+              (2, 1): {1: -2}, (1, 2): {1: 2}}
+        A = SuperAlgebra(["e", "f", "h"], sc)
+        assert check_super_jacobi(A).ok
+        sc[(2, 0)], sc[(0, 2)] = {0: 3}, {0: -3}
+        bad = SuperAlgebra(["e", "f", "h"], sc)
+        rep = check_super_jacobi(bad)
+        assert not rep.ok and rep.failures
+        _assert_witnesses_hold(bad, rep)
+        assert not check_super_jacobi_reference(bad).ok
 
 
 def test_jacobi_super_case():
@@ -129,11 +191,6 @@ def test_jacobi_super_case():
     # now corrupt: make [u,u] = u: parity violation is rejected at construction
     with pytest.raises(ValueError):
         SuperAlgebra(["z", "u", "v"], {(1, 1): {1: 1}}, parity=[0, 1, 1])
-
-
-def test_jacobi_parallel_matches():
-    L = sl2()
-    assert check_super_jacobi(L, parallel=2).ok
 
 
 def test_is_automorphism_identity():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,19 @@ def test_gf_rejects_small_characteristic():
         GF(3)
     with pytest.raises(ValueError):
         GF(9)
+
+
+def test_gf_primality_large_p():
+    t = time.perf_counter()
+    F = GF(2 ** 61 - 1)
+    assert time.perf_counter() - t < 1.0
+    assert F.of(2 ** 61) == F.one
+    with pytest.raises(ValueError):
+        GF(2 ** 61 + 1)        # divisible by 3
+    with pytest.raises(ValueError):
+        GF(561)                # Carmichael number
+    with pytest.raises(ValueError):
+        GF(10 ** 25 + 13)      # past the deterministic primality bound
 
 
 def test_gf_linear_algebra():
