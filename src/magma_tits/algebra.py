@@ -17,9 +17,7 @@ from .exact import (
     QQ, FieldGF, Matrix, Subspace,
     vec_zero, vec_eq, vec_is_zero, basis_vector,
 )
-from .int_fast import (
-    sc_to_dense_int, matrix_to_int_array, scaled_int_entries, FLOAT_EXACT_BOUND,
-)
+from .int_fast import FLOAT_EXACT_BOUND, coo, fold, join, matrix_to_int_array, sc_to_dense_int
 
 EVEN, ODD = 0, 1
 
@@ -146,7 +144,8 @@ class SuperAlgebra:
     # -- integer tensors for the bulk checkers --------------------------
 
     def _int_tensors(self):
-        """(T, D) with T[i,j,k] = D*c^k_ij; rational algebras only."""
+        """(T, D) with T[i,j,k] = D*c^k_ij as int64, T None past int64;
+        rational algebras only."""
         if self._int_cache is None:
             self._int_cache = sc_to_dense_int(self.sc, self.n)
         return self._int_cache
@@ -269,6 +268,7 @@ class JacobiReport:
     anticom_failures: list = dataclass_field(default_factory=list)
     failures: list = dataclass_field(default_factory=list)
     name: str = ""
+    path: str = ""      # arithmetic of the final sum, "int64" or "python-int"; "" if none ran
 
     def __str__(self):
         if self.ok:
@@ -341,28 +341,17 @@ def check_super_jacobi_reference(A, max_witnesses=10):
     return JacobiReport(not failures, n, count, failures=failures, name=A.name)
 
 
-def _join(left, right):
-    """All index pairs (a, b) with left[a] == right[b], grouped by a."""
-    order = np.argsort(right, kind="stable")
-    lo = np.searchsorted(right[order], left, "left")
-    cnt = np.searchsorted(right[order], left, "right") - lo
-    a = np.repeat(np.arange(len(left)), cnt)
-    offset = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-    return a, order[np.arange(len(a)) + offset]
-
-
 def check_super_jacobi(A, max_witnesses=10):
     """Exhaustive graded-Jacobi check.
 
     Super-anticommutativity is verified first on the sparse table.  Then,
     for pairs i <= j and every k, the coefficients of
     [[b_i,b_j],b_k] - [b_i,[b_j,b_k]] + (-1)^{|i||j|} [b_j,[b_i,b_k]]
-    are summed exactly: the COO table is joined with itself on the middle
-    index, keys (i,j,k,l) are packed into one int64, sorted and reduced.
-    The integers are denominator-cleared constants over QQ (residues over
-    GF(p)); a key collects at most 3n products, so the sums run in int64
-    when 3 n max|c|^2 fits and on Python ints otherwise.  Witnesses are the
-    first triples with a nonzero sum, recomputed by _jacobiator.
+    are summed exactly by int_fast.fold: the COO table is joined with
+    itself on the middle index and keys (i,j,k,l) are packed into one
+    int64.  The integers are denominator-cleared constants over QQ
+    (residues over GF(p), sums reduced mod p).  Witnesses are the first
+    triples with a nonzero sum, recomputed by _jacobiator.
     """
     anticom = _check_anticommutative(A, max_witnesses)
     n = A.n
@@ -372,53 +361,38 @@ def check_super_jacobi(A, max_witnesses=10):
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
-    I, J, K = np.array([(i, j, k) for (i, j), row in A.sc.items() for k in row],
-                       dtype=np.int64).T
-    consts = [c for row in A.sc.values() for c in row.values()]
-    ints = scaled_int_entries(consts)[1] if A.field.is_rational else [c.v for c in consts]
-    top = max(abs(v) for v in ints)
-    V = np.array(ints, dtype=np.int64 if 3 * n * top * top <= 2 ** 63 - 1 else object)
+    (I, J, K), V, _D = coo([((i, j, k), c) for (i, j), row in A.sc.items()
+                            for k, c in row.items()], A.field, 3)
     par = np.array(A.parity, dtype=bool)
 
     # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j
     sel = np.flatnonzero(I <= J)
-    a, b = _join(K[sel], I)
+    a, b = join(K[sel], I)
     a = sel[a]
-    keys = [((I[a] * n + J[a]) * n + J[b]) * n + K[b]]
-    vals = [V[a] * V[b]]
+    terms = [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])]
     # [b_y,[b_x,b_k]] = sum_m c_xk^m c_ym^l serves both inner terms:
     # -[b_i,[b_j,b_k]] as (i, j) = (y, x) and (-1)^{|i||j|} [b_j,[b_i,b_k]]
     # as (i, j) = (x, y)
-    a, b = _join(K, J)
+    a, b = join(K, J)
     x, y = I[a], I[b]
     w = np.where(y <= x, -1, 0) + np.where(x <= y, np.where(par[x] & par[y], -1, 1), 0)
     keep = np.flatnonzero(w)
     a, b, x, y, w = a[keep], b[keep], x[keep], y[keep], w[keep]
-    keys.append(((np.minimum(x, y) * n + np.maximum(x, y)) * n + J[a]) * n + K[b])
-    vals.append(V[a] * V[b] * w)
+    terms.append((((np.minimum(x, y) * n + np.maximum(x, y)) * n + J[a]) * n + K[b],
+                  [V[a], V[b], w]))
     del a, b, x, y, w, keep, sel
 
-    keys = np.concatenate(keys)
-    if not len(keys):
-        return JacobiReport(True, n, n_triples, name=A.name)
-    order = np.argsort(keys)
-    keys = keys[order]
-    vals = np.concatenate(vals)[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(vals, starts)
-    if not A.field.is_rational:
-        sums %= A.field.p
-    bad = np.unique(keys[starts[sums != 0]] // n)
-
+    keys, _sums, path = fold(terms, None if A.field.is_rational else A.field.p)
     failures = []
-    for t in bad.tolist():
+    for t in np.unique(keys // n).tolist():
         i, j, k = t // (n * n), t // n % n, t % n
         jac = _jacobiator(A, i, j, k)
         if not vec_is_zero(jac):
             failures.append((i, j, k, A.format_vector(jac)))
             if len(failures) >= max_witnesses:
                 break
-    return JacobiReport(not failures, n, n_triples, failures=failures, name=A.name)
+    return JacobiReport(not failures, n, n_triples, failures=failures, name=A.name,
+                        path=path)
 
 
 def _invertible(M):
@@ -427,6 +401,8 @@ def _invertible(M):
         return False
     if M.field.is_rational:
         A, _D = matrix_to_int_array(M)
+        if A is None:
+            return M.rank() == M.nrows
         # determinant nonzero mod p certifies invertibility; on zero fall back
         for p in (2147483629, 2147483587):
             if _rank_mod_p(A % p, p) == M.nrows:
@@ -463,8 +439,10 @@ def _tensor_fast_ok(A, M):
         return False
     T, _Dt = A._int_tensors()
     Am, Dm = matrix_to_int_array(M)
-    tmax = float(np.abs(T).max(initial=0))
-    mmax = float(np.abs(Am).max(initial=0))
+    if T is None or Am is None:
+        return False
+    tmax = int(np.abs(T).max(initial=0))
+    mmax = int(np.abs(Am).max(initial=0))
     return ((A.n ** 2) * mmax * mmax * tmax < FLOAT_EXACT_BOUND
             and A.n * tmax * mmax * Dm < FLOAT_EXACT_BOUND)
 

@@ -74,9 +74,10 @@ def cmd_magic_square(args):
     return 0 if ok else 1
 
 
-def _check(results, name, passed, witness=None):
+def _check(results, name, passed, witness=None, path=None):
     results.append({"check": name, "ok": bool(passed),
-                    **({"witness": witness} if (witness and not passed) else {})})
+                    **({"witness": witness} if (witness and not passed) else {}),
+                    **({"path": path} if path else {})})
     return bool(passed)
 
 
@@ -165,7 +166,7 @@ def suite_tits(args):
                T.dim == expected[right])
         rep = T.jacobi_report()
         _check(results, "super-Jacobi on %d-dim case" % expected[right], rep.ok,
-               str(rep) if not rep.ok else None)
+               str(rep) if not rep.ok else None, path=rep.path)
     for jname in ("h3:ground", "h3:binarion", "h3:quaternion", "h3:cayley",
                   "jvtheta", "d2"):
         J = jordan_by_name(jname)
@@ -208,11 +209,13 @@ def suite_super(args):
     Tg3 = tits_by_name("cayley", "jvtheta")
     _check(results, "dim T(cayley, jvtheta) = (17|14)",
            (Tg3.algebra.dim_even, Tg3.algebra.dim_odd) == (17, 14))
-    _check(results, "super-Jacobi G(3) case", Tg3.jacobi_report().ok)
+    rep = Tg3.jacobi_report()
+    _check(results, "super-Jacobi G(3) case", rep.ok, path=rep.path)
     Tf4 = tits_by_name("cayley", "d2")
     _check(results, "dim T(cayley, d2) = (24|16)",
            (Tf4.algebra.dim_even, Tf4.algebra.dim_odd) == (24, 16))
-    _check(results, "super-Jacobi F(4) case", Tf4.jacobi_report().ok)
+    rep = Tf4.jacobi_report()
+    _check(results, "super-Jacobi F(4) case", rep.ok, path=rep.path)
     for jname in ("jvtheta", "d2"):
         try:
             theorem41(jordan_by_name(jname))
@@ -227,7 +230,7 @@ def suite_super(args):
     for nm in ("aj:jvtheta", "aj:d2"):
         rep = structurable.check_structurable(involution_algebra_by_name(nm))
         _check(results, "structurable identity on %s" % nm, rep.ok,
-               str(rep) if not rep.ok else None)
+               str(rep) if not rep.ok else None, path=rep.path)
     return results
 
 

@@ -61,9 +61,11 @@ def _np_hom_ok(src, tgt, M):
     Ts, Ds = src._int_tensors()
     Tt, Dt = tgt._int_tensors()
     Am, Dm = matrix_to_int_array(M)
-    mmax = float(np.abs(Am).max(initial=0))
-    smax = float(np.abs(Ts).max(initial=0))
-    tmax = float(np.abs(Tt).max(initial=0))
+    if Ts is None or Tt is None or Am is None:
+        return False
+    mmax = int(np.abs(Am).max(initial=0))
+    smax = int(np.abs(Ts).max(initial=0))
+    tmax = int(np.abs(Tt).max(initial=0))
     return (max(src.n * smax * mmax * Dm * Dt,
                 src.n * src.n * mmax * mmax * tmax * Ds) < FLOAT_EXACT_BOUND)
 

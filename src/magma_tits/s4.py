@@ -256,18 +256,26 @@ def coordinate_algebra(g, action, basis=None, name=None):
 
 
 def _find_unit(alg):
-    """Solve u*x = x = x*u on the basis; None if the algebra is not unital."""
+    """Solve u*x = x = x*u on the basis; None if the algebra is not unital.
+
+    One equation sum_i u_i c_ij^k = delta_jk per (j, k) with a nonzero
+    coefficient, on each side, read off the sparse table; the (j, k) left
+    out are 0 = 0 off the diagonal and 0 = 1 on it.
+    """
     m = alg.n
     if m == 0:
         return None
-    rows, rhs = [], []
-    for j in range(m):
-        for k in range(m):
-            rows.append([alg.product_basis(i, j).get(k, alg.field.zero) for i in range(m)])
-            rhs.append(alg.field.one if j == k else alg.field.zero)
-            rows.append([alg.product_basis(j, i).get(k, alg.field.zero) for i in range(m)])
-            rhs.append(alg.field.one if j == k else alg.field.zero)
-    return Matrix(rows, alg.field).solve(rhs)
+    zero, one = alg.field.zero, alg.field.one
+    eqs = {}
+    for (i, j), row in alg.sc.items():
+        for k, c in row.items():
+            eqs.setdefault((0, j, k), {})[i] = c       # u b_j
+            eqs.setdefault((1, i, k), {})[j] = c       # b_i u
+    if any((side, j, j) not in eqs for side in (0, 1) for j in range(m)):
+        return None
+    system = {(tuple(sorted(row.items())), j == k): row for (_side, j, k), row in eqs.items()}
+    return Matrix([[row.get(i, zero) for i in range(m)] for row in system.values()],
+                  alg.field).solve([one if diag else zero for _row, diag in system])
 
 
 def iota_maps(ca):

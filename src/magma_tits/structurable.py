@@ -15,7 +15,8 @@ The structurable checker verifies Allison's operator identity
 
 with Koszul signs in the super case (a term acquires (-1)^{|p||q|} whenever
 the symbols p, q transpose relative to the argument order (x, y, z), and the
-operator commutator/substitutions are graded).
+operator commutator/substitutions are graded).  The check is a sparse exact
+contraction of the table, the involution and the unit over QQ or GF(p).
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -24,7 +25,7 @@ import numpy as np
 
 from .exact import Matrix, vec_eq
 from .algebra import SuperAlgebra, EVEN
-from .int_fast import FLOAT_EXACT_BOUND, matrix_to_int_array, sc_to_dense_int
+from .int_fast import INT64_MAX, coo, fold, join
 
 
 class AlgebraWithInvolution:
@@ -243,6 +244,7 @@ class StructurableReport:
     triples_checked: int
     failures: list = dataclass_field(default_factory=list)
     name: str = ""
+    path: str = ""      # arithmetic of the final sum, "int64" or "python-int"; "" if none ran
 
     def __str__(self):
         if self.ok:
@@ -254,111 +256,96 @@ class StructurableReport:
         return "\n".join(lines)
 
 
-def _v_operator_tensor(AI):
-    """V[x, y] as a stack of matrices over all basis pairs, integer-scaled.
-
-    V_{x,y} z = (x s(y)) z
-                + (-1)^{|x||y| + |y||z| + |z||x|} (z s(y)) x
-                - (-1)^{|z|(|x|+|y|)} (z s(x)) y,
-
-    each monomial carrying the Koszul parity of its symbol permutation
-    relative to (x, y, z).  Returns (V, parV, Ds, par): V[x, y, k, z] is
-    float64 carrying integers at a common scale Dt^2 * Ds, parV the parity
-    table of V_{x,y}.
-    """
-    alg = AI.algebra
-    n = alg.n
-    T, _Dt = sc_to_dense_int(alg.sc, n)
-    S, Ds = matrix_to_int_array(AI.sigma)
-    Tf = T.astype(np.float64)
-    Sf = S.astype(np.float64)
-    par = np.array(alg.parity, dtype=np.int64)
-
-    # SxT[y, x, a] = sum_q S[q, y] T[x, q, a]
-    SxT = np.tensordot(Sf, Tf, axes=([0], [1]))
-    # w[x, y, a] = coordinates of x * sigma(y)
-    w = SxT.transpose(1, 0, 2)
-    # L_w[k, z] = sum_a w[x, y, a] T[a, z, k]
-    term1 = np.tensordot(w, Tf, axes=([2], [0])).transpose(0, 1, 3, 2)
-    # Rsig[y][m, z] = coords of z sigma(y);  Rmat[x][k, m] = coords of m x
-    Rsig = SxT.transpose(0, 2, 1)
-    Rmat = Tf.transpose(1, 2, 0)
-    P = np.tensordot(Rmat, Rsig, axes=([2], [1]))      # P[a, k, b, z]
-    termB = P.transpose(0, 2, 1, 3)                    # (z s(y)) x
-    termC = P.transpose(2, 0, 1, 3)                    # (z s(x)) y
-    parV = (par[:, None] + par[None, :]) % 2
-    zxy = (parV[:, :, None] * par[None, None, :]) % 2  # |z|(|x|+|y|)
-    xy = (par[:, None] * par[None, :]) % 2
-    sgB = np.where((zxy + xy[:, :, None]) % 2 != 0, -1.0, 1.0)
-    sgC = np.where(zxy != 0, -1.0, 1.0)
-    V = term1 + sgB[:, :, None, :] * termB - sgC[:, :, None, :] * termC
-    return V, parV, Ds, par
-
-
 def check_structurable(AI, max_witnesses=10):
-    """Exhaustive check of the structurable operator identity on basis triples."""
+    """Exhaustive check of the structurable operator identity on basis triples.
+
+    With c the table, sigma the involution and 1 the unit,
+
+        G(p,q,r) = (b_p sigma(b_q)) b_r,
+        V_{x,y} z = G(x,y,z) + (-1)^{|x||y| + |y||z| + |z||x|} G(z,y,x)
+                    - (-1)^{|z|(|x|+|y|)} G(z,x,y),
+        T_u z = V_{u,1} z,
+
+    each monomial of V carrying the Koszul sign of its symbol permutation
+    relative to (x, y, z).  The check is that for all basis u, x, y, z
+
+        D_sigma ([T_u, V_{x,y}] z - V_{T_u x, y} z)
+            + (-1)^{|u||x|} V_{x, T_{sigma(u)} y} z = 0,
+
+    the graded commutator carrying (-1)^{|u|(|x|+|y|)}; D_sigma, the scale
+    of the integer sigma, appears once in the last term through sigma(u).
+    Every stage is a sparse exact contraction (int_fast.join and
+    int_fast.fold) of denominator-cleared integers over QQ, residues over
+    GF(p): x sigma(y), then G, V, T_u and T_{sigma(u)}, then the identity
+    with keys (u,x,y,z,k).  Witnesses are the sorted (u,x,y) with a
+    nonzero coefficient.
+    """
     alg = AI.algebra
     n = alg.n
     if n == 0:
         return StructurableReport(True, 0, 0, name=alg.name)
-    V, parV, Ds, par = _v_operator_tensor(AI)
-    maxv = float(np.abs(V).max(initial=0.0))
-    S, _Ds2 = matrix_to_int_array(AI.sigma)
-    ms = float(np.abs(S).max(initial=0.0))
-    if max(n * maxv * maxv * Ds, n * n * ms * maxv * maxv) >= FLOAT_EXACT_BOUND:
-        raise ArithmeticError("structurable check exceeds the exact float64 window")
-    Sf = S.astype(np.float64)
-    unit = np.zeros(n)
-    for i, c in _unit_coords(alg):
-        unit[i] = c
-    # T_u = V_{u, 1}: contract the y index of V with the unit coordinates
-    Tops = np.tensordot(V, unit, axes=([1], [0]))      # [u, out, z]
-
-    failures = []
-    # fixed layouts for one-GEMM contractions per u
-    V_a_first = np.ascontiguousarray(V.transpose(2, 0, 1, 3).reshape(n, -1))  # (a; x y z)
-    V_rows = V.reshape(-1, n)                                  # (x y k; a)
-    V_p_first = V.reshape(n, -1)                               # (p; y k z)
-    V_q_first = np.ascontiguousarray(V.transpose(1, 0, 2, 3).reshape(n, -1))  # (q; x k z)
-    for u in range(n):
-        Tu = Tops[u]
-        su_x = np.where((par[u] * par) != 0, -1.0, 1.0)        # (-1)^{|u||x|}
-        # graded commutator [T_u, V_{x,y}] = T_u V - (-1)^{|u|(|x|+|y|)} V T_u
-        TV = np.dot(Tu, V_a_first).reshape(n, n, n, n).transpose(1, 2, 0, 3)
-        VT = np.dot(V_rows, Tu).reshape(n, n, n, n)
-        sgn = np.where(((par[u] * parV) % 2) != 0, -1.0, 1.0)
-        diff = (TV - sgn[:, :, None, None] * VT) * Ds
-        # V_{T_u x, y}: substitute in the x slot (scale matches lhs after * Ds)
-        r1 = np.dot(Tu.T, V_p_first).reshape(n, n, n, n)       # 'px,pykz->xykz'
-        diff -= r1 * Ds
-        # V_{x, T_{sigma(u)} y} with sign (-1)^{|u||x|}
-        su = Sf[:, u]                                          # coords of sigma(b_u), scale Ds
-        Tsu = np.tensordot(su, Tops, axes=([0], [0]))          # scale Ds * (V scale)
-        r2 = np.dot(Tsu.T, V_q_first).reshape(n, n, n, n)      # (y, x, k, z)
-        diff += su_x[:, None, None, None] * r2.transpose(1, 0, 2, 3)
-        if not alg.field.is_rational:
-            diff = diff.astype(np.int64) % alg.field.p
-        bad = np.nonzero(np.any(diff != 0, axis=(2, 3)))
-        for x, y in zip(*bad):
-            failures.append((u, int(x), int(y)))
-            if len(failures) >= max_witnesses:
-                return StructurableReport(False, n, n ** 3, failures=failures,
-                                          name=alg.name)
-    return StructurableReport(not failures, n, n ** 3, failures=failures, name=alg.name)
-
-
-def _unit_coords(alg):
-    """Integer-scaled coordinates of the unit, as sparse (index, float) pairs.
-
-    A common overall scale is harmless: the structurable identity is linear
-    in T_u, so both sides pick up the same factor.
-    """
+    if n ** 5 > INT64_MAX:
+        raise ValueError("dimension %d too large for int64 keys (u,x,y,z,k)" % n)
     from .s4 import _find_unit
-    u = _find_unit(alg)
-    if u is None:
+    unit = _find_unit(alg)
+    if unit is None:
         raise ValueError("%s is not unital" % alg.name)
-    if alg.field.is_rational:
-        from .int_fast import scaled_int_entries
-        _D, ints = scaled_int_entries(u)
-        return [(i, float(c)) for i, c in enumerate(ints) if c]
-    return [(i, float(c.v)) for i, c in enumerate(u) if c]
+    f = alg.field
+    p = None if f.is_rational else f.p
+    par = np.array(alg.parity, dtype=np.int64)
+
+    def pack(*cols):
+        key = cols[0]
+        for c in cols[1:]:
+            key = key * n + c
+        return key
+
+    def unpack(keys, width):
+        return [keys // n ** (width - 1 - t) % n for t in range(width)]
+
+    def sign(odd):
+        return 1 - 2 * (odd % 2)
+
+    (I, J, K), C, _Dt = coo([((i, j, k), c) for (i, j), row in alg.sc.items()
+                             for k, c in row.items()], f, 3)
+    (Sw, Sq), S, Ds = coo([((w, q), c) for w, row in enumerate(AI.sigma.rows)
+                           for q, c in enumerate(row) if c], f, 2)
+    (Ui,), U, _Du = coo([((i,), c) for i, c in enumerate(unit) if c], f, 1)
+
+    # x sigma(y) = sum_q S[q,y] b_x b_q, then G(p,q,r) = (b_p sigma(b_q)) b_r
+    t, s = join(J, Sw)
+    keys, M, _ = fold([(pack(I[t], Sq[s], K[t]), [C[t], S[s]])], p)
+    Mx, My, Ma = unpack(keys, 3)
+    m, t = join(Ma, I)
+    keys, G, _ = fold([(pack(Mx[m], My[m], J[t], K[t]), [M[m], C[t]])], p)
+    Gp, Gq, Gr, Gk = unpack(keys, 4)
+    keys, V, _ = fold([
+        (keys, [G]),
+        (pack(Gr, Gq, Gp, Gk), [G, sign(par[Gp] * (par[Gr] + par[Gq]) + par[Gr] * par[Gq])]),
+        (pack(Gq, Gr, Gp, Gk), [G, -sign(par[Gp] * (par[Gq] + par[Gr]))]),
+    ], p)
+    Vx, Vy, Vz, Vk = unpack(keys, 4)
+
+    # T_u z = sum_y unit[y] V(u,y,z), as (u, in, out); T_{sigma u} likewise
+    v, w = join(Vy, Ui)
+    keys, T, _ = fold([(pack(Vx[v], Vz[v], Vk[v]), [V[v], U[w]])], p)
+    Tu, Ti, To = unpack(keys, 3)
+    t, s = join(Tu, Sw)
+    keys, TS, _ = fold([(pack(Sq[s], Ti[t], To[t]), [T[t], S[s]])], p)
+    Su, Si, So = unpack(keys, 3)
+
+    v, t = join(Vk, Ti)                 # T_u V_{x,y} z
+    terms = [(pack(Tu[t], Vx[v], Vy[v], Vz[v], To[t]), [V[v], T[t], Ds])]
+    v, t = join(Vz, To)                 # V_{x,y} T_u z
+    terms.append((pack(Tu[t], Vx[v], Vy[v], Ti[t], Vk[v]),
+                  [V[v], T[t], sign(par[Tu[t]] * (par[Vx[v]] + par[Vy[v]])), -Ds]))
+    v, t = join(Vx, To)                 # V_{T_u x, y} z
+    terms.append((pack(Tu[t], Ti[t], Vy[v], Vz[v], Vk[v]), [V[v], T[t], -Ds]))
+    v, s = join(Vy, So)                 # V_{x, T_{sigma u} y} z
+    terms.append((pack(Su[s], Vx[v], Si[s], Vz[v], Vk[v]),
+                  [V[v], TS[s], sign(par[Su[s]] * par[Vx[v]])]))
+    keys, _sums, path = fold(terms, p)
+    bad = np.unique(keys // (n * n))[:max_witnesses]
+    failures = list(zip(*(col.tolist() for col in unpack(bad, 3))))
+    return StructurableReport(not failures, n, n ** 3, failures=failures, name=alg.name,
+                              path=path)

@@ -10,6 +10,7 @@ from magma_tits.algebra import (
     check_super_jacobi, check_super_jacobi_reference,
     is_automorphism, is_derivation, check_grading, centralizer,
 )
+from magma_tits.isomorphisms import homomorphism_failures
 
 
 def sl2(field=QQ):
@@ -171,13 +172,28 @@ def test_jacobi_constants_past_int64():
               (2, 0): {0: 2}, (0, 2): {0: -2},
               (2, 1): {1: -2}, (1, 2): {1: 2}}
         A = SuperAlgebra(["e", "f", "h"], sc)
-        assert check_super_jacobi(A).ok
+        rep = check_super_jacobi(A)
+        assert rep.ok and rep.path == "python-int"
         sc[(2, 0)], sc[(0, 2)] = {0: 3}, {0: -3}
         bad = SuperAlgebra(["e", "f", "h"], sc)
         rep = check_super_jacobi(bad)
         assert not rep.ok and rep.failures
         _assert_witnesses_hold(bad, rep)
         assert not check_super_jacobi_reference(bad).ok
+
+
+def test_dense_checks_past_int64():
+    # [e,f] = 2^70 h: the cleared constants and ad(e) pass int64, so the
+    # float64 paths must step aside for the pure-field loops
+    sc = {(0, 1): {2: Fraction(2 ** 70)}, (1, 0): {2: -Fraction(2 ** 70)},
+          (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}
+    L = SuperAlgebra(["e", "f", "h"], sc)
+    ident = Matrix.identity(3)
+    assert is_automorphism(L, LinearMap(L, L, ident))
+    assert is_derivation(L, LinearMap(L, L, L.ad_matrix(L.e("e"))))
+    assert not is_derivation(L, LinearMap(L, L, ident))
+    assert homomorphism_failures(L, L, ident) == []
+    assert LinearMap(L, L, L.ad_matrix(L.e("e")).scale(2 ** 70) + ident).is_invertible()
 
 
 def test_jacobi_super_case():

@@ -39,6 +39,15 @@ def test_verify_csplit_corrupt_exits_nonzero(capsys):
     assert "witness" in out
 
 
+def test_verify_json_reports_path(capsys):
+    code, out = run(["--format", "json", "verify", "super"], capsys)
+    assert code == 0
+    paths = {r["check"]: r.get("path") for r in json.loads(out)["results"]}
+    for check in ("super-Jacobi G(3) case", "super-Jacobi F(4) case",
+                  "structurable identity on aj:jvtheta", "structurable identity on aj:d2"):
+        assert paths[check] == "int64"
+
+
 def test_verify_thm41_single(capsys):
     code, out = run(["verify", "thm41", "--jordan", "h3:ground"], capsys)
     assert code == 0
