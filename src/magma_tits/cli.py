@@ -172,7 +172,7 @@ def suite_tits(args):
         J = jordan_by_name(jname)
         T = tits_by_name("cayley", jname)
         rep = verify_lie_conditions(C, J, T=T, witnesses=False)
-        _check(results, "Lie conditions for %s" % jname, rep.ok)
+        _check(results, "Lie conditions for %s" % jname, rep.ok, path=rep.path)
     return results
 
 

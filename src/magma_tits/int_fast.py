@@ -1,12 +1,18 @@
 """Bulk exact arithmetic helpers.
 
 Rational data with a common denominator cleared is integer data; GF(p)
-data is its residues.  The sparse checkers (super-Jacobi, structurable)
-store tables as COO columns of such integers, join them on a shared index
-(`join`), pack each output index tuple into one int64 key, sort and sum
-equal keys with np.add.reduceat (`fold`).  A fold sums in int64 only when
-its widest key group times its largest product, both read off the actual
-values, fits in int64, and on Python ints otherwise.
+data is its residues (`lower`).  The sparse checkers (super-Jacobi,
+structurable) store tables as COO columns of such integers, join them on a
+shared index (`join`), pack each output index tuple into one int64 key,
+sort and sum equal keys with np.add.reduceat (`fold`).  A fold sums in
+int64 only when its widest key group times its largest product, both read
+off the actual values, fits in int64, and on Python ints otherwise.
+
+The dense Lie-conditions check contracts such integer tables with
+`einsum`, which bounds every result by the contraction length times the
+product of the largest operand magnitudes, read off the actual arrays.
+Under the int64 bound it runs in int64, past it on Python ints (object
+arrays); over GF(p) it reduces the result mod p.
 
 The dense tensor checkers (automorphism, derivation, homomorphism) carry
 integers in float64 BLAS only when every sum of products stays below
@@ -33,17 +39,22 @@ def _fits(ints):
     return all(-INT64_MAX <= v <= INT64_MAX for v in ints)
 
 
+def lower(values, field):
+    """Field values -> (D, integer array): D*v with the common denominator D
+    over QQ, residues with D = 1 over GF(p); int64 when they fit, Python
+    ints otherwise."""
+    D, ints = scaled_int_entries(values) if field.is_rational else (1, [c.v for c in values])
+    return D, np.array(ints, dtype=np.int64 if _fits(ints) else object)
+
+
 def coo(entries, field, width):
     """Sparse (index tuple, scalar) entries -> (index columns, values, D).
 
     The index columns are int64 arrays, one per position of the tuples of
-    length `width`.  The values are D*c with the common denominator D over
-    QQ, residues with D = 1 over GF(p); int64 when they fit, Python ints
-    otherwise."""
+    length `width`; the values and D are those of `lower`."""
     idx = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, width)
-    vals = [c for _ix, c in entries]
-    D, ints = scaled_int_entries(vals) if field.is_rational else (1, [c.v for c in vals])
-    return tuple(idx.T), np.array(ints, dtype=np.int64 if _fits(ints) else object), D
+    D, vals = lower([c for _ix, c in entries], field)
+    return tuple(idx.T), vals, D
 
 
 def join(left, right):
@@ -59,7 +70,7 @@ def join(left, right):
 def _maxabs(f):
     if not isinstance(f, np.ndarray):
         return abs(f)
-    return max(int(f.max()), -int(f.min())) if len(f) else 0
+    return max(int(f.max()), -int(f.min())) if f.size else 0
 
 
 def fold(terms, p=None):
@@ -90,6 +101,27 @@ def fold(terms, p=None):
         sums %= p
     nz = np.flatnonzero(sums != 0)
     return keys[starts[nz]], sums[nz], "int64" if fits else "python-int"
+
+
+def einsum(spec, *ops, p=None):
+    """Exact np.einsum of integer arrays (int64 or object) -> (array, path).
+
+    `spec` names every index explicitly ("ab,bc->ac").  The result is
+    bounded by the contraction length times the product of the largest
+    operand magnitudes; it is computed in int64 when that bound fits and
+    on Python ints otherwise, and reduced mod p when p is given.  The path
+    is "int64" or "python-int"."""
+    inputs, output = spec.split("->")
+    size = {}
+    for letters, op in zip(inputs.split(","), ops):
+        size.update(zip(letters, op.shape))
+    length = prod(size[c] for c in set(size) - set(output))
+    fits = length * prod(max(_maxabs(op), 1) for op in ops) <= INT64_MAX
+    dtype = np.int64 if fits else object
+    out = np.einsum(spec, *(op.astype(dtype, copy=False) for op in ops))
+    if p is not None:
+        out %= p
+    return out, "int64" if fits else "python-int"
 
 
 def sc_to_dense_int(sc, n):

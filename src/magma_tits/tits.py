@@ -17,14 +17,15 @@ them exhaustively over (C0 basis)^3 x (J0 basis)^3.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice, product
+from itertools import chain, islice, product
+from math import lcm
 
 import numpy as np
 
 from .exact import Subspace, vec_zero, flatten_matrix
 from .algebra import SuperAlgebra, EVEN
 from .composition import derivation_algebra, inner_derivation
-from .int_fast import scaled_int_entries
+from .int_fast import einsum, lower
 
 
 class DerivationSpace:
@@ -348,6 +349,7 @@ class LieConditionsReport:
     cond2_ok: bool
     cond3_ok: bool
     witnesses: list = dataclass_field(default_factory=list)
+    path: str = ""      # "int64" or "python-int"; empty when no contraction ran
 
     def __str__(self):
         if self.ok:
@@ -443,7 +445,8 @@ def _witness(bad, at, xt):
 
 
 def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
-    """Pure-field triple-pair scan of the three Lie conditions."""
+    """Pure-field triple-pair scan of the three Lie conditions; the test
+    oracle of verify_lie_conditions."""
     if T is None:
         T = tits(C, J)
     name = T.algebra.name
@@ -458,49 +461,45 @@ def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
     return LieConditionsReport(all(ok), name, *ok, witnesses)
 
 
-def _np_table(table):
-    """Nested Fraction table -> (float64 integer ndarray, scale)."""
-    flat = []
-
-    def walk(t):
-        if isinstance(t, list):
-            for u in t:
-                walk(u)
-        else:
-            flat.append(t)
-
-    walk(table)
-    if not flat:
-        return np.zeros((0,)), 1
-    D, ints = scaled_int_entries(flat)
-    return np.array(ints, dtype=np.float64), D
+# OUT[j1,j2,j3] = A[j_{perm[0]}, j_{perm[1]}, j_{perm[2]}] needs the
+# inverse permutation as the numpy transpose axes
+_INV = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
-def _span_rows_int(arr):
-    """Exact span basis (integer-cleared) of the rows of an integer array."""
-    from fractions import Fraction
-    from .exact import Subspace as _S, QQ as _Q
-    k = arr.shape[1]
-    S = _S(k, _Q)
-    for row in {tuple(int(v) for v in r) for r in arr}:
-        S.add([Fraction(v) for v in row])
+def _cycs(A):
+    """A with its first three axes read in the three cyclic orders of
+    _CYCLIC, stacked on a new first axis."""
+    return np.stack([np.transpose(A, inv + tuple(range(3, A.ndim))) for inv in _INV])
+
+
+def _row_basis(rows, f):
+    """Integer rows (denominator-cleared over QQ, residues over GF(p))
+    spanning the row space over f of the integer array `rows`."""
+    k = rows.shape[1]
+    S = Subspace(k, f)
+    for row in set(map(tuple, rows.tolist())):
+        S.add([f.of(v) for v in row])
         if S.dim == k:
             break
-    out = []
-    for v in S.basis:
-        D, ints = scaled_int_entries(v)
-        out.append(np.array(ints, dtype=np.float64))
-    return out
+    if not S.basis:
+        return np.zeros((0, k), dtype=np.int64)
+    return np.stack([lower(v, f)[1] for v in S.basis])
 
 
 def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
-    """Exhaustive check of the Lie conditions of the construction.
+    """Exhaustive exact check of the Lie conditions of the construction.
 
     The three conditions are the d_{J,J}, der C and C0 x J0 components of
     the graded Jacobiator of tensor-element triples (a1 x x1, ...), checked
     over all (C0 basis)^3 x (J0 basis)^3 with the Koszul signs of the
-    graded cyclic Jacobi form.  The bulk pass runs on integer-scaled
-    tensors; witnesses for failures are recomputed exactly.
+    graded cyclic Jacobi form.  Each component is a contraction of the
+    tables of T (denominator-cleared integers over QQ, one scale per table;
+    residues over GF(p)) by int_fast.einsum, which bounds every product and
+    sum and takes Python ints past int64.  (ii) and (iii) factor into
+    a-triple coefficients times x-triple objects and are tested on a basis
+    of the coefficient row space over the field.  Witnesses are the first
+    max_witnesses failing triple pairs of the exact scan; the report's path
+    is "python-int" when any contraction passed int64.
     """
     if T is None:
         T = tits(C, J)
@@ -508,118 +507,79 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     if nc == 0 or nj == 0:
         return LieConditionsReport(True, name, True, True, True)
-    if not C.field.is_rational:
-        return verify_lie_conditions_reference(C, J, T, max_witnesses)
+    f = C.field
+    p = None if f.is_rational else f.p
     tb = T.tables
     m, nd = T.der_dim, T.djj_dim
-    par = np.array([T.J.algebra.parity_of_vector(x) for x in T.j0_basis], dtype=np.int64)
+    paths = set()
 
-    DC, dDC = _np_table(tb.DC)
-    DC = DC.reshape(nc, nc, m) if m else np.zeros((nc, nc, 0))
-    brC, dbr = _np_table(tb.brC)
-    brC = brC.reshape(nc, nc, nc)
-    trC, dtr = _np_table(tb.trC)
-    trC = trC.reshape(nc, nc)
-    tJ, dtJ = _np_table(tb.tJ)
-    tJ = tJ.reshape(nj, nj)
-    star, dst = _np_table(tb.star)
-    star = star.reshape(nj, nj, nj)
-    dxy, ddxy = _np_table(tb.dxy)
-    dxy = dxy.reshape(nj, nj, nd) if nd else np.zeros((nj, nj, 0))
-    deract, dda = _np_table(tb.der_act)
-    deract = deract.reshape(m, nc, nc) if m else np.zeros((0, nc, nc))
-    djjact, ddj = _np_table(tb.djj_act)
-    djjact = djjact.reshape(nd, nj, nj) if nd else np.zeros((0, nj, nj))
+    def ein(spec, *ops):
+        out, path = einsum(spec, *ops, p=p)
+        paths.add(path)
+        return out
 
-    # sigma_r(x-triple) per cyclic order
-    P1, P2, P3 = par[:, None, None], par[None, :, None], par[None, None, :]
-    sig = [np.where((P1 * P3) != 0, -1.0, 1.0),
-           np.where((P2 * P1) != 0, -1.0, 1.0),
-           np.where((P3 * P2) != 0, -1.0, 1.0)]
+    def table(t, *shape):
+        for _level in shape[1:]:
+            t = list(chain.from_iterable(t))
+        D, ints = lower(t, f)
+        return ints.reshape(shape), D
 
-    # OUT[j1,j2,j3] = A[j_{perm[0]}, j_{perm[1]}, j_{perm[2]}] needs the
-    # inverse permutation as the numpy transpose axes
-    _INV = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    DC, dDC = table(tb.DC, nc, nc, m)
+    brC, dbr = table(tb.brC, nc, nc, nc)
+    trC, dtr = table(tb.trC, nc, nc)
+    tJ, dtJ = table(tb.tJ, nj, nj)
+    star, dst = table(tb.star, nj, nj, nj)
+    dxy, ddxy = table(tb.dxy, nj, nj, nd)
+    deract, dda = table(tb.der_act, m, nc, nc)
+    djjact, ddj = table(tb.djj_act, nd, nj, nj)
 
-    def cyc(A, r):
-        return np.transpose(A, _INV[r] + tuple(range(3, A.ndim)))
+    # sig[r][x-triple]: Koszul sign of the r-th cyclic term, -1 when its
+    # first and last x are odd
+    par = np.array([T.J.algebra.parity_of_vector(x) for x in T.j0_basis], dtype=bool)
+    odd = np.broadcast_to(par[:, None, None] & par[None, None, :], (nj, nj, nj))
+    sig = np.where(_cycs(odd), -1, 1)
 
     # (i): t([a1,a2]a3) is cyclic-invariant, so it factors out of the sum
-    lam = np.einsum("abm,mc->abc", brC, trC)
+    lam = ein("abm,mc->abc", brC, trC)
     cond1_ok = True
     if nd and np.any(lam != 0):
-        d_of_star = np.einsum("abm,mcD->abcD", star, dxy)
-        total = sum(sig[r][..., None] * cyc(d_of_star, r) for r in range(3))
-        cond1_ok = not np.any(total != 0)
+        d_of_star = ein("abm,mcD->abcD", star, dxy)
+        cond1_ok = not np.any(ein("rabc,rabcD->abcD", sig, _cycs(d_of_star)) != 0)
 
     # (ii): pair the span of the sigma*mu scalars against the D objects
     cond2_ok = True
     if m:
-        mu = np.einsum("abm,mc->abc", star, tJ)
-        smu = np.stack([sig[r] * cyc(mu, r) for r in range(3)], axis=-1)
-        DD = np.einsum("abm,mcD->abcD", brC, DC)
-        for w in _span_rows_int(smu.reshape(-1, 3)):
-            tot = sum(w[r] * cyc(DD, r) for r in range(3))
-            if np.any(tot != 0):
-                cond2_ok = False
-                break
+        mu = ein("abm,mc->abc", star, tJ)
+        smu = ein("rabc,rabc->abcr", sig, _cycs(mu))
+        DD = ein("abm,mcD->abcD", brC, DC)
+        W = _row_basis(smu.reshape(-1, 3), f)
+        cond2_ok = not np.any(ein("br,rpqwD->bpqwD", W, _cycs(DD)) != 0)
 
-    # (iii): nine (a-coefficient, x-object) pairs with per-kind scale balance
-    from math import lcm as _lcm
-    scaleA = dDC * dda * dtJ
-    scaleB = dbr * dbr * dst * dst
-    scaleC = dtr * ddxy * ddj
-    L = _lcm(_lcm(int(scaleA), int(scaleB)), int(scaleC))
-    balA, balB, balC = L // int(scaleA), L // int(scaleB), L // int(scaleC)
-    Dact = (np.einsum("pqr,rwm->pqwm", DC, deract) if m else np.zeros((nc, nc, nc, nc)))
-    brbr = np.einsum("pqm,mwr->pqwr", brC, brC)
-    ss = np.einsum("abm,mcr->abcr", star, star)
-    dact = (np.einsum("abs,scr->abcr", dxy, djjact) if nd else np.zeros((nj, nj, nj, nj)))
-    Inj = np.eye(nj)
-    Gs = []
-    for r in range(3):
-        tJr = cyc(np.broadcast_to(tJ[:, :, None], (nj, nj, nj)).copy(), r)
-        onehot = cyc(np.broadcast_to(Inj[None, None, :, :], (nj, nj, nj, nj)).copy(), r)
-        Gs.append(sig[r][..., None] * tJr[..., None] * onehot)     # kind A, order r
-    for r in range(3):
-        Gs.append(sig[r][..., None] * cyc(ss, r))                  # kind B
-    for r in range(3):
-        Gs.append(sig[r][..., None] * cyc(dact, r))                # kind C
-    Gstack = np.stack([g.reshape(-1) for g in Gs], axis=0)         # 9 x (nj^3 nj)
-    coeffs = []
-    Inc = np.eye(nc)
-    for p in range(nc):
-        for q in range(nc):
-            for w in range(nc):
-                acyc = [(p, q, w), (q, w, p), (w, p, q)]
-                for mc in range(nc):
-                    row = []
-                    for r in range(3):
-                        pp, qq, ww = acyc[r]
-                        row.append(balA * Dact[pp, qq, ww, mc])
-                    for r in range(3):
-                        pp, qq, ww = acyc[r]
-                        row.append(balB * brbr[pp, qq, ww, mc])
-                    for r in range(3):
-                        pp, qq, ww = acyc[r]
-                        row.append(balC * 2.0 * trC[pp, qq] * Inc[ww, mc])
-                    coeffs.append(row)
-    coeffs = np.array(coeffs)
-    cond3_ok = True
-    for w in _span_rows_int(coeffs):
-        if np.any(w @ Gstack != 0):
-            cond3_ok = False
-            break
+    # (iii): nine (a-coefficient, x-object) columns, kind-major (D_{a,b}
+    # acting, [[a,b],c], 2 t(ab) c) and cyclic order minor; bal rescales
+    # each kind to the common denominator of all three
+    scales = (dDC * dda * dtJ, dbr * dbr * dst * dst, dtr * ddxy * ddj)
+    L = lcm(*scales)
+    bal = np.array([L // s for s in scales for _r in range(3)], dtype=object)
+    Dact = ein("pqr,rwm->pqwm", DC, deract)
+    brbr = ein("pqm,mwr->pqwr", brC, brC)
+    trI = ein("pq,wm->pqwm", trC, 2 * np.eye(nc, dtype=np.int64))
+    coeffs = ein("kpqwm,k->pqwmk",
+                 np.concatenate([_cycs(Dact), _cycs(brbr), _cycs(trI)]), bal)
+    tJI = ein("ab,cm->abcm", tJ, np.eye(nj, dtype=np.int64))
+    ss = ein("abm,mcr->abcr", star, star)
+    dact = ein("abs,scr->abcr", dxy, djjact)
+    G = ein("rabc,krabcm->krabcm", sig, np.stack([_cycs(tJI), _cycs(ss), _cycs(dact)]))
+    W = _row_basis(coeffs.reshape(-1, 9), f)
+    cond3_ok = not np.any(ein("bk,kx->bx", W, G.reshape(9, -1)) != 0)
 
     ok = cond1_ok and cond2_ok and cond3_ok
-    if ok:
-        return LieConditionsReport(True, name, True, True, True)
-    if not witnesses:
-        return LieConditionsReport(False, name, cond1_ok, cond2_ok, cond3_ok)
-    # failure: the first witnesses of the exact triple-pair scan
-    found = islice(_failing_triple_pairs(T), max_witnesses)
-    return LieConditionsReport(False, name, cond1_ok, cond2_ok, cond3_ok,
-                               [_witness(*f) for f in found])
+    found = []
+    if not ok and witnesses:
+        # the first witnesses of the exact triple-pair scan
+        found = [_witness(*w) for w in islice(_failing_triple_pairs(T), max_witnesses)]
+    return LieConditionsReport(ok, name, cond1_ok, cond2_ok, cond3_ok, found,
+                               "python-int" if "python-int" in paths else "int64")
 
 
 class Tits62Algebra:

@@ -46,6 +46,11 @@ def test_verify_json_reports_path(capsys):
     for check in ("super-Jacobi G(3) case", "super-Jacobi F(4) case",
                   "structurable identity on aj:jvtheta", "structurable identity on aj:d2"):
         assert paths[check] == "int64"
+    code, out = run(["--format", "json", "verify", "tits"], capsys)
+    assert code == 0
+    paths = {r["check"]: r.get("path") for r in json.loads(out)["results"]}
+    for jname in ("h3:ground", "h3:binarion", "h3:quaternion", "h3:cayley", "jvtheta", "d2"):
+        assert paths["Lie conditions for %s" % jname] == "int64"
 
 
 def test_verify_thm41_single(capsys):

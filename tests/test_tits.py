@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import Matrix, vec_eq, vec_is_zero
+from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
 from magma_tits.composition import (
     split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
@@ -26,16 +26,17 @@ def jordan_ground():
     return JordanAlgebra(alg, [Fraction(1)], [Fraction(1)], provenance="custom")
 
 
-def corrupted_h3k():
+def corrupted_h3k(field=QQ):
     """H3(k) with one product corrupted (still supercommutative)."""
-    J = h3(ground())
+    J = h3(ground(field))
     alg = J.algebra
     sc = {k: dict(v) for k, v in alg.sc.items()}
     i0 = J.iota_index(0, 0)
     i1 = J.iota_index(1, 0)
     i2 = J.iota_index(2, 0)
-    sc[(i0, i1)] = {i2: Fraction(5, 2)}   # should be 1/2
-    sc[(i1, i0)] = {i2: Fraction(5, 2)}
+    c = field.of(Fraction(5, 2))          # should be 1/2
+    sc[(i0, i1)] = {i2: c}
+    sc[(i1, i0)] = {i2: c}
     bad = SuperAlgebra(alg.basis, sc, parity=alg.parity, field=alg.field, name="H3bad")
     return JordanAlgebra(bad, J.unit, J.trace_row, provenance="custom")
 
@@ -134,6 +135,56 @@ def test_lie_conditions_match_jacobi_on_dt(C):
         T = tits(C, J)
         assert verify_lie_conditions(C, J, T=T, witnesses=False).ok is expect
         assert T.jacobi_report().ok is expect
+
+
+def _lie_verdict(rep):
+    return rep.ok, rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.witnesses
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007), GF(2 ** 31 - 1)], ids=str)
+def test_lie_conditions_agree_with_reference(F):
+    B = binarion(F)
+    cases = [(B, J) for J in (h3(ground(F)), jordan_super_jvtheta(F), d2(F),
+                              corrupted_h3k(F))]
+    cases.append((split_quaternion(F), corrupted_h3k(F)))
+    if not F.is_rational:
+        # split Cayley: D_t fails the conditions at t = 3 (as in the dt test)
+        cases += [(split_cayley(F), jordan_super_dt(t, F)) for t in (2, 3)]
+    verdicts = []
+    for C, J in cases:
+        T = tits(C, J)
+        rep = verify_lie_conditions(C, J, T=T)
+        assert _lie_verdict(rep) == _lie_verdict(verify_lie_conditions_reference(C, J, T=T))
+        verdicts.append(rep.ok)
+    assert verdicts.count(False) == (1 if F.is_rational else 2)
+
+
+def _diag_transported(J, diag):
+    """J in the basis diag(...) * (old basis), unit and trace row to match."""
+    U = Matrix.identity(J.dim)
+    for i, d in enumerate(diag):
+        U[i, i] = Fraction(d)
+    unit = [u / U[i, i] for i, u in enumerate(J.unit)]
+    trace_row = [t * U[i, i] for i, t in enumerate(J.trace_row)]
+    return JordanAlgebra(J.algebra.transported(U), unit, trace_row, provenance="custom")
+
+
+def test_lie_conditions_past_int64():
+    # split quaternion x H3(k) in the basis diag(1/3, 2^40, 2^-40, 1, ...):
+    # the cleared tables pass int64, so the contractions run on Python
+    # ints; the 1/3 gives the tables different denominators, so the
+    # per-kind scales of (iii) differ.  Over GF(2^61 - 1), p^2 alone is
+    # past int64.
+    diag = (Fraction(1, 3), 2 ** 40, Fraction(1, 2 ** 40))
+    F = GF(2 ** 61 - 1)
+    cases = [(split_quaternion(), _diag_transported(J, diag))
+             for J in (h3(ground()), corrupted_h3k())]
+    cases += [(split_quaternion(F), J) for J in (h3(ground(F)), corrupted_h3k(F))]
+    for (C, J), ok in zip(cases, (True, False, True, False)):
+        T = tits(C, J)
+        rep = verify_lie_conditions(C, J, T=T)
+        assert rep.ok is ok and rep.path == "python-int"
+        assert _lie_verdict(rep) == _lie_verdict(verify_lie_conditions_reference(C, J, T=T))
 
 
 def test_super_dimensions(C):
