@@ -2,10 +2,11 @@
 
 A SuperAlgebra is a basis with a parity vector and a sparse table
 b_i b_j = sum_k c^k_ij b_k.  The checkers (super-Jacobi, automorphism,
-derivation, grading, centralizer) are exact.  The super-Jacobi check is a
-sparse integer contraction of the table with itself; the automorphism and
-derivation checks run on integer-scaled numpy tensors over QQ.  The
-pure-field super-Jacobi triple loop is kept as a test oracle.
+derivation, homomorphism, grading, centralizer) are exact.  The
+super-Jacobi check is a sparse integer contraction of the table with
+itself, and the map checks (map_failures) one of the table with the map's
+matrix, both summed by int_fast.fold.  The pure-field super-Jacobi triple
+loop is kept as a test oracle.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -15,11 +16,19 @@ import numpy as np
 
 from .exact import (
     QQ, FieldGF, Matrix, Subspace,
-    vec_zero, vec_eq, vec_is_zero, basis_vector,
+    vec_zero, vec_is_zero, basis_vector,
 )
-from .int_fast import FLOAT_EXACT_BOUND, coo, fold, join, matrix_to_int_array, sc_to_dense_int
+from .int_fast import coo, fold, join, matrix_to_int_array
 
 EVEN, ODD = 0, 1
+
+
+def accumulate(sc, i, j, k, c):
+    """sc[(i, j)][k] += c on a table under construction; SuperAlgebra drops
+    the zero sums and empty rows."""
+    if c:
+        row = sc.setdefault((i, j), {})
+        row[k] = row[k] + c if k in row else c
 
 
 class SuperAlgebra:
@@ -52,7 +61,6 @@ class SuperAlgebra:
             if clean:
                 self.sc[(i, j)] = clean
         self._index = {lbl: i for i, lbl in enumerate(self.basis)}
-        self._int_cache = None
 
     # -- basic queries --------------------------------------------------
 
@@ -140,15 +148,6 @@ class SuperAlgebra:
         if not ps:
             return EVEN
         return ps.pop() if len(ps) == 1 else None
-
-    # -- integer tensors for the bulk checkers --------------------------
-
-    def _int_tensors(self):
-        """(T, D) with T[i,j,k] = D*c^k_ij as int64, T None past int64;
-        rational algebras only."""
-        if self._int_cache is None:
-            self._int_cache = sc_to_dense_int(self.sc, self.n)
-        return self._int_cache
 
     # -- change of basis -------------------------------------------------
 
@@ -308,6 +307,10 @@ def _check_anticommutative(A, max_witnesses):
     return failures
 
 
+def _entries(A):
+    return [((i, j, k), c) for (i, j), row in A.sc.items() for k, c in row.items()]
+
+
 def _jacobiator(A, i, j, k):
     """Graded jacobiator of three basis elements, cyclic form."""
     p = A.parity
@@ -361,8 +364,7 @@ def check_super_jacobi(A, max_witnesses=10):
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
-    (I, J, K), V, _D = coo([((i, j, k), c) for (i, j), row in A.sc.items()
-                            for k, c in row.items()], A.field, 3)
+    (I, J, K), V, _D = coo(_entries(A), A.field, 3)
     par = np.array(A.parity, dtype=bool)
 
     # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j
@@ -434,80 +436,65 @@ def _rank_mod_p(A, p):
     return r
 
 
-def _tensor_fast_ok(A, M):
-    if not A.field.is_rational:
-        return False
-    T, _Dt = A._int_tensors()
-    Am, Dm = matrix_to_int_array(M)
-    if T is None or Am is None:
-        return False
-    tmax = int(np.abs(T).max(initial=0))
-    mmax = int(np.abs(Am).max(initial=0))
-    return ((A.n ** 2) * mmax * mmax * tmax < FLOAT_EXACT_BOUND
-            and A.n * tmax * mmax * Dm < FLOAT_EXACT_BOUND)
+def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
+    """Sorted pairs (i, j) with M(b_i b_j) != M(b_i) M(b_j), or, as a
+    derivation of src = tgt of parity |M| = odd, with
+    M(b_i b_j) != M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); the first
+    max_witnesses of them, all when None.
+
+    One sparse exact contraction: the COO tables of src, tgt and M are
+    joined on their shared indices, keys (i, j, k) are packed into one
+    int64 and int_fast.fold sums the terms.  Over QQ the terms are scaled
+    to one denominator (D_m D_t on M(b_i b_j) and D_s on M(b_i) M(b_j);
+    D_t and D_s for a derivation); over GF(p) they are residues and fold
+    reduces the sums mod p.  ValueError unless M is tgt.n x src.n.
+    """
+    if M.nrows != tgt.n or M.ncols != src.n:
+        raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
+                         % (M.nrows, M.ncols, tgt.n, src.n))
+    field, n, nt = src.field, src.n, tgt.n
+    table = coo(_entries(src), field, 3)
+    (I, J, K), Vs, Ds = table
+    (It, Jt, Kt), Vt, Dt = table if tgt is src else coo(_entries(tgt), field, 3)
+    (R, C), Vm, Dm = coo([((r, c), x) for r, row in enumerate(M.rows)
+                          for c, x in enumerate(row) if x], field, 2)
+
+    def key(i, j, k):
+        return (i * n + j) * nt + k
+
+    # M(b_i b_j) = sum_k c^k_ij M(b_k)
+    a, b = join(K, C)
+    terms = [(key(I[a], J[a], R[b]), [Vs[a], Vm[b], Dt if derivation else Dm * Dt])]
+    if derivation:
+        # M(b_i) b_j = sum_p M_pi c^k_pj and b_i M(b_j) = sum_q M_qj c^k_iq
+        a, b = join(It, R)
+        terms.append((key(C[b], Jt[a], Kt[a]), [Vm[b], Vt[a], -Ds]))
+        a, b = join(Jt, R)
+        sign = np.where(np.array(tgt.parity, dtype=bool)[It[a]] & bool(odd), 1, -1)
+        terms.append((key(It[a], C[b], Kt[a]), [Vm[b], Vt[a], sign, Ds]))
+    else:
+        # M(b_i) M(b_j) = sum_{p,q} M_pi M_qj c^k_pq
+        a, b = join(It, R)
+        t, c = join(Jt[a], R)
+        a, b = a[t], b[t]
+        terms.append((key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds]))
+    keys, _sums, _path = fold(terms, None if field.is_rational else field.p)
+    pairs = np.unique(keys // nt)[:max_witnesses].tolist()
+    return [(ij // n, ij % n) for ij in pairs]
 
 
-def is_automorphism(A, f, check_invertible=True):
+def is_automorphism(A, f):
     """True iff f is an invertible even map with f(xy) = f(x)f(y)."""
-    if f.parity != EVEN:
-        return False
     M = f.matrix
-    if M.nrows != A.n or M.ncols != A.n:
-        return False
-    if check_invertible and not _invertible(M):
-        return False
-    if _tensor_fast_ok(A, M):
-        T, Dt = A._int_tensors()
-        Am, Dm = matrix_to_int_array(M)
-        Tf = T.astype(np.float64)
-        Mf = Am.astype(np.float64)
-        lhs = np.tensordot(Mf, Tf, axes=(0, 0))          # (i, q, k)
-        lhs = np.tensordot(Mf, lhs, axes=(0, 1))         # (j, i, k)
-        lhs = lhs.transpose(1, 0, 2)
-        rhs = np.tensordot(Tf, Mf, axes=(2, 1)) * Dm     # (i, j, k) scaled to match
-        return bool(np.array_equal(lhs, rhs))
-    cols = [M.column(j) for j in range(A.n)]
-    for i in range(A.n):
-        for j in range(A.n):
-            lhs = M.apply(A.multiply(A.e(i), A.e(j)))
-            rhs = A.multiply(cols[i], cols[j])
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    return (f.parity == EVEN and M.nrows == A.n and M.ncols == A.n and _invertible(M)
+            and not map_failures(A, A, M))
 
 
 def is_derivation(A, f):
     """True iff f(xy) = f(x)y + (-1)^{|f||x|} x f(y) on all basis pairs."""
     M = f.matrix
-    if M.nrows != A.n or M.ncols != A.n:
-        return False
-    if _tensor_fast_ok(A, M):
-        T, _Dt = A._int_tensors()
-        Am, _Dm = matrix_to_int_array(M)
-        Tf = T.astype(np.float64)
-        Mf = Am.astype(np.float64)
-        lhs = np.tensordot(Tf, Mf, axes=(2, 1))                    # f(b_i b_j)
-        r1 = np.tensordot(Mf, Tf, axes=(0, 0))                     # (i, j, k)
-        r2 = np.tensordot(Mf, Tf.transpose(1, 0, 2), axes=(0, 0))  # (j, i, k)
-        r2 = r2.transpose(1, 0, 2)
-        if f.parity == ODD:
-            signs = np.where(np.array(A.parity) != 0, -1.0, 1.0)
-            r2 = r2 * signs[:, None, None]
-        return bool(np.array_equal(lhs, r1 + r2))
-    cols = [M.column(j) for j in range(A.n)]
-    for i in range(A.n):
-        si = -1 if (f.parity and A.parity[i]) else 1
-        for j in range(A.n):
-            lhs = M.apply(A.multiply(A.e(i), A.e(j)))
-            rhs = A.multiply(cols[i], A.e(j))
-            t2 = A.multiply(A.e(i), cols[j])
-            if si < 0:
-                rhs = [a - b for a, b in zip(rhs, t2)]
-            else:
-                rhs = [a + b for a, b in zip(rhs, t2)]
-            if not vec_eq(lhs, rhs):
-                return False
-    return True
+    return (M.nrows == A.n and M.ncols == A.n
+            and not map_failures(A, A, M, derivation=True, odd=f.parity == ODD))
 
 
 def check_grading(A, grading):

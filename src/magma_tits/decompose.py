@@ -22,7 +22,7 @@ from .exact import (
     QQ, Matrix, Subspace, vec_zero, vec_add, vec_scale, vec_eq, vec_is_zero,
     basis_vector, flatten_matrix, commutator,
 )
-from .algebra import SuperAlgebra, EVEN
+from .algebra import SuperAlgebra, EVEN, accumulate
 from .s4 import GroupAction
 
 W_LABELS = ["w1", "w2", "w0"]
@@ -311,15 +311,6 @@ def assemble_b1(data, name="b1"):
 
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            row = sc.setdefault((i, j), {})
-            v = row.get(k, f.zero) + c
-            if v:
-                row[k] = v
-            elif k in row:
-                del row[k]
-
     half = f.of(1) / f.of(2)
     # adjoint x adjoint
     for i1 in range(3):
@@ -334,16 +325,16 @@ def assemble_b1(data, name="b1"):
                         if ci:
                             for t, cc in enumerate(data.circ_HH[j1][j2]):
                                 if cc:
-                                    add(src, dst, aidx(m, t), ci * cc)
+                                    accumulate(sc, src, dst, aidx(m, t), ci * cc)
                     for m, ci in enumerate(sDD):
                         if ci:
                             for t, cb in enumerate(data.brk_HH[j1][j2]):
                                 if cb:
-                                    add(src, dst, hidx(m, t), -half * ci * cb)
+                                    accumulate(sc, src, dst, hidx(m, t), -half * ci * cb)
                     if tDD:
                         for t, cd in enumerate(data.d_HH[j1][j2]):
                             if cd:
-                                add(src, dst, off_d + t, tDD * cd)
+                                accumulate(sc, src, dst, off_d + t, tDD * cd)
     # adjoint x h and h x adjoint
     for i1 in range(3):
         for x2 in range(5):
@@ -365,8 +356,8 @@ def assemble_b1(data, name="b1"):
                                     out.append((hidx(m, t), ci * cc))
                     sgn = -1 if (data.h_parity[j1] and data.s_parity[j2]) else 1
                     for k, c in out:
-                        add(src, dst, k, c)
-                        add(dst, src, k, -c if sgn > 0 else c)
+                        accumulate(sc, src, dst, k, c)
+                        accumulate(sc, dst, src, k, -c if sgn > 0 else c)
     # h x h
     for x1 in range(5):
         for x2 in range(5):
@@ -380,16 +371,16 @@ def assemble_b1(data, name="b1"):
                         if ci:
                             for t, cc in enumerate(data.circ_SS[j1][j2]):
                                 if cc:
-                                    add(src, dst, aidx(m, t), ci * cc)
+                                    accumulate(sc, src, dst, aidx(m, t), ci * cc)
                     for m, ci in enumerate(sm):
                         if ci:
                             for t, cb in enumerate(data.brk_SS[j1][j2]):
                                 if cb:
-                                    add(src, dst, hidx(m, t), -half * ci * cb)
+                                    accumulate(sc, src, dst, hidx(m, t), -half * ci * cb)
                     if tm:
                         for t, cd in enumerate(data.d_SS[j1][j2]):
                             if cd:
-                                add(src, dst, off_d + t, tm * cd)
+                                accumulate(sc, src, dst, off_d + t, tm * cd)
     # d acting
     for r in range(md):
         pr = data.d_parity[r]
@@ -399,20 +390,20 @@ def assemble_b1(data, name="b1"):
             for i in range(3):
                 for t, c in enumerate(img):
                     if c:
-                        add(off_d + r, aidx(i, j), aidx(i, t), c)
-                        add(aidx(i, j), off_d + r, aidx(i, t), -c if sgn > 0 else c)
+                        accumulate(sc, off_d + r, aidx(i, j), aidx(i, t), c)
+                        accumulate(sc, aidx(i, j), off_d + r, aidx(i, t), -c if sgn > 0 else c)
         for j in range(ms):
             img = data.act_dS[r][j]
             sgn = -1 if (pr and data.s_parity[j]) else 1
             for x in range(5):
                 for t, c in enumerate(img):
                     if c:
-                        add(off_d + r, hidx(x, j), hidx(x, t), c)
-                        add(hidx(x, j), off_d + r, hidx(x, t), -c if sgn > 0 else c)
+                        accumulate(sc, off_d + r, hidx(x, j), hidx(x, t), c)
+                        accumulate(sc, hidx(x, j), off_d + r, hidx(x, t), -c if sgn > 0 else c)
         for s in range(md):
             for t, c in enumerate(data.brk_dd[r][s]):
                 if c:
-                    add(off_d + r, off_d + s, off_d + t, c)
+                    accumulate(sc, off_d + r, off_d + s, off_d + t, c)
 
     return SuperAlgebra(labels, sc, parity=parity, field=f, name=name,
                         is_lie_claimed=True)

@@ -1,8 +1,8 @@
 """Exact scalars (rationals or GF(p), p >= 5) and exact dense linear algebra.
 
 Everything downstream computes over one of these fields; there is no
-floating-point tolerance anywhere.  numpy float64 is used internally only
-as a carrier for exact small-integer arithmetic (see int_fast.py).
+floating-point tolerance anywhere.  The bulk checks lower these scalars
+to exact integers (see int_fast.py).
 """
 
 from fractions import Fraction

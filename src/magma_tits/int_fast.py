@@ -2,30 +2,26 @@
 
 Rational data with a common denominator cleared is integer data; GF(p)
 data is its residues (`lower`).  The sparse checkers (super-Jacobi,
-structurable) store tables as COO columns of such integers, join them on a
-shared index (`join`), pack each output index tuple into one int64 key,
-sort and sum equal keys with np.add.reduceat (`fold`).  A fold sums in
-int64 only when its widest key group times its largest product, both read
-off the actual values, fits in int64, and on Python ints otherwise.
+structurable, and the automorphism, derivation and homomorphism checks of
+algebra.map_failures) store tables and maps as COO columns of such
+integers, join them on a shared index (`join`), pack each output index
+tuple into one int64 key, sort and sum equal keys with np.add.reduceat
+(`fold`).  A fold sums in int64 only when its widest key group times its
+largest product, both read off the actual values, fits in int64, and on
+Python ints otherwise.
 
 The dense Lie-conditions check contracts such integer tables with
 `einsum`, which bounds every result by the contraction length times the
 product of the largest operand magnitudes, read off the actual arrays.
 Under the int64 bound it runs in int64, past it on Python ints (object
-arrays); over GF(p) it reduces the result mod p.
-
-The dense tensor checkers (automorphism, derivation, homomorphism) carry
-integers in float64 BLAS only when every sum of products stays below
-FLOAT_EXACT_BOUND = 2**53.  Each caller checks that bound on the
-`scaled_int_entries` magnitudes before building any int64 array and takes
-the pure-field loop otherwise, so no helper here approximates or overflows.
+arrays); over GF(p) it reduces the result mod p.  No helper here uses
+floating point, approximates or overflows.
 """
 
 from math import lcm, prod
 
 import numpy as np
 
-FLOAT_EXACT_BOUND = float(1 << 53)
 INT64_MAX = (1 << 63) - 1
 
 
@@ -126,7 +122,8 @@ def einsum(spec, *ops, p=None):
 
 def sc_to_dense_int(sc, n):
     """Sparse structure constants -> (T, D) with T[i,j,k] = D*c^k_ij as int64;
-    T is None when a scaled constant passes int64."""
+    T is None when a scaled constant passes int64.  No checker uses it; the
+    perfbench tracer still names it as a layer."""
     D, ints = scaled_int_entries([c for row in sc.values() for c in row.values()])
     if not _fits(ints):
         return None, D

@@ -21,11 +21,8 @@ Verification failure raises: these maps are theorems, and a failure means
 the tables, signs, or conventions upstream are wrong.
 """
 
-import numpy as np
-
-from .exact import Matrix, vec_zero, vec_eq
-from .algebra import _invertible
-from .int_fast import FLOAT_EXACT_BOUND, matrix_to_int_array
+from .exact import Matrix, vec_zero
+from .algebra import _invertible, map_failures
 from .composition import split_cayley, invariant_quaternion, s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import h3, jordan_super_jvtheta, kaplansky
@@ -38,51 +35,10 @@ class IsomorphismError(AssertionError):
 
 
 def homomorphism_failures(src, tgt, M, max_witnesses=5):
-    """Pairs (i, j) where M(b_i b_j) != M(b_i) M(b_j) (no extra signs: the
-    maps verified here are even)."""
-    if _np_hom_ok(src, tgt, M):
-        return _np_hom_failures(src, tgt, M, max_witnesses)
-    cols = [M.column(j) for j in range(src.n)]
-    out = []
-    for i in range(src.n):
-        for j in range(src.n):
-            lhs = M.apply(src.multiply(src.e(i), src.e(j)))
-            rhs = tgt.multiply(cols[i], cols[j])
-            if not vec_eq(lhs, rhs):
-                out.append((i, j))
-                if len(out) >= max_witnesses:
-                    return out
-    return out
-
-
-def _np_hom_ok(src, tgt, M):
-    if not src.field.is_rational:
-        return False
-    Ts, Ds = src._int_tensors()
-    Tt, Dt = tgt._int_tensors()
-    Am, Dm = matrix_to_int_array(M)
-    if Ts is None or Tt is None or Am is None:
-        return False
-    mmax = int(np.abs(Am).max(initial=0))
-    smax = int(np.abs(Ts).max(initial=0))
-    tmax = int(np.abs(Tt).max(initial=0))
-    return (max(src.n * smax * mmax * Dm * Dt,
-                src.n * src.n * mmax * mmax * tmax * Ds) < FLOAT_EXACT_BOUND)
-
-
-def _np_hom_failures(src, tgt, M, max_witnesses):
-    Ts, Ds = src._int_tensors()
-    Tt, Dt = tgt._int_tensors()
-    Am, Dm = matrix_to_int_array(M)
-    Tsf = Ts.astype(np.float64)
-    Ttf = Tt.astype(np.float64)
-    Mf = Am.astype(np.float64)
-    lhs = np.tensordot(Tsf, Mf, axes=(2, 1))            # M(b_i b_j): scale Ds*Dm
-    rhs = np.tensordot(Mf, Ttf, axes=(0, 0))            # (i, q, k)
-    rhs = np.tensordot(Mf, rhs, axes=(0, 1)).transpose(1, 0, 2)  # scale Dm^2*Dt
-    diff = lhs * (Dm * Dt) - rhs * Ds
-    bad = np.nonzero(np.any(diff != 0, axis=2))
-    return [(int(i), int(j)) for i, j in list(zip(*bad))[:max_witnesses]]
+    """The first max_witnesses pairs (i, j), sorted, where
+    M(b_i b_j) != M(b_i) M(b_j) (no extra signs: the maps verified here are
+    even); ValueError unless M is tgt.n x src.n."""
+    return map_failures(src, tgt, M, max_witnesses=max_witnesses)
 
 
 class InvolutionHomomorphism:

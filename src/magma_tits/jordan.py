@@ -14,7 +14,7 @@ derivations d_{x,y} = [L_x, L_y] (graded commutator) and the cross product
 """
 
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import SuperAlgebra, LinearMap, EVEN, ODD
+from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate
 
 
 class JordanAlgebra:
@@ -135,20 +135,15 @@ def h3(Chat, name=None):
     half = f.of(1) / f.of(2)
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            row = sc.setdefault((i, j), {})
-            row[k] = row.get(k, f.zero) + c
-
     for i in range(3):
-        add(e_idx[i], e_idx[i], e_idx[i], f.one)
+        accumulate(sc, e_idx[i], e_idx[i], e_idx[i], f.one)
     # e_j o iota_i(x)
     for i in range(3):
         for j in range(d):
             col = iota_idx[i][j]
             for off in (1, 2):
-                add(e_idx[(i + off) % 3], col, col, half)
-                add(col, e_idx[(i + off) % 3], col, half)
+                accumulate(sc, e_idx[(i + off) % 3], col, col, half)
+                accumulate(sc, col, e_idx[(i + off) % 3], col, half)
     # iota_i o iota_i
     tbar = [[Chat.trace(Chat.product(basis_vector(d, a, f), Chat.conj(basis_vector(d, b, f))))
              for b in range(d)] for a in range(d)]
@@ -157,8 +152,8 @@ def h3(Chat, name=None):
             for b in range(d):
                 c = half * tbar[a][b]
                 if c:
-                    add(iota_idx[i][a], iota_idx[i][b], e_idx[(i + 1) % 3], c)
-                    add(iota_idx[i][a], iota_idx[i][b], e_idx[(i + 2) % 3], c)
+                    accumulate(sc, iota_idx[i][a], iota_idx[i][b], e_idx[(i + 1) % 3], c)
+                    accumulate(sc, iota_idx[i][a], iota_idx[i][b], e_idx[(i + 2) % 3], c)
     # iota_i(x) o iota_{i+1}(y) = 1/2 iota_{i+2}(conj(x y)); commutative mirror
     for i in range(3):
         ip1, ip2 = (i + 1) % 3, (i + 2) % 3
@@ -167,8 +162,9 @@ def h3(Chat, name=None):
                 prod = Chat.conj(Chat.product(basis_vector(d, a, f), basis_vector(d, b, f)))
                 for t, c in enumerate(prod):
                     if c:
-                        add(iota_idx[i][a], iota_idx[ip1][b], iota_idx[ip2][t], half * c)
-                        add(iota_idx[ip1][b], iota_idx[i][a], iota_idx[ip2][t], half * c)
+                        k = iota_idx[ip2][t]
+                        accumulate(sc, iota_idx[i][a], iota_idx[ip1][b], k, half * c)
+                        accumulate(sc, iota_idx[ip1][b], iota_idx[i][a], k, half * c)
     alg = SuperAlgebra(labels, sc, field=f, name=name or ("H3(%s)" % Chat.name),
                        is_jordan_claimed=True)
     unit = vec_zero(n, f)

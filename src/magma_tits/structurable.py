@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix, vec_eq
-from .algebra import SuperAlgebra, EVEN
+from .algebra import SuperAlgebra, EVEN, accumulate
 from .int_fast import INT64_MAX, coo, fold, join
 
 
@@ -103,32 +103,28 @@ def a_of_j(J, name=None):
     three = f.of(3)
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            sc.setdefault((i, j), {})[k] = sc.setdefault((i, j), {}).get(k, f.zero) + c
-
     def add_vec(i, j, vec, offset):
         for t, c in enumerate(vec):
             if c:
-                add(i, j, offset + t, c)
+                accumulate(sc, i, j, offset + t, c)
 
     # alpha/beta against everything
-    add(A_IDX, A_IDX, A_IDX, f.one)                     # alpha alpha'
-    add(B_IDX, B_IDX, B_IDX, f.one)                     # beta beta'
+    accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)        # alpha alpha'
+    accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)        # beta beta'
     for i in range(nj):
-        add(A_IDX, xi(i), xi(i), f.one)                 # alpha x'
-        add(B_IDX, yi(i), yi(i), f.one)                 # beta y'
-        add(xi(i), B_IDX, xi(i), f.one)                 # beta' x
-        add(yi(i), A_IDX, yi(i), f.one)                 # alpha' y
+        accumulate(sc, A_IDX, xi(i), xi(i), f.one)    # alpha x'
+        accumulate(sc, B_IDX, yi(i), yi(i), f.one)    # beta y'
+        accumulate(sc, xi(i), B_IDX, xi(i), f.one)    # beta' x
+        accumulate(sc, yi(i), A_IDX, yi(i), f.one)    # alpha' y
     # trace pairings and cross products
     for i in range(nj):
         for j in range(nj):
             tij = three * J.trace_of(alg.multiply(alg.e(i), alg.e(j)))
-            add(xi(i), yi(j), A_IDX, tij)               # alpha alpha' + 3t(x y')
-            add(yi(i), xi(j), B_IDX, tij)               # beta beta' + 3t(y x')
+            accumulate(sc, xi(i), yi(j), A_IDX, tij)  # alpha alpha' + 3t(x y')
+            accumulate(sc, yi(i), xi(j), B_IDX, tij)  # beta beta' + 3t(y x')
             cr = J.cross(alg.e(i), alg.e(j))
-            add_vec(yi(i), yi(j), cr, 1)                # y X y' into the x slot
-            add_vec(xi(i), xi(j), cr, 1 + nj)           # x X x' into the y slot
+            add_vec(yi(i), yi(j), cr, 1)              # y X y' into the x slot
+            add_vec(xi(i), xi(j), cr, 1 + nj)         # x X x' into the y slot
     A = SuperAlgebra(labels, sc, parity=parity, field=f,
                      name=name or ("A(%s)" % J.name))
     sigma = Matrix.identity(n, f)
@@ -161,27 +157,23 @@ def a_of_cubic(K, name=None):
     two = f.of(2)
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            sc.setdefault((i, j), {})[k] = sc.setdefault((i, j), {}).get(k, f.zero) + c
-
     def add_vec(i, j, vec, offset, scale):
         for t, c in enumerate(vec):
             if c:
-                add(i, j, offset + t, scale * c)
+                accumulate(sc, i, j, offset + t, scale * c)
 
-    add(A_IDX, A_IDX, A_IDX, f.one)
-    add(B_IDX, B_IDX, B_IDX, f.one)
+    accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)
+    accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)
     for i in range(nk):
-        add(A_IDX, xi(i), xi(i), f.one)
-        add(B_IDX, yi(i), yi(i), f.one)
-        add(xi(i), B_IDX, xi(i), f.one)
-        add(yi(i), A_IDX, yi(i), f.one)
+        accumulate(sc, A_IDX, xi(i), xi(i), f.one)
+        accumulate(sc, B_IDX, yi(i), yi(i), f.one)
+        accumulate(sc, xi(i), B_IDX, xi(i), f.one)
+        accumulate(sc, yi(i), A_IDX, yi(i), f.one)
     for i in range(nk):
         for j in range(nk):
             tij = three * K.trace_form(alg.e(i), alg.e(j))
-            add(xi(i), yi(j), A_IDX, tij)
-            add(yi(i), xi(j), B_IDX, tij)
+            accumulate(sc, xi(i), yi(j), A_IDX, tij)
+            accumulate(sc, yi(i), xi(j), B_IDX, tij)
             prod = alg.multiply(alg.e(i), alg.e(j))
             add_vec(yi(i), yi(j), prod, 1, two)         # 2 y y'
             add_vec(xi(i), xi(j), prod, 1 + nk, two)    # 2 x x'

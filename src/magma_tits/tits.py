@@ -17,13 +17,14 @@ them exhaustively over (C0 basis)^3 x (J0 basis)^3.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from itertools import chain, islice, product
 from math import lcm
 
 import numpy as np
 
 from .exact import Subspace, vec_zero, flatten_matrix
-from .algebra import SuperAlgebra, EVEN
+from .algebra import SuperAlgebra, EVEN, accumulate
 from .composition import derivation_algebra, inner_derivation
 from .int_fast import einsum, lower
 
@@ -262,20 +263,11 @@ def tits(C, J, name=None):
 
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            row = sc.setdefault((i, j), {})
-            v = row.get(k, f.zero) + c
-            if v:
-                row[k] = v
-            elif k in row:
-                del row[k]
-
     # der C x der C
     if derC is not None:
         for (r, s), row in derC.lie.sc.items():
             for k, c in row.items():
-                add(r, s, k, c)
+                accumulate(sc, r, s, k, c)
     # d_{J,J} x d_{J,J}: graded matrix commutators
     for s in range(nd):
         Ms, ps = djj.matrices[s], djj.parities[s]
@@ -287,7 +279,7 @@ def tits(C, J, name=None):
             else:
                 comm = comm - (Mt @ Ms)
             for k, c in enumerate(djj.coords_matrix(comm, check=False)):
-                add(off + s, off + t, off + k, c)
+                accumulate(sc, off + s, off + t, off + k, c)
     # der C acting on the tensor part
     for r in range(m):
         for i in range(nc):
@@ -295,8 +287,8 @@ def tits(C, J, name=None):
             for j in range(nj):
                 for i2, c in enumerate(img):
                     if c:
-                        add(r, tidx(i, j), tidx(i2, j), c)
-                        add(tidx(i, j), r, tidx(i2, j), -c)
+                        accumulate(sc, r, tidx(i, j), tidx(i2, j), c)
+                        accumulate(sc, tidx(i, j), r, tidx(i2, j), -c)
     # d_{J,J} acting on the tensor part
     for s in range(nd):
         ps = djj.parities[s]
@@ -306,8 +298,8 @@ def tits(C, J, name=None):
             for i in range(nc):
                 for j2, c in enumerate(img):
                     if c:
-                        add(off + s, tidx(i, j), tidx(i, j2), c)
-                        add(tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
+                        accumulate(sc, off + s, tidx(i, j), tidx(i, j2), c)
+                        accumulate(sc, tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
     # tensor x tensor
     two = f.of(2)
     for i in range(nc):
@@ -321,17 +313,17 @@ def tits(C, J, name=None):
                     t = tables.tJ[j][l]
                     if t:
                         for r, c in enumerate(DCik):
-                            add(src, dst, r, t * c)
+                            accumulate(sc, src, dst, r, t * c)
                     stjl = tables.star[j][l]
                     for i2, cb in enumerate(brik):
                         if cb:
                             for j2, cs in enumerate(stjl):
                                 if cs:
-                                    add(src, dst, tidx(i2, j2), cb * cs)
+                                    accumulate(sc, src, dst, tidx(i2, j2), cb * cs)
                     if trik:
                         for s, cd in enumerate(tables.dxy[j][l]):
                             if cd:
-                                add(src, dst, off + s, two * trik * cd)
+                                accumulate(sc, src, dst, off + s, two * trik * cd)
 
     alg = SuperAlgebra(labels, sc, parity=parity, field=f,
                        name=name or ("T(%s,%s)" % (C.name, J.name)),
@@ -370,13 +362,57 @@ def _sigma(par, perm, j):
     return -1 if (p[0] and p[2]) else 1
 
 
-def _conditions_direct(T, a_triple, x_triple):
-    """Exact Jacobiator components (d_{J,J}, der C, tensor) of one triple pair."""
+def _side_sums(T):
+    """The sums of _conditions_direct that depend on the a-triple alone or
+    on the x-triple alone, each computed once per scan: lambda, mu,
+    D_{a_p,a_q}(a_w), [[a_p,a_q],a_w], (x_a * x_b) * x_c, d_{x_a,x_b}(x_c)."""
     tb = T.tables
     f = T.algebra.field
-    par = [T.J.algebra.parity_of_vector(x) for x in T.j0_basis]
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     nd, m = T.djj_dim, T.der_dim
+
+    def dot(terms):
+        return sum(terms, start=f.zero)
+
+    @cache
+    def lam(p, q, w):
+        return dot(tb.brC[p][q][mm] * tb.trC[mm][w] for mm in range(nc))
+
+    @cache
+    def mu(a, b, c):
+        return dot(tb.star[a][b][mm] * tb.tJ[mm][c] for mm in range(nj))
+
+    @cache
+    def der_act(p, q, w):
+        return [dot(tb.DC[p][q][r] * tb.der_act[r][w][mc] for r in range(m))
+                for mc in range(nc)]
+
+    @cache
+    def brbr(p, q, w):
+        return [dot(tb.brC[p][q][mm] * tb.brC[mm][w][mc] for mm in range(nc))
+                for mc in range(nc)]
+
+    @cache
+    def starstar(a, b, c):
+        return [dot(tb.star[a][b][mm] * tb.star[mm][c][mj] for mm in range(nj))
+                for mj in range(nj)]
+
+    @cache
+    def djj_act(a, b, c):
+        return [dot(tb.dxy[a][b][s] * tb.djj_act[s][c][mj] for s in range(nd))
+                for mj in range(nj)]
+
+    return lam, mu, der_act, brbr, starstar, djj_act
+
+
+def _conditions_direct(T, a_triple, x_triple, par, sums):
+    """Exact Jacobiator components (d_{J,J}, der C, tensor) of one triple
+    pair; par is the J0 parity vector and sums is _side_sums(T)."""
+    tb = T.tables
+    f = T.algebra.field
+    nc, nj = len(T.c0_basis), len(T.j0_basis)
+    nd, m = T.djj_dim, T.der_dim
+    lam_of, mu_of, der_act, brbr, starstar, djj_act = sums
     acc_d = [f.zero] * nd
     acc_D = [f.zero] * m
     acc_t = [[f.zero] * nj for _ in range(nc)]
@@ -385,8 +421,8 @@ def _conditions_direct(T, a_triple, x_triple):
         p, q, w = (a_triple[perm[0]], a_triple[perm[1]], a_triple[perm[2]])
         a, b, c = (x_triple[perm[0]], x_triple[perm[1]], x_triple[perm[2]])
         sg = f.of(_sigma(par, perm, x_triple))
-        lam = sum((tb.brC[p][q][mm] * tb.trC[mm][w] for mm in range(nc)), start=f.zero)
-        mu = sum((tb.star[a][b][mm] * tb.tJ[mm][c] for mm in range(nj)), start=f.zero)
+        lam = lam_of(p, q, w)
+        mu = mu_of(a, b, c)
         # d_{J,J} component: sigma * 2 lam * d_{x_a * x_b, x_c}
         if lam:
             for mm in range(nj):
@@ -404,25 +440,17 @@ def _conditions_direct(T, a_triple, x_triple):
         # tensor component
         tjab = tb.tJ[a][b]
         if tjab and m:
-            for mc in range(nc):
-                dv = sum((tb.DC[p][q][r] * tb.der_act[r][w][mc] for r in range(m)),
-                         start=f.zero)
+            for mc, dv in enumerate(der_act(p, q, w)):
                 if dv:
                     acc_t[mc][c] = acc_t[mc][c] + sg * tjab * dv
-        for mc in range(nc):
-            brv = sum((tb.brC[p][q][mm] * tb.brC[mm][w][mc] for mm in range(nc)),
-                      start=f.zero)
+        for mc, brv in enumerate(brbr(p, q, w)):
             if brv:
-                for mj in range(nj):
-                    ssv = sum((tb.star[a][b][mm] * tb.star[mm][c][mj] for mm in range(nj)),
-                              start=f.zero)
+                for mj, ssv in enumerate(starstar(a, b, c)):
                     if ssv:
                         acc_t[mc][mj] = acc_t[mc][mj] + sg * brv * ssv
         tr = tb.trC[p][q]
         if tr:
-            for mj in range(nj):
-                dav = sum((tb.dxy[a][b][s] * tb.djj_act[s][c][mj] for s in range(nd)),
-                          start=f.zero)
+            for mj, dav in enumerate(djj_act(a, b, c)):
                 if dav:
                     acc_t[w][mj] = acc_t[w][mj] + sg * two * tr * dav
     return acc_d, acc_D, acc_t
@@ -432,9 +460,11 @@ def _failing_triple_pairs(T):
     """(bad, a_triple, x_triple) for each triple pair, in scan order, whose
     Jacobiator breaks a condition; bad flags (i), (ii), (iii)."""
     nc, nj = len(T.c0_basis), len(T.j0_basis)
+    par = [T.J.algebra.parity_of_vector(x) for x in T.j0_basis]
+    sums = _side_sums(T)
     for at in product(range(nc), repeat=3):
         for xt in product(range(nj), repeat=3):
-            d, D, t = _conditions_direct(T, at, xt)
+            d, D, t = _conditions_direct(T, at, xt, par, sums)
             bad = (any(d), any(D), any(any(row) for row in t))
             if any(bad):
                 yield bad, at, xt
@@ -659,15 +689,6 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
 
     sc = {}
 
-    def add(i, j, k, c):
-        if c:
-            row = sc.setdefault((i, j), {})
-            v = row.get(k, f.zero) + c
-            if v:
-                row[k] = v
-            elif k in row:
-                del row[k]
-
     two = f.of(2)
     # tensor x tensor
     br = [[q0_span.coords([x - y for x, y in zip(Q.product(a, b), Q.product(b, a))])
@@ -682,12 +703,12 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
                     for i2, cb in enumerate(br[i][k]):
                         if cb:
                             for j2, cp in prod.items():
-                                add(src, dst, tidx(i2, j2), cb * cp)
+                                accumulate(sc, src, dst, tidx(i2, j2), cb * cp)
                     if tr[i][k]:
                         d = J.inner_derivation(alg.e(j), alg.e(l))
                         for s, cd in enumerate(span.coords(flatten_matrix(d.matrix), check=False)):
                             if cd:
-                                add(src, dst, off + s, two * tr[i][k] * cd)
+                                accumulate(sc, src, dst, off + s, two * tr[i][k] * cd)
     # D acting
     for s in range(nd):
         Ms, ps = mats[s], pars[s]
@@ -697,14 +718,14 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
                 sgn = -1 if (ps and alg.parity[j]) else 1
                 for j2, c in enumerate(act[j]):
                     if c:
-                        add(off + s, tidx(i, j), tidx(i, j2), c)
-                        add(tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
+                        accumulate(sc, off + s, tidx(i, j), tidx(i, j2), c)
+                        accumulate(sc, tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
         for t in range(nd):
             Mt, pt = mats[t], pars[t]
             comm = Ms @ Mt
             comm = comm + (Mt @ Ms) if (ps and pt) else comm - (Mt @ Ms)
             for k, c in enumerate(dcoords(comm)):
-                add(off + s, off + t, off + k, c)
+                accumulate(sc, off + s, off + t, off + k, c)
 
     out = SuperAlgebra(labels, sc, parity=parity, field=f,
                        name=name or ("T62(%s,%s)" % (Q.name, J.name)),

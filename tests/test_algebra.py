@@ -6,11 +6,16 @@ import pytest
 
 from magma_tits.exact import QQ, GF, Matrix, vec_eq
 from magma_tits.algebra import (
-    SuperAlgebra, LinearMap, Grading,
+    SuperAlgebra, LinearMap, Grading, ODD,
     check_super_jacobi, check_super_jacobi_reference,
-    is_automorphism, is_derivation, check_grading, centralizer,
+    is_automorphism, is_derivation, map_failures, check_grading, centralizer,
 )
-from magma_tits.isomorphisms import homomorphism_failures
+from magma_tits.composition import ground, split_cayley, split_quaternion
+from magma_tits.jordan import h3, jordan_super_jvtheta
+from magma_tits.structurable import a_of_j
+from magma_tits.tits import tits
+from magma_tits.s4 import s4_on_tits_right
+from magma_tits.isomorphisms import homomorphism_failures, jordan_to_aj_map, theorem41
 
 
 def sl2(field=QQ):
@@ -182,18 +187,122 @@ def test_jacobi_constants_past_int64():
         assert not check_super_jacobi_reference(bad).ok
 
 
+def map_failures_reference(src, tgt, M, derivation=False, odd=False):
+    """Every pair (i, j), sorted, where M(b_i b_j) differs from M(b_i) M(b_j),
+    or for a derivation from M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); pure
+    field arithmetic through SuperAlgebra.multiply."""
+    cols = [M.column(j) for j in range(src.n)]
+    out = []
+    for i in range(src.n):
+        for j in range(src.n):
+            lhs = M.apply(src.multiply(src.e(i), src.e(j)))
+            if derivation:
+                sign = -1 if odd and src.parity[i] else 1
+                rhs = [a + sign * b for a, b in zip(tgt.multiply(cols[i], tgt.e(j)),
+                                                    tgt.multiply(tgt.e(i), cols[j]))]
+            else:
+                rhs = tgt.multiply(cols[i], cols[j])
+            if not vec_eq(lhs, rhs):
+                out.append((i, j))
+    return out
+
+
+CORRUPTIONS = (1, -2, Fraction(1, 3), Fraction(-5, 7))
+
+
+def _corrupted(M, rng):
+    """M with one or two entries shifted by a nonzero scalar."""
+    N = M.copy()
+    for _ in range(rng.randint(1, 2)):
+        r, c = rng.randrange(N.nrows), rng.randrange(N.ncols)
+        N[r, c] = N[r, c] + M.field.of(rng.choice(CORRUPTIONS))
+    return N
+
+
+def _map_cases(field, rng):
+    """(src, tgt, matrix, derivation) for the S4 generators on
+    T(quaternion, H3(k)), Phi41 on F4, J -> A(J) and ad(x), each as it is
+    and with two seeded corruptions."""
+    T = tits(split_quaternion(field), h3(ground(field)))
+    A = T.algebra
+    maps = [(A, A, M, False) for M in s4_on_tits_right(T).gens.values()]
+    hom = theorem41(h3(ground(field)))[3]
+    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False))
+    J = h3(ground(field))
+    hom = jordan_to_aj_map(J, a_of_j(J))
+    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False))
+    x = [field.of(rng.choice(CORRUPTIONS)) for _ in range(A.n)]
+    maps.append((A, A, A.ad_matrix(x), True))
+    for src, tgt, M, der in maps:
+        for N in (M, _corrupted(M, rng), _corrupted(M, rng)):
+            yield src, tgt, N, der
+
+
+@pytest.mark.parametrize("field", (QQ, GF(10007), GF(2 ** 31 - 1)), ids=str)
+def test_map_checks_agree_with_reference(field):
+    rng = random.Random(11)
+    verdicts = set()
+    for src, tgt, M, der in _map_cases(field, rng):
+        ref = map_failures_reference(src, tgt, M, derivation=der)
+        if der:
+            assert map_failures(src, tgt, M, derivation=True) == ref
+            assert is_derivation(src, LinearMap(src, tgt, M)) == (not ref)
+        else:
+            assert homomorphism_failures(src, tgt, M, max_witnesses=src.n ** 2) == ref
+            assert homomorphism_failures(src, tgt, M) == ref[:5]
+            if src is tgt:
+                f = LinearMap(src, tgt, M)
+                assert is_automorphism(src, f) == (not ref and f.is_invertible())
+        verdicts.add(not ref)
+    assert verdicts == {True, False}
+
+
+def test_odd_derivations():
+    # ad of an odd element is an odd derivation: the sign (-1)^{|f||i|} is on
+    heis = SuperAlgebra(["z", "u", "v"], {(1, 2): {0: 1}, (2, 1): {0: 1}},
+                        parity=[0, 1, 1], name="heis(1|2)")
+    G3 = tits(split_cayley(), jordan_super_jvtheta()).algebra
+    rng = random.Random(3)
+    for A in (heis, G3):
+        for k in [i for i in range(A.n) if A.parity[i]][:4]:
+            D = A.ad_matrix(A.e(k))
+            assert is_derivation(A, LinearMap(A, A, D, parity=ODD))
+            for odd, M in ((True, _corrupted(D, rng)), (False, D)):
+                assert (map_failures(A, A, M, derivation=True, odd=odd)
+                        == map_failures_reference(A, A, M, derivation=True, odd=odd))
+    # on G(3) the even sign breaks ad of an odd element
+    D = G3.ad_matrix(G3.e(G3.parity.index(ODD)))
+    assert not is_derivation(G3, LinearMap(G3, G3, D))
+
+
+def test_map_checks_reject_wrong_shape():
+    for field in (QQ, GF(7)):
+        L = sl2(field)
+        with pytest.raises(ValueError):
+            homomorphism_failures(L, L, Matrix.identity(2, field))
+        with pytest.raises(ValueError):
+            map_failures(L, L, Matrix.zeros(3, 2, field), derivation=True)
+
+
 def test_dense_checks_past_int64():
-    # [e,f] = 2^70 h: the cleared constants and ad(e) pass int64, so the
-    # float64 paths must step aside for the pure-field loops
-    sc = {(0, 1): {2: Fraction(2 ** 70)}, (1, 0): {2: -Fraction(2 ** 70)},
-          (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}
-    L = SuperAlgebra(["e", "f", "h"], sc)
-    ident = Matrix.identity(3)
-    assert is_automorphism(L, LinearMap(L, L, ident))
-    assert is_derivation(L, LinearMap(L, L, L.ad_matrix(L.e("e"))))
-    assert not is_derivation(L, LinearMap(L, L, ident))
-    assert homomorphism_failures(L, L, ident) == []
-    assert LinearMap(L, L, L.ad_matrix(L.e("e")).scale(2 ** 70) + ident).is_invertible()
+    # [e,f] = 2^70 h over QQ, 2^60 h over GF(2^61 - 1): the cleared constants
+    # or their products pass int64, so the sums must run on Python ints
+    rng = random.Random(7)
+    for field, big in ((QQ, Fraction(2 ** 70)), (GF(2 ** 61 - 1), 2 ** 60)):
+        sc = {(0, 1): {2: big}, (1, 0): {2: -big},
+              (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}
+        L = SuperAlgebra(["e", "f", "h"], sc, field=field)
+        ident = Matrix.identity(3, field)
+        ad_e = L.ad_matrix(L.e("e"))
+        assert is_automorphism(L, LinearMap(L, L, ident))
+        assert is_derivation(L, LinearMap(L, L, ad_e))
+        assert not is_derivation(L, LinearMap(L, L, ident))
+        assert homomorphism_failures(L, L, ident) == []
+        assert LinearMap(L, L, ad_e.scale(2 ** 70) + ident).is_invertible()
+        for M in (_corrupted(ident, rng), _corrupted(ident, rng)):
+            assert homomorphism_failures(L, L, M, 9) == map_failures_reference(L, L, M)
+            assert (map_failures(L, L, M, derivation=True)
+                    == map_failures_reference(L, L, M, derivation=True))
 
 
 def test_jacobi_super_case():

@@ -7,6 +7,7 @@ from magma_tits.algebra import check_grading, is_automorphism, LinearMap
 from magma_tits.composition import split_cayley, ground, binarion, s4_on_cayley
 from magma_tits.jordan import h3
 from magma_tits.tits import tits
+from magma_tits.registry import tits_by_name
 from magma_tits.s4 import (
     GroupAction, klein_grading, coordinate_algebra, iota_maps,
     s4_on_h3, s4_on_tits_left, s4_on_tits_right,
@@ -58,6 +59,15 @@ def test_word_evaluation(C):
 
 def test_left_action_verifies(Tk, left_action):
     left_action.verify()
+
+
+def test_both_actions_verify_on_e8():
+    # T(cayley, H3(cayley)) is E8 (dim 248): relations and the automorphism
+    # check of every generator, for both actions
+    T = tits_by_name("cayley", "h3:cayley")
+    assert T.dim == 248
+    assert s4_on_tits_left(T).verify()
+    assert s4_on_tits_right(T).verify()
 
 
 def test_left_action_values(Tk, left_action):
