@@ -18,7 +18,8 @@ from .exact import (
     QQ, FieldGF, Matrix, Subspace,
     vec_zero, vec_is_zero, basis_vector,
 )
-from .int_fast import coo, fold, join, matrix_to_int_array
+from .int_fast import (bilinear, commutators, distinct, fold, join, matrices_coo,
+                       matrix_to_int_array, matvec, rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
 
@@ -29,6 +30,83 @@ def accumulate(sc, i, j, k, c):
     if c:
         row = sc.setdefault((i, j), {})
         row[k] = row[k] + c if k in row else c
+
+
+def sc_from_coo(I, J, K, values, sc=None):
+    """Add the entries c^{K[e]}_{I[e] J[e]} = values[e], whose index triples
+    are distinct, to the table sc (a new one when None)."""
+    sc = {} if sc is None else sc
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), values):
+        sc.setdefault((i, j), {})[k] = c
+    return sc
+
+
+def dense_entries(shape, cols, values, zero):
+    """Object array of field values: values at the index columns, zero elsewhere."""
+    out = np.full(shape, zero, dtype=object)
+    out[tuple(cols)] = values
+    return out
+
+
+def nonzero_entries(t, depth=None):
+    """Index columns and values of the nonzero entries of an object array
+    of field values, or of nested lists `depth` levels deep."""
+    if isinstance(t, np.ndarray):
+        nz = np.nonzero(t)
+        return nz, t[nz].tolist()
+    entries = [((), t)]
+    for _level in range(depth):
+        entries = [(ix + (i,), c) for ix, sub in entries for i, c in enumerate(sub)]
+    entries = [(ix, c) for ix, c in entries if c]
+    cols = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, depth)
+    return tuple(cols.T), [c for _ix, c in entries]
+
+
+def outer_entries(A, B, scale=None):
+    """Index columns of A and of B at every pair of their entries, and the
+    products of the values (times scale): the COO of an outer product."""
+    (ca, va), (cb, vb) = A, B
+    ia = np.repeat(np.arange(len(va)), len(vb))
+    ib = np.tile(np.arange(len(vb)), len(va))
+    vals = [a * b for a in va for b in vb]
+    return [c[ia] for c in ca], [c[ib] for c in cb], vals if scale is None else [
+        scale * v for v in vals]
+
+
+def act_on_tensor(sc, acts, op_par, vec_par, copies, op, tensor):
+    """Add [d_s, w_c x v_j] = w_c x d_s(v_j) and the mirrored bracket, with
+    the Koszul sign, to the table sc for operators d_s acting on the v
+    factor of `copies` tensor copies; acts[s, j, k] is the v_k coefficient
+    of d_s(v_j), op(s) and tensor(c, j) map to the table's indices."""
+    (s, j, k), vals = nonzero_entries(acts)
+    c = np.tile(np.arange(copies), len(vals))
+    s, j, k = (np.repeat(x, copies) for x in (s, j, k))
+    vals = [v for v in vals for _c in range(copies)]
+    odd = (np.asarray(op_par, dtype=bool)[s] & np.asarray(vec_par, dtype=bool)[j]).tolist()
+    sc_from_coo(op(s), tensor(c, j), tensor(c, k), vals, sc)
+    sc_from_coo(tensor(c, j), op(s), tensor(c, k), [v if o else -v for v, o in zip(vals, odd)],
+                sc)
+
+
+def commutator_table(mats, span, odd=None, check=True):
+    """Structure constants of the graded commutators of a list of n x n
+    matrices in the coordinates of span, a Subspace of flattened n x n
+    matrices, and the pairs (s, t) whose commutator lies outside it.
+
+    One int_fast.commutators join and fold for all pairs, then one batch
+    of Subspace.coords_many (check=False projects through the pivot rows
+    and reports no pair)."""
+    m = len(mats)
+    if not m:
+        return {}, []
+    n = mats[0].nrows
+    (S, R, C), V, D = matrices_coo(mats, span.field)
+    odd = np.zeros(m, dtype=bool) if odd is None else np.array(odd, dtype=bool)
+    keys, sums, _path = commutators(S, R, C, V, odd, n,
+                                    None if span.field.is_rational else span.field.p)
+    ids, ks, values, outside = span.coords_many(keys // (n * n), keys % (n * n), sums,
+                                                D * D, check)
+    return sc_from_coo(ids // m, ids % m, ks, values), [divmod(i, m) for i in outside.tolist()]
 
 
 class SuperAlgebra:
@@ -152,30 +230,26 @@ class SuperAlgebra:
     # -- change of basis -------------------------------------------------
 
     def transported(self, U, new_labels=None, new_parity=None, name=None):
-        """The same algebra in the basis given by the columns of U."""
+        """The same algebra in the basis given by the columns of U: the
+        products of all column pairs by int_fast.bilinear, their
+        coordinates U^{-1} by int_fast.matvec."""
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
-        Uinv = U.inverse()
-        cols = [U.column(j) for j in range(self.n)]
+        f, n = self.field, self.n
+        p = None if f.is_rational else f.p
+        cols = [U.column(j) for j in range(n)]
         if new_parity is None:
-            new_parity = []
-            for c in cols:
-                p = self.parity_of_vector(c)
-                if p is None:
-                    raise ValueError("new basis vector of mixed parity")
-                new_parity.append(p)
-        sc = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                prod = self.multiply(cols[i], cols[j])
-                if vec_is_zero(prod):
-                    continue
-                coords = Uinv.apply(prod)
-                row = {k: c for k, c in enumerate(coords) if c}
-                if row:
-                    sc[(i, j)] = row
-        labels = new_labels or ["f%d" % i for i in range(self.n)]
-        return SuperAlgebra(labels, sc, parity=new_parity, field=self.field,
+            new_parity = [self.parity_of_vector(c) for c in cols]
+            if None in new_parity:
+                raise ValueError("new basis vector of mixed parity")
+        T, Vt, Dt = table_coo(self.sc, f)
+        X, Vx, Dx = rows_coo(cols, f)
+        Ui, Vu, Du = rows_coo(U.inverse().rows, f)
+        (i, j, k), sums, _path = bilinear((T, Vt), (X, Vx), (X, Vx), p)
+        (ij, l), sums = matvec((Ui, Vu), ((i * n + j, k), sums), p)
+        sc = sc_from_coo(ij // n, ij % n, l, to_field(sums, Dt * Dx * Dx * Du, f))
+        labels = new_labels or ["f%d" % i for i in range(n)]
+        return SuperAlgebra(labels, sc, parity=new_parity, field=f,
                             name=name or (self.name + "'"))
 
     # -- serialization ----------------------------------------------------
@@ -228,11 +302,6 @@ class LinearMap:
 
     def apply(self, v):
         return self.matrix.apply(v)
-
-    def compose(self, other):
-        """self after other."""
-        return LinearMap(other.domain, self.codomain, self.matrix @ other.matrix,
-                         (self.parity + other.parity) % 2)
 
     def is_invertible(self):
         return _invertible(self.matrix)
@@ -307,10 +376,6 @@ def _check_anticommutative(A, max_witnesses):
     return failures
 
 
-def _entries(A):
-    return [((i, j, k), c) for (i, j), row in A.sc.items() for k, c in row.items()]
-
-
 def _jacobiator(A, i, j, k):
     """Graded jacobiator of three basis elements, cyclic form."""
     p = A.parity
@@ -364,7 +429,7 @@ def check_super_jacobi(A, max_witnesses=10):
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
-    (I, J, K), V, _D = coo(_entries(A), A.field, 3)
+    (I, J, K), V, _D = table_coo(A.sc, A.field)
     par = np.array(A.parity, dtype=bool)
 
     # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j
@@ -386,7 +451,7 @@ def check_super_jacobi(A, max_witnesses=10):
 
     keys, _sums, path = fold(terms, None if A.field.is_rational else A.field.p)
     failures = []
-    for t in np.unique(keys // n).tolist():
+    for t in distinct(keys // n).tolist():
         i, j, k = t // (n * n), t // n % n, t % n
         jac = _jacobiator(A, i, j, k)
         if not vec_is_zero(jac):
@@ -453,11 +518,10 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
         raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
                          % (M.nrows, M.ncols, tgt.n, src.n))
     field, n, nt = src.field, src.n, tgt.n
-    table = coo(_entries(src), field, 3)
+    table = table_coo(src.sc, field)
     (I, J, K), Vs, Ds = table
-    (It, Jt, Kt), Vt, Dt = table if tgt is src else coo(_entries(tgt), field, 3)
-    (R, C), Vm, Dm = coo([((r, c), x) for r, row in enumerate(M.rows)
-                          for c, x in enumerate(row) if x], field, 2)
+    (It, Jt, Kt), Vt, Dt = table if tgt is src else table_coo(tgt.sc, field)
+    (R, C), Vm, Dm = rows_coo(M.rows, field)
 
     def key(i, j, k):
         return (i * n + j) * nt + k
@@ -479,7 +543,7 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
         a, b = a[t], b[t]
         terms.append((key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds]))
     keys, _sums, _path = fold(terms, None if field.is_rational else field.p)
-    pairs = np.unique(keys // nt)[:max_witnesses].tolist()
+    pairs = distinct(keys // nt)[:max_witnesses].tolist()
     return [(ij // n, ij % n) for ij in pairs]
 
 

@@ -183,7 +183,7 @@ def suite_thm41(args):
     for jname in names:
         J = jordan_by_name(jname)
         try:
-            theorem41(J)
+            theorem41(J, T=tits_by_name("cayley", jname))
             _check(results, "coordinate algebra of T(cayley,%s) = A(J)" % jname, True)
         except IsomorphismError as exc:
             _check(results, "coordinate algebra of T(cayley,%s) = A(J)" % jname,
@@ -197,7 +197,8 @@ def suite_thm61(args):
              else [(a, b) for a in COMP_ORDER for b in COMP_ORDER])
     for a, b in pairs:
         try:
-            theorem61(composition_by_name(a), composition_by_name(b))
+            theorem61(composition_by_name(a), composition_by_name(b),
+                      T=tits_by_name(a, "h3:" + b))
             _check(results, "T(%s, h3:%s)_(1,0) = %s x %s" % (a, b, a, b), True)
         except IsomorphismError as exc:
             _check(results, "T(%s, h3:%s)_(1,0) = %s x %s" % (a, b, a, b), False, str(exc))
@@ -218,7 +219,7 @@ def suite_super(args):
     _check(results, "super-Jacobi F(4) case", rep.ok, path=rep.path)
     for jname in ("jvtheta", "d2"):
         try:
-            theorem41(jordan_by_name(jname))
+            theorem41(jordan_by_name(jname), T=tits_by_name("cayley", jname))
             _check(results, "super coordinate algebra = A(%s)" % jname, True)
         except IsomorphismError as exc:
             _check(results, "super coordinate algebra = A(%s)" % jname, False, str(exc))

@@ -15,10 +15,18 @@ unit 1 = e1 + e2, and polar norm n(e1,e2) = 1, n(u_i,v_j) = delta_ij.
 The split quaternion/binarion/ground algebras are its subalgebras; the
 S4-invariant (Hamilton-type) quaternion subalgebra span{1, u_i+v_i} is
 provided separately for the T(Q,J) variant.
+
+The inner derivations D_{b_i,b_j} on all basis pairs are exact integer
+contractions of the table (inner_derivation_tensor), and the bracket of
+der C is one sparse commutator contraction (algebra.commutator_table);
+inner_derivation(C, a, b) stays the pointwise field-arithmetic form.
 """
 
+import numpy as np
+
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import SuperAlgebra, LinearMap
+from .algebra import SuperAlgebra, LinearMap, commutator_table
+from .int_fast import einsum, table_coo, to_field
 from .s4 import GroupAction
 
 
@@ -218,37 +226,58 @@ def inner_derivation(C, a, b):
     return LinearMap(alg, alg, Matrix.from_columns(cols, C.field))
 
 
+def inner_derivation_tensor(C):
+    """The integers and common denominator of D_{b_i,b_j}(b_c) on basis
+    triples: D[i, j, l, c] / den is the b_l coefficient.
+
+    D_{a,b}(c) = [[a,b],c] + 3((ac)b - a(cb)) is three exact contractions
+    (int_fast.einsum) of the dense table of C, dim C <= 8; each term is a
+    product of two constants, so den is the square of the table's."""
+    n = C.dim
+    p = None if C.field.is_rational else C.field.p
+    (I, J, K), V, D = table_coo(C.algebra.sc, C.field)
+    T = np.zeros((n, n, n), dtype=object)
+    T[I, J, K] = V
+    br = T - T.transpose(1, 0, 2)
+    # the terms are combined on Python ints, so the sum cannot overflow
+    terms = [einsum(spec, *ops, p=p)[0].astype(object) for spec, ops in
+             (("ijm,mcl->ijlc", (br, br)), ("icm,mjl->ijlc", (T, T)),
+              ("cjm,iml->ijlc", (T, T)))]
+    out = terms[0] + 3 * (terms[1] - terms[2])
+    return (out if p is None else out % p), D * D
+
+
 class DerivationAlgebra:
     """der C with a deterministic basis of inner derivations D_{b_i, b_j}.
 
     Basis selection: feed all D_{b_i,b_j}, i < j, in lexicographic order and
     keep those that enlarge the span (reproducible structure constants).
+    The D_{b_i,b_j} come from inner_derivation_tensor and the brackets of
+    the kept ones from one algebra.commutator_table contraction.
     """
 
     def __init__(self, C):
         self.C = C
         n = C.dim
-        span = Subspace(n * n, C.field)
+        f = C.field
+        self.tensor = inner_derivation_tensor(C)
+        D, den = self.tensor
+        span = Subspace(n * n, f)
         mats, gens = [], []
         for i in range(n):
             for j in range(i + 1, n):
-                D = inner_derivation(C, C.algebra.e(i), C.algebra.e(j))
-                if span.add(flatten_matrix(D.matrix)):
-                    mats.append(D.matrix)
+                M = Matrix([to_field(row, den, f) for row in D[i, j]], f)
+                if span.add(flatten_matrix(M)):
+                    mats.append(M)
                     gens.append((i, j))
         self.span = span
         self.matrices = mats
         self.generators = gens
         labels = ["D[%s,%s]" % (C.algebra.basis[i], C.algebra.basis[j]) for i, j in gens]
-        sc = {}
-        for a in range(len(mats)):
-            for b in range(len(mats)):
-                comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-                coords = self.coords_matrix(comm)
-                row = {k: c for k, c in enumerate(coords) if c}
-                if row:
-                    sc[(a, b)] = row
-        self.lie = SuperAlgebra(labels, sc, field=C.field,
+        sc, outside = commutator_table(mats, span)
+        if outside:
+            raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
+        self.lie = SuperAlgebra(labels, sc, field=f,
                                 name="der(%s)" % C.name, is_lie_claimed=True)
 
     @property

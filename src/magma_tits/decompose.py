@@ -14,16 +14,25 @@ eigenvalues inside {0, -2, -6} decomposes into trivial, adjoint and
 data (the nine invariant maps) on multiplicity spaces H, S and the
 centralizer d, and conjugation on the so3/h factors synthesizes an S4 action
 by automorphisms whose coordinate algebra H + S is unital.
+
+Matrix Lie algebras (lie_from_matrices), the coefficient data read off a
+decomposition and the reassembled bracket are exact sparse contractions
+(algebra.commutator_table, int_fast.bilinear, COO outer products).
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import (
     QQ, Matrix, Subspace, vec_zero, vec_add, vec_scale, vec_eq, vec_is_zero,
     basis_vector, flatten_matrix, commutator,
 )
-from .algebra import SuperAlgebra, EVEN, accumulate
+from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
+                      nonzero_entries, outer_entries, sc_from_coo)
+from .int_fast import bilinear, matvec, rows_coo, table_coo, to_field
 from .s4 import GroupAction
+from .tits import feed_pairs, inner_derivation_pairs
 
 W_LABELS = ["w1", "w2", "w0"]
 
@@ -94,8 +103,7 @@ def invariant_maps(field=QQ):
     def jordan_traceless(A, B):
         AB = A @ B
         BA = B @ A
-        return AB + BA - (AB + BA).trace() * I3_scale(f) if False else \
-            AB + BA - I3.scale(two3 * AB.trace())
+        return AB + BA - I3.scale(two3 * AB.trace())
 
     def trace_part(A, B):
         return I3.scale((A @ B).trace())
@@ -114,10 +122,6 @@ def invariant_maps(field=QQ):
         ("hxh->h", "h", "h", "h", jordan_traceless),
         ("hxh->z", "h", "h", "z", trace_part),
     ]
-
-
-def I3_scale(f):
-    return Matrix.identity(3, f)
 
 
 def _space_basis(name, field):
@@ -310,100 +314,42 @@ def assemble_b1(data, name="b1"):
     parity += list(data.d_parity)
 
     sc = {}
+    minus_half = -f.one / f.of(2)
+    par_h, par_s, par_d = (np.array(p, dtype=bool)
+                           for p in (data.h_parity, data.s_parity, data.d_parity))
 
-    half = f.of(1) / f.of(2)
-    # adjoint x adjoint
-    for i1 in range(3):
-        for i2 in range(3):
-            cDD = st["comm_DD"][i1][i2]
-            sDD = st["sym_DD"][i1][i2]
-            tDD = st["tr_DD"][i1][i2]
-            for j1 in range(mh):
-                for j2 in range(mh):
-                    src, dst = aidx(i1, j1), aidx(i2, j2)
-                    for m, ci in enumerate(cDD):
-                        if ci:
-                            for t, cc in enumerate(data.circ_HH[j1][j2]):
-                                if cc:
-                                    accumulate(sc, src, dst, aidx(m, t), ci * cc)
-                    for m, ci in enumerate(sDD):
-                        if ci:
-                            for t, cb in enumerate(data.brk_HH[j1][j2]):
-                                if cb:
-                                    accumulate(sc, src, dst, hidx(m, t), -half * ci * cb)
-                    if tDD:
-                        for t, cd in enumerate(data.d_HH[j1][j2]):
-                            if cd:
-                                accumulate(sc, src, dst, off_d + t, tDD * cd)
-    # adjoint x h and h x adjoint
-    for i1 in range(3):
-        for x2 in range(5):
-            ac = st["acirc_DH"][i1][x2]
-            cm = st["comm_DH"][i1][x2]
-            for j1 in range(mh):
-                for j2 in range(ms):
-                    src, dst = aidx(i1, j1), hidx(x2, j2)
-                    out = []
-                    for m, ci in enumerate(ac):
-                        if ci:
-                            for t, cb in enumerate(data.brk_HS[j1][j2]):
-                                if cb:
-                                    out.append((aidx(m, t), -half * ci * cb))
-                    for m, ci in enumerate(cm):
-                        if ci:
-                            for t, cc in enumerate(data.circ_HS[j1][j2]):
-                                if cc:
-                                    out.append((hidx(m, t), ci * cc))
-                    sgn = -1 if (data.h_parity[j1] and data.s_parity[j2]) else 1
-                    for k, c in out:
-                        accumulate(sc, src, dst, k, c)
-                        accumulate(sc, dst, src, k, -c if sgn > 0 else c)
-    # h x h
-    for x1 in range(5):
-        for x2 in range(5):
-            cm = st["comm_HH"][x1][x2]
-            sm = st["sym_HH"][x1][x2]
-            tm = st["tr_HH"][x1][x2]
-            for j1 in range(ms):
-                for j2 in range(ms):
-                    src, dst = hidx(x1, j1), hidx(x2, j2)
-                    for m, ci in enumerate(cm):
-                        if ci:
-                            for t, cc in enumerate(data.circ_SS[j1][j2]):
-                                if cc:
-                                    accumulate(sc, src, dst, aidx(m, t), ci * cc)
-                    for m, ci in enumerate(sm):
-                        if ci:
-                            for t, cb in enumerate(data.brk_SS[j1][j2]):
-                                if cb:
-                                    accumulate(sc, src, dst, hidx(m, t), -half * ci * cb)
-                    if tm:
-                        for t, cd in enumerate(data.d_SS[j1][j2]):
-                            if cd:
-                                accumulate(sc, src, dst, off_d + t, tm * cd)
-    # d acting
-    for r in range(md):
-        pr = data.d_parity[r]
-        for j in range(mh):
-            img = data.act_dH[r][j]
-            sgn = -1 if (pr and data.h_parity[j]) else 1
-            for i in range(3):
-                for t, c in enumerate(img):
-                    if c:
-                        accumulate(sc, off_d + r, aidx(i, j), aidx(i, t), c)
-                        accumulate(sc, aidx(i, j), off_d + r, aidx(i, t), -c if sgn > 0 else c)
-        for j in range(ms):
-            img = data.act_dS[r][j]
-            sgn = -1 if (pr and data.s_parity[j]) else 1
-            for x in range(5):
-                for t, c in enumerate(img):
-                    if c:
-                        accumulate(sc, off_d + r, hidx(x, j), hidx(x, t), c)
-                        accumulate(sc, hidx(x, j), off_d + r, hidx(x, t), -c if sgn > 0 else c)
-        for s in range(md):
-            for t, c in enumerate(data.brk_dd[r][s]):
-                if c:
-                    accumulate(sc, off_d + r, off_d + s, off_d + t, c)
+    def block(so3_table, data_table, scale=None, depth=3):
+        """Outer product of an so3 table (i1, i2[, m]) and a data table (j1, j2, t)."""
+        return outer_entries(nonzero_entries(so3_table, depth),
+                             nonzero_entries(data_table, 3), scale)
+
+    # adjoint x adjoint and h x h: [A,B] x (a o b) - (1/2) sym(A,B) x [a,b] + tr(AB) d_{a,b}
+    for idx, (comm, sym, tr), (circ, brk, dd) in (
+            (aidx, (st["comm_DD"], st["sym_DD"], st["tr_DD"]),
+             (data.circ_HH, data.brk_HH, data.d_HH)),
+            (hidx, (st["comm_HH"], st["sym_HH"], st["tr_HH"]),
+             (data.circ_SS, data.brk_SS, data.d_SS))):
+        (i1, i2, m), (j1, j2, t), vals = block(comm, circ)
+        sc_from_coo(idx(i1, j1), idx(i2, j2), aidx(m, t), vals, sc)
+        (i1, i2, m), (j1, j2, t), vals = block(sym, brk, minus_half)
+        sc_from_coo(idx(i1, j1), idx(i2, j2), hidx(m, t), vals, sc)
+        (i1, i2), (j1, j2, t), vals = block(tr, dd, depth=2)
+        sc_from_coo(idx(i1, j1), idx(i2, j2), off_d + t, vals, sc)
+    # adjoint x h and its mirror: -(AX + XA) x (1/2)[a,x] + [A,X] x (a o x)
+    for kind, ((i1, x2, m), (j1, j2, t), vals) in (
+            (aidx, block(st["acirc_DH"], data.brk_HS, minus_half)),
+            (hidx, block(st["comm_DH"], data.circ_HS))):
+        odd = (par_h[j1] & par_s[j2]).tolist()
+        sc_from_coo(aidx(i1, j1), hidx(x2, j2), kind(m, t), vals, sc)
+        sc_from_coo(hidx(x2, j2), aidx(i1, j1), kind(m, t),
+                    [c if o else -c for c, o in zip(vals, odd)], sc)
+    # d acting on both parts (with the Koszul sign on the mirror), d x d
+    for idx, width, act, par, size in ((aidx, 3, data.act_dH, par_h, mh),
+                                       (hidx, 5, data.act_dS, par_s, ms)):
+        acts = np.array(act, dtype=object).reshape(md, size, size)
+        act_on_tensor(sc, acts, par_d, par, width, lambda r: off_d + r, idx)
+    (r, s, t), vals = nonzero_entries(data.brk_dd, 3)
+    sc_from_coo(off_d + r, off_d + s, off_d + t, vals, sc)
 
     return SuperAlgebra(labels, sc, parity=parity, field=f, name=name,
                         is_lie_claimed=True)
@@ -418,32 +364,21 @@ def b1data_from_jordan(J, name_unused=None):
     nJ = J.dim
     alg = J.algebra
     span = Subspace(nJ * nJ, f)
-    mats = []
-    dpar = []
-    for i in range(nJ):
-        for j in range(i, nJ):
-            d = J.inner_derivation(alg.e(i), alg.e(j))
-            if span.add(flatten_matrix(d.matrix)):
-                mats.append(d.matrix)
-                dpar.append(d.parity)
+    pairs = inner_derivation_pairs(J, [alg.e(i) for i in range(nJ)])
+    kept = feed_pairs(span, pairs, nJ, nJ)
+    mats = [M for _j, _l, M in kept]
+    dpar = [(alg.parity[j] + alg.parity[l]) % 2 for j, l, _M in kept]
     md = span.dim
     half = f.of(1) / f.of(2)
-    circ_HH = [[None] * nJ for _ in range(nJ)]
-    d_HH = [[None] * nJ for _ in range(nJ)]
-    for i in range(nJ):
-        for j in range(nJ):
-            circ_HH[i][j] = list(alg.multiply(alg.e(i), alg.e(j)))
-            dm = J.inner_derivation(alg.e(i), alg.e(j)).matrix.scale(half)
-            d_HH[i][j] = span.coords(flatten_matrix(dm), check=False) if md else []
+    circ_HH = [[list(alg.multiply(alg.e(i), alg.e(j))) for j in range(nJ)] for i in range(nJ)]
+    d_HH = [[[f.zero] * md for _j in range(nJ)] for _i in range(nJ)]
+    ids, ks, values, _out = span.coords_many(*pairs, check=False)
+    for i, k, c in zip(ids.tolist(), ks.tolist(), values):
+        d_HH[i // nJ][i % nJ][k] = half * c
     act_dH = [[list(M.column(j)) for j in range(nJ)] for M in mats]
-    brk_dd = []
-    for r, A in enumerate(mats):
-        row = []
-        for s, B in enumerate(mats):
-            C = A @ B
-            C = C + (B @ A) if (dpar[r] and dpar[s]) else C - (B @ A)
-            row.append(span.coords(flatten_matrix(C), check=False))
-        brk_dd.append(row)
+    dd, _out = commutator_table(mats, span, dpar, check=False)
+    brk_dd = [[[dd.get((r, s), {}).get(t, f.zero) for t in range(md)] for s in range(md)]
+              for r in range(md)]
     return B1Data(
         field=f, hdim=nJ, sdim=0, ddim=md, unit_h=list(J.unit),
         circ_HH=circ_HH,
@@ -632,68 +567,48 @@ def extract_b1(g, report):
     psi = Matrix.from_columns(cols, f)
     psi_inv = psi.inverse()
 
-    def decompose_vec(v):
-        return psi_inv.apply(v)
-
-    def read(coords, offset, block, width, count):
-        """Coordinates in one (operator, multiplicity) slice."""
-        return [coords[offset + width * j + block] for j in range(count)]
+    def read(co, offset, block, width, count, scale=None):
+        """Coordinates in one (operator, multiplicity) slice, as lists."""
+        co = co[..., offset + block:offset + width * count:width]
+        return (co if scale is None else scale * co).tolist()
 
     # unit of H: d0 = D0 x 1
-    unit_h = read(decompose_vec(triple[0]), 0, 0, 3, mh)
+    unit_h = read(np.array(psi_inv.apply(triple[0]), dtype=object), 0, 0, 3, mh)
 
-    def bracket(a, b):
-        return g.multiply(a, b)
+    table, Vt, Dt = table_coo(g.sc, f)
+    inv, Vi, Di = rows_coo(psi_inv.rows, f)
 
-    zero_h = [f.zero] * mh
-    zero_s = [f.zero] * ms
-    zero_d = [f.zero] * md
-    circ_HH = [[None] * mh for _ in range(mh)]
-    brk_HH = [[None] * mh for _ in range(mh)]
-    d_HH = [[None] * mh for _ in range(mh)]
+    def brackets(A, B):
+        """psi^{-1} [cols[a], cols[b]] for a in A, b in B: one bilinear
+        contraction of g's table and one matvec, as a |A| x |B| x n array."""
+        X, Vx, Dx = rows_coo([cols[a] for a in A], f)
+        Y, Vy, Dy = rows_coo([cols[b] for b in B], f)
+        (x, y, k), sums, _path = bilinear((table, Vt), (X, Vx), (Y, Vy), None)
+        (xy, l), sums = matvec((inv, Vi), ((x * len(B) + y, k), sums))
+        co = dense_entries((len(A) * len(B), n), (xy, l), to_field(sums, Dt * Dx * Dy * Di, f),
+                           f.zero)
+        return co.reshape(len(A), len(B), n)
+
     half = f.of(1) / f.of(2)
-    for j in range(mh):
-        for k in range(mh):
-            # [D0 x a, D1 x b] = D2 x (a o b) - G2 x (1/2)[a,b]
-            co = decompose_vec(bracket(cols[3 * j + 0], cols[3 * k + 1]))
-            circ_HH[j][k] = read(co, 0, 2, 3, mh)
-            brk_HH[j][k] = [f.of(-2) * c for c in read(co, 3 * mh, 2, 5, ms)]
-            # [D0 x a, D0 x b] = -(1/3) Z x [a,b] - 2 d_{a,b}
-            co = decompose_vec(bracket(cols[3 * j + 0], cols[3 * k + 0]))
-            d_HH[j][k] = [-half * co[off_d + r] for r in range(md)]
-    brk_HS = [[None] * ms for _ in range(mh)]
-    circ_HS = [[None] * ms for _ in range(mh)]
-    for j in range(mh):
-        for k in range(ms):
-            # [D0 x a, G1 x x] = D2 x (1/2)[a,x] - G2 x (a o x)
-            co = decompose_vec(bracket(cols[3 * j + 0], cols[3 * mh + 5 * k + 1]))
-            brk_HS[j][k] = [f.of(2) * c for c in read(co, 0, 2, 3, mh)]
-            circ_HS[j][k] = [-c for c in read(co, 3 * mh, 2, 5, ms)]
-    circ_SS = [[None] * ms for _ in range(ms)]
-    brk_SS = [[None] * ms for _ in range(ms)]
-    d_SS = [[None] * ms for _ in range(ms)]
-    for j in range(ms):
-        for k in range(ms):
-            # [G1 x x, G2 x y] = D0 x (x o y) - G0 x (1/2)[x,y]
-            co = decompose_vec(bracket(cols[3 * mh + 5 * j + 1], cols[3 * mh + 5 * k + 2]))
-            circ_SS[j][k] = read(co, 0, 0, 3, mh)
-            brk_SS[j][k] = [f.of(-2) * c for c in read(co, 3 * mh, 0, 5, ms)]
-            # [G1 x x, G1 x y] = -(stuff) x (1/2)[x,y] + 2 d_{x,y}
-            co = decompose_vec(bracket(cols[3 * mh + 5 * j + 1], cols[3 * mh + 5 * k + 1]))
-            d_SS[j][k] = [half * co[off_d + r] for r in range(md)]
-    act_dH = [[None] * mh for _ in range(md)]
-    act_dS = [[None] * ms for _ in range(md)]
-    brk_dd = [[None] * md for _ in range(md)]
-    for r in range(md):
-        for j in range(mh):
-            co = decompose_vec(bracket(cols[off_d + r], cols[3 * j + 0]))
-            act_dH[r][j] = read(co, 0, 0, 3, mh)
-        for j in range(ms):
-            co = decompose_vec(bracket(cols[off_d + r], cols[3 * mh + 5 * j + 0]))
-            act_dS[r][j] = read(co, 3 * mh, 0, 5, ms)
-        for s in range(md):
-            co = decompose_vec(bracket(cols[off_d + r], cols[off_d + s]))
-            brk_dd[r][s] = [co[off_d + t] for t in range(md)]
+    D0, D1 = [3 * j for j in range(mh)], [3 * j + 1 for j in range(mh)]
+    G0, G1, G2 = ([3 * mh + 5 * j + x for j in range(ms)] for x in (0, 1, 2))
+    ds = [off_d + r for r in range(md)]
+    # [D0 x a, D1 x b] = D2 x (a o b) - G2 x (1/2)[a,b]
+    co = brackets(D0, D1)
+    circ_HH, brk_HH = read(co, 0, 2, 3, mh), read(co, 3 * mh, 2, 5, ms, f.of(-2))
+    # [D0 x a, D0 x b] = -(1/3) Z x [a,b] - 2 d_{a,b}
+    d_HH = read(brackets(D0, D0), off_d, 0, 1, md, -half)
+    # [D0 x a, G1 x x] = D2 x (1/2)[a,x] - G2 x (a o x)
+    co = brackets(D0, G1)
+    brk_HS, circ_HS = read(co, 0, 2, 3, mh, f.of(2)), read(co, 3 * mh, 2, 5, ms, f.of(-1))
+    # [G1 x x, G2 x y] = D0 x (x o y) - G0 x (1/2)[x,y]
+    co = brackets(G1, G2)
+    circ_SS, brk_SS = read(co, 0, 0, 3, mh), read(co, 3 * mh, 0, 5, ms, f.of(-2))
+    # [G1 x x, G1 x y] = -(stuff) x (1/2)[x,y] + 2 d_{x,y}
+    d_SS = read(brackets(G1, G1), off_d, 0, 1, md, half)
+    act_dH = read(brackets(ds, D0), 0, 0, 3, mh)
+    act_dS = read(brackets(ds, G0), 3 * mh, 0, 5, ms)
+    brk_dd = read(brackets(ds, ds), off_d, 0, 1, md)
 
     data = B1Data(field=f, hdim=mh, sdim=ms, ddim=md, unit_h=unit_h,
                   circ_HH=circ_HH, brk_HH=brk_HH, brk_HS=brk_HS,
@@ -755,7 +670,8 @@ def synthesize_s4(g, report, extraction=None):
 
 def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     """SuperAlgebra from a list of independent matrices closed under the
-    commutator; coordinates solved through the span."""
+    commutator; all commutators and their coordinates in the span come
+    from one algebra.commutator_table contraction."""
     if not mats:
         raise ValueError("empty basis")
     nn = mats[0].nrows
@@ -763,17 +679,10 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     for M in mats:
         if not span.add(flatten_matrix(M)):
             raise ValueError("matrices are not linearly independent")
-    m = len(mats)
-    sc = {}
-    for a in range(m):
-        for b in range(m):
-            coords = span.coords(flatten_matrix(commutator(mats[a], mats[b])))
-            if coords is None:
-                raise ValueError("not closed under commutator")
-            row = {k: c for k, c in enumerate(coords) if c}
-            if row:
-                sc[(a, b)] = row
-    labels = labels or ["m%d" % i for i in range(m)]
+    sc, outside = commutator_table(mats, span)
+    if outside:
+        raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
+    labels = labels or ["m%d" % i for i in range(len(mats))]
     return SuperAlgebra(labels, sc, field=field, name=name, is_lie_claimed=True)
 
 
@@ -783,6 +692,22 @@ def _embed(M3, N, field, row0=0, col0=0):
         for j in range(M3.ncols):
             out[row0 + i, col0 + j] = M3[i, j]
     return out
+
+
+def _form_algebra(S):
+    """Basis matrices of {M : M^T S + S M = 0}, from the kernel of the
+    linear system (M^T S + S M)[i][j] = sum_k M[k,i] S[k,j] + S[i,k] M[k,j]."""
+    f, N = S.field, S.nrows
+    rows = []
+    for i in range(N):
+        for j in range(N):
+            row = [f.zero] * (N * N)
+            for k in range(N):
+                row[k * N + i] = row[k * N + i] + S[k, j]
+                row[k * N + j] = row[k * N + j] + S[i, k]
+            rows.append(row)
+    return [Matrix([v[i * N:(i + 1) * N] for i in range(N)], f)
+            for v in Matrix(rows, f).kernel_basis()]
 
 
 def _triple_coords(alg, span_mats, mats):
@@ -845,24 +770,7 @@ def classical_examples(kind, dimU, field=QQ):
         for u in range(dimU // 2):
             J[6 + 2 * u, 6 + 2 * u + 1] = f.one
             J[6 + 2 * u + 1, 6 + 2 * u] = -f.one
-        # solve M^T J + J M = 0:
-        # (M^T J + J M)[i][j] = sum_k M[k,i] J[k,j] + J[i,k] M[k,j]
-        rows = []
-        for i in range(N):
-            for j in range(N):
-                row = [f.zero] * (N * N)
-                for k in range(N):
-                    row[k * N + i] = row[k * N + i] + J[k, j]
-                    row[k * N + j] = row[k * N + j] + J[i, k]
-                rows.append(row)
-        ker = Matrix(rows, f).kernel_basis()
-        mats = []
-        for v in ker:
-            M = Matrix.zeros(N, N, f)
-            for i in range(N):
-                for j in range(N):
-                    M[i, j] = v[i * N + j]
-            mats.append(M)
+        mats = _form_algebra(J)
         g = lie_from_matrices(mats, None, f, name="sp%d" % N)
         triple_mats = []
         for D in Ds:
@@ -900,23 +808,7 @@ def so_h_negative_control(field=QQ):
     for i in range(5):
         for j in range(5):
             S[i, j] = (Hs[i] @ Hs[j]).trace()
-    N = 5
-    rows = []
-    for i in range(N):
-        for j in range(N):
-            row = [f.zero] * (N * N)
-            for k in range(N):
-                row[k * N + i] = row[k * N + i] + S[k, j]
-                row[k * N + j] = row[k * N + j] + S[i, k]
-            rows.append(row)
-    ker = Matrix(rows, f).kernel_basis()
-    mats = []
-    for v in ker:
-        M = Matrix.zeros(N, N, f)
-        for i in range(N):
-            for j in range(N):
-                M[i, j] = v[i * N + j]
-        mats.append(M)
+    mats = _form_algebra(S)
     g = lie_from_matrices(mats, None, f, name="so(h)")
     # the triple: ad(D_i) restricted to h
     Ds = so3_basis(f)
@@ -925,8 +817,4 @@ def so_h_negative_control(field=QQ):
     for D in Ds:
         cols = [h_span.coords(flatten_matrix(commutator(D, X))) for X in Hs]
         rho.append(Matrix.from_columns(cols, f))
-    span = Subspace(N * N, f)
-    for M in mats:
-        span.add(flatten_matrix(M))
-    triple = [span.coords(flatten_matrix(R)) for R in rho]
-    return g, triple
+    return g, _triple_coords(g, mats, rho)

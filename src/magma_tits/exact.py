@@ -1,11 +1,17 @@
 """Exact scalars (rationals or GF(p), p >= 5) and exact dense linear algebra.
 
 Everything downstream computes over one of these fields; there is no
-floating-point tolerance anywhere.  The bulk checks lower these scalars
-to exact integers (see int_fast.py).
+floating-point tolerance anywhere.  The bulk checks and the construction
+lower these scalars to exact integers (see int_fast.py); a Subspace gives
+the coordinates of a whole batch of sparse integer vectors at once
+(Subspace.coords_many).
 """
 
 from fractions import Fraction
+
+import numpy as np
+
+from .int_fast import distinct, fold, join, rows_coo, to_field
 
 
 class GFElement:
@@ -463,10 +469,6 @@ def vec_add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
 def vec_scale(c, a):
     return [c * x for x in a]
 
@@ -505,9 +507,10 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.field = field
         self.basis = []
-        self._rref_rows = []       # rref of the kept vectors
+        self._rref_rows = []       # rref of the kept vectors, {index: value}
         self._pivots = []          # pivot column of each rref row
         self._coord_solver = None
+        self._lowered = None       # (pivot map, inverse COO, basis COO)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim=None, field=QQ):
@@ -527,7 +530,8 @@ class Subspace:
         for row, p in zip(self._rref_rows, self._pivots):
             c = w[p]
             if c:
-                w = [a - c * b for a, b in zip(w, row)]
+                for j, b in row.items():
+                    w[j] = w[j] - c * b
         return w
 
     def add(self, v):
@@ -539,15 +543,21 @@ class Subspace:
         if piv is None:
             return False
         inv = w[piv]
-        w = [x / inv for x in w]
-        for i, (row, p) in enumerate(zip(self._rref_rows, self._pivots)):
-            c = row[piv]
+        new = {j: x / inv for j, x in enumerate(w) if x}
+        for row in self._rref_rows:
+            c = row.get(piv)
             if c:
-                self._rref_rows[i] = [a - c * b for a, b in zip(row, w)]
-        self._rref_rows.append(w)
+                for j, b in new.items():
+                    x = row.get(j, 0) - c * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        self._rref_rows.append(new)
         self._pivots.append(piv)
         self.basis.append(list(v))
         self._coord_solver = None
+        self._lowered = None
         return True
 
     def contains(self, v):
@@ -575,5 +585,46 @@ class Subspace:
                 return None
         return c
 
-    def basis_matrix(self):
-        return Matrix.from_columns(self.basis, self.field)
+    def _lower(self):
+        """The pivot map (ambient index -> pivot position or -1) and the COO
+        integers of the pivot-row inverse and of the basis, over their
+        common denominators."""
+        if self._lowered is None:
+            if self._coord_solver is None:
+                self._build_solver()
+            pos = np.full(self.ambient_dim, -1, dtype=np.int64)
+            pos[self._pivots] = np.arange(self.dim)
+            self._lowered = (pos, rows_coo(self._coord_solver.rows, self.field),
+                             rows_coo(self.basis, self.field))
+        return self._lowered
+
+    def coords_many(self, ids, cols, vals, D=1, check=True):
+        """Coordinates of a batch of sparse vectors in the preferred basis.
+
+        Vector ids[e] has the integer vals[e] / D at ambient index cols[e]
+        (denominator-cleared over QQ, residues with D = 1 over GF(p); equal
+        (id, index) entries add up).  The coordinates are one fold of the
+        pivot entries against the lowered pivot-row inverse.  Returns
+        (ids, basis indices, field values) of the nonzero coordinates and
+        the sorted ids of the vectors outside the span: those whose exact
+        integer reconstruction sum_k c_k b_k differs from the vector (none
+        are looked for when check is False; the coordinates are then those
+        of the projection through the pivot rows).
+        """
+        p = None if self.field.is_rational else self.field.p
+        ids, cols = np.asarray(ids, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        pos, ((K, Q), Vp, Dp), ((Kb, Cb), Vb, Db) = self._lower()
+        m = max(self.dim, 1)
+        sel = np.flatnonzero(pos[cols] >= 0)
+        a, b = join(pos[cols[sel]], Q)
+        a = sel[a]
+        keys, sums, _path = fold([(ids[a] * m + K[b], [vals[a], Vp[b]])], p)
+        cid, ck = keys // m, keys % m
+        outside = np.zeros(0, dtype=np.int64)
+        if check:
+            n = self.ambient_dim
+            a, b = join(ck, Kb)
+            bad, _s, _path = fold([(cid[a] * n + Cb[b], [sums[a], Vb[b]]),
+                                   (ids * n + cols, [vals, -Dp * Db])], p)
+            outside = distinct(bad // n)
+        return cid, ck, to_field(sums, D * Dp, self.field), outside

@@ -1,14 +1,21 @@
 """Bulk exact arithmetic helpers.
 
 Rational data with a common denominator cleared is integer data; GF(p)
-data is its residues (`lower`).  The sparse checkers (super-Jacobi,
-structurable, and the automorphism, derivation and homomorphism checks of
-algebra.map_failures) store tables and maps as COO columns of such
-integers, join them on a shared index (`join`), pack each output index
-tuple into one int64 key, sort and sum equal keys with np.add.reduceat
-(`fold`).  A fold sums in int64 only when its widest key group times its
-largest product, both read off the actual values, fits in int64, and on
-Python ints otherwise.
+data is its residues (`lower`).  Tables, maps and lists of matrices are
+stored as COO columns of such integers, joined on a shared index (`join`),
+each output index tuple packed into one int64 key, and equal keys summed
+with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
+its widest key group times its largest product, both read off the actual
+values, fits in int64, and on Python ints otherwise.  Field values are
+built back (`to_field`) only for the nonzero sums.
+
+On these helpers run the sparse checkers (super-Jacobi, structurable, the
+map checks of algebra.map_failures) and the construction itself: the
+graded commutators of lists of matrices (`commutators`), the sparse
+products behind the inner derivations, the Tits brackets and the
+coordinate algebras, and the batched coordinates of Subspace.coords_many,
+which fold the vectors' pivot entries against the span's lowered pivot-row
+inverse and check the reconstruction exactly.
 
 The dense Lie-conditions check contracts such integer tables with
 `einsum`, which bounds every result by the contraction length times the
@@ -18,6 +25,7 @@ arrays); over GF(p) it reduces the result mod p.  No helper here uses
 floating point, approximates or overflows.
 """
 
+from fractions import Fraction
 from math import lcm, prod
 
 import numpy as np
@@ -51,6 +59,34 @@ def coo(entries, field, width):
     idx = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, width)
     D, vals = lower([c for _ix, c in entries], field)
     return tuple(idx.T), vals, D
+
+
+def rows_coo(rows, field):
+    """`coo` of the nonzero entries (row, column) of dense rows: the rows of
+    a Matrix, or a list of vectors (row = vector id)."""
+    return coo([((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row) if x],
+               field, 2)
+
+
+def matrices_coo(mats, field):
+    """`coo` of the nonzero entries (matrix, row, column) of a list of Matrix."""
+    return coo([((s, i, j), x) for s, M in enumerate(mats)
+                for i, row in enumerate(M.rows) for j, x in enumerate(row) if x], field, 3)
+
+
+def table_coo(sc, field):
+    """`coo` of the entries (i, j, k) of a table {(i, j): {k: c}}."""
+    return coo([((i, j, k), c) for (i, j), row in sc.items() for k, c in row.items()],
+               field, 3)
+
+
+def to_field(ints, D, field):
+    """Integers (an array or list) over the common denominator D -> field
+    values: Fraction(v, D) over QQ, residues over GF(p) (D is 1 there)."""
+    ints = ints.tolist() if isinstance(ints, np.ndarray) else ints
+    if field.is_rational:
+        return [Fraction(v, D) for v in ints]
+    return [field.of(v) for v in ints]
 
 
 def join(left, right):
@@ -97,6 +133,65 @@ def fold(terms, p=None):
         sums %= p
     nz = np.flatnonzero(sums != 0)
     return keys[starts[nz]], sums[nz], "int64" if fits else "python-int"
+
+
+def commutators(S, R, C, V, odd, n, p=None):
+    """Graded commutators [M_s, M_t] = M_s M_t - (-1)^{|s||t|} M_t M_s of
+    every ordered pair of a list of sparse n x n integer matrices.
+
+    Entry e of the list is V[e] at (row R[e], column C[e]) of matrix S[e];
+    odd[s] is the parity of matrix s.  One join on the middle index gives
+    every product term once; it counts for the key (s, t, i, k) of M_s M_t
+    and, signed, for (t, s, i, k).  Returns fold's (keys, sums, path) with
+    keys ((s * m + t) * n + i) * n + k, m = len(odd).
+    """
+    m = len(odd)
+    a, b = join(C, R)
+    s, t = S[a], S[b]
+    ik = R[a] * n + C[b]
+    sign = np.where(odd[s] & odd[t], 1, -1)
+    return fold([((s * m + t) * n * n + ik, [V[a], V[b]]),
+                 ((t * m + s) * n * n + ik, [V[a], V[b], sign])], p)
+
+
+def matvec(M, X, p=None):
+    """Images of a list of sparse vectors under a sparse matrix.
+
+    M is ((R, C), V): entry V[e] at (R[e], C[e]); X is ((ids, index),
+    values) as in `bilinear`.  One join and one fold; returns the columns
+    (ids, row) of the nonzero images and their sums."""
+    ((R, C), V), ((xi, xa), xv) = M, X
+    n = int(R.max()) + 1 if len(R) else 1
+    a, b = join(C, xa)
+    keys, sums, _path = fold([(xi[b] * n + R[a], [V[a], xv[b]])], p)
+    return (keys // n, keys % n), sums
+
+
+def bilinear(table, left, right, p=None):
+    """Sums sum_{a,b} X_x[a] Y_y[b] c^k_ab of a bilinear map over two lists
+    of sparse vectors.
+
+    `table` is ((I, J, K), V): c^{K[e]}_{I[e] J[e]} = V[e].  `left` and
+    `right` are ((ids, index), values): vector X_{ids[e]} has values[e] at
+    index[e], likewise Y.  Two joins (the table's first index with X, its
+    second with Y) and one fold of the keys (x, y, k) packed into int64.
+    Returns the index columns (x, y, k) of the nonzero sums, the sums and
+    fold's path.
+    """
+    ((I, J, K), V), ((xi, xa), xv), ((yi, yb), yv) = table, left, right
+    ny = int(yi.max()) + 1 if len(yi) else 1
+    nk = int(K.max()) + 1 if len(K) else 1
+    a, b = join(I, xa)
+    c, d = join(J[a], yb)
+    a, b = a[c], b[c]
+    keys, sums, path = fold([((xi[b] * ny + yi[d]) * nk + K[a], [V[a], xv[b], yv[d]])], p)
+    return (keys // (ny * nk), keys // nk % ny, keys % nk), sums, path
+
+
+def distinct(keys):
+    """The distinct values of a sorted int64 array, such as fold's keys
+    divided down to a prefix (np.unique would sort again)."""
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
 
 
 def einsum(spec, *ops, p=None):

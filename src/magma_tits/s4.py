@@ -10,11 +10,15 @@ tau phi = phi^2 tau, tau1^2 = tau2^2 = tau^2 = 1, phi^3 = 1.
 
 The commuting involutions tau1, tau2 grade the target over Z2 x Z2; the
 (1,0) component {X : tau1 X = X, tau2 X = -X} carries the coordinate
-algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.
+algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.  Both
+the coordinate algebra and the conjugation blocks of the actions on
+T(C, J) are single sparse exact contractions (int_fast.bilinear and
+matvec) with batched, exactly checked coordinates.
 """
 
-from .exact import Matrix, Subspace, vec_eq, vec_is_zero
-from .algebra import SuperAlgebra, LinearMap, is_automorphism
+from .exact import Matrix, Subspace
+from .algebra import SuperAlgebra, LinearMap, is_automorphism, sc_from_coo
+from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, table_coo
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -201,12 +205,6 @@ class CoordinateAlgebra:
     def conj_ambient(self, X):
         return [-x for x in self.action["tau"].apply(X)]
 
-    def coords(self, X):
-        c = self.span.coords(X)
-        if c is None:
-            raise ValueError("vector is not in the (1,0) component")
-        return c
-
     def ambient_vector(self, coords):
         return self.embedding.apply(coords)
 
@@ -218,38 +216,57 @@ def coordinate_algebra(g, action, basis=None, name=None):
     of the (1,0) component (each is verified to lie there).  Without it the
     component basis comes from klein_grading, which is fine for moderate
     dimensions; large constructions should pass their distinguished basis.
+
+    The products X.Y = -tau([phi X, phi^2 Y]) of all basis pairs are one
+    sparse exact contraction: phi E and phi^2 E by int_fast.matvec, the
+    table of g against both by int_fast.bilinear, then -tau by matvec.
+    Their coordinates, and sigma = -tau on the basis, come from
+    Subspace.coords_many with the exact reconstruction check.
     """
-    t1, t2 = action["tau1"], action["tau2"]
+    f = g.field
+    p = None if f.is_rational else f.p
+    n = g.n
     if basis is None:
         basis = klein_grading(action).components[(1, 0)]
-    span = Subspace(g.n, g.field)
-    for v in basis:
-        if not vec_eq(t1.apply(v), v) or not vec_eq(t2.apply(v), [-x for x in v]):
+    (xi, xa), xv, DE = rows_coo(basis, f)
+    E = ((xi, xa), xv)
+    for gen, sign in (("tau1", 1), ("tau2", -1)):
+        # tau1 X = X and tau2 X = -X, exactly: sum_j M_ij X_j - sign D_M X_i = 0
+        (R, C), V, D = rows_coo(action[gen].rows, f)
+        a, b = join(C, xa)
+        keys, _sums, _path = fold([(xi[b] * n + R[a], [V[a], xv[b]]),
+                                   (xi * n + xa, [xv, -sign * D])], p)
+        if len(keys):
             raise ValueError("proposed basis vector is not in the (1,0) component")
+    span = Subspace(n, f)
+    for v in basis:
         if not span.add(v):
             raise ValueError("proposed basis is linearly dependent")
     m = span.dim
-    embedding = Matrix.from_columns(span.basis, g.field) if m else Matrix.zeros(g.n, 0, g.field)
-
-    # helper algebra so we can hand coordinates around
-    tmp = CoordinateAlgebra(g, action, None, embedding, span, None)
-    sc = {}
+    embedding = Matrix.from_columns(span.basis, f) if m else Matrix.zeros(n, 0, f)
     parity = [g.parity_of_vector(v) for v in span.basis]
-    if any(p is None for p in parity):
+    if any(par is None for par in parity):
         raise ValueError("component basis vectors must be parity homogeneous")
-    for i in range(m):
-        for j in range(m):
-            prod = tmp.product_ambient(span.basis[i], span.basis[j])
-            if vec_is_zero(prod):
-                continue
-            row = {k: c for k, c in enumerate(tmp.coords(prod)) if c}
-            if row:
-                sc[(i, j)] = row
-    labels = ["c%d" % i for i in range(m)]
-    alg = SuperAlgebra(labels, sc, parity=parity, field=g.field,
-                       name=name or ("coord(%s)" % g.name))
-    sigma_cols = [tmp.coords(tmp.conj_ambient(v)) for v in span.basis]
-    sigma = Matrix.from_columns(sigma_cols, g.field) if m else Matrix.zeros(0, 0, g.field)
+
+    phi_cols, phi_vals, Dphi = rows_coo(action["phi"].rows, f)
+    phi = (phi_cols, phi_vals)
+    tau_cols, tau_vals, Dtau = rows_coo(action["tau"].rows, f)
+    neg_tau = (tau_cols, -tau_vals)
+    A = matvec(phi, E, p)
+    B = matvec(phi, A, p)
+    cols, vals, Dg = table_coo(g.sc, f)
+    (x, y, k), sums, _path = bilinear((cols, vals), A, B, p)
+    (xy, l), sums = matvec(neg_tau, ((x * m + y, k), sums), p)
+    ids, ks, values, outside = span.coords_many(xy, l, sums, Dtau * Dg * Dphi ** 3 * DE * DE)
+    (x, l), sums = matvec(neg_tau, E, p)
+    sids, sks, svalues, soutside = span.coords_many(x, l, sums, Dtau * DE)
+    if len(outside) or len(soutside):
+        raise ValueError("vector is not in the (1,0) component")
+    alg = SuperAlgebra(["c%d" % i for i in range(m)], sc_from_coo(ids // m, ids % m, ks, values),
+                       parity=parity, field=f, name=name or ("coord(%s)" % g.name))
+    sigma = Matrix.zeros(m, m, f)
+    for x, k, c in zip(sids.tolist(), sks.tolist(), svalues):
+        sigma.rows[k][x] = c
     awi = AlgebraWithInvolution(alg, sigma)
     unit = _find_unit(alg)
     return CoordinateAlgebra(g, action, awi, embedding, span, unit)
@@ -327,26 +344,44 @@ def s4_on_h3(J):
 def _block_action(T, der_block, c0_block, j0_block, djj_block):
     """Assemble a generator matrix on T = der C + (C0 x J0) + d_{J,J} from blocks."""
     f = T.algebra.field
-    n = T.algebra.n
-    M = Matrix.zeros(n, n, f)
-    m = T.der_dim
-    for i in range(m):
-        for j in range(m):
-            M[i, j] = der_block[i, j]
-    nc, nj = len(T.c0_basis), len(T.j0_basis)
-    for ci in range(nc):
-        for xj in range(nj):
-            col = T.tensor_index(ci, xj)
-            for ci2 in range(nc):
-                for xj2 in range(nj):
-                    c = c0_block[ci2, ci] * j0_block[xj2, xj]
-                    if c:
-                        M[T.tensor_index(ci2, xj2), col] = c
+    M = Matrix.zeros(T.algebra.n, T.algebra.n, f)
+
+    def nonzero(B):
+        return [(i, j, c) for i, row in enumerate(B.rows) for j, c in enumerate(row) if c]
+
+    for i, j, c in nonzero(der_block):
+        M.rows[i][j] = c
+    j0_nz = nonzero(j0_block)
+    for ci2, ci, a in nonzero(c0_block):
+        for xj2, xj, b in j0_nz:
+            M.rows[T.tensor_index(ci2, xj2)][T.tensor_index(ci, xj)] = a * b
     off = T.djj_offset
-    for i in range(T.djj_dim):
-        for j in range(T.djj_dim):
-            M[off + i, off + j] = djj_block[i, j]
+    for i, j, c in nonzero(djj_block):
+        M.rows[off + i][off + j] = c
     return M
+
+
+def _conjugation_block(span, mats, P, what):
+    """The matrix whose column s holds the coordinates in span of
+    P mats[s] P^{-1}: one int_fast.bilinear contraction of the list with
+    the rows of P and the columns of P^{-1}, then Subspace.coords_many."""
+    f = P.field
+    k = len(mats)
+    if not k:
+        return Matrix.zeros(0, 0, f)
+    n = P.nrows
+    (S, R, C), V, D = matrices_coo(mats, f)
+    pc, pv, DP = rows_coo(P.rows, f)
+    (qr, qc), qv, DQ = rows_coo(P.inverse().rows, f)
+    (i, l, s), sums, _path = bilinear(((R, C, S), V), (pc, pv), ((qc, qr), qv),
+                                      None if f.is_rational else f.p)
+    ids, ks, values, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
+    if len(outside):
+        raise ValueError("matrix is not in %s" % what)
+    B = Matrix.zeros(k, k, f)
+    for s, r, c in zip(ids.tolist(), ks.tolist(), values):
+        B.rows[r][s] = c
+    return B
 
 
 def s4_on_tits_left(T, base_action=None):
@@ -363,10 +398,8 @@ def s4_on_tits_left(T, base_action=None):
     Idjj = Matrix.identity(T.djj_dim, f)
     Ij0 = Matrix.identity(len(T.j0_basis), f)
     for name, Mpsi in actC.gens.items():
-        Minv = Mpsi.inverse()
-        der_cols = [T.derC.coords_matrix(Mpsi @ D @ Minv) for D in T.derC.matrices]
-        der_block = (Matrix.from_columns(der_cols, f) if T.der_dim
-                     else Matrix.zeros(0, 0, f))
+        der_block = (_conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
+                     if T.derC is not None else Matrix.zeros(0, 0, f))
         c0_cols = [T.c0_coords(Mpsi.apply(a)) for a in T.c0_basis]
         c0_block = (Matrix.from_columns(c0_cols, f) if T.c0_basis
                     else Matrix.zeros(0, 0, f))
@@ -384,13 +417,10 @@ def s4_on_tits_right(T):
     Ider = Matrix.identity(T.der_dim, f)
     Ic0 = Matrix.identity(len(T.c0_basis), f)
     for name, Mpsi in actJ.gens.items():
-        Minv = Mpsi.inverse()
         j0_cols = [T.j0_coords(Mpsi.apply(x)) for x in T.j0_basis]
         j0_block = (Matrix.from_columns(j0_cols, f) if T.j0_basis
                     else Matrix.zeros(0, 0, f))
-        djj_cols = [T.djj.coords_matrix(Mpsi @ D @ Minv) for D in T.djj.matrices]
-        djj_block = (Matrix.from_columns(djj_cols, f) if T.djj_dim
-                     else Matrix.zeros(0, 0, f))
+        djj_block = _conjugation_block(T.djj.span, T.djj.matrices, Mpsi, "d_{J,J}")
         gens[name] = _block_action(T, Ider, Ic0, j0_block, djj_block)
     return GroupAction(T.algebra, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
                        name="S4 on T(%s,%s) right" % (T.C.name, T.J.name))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exact import Matrix, vec_eq
 from .algebra import SuperAlgebra, EVEN, accumulate
-from .int_fast import INT64_MAX, coo, fold, join
+from .int_fast import INT64_MAX, coo, distinct, fold, join
 
 
 class AlgebraWithInvolution:
@@ -70,10 +70,6 @@ class AlgebraWithInvolution:
     def hermitian_basis(self):
         """Basis of {z : sigma(z) = z}."""
         M = self.sigma - Matrix.identity(self.algebra.n, self.algebra.field)
-        return M.kernel_basis()
-
-    def skew_basis(self):
-        M = self.sigma + Matrix.identity(self.algebra.n, self.algebra.field)
         return M.kernel_basis()
 
     def __repr__(self):
@@ -337,7 +333,7 @@ def check_structurable(AI, max_witnesses=10):
     terms.append((pack(Su[s], Vx[v], Si[s], Vz[v], Vk[v]),
                   [V[v], TS[s], sign(par[Su[s]] * par[Vx[v]])]))
     keys, _sums, path = fold(terms, p)
-    bad = np.unique(keys // (n * n))[:max_witnesses]
+    bad = distinct(keys // (n * n))[:max_witnesses]
     failures = list(zip(*(col.tolist() for col in unpack(bad, 3))))
     return StructurableReport(not failures, n, n ** 3, failures=failures, name=alg.name,
                               path=path)

@@ -11,43 +11,90 @@ Basis order: der C basis, then a_i x x_j in lexicographic (i, j), then the
 d_{J,J} basis; d_{J,J} is spanned by d_{x_i, x_j} over J0 basis pairs fed in
 lexicographic order (first independent subset kept).
 
+The bracket is assembled from exact sparse contractions (int_fast): the
+inner derivations d_{x,y} are graded commutators of the left
+multiplications of J, the tables of C and J are bilinear contractions with
+the C0 and J0 bases, their coordinates come in batches from
+Subspace.coords_many, and the blocks of the bracket are COO broadcasts and
+outer products of those tables.
+
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
 them exhaustively over (C0 basis)^3 x (J0 basis)^3.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from functools import cache
-from itertools import chain, islice, product
+from itertools import islice, product
 from math import lcm
 
 import numpy as np
 
-from .exact import Subspace, vec_zero, flatten_matrix
-from .algebra import SuperAlgebra, EVEN, accumulate
-from .composition import derivation_algebra, inner_derivation
-from .int_fast import einsum, lower
+from .exact import Matrix, Subspace, vec_zero, flatten_matrix
+from .algebra import (SuperAlgebra, EVEN, accumulate, act_on_tensor, commutator_table,
+                      dense_entries, nonzero_entries, outer_entries, sc_from_coo)
+from .composition import derivation_algebra
+from .int_fast import (bilinear, commutators, einsum, lower, matrices_coo, rows_coo, table_coo,
+                       to_field)
+
+
+def inner_derivation_pairs(J, vectors):
+    """The d_{x_j,x_l} = [L_{x_j}, L_{x_l}] (graded) of all pairs of a list
+    of parity-homogeneous vectors of J, as a Subspace.coords_many batch
+    (ids j * m + l in increasing order, flat index r * n + c, integers, D).
+
+    Every d_{b_a,b_b} on basis pairs is one int_fast.commutators
+    contraction of the left multiplications L_a of J's table; the pairs of
+    the vectors are one int_fast.bilinear contraction of those."""
+    n, m = J.dim, len(vectors)
+    f = J.field
+    p = None if f.is_rational else f.p
+    alg = J.algebra
+    (I, Jc, K), V, Dt = table_coo(alg.sc, f)
+    keys, sums, _path = commutators(I, K, Jc, V, np.array(alg.parity, dtype=bool), n, p)
+    cols, vals, Dx = rows_coo(vectors, f)
+    (j, l, rc), d, _path = bilinear(((keys // n ** 3, keys // n ** 2 % n, keys % n ** 2),
+                                     sums), (cols, vals), (cols, vals), p)
+    return j * m + l, rc, d, Dt * Dt * Dx * Dx
+
+
+def feed_pairs(span, batch, m, n):
+    """Feed the pair vectors of batch with j <= l, in lexicographic order,
+    to span; returns the (j, l, matrix) of those that enlarged it."""
+    f = span.field
+    ids, rc, d, D = batch
+    vals = to_field(d, D, f)
+    bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
+    kept = []
+    for j in range(m):
+        # the diagonal d_{x,x} = 2 L_x^2 survives for odd x
+        for l in range(j, m):
+            v = [f.zero] * (n * n)
+            lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
+            for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
+                v[e] = c
+            if span.add(v):
+                kept.append((j, l, Matrix([v[r * n:(r + 1) * n] for r in range(n)], f)))
+    return kept
 
 
 class DerivationSpace:
-    """Span of the inner derivations d_{x_i, x_j} of J over a basis of J0."""
+    """Span of the inner derivations d_{x_i, x_j} of J over a basis of J0,
+    fed pair by pair in lexicographic order; `pairs` keeps the batch of
+    inner_derivation_pairs for the tables of the construction."""
 
     def __init__(self, J, j0_basis):
         n = J.dim
         self.J = J
         self.span = Subspace(n * n, J.field)
-        self.matrices = []
-        self.generators = []
-        self.parities = []
-        m = len(j0_basis)
-        for i in range(m):
-            # the diagonal d_{x,x} = 2 L_x^2 survives for odd x
-            for j in range(i, m):
-                d = J.inner_derivation(j0_basis[i], j0_basis[j])
-                if self.span.add(flatten_matrix(d.matrix)):
-                    self.matrices.append(d.matrix)
-                    self.generators.append((i, j))
-                    self.parities.append(d.parity)
+        par = [J.algebra.parity_of_vector(x) for x in j0_basis]
+        if None in par:
+            raise ValueError("inner_derivation needs parity-homogeneous arguments")
+        self.pairs = inner_derivation_pairs(J, j0_basis)
+        kept = feed_pairs(self.span, self.pairs, len(j0_basis), n)
+        self.matrices = [M for _j, _l, M in kept]
+        self.generators = [(j, l) for j, l, _M in kept]
+        self.parities = [(par[j] + par[l]) % 2 for j, l, _M in kept]
 
     @property
     def dim(self):
@@ -149,79 +196,127 @@ class TitsAlgebra:
 
 @dataclass
 class _Tables:
-    """Precomputed coordinate tables for the tensor-part bracket."""
-    DC: list          # DC[i][k] = coords of D_{a_i, a_k} in der C
-    brC: list         # [a_i, a_k] in C0 coords
-    trC: list         # t(a_i a_k)
-    tJ: list          # t_J(x_j x_l)
-    star: list        # x_j * x_l in J0 coords
-    dxy: list         # d_{x_j, x_l} in d_{J,J} coords
-    der_act: list     # der_act[r][i] = D_r(a_i) in C0 coords
-    djj_act: list     # djj_act[s][j] = d_s(x_j) in J0 coords
+    """Coordinate tables of the tensor-part bracket, object arrays of field
+    values indexed as below."""
+    DC: np.ndarray       # DC[i, k] = coords of D_{a_i, a_k} in der C
+    brC: np.ndarray      # [a_i, a_k] in C0 coords
+    trC: np.ndarray      # t(a_i a_k)
+    tJ: np.ndarray       # t_J(x_j x_l)
+    star: np.ndarray     # x_j * x_l in J0 coords
+    dxy: np.ndarray      # d_{x_j, x_l} in d_{J,J} coords
+    der_act: np.ndarray  # der_act[r, i] = D_r(a_i) in C0 coords
+    djj_act: np.ndarray  # djj_act[s, j] = d_s(x_j) in J0 coords
+
+
+def _split_coords(span, batch, count, unit, trace):
+    """Coordinates of `count` vectors in span, a complement of k1 (C0 or
+    J0), as a count x dim array; batch is (ids, ambient index, integers, D).
+
+    For well-formed inputs every vector already lies in the span.  A vector
+    outside it (corrupted negative controls) is first split along
+    v -> v - trace(v) 1, which keeps the assembly defined so the checkers
+    can exhibit the failure; ValueError if that does not land in span."""
+    f = span.field
+    ids, cols, vals, D = batch
+    cid, ck, values, outside = span.coords_many(ids, cols, vals, D)
+    out = dense_entries((count, span.dim), (cid, ck), values, f.zero)
+    for o in outside.tolist():
+        v = [f.zero] * span.ambient_dim
+        sel = np.flatnonzero(ids == o)
+        for e, c in zip(cols[sel].tolist(), to_field(vals[sel], D, f)):
+            v[e] = v[e] + c
+        t = trace(v)
+        c = span.coords([x - t * u for x, u in zip(v, unit)])
+        if c is None:
+            raise ValueError("vector cannot be split into k1 + the trace-zero part")
+        out[o] = c
+    return out
 
 
 def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
+    """The tables of T(C, J): contractions of the tables of C and J (and of
+    D_{b_p,b_q}, d_r) with the C0 and J0 bases by int_fast.bilinear, their
+    coordinates by Subspace.coords_many, split along k1 by _split_coords."""
     f = C.field
+    p = None if f.is_rational else f.p
     nc, nj = len(c0_basis), len(j0_basis)
+    m = derC.dim if derC is not None else 0
+    zero = f.zero
+    half = f.one / f.of(2)
+    xc_cols, xc_vals, Dxc = rows_coo(c0_basis, f)
+    xj_cols, xj_vals, Dxj = rows_coo(j0_basis, f)
+    Xc, Xj = (xc_cols, xc_vals), (xj_cols, xj_vals)
 
-    def j0c(v):
-        """Coordinates in J0 through the splitting J = k1 + J0.
+    def pairs(tab, X, count, Dx):
+        """The table's sums over all pairs of the vectors X, as a batch."""
+        cols, vals, Dt = tab
+        (x, y, k), sums, _path = bilinear((cols, vals), X, X, p)
+        return x * count + y, k, sums, Dt * Dx * Dx
 
-        For well-formed inputs every image is already trace-free and the
-        projection is the identity; for corrupted negative controls it keeps
-        the assembly defined so the checkers can exhibit the failure.
-        """
-        c = j0_span.coords(v)
-        if c is not None:
-            return c
-        t = J.trace_of(v)
-        c = j0_span.coords([p - t * u for p, u in zip(v, J.unit)])
-        if c is None:
-            raise ValueError("vector cannot be split into k1 + J0")
-        return c
+    def images(mats, X, count, Dx):
+        """M_s(x) for every matrix s and vector x, as a batch."""
+        (S, R, Cc), V, D = matrices_coo(mats, f)
+        s = np.arange(len(mats), dtype=np.int64)
+        (s, x, r), sums, _path = bilinear(((S, Cc, R), V), ((s, s), np.ones_like(s)), X, p)
+        return s * count + x, r, sums, D * Dx
 
-    def c0c(v):
-        c = c0_span.coords(v)
-        if c is not None:
-            return c
-        t = C.trace(v) / f.of(2)
-        c = c0_span.coords([p - t * u for p, u in zip(v, C.unit)])
-        if c is None:
-            raise ValueError("vector cannot be split into k1 + C0")
-        return c
+    def scalars(batch, count):
+        ids, _k, sums, D = batch
+        out = dense_entries((count * count,), (ids,), to_field(sums, D, f), zero)
+        return out.reshape(count, count)
 
-    DC = [[None] * nc for _ in range(nc)]
-    brC = [[None] * nc for _ in range(nc)]
-    trC = [[None] * nc for _ in range(nc)]
-    for i in range(nc):
-        for k in range(nc):
-            a, b = c0_basis[i], c0_basis[k]
-            DC[i][k] = derC.coords_pair(a, b) if derC is not None else []
-            ab = C.product(a, b)
-            ba = C.product(b, a)
-            brC[i][k] = c0c([p - q for p, q in zip(ab, ba)])
-            trC[i][k] = C.trace(ab)
-    tJ = [[None] * nj for _ in range(nj)]
-    star = [[None] * nj for _ in range(nj)]
-    dxy = [[None] * nj for _ in range(nj)]
-    for j in range(nj):
-        for l in range(nj):
-            x, y = j0_basis[j], j0_basis[l]
-            xy = J.multiply(x, y)
-            t = J.trace_of(xy)
-            tJ[j][l] = t
-            star[j][l] = j0c([p - t * u for p, u in zip(xy, J.unit)])
-            dxy[j][l] = djj.coords_matrix(J.inner_derivation(x, y).matrix, check=False)
-    der_act = []
+    def c0c(batch, count):
+        return _split_coords(c0_span, batch, count, C.unit, lambda v: C.trace(v) * half)
+
+    def j0c(batch, count):
+        return _split_coords(j0_span, batch, count, J.unit, J.trace_of)
+
+    # C: [b_a, b_b] and t(b_a b_b), J: t_J(b_a b_b) and b_a * b_b, on basis pairs
+    c_trace = [C.trace(C.algebra.e(k)) for k in range(C.dim)]
+    br_sc, tr_sc, st_sc, tj_sc = {}, {}, {}, {}
+    for (a, b), row in C.algebra.sc.items():
+        for k, c in row.items():
+            accumulate(br_sc, a, b, k, c)
+            accumulate(br_sc, b, a, k, -c)
+        accumulate(tr_sc, a, b, 0, sum((c_trace[k] * c for k, c in row.items()), start=zero))
+    for (a, b), row in J.algebra.sc.items():
+        t = J.trace_of([row.get(k, zero) for k in range(J.dim)])
+        st_sc[(a, b)] = dict(row)
+        for k, u in enumerate(J.unit):
+            accumulate(st_sc, a, b, k, -t * u)
+        accumulate(tj_sc, a, b, 0, t)
+    brC = c0c(pairs(table_coo(br_sc, f), Xc, nc, Dxc), nc * nc).reshape(nc, nc, nc)
+    trC = scalars(pairs(table_coo(tr_sc, f), Xc, nc, Dxc), nc)
+    star = j0c(pairs(table_coo(st_sc, f), Xj, nj, Dxj), nj * nj).reshape(nj, nj, nj)
+    tJ = scalars(pairs(table_coo(tj_sc, f), Xj, nj, Dxj), nj)
+
+    # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows
+    ids, ks, values, _out = djj.span.coords_many(*djj.pairs, check=False)
+    dxy = dense_entries((nj * nj, djj.dim), (ids, ks), values, zero).reshape(nj, nj, djj.dim)
+    djj_act = j0c(images(djj.matrices, Xj, nj, Dxj), djj.dim * nj).reshape(djj.dim, nj, nj)
+
+    # D_{a_i,a_k} in der C coordinates and D_r(a_i) in C0 coordinates
+    DC = np.zeros((nc, nc, 0), dtype=object)
+    der_act = np.zeros((0, nc, nc), dtype=object)
     if derC is not None:
-        for D in derC.matrices:
-            der_act.append([c0c(D.apply(a)) for a in c0_basis])
-    djj_act = [[j0c(M.apply(x)) for x in j0_basis] for M in djj.matrices]
+        Dt, den = derC.tensor
+        nz = np.nonzero(Dt)
+        batch = pairs(((nz[0], nz[1], nz[2] * C.dim + nz[3]), Dt[nz], den), Xc, nc, Dxc)
+        ids, ks, values, outside = derC.span.coords_many(*batch)
+        if len(outside):
+            raise ValueError("matrix is not in der C")
+        DC = dense_entries((nc * nc, m), (ids, ks), values, zero).reshape(nc, nc, m)
+        der_act = c0c(images(derC.matrices, Xc, nc, Dxc), m * nc).reshape(m, nc, nc)
     return _Tables(DC, brC, trC, tJ, star, dxy, der_act, djj_act)
 
 
 def tits(C, J, name=None):
-    """Assemble T(C, J); Lie-ness is checked separately, never assumed."""
+    """Assemble T(C, J); Lie-ness is checked separately, never assumed.
+
+    The brackets are COO blocks: der C and d_{J,J} commutators from
+    algebra.commutator_table (d_{J,J} projected through the pivot rows),
+    the actions on C0 x J0 broadcast from the tables, and the tensor x
+    tensor block as outer products of the tables of C and of J."""
     f = C.field
     if J.trace_row is None:
         raise ValueError("the Tits construction needs a normalized trace on J")
@@ -231,105 +326,49 @@ def tits(C, J, name=None):
     j0_basis = J.j0_basis()
     j0_span = Subspace.from_vectors(j0_basis, J.dim, f) if j0_basis else Subspace(J.dim, f)
     djj = DerivationSpace(J, j0_basis)
-    tables = _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
+    tb = _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
 
     m = derC.dim if derC is not None else 0
     nc, nj = len(c0_basis), len(j0_basis)
     nd = djj.dim
-    n = m + nc * nj + nd
     off = m + nc * nj
 
-    labels = []
-    parity = []
-    if derC is not None:
-        labels += list(derC.lie.basis)
-        parity += [EVEN] * m
-    j0_par = []
-    for x in j0_basis:
-        p = J.algebra.parity_of_vector(x)
-        if p is None:
-            raise ValueError("J0 basis vector of mixed parity")
-        j0_par.append(p)
-    c0_names = ["a%d" % i for i in range(nc)]
-    for i in range(nc):
-        for j in range(nj):
-            labels.append("%s(x)x%d" % (c0_names[i], j))
-            parity.append(j0_par[j])
+    j0_par = np.array([J.algebra.parity_of_vector(x) for x in j0_basis], dtype=bool)
+    labels = list(derC.lie.basis) if derC is not None else []
+    labels += ["a%d(x)x%d" % (i, j) for i in range(nc) for j in range(nj)]
     labels += ["d%d" % s for s in range(nd)]
+    parity = [EVEN] * m + [int(j0_par[j]) for _i in range(nc) for j in range(nj)]
     parity += list(djj.parities)
 
     def tidx(i, j):
         return m + i * nj + j
 
-    sc = {}
-
-    # der C x der C
-    if derC is not None:
-        for (r, s), row in derC.lie.sc.items():
-            for k, c in row.items():
-                accumulate(sc, r, s, k, c)
-    # d_{J,J} x d_{J,J}: graded matrix commutators
-    for s in range(nd):
-        Ms, ps = djj.matrices[s], djj.parities[s]
-        for t in range(nd):
-            Mt, pt = djj.matrices[t], djj.parities[t]
-            comm = Ms @ Mt
-            if ps and pt:
-                comm = comm + (Mt @ Ms)
-            else:
-                comm = comm - (Mt @ Ms)
-            for k, c in enumerate(djj.coords_matrix(comm, check=False)):
-                accumulate(sc, off + s, off + t, off + k, c)
-    # der C acting on the tensor part
-    for r in range(m):
-        for i in range(nc):
-            img = tables.der_act[r][i]
-            for j in range(nj):
-                for i2, c in enumerate(img):
-                    if c:
-                        accumulate(sc, r, tidx(i, j), tidx(i2, j), c)
-                        accumulate(sc, tidx(i, j), r, tidx(i2, j), -c)
-    # d_{J,J} acting on the tensor part
-    for s in range(nd):
-        ps = djj.parities[s]
-        for j in range(nj):
-            img = tables.djj_act[s][j]
-            sgn = -1 if (ps and j0_par[j]) else 1
-            for i in range(nc):
-                for j2, c in enumerate(img):
-                    if c:
-                        accumulate(sc, off + s, tidx(i, j), tidx(i, j2), c)
-                        accumulate(sc, tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
-    # tensor x tensor
+    # der C x der C and d_{J,J} x d_{J,J}
+    sc = {} if derC is None else {ij: dict(row) for ij, row in derC.lie.sc.items()}
+    djj_sc, _out = commutator_table(djj.matrices, djj.span, djj.parities, check=False)
+    for (s, t), row in djj_sc.items():
+        sc[(off + s, off + t)] = {off + k: c for k, c in row.items()}
+    # der C and d_{J,J} acting: [D_r, a_i x x_j] = D_r(a_i) x x_j,
+    # [d_s, a_i x x_j] = a_i x d_s(x_j)
+    act_on_tensor(sc, tb.der_act, np.zeros(m), np.zeros(nc), nj, lambda r: r,
+                  lambda j, i: tidx(i, j))
+    act_on_tensor(sc, tb.djj_act, djj.parities, j0_par, nc, lambda s: off + s, tidx)
+    # tensor x tensor: [a_i x x_j, a_k x x_l] = t_J(x_j x_l) D_{a_i,a_k}
+    # + [a_i,a_k] x (x_j * x_l) + 2 t(a_i a_k) d_{x_j,x_l}
     two = f.of(2)
-    for i in range(nc):
-        for k in range(nc):
-            DCik = tables.DC[i][k]
-            brik = tables.brC[i][k]
-            trik = tables.trC[i][k]
-            for j in range(nj):
-                for l in range(nj):
-                    src, dst = tidx(i, j), tidx(k, l)
-                    t = tables.tJ[j][l]
-                    if t:
-                        for r, c in enumerate(DCik):
-                            accumulate(sc, src, dst, r, t * c)
-                    stjl = tables.star[j][l]
-                    for i2, cb in enumerate(brik):
-                        if cb:
-                            for j2, cs in enumerate(stjl):
-                                if cs:
-                                    accumulate(sc, src, dst, tidx(i2, j2), cb * cs)
-                    if trik:
-                        for s, cd in enumerate(tables.dxy[j][l]):
-                            if cd:
-                                accumulate(sc, src, dst, off + s, two * trik * cd)
+    (i, k, r), (j, l), vals = outer_entries(nonzero_entries(tb.DC), nonzero_entries(tb.tJ))
+    sc_from_coo(tidx(i, j), tidx(k, l), r, vals, sc)
+    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(tb.brC), nonzero_entries(tb.star))
+    sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
+    (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tb.trC), nonzero_entries(tb.dxy),
+                                            two)
+    sc_from_coo(tidx(i, j), tidx(k, l), off + d, vals, sc)
 
     alg = SuperAlgebra(labels, sc, parity=parity, field=f,
                        name=name or ("T(%s,%s)" % (C.name, J.name)),
                        is_lie_claimed=True)
     T = TitsAlgebra(alg, C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
-    T.tables = tables
+    T.tables = tb
     return T
 
 
@@ -362,11 +401,11 @@ def _sigma(par, perm, j):
     return -1 if (p[0] and p[2]) else 1
 
 
-def _side_sums(T):
+def _side_sums(T, tb):
     """The sums of _conditions_direct that depend on the a-triple alone or
     on the x-triple alone, each computed once per scan: lambda, mu,
-    D_{a_p,a_q}(a_w), [[a_p,a_q],a_w], (x_a * x_b) * x_c, d_{x_a,x_b}(x_c)."""
-    tb = T.tables
+    D_{a_p,a_q}(a_w), [[a_p,a_q],a_w], (x_a * x_b) * x_c, d_{x_a,x_b}(x_c).
+    tb holds T's tables as nested lists."""
     f = T.algebra.field
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     nd, m = T.djj_dim, T.der_dim
@@ -405,10 +444,10 @@ def _side_sums(T):
     return lam, mu, der_act, brbr, starstar, djj_act
 
 
-def _conditions_direct(T, a_triple, x_triple, par, sums):
+def _conditions_direct(T, tb, a_triple, x_triple, par, sums):
     """Exact Jacobiator components (d_{J,J}, der C, tensor) of one triple
-    pair; par is the J0 parity vector and sums is _side_sums(T)."""
-    tb = T.tables
+    pair; tb holds T's tables as nested lists, par is the J0 parity vector
+    and sums is _side_sums(T, tb)."""
     f = T.algebra.field
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     nd, m = T.djj_dim, T.der_dim
@@ -461,10 +500,12 @@ def _failing_triple_pairs(T):
     Jacobiator breaks a condition; bad flags (i), (ii), (iii)."""
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     par = [T.J.algebra.parity_of_vector(x) for x in T.j0_basis]
-    sums = _side_sums(T)
+    # nested lists index faster than object arrays in this scalar scan
+    tb = _Tables(*(getattr(T.tables, t.name).tolist() for t in fields(_Tables)))
+    sums = _side_sums(T, tb)
     for at in product(range(nc), repeat=3):
         for xt in product(range(nj), repeat=3):
-            d, D, t = _conditions_direct(T, at, xt, par, sums)
+            d, D, t = _conditions_direct(T, tb, at, xt, par, sums)
             bad = (any(d), any(D), any(any(row) for row in t))
             if any(bad):
                 yield bad, at, xt
@@ -548,20 +589,18 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
         paths.add(path)
         return out
 
-    def table(t, *shape):
-        for _level in shape[1:]:
-            t = list(chain.from_iterable(t))
-        D, ints = lower(t, f)
-        return ints.reshape(shape), D
+    def table(t):
+        D, ints = lower(t.ravel().tolist(), f)
+        return ints.reshape(t.shape), D
 
-    DC, dDC = table(tb.DC, nc, nc, m)
-    brC, dbr = table(tb.brC, nc, nc, nc)
-    trC, dtr = table(tb.trC, nc, nc)
-    tJ, dtJ = table(tb.tJ, nj, nj)
-    star, dst = table(tb.star, nj, nj, nj)
-    dxy, ddxy = table(tb.dxy, nj, nj, nd)
-    deract, dda = table(tb.der_act, m, nc, nc)
-    djjact, ddj = table(tb.djj_act, nd, nj, nj)
+    DC, dDC = table(tb.DC)
+    brC, dbr = table(tb.brC)
+    trC, dtr = table(tb.trC)
+    tJ, dtJ = table(tb.tJ)
+    star, dst = table(tb.star)
+    dxy, ddxy = table(tb.dxy)
+    deract, dda = table(tb.der_act)
+    djjact, ddj = table(tb.djj_act)
 
     # sig[r][x-triple]: Koszul sign of the r-th cyclic term, -1 when its
     # first and last x are odd
@@ -637,6 +676,9 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     Lie algebra of derivations of J containing all inner derivations.
 
     With D omitted, D = d_{J,J} spanned by d_{x,y} over full J basis pairs.
+    The inner derivations come from inner_derivation_pairs, the brackets
+    in D from algebra.commutator_table, and the tensor x tensor block is
+    outer products of the tables of Q and J, as in tits().
     """
     f = Q.field
     if Q.dim != 4:
@@ -645,40 +687,29 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     q0_span = Subspace.from_vectors(q0_basis, Q.dim, f)
     nJ = J.dim
     alg = J.algebra
-    # derivation space
-    n2 = nJ * nJ
-    span = Subspace(n2, f)
-    mats, pars = [], []
-
-    def feed(M, p):
-        if span.add(flatten_matrix(M)):
-            mats.append(M)
-            pars.append(p)
-
+    span = Subspace(nJ * nJ, f)
+    pairs = inner_derivation_pairs(J, [alg.e(i) for i in range(nJ)])
     if D_matrices is None:
-        for i in range(nJ):
-            for j in range(i, nJ):
-                d = J.inner_derivation(alg.e(i), alg.e(j))
-                feed(d.matrix, d.parity)
+        kept = feed_pairs(span, pairs, nJ, nJ)
+        mats = [M for _j, _l, M in kept]
+        pars = [(alg.parity[j] + alg.parity[l]) % 2 for j, l, _M in kept]
     else:
-        for M, p in zip(D_matrices, D_parities or [EVEN] * len(D_matrices)):
-            feed(M, p)
+        mats, pars = [], []
+        for M, par in zip(D_matrices, D_parities or [EVEN] * len(D_matrices)):
+            if span.add(flatten_matrix(M)):
+                mats.append(M)
+                pars.append(par)
         # D must contain the inner derivations
-        for i in range(nJ):
-            for j in range(i, nJ):
-                d = J.inner_derivation(alg.e(i), alg.e(j))
-                if span.coords(flatten_matrix(d.matrix)) is None:
-                    raise ValueError("D does not contain the inner derivation d_{%d,%d}" % (i, j))
+        _i, _k, _v, outside = span.coords_many(*pairs)
+        missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
+        if missing:
+            raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
     nd = span.dim
-
-    def dcoords(M):
-        c = span.coords(flatten_matrix(M))
-        if c is None:
-            raise ValueError("D is not closed under the bracket")
-        return c
+    d_sc, outside = commutator_table(mats, span, pars)
+    if outside:
+        raise ValueError("D is not closed under the bracket")
 
     nq = len(q0_basis)
-    n = nq * nJ + nd
     off = nq * nJ
     labels = ["q%d(x)%s" % (i, alg.basis[j]) for i in range(nq) for j in range(nJ)]
     labels += ["d%d" % s for s in range(nd)]
@@ -687,45 +718,25 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     def tidx(i, j):
         return i * nJ + j
 
-    sc = {}
-
     two = f.of(2)
-    # tensor x tensor
-    br = [[q0_span.coords([x - y for x, y in zip(Q.product(a, b), Q.product(b, a))])
-           for b in q0_basis] for a in q0_basis]
-    tr = [[Q.trace(Q.product(a, b)) for b in q0_basis] for a in q0_basis]
-    for i in range(nq):
-        for k in range(nq):
-            for j in range(nJ):
-                for l in range(nJ):
-                    src, dst = tidx(i, j), tidx(k, l)
-                    prod = alg.product_basis(j, l)
-                    for i2, cb in enumerate(br[i][k]):
-                        if cb:
-                            for j2, cp in prod.items():
-                                accumulate(sc, src, dst, tidx(i2, j2), cb * cp)
-                    if tr[i][k]:
-                        d = J.inner_derivation(alg.e(j), alg.e(l))
-                        for s, cd in enumerate(span.coords(flatten_matrix(d.matrix), check=False)):
-                            if cd:
-                                accumulate(sc, src, dst, off + s, two * tr[i][k] * cd)
-    # D acting
-    for s in range(nd):
-        Ms, ps = mats[s], pars[s]
-        act = [Ms.column(j) for j in range(nJ)]
-        for i in range(nq):
-            for j in range(nJ):
-                sgn = -1 if (ps and alg.parity[j]) else 1
-                for j2, c in enumerate(act[j]):
-                    if c:
-                        accumulate(sc, off + s, tidx(i, j), tidx(i, j2), c)
-                        accumulate(sc, tidx(i, j), off + s, tidx(i, j2), -c if sgn > 0 else c)
-        for t in range(nd):
-            Mt, pt = mats[t], pars[t]
-            comm = Ms @ Mt
-            comm = comm + (Mt @ Ms) if (ps and pt) else comm - (Mt @ Ms)
-            for k, c in enumerate(dcoords(comm)):
-                accumulate(sc, off + s, off + t, off + k, c)
+    br = np.array([[q0_span.coords([x - y for x, y in zip(Q.product(a, b), Q.product(b, a))])
+                    for b in q0_basis] for a in q0_basis], dtype=object)
+    tr = np.array([[Q.trace(Q.product(a, b)) for b in q0_basis] for a in q0_basis], dtype=object)
+    ids, ks, values, _out = span.coords_many(*pairs, check=False)
+    dxy = dense_entries((nJ * nJ, nd), (ids, ks), values, f.zero).reshape(nJ, nJ, nd)
+    entries = [((j, l, k), c) for (j, l), row in alg.sc.items() for k, c in row.items()]
+    jt = (tuple(np.array([e for e, _c in entries], dtype=np.int64).reshape(-1, 3).T),
+          [c for _e, c in entries])
+    # D x D, then the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
+    sc = {(off + s, off + t): {off + k: c for k, c in row.items()}
+          for (s, t), row in d_sc.items()}
+    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(br), jt)
+    sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
+    (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tr), nonzero_entries(dxy), two)
+    sc_from_coo(tidx(i, j), tidx(k, l), off + d, vals, sc)
+    # D acting: [d_s, q x x_j] = q x d_s(x_j)
+    acts = np.array([M.T.rows for M in mats], dtype=object).reshape(nd, nJ, nJ)
+    act_on_tensor(sc, acts, pars, alg.parity, nq, lambda s: off + s, tidx)
 
     out = SuperAlgebra(labels, sc, parity=parity, field=f,
                        name=name or ("T62(%s,%s)" % (Q.name, J.name)),

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -61,6 +62,27 @@ def test_verify_thm41_single(capsys):
 def test_verify_thm61_single(capsys):
     code, out = run(["verify", "thm61", "--left", "binarion", "--right", "ground"], capsys)
     assert code == 0
+
+
+def test_verify_builds_each_tits_algebra_once(monkeypatch, capsys):
+    # thm41 and thm61 share T(cayley, h3:*): one process builds each (C, J) once
+    from magma_tits import isomorphisms, registry
+    counts = Counter()
+
+    def counting(build):
+        def wrapper(C, J, *args, **kwargs):
+            counts[(C.name, J.name)] += 1
+            return build(C, J, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(registry, "_CACHE", {})
+    monkeypatch.setattr(registry, "build_tits", counting(registry.build_tits))
+    monkeypatch.setattr(isomorphisms, "tits", counting(isomorphisms.tits))
+    for suite in ("thm41", "thm61"):
+        code, _out = run(["verify", suite], capsys)
+        assert code == 0
+    assert len(counts) == 16
+    assert set(counts.values()) == {1}
 
 
 def test_export_round_trip(tmp_path, capsys):
