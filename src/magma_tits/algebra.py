@@ -18,8 +18,8 @@ from .exact import (
     QQ, FieldGF, Matrix, Subspace,
     vec_zero, vec_is_zero, basis_vector,
 )
-from .int_fast import (bilinear, commutators, distinct, fold, join, matrices_coo,
-                       matrix_to_int_array, matvec, rows_coo, table_coo, to_field)
+from .int_fast import (bilinear, commutators, distinct, fold, join, matrices_coo, matvec,
+                       rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
 
@@ -464,41 +464,7 @@ def check_super_jacobi(A, max_witnesses=10):
 
 def _invertible(M):
     """Exact invertibility of a square Matrix."""
-    if M.nrows != M.ncols:
-        return False
-    if M.field.is_rational:
-        A, _D = matrix_to_int_array(M)
-        if A is None:
-            return M.rank() == M.nrows
-        # determinant nonzero mod p certifies invertibility; on zero fall back
-        for p in (2147483629, 2147483587):
-            if _rank_mod_p(A % p, p) == M.nrows:
-                return True
-        return M.rank() == M.nrows
-    return M.rank() == M.nrows
-
-
-def _rank_mod_p(A, p):
-    A = A.astype(np.int64).copy()
-    n, m = A.shape
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        piv = None
-        for i in range(r, n):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        col = A[r + 1:, c].copy()
-        A[r + 1:] = (A[r + 1:] - np.outer(col, A[r])) % p
-        r += 1
-    return r
+    return M.nrows == M.ncols and M.rank() == M.nrows
 
 
 def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):

@@ -13,8 +13,11 @@ import random
 import sys
 from fractions import Fraction
 
-from .exact import Matrix, vec_eq
+import numpy as np
+
+from .exact import vec_eq
 from .algebra import SuperAlgebra
+from .int_fast import einsum, table_coo
 from . import composition, structurable
 from .tits import tits, verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
@@ -119,22 +122,15 @@ def suite_csplit(args):
         deg2_ok = deg2_ok and vec_eq(lhs, rhs)
     _check(results, "degree-2 identity on the same sample", deg2_ok)
 
-    skew_ok, cyc_ok = True, True
-    D = [[composition.inner_derivation(C, alg.e(i), alg.e(j)).matrix
-          for j in range(8)] for i in range(8)]
-    for i in range(8):
-        for j in range(8):
-            if D[i][j] != D[j][i].scale(-1):
-                skew_ok = False
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                total = Matrix.zeros(8, 8)
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    ab = alg.multiply(alg.e(a), alg.e(b))
-                    total = total + composition.inner_derivation(C, ab, alg.e(c)).matrix
-                if not total.is_zero():
-                    cyc_ok = False
+    # D[i, j, l, c] / den is the b_l coefficient of D_{b_i,b_j}(b_c), and
+    # X[a, b, c] = D_{b_a b_b, b_c} over the common scale den * Dt
+    D, den = composition.inner_derivation_tensor(C)
+    skew_ok = not (D + D.transpose(1, 0, 2, 3)).any()
+    (I, J, K), V, Dt = table_coo(alg.sc, alg.field)
+    T = np.zeros((8, 8, 8), dtype=object)
+    T[I, J, K] = V
+    X, _path = einsum("abm,mclx->abclx", T, D)
+    cyc_ok = not (X + X.transpose(1, 2, 0, 3, 4) + X.transpose(2, 0, 1, 3, 4)).any()
     _check(results, "D skew in its arguments", skew_ok)
     _check(results, "cyclic derivation identity on all triples", cyc_ok)
     derC = composition.derivation_algebra(C)

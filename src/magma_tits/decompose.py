@@ -21,6 +21,7 @@ decomposition and the reassembled bracket are exact sparse contractions
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -248,21 +249,32 @@ class B1Data:
         return True
 
 
-def _so3_structure(field):
-    """Structure tables of gl(W) pieces used by the assembly."""
-    f = field
-    Ds = so3_basis(f)
-    Hs = h_basis(f)
-    so3_span = Subspace.from_vectors([flatten_matrix(M) for M in Ds], 9, f)
-    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, f)
-    I3 = Matrix.identity(3, f)
-    two3 = f.of(2) / f.of(3)
+@cache
+def _so3_h(field):
+    """The so3 and h bases (Ds, Hs), the coordinates of a 3x3 matrix in each
+    (so3c, hc) and the actions ad(D_i) on both as coordinate matrices
+    (R3, R5).  Built once per field and shared: callers only read them."""
+    Ds, Hs = so3_basis(field), h_basis(field)
+    so3_span = Subspace.from_vectors([flatten_matrix(M) for M in Ds], 9, field)
+    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, field)
 
     def so3c(M):
         return so3_span.coords(flatten_matrix(M))
 
     def hc(M):
         return h_span.coords(flatten_matrix(M))
+
+    R3 = [Matrix.from_columns([so3c(commutator(D, B)) for B in Ds], field) for D in Ds]
+    R5 = [Matrix.from_columns([hc(commutator(D, X)) for X in Hs], field) for D in Ds]
+    return Ds, Hs, so3c, hc, R3, R5
+
+
+def _so3_structure(field):
+    """Structure tables of gl(W) pieces used by the assembly."""
+    f = field
+    Ds, Hs, so3c, hc, _R3, _R5 = _so3_h(f)
+    I3 = Matrix.identity(3, f)
+    two3 = f.of(2) / f.of(3)
 
     comm_DD = [[so3c(commutator(A, B)) for B in Ds] for A in Ds]
     sym_DD = [[hc(A @ B + B @ A - I3.scale(two3 * (A @ B).trace())) for B in Ds] for A in Ds]
@@ -482,7 +494,6 @@ def _module_copy_map(R_mats, start_abstract, ad_ops, start_concrete, dim):
     """Generate a module copy in lockstep: returns the list of (abstract
     coords, concrete vector) spanning pairs, built by applying the abstract
     operators R_i and the concrete operators ad_ops[i] simultaneously."""
-    f = start_concrete and None
     pairs = [(start_abstract, start_concrete)]
     span = Subspace(dim, R_mats[0].field)
     span.add(start_abstract)
@@ -523,44 +534,25 @@ def extract_b1(g, report):
     if (mh, ms, md) != (report.m_adjoint, report.m_h, report.m_trivial):
         raise ValueError("multiplicity-space extraction mismatch")
 
-    Ds = so3_basis(f)
-    Hs = h_basis(f)
-    so3_span = Subspace.from_vectors([flatten_matrix(M) for M in Ds], 9, f)
-    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, f)
-    R3 = [Matrix.from_columns(
-        [so3_span.coords(flatten_matrix(commutator(D, B))) for B in Ds], f)
-        for D in Ds]
-    R5 = [Matrix.from_columns(
-        [h_span.coords(flatten_matrix(commutator(D, X))) for X in Hs], f)
-        for D in Ds]
+    _Ds, _Hs, _so3c, _hc, R3, R5 = _so3_h(f)
     ad_ops = [lambda v, M=ads[i]: M.apply(v) for i in range(3)]
 
-    # adjoint copies: start from D0 = (1,0,0)
+    # adjoint copies start from D0 = (1,0,0), five-dim copies from
+    # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2)
     cols = [None] * (3 * mh + 5 * ms + md)
-    for j, h in enumerate(hvecs):
-        pairs = _module_copy_map(R3, basis_vector(3, 0, f), ad_ops, h, 3)
-        A = Matrix.from_columns([p[0] for p in pairs], f).inverse()
-        conc = [p[1] for p in pairs]
-        for i in range(3):
-            target = A.apply(basis_vector(3, i, f))
-            v = vec_zero(n, f)
-            for c, w in zip(target, conc):
-                if c:
-                    v = vec_add(v, vec_scale(c, w))
-            cols[3 * j + i] = v
-    # five-dim copies: start from Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2)
     zcoords = [f.zero, f.zero, f.zero, f.of(2), f.one]
-    for j, s in enumerate(svecs):
-        pairs = _module_copy_map(R5, zcoords, ad_ops, s, 5)
-        A = Matrix.from_columns([p[0] for p in pairs], f).inverse()
-        conc = [p[1] for p in pairs]
-        for x in range(5):
-            target = A.apply(basis_vector(5, x, f))
-            v = vec_zero(n, f)
-            for c, w in zip(target, conc):
-                if c:
-                    v = vec_add(v, vec_scale(c, w))
-            cols[3 * mh + 5 * j + x] = v
+    for R, start, vecs, width, offset in ((R3, basis_vector(3, 0, f), hvecs, 3, 0),
+                                          (R5, zcoords, svecs, 5, 3 * mh)):
+        for j, h in enumerate(vecs):
+            pairs = _module_copy_map(R, start, ad_ops, h, width)
+            A = Matrix.from_columns([p[0] for p in pairs], f).inverse()
+            conc = [p[1] for p in pairs]
+            for i in range(width):
+                v = vec_zero(n, f)
+                for c, w in zip(A.column(i), conc):
+                    if c:
+                        v = vec_add(v, vec_scale(c, w))
+                cols[offset + width * j + i] = v
     off_d = 3 * mh + 5 * ms
     for r, d in enumerate(dvecs):
         cols[off_d + r] = list(d)
@@ -633,19 +625,14 @@ def synthesize_s4(g, report, extraction=None):
         extraction = extract_b1(g, report)
     f = g.field
     act = s4_on_w(f)
-    Ds = so3_basis(f)
-    Hs = h_basis(f)
-    so3_span = Subspace.from_vectors([flatten_matrix(M) for M in Ds], 9, f)
-    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, f)
+    Ds, Hs, so3c, hc, _R3, _R5 = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
     n = g.n
     gens = {}
     for name, P in act.gens.items():
         Pi = P.inverse()
-        rho3 = Matrix.from_columns(
-            [so3_span.coords(flatten_matrix(P @ D @ Pi)) for D in Ds], f)
-        rho5 = Matrix.from_columns(
-            [h_span.coords(flatten_matrix(P @ X @ Pi)) for X in Hs], f)
+        rho3 = Matrix.from_columns([so3c(P @ D @ Pi) for D in Ds], f)
+        rho5 = Matrix.from_columns([hc(P @ X @ Pi) for X in Hs], f)
         block = Matrix.zeros(n, n, f)
         for j in range(mh):
             for i1 in range(3):
@@ -803,7 +790,7 @@ def so_h_negative_control(field=QQ):
     this is V(6) + V(2), so the Casimir eigenvalue -12 occurs and
     decompose must report failure-to-span."""
     f = field
-    Hs = h_basis(f)
+    _Ds, Hs, _so3c, _hc, _R3, rho = _so3_h(f)
     S = Matrix.zeros(5, 5, f)
     for i in range(5):
         for j in range(5):
@@ -811,10 +798,4 @@ def so_h_negative_control(field=QQ):
     mats = _form_algebra(S)
     g = lie_from_matrices(mats, None, f, name="so(h)")
     # the triple: ad(D_i) restricted to h
-    Ds = so3_basis(f)
-    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, f)
-    rho = []
-    for D in Ds:
-        cols = [h_span.coords(flatten_matrix(commutator(D, X))) for X in Hs]
-        rho.append(Matrix.from_columns(cols, f))
     return g, _triple_coords(g, mats, rho)

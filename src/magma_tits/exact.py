@@ -5,6 +5,12 @@ floating-point tolerance anywhere.  The bulk checks and the construction
 lower these scalars to exact integers (see int_fast.py); a Subspace gives
 the coordinates of a whole batch of sparse integer vectors at once
 (Subspace.coords_many).
+
+One sparse Gauss-Jordan step (_echelon_insert: reduce a vector against
+sparse reduced rows, then clear its new pivot from them) is the only
+elimination: Subspace.add feeds it one vector at a time, and Matrix.rref
+feeds it the rows and sorts the result by pivot, so rank, kernel_basis,
+solve and inverse run on it too.
 """
 
 from fractions import Fraction
@@ -364,30 +370,17 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        R = self.copy()
-        pivots = []
-        prow = 0
-        for col in range(R.ncols):
-            sel = None
-            for i in range(prow, R.nrows):
-                if R.rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            R.rows[prow], R.rows[sel] = R.rows[sel], R.rows[prow]
-            inv = R.rows[prow][col]
-            R.rows[prow] = [x / inv for x in R.rows[prow]]
-            for i in range(R.nrows):
-                if i != prow and R.rows[i][col]:
-                    f = R.rows[i][col]
-                    ri, rp = R.rows[i], R.rows[prow]
-                    R.rows[i] = [a - f * b for a, b in zip(ri, rp)]
-            pivots.append(col)
-            prow += 1
-            if prow == R.nrows:
+        rows, pivots = [], []
+        for r in self.rows:
+            if len(pivots) == self.ncols:
                 break
-        return R, pivots
+            _echelon_insert(rows, pivots, r)
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        R = Matrix.zeros(self.nrows, self.ncols, self.field)
+        for i, k in enumerate(order):
+            for j, x in rows[k].items():
+                R.rows[i][j] = x
+        return R, [pivots[k] for k in order]
 
     def rank(self):
         return len(self.rref()[1])
@@ -494,6 +487,43 @@ def flatten_matrix(M):
     return out
 
 
+def _reduce(rows, pivots, v):
+    """v minus its components along the reduced rows ({column: value}, with
+    pivot column pivots[k] for rows[k]), as a new dense list."""
+    w = list(v)
+    for row, p in zip(rows, pivots):
+        c = w[p]
+        if c:
+            for j, b in row.items():
+                w[j] = w[j] - c * b
+    return w
+
+
+def _echelon_insert(rows, pivots, v):
+    """The one Gauss-Jordan step of the library: reduce v against the rows
+    of a reduced echelon form and, if a nonzero remains, scale it to pivot 1,
+    clear its pivot column from the other rows and append it.  Returns True
+    if v enlarged the row space."""
+    w = _reduce(rows, pivots, v)
+    piv = next((j for j, x in enumerate(w) if x), None)
+    if piv is None:
+        return False
+    inv = w[piv]
+    new = {j: x / inv for j, x in enumerate(w) if x}
+    for row in rows:
+        c = row.get(piv)
+        if c:
+            for j, b in new.items():
+                x = row.get(j, 0) - c * b
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    rows.append(new)
+    pivots.append(piv)
+    return True
+
+
 class Subspace:
     """Span of a list of vectors with a deterministic preferred basis.
 
@@ -525,43 +555,19 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def _reduce(self, v):
-        w = list(v)
-        for row, p in zip(self._rref_rows, self._pivots):
-            c = w[p]
-            if c:
-                for j, b in row.items():
-                    w[j] = w[j] - c * b
-        return w
-
     def add(self, v):
         """Add v to the span; returns True if it enlarged the space."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        w = self._reduce(v)
-        piv = next((j for j, x in enumerate(w) if x), None)
-        if piv is None:
+        if not _echelon_insert(self._rref_rows, self._pivots, v):
             return False
-        inv = w[piv]
-        new = {j: x / inv for j, x in enumerate(w) if x}
-        for row in self._rref_rows:
-            c = row.get(piv)
-            if c:
-                for j, b in new.items():
-                    x = row.get(j, 0) - c * b
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        self._rref_rows.append(new)
-        self._pivots.append(piv)
         self.basis.append(list(v))
         self._coord_solver = None
         self._lowered = None
         return True
 
     def contains(self, v):
-        return vec_is_zero(self._reduce(v))
+        return vec_is_zero(_reduce(self._rref_rows, self._pivots, v))
 
     def _build_solver(self):
         # rows of the basis matrix at the pivot coordinates are invertible

@@ -231,7 +231,8 @@ def sc_to_dense_int(sc, n):
 
 def matrix_to_int_array(M):
     """Exact Matrix over QQ -> (int64 ndarray, denominator); the array is
-    None when a scaled entry passes int64."""
+    None when a scaled entry passes int64.  No caller is left; the perfbench
+    tracer still names it as a layer."""
     D, flat = scaled_int_entries([x for r in M.rows for x in r])
     if not _fits(flat):
         return None, D

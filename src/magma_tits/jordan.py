@@ -13,8 +13,11 @@ derivations d_{x,y} = [L_x, L_y] (graded commutator) and the cross product
     x X y = 2xy - 3t(x)y - 3t(y)x + (9t(x)t(y) - 3t(xy)) 1.
 """
 
+from fractions import Fraction
+
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
 from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate
+from .int_fast import fold, join, table_coo
 
 
 class JordanAlgebra:
@@ -190,104 +193,8 @@ def find_normalized_traces(algebra, unit, construction_filter=True):
     system alone is solvable for every t outside {0, -1}.
     """
     f = algebra.field
-    n = algebra.n
-    seen = set()
-    rows = [[f.of(c) for c in unit]]
-    rhs = [f.one]
-    for i in range(n):
-        bi = algebra.e(i)
-        for j in range(n):
-            bj = algebra.e(j)
-            ij = algebra.multiply(bi, bj)
-            for k in range(n):
-                bk = algebra.e(k)
-                left = algebra.multiply(ij, bk)
-                right = algebra.multiply(bi, algebra.multiply(bj, bk))
-                row = tuple(a - b for a, b in zip(left, right))
-                if any(row) and row not in seen:
-                    seen.add(row)
-                    rows.append(list(row))
-                    rhs.append(f.zero)
-    keep = _candidate_rows(rows, rhs, f)
-    aug = Matrix.zeros(len(keep), n + 1, f)
-    for i, ridx in enumerate(keep):
-        aug.rows[i][:n] = rows[ridx]
-        aug.rows[i][n] = rhs[ridx]
-    R, pivots = aug.rref()
-    if n in pivots:
-        return None
-    point = [f.zero] * n
-    for prow, pcol in enumerate(pivots):
-        point[pcol] = R.rows[prow][n]
-    pivset = set(pivots)
-    kernel = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [f.zero] * n
-        v[free] = f.one
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -R.rows[prow][free]
-        kernel.append(v)
-    if len(keep) != len(rows):
-        # row selection was heuristic: certify against every constraint
-        ok = all(_dot(rows[i], point) == rhs[i] for i in range(len(rows)))
-        ok = ok and all(not _dot(rows[i], v)
-                        for v in kernel for i in range(len(rows)))
-        if not ok:
-            return find_normalized_traces_slowpath(algebra, rows, rhs,
-                                                   construction_filter, unit)
-    if construction_filter and algebra.dim_odd and not kernel:
-        if not _trace_tits_compatible(algebra, unit, point):
-            return None
-    return point, kernel
-
-
-def _dot(row, v):
-    return sum((a * b for a, b in zip(row, v) if a and b), start=row[0] * 0)
-
-
-def _candidate_rows(rows, rhs, f):
-    """Indices of a spanning row subset, found by echelon insert mod a large
-    prime.  Purely a selection heuristic; callers re-verify exactly against
-    all constraints and fall back to the full exact solve on mismatch.
-    """
-    if not f.is_rational or len(rows) <= len(rows[0]) + 1:
-        return list(range(len(rows)))
-    import numpy as np
-    p = 2147483629
-    ncols = len(rows[0]) + 1
-    echelon = {}      # leading column -> normalized row
-    sel = []
-    for i, row in enumerate(rows):
-        w = np.zeros(ncols, dtype=np.int64)
-        for j, c in enumerate(row):
-            if c:
-                w[j] = (c.numerator * pow(c.denominator, -1, p)) % p
-        if rhs[i]:
-            w[ncols - 1] = (rhs[i].numerator * pow(rhs[i].denominator, -1, p)) % p
-        while True:
-            nz = np.nonzero(w)[0]
-            if nz.size == 0:
-                break
-            lead = int(nz[0])
-            if lead in echelon:
-                w = (w - w[lead] * echelon[lead]) % p
-            else:
-                echelon[lead] = (w * pow(int(w[lead]), -1, p)) % p
-                sel.append(i)
-                break
-        if len(sel) == ncols:
-            break
-    return sel
-
-
-def find_normalized_traces_slowpath(algebra, rows, rhs, construction_filter, unit):
-    """Exact full-system fallback when the mod-p selection was unlucky."""
-    f = algebra.field
-    n = algebra.n
-    M = Matrix(rows, f)
-    point = M.solve(rhs)
+    M = Matrix([unit] + _associator_rows(algebra), f)
+    point = M.solve([f.one] + [f.zero] * (M.nrows - 1))
     if point is None:
         return None
     kernel = M.kernel_basis()
@@ -295,6 +202,33 @@ def find_normalized_traces_slowpath(algebra, rows, rhs, construction_filter, uni
         if not _trace_tits_compatible(algebra, unit, point):
             return None
     return point, kernel
+
+
+def _associator_rows(algebra):
+    """The distinct nonzero rows (b_i b_j) b_k - b_i (b_j b_k), in (i, j, k)
+    order: one contraction of the table with itself, like the super-Jacobi
+    check.  (b_i b_j) b_k sums c^m_ij c^l_mk (the output index of one entry
+    joined with the first input of another), b_i (b_j b_k) sums
+    c^m_jk c^l_im (joined with the second input); both fold on the keys
+    (i, j, k, l) over the common denominator D^2."""
+    f, n = algebra.field, algebra.n
+    (I, J, K), V, D = table_coo(algebra.sc, f)
+    a, b = join(K, I)
+    c, d = join(K, J)
+    keys, sums, _path = fold(
+        [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]]),
+         (((I[d] * n + I[c]) * n + J[c]) * n + K[d], [V[c], V[d], -1])],
+        None if f.is_rational else f.p)
+    rows = {}
+    for ijk, l, x in zip((keys // n).tolist(), (keys % n).tolist(), sums.tolist()):
+        rows.setdefault(ijk, []).append((l, x))
+    out = []
+    for entries in dict.fromkeys(map(tuple, rows.values())):
+        row = [0] * n
+        for l, x in entries:
+            row[l] = Fraction(x, D * D)
+        out.append(row)
+    return out
 
 
 def _trace_tits_compatible(algebra, unit, trace_row):

@@ -7,6 +7,11 @@ matrix Lie algebras, of T(C, J) and of the T62 variant, and the
 coordinate algebra of an S4 action.  They share Matrix, Subspace.add/coords and the pointwise
 field-arithmetic helpers (multiply, inner_derivation) with the library,
 but none of its int_fast kernel or Subspace.coords_many.
+
+Two more oracles share nothing with the library's elimination: the dense
+Gauss-Jordan loop of a Matrix (dense_rref) and the associator rows of the
+normalized-trace system, one triple of products at a time
+(associator_rows).
 """
 
 from magma_tits.algebra import accumulate
@@ -228,3 +233,54 @@ def clean(sc):
     with the table a SuperAlgebra keeps."""
     return {ij: {k: c for k, c in row.items() if c} for ij, row in sc.items()
             if any(row.values())}
+
+
+def dense_rref(M):
+    """Reduced row echelon form of a Matrix by the dense Gauss-Jordan loop:
+    (R, pivot columns), R as a Matrix with the zero rows at the bottom."""
+    R = M.copy()
+    pivots = []
+    prow = 0
+    for col in range(R.ncols):
+        sel = None
+        for i in range(prow, R.nrows):
+            if R.rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        R.rows[prow], R.rows[sel] = R.rows[sel], R.rows[prow]
+        inv = R.rows[prow][col]
+        R.rows[prow] = [x / inv for x in R.rows[prow]]
+        for i in range(R.nrows):
+            if i != prow and R.rows[i][col]:
+                f = R.rows[i][col]
+                ri, rp = R.rows[i], R.rows[prow]
+                R.rows[i] = [a - f * b for a, b in zip(ri, rp)]
+        pivots.append(col)
+        prow += 1
+        if prow == R.nrows:
+            break
+    return R, pivots
+
+
+def associator_rows(algebra):
+    """The distinct nonzero rows (b_i b_j) b_k - b_i (b_j b_k) of the
+    normalized-trace system, in (i, j, k) order, from n^3 triples of
+    SuperAlgebra.multiply."""
+    n = algebra.n
+    seen, rows = set(), []
+    for i in range(n):
+        bi = algebra.e(i)
+        for j in range(n):
+            bj = algebra.e(j)
+            ij = algebra.multiply(bi, bj)
+            for k in range(n):
+                bk = algebra.e(k)
+                left = algebra.multiply(ij, bk)
+                right = algebra.multiply(bi, algebra.multiply(bj, bk))
+                row = tuple(a - b for a, b in zip(left, right))
+                if any(row) and row not in seen:
+                    seen.add(row)
+                    rows.append(list(row))
+    return rows
