@@ -17,7 +17,12 @@ by automorphisms whose coordinate algebra H + S is unital.
 
 Matrix Lie algebras (lie_from_matrices), the coefficient data read off a
 decomposition and the reassembled bracket are exact sparse contractions
-(algebra.commutator_table, int_fast.bilinear, COO outer products).
+(algebra.commutator_table, int_fast.bilinear, COO outer products).  So is
+the decomposition: the ad(d_i) are one join of the table with the triple,
+Omega + c is one fold of them joined with themselves on the middle index
+plus a c diagonal, and the kernels of ad(d0) inside the components and
+the synthesized generators Psi B Psi^{-1} are int_fast.matvec products.
+The so3/h tables of gl(W) are built once per field.
 """
 
 from dataclasses import dataclass
@@ -26,13 +31,13 @@ from functools import cache
 import numpy as np
 
 from .exact import (
-    QQ, Matrix, Subspace, vec_zero, vec_add, vec_scale, vec_eq, vec_is_zero,
+    QQ, Matrix, Subspace, vec_add, vec_scale, vec_eq, vec_is_zero,
     basis_vector, flatten_matrix, commutator,
 )
 from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
                       nonzero_entries, outer_entries, sc_from_coo)
-from .int_fast import bilinear, matvec, rows_coo, table_coo, to_field
-from .s4 import GroupAction
+from .int_fast import bilinear, coo, fold, join, matvec, rows_coo, table_coo, to_field
+from .s4 import GroupAction, conjugation_block
 from .tits import feed_pairs, inner_derivation_pairs
 
 W_LABELS = ["w1", "w2", "w0"]
@@ -65,7 +70,8 @@ def so3_basis(field=QQ):
 def h_basis(field=QQ):
     """Basis of h: G0, G1, G2, H0-H1, H1-H2."""
     m = hgd_matrices(field)
-    return [m["G0"], m["G1"], m["G2"], m["H0"] - m["H1"], m["H1"] - m["H2"]]
+    return [m["G0"], m["G1"], m["G2"], _m3([[-1, 0, 0], [0, 0, 0], [0, 0, 1]], field),
+            _m3([[1, 0, 0], [0, -1, 0], [0, 0, 0]], field)]
 
 
 def s4_on_w(field=QQ):
@@ -251,30 +257,38 @@ class B1Data:
 
 @cache
 def _so3_h(field):
-    """The so3 and h bases (Ds, Hs), the coordinates of a 3x3 matrix in each
-    (so3c, hc) and the actions ad(D_i) on both as coordinate matrices
-    (R3, R5).  Built once per field and shared: callers only read them."""
+    """The so3 and h bases (Ds, Hs), their spans among the flattened 3x3
+    matrices and the actions ad(D_i) on both as coordinate matrices
+    (R3, R5), read off one commutator table of sl(W) = so3 + h.  Built once
+    per field and shared: callers only read them."""
     Ds, Hs = so3_basis(field), h_basis(field)
-    so3_span = Subspace.from_vectors([flatten_matrix(M) for M in Ds], 9, field)
-    h_span = Subspace.from_vectors([flatten_matrix(M) for M in Hs], 9, field)
+    so3_span, h_span, sl_span = (Subspace.from_vectors([flatten_matrix(M) for M in mats], 9,
+                                                       field) for mats in (Ds, Hs, Ds + Hs))
+    sc, _outside = commutator_table(Ds + Hs, sl_span)
+
+    def ad(i, part):
+        return Matrix([[sc.get((i, j), {}).get(k, field.zero) for j in part] for k in part],
+                      field)
+
+    R3 = [ad(i, range(3)) for i in range(3)]
+    R5 = [ad(i, range(3, 8)) for i in range(3)]
+    return Ds, Hs, so3_span, h_span, R3, R5
+
+
+@cache
+def _so3_structure(field):
+    """Structure tables of gl(W) pieces used by the assembly.  Built once
+    per field and shared: callers only read them."""
+    f = field
+    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
+    I3 = Matrix.identity(3, f)
+    two3 = f.of(2) / f.of(3)
 
     def so3c(M):
         return so3_span.coords(flatten_matrix(M))
 
     def hc(M):
         return h_span.coords(flatten_matrix(M))
-
-    R3 = [Matrix.from_columns([so3c(commutator(D, B)) for B in Ds], field) for D in Ds]
-    R5 = [Matrix.from_columns([hc(commutator(D, X)) for X in Hs], field) for D in Ds]
-    return Ds, Hs, so3c, hc, R3, R5
-
-
-def _so3_structure(field):
-    """Structure tables of gl(W) pieces used by the assembly."""
-    f = field
-    Ds, Hs, so3c, hc, _R3, _R5 = _so3_h(f)
-    I3 = Matrix.identity(3, f)
-    two3 = f.of(2) / f.of(3)
 
     comm_DD = [[so3c(commutator(A, B)) for B in Ds] for A in Ds]
     sym_DD = [[hc(A @ B + B @ A - I3.scale(two3 * (A @ B).trace())) for B in Ds] for A in Ds]
@@ -430,6 +444,41 @@ class DecompositionReport:
                 "eigenvalues outside {0,-2,-6} occur" % (self.name, self.residual_dim))
 
 
+def _ad_coo(g, vectors):
+    """The matrices ad(v) of a list of vectors as COO integers over the
+    denominator D: entry (t * n + k, j) holds D ad(v_t)[k][j]
+    = D sum_i v_t[i] c^k_ij, from one join of the table's first index with
+    the vectors and one fold."""
+    f, n = g.field, g.n
+    (I, J, K), V, Dt = table_coo(g.sc, f)
+    (t, x), xv, Dx = rows_coo(vectors, f)
+    a, b = join(I, x)
+    keys, sums, _path = fold([((t[b] * n + K[a]) * n + J[a], [V[a], xv[b]])],
+                             None if f.is_rational else f.p)
+    return (keys // n, keys % n), sums, Dt * Dx
+
+
+def _casimir_kernels(g, triple):
+    """Kernels of Omega + 2, Omega + 6 and Omega, for the Casimir
+    Omega = ad(d0)^2 + ad(d1)^2 + ad(d2)^2 of the triple.
+
+    D^2 (Omega + c) is one fold per c: the sparse ad(d_t) of _ad_coo joined
+    with themselves on the middle index, plus a c D^2 diagonal.  Scaling a
+    matrix keeps its kernel, so the kernels are those of Omega + c."""
+    f, n = g.field, g.n
+    p = None if f.is_rational else f.p
+    (tk, j), ad, D = _ad_coo(g, triple)
+    a, b = join(tk - tk % n + j, tk)          # (t, k, m) against (t, m, l)
+    square = (tk[a] % n) * n + j[b]
+    diag = np.arange(n) * (n + 1)
+    kernels = []
+    for c in (2, 6, 0):
+        keys, sums, _path = fold([(square, [ad[a], ad[b]]), (diag, [np.full(n, c * D * D)])], p)
+        kernels.append(Matrix.from_entries(n, n, keys // n, keys % n, to_field(sums, 1, f),
+                                           f).kernel_basis())
+    return kernels
+
+
 def decompose(g, triple, name=None):
     """Isotypic decomposition of g under the so3-triple via the Casimir
     Omega = ad(d0)^2 + ad(d1)^2 + ad(d2)^2: kernels of Omega + 2, Omega + 6,
@@ -448,12 +497,7 @@ def decompose(g, triple, name=None):
     for (a, b, c) in ((d0, d1, d2), (d1, d2, d0), (d2, d0, d1)):
         if not vec_eq(g.multiply(a, b), c):
             raise ValueError("triple does not satisfy [d_i, d_{i+1}] = d_{i+2}")
-    ads = [g.ad_matrix(v) for v in triple]
-    Omega = ads[0] @ ads[0] + ads[1] @ ads[1] + ads[2] @ ads[2]
-    I = Matrix.identity(n, f)
-    ker2 = (Omega + I.scale(2)).kernel_basis()
-    ker6 = (Omega + I.scale(6)).kernel_basis()
-    ker0 = Omega.kernel_basis()
+    ker2, ker6, ker0 = _casimir_kernels(g, triple)
     total = len(ker2) + len(ker6) + len(ker0)
     bases = {"adjoint": ker2, "h": ker6, "trivial": ker0}
     rname = name or g.name
@@ -470,24 +514,28 @@ def decompose(g, triple, name=None):
 class B1Extraction:
     """The equivariant identification Psi: (so3 x H) + (h x S) + d -> g."""
 
-    def __init__(self, g, report, data, psi, hvecs, svecs):
+    def __init__(self, g, report, data, psi, psi_inv, hvecs, svecs):
         self.g = g
         self.report = report
         self.data = data
         self.psi = psi            # Matrix, columns in assemble_b1 order
-        self.psi_inv = psi.inverse()
+        self.psi_inv = psi_inv
         self.hvecs = hvecs
         self.svecs = svecs
 
 
 def _kernel_within(g, op, component):
-    """Basis of {v in span(component) : op(v) = 0}."""
+    """Basis of {v in span(component) : op(v) = 0}, op a sparse integer
+    matrix ((R, C), V): the images of the component by one matvec, as the
+    columns of a matrix whose kernel gives the combinations."""
     if not component:
         return []
-    B = Matrix.from_columns(component, g.field)
-    big = op @ B
-    sols = big.kernel_basis()
-    return [B.apply(c) for c in sols]
+    f = g.field
+    X, Vx, _Dx = rows_coo(component, f)
+    (ids, rows), sums = matvec(op, (X, Vx), None if f.is_rational else f.p)
+    images = Matrix.from_entries(g.n, len(component), rows, ids, to_field(sums, 1, f), f)
+    B = Matrix.from_columns(component, f)
+    return [B.apply(c) for c in images.kernel_basis()]
 
 
 def _module_copy_map(R_mats, start_abstract, ad_ops, start_concrete, dim):
@@ -525,17 +573,18 @@ def extract_b1(g, report):
     f = g.field
     n = g.n
     triple = report.triple
-    ads = [g.ad_matrix(v) for v in triple]
+    p = None if f.is_rational else f.p
+    ad0, ad, _D = _ad_coo(g, triple[:1])
     # multiplicity-space representatives: kernels of ad(d0) inside components
-    hvecs = _kernel_within(g, ads[0], report.bases["adjoint"])
-    svecs = _kernel_within(g, ads[0], report.bases["h"])
+    hvecs = _kernel_within(g, (ad0, ad), report.bases["adjoint"])
+    svecs = _kernel_within(g, (ad0, ad), report.bases["h"])
     dvecs = report.bases["trivial"]
     mh, ms, md = len(hvecs), len(svecs), len(dvecs)
     if (mh, ms, md) != (report.m_adjoint, report.m_h, report.m_trivial):
         raise ValueError("multiplicity-space extraction mismatch")
 
-    _Ds, _Hs, _so3c, _hc, R3, R5 = _so3_h(f)
-    ad_ops = [lambda v, M=ads[i]: M.apply(v) for i in range(3)]
+    _Ds, _Hs, _so3_span, _h_span, R3, R5 = _so3_h(f)
+    ad_ops = [lambda v, d=d: g.multiply(d, v) for d in triple]
 
     # adjoint copies start from D0 = (1,0,0), five-dim copies from
     # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2)
@@ -545,14 +594,14 @@ def extract_b1(g, report):
                                           (R5, zcoords, svecs, 5, 3 * mh)):
         for j, h in enumerate(vecs):
             pairs = _module_copy_map(R, start, ad_ops, h, width)
-            A = Matrix.from_columns([p[0] for p in pairs], f).inverse()
-            conc = [p[1] for p in pairs]
-            for i in range(width):
-                v = vec_zero(n, f)
-                for c, w in zip(A.column(i), conc):
-                    if c:
-                        v = vec_add(v, vec_scale(c, w))
-                cols[offset + width * j + i] = v
+            # column i of the copy is sum_s A[s][i] conc_s: one matvec of
+            # the concrete vectors (as matrix columns) with the columns of A
+            (r, c), Va, Da = rows_coo(Matrix.from_columns([a for a, _c in pairs], f)
+                                      .inverse().rows, f)
+            (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
+            (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
+            cols[offset + width * j:offset + width * (j + 1)] = dense_entries(
+                (width, n), (i, k), to_field(sums, Dc * Da, f), f.zero).tolist()
     off_d = 3 * mh + 5 * ms
     for r, d in enumerate(dvecs):
         cols[off_d + r] = list(d)
@@ -560,9 +609,14 @@ def extract_b1(g, report):
     psi_inv = psi.inverse()
 
     def read(co, offset, block, width, count, scale=None):
-        """Coordinates in one (operator, multiplicity) slice, as lists."""
+        """Coordinates in one (operator, multiplicity) slice, as lists; the
+        nonzero ones times scale."""
         co = co[..., offset + block:offset + width * count:width]
-        return (co if scale is None else scale * co).tolist()
+        if scale is not None:
+            co = co.copy()
+            nz = np.nonzero(co)
+            co[nz] = [scale * c for c in co[nz]]
+        return co.tolist()
 
     # unit of H: d0 = D0 x 1
     unit_h = read(np.array(psi_inv.apply(triple[0]), dtype=object), 0, 0, 3, mh)
@@ -607,7 +661,7 @@ def extract_b1(g, report):
                   circ_HS=circ_HS, circ_SS=circ_SS, brk_SS=brk_SS,
                   d_HH=d_HH, d_SS=d_SS, act_dH=act_dH, act_dS=act_dS,
                   brk_dd=brk_dd)
-    return B1Extraction(g, report, data, psi, hvecs, svecs)
+    return B1Extraction(g, report, data, psi, psi_inv, hvecs, svecs)
 
 
 def round_trip_matches(g, extraction):
@@ -620,33 +674,34 @@ def round_trip_matches(g, extraction):
 
 def synthesize_s4(g, report, extraction=None):
     """The S4 action by conjugation on the so3 and h tensor factors,
-    trivial on the centralizer, transported to g through Psi."""
+    trivial on the centralizer, transported to g through Psi.
+
+    The conjugations rho on so3 and h are s4.conjugation_block
+    contractions; each generator Psi B Psi^{-1}, B block diagonal with
+    copies of rho, is two matvecs pushing the columns of Psi^{-1} through
+    B and then Psi."""
     if extraction is None:
         extraction = extract_b1(g, report)
     f = g.field
+    p = None if f.is_rational else f.p
     act = s4_on_w(f)
-    Ds, Hs, so3c, hc, _R3, _R5 = _so3_h(f)
+    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
     n = g.n
+    psi, Vpsi, Dpsi = rows_coo(extraction.psi.rows, f)
+    (qr, qc), Vq, Dq = rows_coo(extraction.psi_inv.rows, f)
+    off, off_d = 3 * mh, 3 * mh + 5 * ms
     gens = {}
     for name, P in act.gens.items():
-        Pi = P.inverse()
-        rho3 = Matrix.from_columns([so3c(P @ D @ Pi) for D in Ds], f)
-        rho5 = Matrix.from_columns([hc(P @ X @ Pi) for X in Hs], f)
-        block = Matrix.zeros(n, n, f)
-        for j in range(mh):
-            for i1 in range(3):
-                for i2 in range(3):
-                    block[3 * j + i1, 3 * j + i2] = rho3[i1, i2]
-        off = 3 * mh
-        for j in range(ms):
-            for x1 in range(5):
-                for x2 in range(5):
-                    block[off + 5 * j + x1, off + 5 * j + x2] = rho5[x1, x2]
-        off_d = off + 5 * ms
-        for r in range(md):
-            block[off_d + r, off_d + r] = f.one
-        gens[name] = extraction.psi @ block @ extraction.psi_inv
+        entries = [((off_d + r, off_d + r), f.one) for r in range(md)]
+        for rho, width, start, copies in ((conjugation_block(so3_span, Ds, P, "so3"), 3, 0, mh),
+                                          (conjugation_block(h_span, Hs, P, "h"), 5, off, ms)):
+            entries += [((start + width * j + x1, start + width * j + x2), c)
+                        for j in range(copies) for x1, row in enumerate(rho.rows)
+                        for x2, c in enumerate(row) if c]
+        B, Vb, Db = coo(entries, f, 2)
+        (cols, rows), sums = matvec((psi, Vpsi), matvec((B, Vb), ((qc, qr), Vq), p), p)
+        gens[name] = Matrix.from_entries(n, n, rows, cols, to_field(sums, Dpsi * Db * Dq, f), f)
     return GroupAction(g, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
                        name="S4 on %s (synthesized)" % g.name)
 
@@ -790,7 +845,7 @@ def so_h_negative_control(field=QQ):
     this is V(6) + V(2), so the Casimir eigenvalue -12 occurs and
     decompose must report failure-to-span."""
     f = field
-    _Ds, Hs, _so3c, _hc, _R3, rho = _so3_h(f)
+    _Ds, Hs, _so3_span, _h_span, _R3, rho = _so3_h(f)
     S = Matrix.zeros(5, 5, f)
     for i in range(5):
         for j in range(5):

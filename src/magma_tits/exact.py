@@ -247,6 +247,15 @@ class Matrix:
                 M.rows[i][j] = field.of(c[i])
         return M
 
+    @classmethod
+    def from_entries(cls, n, m, rows, cols, values, field=QQ):
+        """n x m matrix with values[e] (field values) at (rows[e], cols[e]),
+        zero elsewhere: a sparse result of int_fast built back."""
+        M = cls.zeros(n, m, field)
+        for i, j, x in zip(rows.tolist(), cols.tolist(), values):
+            M.rows[i][j] = x
+        return M
+
     def copy(self):
         M = Matrix.__new__(Matrix)
         M.rows = [r[:] for r in self.rows]
@@ -499,13 +508,19 @@ def _reduce(rows, pivots, v):
     return w
 
 
-def _echelon_insert(rows, pivots, v):
+def _echelon_insert(rows, pivots, v, of=None):
     """The one Gauss-Jordan step of the library: reduce v against the rows
     of a reduced echelon form and, if a nonzero remains, scale it to pivot 1,
     clear its pivot column from the other rows and append it.  Returns True
-    if v enlarged the row space."""
+    if v enlarged the row space.  With `of` (the field's coercion) a
+    remainder with a nonzero entry is coerced before its pivot is chosen, so
+    Python ints count and divide as field values; a vector that reduces to
+    zero is not coerced."""
     w = _reduce(rows, pivots, v)
     piv = next((j for j, x in enumerate(w) if x), None)
+    if piv is not None and of is not None:
+        w = list(map(of, w))
+        piv = next((j for j, x in enumerate(w) if x), None)
     if piv is None:
         return False
     inv = w[piv]
@@ -559,15 +574,15 @@ class Subspace:
         """Add v to the span; returns True if it enlarged the space."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        if not _echelon_insert(self._rref_rows, self._pivots, v):
+        if not _echelon_insert(self._rref_rows, self._pivots, v, self.field.of):
             return False
-        self.basis.append(list(v))
+        self.basis.append(list(map(self.field.of, v)))
         self._coord_solver = None
         self._lowered = None
         return True
 
     def contains(self, v):
-        return vec_is_zero(_reduce(self._rref_rows, self._pivots, v))
+        return vec_is_zero(_reduce(self._rref_rows, self._pivots, list(map(self.field.of, v))))
 
     def _build_solver(self):
         # rows of the basis matrix at the pivot coordinates are invertible

@@ -10,15 +10,25 @@ tau phi = phi^2 tau, tau1^2 = tau2^2 = tau^2 = 1, phi^3 = 1.
 
 The commuting involutions tau1, tau2 grade the target over Z2 x Z2; the
 (1,0) component {X : tau1 X = X, tau2 X = -X} carries the coordinate
-algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.  Both
-the coordinate algebra and the conjugation blocks of the actions on
-T(C, J) are single sparse exact contractions (int_fast.bilinear and
-matvec) with batched, exactly checked coordinates.
+algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.
+
+Everything runs on the generators lowered once to COO integers
+(int_fast.rows_coo).  A word is a chain of int_fast.matvec products, the
+empty word the identity; a relation lhs = rhs is one fold of
+lhs D_rhs - rhs D_lhs, which fails iff a key survives; element() builds
+its Matrix from the same product.  The Klein components are kernels of
+rows folded from the generators' entries and shifted diagonals.  The
+coordinate algebra and the conjugation blocks of the actions on T(C, J)
+are single sparse exact contractions (int_fast.bilinear and matvec) with
+batched, exactly checked coordinates.
 """
+
+import numpy as np
 
 from .exact import Matrix, Subspace
 from .algebra import SuperAlgebra, LinearMap, is_automorphism, sc_from_coo
-from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, table_coo
+from .int_fast import (bilinear, fold, join, matrices_coo, matvec, rows_coo, table_coo,
+                       to_field)
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -46,8 +56,13 @@ COMPONENT_PERMUTATION = {
 }
 
 
+# the relations a Klein grading needs: tau1 tau2 = tau2 tau1, tau1^2 = tau2^2 = 1
+KLEIN_RELATIONS = [RELATIONS[0], RELATIONS[6], RELATIONS[7]]
+
+
 class GroupAction:
-    """Matrices for the four S4 generators acting on a target space."""
+    """Matrices for the four S4 generators acting on a target space; they
+    are lowered once, on first use (`lowered`), so treat them as fixed."""
 
     def __init__(self, target, tau1, tau2, phi, tau, name="S4 action"):
         self.target = target
@@ -61,25 +76,54 @@ class GroupAction:
             raise ValueError("generators do not match the target dimension")
         self.dim = n
         self.field = tau1.field
+        self._p = None if self.field.is_rational else self.field.p
+        self._lowered = {}
 
     def __getitem__(self, name):
         return self.gens[name]
+
+    def lowered(self, name):
+        """Generator `name` as int_fast.rows_coo integers ((R, C), V, D)."""
+        if name not in self._lowered:
+            self._lowered[name] = rows_coo(self.gens[name].rows, self.field)
+        return self._lowered[name]
+
+    def _product(self, word):
+        """The matrix of a word as ((columns, rows), integers) over the
+        denominator D: the columns of the identity (the empty word) pushed
+        through the letters from right to left, one matvec each."""
+        diag = np.arange(self.dim)
+        X, D = ((diag, diag), np.ones(self.dim, dtype=np.int64)), 1
+        for w in reversed(word):
+            M, V, Dw = self.lowered(w)
+            X = matvec((M, V), X, self._p)
+            D *= Dw
+        return X, D
 
     def element(self, word):
         """Matrix of a word in the generators, e.g. ("phi", "tau1")."""
         if isinstance(word, str):
             word = tuple(w for w in word.replace("*", " ").split() if w)
-        M = Matrix.identity(self.dim, self.field)
-        for w in word:
-            M = M @ self.gens[w]
-        return M
+        ((cols, rows), vals), D = self._product(word)
+        return Matrix.from_entries(self.dim, self.dim, rows, cols,
+                                   to_field(vals, D, self.field), self.field)
 
-    def relation_failures(self):
+    def word_failures(self, relations):
+        """The (lhs, rhs) word pairs whose matrices differ: one fold of
+        lhs D_rhs - rhs D_lhs per pair, which fails iff a key survives."""
+        n = self.dim
         out = []
-        for lhs, rhs in RELATIONS:
-            if self.element(lhs) != self.element(rhs):
+        for lhs, rhs in relations:
+            ((lc, lr), lv), Dl = self._product(lhs)
+            ((rc, rr), rv), Dr = self._product(rhs)
+            keys, _sums, _path = fold([(lr * n + lc, [lv, Dr]), (rr * n + rc, [rv, -Dl])],
+                                      self._p)
+            if len(keys):
                 out.append((lhs, rhs))
         return out
+
+    def relation_failures(self):
+        return self.word_failures(RELATIONS)
 
     def automorphism_failures(self):
         if self.target is None:
@@ -154,21 +198,29 @@ class KleinGrading:
 
 
 def klein_grading(action):
-    """Decompose the target into the four simultaneous tau1/tau2 eigenspaces."""
-    t1, t2 = action["tau1"], action["tau2"]
-    n = action.dim
-    f = action.field
-    I = Matrix.identity(n, f)
-    if t1 @ t1 != I or t2 @ t2 != I or t1 @ t2 != t2 @ t1:
+    """Decompose the target into the four simultaneous tau1/tau2 eigenspaces.
+
+    Component (a, b) is the kernel of the stacked rows of D1 (tau1 - s1 I)
+    and D2 (tau2 - s2 I), s1 = (-1)^b, s2 = (-1)^a, Di the denominators of
+    the lowered generators (scaling a row keeps the kernel and the reduced
+    echelon form): one fold of the generators' entries and the shifted
+    diagonals per component."""
+    if action.word_failures(KLEIN_RELATIONS):
         raise ValueError("tau1, tau2 are not commuting involutions (not an action)")
+    n, f = action.dim, action.field
+    (R1, C1), V1, D1 = action.lowered("tau1")
+    (R2, C2), V2, D2 = action.lowered("tau2")
+    diag = np.arange(n) * (n + 1)
     components = {}
     total = 0
     for a in (0, 1):
         for b in (0, 1):
-            s1 = f.of(1 if b == 0 else -1)
-            s2 = f.of(1 if a == 0 else -1)
-            rows = (t1 - I.scale(s1)).rows + (t2 - I.scale(s2)).rows
-            basis = Matrix(rows, f).kernel_basis()
+            s1, s2 = (-1) ** b, (-1) ** a
+            keys, sums, _path = fold([(R1 * n + C1, [V1]), (diag, [np.full(n, -s1 * D1)]),
+                                      (n * n + R2 * n + C2, [V2]),
+                                      (n * n + diag, [np.full(n, -s2 * D2)])], action._p)
+            basis = Matrix.from_entries(2 * n, n, keys // n, keys % n, to_field(sums, 1, f),
+                                        f).kernel_basis()
             components[(a, b)] = basis
             total += len(basis)
     if total != n:
@@ -232,7 +284,7 @@ def coordinate_algebra(g, action, basis=None, name=None):
     E = ((xi, xa), xv)
     for gen, sign in (("tau1", 1), ("tau2", -1)):
         # tau1 X = X and tau2 X = -X, exactly: sum_j M_ij X_j - sign D_M X_i = 0
-        (R, C), V, D = rows_coo(action[gen].rows, f)
+        (R, C), V, D = action.lowered(gen)
         a, b = join(C, xa)
         keys, _sums, _path = fold([(xi[b] * n + R[a], [V[a], xv[b]]),
                                    (xi * n + xa, [xv, -sign * D])], p)
@@ -248,9 +300,9 @@ def coordinate_algebra(g, action, basis=None, name=None):
     if any(par is None for par in parity):
         raise ValueError("component basis vectors must be parity homogeneous")
 
-    phi_cols, phi_vals, Dphi = rows_coo(action["phi"].rows, f)
+    phi_cols, phi_vals, Dphi = action.lowered("phi")
     phi = (phi_cols, phi_vals)
-    tau_cols, tau_vals, Dtau = rows_coo(action["tau"].rows, f)
+    tau_cols, tau_vals, Dtau = action.lowered("tau")
     neg_tau = (tau_cols, -tau_vals)
     A = matvec(phi, E, p)
     B = matvec(phi, A, p)
@@ -264,9 +316,7 @@ def coordinate_algebra(g, action, basis=None, name=None):
         raise ValueError("vector is not in the (1,0) component")
     alg = SuperAlgebra(["c%d" % i for i in range(m)], sc_from_coo(ids // m, ids % m, ks, values),
                        parity=parity, field=f, name=name or ("coord(%s)" % g.name))
-    sigma = Matrix.zeros(m, m, f)
-    for x, k, c in zip(sids.tolist(), sks.tolist(), svalues):
-        sigma.rows[k][x] = c
+    sigma = Matrix.from_entries(m, m, sks, sids, svalues, f)
     awi = AlgebraWithInvolution(alg, sigma)
     unit = _find_unit(alg)
     return CoordinateAlgebra(g, action, awi, embedding, span, unit)
@@ -361,7 +411,7 @@ def _block_action(T, der_block, c0_block, j0_block, djj_block):
     return M
 
 
-def _conjugation_block(span, mats, P, what):
+def conjugation_block(span, mats, P, what):
     """The matrix whose column s holds the coordinates in span of
     P mats[s] P^{-1}: one int_fast.bilinear contraction of the list with
     the rows of P and the columns of P^{-1}, then Subspace.coords_many."""
@@ -378,10 +428,7 @@ def _conjugation_block(span, mats, P, what):
     ids, ks, values, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
     if len(outside):
         raise ValueError("matrix is not in %s" % what)
-    B = Matrix.zeros(k, k, f)
-    for s, r, c in zip(ids.tolist(), ks.tolist(), values):
-        B.rows[r][s] = c
-    return B
+    return Matrix.from_entries(k, k, ks, ids, values, f)
 
 
 def s4_on_tits_left(T, base_action=None):
@@ -398,7 +445,7 @@ def s4_on_tits_left(T, base_action=None):
     Idjj = Matrix.identity(T.djj_dim, f)
     Ij0 = Matrix.identity(len(T.j0_basis), f)
     for name, Mpsi in actC.gens.items():
-        der_block = (_conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
+        der_block = (conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
                      if T.derC is not None else Matrix.zeros(0, 0, f))
         c0_cols = [T.c0_coords(Mpsi.apply(a)) for a in T.c0_basis]
         c0_block = (Matrix.from_columns(c0_cols, f) if T.c0_basis
@@ -420,7 +467,7 @@ def s4_on_tits_right(T):
         j0_cols = [T.j0_coords(Mpsi.apply(x)) for x in T.j0_basis]
         j0_block = (Matrix.from_columns(j0_cols, f) if T.j0_basis
                     else Matrix.zeros(0, 0, f))
-        djj_block = _conjugation_block(T.djj.span, T.djj.matrices, Mpsi, "d_{J,J}")
+        djj_block = conjugation_block(T.djj.span, T.djj.matrices, Mpsi, "d_{J,J}")
         gens[name] = _block_action(T, Ider, Ic0, j0_block, djj_block)
     return GroupAction(T.algebra, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
                        name="S4 on T(%s,%s) right" % (T.C.name, T.J.name))

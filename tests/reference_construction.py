@@ -12,11 +12,18 @@ Two more oracles share nothing with the library's elimination: the dense
 Gauss-Jordan loop of a Matrix (dense_rref) and the associator rows of the
 normalized-trace system, one triple of products at a time
 (associator_rows).
+
+The S4 and so3 layers have dense Matrix oracles: word products and the
+relation check (word_matrix, relation_failures), the Klein components, the
+Casimir kernels from ads[i] @ ads[i], the kernels of ad(d0) inside a
+component and the synthesized generators Psi B Psi^{-1}.
 """
 
 from magma_tits.algebra import accumulate
 from magma_tits.composition import inner_derivation
-from magma_tits.exact import Subspace, commutator, flatten_matrix, vec_is_zero
+from magma_tits.decompose import _so3_h, s4_on_w
+from magma_tits.exact import Matrix, Subspace, commutator, flatten_matrix, vec_is_zero
+from magma_tits.s4 import RELATIONS
 
 
 def _sc_of_commutators(mats, span, check=True, parities=None):
@@ -284,3 +291,75 @@ def associator_rows(algebra):
                     seen.add(row)
                     rows.append(list(row))
     return rows
+
+
+def word_matrix(action, word):
+    """Dense Matrix product of the generators of a word; the identity for
+    the empty word."""
+    M = Matrix.identity(action.dim, action.field)
+    for w in word:
+        M = M @ action[w]
+    return M
+
+
+def relation_failures(action, relations=RELATIONS):
+    """The (lhs, rhs) pairs whose dense word products differ."""
+    return [(lhs, rhs) for lhs, rhs in relations
+            if word_matrix(action, lhs) != word_matrix(action, rhs)]
+
+
+def klein_components(action):
+    """{(a, b): kernel of (tau1 - (-1)^b I; tau2 - (-1)^a I)} by dense
+    Matrix arithmetic; ValueError unless tau1, tau2 are commuting
+    involutions."""
+    t1, t2 = action["tau1"], action["tau2"]
+    f = action.field
+    I = Matrix.identity(action.dim, f)
+    if t1 @ t1 != I or t2 @ t2 != I or t1 @ t2 != t2 @ t1:
+        raise ValueError("tau1, tau2 are not commuting involutions")
+    return {(a, b): Matrix((t1 - I.scale((-1) ** b)).rows + (t2 - I.scale((-1) ** a)).rows,
+                           f).kernel_basis()
+            for a in (0, 1) for b in (0, 1)}
+
+
+def casimir_kernels(g, triple):
+    """Kernels of Omega + 2, Omega + 6 and Omega, with the Casimir
+    Omega = sum ads[i] @ ads[i] of dense ad matrices."""
+    ads = [g.ad_matrix(v) for v in triple]
+    Omega = ads[0] @ ads[0] + ads[1] @ ads[1] + ads[2] @ ads[2]
+    I = Matrix.identity(g.n, g.field)
+    return [(Omega + I.scale(c)).kernel_basis() for c in (2, 6, 0)]
+
+
+def kernel_within(op, component, field):
+    """Basis of {v in span(component) : op v = 0} from the dense op @ B."""
+    if not component:
+        return []
+    B = Matrix.from_columns(component, field)
+    return [B.apply(c) for c in (op @ B).kernel_basis()]
+
+
+def synthesized_generators(extraction):
+    """{name: Psi B Psi^{-1}} with B block diagonal: the conjugation
+    P D P^{-1} on each so3 copy, P X P^{-1} on each h copy, the identity on
+    the centralizer; all dense Matrix products."""
+    data = extraction.data
+    f = data.field
+    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
+    mh, ms, md = data.hdim, data.sdim, data.ddim
+    n = extraction.psi.nrows
+    gens = {}
+    for name, P in s4_on_w(f).gens.items():
+        Pi = P.inverse()
+        rho3 = Matrix.from_columns([so3_span.coords(flatten_matrix(P @ D @ Pi)) for D in Ds], f)
+        rho5 = Matrix.from_columns([h_span.coords(flatten_matrix(P @ X @ Pi)) for X in Hs], f)
+        block = Matrix.zeros(n, n, f)
+        for rho, width, start, copies in ((rho3, 3, 0, mh), (rho5, 5, 3 * mh, ms)):
+            for j in range(copies):
+                for x1 in range(width):
+                    for x2 in range(width):
+                        block[start + width * j + x1, start + width * j + x2] = rho[x1, x2]
+        for r in range(md):
+            block[3 * mh + 5 * ms + r, 3 * mh + 5 * ms + r] = f.one
+        gens[name] = extraction.psi @ block @ extraction.psi_inv
+    return gens

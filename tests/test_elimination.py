@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from magma_tits.algebra import _invertible
-from magma_tits.exact import GF, QQ, Matrix
+from magma_tits.exact import GF, QQ, Matrix, Subspace
 from magma_tits.jordan import (
     _associator_rows, d2, find_normalized_traces, h3, jordan_super_dt, jordan_super_jvtheta,
 )
@@ -153,3 +153,22 @@ def test_normalized_traces_equal_oracle_rows(field):
             assert got is None, label
         else:
             assert got == (point, _ref_kernel(M)), label
+
+
+def test_subspace_coerces_int_input():
+    # Python ints are coerced into the field: the row keeps 1/2, not the float 0.5
+    S = Subspace(3)
+    S.add([2, 1, 0])
+    assert all(isinstance(x, Fraction) for row in S._rref_rows for x in row.values())
+    assert S.basis == [[2, 1, 0]] and all(isinstance(x, Fraction) for x in S.basis[0])
+    assert not S.contains([2 * 10 ** 17, 10 ** 17 + 1, 0])
+    assert S.contains([2 * 10 ** 17, 10 ** 17, 0])
+    # over GF(7), [1, 4, 0] = 4 [2, 1, 0]
+    F = GF(7)
+    S = Subspace(3, F)
+    S.add([2, 1, 0])
+    assert S.contains([1, 4, 0]) and S.contains([8, 4, 7])
+    assert not S.contains([1, 3, 0])
+    # 7 and 14 are zero in GF(7): nothing is added
+    assert not Subspace(3, F).add([7, 14, 0])
+    assert S.coords([1, 4, 0]) == [F.of(4)]

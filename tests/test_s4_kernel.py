@@ -1,0 +1,213 @@
+"""The S4 relations, Klein gradings and Casimir decomposition on the sparse
+integer kernel against their dense Matrix oracles.
+
+GroupAction evaluates words by int_fast.matvec on the lowered generators,
+klein_grading and the Casimir kernels fold their rows from COO entries, and
+synthesize_s4 conjugates by matvec; reference_construction.py computes the
+same results with dense Matrix products.  Both must agree over QQ,
+GF(10007) and GF(2^31 - 1), on corrupted inputs and past int64, and the
+sparse path must not fall back to dense Matrix arithmetic.
+"""
+
+import importlib
+from fractions import Fraction
+
+import pytest
+
+from magma_tits.composition import (
+    ground, invariant_quaternion, s4_on_invariant_quaternion, split_cayley,
+)
+from magma_tits.exact import GF, QQ, Matrix
+from magma_tits.isomorphisms import theorem41_basis
+from magma_tits.jordan import h3
+from magma_tits.s4 import (
+    KLEIN_RELATIONS, RELATIONS, GroupAction, coordinate_algebra, klein_grading,
+    s4_on_tits_left, s4_on_tits_right,
+)
+from magma_tits.tits import tits
+
+from reference_construction import (
+    casimir_kernels, kernel_within, klein_components, relation_failures,
+    synthesized_generators, word_matrix,
+)
+
+# the package re-exports the function decompose() under its module's name
+decompose_module = importlib.import_module("magma_tits.decompose")
+
+FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
+ALGEBRAS = ("quaternion", "f4")
+
+
+def _setup(kind, F):
+    """(T, left action, right action, coordinate-algebra basis of the left one)."""
+    J = h3(ground(F))
+    if kind == "f4":
+        T = tits(split_cayley(F), J, name="f4")
+        return T, s4_on_tits_left(T), s4_on_tits_right(T), theorem41_basis(T)
+    Q = invariant_quaternion(F)
+    T = tits(Q, J)
+    qalg = Q.algebra
+    basis = [T.der_vector(qalg.e("p1"), qalg.e("p2"))]
+    basis += [T.tensor_vector(qalg.e("p0"), x) for x in T.j0_basis]
+    return T, s4_on_tits_left(T, base_action=s4_on_invariant_quaternion(Q)), \
+        s4_on_tits_right(T), basis
+
+
+@pytest.fixture(scope="module", params=[(k, F) for k in ALGEBRAS for F in FIELDS],
+                ids=lambda kf: "%s-%s" % kf)
+def case(request):
+    return _setup(*request.param)
+
+
+def _triple(T, action, basis):
+    ca = coordinate_algebra(T.algebra, action, basis=basis)
+    one = ca.ambient_vector(ca.unit)
+    d1 = action["phi"].apply(one)
+    return [one, d1, action["phi"].apply(d1)]
+
+
+def _with_entry(M, i, j, delta):
+    B = M.copy()
+    B[i, j] = B[i, j] + delta
+    return B
+
+
+def test_relations_and_words_match_oracle(case):
+    _T, left, right, _basis = case
+    for act in (left, right):
+        assert act.relation_failures() == relation_failures(act) == []
+        for lhs, rhs in RELATIONS:
+            for word in (lhs, rhs):
+                assert act.element(word) == word_matrix(act, word)
+
+
+def test_klein_components_match_oracle(case):
+    _T, left, right, _basis = case
+    for act in (left, right):
+        assert klein_grading(act).components == klein_components(act)
+
+
+def test_casimir_kernels_match_oracle(case):
+    T, left, _right, basis = case
+    triple = _triple(T, left, basis)
+    kernels = decompose_module._casimir_kernels(T.algebra, triple)
+    assert kernels == casimir_kernels(T.algebra, triple)
+    assert sum(len(k) for k in kernels) == T.dim
+    if T.algebra.field.is_rational:
+        rep = decompose_module.decompose(T.algebra, triple)
+        assert [rep.bases[k] for k in ("adjoint", "h", "trivial")] == kernels
+
+
+def test_corrupted_generator_fails_like_oracle(case):
+    _T, left, _right, _basis = case
+    # the first off-diagonal zero of phi gets + 1
+    phi = left["phi"]
+    i, j = next((i, j) for i in range(phi.nrows) for j in range(phi.ncols)
+                if i != j and not phi[i, j])
+    bad = GroupAction(left.target, left["tau1"], left["tau2"], _with_entry(phi, i, j, 1),
+                      left["tau"])
+    failures = bad.relation_failures()
+    assert failures and failures == relation_failures(bad)
+    with pytest.raises(ValueError):
+        bad.verify()
+
+
+def test_non_commuting_involutions_rejected(case):
+    _T, left, _right, _basis = case
+    # tau and tau2 are involutions, but tau2 tau = tau tau2 tau1 != tau tau2
+    bad = GroupAction(left.target, left["tau"], left["tau2"], left["phi"], left["tau"])
+    assert bad.word_failures(KLEIN_RELATIONS) == relation_failures(bad, KLEIN_RELATIONS) != []
+    with pytest.raises(ValueError):
+        klein_grading(bad)
+    with pytest.raises(ValueError):
+        klein_components(bad)
+
+
+def _transported_action(act, U_diag):
+    """act conjugated by U = diag(U_diag) on the transported target:
+    U^{-1} M U has entries M_ij u_j / u_i."""
+    f = act.field
+    n = act.dim
+    target = act.target.transported(
+        Matrix([[U_diag[i] if i == j else 0 for j in range(n)] for i in range(n)], f))
+    gens = [Matrix([[M[i, j] * U_diag[j] / U_diag[i] for j in range(n)] for i in range(n)], f)
+            for M in (act[g] for g in ("tau1", "tau2", "phi", "tau"))]
+    return GroupAction(target, *gens, name=act.name + " transported")
+
+
+def test_past_int64_transported_action():
+    T, left, right, _basis = _setup("quaternion", QQ)
+    n = T.dim
+    for act in (left, right):
+        # U = diag(1/3, 2^40, 2^-40, 1, ...) up to the order of the basis:
+        # 2^40 at j and 2^-40 at i for an entry phi_ij != 0, i != j, which
+        # becomes 2^80 phi_ij
+        phi = act["phi"]
+        i, j = next((i, j) for i in range(n) for j in range(n) if i != j and phi[i, j])
+        k = next(k for k in range(n) if k not in (i, j))
+        u = [Fraction(1)] * n
+        u[k], u[j], u[i] = Fraction(1, 3), Fraction(2 ** 40), Fraction(1, 2 ** 40)
+        big = _transported_action(act, u)
+        # the lowered entries pass int64, so every fold runs on Python ints
+        assert any(big.lowered(g)[1].dtype == object for g in ("tau1", "tau2", "phi", "tau"))
+        assert big.relation_failures() == relation_failures(big) == []
+        assert big.verify()
+        assert klein_grading(big).components == klein_components(big)
+        for lhs, rhs in RELATIONS:
+            assert big.element(lhs) == word_matrix(big, lhs)
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if i != j and not big["tau"][i, j])
+        bad = GroupAction(big.target, big["tau1"], big["tau2"], big["phi"],
+                          _with_entry(big["tau"], i, j, Fraction(1, 3 * 2 ** 70)))
+        assert bad.relation_failures() == relation_failures(bad) != []
+
+
+@pytest.fixture(scope="module")
+def f4_decomposition():
+    T, left, _right, basis = _setup("f4", QQ)
+    triple = _triple(T, left, basis)
+    rep = decompose_module.decompose(T.algebra, triple)
+    return T, left, triple, rep
+
+
+def test_extraction_and_synthesis_match_oracle(f4_decomposition):
+    T, left, triple, rep = f4_decomposition
+    g = T.algebra
+    ext = decompose_module.extract_b1(g, rep)
+    ad0 = g.ad_matrix(triple[0])
+    assert ext.hvecs == kernel_within(ad0, rep.bases["adjoint"], g.field)
+    assert ext.svecs == kernel_within(ad0, rep.bases["h"], g.field)
+    assert ext.psi_inv == ext.psi.inverse()
+    act = decompose_module.synthesize_s4(g, rep, ext)
+    want = synthesized_generators(ext)
+    for name in ("tau1", "tau2", "phi", "tau"):
+        assert act[name] == want[name] == left[name]
+
+
+@pytest.mark.parametrize("kind,dimU", [("orthogonal", 1), ("special", 1), ("symplectic", 2)])
+def test_classical_synthesis_matches_oracle(kind, dimU):
+    g, triple = decompose_module.classical_examples(kind, dimU)
+    rep = decompose_module.decompose(g, triple)
+    assert [rep.bases[k] for k in ("adjoint", "h", "trivial")] == casimir_kernels(g, triple)
+    ext = decompose_module.extract_b1(g, rep)
+    act = decompose_module.synthesize_s4(g, rep, ext)
+    want = synthesized_generators(ext)
+    assert all(act[name] == want[name] for name in want)
+
+
+def test_s4_and_so3_layers_use_no_dense_products(f4_decomposition, monkeypatch):
+    T, left, triple, _rep = f4_decomposition
+
+    def dense(*_args):
+        raise AssertionError("dense Matrix arithmetic on the sparse S4/so3 path")
+
+    decompose_module._so3_h.cache_clear()
+    for name in ("__matmul__", "__add__", "__sub__", "scale"):
+        monkeypatch.setattr(Matrix, name, dense)
+    with pytest.raises(AssertionError):
+        Matrix.identity(2) @ Matrix.identity(2)
+    assert left.verify()
+    klein_grading(left)
+    rep = decompose_module.decompose(T.algebra, triple)
+    act = decompose_module.synthesize_s4(T.algebra, rep)
+    assert act.verify()
