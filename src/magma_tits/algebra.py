@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import (
-    QQ, FieldGF, Matrix, Subspace,
+    QQ, FieldGF, Matrix,
     vec_zero, vec_is_zero, basis_vector,
 )
 from .int_fast import (bilinear, commutators, distinct, fold, join, matrices_coo, matvec,
@@ -48,17 +48,14 @@ def dense_entries(shape, cols, values, zero):
     return out
 
 
-def nonzero_entries(t, depth=None):
+def nonzero_entries(t):
     """Index columns and values of the nonzero entries of an object array
-    of field values, or of nested lists `depth` levels deep."""
+    of field values, or of a table {(i, j): {k: c}} without zero entries."""
     if isinstance(t, np.ndarray):
         nz = np.nonzero(t)
         return nz, t[nz].tolist()
-    entries = [((), t)]
-    for _level in range(depth):
-        entries = [(ix + (i,), c) for ix, sub in entries for i, c in enumerate(sub)]
-    entries = [(ix, c) for ix, c in entries if c]
-    cols = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, depth)
+    entries = [((i, j, k), c) for (i, j), row in t.items() for k, c in row.items()]
+    cols = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, 3)
     return tuple(cols.T), [c for _ix, c in entries]
 
 
@@ -76,8 +73,9 @@ def outer_entries(A, B, scale=None):
 def act_on_tensor(sc, acts, op_par, vec_par, copies, op, tensor):
     """Add [d_s, w_c x v_j] = w_c x d_s(v_j) and the mirrored bracket, with
     the Koszul sign, to the table sc for operators d_s acting on the v
-    factor of `copies` tensor copies; acts[s, j, k] is the v_k coefficient
-    of d_s(v_j), op(s) and tensor(c, j) map to the table's indices."""
+    factor of `copies` tensor copies; acts[s, j, k] (an object array or a
+    table {(s, j): {k: c}}) is the v_k coefficient of d_s(v_j), op(s) and
+    tensor(c, j) map to the table's indices."""
     (s, j, k), vals = nonzero_entries(acts)
     c = np.tile(np.arange(copies), len(vals))
     s, j, k = (np.repeat(x, copies) for x in (s, j, k))

@@ -19,7 +19,7 @@ from .exact import vec_eq
 from .algebra import SuperAlgebra
 from .int_fast import einsum, table_coo
 from . import composition, structurable
-from .tits import tits, verify_lie_conditions
+from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
 from .isomorphisms import IsomorphismError, theorem41, theorem61, ak_to_ajv
 from .registry import (
@@ -28,7 +28,7 @@ from .registry import (
 )
 from .decompose import (
     decompose as run_decompose, extract_b1, round_trip_matches,
-    synthesize_s4, check_invariant_maps, glw,
+    synthesize_s4, check_invariant_maps,
 )
 
 COMP_ORDER = ["ground", "binarion", "quaternion", "cayley"]

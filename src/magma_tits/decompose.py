@@ -22,7 +22,9 @@ the decomposition: the ad(d_i) are one join of the table with the triple,
 Omega + c is one fold of them joined with themselves on the middle index
 plus a c diagonal, and the kernels of ad(d0) inside the components and
 the synthesized generators Psi B Psi^{-1} are int_fast.matvec products.
-The so3/h tables of gl(W) are built once per field.
+The so3/h tables of gl(W) are built once per field.  The coefficient data
+(B1Data) stays in sparse tables {(j, k): {t: c}}, the form of
+SuperAlgebra.sc, from extraction through validate to assembly.
 """
 
 from dataclasses import dataclass
@@ -31,34 +33,30 @@ from functools import cache
 import numpy as np
 
 from .exact import (
-    QQ, Matrix, Subspace, vec_add, vec_scale, vec_eq, vec_is_zero,
-    basis_vector, flatten_matrix, commutator,
+    QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix, commutator,
 )
 from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
                       nonzero_entries, outer_entries, sc_from_coo)
-from .int_fast import bilinear, coo, fold, join, matvec, rows_coo, table_coo, to_field
+from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
+                       to_field)
 from .s4 import GroupAction, conjugation_block
 from .tits import feed_pairs, inner_derivation_pairs
 
 W_LABELS = ["w1", "w2", "w0"]
 
 
-def _m3(rows, field=QQ):
-    return Matrix(rows, field)
-
-
 def hgd_matrices(field=QQ):
     """The nine distinguished 3x3 matrices, keyed H0..H2, G0..G2, D0..D2."""
     return {
-        "H0": _m3([[0, 0, 0], [0, 0, 0], [0, 0, 1]], field),
-        "H1": _m3([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field),
-        "H2": _m3([[0, 0, 0], [0, 1, 0], [0, 0, 0]], field),
-        "G0": _m3([[0, 1, 0], [1, 0, 0], [0, 0, 0]], field),
-        "G1": _m3([[0, 0, 0], [0, 0, 1], [0, 1, 0]], field),
-        "G2": _m3([[0, 0, 1], [0, 0, 0], [1, 0, 0]], field),
-        "D0": _m3([[0, -1, 0], [1, 0, 0], [0, 0, 0]], field),
-        "D1": _m3([[0, 0, 0], [0, 0, -1], [0, 1, 0]], field),
-        "D2": _m3([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], field),
+        "H0": Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]], field),
+        "H1": Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]], field),
+        "H2": Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 0]], field),
+        "G0": Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]], field),
+        "G1": Matrix([[0, 0, 0], [0, 0, 1], [0, 1, 0]], field),
+        "G2": Matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]], field),
+        "D0": Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]], field),
+        "D1": Matrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]], field),
+        "D2": Matrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], field),
     }
 
 
@@ -70,8 +68,8 @@ def so3_basis(field=QQ):
 def h_basis(field=QQ):
     """Basis of h: G0, G1, G2, H0-H1, H1-H2."""
     m = hgd_matrices(field)
-    return [m["G0"], m["G1"], m["G2"], _m3([[-1, 0, 0], [0, 0, 0], [0, 0, 1]], field),
-            _m3([[1, 0, 0], [0, -1, 0], [0, 0, 0]], field)]
+    return [m["G0"], m["G1"], m["G2"], Matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 1]], field),
+            Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]], field)]
 
 
 def s4_on_w(field=QQ):
@@ -79,10 +77,10 @@ def s4_on_w(field=QQ):
     tau1 = diag(-1,-1,1), tau2 = diag(1,-1,-1), phi cycles w0->w1->w2->w0,
     tau: w0 -> -w0, w1 <-> -w2."""
     f = field
-    tau1 = _m3([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], f)
-    tau2 = _m3([[1, 0, 0], [0, -1, 0], [0, 0, -1]], f)
-    phi = _m3([[0, 0, 1], [1, 0, 0], [0, 1, 0]], f)
-    tau = _m3([[0, -1, 0], [-1, 0, 0], [0, 0, -1]], f)
+    tau1 = Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], f)
+    tau2 = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]], f)
+    phi = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]], f)
+    tau = Matrix([[0, -1, 0], [-1, 0, 0], [0, 0, -1]], f)
     return GroupAction(None, tau1, tau2, phi, tau, name="S4 on W")
 
 
@@ -175,23 +173,27 @@ def check_invariant_maps(field=QQ):
 @dataclass
 class B1Data:
     """Multiplicity-space data: H with a distinguished unit, S, and the
-    centralizer d acting on both, with the bilinear coefficient maps."""
+    centralizer d acting on both, with the bilinear coefficient maps.
+
+    Each map is a table {(j, k): {t: c}} like SuperAlgebra.sc, with no
+    zero entries and no empty rows: c is the t-th coordinate of the value
+    on the j-th and k-th basis vectors."""
     field: object
     hdim: int
     sdim: int
     ddim: int
     unit_h: list
-    circ_HH: list      # [j][k] -> H coords (symmetric, 1 o a = a)
-    brk_HH: list       # [j][k] -> S coords (skew, [1,a] = 0)
-    brk_HS: list       # [j][k] -> H coords ([1,x] = 0)
-    circ_HS: list      # [j][k] -> S coords (1 o x = x)
-    circ_SS: list      # [j][k] -> H coords (symmetric)
-    brk_SS: list       # [j][k] -> S coords (skew)
-    d_HH: list         # [j][k] -> d coords (skew)
-    d_SS: list         # [j][k] -> d coords (skew)
-    act_dH: list       # [r][j] -> H coords
-    act_dS: list       # [r][j] -> S coords
-    brk_dd: list       # [r][s] -> d coords
+    circ_HH: dict      # (j, k) -> H coords (symmetric, 1 o a = a)
+    brk_HH: dict       # (j, k) -> S coords (skew, [1,a] = 0)
+    brk_HS: dict       # (j, k) -> H coords ([1,x] = 0)
+    circ_HS: dict      # (j, k) -> S coords (1 o x = x)
+    circ_SS: dict      # (j, k) -> H coords (symmetric)
+    brk_SS: dict       # (j, k) -> S coords (skew)
+    d_HH: dict         # (j, k) -> d coords (skew)
+    d_SS: dict         # (j, k) -> d coords (skew)
+    act_dH: dict       # (r, j) -> H coords
+    act_dS: dict       # (r, j) -> S coords
+    brk_dd: dict       # (r, s) -> d coords
     h_parity: list = None
     s_parity: list = None
     d_parity: list = None
@@ -206,53 +208,31 @@ class B1Data:
 
     def validate(self):
         """Unit laws and (super)symmetries of the coefficient maps."""
-        f = self.field
-        one = self.unit_h
-        idx1 = [j for j, c in enumerate(one) if c]
+        f, one = self.field, self.unit_h
 
-        def lincomb(table, coords):
-            out = None
-            for j, c in enumerate(coords):
-                if c:
-                    term = [c * v for v in table[j]]
-                    out = term if out is None else vec_add(out, term)
-            return out
+        def times_unit(table):
+            """{(a, t): c} of sum_j one[j] table[(j, a)], without zeros."""
+            out = {}
+            for (j, a), row in table.items():
+                for t, c in row.items():
+                    out[a, t] = out.get((a, t), f.zero) + one[j] * c
+            return {at: c for at, c in out.items() if c}
 
-        for a in range(self.hdim):
-            if not vec_eq(lincomb([row[a] for row in self.circ_HH], one),
-                          basis_vector(self.hdim, a, f)):
-                return False
-            if not vec_is_zero(lincomb([row[a] for row in self.brk_HH], one)):
-                return False
-        for x in range(self.sdim):
-            if not vec_is_zero(lincomb([row[x] for row in self.brk_HS], one)):
-                return False
-            if not vec_eq(lincomb([row[x] for row in self.circ_HS], one),
-                          basis_vector(self.sdim, x, f)):
-                return False
+        if (times_unit(self.circ_HH) != {(a, a): f.one for a in range(self.hdim)}
+                or times_unit(self.brk_HH) or times_unit(self.brk_HS)
+                or times_unit(self.circ_HS) != {(x, x): f.one for x in range(self.sdim)}):
+            return False
 
-        def signed(par_j, par_k):
-            return -1 if (par_j and par_k) else 1
+        def symmetric(table, par, skew):
+            """table[(j, k)] == (-1)^{|j||k|} table[(k, j)], negated if skew."""
+            return table == {(k, j): {t: -c if bool(par[j] and par[k]) != skew else c
+                                      for t, c in row.items()}
+                             for (j, k), row in table.items()}
 
-        for j in range(self.hdim):
-            for k in range(self.hdim):
-                s = signed(self.h_parity[j], self.h_parity[k])
-                if not vec_eq(self.circ_HH[j][k], vec_scale(f.of(s), self.circ_HH[k][j])):
-                    return False
-                if not vec_eq(self.brk_HH[j][k], vec_scale(f.of(-s), self.brk_HH[k][j])):
-                    return False
-                if not vec_eq(self.d_HH[j][k], vec_scale(f.of(-s), self.d_HH[k][j])):
-                    return False
-        for j in range(self.sdim):
-            for k in range(self.sdim):
-                s = signed(self.s_parity[j], self.s_parity[k])
-                if not vec_eq(self.circ_SS[j][k], vec_scale(f.of(s), self.circ_SS[k][j])):
-                    return False
-                if not vec_eq(self.brk_SS[j][k], vec_scale(f.of(-s), self.brk_SS[k][j])):
-                    return False
-                if not vec_eq(self.d_SS[j][k], vec_scale(f.of(-s), self.d_SS[k][j])):
-                    return False
-        return True
+        return all(symmetric(table, par, skew) for par, tables in (
+            (self.h_parity, (self.circ_HH, self.brk_HH, self.d_HH)),
+            (self.s_parity, (self.circ_SS, self.brk_SS, self.d_SS)))
+            for table, skew in zip(tables, (False, True, True)))
 
 
 @cache
@@ -277,8 +257,9 @@ def _so3_h(field):
 
 @cache
 def _so3_structure(field):
-    """Structure tables of gl(W) pieces used by the assembly.  Built once
-    per field and shared: callers only read them."""
+    """Structure tables of gl(W) pieces used by the assembly, as object
+    arrays [i1, i2(, m)].  Built once per field and shared: callers only
+    read them."""
     f = field
     Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
     I3 = Matrix.identity(3, f)
@@ -298,11 +279,12 @@ def _so3_structure(field):
     comm_HH = [[so3c(commutator(X, Y)) for Y in Hs] for X in Hs]
     sym_HH = [[hc(X @ Y + Y @ X - I3.scale(two3 * (X @ Y).trace())) for Y in Hs] for X in Hs]
     tr_HH = [[(X @ Y).trace() for Y in Hs] for X in Hs]
-    return {
+    tables = {
         "comm_DD": comm_DD, "sym_DD": sym_DD, "tr_DD": tr_DD,
         "acirc_DH": acirc_DH, "comm_DH": comm_DH,
         "comm_HH": comm_HH, "sym_HH": sym_HH, "tr_HH": tr_HH,
     }
+    return {name: np.array(t, dtype=object) for name, t in tables.items()}
 
 
 def assemble_b1(data, name="b1"):
@@ -344,10 +326,9 @@ def assemble_b1(data, name="b1"):
     par_h, par_s, par_d = (np.array(p, dtype=bool)
                            for p in (data.h_parity, data.s_parity, data.d_parity))
 
-    def block(so3_table, data_table, scale=None, depth=3):
+    def block(so3_table, data_table, scale=None):
         """Outer product of an so3 table (i1, i2[, m]) and a data table (j1, j2, t)."""
-        return outer_entries(nonzero_entries(so3_table, depth),
-                             nonzero_entries(data_table, 3), scale)
+        return outer_entries(nonzero_entries(so3_table), nonzero_entries(data_table), scale)
 
     # adjoint x adjoint and h x h: [A,B] x (a o b) - (1/2) sym(A,B) x [a,b] + tr(AB) d_{a,b}
     for idx, (comm, sym, tr), (circ, brk, dd) in (
@@ -359,7 +340,7 @@ def assemble_b1(data, name="b1"):
         sc_from_coo(idx(i1, j1), idx(i2, j2), aidx(m, t), vals, sc)
         (i1, i2, m), (j1, j2, t), vals = block(sym, brk, minus_half)
         sc_from_coo(idx(i1, j1), idx(i2, j2), hidx(m, t), vals, sc)
-        (i1, i2), (j1, j2, t), vals = block(tr, dd, depth=2)
+        (i1, i2), (j1, j2, t), vals = block(tr, dd)
         sc_from_coo(idx(i1, j1), idx(i2, j2), off_d + t, vals, sc)
     # adjoint x h and its mirror: -(AX + XA) x (1/2)[a,x] + [A,X] x (a o x)
     for kind, ((i1, x2, m), (j1, j2, t), vals) in (
@@ -370,18 +351,16 @@ def assemble_b1(data, name="b1"):
         sc_from_coo(hidx(x2, j2), aidx(i1, j1), kind(m, t),
                     [c if o else -c for c, o in zip(vals, odd)], sc)
     # d acting on both parts (with the Koszul sign on the mirror), d x d
-    for idx, width, act, par, size in ((aidx, 3, data.act_dH, par_h, mh),
-                                       (hidx, 5, data.act_dS, par_s, ms)):
-        acts = np.array(act, dtype=object).reshape(md, size, size)
-        act_on_tensor(sc, acts, par_d, par, width, lambda r: off_d + r, idx)
-    (r, s, t), vals = nonzero_entries(data.brk_dd, 3)
+    for idx, width, act, par in ((aidx, 3, data.act_dH, par_h), (hidx, 5, data.act_dS, par_s)):
+        act_on_tensor(sc, act, par_d, par, width, lambda r: off_d + r, idx)
+    (r, s, t), vals = nonzero_entries(data.brk_dd)
     sc_from_coo(off_d + r, off_d + s, off_d + t, vals, sc)
 
     return SuperAlgebra(labels, sc, parity=parity, field=f, name=name,
                         is_lie_claimed=True)
 
 
-def b1data_from_jordan(J, name_unused=None):
+def b1data_from_jordan(J):
     """Coefficient data of the classical one-space variant: H = J (any
     Jordan algebra), S = 0, d = span of the commutators [L_x, L_y], with
     d_{a,b} = (1/2)[L_a, L_b].  Assembled, this is the (so3 x J) + d bracket
@@ -394,26 +373,16 @@ def b1data_from_jordan(J, name_unused=None):
     kept = feed_pairs(span, pairs, nJ, nJ)
     mats = [M for _j, _l, M in kept]
     dpar = [(alg.parity[j] + alg.parity[l]) % 2 for j, l, _M in kept]
-    md = span.dim
     half = f.of(1) / f.of(2)
-    circ_HH = [[list(alg.multiply(alg.e(i), alg.e(j))) for j in range(nJ)] for i in range(nJ)]
-    d_HH = [[[f.zero] * md for _j in range(nJ)] for _i in range(nJ)]
     ids, ks, values, _out = span.coords_many(*pairs, check=False)
-    for i, k, c in zip(ids.tolist(), ks.tolist(), values):
-        d_HH[i // nJ][i % nJ][k] = half * c
-    act_dH = [[list(M.column(j)) for j in range(nJ)] for M in mats]
-    dd, _out = commutator_table(mats, span, dpar, check=False)
-    brk_dd = [[[dd.get((r, s), {}).get(t, f.zero) for t in range(md)] for s in range(md)]
-              for r in range(md)]
+    (s, k, j), V, D = matrices_coo(mats, f)
+    brk_dd, _out = commutator_table(mats, span, dpar, check=False)
     return B1Data(
-        field=f, hdim=nJ, sdim=0, ddim=md, unit_h=list(J.unit),
-        circ_HH=circ_HH,
-        brk_HH=[[[] for _ in range(nJ)] for _ in range(nJ)],
-        brk_HS=[[] for _ in range(nJ)],
-        circ_HS=[[] for _ in range(nJ)],
-        circ_SS=[], brk_SS=[], d_HH=d_HH, d_SS=[],
-        act_dH=act_dH, act_dS=[[] for _ in range(md)],
-        brk_dd=brk_dd,
+        field=f, hdim=nJ, sdim=0, ddim=span.dim, unit_h=list(J.unit),
+        circ_HH={key: dict(row) for key, row in alg.sc.items()},
+        brk_HH={}, brk_HS={}, circ_HS={}, circ_SS={}, brk_SS={},
+        d_HH=sc_from_coo(ids // nJ, ids % nJ, ks, [half * c for c in values]), d_SS={},
+        act_dH=sc_from_coo(s, j, k, to_field(V, D, f)), act_dS={}, brk_dd=brk_dd,
         h_parity=list(alg.parity), d_parity=dpar,
     )
 
@@ -609,31 +578,29 @@ def extract_b1(g, report):
     psi_inv = psi.inverse()
 
     def read(co, offset, block, width, count, scale=None):
-        """Coordinates in one (operator, multiplicity) slice, as lists; the
-        nonzero ones times scale."""
-        co = co[..., offset + block:offset + width * count:width]
-        if scale is not None:
-            co = co.copy()
-            nz = np.nonzero(co)
-            co[nz] = [scale * c for c in co[nz]]
-        return co.tolist()
+        """The table {(a, b): {t: c}} of one (operator, multiplicity) slice:
+        the coordinates at offset + width t + block, times scale."""
+        (a, b, l), vals = co
+        t, r = np.divmod(l - offset - block, width)
+        sel = np.flatnonzero((r == 0) & (t >= 0) & (t < count)).tolist()
+        return sc_from_coo(a[sel], b[sel], t[sel],
+                           [vals[e] if scale is None else scale * vals[e] for e in sel])
 
     # unit of H: d0 = D0 x 1
-    unit_h = read(np.array(psi_inv.apply(triple[0]), dtype=object), 0, 0, 3, mh)
+    unit_h = psi_inv.apply(triple[0])[0:3 * mh:3]
 
     table, Vt, Dt = table_coo(g.sc, f)
     inv, Vi, Di = rows_coo(psi_inv.rows, f)
 
     def brackets(A, B):
         """psi^{-1} [cols[a], cols[b]] for a in A, b in B: one bilinear
-        contraction of g's table and one matvec, as a |A| x |B| x n array."""
+        contraction of g's table and one matvec, as the COO (a, b, l) of
+        the nonzero coordinates and their values."""
         X, Vx, Dx = rows_coo([cols[a] for a in A], f)
         Y, Vy, Dy = rows_coo([cols[b] for b in B], f)
         (x, y, k), sums, _path = bilinear((table, Vt), (X, Vx), (Y, Vy), None)
-        (xy, l), sums = matvec((inv, Vi), ((x * len(B) + y, k), sums))
-        co = dense_entries((len(A) * len(B), n), (xy, l), to_field(sums, Dt * Dx * Dy * Di, f),
-                           f.zero)
-        return co.reshape(len(A), len(B), n)
+        (xy, l), sums = matvec((inv, Vi), ((x * len(B) + y, k), sums), p)
+        return (xy // len(B), xy % len(B), l), to_field(sums, Dt * Dx * Dy * Di, f)
 
     half = f.of(1) / f.of(2)
     D0, D1 = [3 * j for j in range(mh)], [3 * j + 1 for j in range(mh)]

@@ -724,13 +724,10 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     tr = np.array([[Q.trace(Q.product(a, b)) for b in q0_basis] for a in q0_basis], dtype=object)
     ids, ks, values, _out = span.coords_many(*pairs, check=False)
     dxy = dense_entries((nJ * nJ, nd), (ids, ks), values, f.zero).reshape(nJ, nJ, nd)
-    entries = [((j, l, k), c) for (j, l), row in alg.sc.items() for k, c in row.items()]
-    jt = (tuple(np.array([e for e, _c in entries], dtype=np.int64).reshape(-1, 3).T),
-          [c for _e, c in entries])
     # D x D, then the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
     sc = {(off + s, off + t): {off + k: c for k, c in row.items()}
           for (s, t), row in d_sc.items()}
-    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(br), jt)
+    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(br), nonzero_entries(alg.sc))
     sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
     (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tr), nonzero_entries(dxy), two)
     sc_from_coo(tidx(i, j), tidx(k, l), off + d, vals, sc)

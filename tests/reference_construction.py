@@ -17,12 +17,17 @@ The S4 and so3 layers have dense Matrix oracles: word products and the
 relation check (word_matrix, relation_failures), the Klein components, the
 Casimir kernels from ads[i] @ ads[i], the kernels of ad(d0) inside a
 component and the synthesized generators Psi B Psi^{-1}.
+
+The B1 coefficient data has a dense oracle for its unit laws and
+(super)symmetries (b1_validate): the tables are expanded into nested lists
+and checked by vector loops.
 """
 
 from magma_tits.algebra import accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import _so3_h, s4_on_w
-from magma_tits.exact import Matrix, Subspace, commutator, flatten_matrix, vec_is_zero
+from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatten_matrix,
+                              vec_add, vec_eq, vec_is_zero, vec_scale)
 from magma_tits.s4 import RELATIONS
 
 
@@ -363,3 +368,54 @@ def synthesized_generators(extraction):
             block[3 * mh + 5 * ms + r, 3 * mh + 5 * ms + r] = f.one
         gens[name] = extraction.psi @ block @ extraction.psi_inv
     return gens
+
+
+def b1_validate(data):
+    """B1Data.validate by dense vector loops over the tables expanded into
+    nested lists [j][k][t]."""
+    f = data.field
+    one = data.unit_h
+    mh, ms, md = data.hdim, data.sdim, data.ddim
+
+    def dense(name, rows, cols, dim):
+        table = getattr(data, name)
+        return [[[table.get((j, k), {}).get(t, f.zero) for t in range(dim)]
+                 for k in range(cols)] for j in range(rows)]
+
+    circ_HH, brk_HH, d_HH = (dense(nm, mh, mh, dim)
+                             for nm, dim in (("circ_HH", mh), ("brk_HH", ms), ("d_HH", md)))
+    brk_HS, circ_HS = dense("brk_HS", mh, ms, mh), dense("circ_HS", mh, ms, ms)
+    circ_SS, brk_SS, d_SS = (dense(nm, ms, ms, dim)
+                             for nm, dim in (("circ_SS", mh), ("brk_SS", ms), ("d_SS", md)))
+
+    def lincomb(table, coords):
+        out = None
+        for j, c in enumerate(coords):
+            if c:
+                term = [c * v for v in table[j]]
+                out = term if out is None else vec_add(out, term)
+        return out
+
+    for a in range(mh):
+        if not vec_eq(lincomb([row[a] for row in circ_HH], one), basis_vector(mh, a, f)):
+            return False
+        if not vec_is_zero(lincomb([row[a] for row in brk_HH], one)):
+            return False
+    for x in range(ms):
+        if not vec_is_zero(lincomb([row[x] for row in brk_HS], one)):
+            return False
+        if not vec_eq(lincomb([row[x] for row in circ_HS], one), basis_vector(ms, x, f)):
+            return False
+
+    for dim, par, (circ, brk, dd) in ((mh, data.h_parity, (circ_HH, brk_HH, d_HH)),
+                                      (ms, data.s_parity, (circ_SS, brk_SS, d_SS))):
+        for j in range(dim):
+            for k in range(dim):
+                s = f.of(-1 if (par[j] and par[k]) else 1)
+                if not vec_eq(circ[j][k], vec_scale(s, circ[k][j])):
+                    return False
+                if not vec_eq(brk[j][k], vec_scale(-s, brk[k][j])):
+                    return False
+                if not vec_eq(dd[j][k], vec_scale(-s, dd[k][j])):
+                    return False
+    return True

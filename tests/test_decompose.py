@@ -1,11 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import Matrix, commutator, vec_eq, basis_vector
+from magma_tits.exact import GF, QQ, Matrix, commutator, vec_eq, basis_vector
 from magma_tits.algebra import check_super_jacobi, centralizer
-from magma_tits.composition import ground, split_cayley
-from magma_tits.jordan import h3, jordan_super_dt
+from magma_tits.composition import binarion, ground, invariant_quaternion, split_cayley
+from magma_tits.jordan import h3, jordan_super_dt, jordan_super_jvtheta
 from magma_tits.tits import tits, tits62_variant
 from magma_tits.s4 import coordinate_algebra, s4_on_tits_left, klein_grading
 from magma_tits.isomorphisms import theorem41_basis
@@ -15,6 +16,12 @@ from magma_tits.decompose import (
     synthesize_s4, assemble_b1, b1data_from_jordan, classical_examples,
     glw, so_h_negative_control,
 )
+
+from reference_construction import b1_validate
+
+FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
+# the coefficient maps B1Data.validate constrains
+CHECKED = ("circ_HH", "brk_HH", "brk_HS", "circ_HS", "circ_SS", "brk_SS", "d_HH", "d_SS")
 
 
 def test_hgd_relations():
@@ -136,25 +143,32 @@ def test_b1_roundtrip_glw():
     act.verify()
 
 
-def test_b1_roundtrip_f4():
-    C = split_cayley()
-    T = tits(C, h3(ground()))
+def _b1_roundtrip_tits(J, name, multiplicities):
+    """Decompose T(cayley, J) under the so3 triple (1, phi 1, phi^2 1) of the
+    left action's coordinate algebra, check the extracted data, the round
+    trip and the synthesized generators against the left action's."""
+    T = tits(split_cayley(), J)
     action = s4_on_tits_left(T)
     ca = coordinate_algebra(T.algebra, action, basis=theorem41_basis(T))
     one = ca.ambient_vector(ca.unit)
     phi = action["phi"]
     d0, d1 = one, phi.apply(one)
     d2 = phi.apply(d1)
-    rep = decompose(T.algebra, [d0, d1, d2], name="f4")
-    assert rep.ok and rep.multiplicities() == (13, 1, 8)
+    rep = decompose(T.algebra, [d0, d1, d2], name=name)
+    assert rep.ok and rep.multiplicities() == multiplicities
     ext = extract_b1(T.algebra, rep)
     assert ext.data.validate()
     assert round_trip_matches(T.algebra, ext)
     act2 = synthesize_s4(T.algebra, rep, ext)
-    act2.verify()
     # agreement with the hand-built action on all four generators
     for gname in ("tau1", "tau2", "phi", "tau"):
         assert act2[gname] == action[gname]
+    return T, act2, d0
+
+
+def test_b1_roundtrip_f4():
+    T, act2, d0 = _b1_roundtrip_tits(h3(ground()), "f4", (13, 1, 8))
+    act2.verify()
     # the coordinate algebra of the synthesized action is unital with the
     # same unit (the image of 1 in H is the so3 vector d0)
     kg = klein_grading(act2)
@@ -163,25 +177,99 @@ def test_b1_roundtrip_f4():
     assert vec_eq(ca2.ambient_vector(ca2.unit), d0)
 
 
+def _reduced(sc, field):
+    """A QQ table reduced into GF(p), without the entries that vanish there."""
+    out = {key: {k: field.of(c) for k, c in row.items() if field.of(c)}
+           for key, row in sc.items()}
+    return {key: row for key, row in out.items() if row}
+
+
+def _b1_from_jordan_over_fields(make_jordan, name="b1"):
+    """assemble_b1(b1data_from_jordan(make_jordan(F))) over each field F of
+    FIELDS, after checking the data with validate and its dense oracle;
+    the QQ table reduced mod p must be the GF(p) one."""
+    algebras = []
+    for F in FIELDS:
+        data = b1data_from_jordan(make_jordan(F))
+        assert data.validate() and b1_validate(data)
+        algebras.append(assemble_b1(data, name=name))
+    for g in algebras[1:]:
+        assert _reduced(algebras[0].sc, g.field) == g.sc
+    return algebras
+
+
 def test_b1_from_jordan_even():
-    data = b1data_from_jordan(h3(ground()))
-    assert data.validate()
-    g = assemble_b1(data)
-    assert g.n == 21
-    assert check_super_jacobi(g).ok
-    # same dimensions as the quaternionic variant on the same Jordan algebra
-    from magma_tits.composition import invariant_quaternion
-    T62 = tits62_variant(invariant_quaternion(), h3(ground()))
-    assert T62.algebra.n == g.n
+    for g in _b1_from_jordan_over_fields(lambda F: h3(ground(F))):
+        assert g.n == 21
+        assert check_super_jacobi(g).ok
+        # same dimensions as the quaternionic variant on the same Jordan algebra
+        F = g.field
+        assert tits62_variant(invariant_quaternion(F), h3(ground(F))).algebra.n == g.n
+    for g in _b1_from_jordan_over_fields(lambda F: h3(binarion(F))):
+        assert check_super_jacobi(g).ok
 
 
 def test_b1_from_jordan_super():
     for t in (3, Fraction(-1, 2)):
-        data = b1data_from_jordan(jordan_super_dt(t))
-        assert data.validate()
-        g = assemble_b1(data, name="b1(dt)")
-        assert (g.dim_even, g.dim_odd) == (9, 8)   # D(2,1;t)
+        for g in _b1_from_jordan_over_fields(lambda F: jordan_super_dt(t, F), name="b1(dt)"):
+            assert (g.dim_even, g.dim_odd) == (9, 8)   # D(2,1;t)
+            assert check_super_jacobi(g).ok
+    for g in _b1_from_jordan_over_fields(jordan_super_jvtheta, name="b1(jvtheta)"):
         assert check_super_jacobi(g).ok
+
+
+def _corrupted(data, name, at=None, by=Fraction(1, 3)):
+    """data with `by` added to one entry ((j, k), t) of a coefficient table,
+    its first entry by default (an entry that becomes zero leaves the
+    table)."""
+    table = {key: dict(row) for key, row in getattr(data, name).items()}
+    key, t = at or next((key, next(iter(row))) for key, row in table.items())
+    row = table.setdefault(key, {})
+    row[t] = row.get(t, data.field.zero) + data.field.of(by)
+    if not row[t]:
+        del row[t]
+        if not row:
+            del table[key]
+    return dataclasses.replace(data, **{name: table})
+
+
+def test_b1_validate_negative_controls():
+    """Each nonempty checked table, corrupted, gets the dense oracle's
+    verdict; the clean data passes both.  A corruption at the unit breaks
+    a unit law; in brk_HH it is mirrored, so that only the unit law sees it."""
+    inputs = [(label, extract_b1(g, decompose(g, triple)).data)
+              for label, (g, triple) in (("glw", glw()),
+                                         ("sp:2", classical_examples("symplectic", 2)),
+                                         ("so:2", classical_examples("orthogonal", 2)))]
+    inputs.append(("dt:3", b1data_from_jordan(jordan_super_dt(3))))
+    missed = []
+    for label, data in inputs:
+        assert data.validate() and b1_validate(data)
+        for name in CHECKED:
+            if getattr(data, name):
+                bad = _corrupted(data, name)
+                assert bad.validate() == b1_validate(bad), (label, name)
+                if bad.validate():
+                    missed.append((label, name))
+        # the unit laws: (second index, target) dimensions of each table
+        j = next(i for i, c in enumerate(data.unit_h) if c)
+        mh, ms = data.hdim, data.sdim
+        for name, dims in (("circ_HH", (mh, mh)), ("brk_HH", (mh, ms)),
+                           ("brk_HS", (ms, mh)), ("circ_HS", (ms, ms))):
+            if all(dims):
+                bad = _corrupted(data, name, ((j, 0), 0))
+                assert not bad.validate() and not b1_validate(bad), (label, name)
+        if mh > 1 and ms:
+            a = 1 if j == 0 else 0
+            bad = _corrupted(_corrupted(data, "brk_HH", ((j, a), 0)), "brk_HH", ((a, j), 0),
+                             Fraction(-1, 3))
+            assert not bad.validate() and not b1_validate(bad), label
+    # neither the unit laws nor the symmetries see these entries
+    assert missed == [("glw", "circ_SS"), ("sp:2", "brk_HS")]
+
+
+def test_b1_roundtrip_e8():
+    _b1_roundtrip_tits(h3(split_cayley()), "e8", (55, 1, 78))
 
 
 def test_synthesized_action_unital_coordinate_algebra_so():
