@@ -4,9 +4,10 @@ A SuperAlgebra is a basis with a parity vector and a sparse table
 b_i b_j = sum_k c^k_ij b_k.  The checkers (super-Jacobi, automorphism,
 derivation, homomorphism, grading, centralizer) are exact.  The
 super-Jacobi check is a sparse integer contraction of the table with
-itself, and the map checks (map_failures) one of the table with the map's
-matrix, both summed by int_fast.fold.  The pure-field super-Jacobi triple
-loop is kept as a test oracle.
+itself, the map checks (map_failures) one of the table with the map's
+matrix, and the graded (anti)symmetry check (transpose_failures) one fold
+of the table against its signed transpose, all summed by int_fast.fold.
+The pure-field super-Jacobi triple loop is kept as a test oracle.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -348,30 +349,22 @@ class JacobiReport:
         return "\n".join(lines)
 
 
-def _check_anticommutative(A, max_witnesses):
-    failures = []
-    seen = set(A.sc.keys()) | {(j, i) for (i, j) in A.sc.keys()}
-    for (i, j) in sorted(seen):
-        if i > j:
-            continue
-        row = A.sc.get((i, j), {})
-        rev = A.sc.get((j, i), {})
-        sign = -1 if (A.parity[i] and A.parity[j]) else 1
-        # want: rev == -sign * row ; for i == j even: row must vanish
-        if i == j and A.parity[i] == EVEN:
-            if row:
-                failures.append((i, j))
-            continue
-        keys = set(row) | set(rev)
-        for k in keys:
-            a = row.get(k, A.field.zero)
-            b = rev.get(k, A.field.zero)
-            if b != -(a if sign > 0 else -a):
-                failures.append((i, j))
-                break
-        if len(failures) >= max_witnesses:
-            break
-    return failures
+def transpose_failures(table, parity, sign, field):
+    """Sorted pairs (i, j), i <= j, with c^k_ij != sign (-1)^{|i||j|} c^k_ji
+    for some k, in a COO table ((I, J, K), V) of int_fast.table_coo over field.
+
+    One fold (mod p over GF(p)) of the entries with i <= j at (i, j, k)
+    and those with j <= i at (j, i, k) times -sign (-1)^{|i||j|}; k is
+    packed with its own width, so it may lie outside range(len(parity))."""
+    (I, J, K), V = table
+    n, nk = len(parity), int(K.max()) + 1 if len(K) else 1
+    odd = np.asarray(parity, dtype=bool)
+    up, down = np.flatnonzero(I <= J), np.flatnonzero(J <= I)
+    s = np.where(odd[I[down]] & odd[J[down]], sign, -sign)
+    keys, _sums, _path = fold([((I[up] * n + J[up]) * nk + K[up], [V[up]]),
+                               ((J[down] * n + I[down]) * nk + K[down], [V[down], s])],
+                              None if field.is_rational else field.p)
+    return [divmod(ij, n) for ij in distinct(keys // nk).tolist()]
 
 
 def _jacobiator(A, i, j, k):
@@ -388,8 +381,9 @@ def _jacobiator(A, i, j, k):
 
 
 def check_super_jacobi_reference(A, max_witnesses=10):
-    """Triple-loop reference checker (pure field arithmetic)."""
-    anticom = _check_anticommutative(A, max_witnesses)
+    """Triple-loop reference checker in field arithmetic, after transpose_failures."""
+    anticom = transpose_failures(table_coo(A.sc, A.field)[:2], A.parity, -1,
+                                 A.field)[:max_witnesses]
     if anticom:
         return JacobiReport(False, A.n, 0, anticom_failures=anticom, name=A.name)
     n = A.n
@@ -410,7 +404,7 @@ def check_super_jacobi_reference(A, max_witnesses=10):
 def check_super_jacobi(A, max_witnesses=10):
     """Exhaustive graded-Jacobi check.
 
-    Super-anticommutativity is verified first on the sparse table.  Then,
+    Super-anticommutativity is checked first (transpose_failures).  Then,
     for pairs i <= j and every k, the coefficients of
     [[b_i,b_j],b_k] - [b_i,[b_j,b_k]] + (-1)^{|i||j|} [b_j,[b_i,b_k]]
     are summed exactly by int_fast.fold: the COO table is joined with
@@ -419,15 +413,15 @@ def check_super_jacobi(A, max_witnesses=10):
     (residues over GF(p), sums reduced mod p).  Witnesses are the first
     triples with a nonzero sum, recomputed by _jacobiator.
     """
-    anticom = _check_anticommutative(A, max_witnesses)
     n = A.n
     n_triples = n * (n + 1) * (n + 2) // 6
+    (I, J, K), V, _D = table_coo(A.sc, A.field)
+    anticom = transpose_failures(((I, J, K), V), A.parity, -1, A.field)[:max_witnesses]
     if anticom:
         return JacobiReport(False, n, 0, anticom_failures=anticom, name=A.name)
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
-    (I, J, K), V, _D = table_coo(A.sc, A.field)
     par = np.array(A.parity, dtype=bool)
 
     # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j

@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import vec_eq
+from .exact import Subspace, flatten_matrix, vec_eq
 from .algebra import SuperAlgebra
 from .int_fast import einsum, table_coo
 from . import composition, structurable
 from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
-from .isomorphisms import IsomorphismError, theorem41, theorem61, ak_to_ajv
+from .isomorphisms import IsomorphismError, theorem41, theorem41_basis, theorem61, ak_to_ajv
 from .registry import (
     composition_by_name, jordan_by_name, tits_by_name, superalgebra_by_name,
     involution_algebra_by_name, lie_with_triple,
@@ -138,7 +138,6 @@ def suite_csplit(args):
     act = composition.s4_on_cayley(C)
     kg = klein_grading(act)
     # (1,0) component of der C under conjugation
-    from .exact import Subspace, flatten_matrix
     e1me2 = [a - b for a, b in zip(alg.e("e1"), alg.e("e2"))]
     e2me1 = [-x for x in e1me2]
     four = [composition.inner_derivation(C, e1me2, alg.e("u0")).matrix,
@@ -244,7 +243,6 @@ def suite_thm71(args):
     _check(results, "invariant maps equivariant", check_invariant_maps() == [])
     T = tits_by_name("cayley", "h3:ground")
     act = s4_on_tits_left(T)
-    from .isomorphisms import theorem41_basis
     ca = coordinate_algebra(T.algebra, act, basis=theorem41_basis(T))
     one = ca.ambient_vector(ca.unit)
     d0, d1 = one, act["phi"].apply(one)
@@ -328,19 +326,13 @@ def cmd_coordinate_algebra(args):
         "dim": ca.dim,
         "unital": ca.is_unital,
         "algebra": ca.awi.algebra.to_json_dict(),
-        "embedding": [[_scaler(x) for x in ca.embedding.column(j)]
+        "embedding": [[str(x) for x in ca.embedding.column(j)]
                       for j in range(ca.dim)],
     }
     print(json.dumps(out) if args.format == "json" else
           "coordinate algebra of %s (%s action): dim %d, unital %s"
           % (name, args.action, ca.dim, ca.is_unital))
-    if args.format != "json":
-        return 0
     return 0
-
-
-def _scaler(x):
-    return str(x)
 
 
 def cmd_decompose(args):
@@ -361,7 +353,7 @@ def cmd_decompose(args):
         "m_adjoint": rep.m_adjoint,
         "m_h": rep.m_h,
         "m_trivial": rep.m_trivial,
-        "bases": {k: [[_scaler(x) for x in v] for v in vs]
+        "bases": {k: [[str(x) for x in v] for v in vs]
                   for k, vs in rep.bases.items()},
     }
     if not rep.ok:

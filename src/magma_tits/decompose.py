@@ -36,7 +36,7 @@ from .exact import (
     QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix, commutator,
 )
 from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
-                      nonzero_entries, outer_entries, sc_from_coo)
+                      nonzero_entries, outer_entries, sc_from_coo, transpose_failures)
 from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
                        to_field)
 from .s4 import GroupAction, conjugation_block
@@ -225,9 +225,7 @@ class B1Data:
 
         def symmetric(table, par, skew):
             """table[(j, k)] == (-1)^{|j||k|} table[(k, j)], negated if skew."""
-            return table == {(k, j): {t: -c if bool(par[j] and par[k]) != skew else c
-                                      for t, c in row.items()}
-                             for (j, k), row in table.items()}
+            return not transpose_failures(table_coo(table, f)[:2], par, -1 if skew else 1, f)
 
         return all(symmetric(table, par, skew) for par, tables in (
             (self.h_parity, (self.circ_HH, self.brk_HH, self.d_HH)),

@@ -11,13 +11,19 @@ splits J = k1 + J0 and powers the star product x*y = xy - t(xy)1, the inner
 derivations d_{x,y} = [L_x, L_y] (graded commutator) and the cross product
 
     x X y = 2xy - 3t(x)y - 3t(y)x + (9t(x)t(y) - 3t(xy)) 1.
+
+Supercommutativity (algebra.transpose_failures), the linearized Jordan
+identity and the associator rows of the trace system are sparse exact
+contractions of the table with itself on int_fast.join and fold.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate
-from .int_fast import fold, join, table_coo
+from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
+from .int_fast import INT64_MAX, fold, join, table_coo
 
 
 class JordanAlgebra:
@@ -334,53 +340,53 @@ def kaplansky(field=QQ):
 
 
 def check_supercommutative(algebra):
-    """xy = (-1)^{|x||y|} yx on all basis pairs."""
-    for i in range(algebra.n):
-        for j in range(i, algebra.n):
-            row = algebra.product_basis(i, j)
-            rev = algebra.product_basis(j, i)
-            sign = -1 if (algebra.parity[i] and algebra.parity[j]) else 1
-            keys = set(row) | set(rev)
-            for k in keys:
-                a = row.get(k, algebra.field.zero)
-                b = rev.get(k, algebra.field.zero)
-                if (sign > 0 and a != b) or (sign < 0 and a != -b):
-                    return False
-    return True
+    """xy = (-1)^{|x||y|} yx on all basis pairs (algebra.transpose_failures)."""
+    return not transpose_failures(table_coo(algebra.sc, algebra.field)[:2], algebra.parity, 1,
+                                  algebra.field)
 
 
 def check_jordan_identity(J):
-    """Linearized (super) Jordan identity on basis triples:
+    """Linearized (super) Jordan identity on basis triples a <= b <= c:
 
         sum_cyc (-1)^{|a||c|} [L_a, L_{b o c}] = 0
 
     with graded operator commutators; equivalent to (x^2 y) x = x^2 (y x)
     in characteristic not 2, 3.
+
+    One sparse exact contraction over the common denominator D^3: the
+    products (b_y b_z) b_w (the table's output index joined with its
+    first input) are joined with the table into x((yz)d) and
+    -(-1)^{|x|(|y|+|z|)} (yz)(xd); each term counts, times (-1)^{|x||z|},
+    at the keys (a, b, c, d, l) of the cyclic rotations (a, b, c) of
+    (x, y, z) with a <= b <= c.  The identity holds iff no key survives
+    the fold; ValueError when n^5 passes int64.
     """
     alg = J.algebra
-    n = alg.n
-    L = [alg.left_mult_matrix(alg.e(i)) for i in range(n)]
-    par = alg.parity
-
-    def graded_comm(A, B, pa, pb):
-        M = A @ B
-        N = B @ A
-        return (M + N) if (pa and pb) else (M - N)
-
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(b, n):
-                total = Matrix.zeros(n, n, alg.field)
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    sign = -1 if (par[x] and par[z]) else 1
-                    yz = alg.multiply(alg.e(y), alg.e(z))
-                    Lyz = alg.left_mult_matrix(yz)
-                    pyz = (par[y] + par[z]) % 2
-                    term = graded_comm(L[x], Lyz, par[x], pyz)
-                    total = (total + term) if sign > 0 else (total - term)
-                if not total.is_zero():
-                    return False
-    return True
+    f, n = alg.field, alg.n
+    if n ** 5 > INT64_MAX:
+        raise ValueError("dimension %d too large for int64 keys (a,b,c,d,l)" % n)
+    p = None if f.is_rational else f.p
+    odd = np.array(alg.parity, dtype=bool)
+    (I, J, K), V, _D = table_coo(alg.sc, f)
+    # (b_y b_z) b_w = sum_k c^k_yz c^m_kw, keys (y, z, w, m)
+    a, b = join(K, I)
+    keys, P, _path = fold([(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])], p)
+    Py, Pz, Pw, Pm = (keys // n ** e % n for e in (3, 2, 1, 0))
+    # x((yz)d) = sum_m P(y, z, d, m) c^l_xm and (yz)(xd) = sum_m c^m_xd P(y, z, m, l)
+    t, e = join(Pm, J)
+    g, h = join(K, Pw)
+    terms = []
+    for x, y, z, d, l, factors in (
+            (I[e], Py[t], Pz[t], Pw[t], K[e], [P[t], V[e]]),
+            (I[g], Py[h], Pz[h], J[g], Pm[h],
+             [V[g], P[h], np.where(odd[I[g]] & (odd[Py[h]] ^ odd[Pz[h]]), 1, -1)])):
+        factors.append(np.where(odd[x] & odd[z], -1, 1))
+        for r, q, u in ((x, y, z), (z, x, y), (y, z, x)):
+            keep = np.flatnonzero((r <= q) & (q <= u))
+            terms.append((((((r * n + q) * n + u) * n + d) * n + l)[keep],
+                          [c[keep] for c in factors]))
+    keys, _sums, _path = fold(terms, p)
+    return not len(keys)
 
 
 def h3_derivation_grading(J):

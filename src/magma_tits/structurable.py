@@ -23,8 +23,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .exact import Matrix, vec_eq
-from .algebra import SuperAlgebra, EVEN, accumulate
+from .exact import Matrix
+from .algebra import (SuperAlgebra, EVEN, accumulate, map_failures, nonzero_entries,
+                      sc_from_coo)
 from .int_fast import INT64_MAX, coo, distinct, fold, join
 
 
@@ -45,21 +46,18 @@ class AlgebraWithInvolution:
         return self.sigma.apply(x)
 
     def involution_failures(self):
-        """Pairs where sigma fails sigma^2 = id or the superantiautomorphism law."""
+        """The entry "sigma^2 != id" unless sigma is involutive, then the pairs
+        (i, j) with sigma(b_i b_j) != (-1)^{|i||j|} sigma(b_j) sigma(b_i), sorted:
+        the map failures of the even sigma into b_i o b_j = (-1)^{|i||j|} b_j b_i."""
         alg, sigma = self.algebra, self.sigma
         out = []
         if sigma @ sigma != Matrix.identity(alg.n, alg.field):
             out.append("sigma^2 != id")
-        cols = [sigma.column(j) for j in range(alg.n)]
-        for i in range(alg.n):
-            for j in range(alg.n):
-                lhs = sigma.apply(alg.multiply(alg.e(i), alg.e(j)))
-                rhs = alg.multiply(cols[j], cols[i])
-                if alg.parity[i] and alg.parity[j]:
-                    rhs = [-x for x in rhs]
-                if not vec_eq(lhs, rhs):
-                    out.append((i, j))
-        return out
+        (I, J, K), values = nonzero_entries(alg.sc)
+        odd = np.array(alg.parity, dtype=bool)
+        sc = sc_from_coo(J, I, K, [-c if o else c for c, o in zip(values, odd[I] & odd[J])])
+        opposite = SuperAlgebra(alg.basis, sc, parity=alg.parity, field=alg.field)
+        return out + map_failures(alg, opposite, sigma)
 
     def verify_involution(self):
         bad = self.involution_failures()
@@ -77,11 +75,30 @@ class AlgebraWithInvolution:
 
 
 def a_of_j(J, name=None):
-    """The 2x2 construction over a Jordan (super)algebra with normalized trace.
-
-    Basis order: alpha slot, x slot (copy of J), y slot (copy of J), beta slot.
-    """
+    """The 2x2 construction over a Jordan (super)algebra with normalized
+    trace: pairing 3t(x y'), cross product x X y'."""
     alg = J.algebra
+    three = alg.field.of(3)
+    return _two_by_two(alg, lambda i, j: three * J.trace_of(alg.multiply(alg.e(i), alg.e(j))),
+                       lambda i, j: J.cross(alg.e(i), alg.e(j)), name)
+
+
+def a_of_cubic(K, name=None):
+    """The 2x2 construction over an admissible cubic algebra (cross = 2xy,
+    diagonal pairing 3<x|y'>)."""
+    alg = K.algebra
+    three, two = alg.field.of(3), alg.field.of(2)
+    return _two_by_two(alg, lambda i, j: three * K.trace_form(alg.e(i), alg.e(j)),
+                       lambda i, j: [two * c for c in alg.multiply(alg.e(i), alg.e(j))], name)
+
+
+def _two_by_two(alg, pairing, cross, name):
+    """The algebra {(alpha, x; y, beta)} over alg with the diagonal-swap
+    involution, given pairing(i, j) (a scalar) and cross(i, j) (a vector)
+    on basis pairs.
+
+    Basis order: alpha slot, x slot (copy of alg), y slot (copy of alg),
+    beta slot."""
     f = alg.field
     nj = alg.n
     n = 2 + 2 * nj
@@ -96,14 +113,7 @@ def a_of_j(J, name=None):
     def yi(i):
         return 1 + nj + i
 
-    three = f.of(3)
     sc = {}
-
-    def add_vec(i, j, vec, offset):
-        for t, c in enumerate(vec):
-            if c:
-                accumulate(sc, i, j, offset + t, c)
-
     # alpha/beta against everything
     accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)        # alpha alpha'
     accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)        # beta beta'
@@ -115,64 +125,12 @@ def a_of_j(J, name=None):
     # trace pairings and cross products
     for i in range(nj):
         for j in range(nj):
-            tij = three * J.trace_of(alg.multiply(alg.e(i), alg.e(j)))
+            tij = pairing(i, j)
             accumulate(sc, xi(i), yi(j), A_IDX, tij)  # alpha alpha' + 3t(x y')
             accumulate(sc, yi(i), xi(j), B_IDX, tij)  # beta beta' + 3t(y x')
-            cr = J.cross(alg.e(i), alg.e(j))
-            add_vec(yi(i), yi(j), cr, 1)              # y X y' into the x slot
-            add_vec(xi(i), xi(j), cr, 1 + nj)         # x X x' into the y slot
-    A = SuperAlgebra(labels, sc, parity=parity, field=f,
-                     name=name or ("A(%s)" % J.name))
-    sigma = Matrix.identity(n, f)
-    sigma[A_IDX, A_IDX] = f.zero
-    sigma[B_IDX, B_IDX] = f.zero
-    sigma[A_IDX, B_IDX] = f.one
-    sigma[B_IDX, A_IDX] = f.one
-    return AlgebraWithInvolution(A, sigma)
-
-
-def a_of_cubic(K, name=None):
-    """The 2x2 construction over an admissible cubic algebra (cross = 2xy,
-    diagonal pairing 3<x|y'>)."""
-    alg = K.algebra
-    f = alg.field
-    nk = alg.n
-    n = 2 + 2 * nk
-    labels = (["alpha"] + ["x:%s" % b for b in alg.basis]
-              + ["y:%s" % b for b in alg.basis] + ["beta"])
-    parity = [EVEN] + list(alg.parity) + list(alg.parity) + [EVEN]
-    A_IDX, B_IDX = 0, n - 1
-
-    def xi(i):
-        return 1 + i
-
-    def yi(i):
-        return 1 + nk + i
-
-    three = f.of(3)
-    two = f.of(2)
-    sc = {}
-
-    def add_vec(i, j, vec, offset, scale):
-        for t, c in enumerate(vec):
-            if c:
-                accumulate(sc, i, j, offset + t, scale * c)
-
-    accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)
-    accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)
-    for i in range(nk):
-        accumulate(sc, A_IDX, xi(i), xi(i), f.one)
-        accumulate(sc, B_IDX, yi(i), yi(i), f.one)
-        accumulate(sc, xi(i), B_IDX, xi(i), f.one)
-        accumulate(sc, yi(i), A_IDX, yi(i), f.one)
-    for i in range(nk):
-        for j in range(nk):
-            tij = three * K.trace_form(alg.e(i), alg.e(j))
-            accumulate(sc, xi(i), yi(j), A_IDX, tij)
-            accumulate(sc, yi(i), xi(j), B_IDX, tij)
-            prod = alg.multiply(alg.e(i), alg.e(j))
-            add_vec(yi(i), yi(j), prod, 1, two)         # 2 y y'
-            add_vec(xi(i), xi(j), prod, 1 + nk, two)    # 2 x x'
+            for t, c in enumerate(cross(i, j)):
+                accumulate(sc, yi(i), yi(j), 1 + t, c)        # y X y' into the x slot
+                accumulate(sc, xi(i), xi(j), 1 + nj + t, c)   # x X x' into the y slot
     A = SuperAlgebra(labels, sc, parity=parity, field=f,
                      name=name or ("A(%s)" % alg.name))
     sigma = Matrix.identity(n, f)

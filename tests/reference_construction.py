@@ -21,6 +21,13 @@ component and the synthesized generators Psi B Psi^{-1}.
 The B1 coefficient data has a dense oracle for its unit laws and
 (super)symmetries (b1_validate): the tables are expanded into nested lists
 and checked by vector loops.
+
+The identities of the inputs have pointwise oracles: the graded
+(anti)symmetry of a table one pair of rows at a time
+(transpose_failures_reference), the linearized Jordan identity by dense
+operator commutators L_x L_{yz} one basis triple at a time
+(jordan_identity), and the superantiautomorphism law of an involution
+one product of basis vectors at a time (involution_failures).
 """
 
 from magma_tits.algebra import accumulate
@@ -419,3 +426,68 @@ def b1_validate(data):
                 if not vec_eq(dd[j][k], vec_scale(-s, dd[k][j])):
                     return False
     return True
+
+
+def transpose_failures_reference(sc, parity, sign, field, max_witnesses=None):
+    """Pairs (i, j), i <= j, in order, with sc[(i, j)][k] !=
+    sign (-1)^{|i||j|} sc[(j, i)][k] for some k; the first max_witnesses."""
+    failures = []
+    for (i, j) in sorted(set(sc) | {(j, i) for (i, j) in sc}):
+        if i > j:
+            continue
+        row, rev = sc.get((i, j), {}), sc.get((j, i), {})
+        flip = (sign < 0) != bool(parity[i] and parity[j])
+        for k in set(row) | set(rev):
+            a, b = row.get(k, field.zero), rev.get(k, field.zero)
+            if a != (-b if flip else b):
+                failures.append((i, j))
+                break
+    return failures[:max_witnesses]
+
+
+def jordan_identity(J):
+    """sum_cyc (-1)^{|a||c|} [L_a, L_{b o c}] = 0 on every basis triple
+    a <= b <= c, by dense Matrix products and graded commutators."""
+    alg = J.algebra
+    n = alg.n
+    L = [alg.left_mult_matrix(alg.e(i)) for i in range(n)]
+    par = alg.parity
+
+    def graded_comm(A, B, pa, pb):
+        M = A @ B
+        N = B @ A
+        return (M + N) if (pa and pb) else (M - N)
+
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                total = Matrix.zeros(n, n, alg.field)
+                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                    sign = -1 if (par[x] and par[z]) else 1
+                    yz = alg.multiply(alg.e(y), alg.e(z))
+                    Lyz = alg.left_mult_matrix(yz)
+                    pyz = (par[y] + par[z]) % 2
+                    term = graded_comm(L[x], Lyz, par[x], pyz)
+                    total = (total + term) if sign > 0 else (total - term)
+                if not total.is_zero():
+                    return False
+    return True
+
+
+def involution_failures(AI):
+    """AlgebraWithInvolution.involution_failures by one pair of basis
+    vectors at a time: sigma(b_i b_j) against (-1)^{|i||j|} sigma(b_j) sigma(b_i)."""
+    alg, sigma = AI.algebra, AI.sigma
+    out = []
+    if sigma @ sigma != Matrix.identity(alg.n, alg.field):
+        out.append("sigma^2 != id")
+    cols = [sigma.column(j) for j in range(alg.n)]
+    for i in range(alg.n):
+        for j in range(alg.n):
+            lhs = sigma.apply(alg.multiply(alg.e(i), alg.e(j)))
+            rhs = alg.multiply(cols[j], cols[i])
+            if alg.parity[i] and alg.parity[j]:
+                rhs = [-x for x in rhs]
+            if not vec_eq(lhs, rhs):
+                out.append((i, j))
+    return out

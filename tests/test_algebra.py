@@ -106,6 +106,14 @@ def test_jacobi_anticommutativity_precheck():
     assert not rep.ok and rep.anticom_failures
 
 
+def test_anticommutativity_failures_capped():
+    # H3(k) is commutative: its even squares e_i e_i = e_i fail first, and
+    # the witnesses stop at max_witnesses
+    A = h3(ground()).algebra
+    assert check_super_jacobi(A, max_witnesses=1).anticom_failures == [(0, 0)]
+    assert check_super_jacobi_reference(A, max_witnesses=2).anticom_failures == [(0, 0), (0, 4)]
+
+
 def _random_super_table(rng, field, pool, n=5, density=0.3):
     """Seeded super-anticommutative table with odd basis elements."""
     parity = [rng.randint(0, 1) for _ in range(n)]
