@@ -31,6 +31,10 @@ class JordanAlgebra:
 
     def __init__(self, algebra, unit, trace_row, provenance="custom", source=None,
                  index_maps=None):
+        for what, v in (("unit", unit), ("trace row", trace_row)):
+            if v is not None and len(v) != algebra.n:
+                raise ValueError("%s has length %d, the algebra has dimension %d"
+                                 % (what, len(v), algebra.n))
         self.algebra = algebra
         self.field = algebra.field
         self.unit = unit

@@ -17,6 +17,11 @@ with Koszul signs in the super case (a term acquires (-1)^{|p||q|} whenever
 the symbols p, q transpose relative to the argument order (x, y, z), and the
 operator commutator/substitutions are graded).  The check is a sparse exact
 contraction of the table, the involution and the unit over QQ or GF(p).
+
+The construction is a contraction too: A(J) is linear in J's table, its
+trace row and its unit, so the pairing and the cross product on all basis
+pairs are int_fast folds of their COO columns, and the four blocks of the
+2x2 table are placed with sc_from_coo.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -24,9 +29,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix
-from .algebra import (SuperAlgebra, EVEN, accumulate, map_failures, nonzero_entries,
-                      sc_from_coo)
-from .int_fast import INT64_MAX, coo, distinct, fold, join
+from .algebra import SuperAlgebra, EVEN, map_failures, nonzero_entries, sc_from_coo
+from .int_fast import INT64_MAX, coo, distinct, fold, join, table_coo, to_field
 
 
 class AlgebraWithInvolution:
@@ -76,11 +80,36 @@ class AlgebraWithInvolution:
 
 def a_of_j(J, name=None):
     """The 2x2 construction over a Jordan (super)algebra with normalized
-    trace: pairing 3t(x y'), cross product x X y'."""
+    trace: pairing 3t(x y'), cross product x X y'.
+
+    One contraction of J's COO table c, trace row t and unit u (each over
+    its own denominator D_c, D_t, D_u; residues with D = 1 over GF(p)):
+    3t(b_i b_j) = 3 sum_k c^k_ij t_k is one join and fold over D_c D_t,
+    and the cross product one fold of its five terms on the keys (i, j, k)
+    over D_c D_t^2 D_u."""
     alg = J.algebra
-    three = alg.field.of(3)
-    return _two_by_two(alg, lambda i, j: three * J.trace_of(alg.multiply(alg.e(i), alg.e(j))),
-                       lambda i, j: J.cross(alg.e(i), alg.e(j)), name)
+    if J.trace_row is None:
+        raise ValueError("%s carries no normalized trace" % alg.name)
+    f, n = alg.field, alg.n
+    p = None if f.is_rational else f.p
+    (I, Jj, K), V, Dc = table_coo(alg.sc, f)
+    (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(J.trace_row) if c], f, 1)
+    (Ui,), U, Du = coo([((i,), f.of(c)) for i, c in enumerate(J.unit) if c], f, 1)
+    a, b = join(K, Ti)
+    ij, P3, _path = fold([(I[a] * n + Jj[a], [V[a], T[b], 3])], p)
+    t, j = np.indices((len(T), n)).reshape(2, -1)
+    s, r, u = np.indices((len(T), len(T), len(U))).reshape(3, -1)
+    q, m = np.indices((len(P3), len(U))).reshape(2, -1)
+    keys, sums, _path = fold([
+        ((I * n + Jj) * n + K, [V, 2 * Dt * Dt * Du]),                    # 2xy
+        ((Ti[t] * n + j) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(x)y
+        ((j * n + Ti[t]) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(y)x
+        ((Ti[s] * n + Ti[r]) * n + Ui[u], [T[s], T[r], U[u], 9 * Dc]),     # 9t(x)t(y)1
+        (ij[q] * n + Ui[m], [P3[q], U[m], -Dt]),                          # -3t(xy)1
+    ], p)
+    return _two_by_two(alg, ((ij // n, ij % n), to_field(P3, Dc * Dt, f)),
+                       ((keys // (n * n), keys // n % n, keys % n),
+                        to_field(sums, Dc * Dt * Dt * Du, f)), name)
 
 
 def a_of_cubic(K, name=None):
@@ -88,14 +117,18 @@ def a_of_cubic(K, name=None):
     diagonal pairing 3<x|y'>)."""
     alg = K.algebra
     three, two = alg.field.of(3), alg.field.of(2)
-    return _two_by_two(alg, lambda i, j: three * K.trace_form(alg.e(i), alg.e(j)),
-                       lambda i, j: [two * c for c in alg.multiply(alg.e(i), alg.e(j))], name)
+    form, F = nonzero_entries(np.array(K.trace_form_matrix.rows, dtype=object))
+    table, C = nonzero_entries(alg.sc)
+    return _two_by_two(alg, (form, [three * c for c in F]), (table, [two * c for c in C]),
+                       name)
 
 
 def _two_by_two(alg, pairing, cross, name):
     """The algebra {(alpha, x; y, beta)} over alg with the diagonal-swap
-    involution, given pairing(i, j) (a scalar) and cross(i, j) (a vector)
-    on basis pairs.
+    involution, given the COO ((i, j), scalars) of the pairing and
+    ((i, j, k), scalars) of the cross product on basis pairs: alpha/beta
+    act on their slots, x y' -> pairing alpha, y x' -> pairing beta,
+    y X y' into the x slot and x X x' into the y slot.
 
     Basis order: alpha slot, x slot (copy of alg), y slot (copy of alg),
     beta slot."""
@@ -106,31 +139,19 @@ def _two_by_two(alg, pairing, cross, name):
     labels = (["alpha"] + ["x:%s" % b for b in alg.basis]
               + ["y:%s" % b for b in alg.basis] + ["beta"])
     parity = [EVEN] + list(alg.parity) + list(alg.parity) + [EVEN]
-
-    def xi(i):
-        return 1 + i
-
-    def yi(i):
-        return 1 + nj + i
-
-    sc = {}
-    # alpha/beta against everything
-    accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)        # alpha alpha'
-    accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)        # beta beta'
-    for i in range(nj):
-        accumulate(sc, A_IDX, xi(i), xi(i), f.one)    # alpha x'
-        accumulate(sc, B_IDX, yi(i), yi(i), f.one)    # beta y'
-        accumulate(sc, xi(i), B_IDX, xi(i), f.one)    # beta' x
-        accumulate(sc, yi(i), A_IDX, yi(i), f.one)    # alpha' y
-    # trace pairings and cross products
-    for i in range(nj):
-        for j in range(nj):
-            tij = pairing(i, j)
-            accumulate(sc, xi(i), yi(j), A_IDX, tij)  # alpha alpha' + 3t(x y')
-            accumulate(sc, yi(i), xi(j), B_IDX, tij)  # beta beta' + 3t(y x')
-            for t, c in enumerate(cross(i, j)):
-                accumulate(sc, yi(i), yi(j), 1 + t, c)        # y X y' into the x slot
-                accumulate(sc, xi(i), xi(j), 1 + nj + t, c)   # x X x' into the y slot
+    x = np.arange(1, 1 + nj)
+    y = x + nj
+    a, b = np.full(nj, A_IDX), np.full(nj, B_IDX)
+    ends = np.array([A_IDX, B_IDX])
+    sc = sc_from_coo(ends, ends, ends, [f.one, f.one])   # alpha alpha', beta beta'
+    for i, j, k in ((a, x, x), (b, y, y), (x, b, x), (y, a, y)):
+        sc_from_coo(i, j, k, [f.one] * nj, sc)          # alpha x', beta y', x beta', y alpha'
+    (Pi, Pj), P = pairing
+    sc_from_coo(1 + Pi, 1 + nj + Pj, np.full(len(P), A_IDX), P, sc)   # 3t(x y')
+    sc_from_coo(1 + nj + Pi, 1 + Pj, np.full(len(P), B_IDX), P, sc)   # 3t(y x')
+    (Ci, Cj, Ck), X = cross
+    sc_from_coo(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, sc)              # y X y'
+    sc_from_coo(1 + Ci, 1 + Cj, 1 + nj + Ck, X, sc)                   # x X x'
     A = SuperAlgebra(labels, sc, parity=parity, field=f,
                      name=name or ("A(%s)" % alg.name))
     sigma = Matrix.identity(n, f)

@@ -28,14 +28,25 @@ The identities of the inputs have pointwise oracles: the graded
 operator commutators L_x L_{yz} one basis triple at a time
 (jordan_identity), and the superantiautomorphism law of an involution
 one product of basis vectors at a time (involution_failures).
+
+The 2x2 algebras A(J) and A(K) have a pointwise oracle (two_by_two): one
+cross product J.cross and one pairing 3t(b_i b_j), or 2 b_i b_j and
+3<b_i|b_j>, per basis pair (a_of_j_pointwise, a_of_cubic_pointwise).
+
+diag_transported moves a Jordan algebra to a diagonally rescaled basis,
+the input of the past-int64 tests.
 """
 
-from magma_tits.algebra import accumulate
+from fractions import Fraction
+
+from magma_tits.algebra import EVEN, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import _so3_h, s4_on_w
 from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatten_matrix,
                               vec_add, vec_eq, vec_is_zero, vec_scale)
+from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
+from magma_tits.structurable import AlgebraWithInvolution
 
 
 def _sc_of_commutators(mats, span, check=True, parities=None):
@@ -491,3 +502,73 @@ def involution_failures(AI):
             if not vec_eq(lhs, rhs):
                 out.append((i, j))
     return out
+
+
+def two_by_two(alg, pairing, cross, name):
+    """A(.) with the diagonal-swap involution from pairing(i, j) (a scalar)
+    and cross(i, j) (a vector) on basis pairs, one accumulate at a time.
+    Basis order: alpha, x slot, y slot, beta."""
+    f = alg.field
+    nj = alg.n
+    n = 2 + 2 * nj
+    A_IDX, B_IDX = 0, n - 1
+    labels = (["alpha"] + ["x:%s" % b for b in alg.basis]
+              + ["y:%s" % b for b in alg.basis] + ["beta"])
+    parity = [EVEN] + list(alg.parity) + list(alg.parity) + [EVEN]
+
+    def xi(i):
+        return 1 + i
+
+    def yi(i):
+        return 1 + nj + i
+
+    sc = {}
+    accumulate(sc, A_IDX, A_IDX, A_IDX, f.one)
+    accumulate(sc, B_IDX, B_IDX, B_IDX, f.one)
+    for i in range(nj):
+        accumulate(sc, A_IDX, xi(i), xi(i), f.one)
+        accumulate(sc, B_IDX, yi(i), yi(i), f.one)
+        accumulate(sc, xi(i), B_IDX, xi(i), f.one)
+        accumulate(sc, yi(i), A_IDX, yi(i), f.one)
+    for i in range(nj):
+        for j in range(nj):
+            tij = pairing(i, j)
+            accumulate(sc, xi(i), yi(j), A_IDX, tij)
+            accumulate(sc, yi(i), xi(j), B_IDX, tij)
+            for t, c in enumerate(cross(i, j)):
+                accumulate(sc, yi(i), yi(j), 1 + t, c)
+                accumulate(sc, xi(i), xi(j), 1 + nj + t, c)
+    A = SuperAlgebra(labels, sc, parity=parity, field=f,
+                     name=name or ("A(%s)" % alg.name))
+    sigma = Matrix.identity(n, f)
+    sigma[A_IDX, A_IDX] = f.zero
+    sigma[B_IDX, B_IDX] = f.zero
+    sigma[A_IDX, B_IDX] = f.one
+    sigma[B_IDX, A_IDX] = f.one
+    return AlgebraWithInvolution(A, sigma)
+
+
+def a_of_j_pointwise(J, name=None):
+    """A(J): pairing 3t(b_i b_j) and cross product J.cross(b_i, b_j)."""
+    alg = J.algebra
+    three = alg.field.of(3)
+    return two_by_two(alg, lambda i, j: three * J.trace_of(alg.multiply(alg.e(i), alg.e(j))),
+                      lambda i, j: J.cross(alg.e(i), alg.e(j)), name)
+
+
+def a_of_cubic_pointwise(K, name=None):
+    """A(K): pairing 3<b_i|b_j> and cross product 2 b_i b_j."""
+    alg = K.algebra
+    three, two = alg.field.of(3), alg.field.of(2)
+    return two_by_two(alg, lambda i, j: three * K.trace_form(alg.e(i), alg.e(j)),
+                      lambda i, j: [two * c for c in alg.multiply(alg.e(i), alg.e(j))], name)
+
+
+def diag_transported(J, diag):
+    """J in the basis diag(...) * (old basis), unit and trace row to match."""
+    U = Matrix.identity(J.dim)
+    for i, d in enumerate(diag):
+        U[i, i] = Fraction(d)
+    unit = [u / U[i, i] for i, u in enumerate(J.unit)]
+    trace_row = [t * U[i, i] for i, t in enumerate(J.trace_row)]
+    return JordanAlgebra(J.algebra.transported(U), unit, trace_row, provenance="custom")

@@ -6,7 +6,7 @@ from magma_tits.exact import Matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import check_super_jacobi
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
 from magma_tits.jordan import h3, jordan_super_jvtheta, d2, JordanAlgebra
-from magma_tits.structurable import a_of_j, a_of_cubic
+from magma_tits.structurable import AlgebraWithInvolution, a_of_j, a_of_cubic
 from magma_tits.isomorphisms import (
     IsomorphismError, InvolutionHomomorphism, theorem41, theorem61, tqj_maps,
     ak_to_ajv, phi_theorem41, theorem41_basis,
@@ -57,6 +57,15 @@ def test_theorem41_negative_control():
     bad = InvolutionHomomorphism(ca.awi, AJ, M, name="corrupt")
     with pytest.raises(IsomorphismError):
         bad.verify()
+
+
+def test_involution_homomorphism_must_intertwine():
+    AJ = a_of_j(h3(ground()))
+    n = AJ.dim
+    InvolutionHomomorphism(AJ, AJ, Matrix.identity(n)).verify()
+    plain = AlgebraWithInvolution(AJ.algebra, Matrix.identity(n))
+    with pytest.raises(IsomorphismError, match="intertwine"):
+        InvolutionHomomorphism(AJ, plain, Matrix.identity(n), name="id").verify()
 
 
 def test_theorem61_small_pairs():

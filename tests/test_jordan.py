@@ -7,7 +7,7 @@ from magma_tits.exact import Matrix, Subspace, basis_vector, vec_eq, vec_is_zero
 from magma_tits.algebra import LinearMap, is_derivation
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
 from magma_tits.jordan import (
-    h3, find_normalized_traces, jordan_super_jvtheta, jordan_super_dt, d2,
+    JordanAlgebra, h3, find_normalized_traces, jordan_super_jvtheta, jordan_super_dt, d2,
     kaplansky, check_supercommutative, check_jordan_identity, h3_derivation_grading,
 )
 
@@ -188,6 +188,16 @@ def test_cross(Jk):
         want = [2 * a - Jk.trace_of(Jk.multiply(x, y)) * u
                 for a, u in zip(Jk.star(x, y), Jk.unit)]
         assert vec_eq(Jk.cross(x, y), want)
+
+
+def test_unit_and_trace_row_lengths_are_checked(Jk):
+    alg = Jk.algebra
+    for unit, trace_row, wrong in ((Jk.unit[:-1], Jk.trace_row, "unit has length 5"),
+                                   (Jk.unit, Jk.trace_row[:-1], "trace row has length 5"),
+                                   (Jk.unit, Jk.trace_row + [Fraction(0)],
+                                    "trace row has length 7")):
+        with pytest.raises(ValueError, match=wrong + ", the algebra has dimension 6"):
+            JordanAlgebra(alg, unit, trace_row)
 
 
 def test_jvtheta():

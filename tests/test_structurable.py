@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from magma_tits import registry
 from magma_tits.exact import GF, QQ, Matrix, Subspace, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra
 from magma_tits.registry import involution_algebra_by_name
 from magma_tits.s4 import _find_unit
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
-from magma_tits.jordan import h3, jordan_super_jvtheta, d2, kaplansky
+from magma_tits.jordan import (JordanAlgebra, h3, jordan_super_jvtheta, jordan_super_dt, d2,
+                               kaplansky)
 from magma_tits.structurable import (
     AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product, check_structurable,
 )
+
+from reference_construction import a_of_cubic_pointwise, a_of_j_pointwise, diag_transported
 
 
 def test_a_of_j_products():
@@ -294,3 +298,65 @@ def test_structurable_constants_past_int64():
         rep = check_structurable(moved, max_witnesses=n ** 3)
         assert rep.ok is ok and rep.path == "python-int"
         assert rep.failures == check_structurable(src, max_witnesses=n ** 3).failures
+
+
+# -- the 2x2 construction against its pointwise oracle -----------------------
+
+def _same_construction(AI, ref):
+    A, B = AI.algebra, ref.algebra
+    assert A.sc == B.sc and AI.sigma == ref.sigma
+    assert (A.basis, A.parity, A.name) == (B.basis, B.parity, B.name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007), GF(2 ** 31 - 1)], ids=str)
+def test_two_by_two_matches_pointwise_oracle(field):
+    names = ("h3:ground", "h3:binarion", "h3:quaternion", "h3:quatq", "jvtheta") + (
+        ("h3:cayley",) if field.is_rational else ())
+    for name in names:
+        J = registry.jordan_by_name(name, field)
+        _same_construction(a_of_j(J), a_of_j_pointwise(J))
+    K = kaplansky(field)
+    _same_construction(a_of_cubic(K), a_of_cubic_pointwise(K))
+    for t in (2, Fraction(1, 2)):
+        J = jordan_super_dt(t, field)
+        _same_construction(a_of_j(J), a_of_j_pointwise(J))
+    # J = k: the 4-dimensional A(k)
+    J = JordanAlgebra(SuperAlgebra(["1"], {(0, 0): {0: 1}}, field=field, name="k"),
+                      [field.one], [field.one])
+    AI = a_of_j(J)
+    _same_construction(AI, a_of_j_pointwise(J))
+    assert AI.dim == 4 and check_structurable(AI).ok
+
+
+def test_two_by_two_past_int64():
+    # the denominator D_c D_t^2 D_u and the scaled constants pass int64, so
+    # the folds sum on Python ints
+    for J in (h3(binarion()), jordan_super_jvtheta()):
+        moved = diag_transported(J, (2 ** 40, Fraction(1, 2 ** 40), Fraction(1, 3)))
+        AI = a_of_j(moved)
+        _same_construction(AI, a_of_j_pointwise(moved))
+        assert check_structurable(AI).ok
+
+
+def test_a_of_j_needs_a_trace():
+    with pytest.raises(ValueError, match="no normalized trace"):
+        a_of_j(jordan_super_dt(-1))
+
+
+AJ_NAMES = tuple("aj:h3:" + c for c in registry.COMPOSITION_NAMES) + (
+    "aj:jvtheta", "aj:d2", "aj:dt:1/2")
+
+
+def test_registry_builds_two_by_two_without_pointwise_products(monkeypatch):
+    monkeypatch.setattr(registry, "_CACHE", {})
+    for name in AJ_NAMES:
+        registry.jordan_by_name(name[3:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise product in the 2x2 construction")
+
+    monkeypatch.setattr(JordanAlgebra, "cross", refuse)
+    monkeypatch.setattr(JordanAlgebra, "trace_of", refuse)
+    monkeypatch.setattr(SuperAlgebra, "multiply", refuse)
+    for name in AJ_NAMES + ("ak",):
+        assert involution_algebra_by_name(name).dim > 0

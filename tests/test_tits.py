@@ -15,6 +15,8 @@ from magma_tits.tits import (
     tits, verify_lie_conditions, verify_lie_conditions_reference, tits62_variant,
 )
 
+from reference_construction import diag_transported
+
 
 @pytest.fixture(scope="module")
 def C():
@@ -159,16 +161,6 @@ def test_lie_conditions_agree_with_reference(F):
     assert verdicts.count(False) == (1 if F.is_rational else 2)
 
 
-def _diag_transported(J, diag):
-    """J in the basis diag(...) * (old basis), unit and trace row to match."""
-    U = Matrix.identity(J.dim)
-    for i, d in enumerate(diag):
-        U[i, i] = Fraction(d)
-    unit = [u / U[i, i] for i, u in enumerate(J.unit)]
-    trace_row = [t * U[i, i] for i, t in enumerate(J.trace_row)]
-    return JordanAlgebra(J.algebra.transported(U), unit, trace_row, provenance="custom")
-
-
 def test_lie_conditions_past_int64():
     # split quaternion x H3(k) in the basis diag(1/3, 2^40, 2^-40, 1, ...):
     # the cleared tables pass int64, so the contractions run on Python
@@ -177,7 +169,7 @@ def test_lie_conditions_past_int64():
     # past int64.
     diag = (Fraction(1, 3), 2 ** 40, Fraction(1, 2 ** 40))
     F = GF(2 ** 61 - 1)
-    cases = [(split_quaternion(), _diag_transported(J, diag))
+    cases = [(split_quaternion(), diag_transported(J, diag))
              for J in (h3(ground()), corrupted_h3k())]
     cases += [(split_quaternion(F), J) for J in (h3(ground(F)), corrupted_h3k(F))]
     for (C, J), ok in zip(cases, (True, False, True, False)):
