@@ -1,17 +1,20 @@
 """Finite-dimensional (super)algebras given by sparse structure constants.
 
-A SuperAlgebra is a basis with a parity vector and a sparse table
-b_i b_j = sum_k c^k_ij b_k.  The checkers (super-Jacobi, automorphism,
-derivation, homomorphism, grading, centralizer) are exact.  The
-super-Jacobi check is a sparse integer contraction of the table with
-itself, the map checks (map_failures) one of the table with the map's
-matrix, and the graded (anti)symmetry check (transpose_failures) one fold
-of the table against its signed transpose, all summed by int_fast.fold.
-The pure-field super-Jacobi triple loop is kept as a test oracle.
+A SuperAlgebra is a basis with a parity vector and a read-only sparse
+table b_i b_j = sum_k c^k_ij b_k, lowered once to integer COO (coo).  The
+checkers (super-Jacobi, automorphism, derivation, homomorphism, grading,
+centralizer) are exact.  The super-Jacobi check is a sparse integer
+contraction of the table with itself, the map checks (map_failures) one
+of the table with the map's matrix, the graded (anti)symmetry check
+(transpose_failures) one fold of the table against its signed transpose
+and the multiplication matrices (left_mults) one join and fold, all summed
+by int_fast.fold.  The pure-field super-Jacobi triple loop is a test oracle.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from .exact import (
     QQ, FieldGF, Matrix,
     vec_zero, vec_is_zero, basis_vector,
 )
-from .int_fast import (bilinear, commutators, distinct, fold, join, matrices_coo, matvec,
+from .int_fast import (bilinear, coo, commutators, distinct, fold, join, matrices_coo, matvec,
                        rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
@@ -124,7 +127,7 @@ class SuperAlgebra:
         self.is_lie_claimed = is_lie_claimed
         self.is_jordan_claimed = is_jordan_claimed
         self.is_associative_claimed = is_associative_claimed
-        self.sc = {}
+        table = {}
         for (i, j), row in sc.items():
             clean = {}
             for k, c in row.items():
@@ -136,8 +139,19 @@ class SuperAlgebra:
                         "structure constant (%d,%d,%d) violates parity" % (i, j, k))
                 clean[k] = c
             if clean:
-                self.sc[(i, j)] = clean
+                table[(i, j)] = clean
+        self._rows = table          # for the inner loop of multiply; never handed out
+        self.sc = MappingProxyType({ij: MappingProxyType(row) for ij, row in table.items()})
         self._index = {lbl: i for i, lbl in enumerate(self.basis)}
+
+    @cached_property
+    def coo(self):
+        """The table lowered once by int_fast.table_coo: ((I, J, K), V, D)
+        with c^{K[e]}_{I[e] J[e]} = V[e] / D; the arrays are read-only."""
+        cols, V, D = table_coo(self._rows, self.field)
+        for a in (*cols, V):
+            a.setflags(write=False)
+        return cols, V, D
 
     # -- basic queries --------------------------------------------------
 
@@ -175,7 +189,7 @@ class SuperAlgebra:
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                row = self.sc.get((i, j))
+                row = self._rows.get((i, j))
                 if row:
                     f = xi * yj
                     for k, c in row.items():
@@ -183,34 +197,6 @@ class SuperAlgebra:
         return out
 
     bracket = multiply
-
-    def left_mult_matrix(self, x):
-        """Matrix of left multiplication L_x."""
-        L = Matrix.zeros(self.n, self.n, self.field)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j in range(self.n):
-                row = self.sc.get((i, j))
-                if row:
-                    for k, c in row.items():
-                        L.rows[k][j] = L.rows[k][j] + xi * c
-        return L
-
-    def right_mult_matrix(self, x):
-        """Matrix of right multiplication R_x (w -> w x)."""
-        R = Matrix.zeros(self.n, self.n, self.field)
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for i in range(self.n):
-                row = self.sc.get((i, j))
-                if row:
-                    for k, c in row.items():
-                        R.rows[k][i] = R.rows[k][i] + xj * c
-        return R
-
-    ad_matrix = left_mult_matrix
 
     def format_vector(self, v):
         terms = []
@@ -241,7 +227,7 @@ class SuperAlgebra:
             new_parity = [self.parity_of_vector(c) for c in cols]
             if None in new_parity:
                 raise ValueError("new basis vector of mixed parity")
-        T, Vt, Dt = table_coo(self.sc, f)
+        T, Vt, Dt = self.coo
         X, Vx, Dx = rows_coo(cols, f)
         Ui, Vu, Du = rows_coo(U.inverse().rows, f)
         (i, j, k), sums, _path = bilinear((T, Vt), (X, Vx), (X, Vx), p)
@@ -382,8 +368,7 @@ def _jacobiator(A, i, j, k):
 
 def check_super_jacobi_reference(A, max_witnesses=10):
     """Triple-loop reference checker in field arithmetic, after transpose_failures."""
-    anticom = transpose_failures(table_coo(A.sc, A.field)[:2], A.parity, -1,
-                                 A.field)[:max_witnesses]
+    anticom = transpose_failures(A.coo[:2], A.parity, -1, A.field)[:max_witnesses]
     if anticom:
         return JacobiReport(False, A.n, 0, anticom_failures=anticom, name=A.name)
     n = A.n
@@ -415,7 +400,7 @@ def check_super_jacobi(A, max_witnesses=10):
     """
     n = A.n
     n_triples = n * (n + 1) * (n + 2) // 6
-    (I, J, K), V, _D = table_coo(A.sc, A.field)
+    (I, J, K), V, _D = A.coo
     anticom = transpose_failures(((I, J, K), V), A.parity, -1, A.field)[:max_witnesses]
     if anticom:
         return JacobiReport(False, n, 0, anticom_failures=anticom, name=A.name)
@@ -476,9 +461,8 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
         raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
                          % (M.nrows, M.ncols, tgt.n, src.n))
     field, n, nt = src.field, src.n, tgt.n
-    table = table_coo(src.sc, field)
-    (I, J, K), Vs, Ds = table
-    (It, Jt, Kt), Vt, Dt = table if tgt is src else table_coo(tgt.sc, field)
+    (I, J, K), Vs, Ds = src.coo
+    (It, Jt, Kt), Vt, Dt = tgt.coo
     (R, C), Vm, Dm = rows_coo(M.rows, field)
 
     def key(i, j, k):
@@ -532,11 +516,36 @@ def check_grading(A, grading):
     return True
 
 
+def left_mults(A, vectors):
+    """The left multiplications L_v of a list of vectors as COO integers
+    over the denominator D: entry (t * n + k, j) holds D L_{v_t}[k][j]
+    = D sum_i v_t[i] c^k_ij, from one join of the table's first index
+    with the vectors and one fold."""
+    f, n = A.field, A.n
+    (I, J, K), V, Dt = A.coo
+    (t, x), xv, Dx = rows_coo(vectors, f)
+    a, b = join(I, x)
+    keys, sums, _path = fold([((t[b] * n + K[a]) * n + J[a], [V[a], xv[b]])],
+                             None if f.is_rational else f.p)
+    return (keys // n, keys % n), sums, Dt * Dx
+
+
+def trace_products(A, trace_row):
+    """t(b_i b_j) = sum_k c^k_ij t_k on all basis pairs, for a linear form
+    t given by its row on the basis, as the COO ((i, j), integers, D): one
+    join of the table's output index with the form's support and one fold
+    over D = D_c D_t."""
+    f, n = A.field, A.n
+    (I, J, K), V, Dc = A.coo
+    (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(trace_row) if c], f, 1)
+    a, b = join(K, Ti)
+    ij, sums, _path = fold([(I[a] * n + J[a], [V[a], T[b]])],
+                           None if f.is_rational else f.p)
+    return (ij // n, ij % n), sums, Dc * Dt
+
+
 def centralizer(L, S):
-    """Basis of {x in L : [s, x] = 0 for all s in S}."""
-    if not S:
-        return [L.e(i) for i in range(L.n)]
-    rows = []
-    for s in S:
-        rows.extend(L.left_mult_matrix(s).rows)
-    return Matrix(rows, L.field).kernel_basis()
+    """Basis of {x in L : [s, x] = 0 for all s in S}: the kernel of the stacked ad(s)."""
+    (tk, j), sums, D = left_mults(L, S)
+    return Matrix.from_entries(len(S) * L.n, L.n, tk, j, to_field(sums, D, L.field),
+                               L.field).kernel_basis()

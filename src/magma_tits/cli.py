@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import Subspace, flatten_matrix, vec_eq
 from .algebra import SuperAlgebra
-from .int_fast import einsum, table_coo
+from .int_fast import einsum
 from . import composition, structurable
 from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
@@ -126,7 +126,7 @@ def suite_csplit(args):
     # X[a, b, c] = D_{b_a b_b, b_c} over the common scale den * Dt
     D, den = composition.inner_derivation_tensor(C)
     skew_ok = not (D + D.transpose(1, 0, 2, 3)).any()
-    (I, J, K), V, Dt = table_coo(alg.sc, alg.field)
+    (I, J, K), V, Dt = alg.coo
     T = np.zeros((8, 8, 8), dtype=object)
     T[I, J, K] = V
     X, _path = einsum("abm,mclx->abclx", T, D)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
 from .algebra import SuperAlgebra, LinearMap, commutator_table
-from .int_fast import einsum, table_coo, to_field
+from .int_fast import einsum, to_field
 from .s4 import GroupAction
 
 
@@ -40,7 +40,7 @@ class CompositionAlgebra:
         self.unit = unit                    # coordinates of 1
         self.name = name
         self.has_cayley_labels = cayley_labels
-        self._trace_row = norm_polar.apply(unit)   # t(a) = n(a, 1)
+        self.trace_row = norm_polar.apply(unit)   # t(a) = n(a, 1)
 
     @property
     def dim(self):
@@ -50,7 +50,7 @@ class CompositionAlgebra:
         return self.algebra.multiply(x, y)
 
     def trace(self, x):
-        return sum((c * xc for c, xc in zip(self._trace_row, x)),
+        return sum((c * xc for c, xc in zip(self.trace_row, x)),
                    start=self.field.zero)
 
     def norm_bilinear(self, x, y):
@@ -82,7 +82,7 @@ class CompositionAlgebra:
             first = [a - b for a, b in zip(alg.e("e1"), alg.e("e2"))]
             rest = [alg.e(i) for i, lbl in enumerate(alg.basis) if lbl not in ("e1", "e2")]
             return [first] + rest
-        return Matrix([self._trace_row], self.field).kernel_basis()
+        return Matrix([self.trace_row], self.field).kernel_basis()
 
     def __repr__(self):
         return "CompositionAlgebra(%s, dim %d)" % (self.name, self.dim)
@@ -235,7 +235,7 @@ def inner_derivation_tensor(C):
     product of two constants, so den is the square of the table's."""
     n = C.dim
     p = None if C.field.is_rational else C.field.p
-    (I, J, K), V, D = table_coo(C.algebra.sc, C.field)
+    (I, J, K), V, D = C.algebra.coo
     T = np.zeros((n, n, n), dtype=object)
     T[I, J, K] = V
     br = T - T.transpose(1, 0, 2)

@@ -36,7 +36,8 @@ from .exact import (
     QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix, commutator,
 )
 from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
-                      nonzero_entries, outer_entries, sc_from_coo, transpose_failures)
+                      left_mults, nonzero_entries, outer_entries, sc_from_coo,
+                      transpose_failures)
 from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
                        to_field)
 from .s4 import GroupAction, conjugation_block
@@ -411,30 +412,16 @@ class DecompositionReport:
                 "eigenvalues outside {0,-2,-6} occur" % (self.name, self.residual_dim))
 
 
-def _ad_coo(g, vectors):
-    """The matrices ad(v) of a list of vectors as COO integers over the
-    denominator D: entry (t * n + k, j) holds D ad(v_t)[k][j]
-    = D sum_i v_t[i] c^k_ij, from one join of the table's first index with
-    the vectors and one fold."""
-    f, n = g.field, g.n
-    (I, J, K), V, Dt = table_coo(g.sc, f)
-    (t, x), xv, Dx = rows_coo(vectors, f)
-    a, b = join(I, x)
-    keys, sums, _path = fold([((t[b] * n + K[a]) * n + J[a], [V[a], xv[b]])],
-                             None if f.is_rational else f.p)
-    return (keys // n, keys % n), sums, Dt * Dx
-
-
 def _casimir_kernels(g, triple):
     """Kernels of Omega + 2, Omega + 6 and Omega, for the Casimir
     Omega = ad(d0)^2 + ad(d1)^2 + ad(d2)^2 of the triple.
 
-    D^2 (Omega + c) is one fold per c: the sparse ad(d_t) of _ad_coo joined
+    D^2 (Omega + c) is one fold per c: the sparse ad(d_t) of algebra.left_mults joined
     with themselves on the middle index, plus a c D^2 diagonal.  Scaling a
     matrix keeps its kernel, so the kernels are those of Omega + c."""
     f, n = g.field, g.n
     p = None if f.is_rational else f.p
-    (tk, j), ad, D = _ad_coo(g, triple)
+    (tk, j), ad, D = left_mults(g, triple)
     a, b = join(tk - tk % n + j, tk)          # (t, k, m) against (t, m, l)
     square = (tk[a] % n) * n + j[b]
     diag = np.arange(n) * (n + 1)
@@ -541,7 +528,7 @@ def extract_b1(g, report):
     n = g.n
     triple = report.triple
     p = None if f.is_rational else f.p
-    ad0, ad, _D = _ad_coo(g, triple[:1])
+    ad0, ad, _D = left_mults(g, triple[:1])
     # multiplicity-space representatives: kernels of ad(d0) inside components
     hvecs = _kernel_within(g, (ad0, ad), report.bases["adjoint"])
     svecs = _kernel_within(g, (ad0, ad), report.bases["h"])
@@ -587,7 +574,7 @@ def extract_b1(g, report):
     # unit of H: d0 = D0 x 1
     unit_h = psi_inv.apply(triple[0])[0:3 * mh:3]
 
-    table, Vt, Dt = table_coo(g.sc, f)
+    table, Vt, Dt = g.coo
     inv, Vi, Di = rows_coo(psi_inv.rows, f)
 
     def brackets(A, B):

@@ -7,7 +7,8 @@ each output index tuple packed into one int64 key, and equal keys summed
 with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
 its widest key group times its largest product, both read off the actual
 values, fits in int64, and on Python ints otherwise.  Field values are
-built back (`to_field`) only for the nonzero sums.
+built back (`to_field`) only for the nonzero sums.  An algebra's table is
+lowered once, cached as SuperAlgebra.coo; `table_coo` serves the rest.
 
 On these helpers run the sparse checkers (super-Jacobi, structurable, the
 map checks of algebra.map_failures) and the construction itself: the

@@ -21,8 +21,9 @@ Verification failure raises: these maps are theorems, and a failure means
 the tables, signs, or conventions upstream are wrong.
 """
 
-from .exact import Matrix, vec_zero
+from .exact import QQ, Matrix, vec_zero
 from .algebra import _invertible, map_failures
+from .int_fast import fold, join, rows_coo, to_field
 from .composition import split_cayley, invariant_quaternion, s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import h3, jordan_super_jvtheta, kaplansky
@@ -294,11 +295,17 @@ def _tqj_lie_iso(TQ, T62):
     if T62.algebra.n != n:
         raise IsomorphismError("T62 variant has wrong dimension")
     cols = []
-    # der Q block: solve D = ad_q, map to q x 1
-    adbasis = [Q.algebra.left_mult_matrix(a) - Q.algebra.right_mult_matrix(a)
-               for a in TQ.c0_basis]
-    stack = Matrix.from_columns(
-        [[m.rows[i][j] for i in range(Q.dim) for j in range(Q.dim)] for m in adbasis], f)
+    # der Q block: solve D = ad_q, map to q x 1; column t of the stack is
+    # the flattened L_{q_t} - R_{q_t}, (L_q - R_q)[k][j] = sum_i q_i (c^k_ij - c^k_ji)
+    nq, nc = Q.dim, len(TQ.c0_basis)
+    (I, Jq, K), V, Dq = Q.algebra.coo
+    (t, x), xv, Dx = rows_coo(TQ.c0_basis, f)
+    (a, b), (c, d) = join(I, x), join(Jq, x)
+    keys, sums, _path = fold([((K[a] * nq + Jq[a]) * nc + t[b], [V[a], xv[b]]),
+                              ((K[c] * nq + I[c]) * nc + t[d], [V[c], xv[d], -1])],
+                             None if f.is_rational else f.p)
+    stack = Matrix.from_entries(nq * nq, nc, keys // nc, keys % nc, to_field(sums, Dq * Dx, f),
+                                f)
     for D in TQ.derC.matrices:
         flat = [D.rows[i][j] for i in range(Q.dim) for j in range(Q.dim)]
         q = stack.solve(flat)
@@ -348,7 +355,6 @@ def ak_to_ajv(field=None):
     """A(K) -> A(J(V,theta)):
     upper slot gamma e + mu x + nu y -> gamma 1 - mu u + 2 nu v,
     lower slot gamma e + mu x + nu y -> gamma 1 + mu u - 2 nu v."""
-    from .exact import QQ
     f = field or QQ
     K = kaplansky(f)
     JV = jordan_super_jvtheta(f)

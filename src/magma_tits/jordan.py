@@ -22,8 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
-from .int_fast import INT64_MAX, fold, join, table_coo
+from .algebra import (SuperAlgebra, LinearMap, EVEN, ODD, accumulate, left_mults,
+                      transpose_failures)
+from .composition import split_cayley
+from .int_fast import INT64_MAX, commutators, fold, join, to_field
+from .tits import tits, verify_lie_conditions
 
 
 class JordanAlgebra:
@@ -86,21 +89,19 @@ class JordanAlgebra:
         return [a + c * u for a, u in zip(out, self.unit)]
 
     def inner_derivation(self, x, y):
-        """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x (graded commutator)."""
-        Lx = self.algebra.left_mult_matrix(x)
-        Ly = self.algebra.left_mult_matrix(y)
-        px = self.algebra.parity_of_vector(x)
-        py = self.algebra.parity_of_vector(y)
+        """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x (graded commutator) of the
+        L_x, L_y of algebra.left_mults, by int_fast.commutators."""
+        alg, f, n = self.algebra, self.field, self.dim
+        px, py = alg.parity_of_vector(x), alg.parity_of_vector(y)
         if px is None or py is None:
             raise ValueError("inner_derivation needs parity-homogeneous arguments")
-        M = Lx @ Ly
-        N = Ly @ Lx
-        if px and py:
-            M = M + N
-        else:
-            M = M - N
-        par = (px + py) % 2
-        return LinearMap(self.algebra, self.algebra, M, parity=par)
+        (tk, j), V, D = left_mults(alg, [x, y])
+        keys, sums, _path = commutators(tk // n, tk % n, j, V, np.array([px, py], dtype=bool),
+                                        n, None if f.is_rational else f.p)
+        sel = np.flatnonzero(keys // (n * n) == 1)          # the pair (s, t) = (x, y)
+        M = Matrix.from_entries(n, n, keys[sel] // n % n, keys[sel] % n,
+                                to_field(sums[sel], D * D, f), f)
+        return LinearMap(alg, alg, M, parity=(px + py) % 2)
 
     # -- H3 index helpers -------------------------------------------------
 
@@ -222,7 +223,7 @@ def _associator_rows(algebra):
     c^m_jk c^l_im (joined with the second input); both fold on the keys
     (i, j, k, l) over the common denominator D^2."""
     f, n = algebra.field, algebra.n
-    (I, J, K), V, D = table_coo(algebra.sc, f)
+    (I, J, K), V, D = algebra.coo
     a, b = join(K, I)
     c, d = join(K, J)
     keys, sums, _path = fold(
@@ -244,8 +245,6 @@ def _associator_rows(algebra):
 def _trace_tits_compatible(algebra, unit, trace_row):
     """Do the graded cyclic conditions of the Tits construction hold for
     this normalized trace, with the split Cayley algebra on the left?"""
-    from .composition import split_cayley
-    from .tits import tits, verify_lie_conditions
     J = JordanAlgebra(algebra, unit, trace_row, provenance="custom")
     C = split_cayley(algebra.field)
     return verify_lie_conditions(C, J, T=tits(C, J), witnesses=False).ok
@@ -345,8 +344,7 @@ def kaplansky(field=QQ):
 
 def check_supercommutative(algebra):
     """xy = (-1)^{|x||y|} yx on all basis pairs (algebra.transpose_failures)."""
-    return not transpose_failures(table_coo(algebra.sc, algebra.field)[:2], algebra.parity, 1,
-                                  algebra.field)
+    return not transpose_failures(algebra.coo[:2], algebra.parity, 1, algebra.field)
 
 
 def check_jordan_identity(J):
@@ -371,7 +369,7 @@ def check_jordan_identity(J):
         raise ValueError("dimension %d too large for int64 keys (a,b,c,d,l)" % n)
     p = None if f.is_rational else f.p
     odd = np.array(alg.parity, dtype=bool)
-    (I, J, K), V, _D = table_coo(alg.sc, f)
+    (I, J, K), V, _D = alg.coo
     # (b_y b_z) b_w = sum_k c^k_yz c^m_kw, keys (y, z, w, m)
     a, b = join(K, I)
     keys, P, _path = fold([(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])], p)

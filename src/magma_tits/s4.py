@@ -26,9 +26,8 @@ batched, exactly checked coordinates.
 import numpy as np
 
 from .exact import Matrix, Subspace
-from .algebra import SuperAlgebra, LinearMap, is_automorphism, sc_from_coo
-from .int_fast import (bilinear, fold, join, matrices_coo, matvec, rows_coo, table_coo,
-                       to_field)
+from .algebra import SuperAlgebra, LinearMap, Grading, is_automorphism, sc_from_coo
+from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, to_field
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -186,7 +185,6 @@ class KleinGrading:
 
     def as_transported_grading(self):
         """(algebra in the component basis, Grading) for check_grading."""
-        from .algebra import Grading
         g = self.action.target
         cols, degrees = [], []
         for key in self.KEYS:
@@ -306,7 +304,7 @@ def coordinate_algebra(g, action, basis=None, name=None):
     neg_tau = (tau_cols, -tau_vals)
     A = matvec(phi, E, p)
     B = matvec(phi, A, p)
-    cols, vals, Dg = table_coo(g.sc, f)
+    cols, vals, Dg = g.coo
     (x, y, k), sums, _path = bilinear((cols, vals), A, B, p)
     (xy, l), sums = matvec(neg_tau, ((x * m + y, k), sums), p)
     ids, ks, values, outside = span.coords_many(xy, l, sums, Dtau * Dg * Dphi ** 3 * DE * DE)

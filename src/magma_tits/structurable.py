@@ -29,8 +29,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix
-from .algebra import SuperAlgebra, EVEN, map_failures, nonzero_entries, sc_from_coo
-from .int_fast import INT64_MAX, coo, distinct, fold, join, table_coo, to_field
+from .algebra import (SuperAlgebra, EVEN, map_failures, nonzero_entries, sc_from_coo,
+                      trace_products)
+from .int_fast import INT64_MAX, coo, distinct, fold, join, to_field
 
 
 class AlgebraWithInvolution:
@@ -84,30 +85,28 @@ def a_of_j(J, name=None):
 
     One contraction of J's COO table c, trace row t and unit u (each over
     its own denominator D_c, D_t, D_u; residues with D = 1 over GF(p)):
-    3t(b_i b_j) = 3 sum_k c^k_ij t_k is one join and fold over D_c D_t,
+    t(b_i b_j) = sum_k c^k_ij t_k is algebra.trace_products over D_c D_t,
     and the cross product one fold of its five terms on the keys (i, j, k)
     over D_c D_t^2 D_u."""
     alg = J.algebra
     if J.trace_row is None:
         raise ValueError("%s carries no normalized trace" % alg.name)
     f, n = alg.field, alg.n
-    p = None if f.is_rational else f.p
-    (I, Jj, K), V, Dc = table_coo(alg.sc, f)
+    (I, Jj, K), V, Dc = alg.coo
     (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(J.trace_row) if c], f, 1)
     (Ui,), U, Du = coo([((i,), f.of(c)) for i, c in enumerate(J.unit) if c], f, 1)
-    a, b = join(K, Ti)
-    ij, P3, _path = fold([(I[a] * n + Jj[a], [V[a], T[b], 3])], p)
+    (Pi, Pj), P, _Dp = trace_products(alg, J.trace_row)
     t, j = np.indices((len(T), n)).reshape(2, -1)
     s, r, u = np.indices((len(T), len(T), len(U))).reshape(3, -1)
-    q, m = np.indices((len(P3), len(U))).reshape(2, -1)
+    q, m = np.indices((len(P), len(U))).reshape(2, -1)
     keys, sums, _path = fold([
         ((I * n + Jj) * n + K, [V, 2 * Dt * Dt * Du]),                    # 2xy
         ((Ti[t] * n + j) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(x)y
         ((j * n + Ti[t]) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(y)x
         ((Ti[s] * n + Ti[r]) * n + Ui[u], [T[s], T[r], U[u], 9 * Dc]),     # 9t(x)t(y)1
-        (ij[q] * n + Ui[m], [P3[q], U[m], -Dt]),                          # -3t(xy)1
-    ], p)
-    return _two_by_two(alg, ((ij // n, ij % n), to_field(P3, Dc * Dt, f)),
+        ((Pi[q] * n + Pj[q]) * n + Ui[m], [P[q], U[m], -3 * Dt]),         # -3t(xy)1
+    ], None if f.is_rational else f.p)
+    return _two_by_two(alg, ((Pi, Pj), to_field(3 * P.astype(object), Dc * Dt, f)),
                        ((keys // (n * n), keys // n % n, keys % n),
                         to_field(sums, Dc * Dt * Dt * Du, f)), name)
 
@@ -273,8 +272,7 @@ def check_structurable(AI, max_witnesses=10):
     def sign(odd):
         return 1 - 2 * (odd % 2)
 
-    (I, J, K), C, _Dt = coo([((i, j, k), c) for (i, j), row in alg.sc.items()
-                             for k, c in row.items()], f, 3)
+    (I, J, K), C, _Dt = alg.coo
     (Sw, Sq), S, Ds = coo([((w, q), c) for w, row in enumerate(AI.sigma.rows)
                            for q, c in enumerate(row) if c], f, 2)
     (Ui,), U, _Du = coo([((i,), c) for i, c in enumerate(unit) if c], f, 1)

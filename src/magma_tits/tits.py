@@ -31,10 +31,11 @@ from math import lcm
 import numpy as np
 
 from .exact import Matrix, Subspace, vec_zero, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, accumulate, act_on_tensor, commutator_table,
-                      dense_entries, nonzero_entries, outer_entries, sc_from_coo)
+from .algebra import (SuperAlgebra, EVEN, act_on_tensor, check_super_jacobi, commutator_table,
+                      dense_entries, nonzero_entries, outer_entries, sc_from_coo,
+                      trace_products)
 from .composition import derivation_algebra
-from .int_fast import (bilinear, commutators, einsum, lower, matrices_coo, rows_coo, table_coo,
+from .int_fast import (bilinear, commutators, coo, einsum, fold, lower, matrices_coo, rows_coo,
                        to_field)
 
 
@@ -50,7 +51,7 @@ def inner_derivation_pairs(J, vectors):
     f = J.field
     p = None if f.is_rational else f.p
     alg = J.algebra
-    (I, Jc, K), V, Dt = table_coo(alg.sc, f)
+    (I, Jc, K), V, Dt = alg.coo
     keys, sums, _path = commutators(I, K, Jc, V, np.array(alg.parity, dtype=bool), n, p)
     cols, vals, Dx = rows_coo(vectors, f)
     (j, l, rc), d, _path = bilinear(((keys // n ** 3, keys // n ** 2 % n, keys % n ** 2),
@@ -185,7 +186,6 @@ class TitsAlgebra:
         return v
 
     def jacobi_report(self):
-        from .algebra import check_super_jacobi
         if self._jacobi_report is None:
             self._jacobi_report = check_super_jacobi(self.algebra)
         return self._jacobi_report
@@ -260,8 +260,10 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
         (s, x, r), sums, _path = bilinear(((S, Cc, R), V), ((s, s), np.ones_like(s)), X, p)
         return s * count + x, r, sums, D * Dx
 
-    def scalars(batch, count):
-        ids, _k, sums, D = batch
+    def scalars(tab, X, count, Dx):
+        """The scalars of a trace_products table over all pairs of X, count x count."""
+        (a, b), vals, Dt = tab
+        ids, _k, sums, D = pairs(((a, b, np.zeros_like(a)), vals, Dt), X, count, Dx)
         out = dense_entries((count * count,), (ids,), to_field(sums, D, f), zero)
         return out.reshape(count, count)
 
@@ -271,24 +273,24 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     def j0c(batch, count):
         return _split_coords(j0_span, batch, count, J.unit, J.trace_of)
 
-    # C: [b_a, b_b] and t(b_a b_b), J: t_J(b_a b_b) and b_a * b_b, on basis pairs
-    c_trace = [C.trace(C.algebra.e(k)) for k in range(C.dim)]
-    br_sc, tr_sc, st_sc, tj_sc = {}, {}, {}, {}
-    for (a, b), row in C.algebra.sc.items():
-        for k, c in row.items():
-            accumulate(br_sc, a, b, k, c)
-            accumulate(br_sc, b, a, k, -c)
-        accumulate(tr_sc, a, b, 0, sum((c_trace[k] * c for k, c in row.items()), start=zero))
-    for (a, b), row in J.algebra.sc.items():
-        t = J.trace_of([row.get(k, zero) for k in range(J.dim)])
-        st_sc[(a, b)] = dict(row)
-        for k, u in enumerate(J.unit):
-            accumulate(st_sc, a, b, k, -t * u)
-        accumulate(tj_sc, a, b, 0, t)
-    brC = c0c(pairs(table_coo(br_sc, f), Xc, nc, Dxc), nc * nc).reshape(nc, nc, nc)
-    trC = scalars(pairs(table_coo(tr_sc, f), Xc, nc, Dxc), nc)
-    star = j0c(pairs(table_coo(st_sc, f), Xj, nj, Dxj), nj * nj).reshape(nj, nj, nj)
-    tJ = scalars(pairs(table_coo(tj_sc, f), Xj, nj, Dxj), nj)
+    # C: [b_a, b_b] = c^k_ab - c^k_ba and t(b_a b_b), J: t_J(b_a b_b) and
+    # b_a * b_b = c^k_ab - t_J(b_a b_b) u_k over D_c D_t D_u, on basis pairs
+    (I, Jc, K), V, Dc = C.algebra.coo
+    br = ((np.concatenate((I, Jc)), np.concatenate((Jc, I)), np.concatenate((K, K))),
+          np.concatenate((V, -V)), Dc)
+    brC = c0c(pairs(br, Xc, nc, Dxc), nc * nc).reshape(nc, nc, nc)
+    trC = scalars(trace_products(C.algebra, C.trace_row), Xc, nc, Dxc)
+    n = J.dim
+    (I, Jj, K), V, Dc = J.algebra.coo
+    tJ_tab = trace_products(J.algebra, J.trace_row)
+    (Pa, Pb), P, Dp = tJ_tab
+    (Ui,), U, Du = coo([((k,), f.of(u)) for k, u in enumerate(J.unit) if u], f, 1)
+    q, u = np.indices((len(P), len(U))).reshape(2, -1)
+    keys, st, _path = fold([((I * n + Jj) * n + K, [V, Dp // Dc * Du]),
+                            ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], p)
+    st_tab = (keys // (n * n), keys // n % n, keys % n), st, Dp * Du
+    star = j0c(pairs(st_tab, Xj, nj, Dxj), nj * nj).reshape(nj, nj, nj)
+    tJ = scalars(tJ_tab, Xj, nj, Dxj)
 
     # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows
     ids, ks, values, _out = djj.span.coords_many(*djj.pairs, check=False)

@@ -5,8 +5,11 @@ Each builds its bilinear map one product at a time in field arithmetic and
 solves every product with Subspace.coords: the brackets of der C, of
 matrix Lie algebras, of T(C, J) and of the T62 variant, and the
 coordinate algebra of an S4 action.  They share Matrix, Subspace.add/coords and the pointwise
-field-arithmetic helpers (multiply, inner_derivation) with the library,
-but none of its int_fast kernel or Subspace.coords_many.
+field-arithmetic helpers (multiply, composition.inner_derivation) with the
+library, but none of its int_fast kernel or Subspace.coords_many.  The
+multiplication matrices are pointwise here: L_x one structure constant at
+a time (left_mult) and the inner derivations d_{x,y} of a Jordan algebra
+as dense Matrix products of those (jordan_inner_derivation).
 
 Two more oracles share nothing with the library's elimination: the dense
 Gauss-Jordan loop of a Matrix (dense_rref) and the associator rows of the
@@ -39,7 +42,7 @@ the input of the past-int64 tests.
 
 from fractions import Fraction
 
-from magma_tits.algebra import EVEN, SuperAlgebra, accumulate
+from magma_tits.algebra import EVEN, LinearMap, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import _so3_h, s4_on_w
 from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatten_matrix,
@@ -47,6 +50,30 @@ from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatte
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
 from magma_tits.structurable import AlgebraWithInvolution
+
+
+def left_mult(alg, x):
+    """Matrix of left multiplication L_x, one structure constant at a time."""
+    L = Matrix.zeros(alg.n, alg.n, alg.field)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j in range(alg.n):
+            for k, c in alg.product_basis(i, j).items():
+                L.rows[k][j] = L.rows[k][j] + xi * c
+    return L
+
+
+def jordan_inner_derivation(J, x, y):
+    """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x by dense Matrix products;
+    ValueError for arguments of mixed parity."""
+    alg = J.algebra
+    px, py = alg.parity_of_vector(x), alg.parity_of_vector(y)
+    if px is None or py is None:
+        raise ValueError("inner_derivation needs parity-homogeneous arguments")
+    Lx, Ly = left_mult(alg, x), left_mult(alg, y)
+    M = Lx @ Ly + Ly @ Lx if px and py else Lx @ Ly - Ly @ Lx
+    return LinearMap(alg, alg, M, parity=(px + py) % 2)
 
 
 def _sc_of_commutators(mats, span, check=True, parities=None):
@@ -107,7 +134,7 @@ def _djj_span(J, vectors):
     mats, pars = [], []
     for i in range(len(vectors)):
         for j in range(i, len(vectors)):
-            d = J.inner_derivation(vectors[i], vectors[j])
+            d = jordan_inner_derivation(J, vectors[i], vectors[j])
             if span.add(flatten_matrix(d.matrix)):
                 mats.append(d.matrix)
                 pars.append(d.parity)
@@ -140,7 +167,7 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
         return split(c0_span, v, C.trace(v) / f.of(2), C.unit)
 
     def dcoords(x, y):
-        return dspan.coords(flatten_matrix(J.inner_derivation(x, y).matrix), check=False)
+        return dspan.coords(flatten_matrix(jordan_inner_derivation(J, x, y).matrix), check=False)
 
     m = derC.dim if derC is not None else 0
     nd = dspan.dim
@@ -222,7 +249,7 @@ def tits62_constants(Q, J):
                         for j2, cp in alg.product_basis(j, l).items():
                             accumulate(sc, tidx(i, j), tidx(k, l), tidx(i2, j2), cb * cp)
                     if tr:
-                        d = J.inner_derivation(alg.e(j), alg.e(l))
+                        d = jordan_inner_derivation(J, alg.e(j), alg.e(l))
                         for s, cd in enumerate(span.coords(flatten_matrix(d.matrix), check=False)):
                             accumulate(sc, tidx(i, j), tidx(k, l), off + s, two * tr * cd)
     for s, M in enumerate(mats):
@@ -348,7 +375,7 @@ def klein_components(action):
 def casimir_kernels(g, triple):
     """Kernels of Omega + 2, Omega + 6 and Omega, with the Casimir
     Omega = sum ads[i] @ ads[i] of dense ad matrices."""
-    ads = [g.ad_matrix(v) for v in triple]
+    ads = [left_mult(g, v) for v in triple]
     Omega = ads[0] @ ads[0] + ads[1] @ ads[1] + ads[2] @ ads[2]
     I = Matrix.identity(g.n, g.field)
     return [(Omega + I.scale(c)).kernel_basis() for c in (2, 6, 0)]
@@ -461,7 +488,7 @@ def jordan_identity(J):
     a <= b <= c, by dense Matrix products and graded commutators."""
     alg = J.algebra
     n = alg.n
-    L = [alg.left_mult_matrix(alg.e(i)) for i in range(n)]
+    L = [left_mult(alg, alg.e(i)) for i in range(n)]
     par = alg.parity
 
     def graded_comm(A, B, pa, pb):
@@ -476,7 +503,7 @@ def jordan_identity(J):
                 for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
                     sign = -1 if (par[x] and par[z]) else 1
                     yz = alg.multiply(alg.e(y), alg.e(z))
-                    Lyz = alg.left_mult_matrix(yz)
+                    Lyz = left_mult(alg, yz)
                     pyz = (par[y] + par[z]) % 2
                     term = graded_comm(L[x], Lyz, par[x], pyz)
                     total = (total + term) if sign > 0 else (total - term)

@@ -17,6 +17,8 @@ from magma_tits.tits import tits
 from magma_tits.s4 import s4_on_tits_right
 from magma_tits.isomorphisms import homomorphism_failures, jordan_to_aj_map, theorem41
 
+from reference_construction import left_mult
+
 
 def sl2(field=QQ):
     # e, f, h with [e,f]=h, [h,e]=2e, [h,f]=-2f
@@ -59,6 +61,15 @@ def test_multiply_bilinear():
     y = [Fraction(0), Fraction(1), Fraction(0)]   # f
     # [2e+h, f] = 2h - 2f
     assert L.multiply(x, y) == [Fraction(0), Fraction(-2), Fraction(2)]
+    # the table and its rows are read-only and the lowering is cached once,
+    # so SuperAlgebra.coo cannot go stale
+    with pytest.raises(TypeError):
+        L.sc[(0, 0)] = {0: Fraction(1)}
+    with pytest.raises(TypeError):
+        L.sc[(0, 1)][2] = Fraction(5)
+    with pytest.raises(ValueError):
+        L.coo[1][0] = 7
+    assert L.coo is L.coo
 
 
 def test_multiply_dimension_mismatch():
@@ -228,29 +239,33 @@ def _corrupted(M, rng):
 
 
 def _map_cases(field, rng):
-    """(src, tgt, matrix, derivation) for the S4 generators on
+    """(src, tgt, matrix, derivation, S) for the S4 generators on
     T(quaternion, H3(k)), Phi41 on F4, J -> A(J) and ad(x), each as it is
-    and with two seeded corruptions."""
+    and with two seeded corruptions; S is [x] for the uncorrupted ad(x),
+    whose kernel is the centralizer of x, and None otherwise."""
     T = tits(split_quaternion(field), h3(ground(field)))
     A = T.algebra
-    maps = [(A, A, M, False) for M in s4_on_tits_right(T).gens.values()]
+    maps = [(A, A, M, False, None) for M in s4_on_tits_right(T).gens.values()]
     hom = theorem41(h3(ground(field)))[3]
-    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False))
+    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False, None))
     J = h3(ground(field))
     hom = jordan_to_aj_map(J, a_of_j(J))
-    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False))
+    maps.append((hom.source.algebra, hom.target.algebra, hom.matrix, False, None))
     x = [field.of(rng.choice(CORRUPTIONS)) for _ in range(A.n)]
-    maps.append((A, A, A.ad_matrix(x), True))
-    for src, tgt, M, der in maps:
-        for N in (M, _corrupted(M, rng), _corrupted(M, rng)):
-            yield src, tgt, N, der
+    maps.append((A, A, left_mult(A, x), True, [x]))
+    for src, tgt, M, der, S in maps:
+        yield src, tgt, M, der, S
+        for N in (_corrupted(M, rng), _corrupted(M, rng)):
+            yield src, tgt, N, der, None
 
 
 @pytest.mark.parametrize("field", (QQ, GF(10007), GF(2 ** 31 - 1)), ids=str)
 def test_map_checks_agree_with_reference(field):
     rng = random.Random(11)
     verdicts = set()
-    for src, tgt, M, der in _map_cases(field, rng):
+    for src, tgt, M, der, S in _map_cases(field, rng):
+        if S is not None:
+            assert centralizer(src, S) == M.kernel_basis()
         ref = map_failures_reference(src, tgt, M, derivation=der)
         if der:
             assert map_failures(src, tgt, M, derivation=True) == ref
@@ -273,13 +288,13 @@ def test_odd_derivations():
     rng = random.Random(3)
     for A in (heis, G3):
         for k in [i for i in range(A.n) if A.parity[i]][:4]:
-            D = A.ad_matrix(A.e(k))
+            D = left_mult(A, A.e(k))
             assert is_derivation(A, LinearMap(A, A, D, parity=ODD))
             for odd, M in ((True, _corrupted(D, rng)), (False, D)):
                 assert (map_failures(A, A, M, derivation=True, odd=odd)
                         == map_failures_reference(A, A, M, derivation=True, odd=odd))
     # on G(3) the even sign breaks ad of an odd element
-    D = G3.ad_matrix(G3.e(G3.parity.index(ODD)))
+    D = left_mult(G3, G3.e(G3.parity.index(ODD)))
     assert not is_derivation(G3, LinearMap(G3, G3, D))
 
 
@@ -301,7 +316,7 @@ def test_dense_checks_past_int64():
               (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}
         L = SuperAlgebra(["e", "f", "h"], sc, field=field)
         ident = Matrix.identity(3, field)
-        ad_e = L.ad_matrix(L.e("e"))
+        ad_e = left_mult(L, L.e("e"))
         assert is_automorphism(L, LinearMap(L, L, ident))
         assert is_derivation(L, LinearMap(L, L, ad_e))
         assert not is_derivation(L, LinearMap(L, L, ident))
@@ -351,7 +366,7 @@ def test_is_derivation():
     L = sl2()
     # ad(x) is a derivation for every x in a Lie algebra
     for lbl in ("e", "f", "h"):
-        d = LinearMap(L, L, L.ad_matrix(L.e(lbl)))
+        d = LinearMap(L, L, left_mult(L, L.e(lbl)))
         assert is_derivation(L, d)
     # the identity map is not (fails on any nonzero product)
     assert not is_derivation(L, LinearMap(L, L, Matrix.identity(3)))
@@ -361,8 +376,8 @@ def test_is_derivation():
 
 def test_commutator_of_derivations_is_derivation():
     L = sl2()
-    d1 = L.ad_matrix(L.e("e"))
-    d2 = L.ad_matrix(L.e("f"))
+    d1 = left_mult(L, L.e("e"))
+    d2 = left_mult(L, L.e("f"))
     comm = d1 @ d2 - d2 @ d1
     assert is_derivation(L, LinearMap(L, L, comm))
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -65,9 +66,12 @@ def test_verify_thm61_single(capsys):
 
 
 def test_verify_builds_each_tits_algebra_once(monkeypatch, capsys):
-    # thm41 and thm61 share T(cayley, h3:*): one process builds each (C, J) once
-    from magma_tits import isomorphisms, registry
+    # thm41 and thm61 share T(cayley, h3:*): one process builds each (C, J)
+    # once, and every structure-constant table is lowered at most once
+    from magma_tits import int_fast, isomorphisms, registry
     counts = Counter()
+    lowered, tables = Counter(), []
+    table_coo = int_fast.table_coo
 
     def counting(build):
         def wrapper(C, J, *args, **kwargs):
@@ -75,14 +79,23 @@ def test_verify_builds_each_tits_algebra_once(monkeypatch, capsys):
             return build(C, J, *args, **kwargs)
         return wrapper
 
+    def lowering(sc, field):
+        lowered[id(sc)] += 1
+        tables.append(sc)          # keeps each id unique while counting
+        return table_coo(sc, field)
+
     monkeypatch.setattr(registry, "_CACHE", {})
     monkeypatch.setattr(registry, "build_tits", counting(registry.build_tits))
     monkeypatch.setattr(isomorphisms, "tits", counting(isomorphisms.tits))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("magma_tits.") and hasattr(module, "table_coo"):
+            monkeypatch.setattr(module, "table_coo", lowering)
     for suite in ("thm41", "thm61"):
         code, _out = run(["verify", suite], capsys)
         assert code == 0
     assert len(counts) == 16
     assert set(counts.values()) == {1}
+    assert lowered and max(lowered.values()) == 1
 
 
 def test_export_round_trip(tmp_path, capsys):

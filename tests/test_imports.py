@@ -1,6 +1,9 @@
-"""Every top-level import of a magma_tits module is used in that module.
+"""Import and lowering hygiene of the magma_tits modules, checked on their AST.
 
-__init__.py is skipped: its imports are the package's re-exports."""
+Every top-level import of a module is used in that module (__init__.py is
+skipped: its imports are the package's re-exports).  No function imports a
+sibling module except to break a real cycle.  No module outside algebra.py
+lowers an algebra's table itself: SuperAlgebra.coo does that once."""
 
 import ast
 from pathlib import Path
@@ -35,3 +38,47 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# composition -> s4 -> structurable is a cycle: these two imports break it
+CYCLE_IMPORTS = {("s4.py", "composition"), ("structurable.py", "s4")}
+
+
+def local_package_imports(source):
+    """(line, module) of every `from .module import ...` inside a function."""
+    return sorted({(node.lineno, node.module)
+                   for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def sc_lowerings(source):
+    """Lines that call table_coo (by name or as an attribute) on the .sc of
+    some expression."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            arg = node.args[0]
+            if name == "table_coo" and isinstance(arg, ast.Attribute) and arg.attr == "sc":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_local_imports_and_sc_lowerings():
+    src = ("from .a import b\n"
+           "def f(A):\n    from .exact import QQ\n    import os\n"
+           "    return int_fast.table_coo(A.algebra.sc, QQ), table_coo(t, QQ)\n")
+    assert local_package_imports(src) == [(3, "exact")]
+    assert sc_lowerings(src) == [5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_local_imports_only_break_cycles(path):
+    assert [(line, mod) for line, mod in local_package_imports(path.read_text())
+            if (path.name, mod) not in CYCLE_IMPORTS] == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_tables_are_lowered_only_by_superalgebra_coo(path):
+    assert sc_lowerings(path.read_text()) == []

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import Matrix, Subspace, basis_vector, vec_eq, vec_is_zero, flatten_matrix
+from magma_tits.exact import (GF, QQ, Matrix, Subspace, basis_vector, vec_eq, vec_is_zero,
+                              flatten_matrix)
 from magma_tits.algebra import LinearMap, is_derivation
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
 from magma_tits.jordan import (
     JordanAlgebra, h3, find_normalized_traces, jordan_super_jvtheta, jordan_super_dt, d2,
     kaplansky, check_supercommutative, check_jordan_identity, h3_derivation_grading,
 )
+
+from reference_construction import diag_transported, jordan_inner_derivation
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,34 @@ def test_inner_jordan_derivation(JC, Jk):
         tc = Chat.trace(Chat.product(z, Chat.conj(t)))
         want = [half * tc * c for c in ei1]
         assert vec_eq(got, want)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(10007), GF(2 ** 31 - 1)), ids=str)
+def test_inner_derivation_matches_pointwise_oracle(field):
+    # every basis pair (odd x odd included) and seeded homogeneous
+    # combinations against dense products of pointwise L_x; over QQ also a
+    # rescaled H3(k) whose cleared constants pass int64
+    rng = random.Random(5)
+    Js = [h3(ground(field)), jordan_super_jvtheta(field), d2(field)]
+    if field is QQ:
+        Js.append(diag_transported(h3(ground()), (Fraction(1, 3), 2 ** 40, Fraction(1, 2 ** 40))))
+        assert Js[-1].algebra.coo[1].dtype == object
+    for J in Js:
+        alg = J.algebra
+        vecs = [alg.e(i) for i in range(J.dim)]
+        for par in set(alg.parity):
+            vecs.append([field.of(rng.randint(-4, 4)) if q == par else field.zero
+                         for q in alg.parity])
+        for x in vecs:
+            for y in vecs:
+                got, want = J.inner_derivation(x, y), jordan_inner_derivation(J, x, y)
+                assert got.matrix == want.matrix and got.parity == want.parity
+        if alg.dim_odd:
+            mixed = [field.one] * J.dim
+            with pytest.raises(ValueError, match="parity-homogeneous"):
+                J.inner_derivation(mixed, alg.e(0))
+            with pytest.raises(ValueError, match="parity-homogeneous"):
+                J.inner_derivation(alg.e(0), mixed)
 
 
 def test_bracket_d1_d2(JC):

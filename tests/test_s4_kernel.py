@@ -27,7 +27,7 @@ from magma_tits.s4 import (
 from magma_tits.tits import tits
 
 from reference_construction import (
-    casimir_kernels, kernel_within, klein_components, relation_failures,
+    casimir_kernels, kernel_within, klein_components, left_mult, relation_failures,
     synthesized_generators, word_matrix,
 )
 
@@ -174,7 +174,7 @@ def test_extraction_and_synthesis_match_oracle(f4_decomposition):
     T, left, triple, rep = f4_decomposition
     g = T.algebra
     ext = decompose_module.extract_b1(g, rep)
-    ad0 = g.ad_matrix(triple[0])
+    ad0 = left_mult(g, triple[0])
     assert ext.hvecs == kernel_within(ad0, rep.bases["adjoint"], g.field)
     assert ext.svecs == kernel_within(ad0, rep.bases["h"], g.field)
     assert ext.psi_inv == ext.psi.inverse()
