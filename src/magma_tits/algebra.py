@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import (
     QQ, FieldGF, Matrix,
-    vec_zero, vec_is_zero, basis_vector,
+    vec_zero, basis_vector,
 )
 from .int_fast import (bilinear, coo, commutators, distinct, fold, join, matrices_coo, matvec,
                        rows_coo, table_coo, to_field)
@@ -354,24 +354,27 @@ def transpose_failures(table, parity, sign, field):
 
 
 def _jacobiator(A, i, j, k):
-    """Graded jacobiator of three basis elements, cyclic form."""
-    p = A.parity
-    s1 = -1 if (p[i] and p[k]) else 1
-    s2 = -1 if (p[j] and p[i]) else 1
-    s3 = -1 if (p[k] and p[j]) else 1
-    bi, bj, bk = A.e(i), A.e(j), A.e(k)
-    t1 = A.multiply(A.multiply(bi, bj), bk)
-    t2 = A.multiply(A.multiply(bj, bk), bi)
-    t3 = A.multiply(A.multiply(bk, bi), bj)
-    return [s1 * a + s2 * b + s3 * c for a, b, c in zip(t1, t2, t3)]
+    """Cyclic graded jacobiator of three basis elements, read off the rows
+    of A.sc: the sum of (-1)^{|x||z|} [[b_x, b_y], b_z] over the cyclic
+    orders (x, y, z) of (i, j, k).  Only the two test oracles call it."""
+    p, out = A.parity, [A.field.zero] * A.n
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        s = -1 if p[x] and p[z] else 1
+        for m, c in A.sc.get((x, y), {}).items():
+            for l, d in A.sc.get((m, z), {}).items():
+                out[l] = out[l] + s * c * d
+    return out
 
 
 def check_super_jacobi_reference(A, max_witnesses=10):
-    """Triple-loop reference checker in field arithmetic, after transpose_failures."""
-    anticom = transpose_failures(A.coo[:2], A.parity, -1, A.field)[:max_witnesses]
-    if anticom:
-        return JacobiReport(False, A.n, 0, anticom_failures=anticom, name=A.name)
+    """Test oracle of check_super_jacobi: after transpose_failures, the
+    cyclic _jacobiator of every triple i <= j <= k in field arithmetic,
+    stopping at the max_witnesses-th failing triple (the first one when
+    max_witnesses is 0)."""
     n = A.n
+    anticom = transpose_failures(A.coo[:2], A.parity, -1, A.field)
+    if anticom:
+        return JacobiReport(False, n, 0, anticom_failures=anticom[:max_witnesses], name=A.name)
     failures = []
     count = 0
     for i in range(n):
@@ -379,10 +382,11 @@ def check_super_jacobi_reference(A, max_witnesses=10):
             for k in range(j, n):
                 count += 1
                 jac = _jacobiator(A, i, j, k)
-                if not vec_is_zero(jac):
+                if any(jac):
                     failures.append((i, j, k, A.format_vector(jac)))
-                    if len(failures) >= max_witnesses:
-                        return JacobiReport(False, n, count, failures=failures, name=A.name)
+                    if len(failures) >= max(max_witnesses, 1):
+                        return JacobiReport(False, n, count, failures=failures[:max_witnesses],
+                                            name=A.name)
     return JacobiReport(not failures, n, count, failures=failures, name=A.name)
 
 
@@ -390,20 +394,22 @@ def check_super_jacobi(A, max_witnesses=10):
     """Exhaustive graded-Jacobi check.
 
     Super-anticommutativity is checked first (transpose_failures).  Then,
-    for pairs i <= j and every k, the coefficients of
+    for pairs i <= j and every k, the coefficients of the Leibniz form
     [[b_i,b_j],b_k] - [b_i,[b_j,b_k]] + (-1)^{|i||j|} [b_j,[b_i,b_k]]
     are summed exactly by int_fast.fold: the COO table is joined with
     itself on the middle index and keys (i,j,k,l) are packed into one
     int64.  The integers are denominator-cleared constants over QQ
-    (residues over GF(p), sums reduced mod p).  Witnesses are the first
-    triples with a nonzero sum, recomputed by _jacobiator.
+    (residues over GF(p), sums reduced mod p).  The verdict is whether any
+    sum is nonzero.  Witnesses are the first max_witnesses failing triples,
+    formatted from the same sums: on a super-anticommutative table the
+    cyclic jacobiator is (-1)^{|i||k|} times the Leibniz form, over D^2.
     """
-    n = A.n
+    n, f = A.n, A.field
     n_triples = n * (n + 1) * (n + 2) // 6
-    (I, J, K), V, _D = A.coo
-    anticom = transpose_failures(((I, J, K), V), A.parity, -1, A.field)[:max_witnesses]
+    (I, J, K), V, D = A.coo
+    anticom = transpose_failures(((I, J, K), V), A.parity, -1, f)
     if anticom:
-        return JacobiReport(False, n, 0, anticom_failures=anticom, name=A.name)
+        return JacobiReport(False, n, 0, anticom_failures=anticom[:max_witnesses], name=A.name)
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
@@ -426,17 +432,21 @@ def check_super_jacobi(A, max_witnesses=10):
                   [V[a], V[b], w]))
     del a, b, x, y, w, keep, sel
 
-    keys, _sums, path = fold(terms, None if A.field.is_rational else A.field.p)
+    keys, sums, path = fold(terms, None if f.is_rational else f.p)
+    ijk = keys // n
+    bad = distinct(ijk)[:max_witnesses].tolist()
     failures = []
-    for t in distinct(keys // n).tolist():
-        i, j, k = t // (n * n), t // n % n, t % n
-        jac = _jacobiator(A, i, j, k)
-        if not vec_is_zero(jac):
-            failures.append((i, j, k, A.format_vector(jac)))
-            if len(failures) >= max_witnesses:
-                break
-    return JacobiReport(not failures, n, n_triples, failures=failures, name=A.name,
-                        path=path)
+    if bad:
+        # the keys are sorted, so the first triples' entries are a prefix
+        upto = int(np.searchsorted(ijk, bad[-1], "right"))
+        t = ijk[:upto]
+        vals = to_field(sums[:upto] * np.where(par[t // (n * n)] & par[t % n], -1, 1), D * D, f)
+        jacs = {t: [f.zero] * n for t in bad}
+        for t, l, c in zip(t.tolist(), (keys[:upto] % n).tolist(), vals):
+            jacs[t][l] = c
+        failures = [(t // (n * n), t // n % n, t % n, A.format_vector(jac))
+                    for t, jac in jacs.items()]
+    return JacobiReport(not len(keys), n, n_triples, failures=failures, name=A.name, path=path)
 
 
 def _invertible(M):

@@ -22,9 +22,10 @@ the decomposition: the ad(d_i) are one join of the table with the triple,
 Omega + c is one fold of them joined with themselves on the middle index
 plus a c diagonal, and the kernels of ad(d0) inside the components and
 the synthesized generators Psi B Psi^{-1} are int_fast.matvec products.
-The so3/h tables of gl(W) are built once per field.  The coefficient data
-(B1Data) stays in sparse tables {(j, k): {t: c}}, the form of
-SuperAlgebra.sc, from extraction through validate to assembly.
+The so3/h tables of gl(W) are the nine invariant maps on the so3, h and
+z bases, built once per field.  The coefficient data (B1Data) stays in
+sparse tables {(j, k): {t: c}}, the form of SuperAlgebra.sc, from
+extraction through validate to assembly.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense
 from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
                        to_field)
 from .s4 import GroupAction, conjugation_block
-from .tits import feed_pairs, inner_derivation_pairs
+from .tits import DerivationSpace
 
 W_LABELS = ["w1", "w2", "w0"]
 
@@ -256,34 +257,19 @@ def _so3_h(field):
 
 @cache
 def _so3_structure(field):
-    """Structure tables of gl(W) pieces used by the assembly, as object
-    arrays [i1, i2(, m)].  Built once per field and shared: callers only
-    read them."""
-    f = field
-    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
-    I3 = Matrix.identity(3, f)
-    two3 = f.of(2) / f.of(3)
-
-    def so3c(M):
-        return so3_span.coords(flatten_matrix(M))
-
-    def hc(M):
-        return h_span.coords(flatten_matrix(M))
-
-    comm_DD = [[so3c(commutator(A, B)) for B in Ds] for A in Ds]
-    sym_DD = [[hc(A @ B + B @ A - I3.scale(two3 * (A @ B).trace())) for B in Ds] for A in Ds]
-    tr_DD = [[(A @ B).trace() for B in Ds] for A in Ds]
-    acirc_DH = [[so3c(A @ X + X @ A) for X in Hs] for A in Ds]
-    comm_DH = [[hc(commutator(A, X)) for X in Hs] for A in Ds]
-    comm_HH = [[so3c(commutator(X, Y)) for Y in Hs] for X in Hs]
-    sym_HH = [[hc(X @ Y + Y @ X - I3.scale(two3 * (X @ Y).trace())) for Y in Hs] for X in Hs]
-    tr_HH = [[(X @ Y).trace() for Y in Hs] for X in Hs]
-    tables = {
-        "comm_DD": comm_DD, "sym_DD": sym_DD, "tr_DD": tr_DD,
-        "acirc_DH": acirc_DH, "comm_DH": comm_DH,
-        "comm_HH": comm_HH, "sym_HH": sym_HH, "tr_HH": tr_HH,
-    }
-    return {name: np.array(t, dtype=object) for name, t in tables.items()}
+    """The nine invariant maps on the bases of so3, h and z, keyed by name,
+    as object arrays [i1, i2, m] of coordinates of the image (for the z
+    targets [i1, i2], the multiple of I).  Built once per field and shared:
+    callers only read them."""
+    spans = {s: Subspace.from_vectors([flatten_matrix(M) for M in _space_basis(s, field)], 9,
+                                      field) for s in ("so3", "h", "z")}
+    tables = {}
+    for name, s1, s2, dst, fn in invariant_maps(field):
+        t = np.array([[spans[dst].coords(flatten_matrix(fn(A, B)))
+                       for B in _space_basis(s2, field)] for A in _space_basis(s1, field)],
+                     dtype=object)
+        tables[name] = t[..., 0] if dst == "z" else t
+    return tables
 
 
 def assemble_b1(data, name="b1"):
@@ -330,11 +316,9 @@ def assemble_b1(data, name="b1"):
         return outer_entries(nonzero_entries(so3_table), nonzero_entries(data_table), scale)
 
     # adjoint x adjoint and h x h: [A,B] x (a o b) - (1/2) sym(A,B) x [a,b] + tr(AB) d_{a,b}
-    for idx, (comm, sym, tr), (circ, brk, dd) in (
-            (aidx, (st["comm_DD"], st["sym_DD"], st["tr_DD"]),
-             (data.circ_HH, data.brk_HH, data.d_HH)),
-            (hidx, (st["comm_HH"], st["sym_HH"], st["tr_HH"]),
-             (data.circ_SS, data.brk_SS, data.d_SS))):
+    for idx, src, (circ, brk, dd) in ((aidx, "so3xso3", (data.circ_HH, data.brk_HH, data.d_HH)),
+                                      (hidx, "hxh", (data.circ_SS, data.brk_SS, data.d_SS))):
+        comm, sym, tr = (st[src + "->" + dst] for dst in ("so3", "h", "z"))
         (i1, i2, m), (j1, j2, t), vals = block(comm, circ)
         sc_from_coo(idx(i1, j1), idx(i2, j2), aidx(m, t), vals, sc)
         (i1, i2, m), (j1, j2, t), vals = block(sym, brk, minus_half)
@@ -343,8 +327,8 @@ def assemble_b1(data, name="b1"):
         sc_from_coo(idx(i1, j1), idx(i2, j2), off_d + t, vals, sc)
     # adjoint x h and its mirror: -(AX + XA) x (1/2)[a,x] + [A,X] x (a o x)
     for kind, ((i1, x2, m), (j1, j2, t), vals) in (
-            (aidx, block(st["acirc_DH"], data.brk_HS, minus_half)),
-            (hidx, block(st["comm_DH"], data.circ_HS))):
+            (aidx, block(st["so3xh->so3"], data.brk_HS, minus_half)),
+            (hidx, block(st["so3xh->h"], data.circ_HS))):
         odd = (par_h[j1] & par_s[j2]).tolist()
         sc_from_coo(aidx(i1, j1), hidx(x2, j2), kind(m, t), vals, sc)
         sc_from_coo(hidx(x2, j2), aidx(i1, j1), kind(m, t),
@@ -367,13 +351,10 @@ def b1data_from_jordan(J):
     f = J.field
     nJ = J.dim
     alg = J.algebra
-    span = Subspace(nJ * nJ, f)
-    pairs = inner_derivation_pairs(J, [alg.e(i) for i in range(nJ)])
-    kept = feed_pairs(span, pairs, nJ, nJ)
-    mats = [M for _j, _l, M in kept]
-    dpar = [(alg.parity[j] + alg.parity[l]) % 2 for j, l, _M in kept]
+    djj = DerivationSpace(J, [alg.e(i) for i in range(nJ)])
+    span, mats, dpar = djj.span, djj.matrices, djj.parities
     half = f.of(1) / f.of(2)
-    ids, ks, values, _out = span.coords_many(*pairs, check=False)
+    ids, ks, values, _out = span.coords_many(*djj.pairs, check=False)
     (s, k, j), V, D = matrices_coo(mats, f)
     brk_dd, _out = commutator_table(mats, span, dpar, check=False)
     return B1Data(

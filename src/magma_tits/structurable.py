@@ -243,8 +243,9 @@ def check_structurable(AI, max_witnesses=10):
     Every stage is a sparse exact contraction (int_fast.join and
     int_fast.fold) of denominator-cleared integers over QQ, residues over
     GF(p): x sigma(y), then G, V, T_u and T_{sigma(u)}, then the identity
-    with keys (u,x,y,z,k).  Witnesses are the sorted (u,x,y) with a
-    nonzero coefficient.
+    with keys (u,x,y,z,k).  The verdict is whether any coefficient is
+    nonzero; witnesses are the first max_witnesses of the sorted (u,x,y)
+    with a nonzero coefficient.
     """
     alg = AI.algebra
     n = alg.n
@@ -312,5 +313,5 @@ def check_structurable(AI, max_witnesses=10):
     keys, _sums, path = fold(terms, p)
     bad = distinct(keys // (n * n))[:max_witnesses]
     failures = list(zip(*(col.tolist() for col in unpack(bad, 3))))
-    return StructurableReport(not failures, n, n ** 3, failures=failures, name=alg.name,
+    return StructurableReport(not len(keys), n, n ** 3, failures=failures, name=alg.name,
                               path=path)

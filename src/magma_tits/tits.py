@@ -20,20 +20,23 @@ outer products of those tables.
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
-them exhaustively over (C0 basis)^3 x (J0 basis)^3.
+them exhaustively over (C0 basis)^3 x (J0 basis)^3 by exact contractions of
+the tables of T, and reads its witnesses off the same integer arrays.  Its
+test oracle, verify_lie_conditions_reference, shares none of that code: it
+scans the cyclic jacobiator of the tensor basis triples, read off the table
+of T.algebra, and classifies each nonzero one by block.
 """
 
-from dataclasses import dataclass, field as dataclass_field, fields
-from functools import cache
+from dataclasses import dataclass, field as dataclass_field
 from itertools import islice, product
 from math import lcm
 
 import numpy as np
 
 from .exact import Matrix, Subspace, vec_zero, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, act_on_tensor, check_super_jacobi, commutator_table,
-                      dense_entries, nonzero_entries, outer_entries, sc_from_coo,
-                      trace_products)
+from .algebra import (SuperAlgebra, EVEN, _jacobiator, act_on_tensor, check_super_jacobi,
+                      commutator_table, dense_entries, nonzero_entries, outer_entries,
+                      sc_from_coo, trace_products)
 from .composition import derivation_algebra
 from .int_fast import (bilinear, commutators, coo, einsum, fold, lower, matrices_coo, rows_coo,
                        to_field)
@@ -59,43 +62,36 @@ def inner_derivation_pairs(J, vectors):
     return j * m + l, rc, d, Dt * Dt * Dx * Dx
 
 
-def feed_pairs(span, batch, m, n):
-    """Feed the pair vectors of batch with j <= l, in lexicographic order,
-    to span; returns the (j, l, matrix) of those that enlarged it."""
-    f = span.field
-    ids, rc, d, D = batch
-    vals = to_field(d, D, f)
-    bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
-    kept = []
-    for j in range(m):
-        # the diagonal d_{x,x} = 2 L_x^2 survives for odd x
-        for l in range(j, m):
-            v = [f.zero] * (n * n)
-            lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
-            for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
-                v[e] = c
-            if span.add(v):
-                kept.append((j, l, Matrix([v[r * n:(r + 1) * n] for r in range(n)], f)))
-    return kept
-
-
 class DerivationSpace:
-    """Span of the inner derivations d_{x_i, x_j} of J over a basis of J0,
-    fed pair by pair in lexicographic order; `pairs` keeps the batch of
-    inner_derivation_pairs for the tables of the construction."""
+    """Span of the inner derivations d_{x_i, x_j} of J over a list of
+    parity-homogeneous vectors of J (a basis of J0, or of J), fed pair by
+    pair, j <= l, in lexicographic order; the pairs that enlarged the span
+    give its `matrices`, `generators` and `parities`.  `pairs` keeps the
+    batch of inner_derivation_pairs for the tables of the construction."""
 
-    def __init__(self, J, j0_basis):
-        n = J.dim
+    def __init__(self, J, vectors):
+        n, m, f = J.dim, len(vectors), J.field
         self.J = J
-        self.span = Subspace(n * n, J.field)
-        par = [J.algebra.parity_of_vector(x) for x in j0_basis]
+        self.span = Subspace(n * n, f)
+        par = [J.algebra.parity_of_vector(x) for x in vectors]
         if None in par:
             raise ValueError("inner_derivation needs parity-homogeneous arguments")
-        self.pairs = inner_derivation_pairs(J, j0_basis)
-        kept = feed_pairs(self.span, self.pairs, len(j0_basis), n)
-        self.matrices = [M for _j, _l, M in kept]
-        self.generators = [(j, l) for j, l, _M in kept]
-        self.parities = [(par[j] + par[l]) % 2 for j, l, _M in kept]
+        self.pairs = inner_derivation_pairs(J, vectors)
+        ids, rc, d, D = self.pairs
+        vals = to_field(d, D, f)
+        bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
+        self.matrices, self.generators, self.parities = [], [], []
+        for j in range(m):
+            # the diagonal d_{x,x} = 2 L_x^2 survives for odd x
+            for l in range(j, m):
+                v = [f.zero] * (n * n)
+                lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
+                for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
+                    v[e] = c
+                if self.span.add(v):
+                    self.matrices.append(Matrix([v[r * n:(r + 1) * n] for r in range(n)], f))
+                    self.generators.append((j, l))
+                    self.parities.append((par[j] + par[l]) % 2)
 
     @property
     def dim(self):
@@ -394,144 +390,30 @@ class LieConditionsReport:
         return "\n".join(lines)
 
 
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def _sigma(par, perm, j):
-    """Koszul sign of the r-th cyclic Jacobi term for the x-triple j."""
-    p = [par[j[perm[0]]], par[j[perm[1]]], par[j[perm[2]]]]
-    return -1 if (p[0] and p[2]) else 1
-
-
-def _side_sums(T, tb):
-    """The sums of _conditions_direct that depend on the a-triple alone or
-    on the x-triple alone, each computed once per scan: lambda, mu,
-    D_{a_p,a_q}(a_w), [[a_p,a_q],a_w], (x_a * x_b) * x_c, d_{x_a,x_b}(x_c).
-    tb holds T's tables as nested lists."""
-    f = T.algebra.field
-    nc, nj = len(T.c0_basis), len(T.j0_basis)
-    nd, m = T.djj_dim, T.der_dim
-
-    def dot(terms):
-        return sum(terms, start=f.zero)
-
-    @cache
-    def lam(p, q, w):
-        return dot(tb.brC[p][q][mm] * tb.trC[mm][w] for mm in range(nc))
-
-    @cache
-    def mu(a, b, c):
-        return dot(tb.star[a][b][mm] * tb.tJ[mm][c] for mm in range(nj))
-
-    @cache
-    def der_act(p, q, w):
-        return [dot(tb.DC[p][q][r] * tb.der_act[r][w][mc] for r in range(m))
-                for mc in range(nc)]
-
-    @cache
-    def brbr(p, q, w):
-        return [dot(tb.brC[p][q][mm] * tb.brC[mm][w][mc] for mm in range(nc))
-                for mc in range(nc)]
-
-    @cache
-    def starstar(a, b, c):
-        return [dot(tb.star[a][b][mm] * tb.star[mm][c][mj] for mm in range(nj))
-                for mj in range(nj)]
-
-    @cache
-    def djj_act(a, b, c):
-        return [dot(tb.dxy[a][b][s] * tb.djj_act[s][c][mj] for s in range(nd))
-                for mj in range(nj)]
-
-    return lam, mu, der_act, brbr, starstar, djj_act
-
-
-def _conditions_direct(T, tb, a_triple, x_triple, par, sums):
-    """Exact Jacobiator components (d_{J,J}, der C, tensor) of one triple
-    pair; tb holds T's tables as nested lists, par is the J0 parity vector
-    and sums is _side_sums(T, tb)."""
-    f = T.algebra.field
-    nc, nj = len(T.c0_basis), len(T.j0_basis)
-    nd, m = T.djj_dim, T.der_dim
-    lam_of, mu_of, der_act, brbr, starstar, djj_act = sums
-    acc_d = [f.zero] * nd
-    acc_D = [f.zero] * m
-    acc_t = [[f.zero] * nj for _ in range(nc)]
-    two = f.of(2)
-    for perm in _CYCLIC:
-        p, q, w = (a_triple[perm[0]], a_triple[perm[1]], a_triple[perm[2]])
-        a, b, c = (x_triple[perm[0]], x_triple[perm[1]], x_triple[perm[2]])
-        sg = f.of(_sigma(par, perm, x_triple))
-        lam = lam_of(p, q, w)
-        mu = mu_of(a, b, c)
-        # d_{J,J} component: sigma * 2 lam * d_{x_a * x_b, x_c}
-        if lam:
-            for mm in range(nj):
-                s = tb.star[a][b][mm]
-                if s:
-                    for t, cd in enumerate(tb.dxy[mm][c]):
-                        acc_d[t] = acc_d[t] + sg * two * lam * s * cd
-        # der C component: sigma * mu * D_{[a_p,a_q], a_w}
-        if mu:
-            for mm in range(nc):
-                br = tb.brC[p][q][mm]
-                if br:
-                    for t, cD in enumerate(tb.DC[mm][w]):
-                        acc_D[t] = acc_D[t] + sg * mu * br * cD
-        # tensor component
-        tjab = tb.tJ[a][b]
-        if tjab and m:
-            for mc, dv in enumerate(der_act(p, q, w)):
-                if dv:
-                    acc_t[mc][c] = acc_t[mc][c] + sg * tjab * dv
-        for mc, brv in enumerate(brbr(p, q, w)):
-            if brv:
-                for mj, ssv in enumerate(starstar(a, b, c)):
-                    if ssv:
-                        acc_t[mc][mj] = acc_t[mc][mj] + sg * brv * ssv
-        tr = tb.trC[p][q]
-        if tr:
-            for mj, dav in enumerate(djj_act(a, b, c)):
-                if dav:
-                    acc_t[w][mj] = acc_t[w][mj] + sg * two * tr * dav
-    return acc_d, acc_D, acc_t
-
-
-def _failing_triple_pairs(T):
-    """(bad, a_triple, x_triple) for each triple pair, in scan order, whose
-    Jacobiator breaks a condition; bad flags (i), (ii), (iii)."""
-    nc, nj = len(T.c0_basis), len(T.j0_basis)
-    par = [T.J.algebra.parity_of_vector(x) for x in T.j0_basis]
-    # nested lists index faster than object arrays in this scalar scan
-    tb = _Tables(*(getattr(T.tables, t.name).tolist() for t in fields(_Tables)))
-    sums = _side_sums(T, tb)
-    for at in product(range(nc), repeat=3):
-        for xt in product(range(nj), repeat=3):
-            d, D, t = _conditions_direct(T, tb, at, xt, par, sums)
-            bad = (any(d), any(D), any(any(row) for row in t))
-            if any(bad):
-                yield bad, at, xt
-
-
-def _witness(bad, at, xt):
-    return (("(i)", "(ii)", "(iii)")[bad.index(True)], at, xt)
+LIE_CONDITIONS = ("(i)", "(ii)", "(iii)")
 
 
 def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
-    """Pure-field triple-pair scan of the three Lie conditions; the test
-    oracle of verify_lie_conditions."""
+    """Test oracle of verify_lie_conditions: the cyclic graded jacobiator
+    (algebra._jacobiator, read off the table of T.algebra) of the tensor
+    basis elements a_p x x_a, a_q x x_b, a_w x x_c over all (C0 basis)^3 x
+    (J0 basis)^3, a-triples outer, each nonzero one classified by block:
+    d_{J,J} for (i), der C for (ii), C0 x J0 for (iii).  A witness names
+    the first failing condition of its triple pair."""
     if T is None:
         T = tits(C, J)
-    name = T.algebra.name
-    if len(T.c0_basis) == 0 or len(T.j0_basis) == 0:
-        return LieConditionsReport(True, name, True, True, True)
-    ok = [True, True, True]
-    witnesses = []
-    for bad, at, xt in _failing_triple_pairs(T):
-        ok = [o and not b for o, b in zip(ok, bad)]
-        if len(witnesses) < max_witnesses:
-            witnesses.append(_witness(bad, at, xt))
-    return LieConditionsReport(all(ok), name, *ok, witnesses)
+    nc, nj = len(T.c0_basis), len(T.j0_basis)
+    blocks = (slice(T.djj_offset, T.dim), slice(0, T.der_dim), slice(T.der_dim, T.djj_offset))
+    ok, witnesses = [True] * 3, []
+    for at in product(range(nc), repeat=3):
+        for xt in product(range(nj), repeat=3):
+            jac = _jacobiator(T.algebra, *(T.tensor_index(a, x) for a, x in zip(at, xt)))
+            bad = [any(jac[b]) for b in blocks]
+            if any(bad):
+                ok = [o and not b for o, b in zip(ok, bad)]
+                if len(witnesses) < max_witnesses:
+                    witnesses.append((LIE_CONDITIONS[bad.index(True)], at, xt))
+    return LieConditionsReport(all(ok), T.algebra.name, *ok, witnesses)
 
 
 # OUT[j1,j2,j3] = A[j_{perm[0]}, j_{perm[1]}, j_{perm[2]}] needs the
@@ -540,8 +422,8 @@ _INV = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
 def _cycs(A):
-    """A with its first three axes read in the three cyclic orders of
-    _CYCLIC, stacked on a new first axis."""
+    """A with its first three axes read in the cyclic orders (0, 1, 2),
+    (1, 2, 0) and (2, 0, 1), stacked on a new first axis."""
     return np.stack([np.transpose(A, inv + tuple(range(3, A.ndim))) for inv in _INV])
 
 
@@ -570,9 +452,17 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     residues over GF(p)) by int_fast.einsum, which bounds every product and
     sum and takes Python ints past int64.  (ii) and (iii) factor into
     a-triple coefficients times x-triple objects and are tested on a basis
-    of the coefficient row space over the field.  Witnesses are the first
-    max_witnesses failing triple pairs of the exact scan; the report's path
-    is "python-int" when any contraction passed int64.
+    of the coefficient row space over the field.  The report's path is
+    "python-int" when any of these contractions passed int64.
+
+    Witnesses come from the same integer arrays: for each a-triple in
+    lexicographic order, the (i) component of every x-triple is
+    t([a_p,a_q]a_w) times its d_{J,J} object, the (ii) component the sigma*mu
+    scalars against D_{[a_p,a_q],a_w}, the (iii) component the nine
+    coefficients against the nine x-objects.  A witness is
+    (condition, a-triple, x-triple) for the first failing condition of a
+    triple pair; the search stops at max_witnesses, and witnesses=False
+    skips it (the verdict never depends on either).
     """
     if T is None:
         T = tits(C, J)
@@ -615,16 +505,17 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     cond1_ok = True
     if nd and np.any(lam != 0):
         d_of_star = ein("abm,mcD->abcD", star, dxy)
-        cond1_ok = not np.any(ein("rabc,rabcD->abcD", sig, _cycs(d_of_star)) != 0)
+        jd = ein("rabc,rabcD->abcD", sig, _cycs(d_of_star)) != 0
+        cond1_ok = not np.any(jd)
 
     # (ii): pair the span of the sigma*mu scalars against the D objects
     cond2_ok = True
     if m:
         mu = ein("abm,mc->abc", star, tJ)
         smu = ein("rabc,rabc->abcr", sig, _cycs(mu))
-        DD = ein("abm,mcD->abcD", brC, DC)
+        DD = _cycs(ein("abm,mcD->abcD", brC, DC))
         W = _row_basis(smu.reshape(-1, 3), f)
-        cond2_ok = not np.any(ein("br,rpqwD->bpqwD", W, _cycs(DD)) != 0)
+        cond2_ok = not np.any(ein("br,rpqwD->bpqwD", W, DD) != 0)
 
     # (iii): nine (a-coefficient, x-object) columns, kind-major (D_{a,b}
     # acting, [[a,b],c], 2 t(ab) c) and cyclic order minor; bal rescales
@@ -645,12 +536,25 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     cond3_ok = not np.any(ein("bk,kx->bx", W, G.reshape(9, -1)) != 0)
 
     ok = cond1_ok and cond2_ok and cond3_ok
-    found = []
-    if not ok and witnesses:
-        # the first witnesses of the exact triple-pair scan
-        found = [_witness(*w) for w in islice(_failing_triple_pairs(T), max_witnesses)]
-    return LieConditionsReport(ok, name, cond1_ok, cond2_ok, cond3_ok, found,
-                               "python-int" if "python-int" in paths else "int64")
+    path = "python-int" if "python-int" in paths else "int64"
+    G = G.reshape(9, nj, nj, nj, nj)
+
+    def failing():
+        """(condition, a-triple, x-triple) of every failing triple pair."""
+        for at in product(range(nc), repeat=3):
+            bad = np.zeros((3, nj, nj, nj), dtype=bool)
+            if not cond1_ok and lam[at]:
+                bad[0] = jd.any(axis=3)
+            if not cond2_ok:
+                bad[1] = (ein("abcr,rD->abcD", smu, DD[(slice(None), *at)]) != 0).any(axis=3)
+            if not cond3_ok:
+                bad[2] = (ein("mk,kabcn->abcmn", coeffs[at], G) != 0).any(axis=(3, 4))
+            for xt in np.argwhere(bad.any(axis=0)).tolist():
+                which = bad[(slice(None), *xt)].tolist().index(True)
+                yield LIE_CONDITIONS[which], at, tuple(xt)
+
+    found = list(islice(failing(), max_witnesses)) if not ok and witnesses else []
+    return LieConditionsReport(ok, name, cond1_ok, cond2_ok, cond3_ok, found, path)
 
 
 class Tits62Algebra:
@@ -677,7 +581,7 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     (Q0 x J) + D, with J any Jordan (super)algebra (no trace needed) and D a
     Lie algebra of derivations of J containing all inner derivations.
 
-    With D omitted, D = d_{J,J} spanned by d_{x,y} over full J basis pairs.
+    With D omitted, D = d_{J,J}, the DerivationSpace of the J basis.
     The inner derivations come from inner_derivation_pairs, the brackets
     in D from algebra.commutator_table, and the tensor x tensor block is
     outer products of the tables of Q and J, as in tits().
@@ -689,13 +593,13 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     q0_span = Subspace.from_vectors(q0_basis, Q.dim, f)
     nJ = J.dim
     alg = J.algebra
-    span = Subspace(nJ * nJ, f)
-    pairs = inner_derivation_pairs(J, [alg.e(i) for i in range(nJ)])
+    basis = [alg.e(i) for i in range(nJ)]
     if D_matrices is None:
-        kept = feed_pairs(span, pairs, nJ, nJ)
-        mats = [M for _j, _l, M in kept]
-        pars = [(alg.parity[j] + alg.parity[l]) % 2 for j, l, _M in kept]
+        djj = DerivationSpace(J, basis)
+        span, pairs, mats, pars = djj.span, djj.pairs, djj.matrices, djj.parities
     else:
+        span = Subspace(nJ * nJ, f)
+        pairs = inner_derivation_pairs(J, basis)
         mats, pars = [], []
         for M, par in zip(D_matrices, D_parities or [EVEN] * len(D_matrices)):
             if span.add(flatten_matrix(M)):

@@ -3,7 +3,9 @@
 Every top-level import of a module is used in that module (__init__.py is
 skipped: its imports are the package's re-exports).  No function imports a
 sibling module except to break a real cycle.  No module outside algebra.py
-lowers an algebra's table itself: SuperAlgebra.coo does that once."""
+lowers an algebra's table itself: SuperAlgebra.coo does that once.  Only
+the two test oracles call the jacobiator: the checkers take their
+witnesses from their own contractions."""
 
 import ast
 from pathlib import Path
@@ -82,3 +84,35 @@ def test_function_local_imports_only_break_cycles(path):
                          ids=lambda p: p.name)
 def test_tables_are_lowered_only_by_superalgebra_coo(path):
     assert sc_lowerings(path.read_text()) == []
+
+
+# the oracles that may call algebra._jacobiator
+JACOBIATOR_CALLERS = {"check_super_jacobi_reference", "verify_lie_conditions_reference"}
+
+
+def jacobiator_calls(source):
+    """(line, enclosing function) of every call to _jacobiator (by name or as
+    an attribute) outside the functions of JACOBIATOR_CALLERS; the
+    enclosing function is the outermost, None at module level."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in tree.body:
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return sorted((node.lineno, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_jacobiator"
+                  and owner.get(node) not in JACOBIATOR_CALLERS)
+
+
+def test_detects_jacobiator_calls():
+    src = ("x = _jacobiator(A, 0, 1, 2)\n"
+           "def check_super_jacobi(A):\n    return algebra._jacobiator(A, 0, 0, 0)\n"
+           "def check_super_jacobi_reference(A):\n    return _jacobiator(A, 0, 0, 0)\n")
+    assert jacobiator_calls(src) == [(1, None), (3, "check_super_jacobi")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_oracles_call_the_jacobiator(path):
+    assert jacobiator_calls(path.read_text()) == []

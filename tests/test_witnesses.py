@@ -1,0 +1,117 @@
+"""Verdicts and witnesses of the bulk checkers.
+
+A verdict never depends on the witness cap, and the witnesses come from
+the contraction that decided the verdict: with SuperAlgebra.multiply and
+the jacobiator oracle made to raise, the checkers give the same reports on
+the negative controls as before."""
+
+from dataclasses import replace
+from functools import partial
+
+import pytest
+
+from magma_tits import algebra
+from magma_tits.algebra import (SuperAlgebra, _jacobiator, check_super_jacobi,
+                                check_super_jacobi_reference)
+from magma_tits.composition import binarion, ground, split_cayley, split_quaternion
+from magma_tits.exact import Matrix
+from magma_tits.jordan import h3
+from magma_tits.structurable import AlgebraWithInvolution, a_of_j, check_structurable
+from magma_tits.tits import tits, verify_lie_conditions, verify_lie_conditions_reference
+
+from test_tits import corrupted_h3k
+
+
+def leibniz():
+    # y y = x: the Leibniz form of Jacobi holds, anticommutativity does not
+    return SuperAlgebra(["x", "y"], {(1, 1): {0: 1}}, name="leibniz")
+
+
+def so3_corrupted():
+    # so3 with [a,c] corrupted: the jacobiator of (a,b,c) is -c
+    sc = {(0, 1): {2: 1}, (1, 0): {2: -1}, (1, 2): {0: 1}, (2, 1): {0: -1},
+          (0, 2): {0: 1}, (2, 0): {0: -1}}
+    return SuperAlgebra(["a", "b", "c"], sc, name="bad3")
+
+
+def corrupt3():
+    # unital, the exchange involution on {w, v}, a skewed product
+    sc = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1},
+          (1, 1): {2: 1}, (2, 2): {0: 1}, (1, 2): {1: 1}, (2, 1): {1: -1}}
+    A = SuperAlgebra(["one", "w", "v"], sc, name="corrupt3")
+    return AlgebraWithInvolution(A, Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+
+
+def corrupted_constant(A, i, j, k):
+    """A with c^k_ij raised by one and c^k_ji moved to match: still
+    super-anticommutative, no longer Lie."""
+    sc = {key: dict(row) for key, row in A.sc.items()}
+    row = sc.setdefault((i, j), {})
+    row[k] = row.get(k, A.field.zero) + 1
+    sc.setdefault((j, i), {})[k] = (1 if A.parity[i] and A.parity[j] else -1) * row[k]
+    return SuperAlgebra(A.basis, sc, parity=A.parity, field=A.field, name=A.name + "/bad")
+
+
+def found(rep):
+    """Every witness of a report, in order."""
+    return [*getattr(rep, "anticom_failures", []), *getattr(rep, "failures", []),
+            *getattr(rep, "witnesses", [])]
+
+
+def lie(check, J):
+    Q = split_quaternion()
+    return partial(check, Q, J, T=tits(Q, J))
+
+
+# name: (the checker bound to its input, built on use; the verdict)
+CASES = {
+    "jacobi-leibniz": (lambda: partial(check_super_jacobi, leibniz()), False),
+    "jacobi-reference-leibniz": (lambda: partial(check_super_jacobi_reference, leibniz()), False),
+    "jacobi-bad3": (lambda: partial(check_super_jacobi, so3_corrupted()), False),
+    "jacobi-reference-bad3": (lambda: partial(check_super_jacobi_reference, so3_corrupted()),
+                              False),
+    "structurable-corrupt3": (lambda: partial(check_structurable, corrupt3()), False),
+    "structurable-A(H3(k))": (lambda: partial(check_structurable, a_of_j(h3(ground()))), True),
+    "lie-H3bad": (lambda: lie(verify_lie_conditions, corrupted_h3k()), False),
+    "lie-reference-H3bad": (lambda: lie(verify_lie_conditions_reference, corrupted_h3k()), False),
+    "lie-H3(k)": (lambda: lie(verify_lie_conditions, h3(ground())), True),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_verdict_does_not_depend_on_max_witnesses(name):
+    make, ok = CASES[name]
+    check = make()
+    full = check()
+    assert full.ok is ok and bool(found(full)) is not ok
+    for cap in (0, 1):
+        rep = check(max_witnesses=cap)
+        assert rep.ok is ok, cap
+        assert found(rep) == found(full)[:cap], cap
+
+
+def test_witnesses_come_from_the_contraction(monkeypatch):
+    Q, Jbad = split_quaternion(), corrupted_h3k()
+    T = tits(Q, Jbad)
+    E6bad = corrupted_constant(tits(split_cayley(), h3(binarion())).algebra, 0, 20, 30)
+
+    def reports():
+        return [check_super_jacobi(E6bad), check_super_jacobi(T.algebra),
+                verify_lie_conditions(Q, Jbad, T=T)]
+
+    before = reports()
+    assert all(not rep.ok and found(rep) for rep in before)
+    for A, rep in zip((E6bad, T.algebra), before):
+        for i, j, k, shown in rep.failures:
+            assert shown == A.format_vector(_jacobiator(A, i, j, k))
+    assert replace(before[2], path="") == verify_lie_conditions_reference(Q, Jbad, T=T)
+
+    def guard(*_args):
+        raise AssertionError("a checker recomputed a witness outside its contraction")
+
+    for owner, name in ((SuperAlgebra, "multiply"), (SuperAlgebra, "bracket"),
+                        (algebra, "_jacobiator")):
+        monkeypatch.setattr(owner, name, guard)
+    with pytest.raises(AssertionError):
+        E6bad.multiply(E6bad.e(0), E6bad.e(1))
+    assert reports() == before
