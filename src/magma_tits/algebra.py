@@ -18,10 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exact import (
-    QQ, FieldGF, Matrix,
-    vec_zero, basis_vector,
-)
+from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, flatten_matrix, vec_zero
 from .int_fast import (bilinear, coo, commutators, distinct, fold, join, matrices_coo, matvec,
                        rows_coo, table_coo, to_field)
 
@@ -90,25 +87,76 @@ def act_on_tensor(sc, acts, op_par, vec_par, copies, op, tensor):
                 sc)
 
 
-def commutator_table(mats, span, odd=None, check=True):
+def commutator_table(mats, span, odd=None):
     """Structure constants of the graded commutators of a list of n x n
     matrices in the coordinates of span, a Subspace of flattened n x n
-    matrices, and the pairs (s, t) whose commutator lies outside it.
+    matrices, as COO columns (s, t, k) and values of c^k_st, and the pairs
+    (s, t) whose commutator lies outside span (its coordinates are then
+    those of the projection through the pivot rows).
 
     One int_fast.commutators join and fold for all pairs, then one batch
-    of Subspace.coords_many (check=False projects through the pivot rows
-    and reports no pair)."""
+    of Subspace.coords_many."""
     m = len(mats)
     if not m:
-        return {}, []
+        none = np.zeros(0, dtype=np.int64)
+        return (none, none, none), [], []
     n = mats[0].nrows
     (S, R, C), V, D = matrices_coo(mats, span.field)
     odd = np.zeros(m, dtype=bool) if odd is None else np.array(odd, dtype=bool)
-    keys, sums, _path = commutators(S, R, C, V, odd, n,
-                                    None if span.field.is_rational else span.field.p)
-    ids, ks, values, outside = span.coords_many(keys // (n * n), keys % (n * n), sums,
-                                                D * D, check)
-    return sc_from_coo(ids // m, ids % m, ks, values), [divmod(i, m) for i in outside.tolist()]
+    keys, sums, _path = commutators(S, R, C, V, odd, n, span.field.p)
+    ids, ks, values, outside = span.coords_many(keys // (n * n), keys % (n * n), sums, D * D)
+    return (ids // m, ids % m, ks), values, [divmod(i, m) for i in outside.tolist()]
+
+
+class DerivationSpace:
+    """Span of the inner derivations of an algebra on the pairs of m
+    generators (der C: D_{a,b}, composition.derivation_algebra; d_{J,J}:
+    d_{x,y} = [L_x, L_y], tits.inner_derivation_space).
+
+    `pairs` is the batch of every pair as Subspace.coords_many takes it:
+    ids j * m + l in increasing order, flat index r * n + c of an n x n
+    matrix, integers and their denominator.  The pairs j <= l are fed in
+    lexicographic order; those that enlarge the span give its `matrices`,
+    `generators` (j, l) and `parities` (of each pair, the sum of its
+    generators' parities).
+    `bracket` is the commutator_table of the matrices, computed once."""
+
+    def __init__(self, pairs, m, n, field, parities):
+        self.pairs = pairs
+        self.span = Subspace(n * n, field)
+        ids, rc, d, D = pairs
+        vals = to_field(d, D, field)
+        bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
+        self.matrices, self.generators, self.parities = [], [], []
+        for j in range(m):
+            # the diagonal d_{x,x} = 2 L_x^2 of d_{J,J} survives for odd x
+            for l in range(j, m):
+                v = [field.zero] * (n * n)
+                lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
+                for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
+                    v[e] = c
+                if self.span.add(v):
+                    self.matrices.append(Matrix([v[r * n:(r + 1) * n] for r in range(n)], field))
+                    self.generators.append((j, l))
+                    self.parities.append((parities[j] + parities[l]) % 2)
+
+    @property
+    def dim(self):
+        return self.span.dim
+
+    @cached_property
+    def bracket(self):
+        """commutator_table of the matrices in the span's coordinates:
+        ((s, t, k), values, pairs outside the span)."""
+        return commutator_table(self.matrices, self.span, self.parities)
+
+    def coords_matrix(self, M, check=True):
+        """Coordinates of the n x n Matrix M; ValueError if check and M is
+        outside the span."""
+        c = self.span.coords(flatten_matrix(M), check=check)
+        if c is None:
+            raise ValueError("matrix is not in the span of the inner derivations")
+        return c
 
 
 class SuperAlgebra:
@@ -221,7 +269,7 @@ class SuperAlgebra:
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
         f, n = self.field, self.n
-        p = None if f.is_rational else f.p
+        p = f.p
         cols = [U.column(j) for j in range(n)]
         if new_parity is None:
             new_parity = [self.parity_of_vector(c) for c in cols]
@@ -348,8 +396,7 @@ def transpose_failures(table, parity, sign, field):
     up, down = np.flatnonzero(I <= J), np.flatnonzero(J <= I)
     s = np.where(odd[I[down]] & odd[J[down]], sign, -sign)
     keys, _sums, _path = fold([((I[up] * n + J[up]) * nk + K[up], [V[up]]),
-                               ((J[down] * n + I[down]) * nk + K[down], [V[down], s])],
-                              None if field.is_rational else field.p)
+                               ((J[down] * n + I[down]) * nk + K[down], [V[down], s])], field.p)
     return [divmod(ij, n) for ij in distinct(keys // nk).tolist()]
 
 
@@ -432,7 +479,7 @@ def check_super_jacobi(A, max_witnesses=10):
                   [V[a], V[b], w]))
     del a, b, x, y, w, keep, sel
 
-    keys, sums, path = fold(terms, None if f.is_rational else f.p)
+    keys, sums, path = fold(terms, f.p)
     ijk = keys // n
     bad = distinct(ijk)[:max_witnesses].tolist()
     failures = []
@@ -494,7 +541,7 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
         t, c = join(Jt[a], R)
         a, b = a[t], b[t]
         terms.append((key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds]))
-    keys, _sums, _path = fold(terms, None if field.is_rational else field.p)
+    keys, _sums, _path = fold(terms, field.p)
     pairs = distinct(keys // nt)[:max_witnesses].tolist()
     return [(ij // n, ij % n) for ij in pairs]
 
@@ -530,13 +577,16 @@ def left_mults(A, vectors):
     """The left multiplications L_v of a list of vectors as COO integers
     over the denominator D: entry (t * n + k, j) holds D L_{v_t}[k][j]
     = D sum_i v_t[i] c^k_ij, from one join of the table's first index
-    with the vectors and one fold."""
+    with the vectors and one fold; ValueError unless every vector has
+    length dim A."""
     f, n = A.field, A.n
+    bad = [len(v) for v in vectors if len(v) != n]
+    if bad:
+        raise ValueError("vector of length %d, the algebra has dimension %d" % (bad[0], n))
     (I, J, K), V, Dt = A.coo
     (t, x), xv, Dx = rows_coo(vectors, f)
     a, b = join(I, x)
-    keys, sums, _path = fold([((t[b] * n + K[a]) * n + J[a], [V[a], xv[b]])],
-                             None if f.is_rational else f.p)
+    keys, sums, _path = fold([((t[b] * n + K[a]) * n + J[a], [V[a], xv[b]])], f.p)
     return (keys // n, keys % n), sums, Dt * Dx
 
 
@@ -549,8 +599,7 @@ def trace_products(A, trace_row):
     (I, J, K), V, Dc = A.coo
     (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(trace_row) if c], f, 1)
     a, b = join(K, Ti)
-    ij, sums, _path = fold([(I[a] * n + J[a], [V[a], T[b]])],
-                           None if f.is_rational else f.p)
+    ij, sums, _path = fold([(I[a] * n + J[a], [V[a], T[b]])], f.p)
     return (ij // n, ij % n), sums, Dc * Dt
 
 

@@ -17,16 +17,17 @@ S4-invariant (Hamilton-type) quaternion subalgebra span{1, u_i+v_i} is
 provided separately for the T(Q,J) variant.
 
 The inner derivations D_{b_i,b_j} on all basis pairs are exact integer
-contractions of the table (inner_derivation_tensor), and the bracket of
-der C is one sparse commutator contraction (algebra.commutator_table);
-inner_derivation(C, a, b) stays the pointwise field-arithmetic form.
+contractions of the table (inner_derivation_tensor); der C is the
+algebra.DerivationSpace they span (the class of d_{J,J} too), bracketed
+by that space; inner_derivation(C, a, b) stays the pointwise
+field-arithmetic form.
 """
 
 import numpy as np
 
-from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import SuperAlgebra, LinearMap, commutator_table
-from .int_fast import einsum, to_field
+from .exact import QQ, Matrix, vec_zero, basis_vector
+from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, sc_from_coo
+from .int_fast import einsum
 from .s4 import GroupAction
 
 
@@ -234,7 +235,7 @@ def inner_derivation_tensor(C):
     (int_fast.einsum) of the dense table of C, dim C <= 8; each term is a
     product of two constants, so den is the square of the table's."""
     n = C.dim
-    p = None if C.field.is_rational else C.field.p
+    p = C.field.p
     (I, J, K), V, D = C.algebra.coo
     T = np.zeros((n, n, n), dtype=object)
     T[I, J, K] = V
@@ -247,61 +248,24 @@ def inner_derivation_tensor(C):
     return (out if p is None else out % p), D * D
 
 
-class DerivationAlgebra:
-    """der C with a deterministic basis of inner derivations D_{b_i, b_j}.
-
-    Basis selection: feed all D_{b_i,b_j}, i < j, in lexicographic order and
-    keep those that enlarge the span (reproducible structure constants).
-    The D_{b_i,b_j} come from inner_derivation_tensor and the brackets of
-    the kept ones from one algebra.commutator_table contraction.
-    """
-
-    def __init__(self, C):
-        self.C = C
-        n = C.dim
-        f = C.field
-        self.tensor = inner_derivation_tensor(C)
-        D, den = self.tensor
-        span = Subspace(n * n, f)
-        mats, gens = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                M = Matrix([to_field(row, den, f) for row in D[i, j]], f)
-                if span.add(flatten_matrix(M)):
-                    mats.append(M)
-                    gens.append((i, j))
-        self.span = span
-        self.matrices = mats
-        self.generators = gens
-        labels = ["D[%s,%s]" % (C.algebra.basis[i], C.algebra.basis[j]) for i, j in gens]
-        sc, outside = commutator_table(mats, span)
+def derivation_algebra(C):
+    """der C: the DerivationSpace of the D_{b_i,b_j}, fed from the nonzero
+    entries of inner_derivation_tensor, with its Lie algebra `lie` (basis
+    D[b_i,b_j]) read off the space's bracket; ValueError when a bracket
+    leaves the span.  Cached on the (immutable) algebra instance."""
+    if not hasattr(C, "_der_alg"):
+        n, basis = C.dim, C.algebra.basis
+        D, den = inner_derivation_tensor(C)
+        i, j, l, c = np.nonzero(D)
+        der = DerivationSpace((i * n + j, l * n + c, D[i, j, l, c], den), n, n, C.field,
+                              [EVEN] * n)
+        (s, t, k), values, outside = der.bracket
         if outside:
             raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
-        self.lie = SuperAlgebra(labels, sc, field=f,
-                                name="der(%s)" % C.name, is_lie_claimed=True)
-
-    @property
-    def dim(self):
-        return self.span.dim
-
-    def coords_matrix(self, M):
-        c = self.span.coords(flatten_matrix(M))
-        if c is None:
-            raise ValueError("matrix is not in der C")
-        return c
-
-    def coords_pair(self, a, b):
-        """Coordinates of D_{a,b} in the chosen basis."""
-        return self.coords_matrix(inner_derivation(self.C, a, b).matrix)
-
-
-def derivation_algebra(C):
-    """The Lie algebra der C spanned by the inner derivations D_{a,b}.
-
-    Cached on the (immutable) algebra instance.
-    """
-    if not hasattr(C, "_der_alg"):
-        C._der_alg = DerivationAlgebra(C)
+        der.lie = SuperAlgebra(["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators],
+                               sc_from_coo(s, t, k, values), field=C.field,
+                               name="der(%s)" % C.name, is_lie_claimed=True)
+        C._der_alg = der
     return C._der_alg
 
 

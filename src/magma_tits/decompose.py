@@ -42,7 +42,7 @@ from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense
 from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
                        to_field)
 from .s4 import GroupAction, conjugation_block
-from .tits import DerivationSpace
+from .tits import inner_derivation_space
 
 W_LABELS = ["w1", "w2", "w0"]
 
@@ -244,7 +244,8 @@ def _so3_h(field):
     Ds, Hs = so3_basis(field), h_basis(field)
     so3_span, h_span, sl_span = (Subspace.from_vectors([flatten_matrix(M) for M in mats], 9,
                                                        field) for mats in (Ds, Hs, Ds + Hs))
-    sc, _outside = commutator_table(Ds + Hs, sl_span)
+    (s, t, k), values, _outside = commutator_table(Ds + Hs, sl_span)
+    sc = sc_from_coo(s, t, k, values)
 
     def ad(i, part):
         return Matrix([[sc.get((i, j), {}).get(k, field.zero) for j in part] for k in part],
@@ -351,19 +352,18 @@ def b1data_from_jordan(J):
     f = J.field
     nJ = J.dim
     alg = J.algebra
-    djj = DerivationSpace(J, [alg.e(i) for i in range(nJ)])
-    span, mats, dpar = djj.span, djj.matrices, djj.parities
+    djj = inner_derivation_space(J, [alg.e(i) for i in range(nJ)])
     half = f.of(1) / f.of(2)
-    ids, ks, values, _out = span.coords_many(*djj.pairs, check=False)
-    (s, k, j), V, D = matrices_coo(mats, f)
-    brk_dd, _out = commutator_table(mats, span, dpar, check=False)
+    ids, ks, values, _out = djj.span.coords_many(*djj.pairs, check=False)
+    (s, k, j), V, D = matrices_coo(djj.matrices, f)
+    (r, t, u), brackets, _out = djj.bracket
     return B1Data(
-        field=f, hdim=nJ, sdim=0, ddim=span.dim, unit_h=list(J.unit),
+        field=f, hdim=nJ, sdim=0, ddim=djj.dim, unit_h=list(J.unit),
         circ_HH={key: dict(row) for key, row in alg.sc.items()},
         brk_HH={}, brk_HS={}, circ_HS={}, circ_SS={}, brk_SS={},
         d_HH=sc_from_coo(ids // nJ, ids % nJ, ks, [half * c for c in values]), d_SS={},
-        act_dH=sc_from_coo(s, j, k, to_field(V, D, f)), act_dS={}, brk_dd=brk_dd,
-        h_parity=list(alg.parity), d_parity=dpar,
+        act_dH=sc_from_coo(s, j, k, to_field(V, D, f)), act_dS={},
+        brk_dd=sc_from_coo(r, t, u, brackets), h_parity=list(alg.parity), d_parity=djj.parities,
     )
 
 
@@ -401,7 +401,7 @@ def _casimir_kernels(g, triple):
     with themselves on the middle index, plus a c D^2 diagonal.  Scaling a
     matrix keeps its kernel, so the kernels are those of Omega + c."""
     f, n = g.field, g.n
-    p = None if f.is_rational else f.p
+    p = f.p
     (tk, j), ad, D = left_mults(g, triple)
     a, b = join(tk - tk % n + j, tk)          # (t, k, m) against (t, m, l)
     square = (tk[a] % n) * n + j[b]
@@ -467,7 +467,7 @@ def _kernel_within(g, op, component):
         return []
     f = g.field
     X, Vx, _Dx = rows_coo(component, f)
-    (ids, rows), sums = matvec(op, (X, Vx), None if f.is_rational else f.p)
+    (ids, rows), sums = matvec(op, (X, Vx), f.p)
     images = Matrix.from_entries(g.n, len(component), rows, ids, to_field(sums, 1, f), f)
     B = Matrix.from_columns(component, f)
     return [B.apply(c) for c in images.kernel_basis()]
@@ -508,7 +508,7 @@ def extract_b1(g, report):
     f = g.field
     n = g.n
     triple = report.triple
-    p = None if f.is_rational else f.p
+    p = f.p
     ad0, ad, _D = left_mults(g, triple[:1])
     # multiplicity-space representatives: kernels of ad(d0) inside components
     hvecs = _kernel_within(g, (ad0, ad), report.bases["adjoint"])
@@ -616,7 +616,7 @@ def synthesize_s4(g, report, extraction=None):
     if extraction is None:
         extraction = extract_b1(g, report)
     f = g.field
-    p = None if f.is_rational else f.p
+    p = f.p
     act = s4_on_w(f)
     Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
@@ -654,11 +654,12 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     for M in mats:
         if not span.add(flatten_matrix(M)):
             raise ValueError("matrices are not linearly independent")
-    sc, outside = commutator_table(mats, span)
+    (s, t, k), values, outside = commutator_table(mats, span)
     if outside:
         raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
     labels = labels or ["m%d" % i for i in range(len(mats))]
-    return SuperAlgebra(labels, sc, field=field, name=name, is_lie_claimed=True)
+    return SuperAlgebra(labels, sc_from_coo(s, t, k, values), field=field, name=name,
+                        is_lie_claimed=True)
 
 
 def _embed(M3, N, field, row0=0, col0=0):

@@ -98,6 +98,7 @@ class FieldQ:
 
     name = "QQ"
     is_rational = True
+    p = None            # the modulus, as FieldGF.p; the kernel reduces mod p unless None
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -632,7 +633,7 @@ class Subspace:
         are looked for when check is False; the coordinates are then those
         of the projection through the pivot rows).
         """
-        p = None if self.field.is_rational else self.field.p
+        p = self.field.p
         ids, cols = np.asarray(ids, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         pos, ((K, Q), Vp, Dp), ((Kb, Cb), Vb, Db) = self._lower()
         m = max(self.dim, 1)

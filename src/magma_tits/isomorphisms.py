@@ -302,8 +302,7 @@ def _tqj_lie_iso(TQ, T62):
     (t, x), xv, Dx = rows_coo(TQ.c0_basis, f)
     (a, b), (c, d) = join(I, x), join(Jq, x)
     keys, sums, _path = fold([((K[a] * nq + Jq[a]) * nc + t[b], [V[a], xv[b]]),
-                              ((K[c] * nq + I[c]) * nc + t[d], [V[c], xv[d], -1])],
-                             None if f.is_rational else f.p)
+                              ((K[c] * nq + I[c]) * nc + t[d], [V[c], xv[d], -1])], f.p)
     stack = Matrix.from_entries(nq * nq, nc, keys // nc, keys % nc, to_field(sums, Dq * Dx, f),
                                 f)
     for D in TQ.derC.matrices:

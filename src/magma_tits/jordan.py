@@ -7,10 +7,15 @@ dimensional odd part, xy = e1 + t e2), and the tiny Kaplansky superalgebra
 as an admissible cubic algebra.
 
 A normalized trace is linear with t(1) = 1 and t((xy)z) = t(x(yz)); it
-splits J = k1 + J0 and powers the star product x*y = xy - t(xy)1, the inner
-derivations d_{x,y} = [L_x, L_y] (graded commutator) and the cross product
+splits J = k1 + J0 and powers the star product x*y = xy - t(xy)1 and the
+cross product
 
     x X y = 2xy - 3t(x)y - 3t(y)x + (9t(x)t(y) - 3t(xy)) 1.
+
+The inner derivations d_{x,y} = [L_x, L_y] (graded commutator) of a list
+of vectors are one batch, tits.inner_derivation_pairs; d_{J,J} is the
+algebra.DerivationSpace they span (tits.inner_derivation_space), and
+JordanAlgebra.inner_derivation is one pair of such a batch.
 
 Supercommutativity (algebra.transpose_failures), the linearized Jordan
 identity and the associator rows of the trace system are sparse exact
@@ -22,11 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
-from .algebra import (SuperAlgebra, LinearMap, EVEN, ODD, accumulate, left_mults,
-                      transpose_failures)
+from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
 from .composition import split_cayley
-from .int_fast import INT64_MAX, commutators, fold, join, to_field
-from .tits import tits, verify_lie_conditions
+from .int_fast import INT64_MAX, fold, join, to_field
+from .tits import inner_derivation_pairs, inner_derivation_space, tits, verify_lie_conditions
 
 
 class JordanAlgebra:
@@ -89,19 +93,14 @@ class JordanAlgebra:
         return [a + c * u for a, u in zip(out, self.unit)]
 
     def inner_derivation(self, x, y):
-        """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x (graded commutator) of the
-        L_x, L_y of algebra.left_mults, by int_fast.commutators."""
+        """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x (graded commutator): the
+        pair (0, 1) of tits.inner_derivation_pairs(self, [x, y])."""
         alg, f, n = self.algebra, self.field, self.dim
-        px, py = alg.parity_of_vector(x), alg.parity_of_vector(y)
-        if px is None or py is None:
-            raise ValueError("inner_derivation needs parity-homogeneous arguments")
-        (tk, j), V, D = left_mults(alg, [x, y])
-        keys, sums, _path = commutators(tk // n, tk % n, j, V, np.array([px, py], dtype=bool),
-                                        n, None if f.is_rational else f.p)
-        sel = np.flatnonzero(keys // (n * n) == 1)          # the pair (s, t) = (x, y)
-        M = Matrix.from_entries(n, n, keys[sel] // n % n, keys[sel] % n,
-                                to_field(sums[sel], D * D, f), f)
-        return LinearMap(alg, alg, M, parity=(px + py) % 2)
+        ids, rc, d, D = inner_derivation_pairs(self, [x, y])
+        sel = np.flatnonzero(ids == 1)
+        M = Matrix.from_entries(n, n, rc[sel] // n, rc[sel] % n, to_field(d[sel], D, f), f)
+        parity = (alg.parity_of_vector(x) + alg.parity_of_vector(y)) % 2
+        return LinearMap(alg, alg, M, parity=parity)
 
     # -- H3 index helpers -------------------------------------------------
 
@@ -228,8 +227,7 @@ def _associator_rows(algebra):
     c, d = join(K, J)
     keys, sums, _path = fold(
         [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]]),
-         (((I[d] * n + I[c]) * n + J[c]) * n + K[d], [V[c], V[d], -1])],
-        None if f.is_rational else f.p)
+         (((I[d] * n + I[c]) * n + J[c]) * n + K[d], [V[c], V[d], -1])], f.p)
     rows = {}
     for ijk, l, x in zip((keys // n).tolist(), (keys % n).tolist(), sums.tolist()):
         rows.setdefault(ijk, []).append((l, x))
@@ -367,7 +365,7 @@ def check_jordan_identity(J):
     f, n = alg.field, alg.n
     if n ** 5 > INT64_MAX:
         raise ValueError("dimension %d too large for int64 keys (a,b,c,d,l)" % n)
-    p = None if f.is_rational else f.p
+    p = f.p
     odd = np.array(alg.parity, dtype=bool)
     (I, J, K), V, _D = alg.coo
     # (b_y b_z) b_w = sum_k c^k_yz c^m_kw, keys (y, z, w, m)
@@ -402,11 +400,7 @@ def h3_derivation_grading(J):
     alg = J.algebra
     f = J.field
     n = alg.n
-    j0 = J.j0_basis()
-    span = Subspace(n * n, f)
-    for a in range(len(j0)):
-        for b in range(a + 1, len(j0)):
-            span.add(flatten_matrix(J.inner_derivation(j0[a], j0[b]).matrix))
+    span = inner_derivation_space(J, J.j0_basis()).span
     # {d : d(e_i) = 0}: inside the span, solve for combinations killing the e_i
     rows = []
     for vec in span.basis:

@@ -75,7 +75,6 @@ class GroupAction:
             raise ValueError("generators do not match the target dimension")
         self.dim = n
         self.field = tau1.field
-        self._p = None if self.field.is_rational else self.field.p
         self._lowered = {}
 
     def __getitem__(self, name):
@@ -95,7 +94,7 @@ class GroupAction:
         X, D = ((diag, diag), np.ones(self.dim, dtype=np.int64)), 1
         for w in reversed(word):
             M, V, Dw = self.lowered(w)
-            X = matvec((M, V), X, self._p)
+            X = matvec((M, V), X, self.field.p)
             D *= Dw
         return X, D
 
@@ -116,7 +115,7 @@ class GroupAction:
             ((lc, lr), lv), Dl = self._product(lhs)
             ((rc, rr), rv), Dr = self._product(rhs)
             keys, _sums, _path = fold([(lr * n + lc, [lv, Dr]), (rr * n + rc, [rv, -Dl])],
-                                      self._p)
+                                      self.field.p)
             if len(keys):
                 out.append((lhs, rhs))
         return out
@@ -216,7 +215,7 @@ def klein_grading(action):
             s1, s2 = (-1) ** b, (-1) ** a
             keys, sums, _path = fold([(R1 * n + C1, [V1]), (diag, [np.full(n, -s1 * D1)]),
                                       (n * n + R2 * n + C2, [V2]),
-                                      (n * n + diag, [np.full(n, -s2 * D2)])], action._p)
+                                      (n * n + diag, [np.full(n, -s2 * D2)])], action.field.p)
             basis = Matrix.from_entries(2 * n, n, keys // n, keys % n, to_field(sums, 1, f),
                                         f).kernel_basis()
             components[(a, b)] = basis
@@ -274,7 +273,7 @@ def coordinate_algebra(g, action, basis=None, name=None):
     Subspace.coords_many with the exact reconstruction check.
     """
     f = g.field
-    p = None if f.is_rational else f.p
+    p = f.p
     n = g.n
     if basis is None:
         basis = klein_grading(action).components[(1, 0)]
@@ -421,8 +420,7 @@ def conjugation_block(span, mats, P, what):
     (S, R, C), V, D = matrices_coo(mats, f)
     pc, pv, DP = rows_coo(P.rows, f)
     (qr, qc), qv, DQ = rows_coo(P.inverse().rows, f)
-    (i, l, s), sums, _path = bilinear(((R, C, S), V), (pc, pv), ((qc, qr), qv),
-                                      None if f.is_rational else f.p)
+    (i, l, s), sums, _path = bilinear(((R, C, S), V), (pc, pv), ((qc, qr), qv), f.p)
     ids, ks, values, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
     if len(outside):
         raise ValueError("matrix is not in %s" % what)
@@ -443,8 +441,7 @@ def s4_on_tits_left(T, base_action=None):
     Idjj = Matrix.identity(T.djj_dim, f)
     Ij0 = Matrix.identity(len(T.j0_basis), f)
     for name, Mpsi in actC.gens.items():
-        der_block = (conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
-                     if T.derC is not None else Matrix.zeros(0, 0, f))
+        der_block = conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
         c0_cols = [T.c0_coords(Mpsi.apply(a)) for a in T.c0_basis]
         c0_block = (Matrix.from_columns(c0_cols, f) if T.c0_basis
                     else Matrix.zeros(0, 0, f))

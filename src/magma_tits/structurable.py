@@ -21,7 +21,9 @@ contraction of the table, the involution and the unit over QQ or GF(p).
 The construction is a contraction too: A(J) is linear in J's table, its
 trace row and its unit, so the pairing and the cross product on all basis
 pairs are int_fast folds of their COO columns, and the four blocks of the
-2x2 table are placed with sc_from_coo.
+2x2 table are placed with sc_from_coo.  C x C^ and its involution are
+outer products (algebra.outer_entries) of the two tables' entries and of
+the two conjugations' entries.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix
-from .algebra import (SuperAlgebra, EVEN, map_failures, nonzero_entries, sc_from_coo,
-                      trace_products)
+from .algebra import (SuperAlgebra, EVEN, map_failures, nonzero_entries, outer_entries,
+                      sc_from_coo, trace_products)
 from .int_fast import INT64_MAX, coo, distinct, fold, join, to_field
 
 
@@ -105,7 +107,7 @@ def a_of_j(J, name=None):
         ((j * n + Ti[t]) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(y)x
         ((Ti[s] * n + Ti[r]) * n + Ui[u], [T[s], T[r], U[u], 9 * Dc]),     # 9t(x)t(y)1
         ((Pi[q] * n + Pj[q]) * n + Ui[m], [P[q], U[m], -3 * Dt]),         # -3t(xy)1
-    ], None if f.is_rational else f.p)
+    ], f.p)
     return _two_by_two(alg, ((Pi, Pj), to_field(3 * P.astype(object), Dc * Dt, f)),
                        ((keys // (n * n), keys // n % n, keys % n),
                         to_field(sums, Dc * Dt * Dt * Du, f)), name)
@@ -162,44 +164,19 @@ def _two_by_two(alg, pairing, cross, name):
 
 
 def tensor_product(C, Chat, name=None):
-    """C x C^ with (a x x)(b x y) = ab x xy and conjugate a^bar x x^bar."""
+    """C x C^ with (a x x)(b x y) = ab x xy and conjugate a^bar x x^bar: the
+    table and sigma are outer products (algebra.outer_entries) of the
+    nonzero entries of the two tables and of the two conjugation matrices."""
     f = C.field
-    nc, nd = C.dim, Chat.dim
+    nd = Chat.dim
     labels = ["%s(x)%s" % (a, b) for a in C.algebra.basis for b in Chat.algebra.basis]
-
-    def idx(i, j):
-        return i * nd + j
-
-    sc = {}
-    for i1 in range(nc):
-        for i2 in range(nc):
-            row_c = C.algebra.product_basis(i1, i2)
-            if not row_c:
-                continue
-            for j1 in range(nd):
-                for j2 in range(nd):
-                    row_d = Chat.algebra.product_basis(j1, j2)
-                    if not row_d:
-                        continue
-                    tgt = {}
-                    for kc, cc in row_c.items():
-                        for kd, cd in row_d.items():
-                            tgt[idx(kc, kd)] = cc * cd
-                    sc[(idx(i1, j1), idx(i2, j2))] = tgt
-    A = SuperAlgebra(labels, sc, field=f, name=name or ("%s(x)%s" % (C.name, Chat.name)))
-    CC = C.conj_matrix()
-    CD = Chat.conj_matrix()
-    sigma = Matrix.zeros(nc * nd, nc * nd, f)
-    for i in range(nc):
-        for j in range(nd):
-            col_c = CC.column(i)
-            col_d = CD.column(j)
-            for p in range(nc):
-                if not col_c[p]:
-                    continue
-                for q in range(nd):
-                    if col_d[q]:
-                        sigma[idx(p, q), idx(i, j)] = col_c[p] * col_d[q]
+    (i1, i2, kc), (j1, j2, kd), vals = outer_entries(nonzero_entries(C.algebra.sc),
+                                                     nonzero_entries(Chat.algebra.sc))
+    A = SuperAlgebra(labels, sc_from_coo(i1 * nd + j1, i2 * nd + j2, kc * nd + kd, vals),
+                     field=f, name=name or ("%s(x)%s" % (C.name, Chat.name)))
+    conj = [nonzero_entries(np.array(X.conj_matrix().rows, dtype=object)) for X in (C, Chat)]
+    (p, i), (q, j), vals = outer_entries(*conj)
+    sigma = Matrix.from_entries(A.n, A.n, p * nd + q, i * nd + j, vals, f)
     return AlgebraWithInvolution(A, sigma)
 
 
@@ -258,7 +235,7 @@ def check_structurable(AI, max_witnesses=10):
     if unit is None:
         raise ValueError("%s is not unital" % alg.name)
     f = alg.field
-    p = None if f.is_rational else f.p
+    p = f.p
     par = np.array(alg.parity, dtype=np.int64)
 
     def pack(*cols):

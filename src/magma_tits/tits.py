@@ -8,15 +8,18 @@ Bracket rules, for D in der C, d in d_{J,J}, a, b in C0, x, y in J0:
     [a x x, b x y] = t_J(xy) D_{a,b} + [a,b] x (x*y) + 2 t(ab) d_{x,y}.
 
 Basis order: der C basis, then a_i x x_j in lexicographic (i, j), then the
-d_{J,J} basis; d_{J,J} is spanned by d_{x_i, x_j} over J0 basis pairs fed in
-lexicographic order (first independent subset kept).
+d_{J,J} basis.  der C (composition.derivation_algebra, over C basis pairs)
+and d_{J,J} (inner_derivation_space, over J0 basis pairs) are both an
+algebra.DerivationSpace: the span of the inner derivations on the pairs,
+fed in lexicographic order (first independent subset kept), with its
+bracket computed once.  The d_{x,y} of all pairs are one contraction
+(inner_derivation_pairs: the graded commutators of the L_x).
 
 The bracket is assembled from exact sparse contractions (int_fast): the
-inner derivations d_{x,y} are graded commutators of the left
-multiplications of J, the tables of C and J are bilinear contractions with
-the C0 and J0 bases, their coordinates come in batches from
-Subspace.coords_many, and the blocks of the bracket are COO broadcasts and
-outer products of those tables.
+tables of C and J are bilinear contractions with the C0 and J0 bases,
+their coordinates come in batches from Subspace.coords_many, and the
+blocks of the bracket are COO broadcasts and outer products of those
+tables.
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
@@ -33,11 +36,11 @@ from math import lcm
 
 import numpy as np
 
-from .exact import Matrix, Subspace, vec_zero, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, _jacobiator, act_on_tensor, check_super_jacobi,
-                      commutator_table, dense_entries, nonzero_entries, outer_entries,
-                      sc_from_coo, trace_products)
-from .composition import derivation_algebra
+from .exact import Subspace, vec_zero, flatten_matrix
+from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, act_on_tensor,
+                      check_super_jacobi, commutator_table, dense_entries, left_mults,
+                      nonzero_entries, outer_entries, sc_from_coo, trace_products)
+from .composition import derivation_algebra, inner_derivation
 from .int_fast import (bilinear, commutators, coo, einsum, fold, lower, matrices_coo, rows_coo,
                        to_field)
 
@@ -45,63 +48,23 @@ from .int_fast import (bilinear, commutators, coo, einsum, fold, lower, matrices
 def inner_derivation_pairs(J, vectors):
     """The d_{x_j,x_l} = [L_{x_j}, L_{x_l}] (graded) of all pairs of a list
     of parity-homogeneous vectors of J, as a Subspace.coords_many batch
-    (ids j * m + l in increasing order, flat index r * n + c, integers, D).
-
-    Every d_{b_a,b_b} on basis pairs is one int_fast.commutators
-    contraction of the left multiplications L_a of J's table; the pairs of
-    the vectors are one int_fast.bilinear contraction of those."""
-    n, m = J.dim, len(vectors)
-    f = J.field
-    p = None if f.is_rational else f.p
-    alg = J.algebra
-    (I, Jc, K), V, Dt = alg.coo
-    keys, sums, _path = commutators(I, K, Jc, V, np.array(alg.parity, dtype=bool), n, p)
-    cols, vals, Dx = rows_coo(vectors, f)
-    (j, l, rc), d, _path = bilinear(((keys // n ** 3, keys // n ** 2 % n, keys % n ** 2),
-                                     sums), (cols, vals), (cols, vals), p)
-    return j * m + l, rc, d, Dt * Dt * Dx * Dx
+    (ids j * m + l in increasing order, flat index r * n + c, integers, D):
+    the L_x of algebra.left_mults and one int_fast.commutators fold.
+    ValueError for a vector of the wrong length or of mixed parity."""
+    alg, n = J.algebra, J.dim
+    (tk, j), V, D = left_mults(alg, vectors)
+    odd = [alg.parity_of_vector(x) for x in vectors]
+    if None in odd:
+        raise ValueError("inner_derivation needs parity-homogeneous arguments")
+    keys, sums, _path = commutators(tk // n, tk % n, j, V, np.array(odd, dtype=bool), n, J.field.p)
+    return keys // (n * n), keys % (n * n), sums, D * D
 
 
-class DerivationSpace:
-    """Span of the inner derivations d_{x_i, x_j} of J over a list of
-    parity-homogeneous vectors of J (a basis of J0, or of J), fed pair by
-    pair, j <= l, in lexicographic order; the pairs that enlarged the span
-    give its `matrices`, `generators` and `parities`.  `pairs` keeps the
-    batch of inner_derivation_pairs for the tables of the construction."""
-
-    def __init__(self, J, vectors):
-        n, m, f = J.dim, len(vectors), J.field
-        self.J = J
-        self.span = Subspace(n * n, f)
-        par = [J.algebra.parity_of_vector(x) for x in vectors]
-        if None in par:
-            raise ValueError("inner_derivation needs parity-homogeneous arguments")
-        self.pairs = inner_derivation_pairs(J, vectors)
-        ids, rc, d, D = self.pairs
-        vals = to_field(d, D, f)
-        bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
-        self.matrices, self.generators, self.parities = [], [], []
-        for j in range(m):
-            # the diagonal d_{x,x} = 2 L_x^2 survives for odd x
-            for l in range(j, m):
-                v = [f.zero] * (n * n)
-                lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
-                for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
-                    v[e] = c
-                if self.span.add(v):
-                    self.matrices.append(Matrix([v[r * n:(r + 1) * n] for r in range(n)], f))
-                    self.generators.append((j, l))
-                    self.parities.append((par[j] + par[l]) % 2)
-
-    @property
-    def dim(self):
-        return self.span.dim
-
-    def coords_matrix(self, M, check=True):
-        c = self.span.coords(flatten_matrix(M), check=check)
-        if c is None:
-            raise ValueError("matrix is not in d_{J,J}")
-        return c
+def inner_derivation_space(J, vectors):
+    """The algebra.DerivationSpace of the d_{x,y} over a list of
+    parity-homogeneous vectors of J (a basis of J0 gives d_{J,J})."""
+    return DerivationSpace(inner_derivation_pairs(J, vectors), len(vectors), J.dim, J.field,
+                           [J.algebra.parity_of_vector(x) for x in vectors])
 
 
 class TitsAlgebra:
@@ -121,7 +84,7 @@ class TitsAlgebra:
 
     @property
     def der_dim(self):
-        return self.derC.dim if self.derC is not None else 0
+        return self.derC.dim
 
     @property
     def djj_dim(self):
@@ -152,11 +115,8 @@ class TitsAlgebra:
 
     def der_vector(self, a, b):
         """The element D_{a,b} of der C as a T-coordinate vector."""
-        coords = self.derC.coords_pair(a, b)
-        v = vec_zero(self.dim, self.algebra.field)
-        for i, c in enumerate(coords):
-            v[i] = c
-        return v
+        coords = self.derC.coords_matrix(inner_derivation(self.C, a, b).matrix)
+        return coords + vec_zero(self.dim - self.der_dim, self.algebra.field)
 
     def tensor_vector(self, a, x):
         """The element a x x for a in C0, x in J0."""
@@ -173,13 +133,8 @@ class TitsAlgebra:
 
     def djj_vector(self, x, y):
         """The element d_{x,y} of d_{J,J}."""
-        d = self.J.inner_derivation(x, y)
-        coords = self.djj.coords_matrix(d.matrix, check=False)
-        v = vec_zero(self.dim, self.algebra.field)
-        off = self.djj_offset
-        for i, c in enumerate(coords):
-            v[off + i] = c
-        return v
+        coords = self.djj.coords_matrix(self.J.inner_derivation(x, y).matrix, check=False)
+        return vec_zero(self.djj_offset, self.algebra.field) + coords
 
     def jacobi_report(self):
         if self._jacobi_report is None:
@@ -229,14 +184,25 @@ def _split_coords(span, batch, count, unit, trace):
     return out
 
 
+def _pair_coords(span, batch, count, check=False):
+    """Coordinates in span of a batch over the count x count pairs of some
+    vectors, as a count x count x dim object array: projected through the
+    pivot rows, or ValueError when check finds a pair outside span."""
+    ids, ks, values, outside = span.coords_many(*batch, check=check)
+    if len(outside):
+        raise ValueError("the pair (%d, %d) is not in the span" % divmod(int(outside[0]), count))
+    return dense_entries((count * count, span.dim), (ids, ks), values,
+                         span.field.zero).reshape(count, count, span.dim)
+
+
 def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     """The tables of T(C, J): contractions of the tables of C and J (and of
     D_{b_p,b_q}, d_r) with the C0 and J0 bases by int_fast.bilinear, their
     coordinates by Subspace.coords_many, split along k1 by _split_coords."""
     f = C.field
-    p = None if f.is_rational else f.p
+    p = f.p
     nc, nj = len(c0_basis), len(j0_basis)
-    m = derC.dim if derC is not None else 0
+    m = derC.dim
     zero = f.zero
     half = f.one / f.of(2)
     xc_cols, xc_vals, Dxc = rows_coo(c0_basis, f)
@@ -288,51 +254,43 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     star = j0c(pairs(st_tab, Xj, nj, Dxj), nj * nj).reshape(nj, nj, nj)
     tJ = scalars(tJ_tab, Xj, nj, Dxj)
 
-    # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows
-    ids, ks, values, _out = djj.span.coords_many(*djj.pairs, check=False)
-    dxy = dense_entries((nj * nj, djj.dim), (ids, ks), values, zero).reshape(nj, nj, djj.dim)
+    # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows,
+    # D_{a_i,a_k} in der C coordinates (the pairs of the D_{b_p,b_q} over the
+    # C0 basis), and the actions d_s(x_j), D_r(a_i) in J0 and C0 coordinates
+    dxy = _pair_coords(djj.span, djj.pairs, nj)
+    ids, rc, d, den = derC.pairs
+    DC = _pair_coords(derC.span, pairs(((ids // C.dim, ids % C.dim, rc), d, den), Xc, nc, Dxc),
+                      nc, check=True)
     djj_act = j0c(images(djj.matrices, Xj, nj, Dxj), djj.dim * nj).reshape(djj.dim, nj, nj)
-
-    # D_{a_i,a_k} in der C coordinates and D_r(a_i) in C0 coordinates
-    DC = np.zeros((nc, nc, 0), dtype=object)
-    der_act = np.zeros((0, nc, nc), dtype=object)
-    if derC is not None:
-        Dt, den = derC.tensor
-        nz = np.nonzero(Dt)
-        batch = pairs(((nz[0], nz[1], nz[2] * C.dim + nz[3]), Dt[nz], den), Xc, nc, Dxc)
-        ids, ks, values, outside = derC.span.coords_many(*batch)
-        if len(outside):
-            raise ValueError("matrix is not in der C")
-        DC = dense_entries((nc * nc, m), (ids, ks), values, zero).reshape(nc, nc, m)
-        der_act = c0c(images(derC.matrices, Xc, nc, Dxc), m * nc).reshape(m, nc, nc)
+    der_act = c0c(images(derC.matrices, Xc, nc, Dxc), m * nc).reshape(m, nc, nc)
     return _Tables(DC, brC, trC, tJ, star, dxy, der_act, djj_act)
 
 
 def tits(C, J, name=None):
     """Assemble T(C, J); Lie-ness is checked separately, never assumed.
 
-    The brackets are COO blocks: der C and d_{J,J} commutators from
-    algebra.commutator_table (d_{J,J} projected through the pivot rows),
-    the actions on C0 x J0 broadcast from the tables, and the tensor x
+    The brackets are COO blocks: der C and d_{J,J} commutators, the
+    brackets of their algebra.DerivationSpaces (d_{J,J} projected through
+    the pivot rows), the actions on C0 x J0 broadcast from the tables, and the tensor x
     tensor block as outer products of the tables of C and of J."""
     f = C.field
     if J.trace_row is None:
         raise ValueError("the Tits construction needs a normalized trace on J")
-    derC = derivation_algebra(C) if C.dim > 1 else None
+    derC = derivation_algebra(C)
     c0_basis = C.traceless_basis()
     c0_span = Subspace.from_vectors(c0_basis, C.dim, f) if c0_basis else Subspace(C.dim, f)
     j0_basis = J.j0_basis()
     j0_span = Subspace.from_vectors(j0_basis, J.dim, f) if j0_basis else Subspace(J.dim, f)
-    djj = DerivationSpace(J, j0_basis)
+    djj = inner_derivation_space(J, j0_basis)
     tb = _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
 
-    m = derC.dim if derC is not None else 0
+    m = derC.dim
     nc, nj = len(c0_basis), len(j0_basis)
     nd = djj.dim
     off = m + nc * nj
 
     j0_par = np.array([J.algebra.parity_of_vector(x) for x in j0_basis], dtype=bool)
-    labels = list(derC.lie.basis) if derC is not None else []
+    labels = list(derC.lie.basis)
     labels += ["a%d(x)x%d" % (i, j) for i in range(nc) for j in range(nj)]
     labels += ["d%d" % s for s in range(nd)]
     parity = [EVEN] * m + [int(j0_par[j]) for _i in range(nc) for j in range(nj)]
@@ -341,11 +299,11 @@ def tits(C, J, name=None):
     def tidx(i, j):
         return m + i * nj + j
 
-    # der C x der C and d_{J,J} x d_{J,J}
-    sc = {} if derC is None else {ij: dict(row) for ij, row in derC.lie.sc.items()}
-    djj_sc, _out = commutator_table(djj.matrices, djj.span, djj.parities, check=False)
-    for (s, t), row in djj_sc.items():
-        sc[(off + s, off + t)] = {off + k: c for k, c in row.items()}
+    # der C x der C and d_{J,J} x d_{J,J}, the brackets of the two spaces
+    (s, t, k), vals, _out = derC.bracket
+    sc = sc_from_coo(s, t, k, vals)
+    (s, t, k), vals, _out = djj.bracket
+    sc_from_coo(off + s, off + t, off + k, vals, sc)
     # der C and d_{J,J} acting: [D_r, a_i x x_j] = D_r(a_i) x x_j,
     # [d_s, a_i x x_j] = a_i x d_s(x_j)
     act_on_tensor(sc, tb.der_act, np.zeros(m), np.zeros(nc), nj, lambda r: r,
@@ -471,7 +429,7 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     if nc == 0 or nj == 0:
         return LieConditionsReport(True, name, True, True, True)
     f = C.field
-    p = None if f.is_rational else f.p
+    p = f.p
     tb = T.tables
     m, nd = T.der_dim, T.djj_dim
     paths = set()
@@ -581,10 +539,11 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     (Q0 x J) + D, with J any Jordan (super)algebra (no trace needed) and D a
     Lie algebra of derivations of J containing all inner derivations.
 
-    With D omitted, D = d_{J,J}, the DerivationSpace of the J basis.
-    The inner derivations come from inner_derivation_pairs, the brackets
-    in D from algebra.commutator_table, and the tensor x tensor block is
-    outer products of the tables of Q and J, as in tits().
+    With D omitted, D = d_{J,J}, the inner_derivation_space of the J basis,
+    and the brackets in D are that space's; a given D is bracketed by
+    algebra.commutator_table.  The inner derivations come from
+    inner_derivation_pairs, and the tensor x tensor block is outer
+    products of the tables of Q and J, as in tits().
     """
     f = Q.field
     if Q.dim != 4:
@@ -595,8 +554,9 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     alg = J.algebra
     basis = [alg.e(i) for i in range(nJ)]
     if D_matrices is None:
-        djj = DerivationSpace(J, basis)
+        djj = inner_derivation_space(J, basis)
         span, pairs, mats, pars = djj.span, djj.pairs, djj.matrices, djj.parities
+        (s, t, k), d_vals, outside = djj.bracket
     else:
         span = Subspace(nJ * nJ, f)
         pairs = inner_derivation_pairs(J, basis)
@@ -610,10 +570,10 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
         missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
         if missing:
             raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
-    nd = span.dim
-    d_sc, outside = commutator_table(mats, span, pars)
+        (s, t, k), d_vals, outside = commutator_table(mats, span, pars)
     if outside:
         raise ValueError("D is not closed under the bracket")
+    nd = span.dim
 
     nq = len(q0_basis)
     off = nq * nJ
@@ -628,11 +588,9 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     br = np.array([[q0_span.coords([x - y for x, y in zip(Q.product(a, b), Q.product(b, a))])
                     for b in q0_basis] for a in q0_basis], dtype=object)
     tr = np.array([[Q.trace(Q.product(a, b)) for b in q0_basis] for a in q0_basis], dtype=object)
-    ids, ks, values, _out = span.coords_many(*pairs, check=False)
-    dxy = dense_entries((nJ * nJ, nd), (ids, ks), values, f.zero).reshape(nJ, nJ, nd)
+    dxy = _pair_coords(span, pairs, nJ)
     # D x D, then the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
-    sc = {(off + s, off + t): {off + k: c for k, c in row.items()}
-          for (s, t), row in d_sc.items()}
+    sc = sc_from_coo(off + s, off + t, off + k, d_vals)
     (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(br), nonzero_entries(alg.sc))
     sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
     (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tr), nonzero_entries(dxy), two)

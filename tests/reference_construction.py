@@ -36,17 +36,28 @@ The 2x2 algebras A(J) and A(K) have a pointwise oracle (two_by_two): one
 cross product J.cross and one pairing 3t(b_i b_j), or 2 b_i b_j and
 3<b_i|b_j>, per basis pair (a_of_j_pointwise, a_of_cubic_pointwise).
 
+The tensor product C x C^ of composition algebras has a pointwise oracle
+(tensor_product_pointwise): the four-deep loops over pairs of table rows
+and over the columns of the two conjugations.
+
+inner_derivation_pairs_by_basis is the other contraction order of the
+batch of d_{x,y}: the graded commutators [L_{b_a}, L_{b_b}] of all basis
+pairs first, then one bilinear contraction with the vectors.
+
 diag_transported moves a Jordan algebra to a diagonally rescaled basis,
 the input of the past-int64 tests.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from magma_tits.algebra import EVEN, LinearMap, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import _so3_h, s4_on_w
 from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatten_matrix,
                               vec_add, vec_eq, vec_is_zero, vec_scale)
+from magma_tits.int_fast import bilinear, commutators, rows_coo
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
 from magma_tits.structurable import AlgebraWithInvolution
@@ -169,7 +180,7 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
     def dcoords(x, y):
         return dspan.coords(flatten_matrix(jordan_inner_derivation(J, x, y).matrix), check=False)
 
-    m = derC.dim if derC is not None else 0
+    m = derC.dim
     nd = dspan.dim
     off = m + nc * nj
     par = [J.algebra.parity_of_vector(x) for x in j0_basis]
@@ -178,16 +189,15 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
         return m + i * nj + j
 
     sc = {}
-    if derC is not None:
-        for (r, s), row in derC.lie.sc.items():
-            for k, c in row.items():
-                accumulate(sc, r, s, k, c)
-        for r, D in enumerate(derC.matrices):
-            for i, a in enumerate(c0_basis):
-                for i2, c in enumerate(c0c(D.apply(a))):
-                    for j in range(nj):
-                        accumulate(sc, r, tidx(i, j), tidx(i2, j), c)
-                        accumulate(sc, tidx(i, j), r, tidx(i2, j), -c)
+    for (r, s), row in derC.lie.sc.items():
+        for k, c in row.items():
+            accumulate(sc, r, s, k, c)
+    for r, D in enumerate(derC.matrices):
+        for i, a in enumerate(c0_basis):
+            for i2, c in enumerate(c0c(D.apply(a))):
+                for j in range(nj):
+                    accumulate(sc, r, tidx(i, j), tidx(i2, j), c)
+                    accumulate(sc, tidx(i, j), r, tidx(i2, j), -c)
     for (s, t), row in _sc_of_commutators(dmats, dspan, False, dpars).items():
         for k, c in row.items():
             accumulate(sc, off + s, off + t, off + k, c)
@@ -202,7 +212,7 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
     for i, a in enumerate(c0_basis):
         for k, b in enumerate(c0_basis):
             ab, ba = C.product(a, b), C.product(b, a)
-            DC = derC.coords_pair(a, b) if derC is not None else []
+            DC = derC.coords_matrix(inner_derivation(C, a, b).matrix)
             br = c0c([p - q for p, q in zip(ab, ba)])
             tr = C.trace(ab)
             for j, x in enumerate(j0_basis):
@@ -599,3 +609,48 @@ def diag_transported(J, diag):
     unit = [u / U[i, i] for i, u in enumerate(J.unit)]
     trace_row = [t * U[i, i] for i, t in enumerate(J.trace_row)]
     return JordanAlgebra(J.algebra.transported(U), unit, trace_row, provenance="custom")
+
+
+def inner_derivation_pairs_by_basis(J, vectors):
+    """The batch of tits.inner_derivation_pairs (ids j * m + l, flat index
+    r * n + c, integers, D) by the other contraction order: every
+    d_{b_a,b_b} on basis pairs is one commutators contraction of the left
+    multiplications of J's table, and the pairs of the vectors one bilinear
+    contraction of those."""
+    n, m, f = J.dim, len(vectors), J.field
+    alg = J.algebra
+    (I, Jc, K), V, Dt = alg.coo
+    keys, sums, _path = commutators(I, K, Jc, V, np.array(alg.parity, dtype=bool), n, f.p)
+    cols, vals, Dx = rows_coo(vectors, f)
+    (j, l, rc), d, _path = bilinear(((keys // n ** 3, keys // n ** 2 % n, keys % n ** 2),
+                                     sums), (cols, vals), (cols, vals), f.p)
+    return j * m + l, rc, d, Dt * Dt * Dx * Dx
+
+
+def tensor_product_pointwise(C, Chat):
+    """(structure constants, sigma) of C x C^: (a x x)(b x y) = ab x xy and
+    sigma = conj x conj, one pair of table rows and one pair of conjugation
+    entries at a time."""
+    f = C.field
+    nc, nd = C.dim, Chat.dim
+
+    def idx(i, j):
+        return i * nd + j
+
+    sc = {}
+    for i1 in range(nc):
+        for i2 in range(nc):
+            row_c = C.algebra.product_basis(i1, i2)
+            for j1 in range(nd):
+                for j2 in range(nd):
+                    for kc, cc in row_c.items():
+                        for kd, cd in Chat.algebra.product_basis(j1, j2).items():
+                            accumulate(sc, idx(i1, j1), idx(i2, j2), idx(kc, kd), cc * cd)
+    CC, CD = C.conj_matrix(), Chat.conj_matrix()
+    sigma = Matrix.zeros(nc * nd, nc * nd, f)
+    for i in range(nc):
+        for j in range(nd):
+            for p in range(nc):
+                for q in range(nd):
+                    sigma[idx(p, q), idx(i, j)] = CC[p, i] * CD[q, j]
+    return sc, sigma

@@ -1,10 +1,11 @@
 """The sparse exact construction against its Fraction reference.
 
-tits(), tits62_variant, der C, matrix Lie algebras and coordinate algebras
-are built by int_fast contractions with batched Subspace coordinates; the
-oracles in reference_construction.py build the same tables one product and
-one Subspace.coords at a time.  Both must agree over QQ, GF(10007) and
-GF(2^31 - 1), and past int64.
+tits(), tits62_variant, der C, matrix Lie algebras, coordinate algebras and
+C x C^ are built by int_fast contractions with batched Subspace
+coordinates; the oracles in reference_construction.py build the same
+tables one product and one Subspace.coords at a time.  Both must agree over
+QQ, GF(10007) and GF(2^31 - 1), and past int64.  The batch of inner
+derivations d_{x,y} is checked against its other contraction order.
 """
 
 import importlib
@@ -14,7 +15,7 @@ import pytest
 
 from magma_tits.algebra import SuperAlgebra
 from magma_tits.composition import (
-    CompositionAlgebra, DerivationAlgebra, invariant_quaternion, split_cayley,
+    CompositionAlgebra, derivation_algebra, invariant_quaternion, split_cayley,
     split_quaternion,
 )
 from magma_tits.decompose import classical_examples, glw
@@ -25,10 +26,12 @@ from magma_tits.registry import composition_by_name, jordan_by_name
 from magma_tits.s4 import (
     GroupAction, coordinate_algebra, klein_grading, s4_on_tits_left, s4_on_tits_right,
 )
-from magma_tits.tits import tits, tits62_variant
+from magma_tits.structurable import tensor_product
+from magma_tits.tits import inner_derivation_pairs, tits, tits62_variant
 
 from reference_construction import (
-    clean, coordinate_constants, derivation_constants, lie_from_matrices,
+    clean, coordinate_constants, derivation_constants, diag_transported,
+    inner_derivation_pairs_by_basis, lie_from_matrices, tensor_product_pointwise,
     tits62_constants, tits_constants,
 )
 from test_tits import corrupted_h3k
@@ -66,10 +69,48 @@ def test_tits62_matches_reference(F):
 def test_derivation_algebra_matches_reference(F):
     for name in ("binarion", "quaternion", "cayley", "quatq"):
         C = composition_by_name(name, F)
-        der = DerivationAlgebra(C)
+        der = derivation_algebra(C)
         gens, sc = derivation_constants(C)
         assert der.generators == gens, name
         assert der.lie.sc == clean(sc), name
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_small_composition_algebras_have_zero_der(F):
+    for cname in ("ground", "binarion"):
+        for jname in ("h3:ground", "jvtheta"):
+            T = tits(composition_by_name(cname, F), jordan_by_name(jname, F))
+            assert T.derC.dim == 0 and T.der_dim == 0 and T.derC.lie.dim == 0, cname
+            assert T.derC.matrices == []
+
+
+def _batch(pairs):
+    ids, rc, d, D = pairs
+    return ids.tolist(), rc.tolist(), [int(v) for v in d], D
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_inner_derivation_pairs_match_basis_order(F):
+    Js = [jordan_by_name(name, F) for name in ("h3:ground", "h3:binarion", "h3:quaternion",
+                                               "jvtheta", "d2")]
+    if F is QQ:
+        Js.append(diag_transported(h3(composition_by_name("ground")),
+                                   (Fraction(1, 3), 2 ** 40, Fraction(1, 2 ** 40))))
+        assert Js[-1].algebra.coo[1].dtype == object
+    for J in Js:
+        for vectors in (J.j0_basis(), [J.algebra.e(i) for i in range(J.dim)]):
+            assert (_batch(inner_derivation_pairs(J, vectors))
+                    == _batch(inner_derivation_pairs_by_basis(J, vectors))), J.name
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_tensor_product_matches_reference(F):
+    for a in COMPOSITIONS:
+        for b in COMPOSITIONS:
+            AI = tensor_product(composition_by_name(a, F), composition_by_name(b, F))
+            sc, sigma = tensor_product_pointwise(composition_by_name(a, F),
+                                                 composition_by_name(b, F))
+            assert AI.algebra.sc == clean(sc) and AI.sigma == sigma, (a, b)
 
 
 def _recorded_matrix_algebras(monkeypatch, build):
@@ -136,7 +177,7 @@ def test_past_int64_transport_matches_reference(monkeypatch):
     U = _big_diagonal(8)
     Ct = CompositionAlgebra(C.algebra.transported(U, name="cayley'"),
                             U.T @ C.norm_polar @ U, U.inverse().apply(C.unit), "cayley'")
-    der = DerivationAlgebra(Ct)
+    der = derivation_algebra(Ct)
     gens, sc = derivation_constants(Ct)
     assert der.generators == gens and der.lie.sc == clean(sc)
     J = h3(composition_by_name("ground"))

@@ -5,7 +5,9 @@ skipped: its imports are the package's re-exports).  No function imports a
 sibling module except to break a real cycle.  No module outside algebra.py
 lowers an algebra's table itself: SuperAlgebra.coo does that once.  Only
 the two test oracles call the jacobiator: the checkers take their
-witnesses from their own contractions."""
+witnesses from their own contractions.  No module outside algebra.py
+brackets the matrices of a span of inner derivations itself: the bracket
+of a DerivationSpace comes from the space."""
 
 import ast
 from pathlib import Path
@@ -66,6 +68,16 @@ def sc_lowerings(source):
     return sorted(lines)
 
 
+def matrices_brackets(source):
+    """Lines that call commutator_table (by name or as an attribute) on the
+    .matrices of some expression."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and node.args
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "commutator_table"
+                  and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "matrices")
+
+
 def test_detects_local_imports_and_sc_lowerings():
     src = ("from .a import b\n"
            "def f(A):\n    from .exact import QQ\n    import os\n"
@@ -84,6 +96,19 @@ def test_function_local_imports_only_break_cycles(path):
                          ids=lambda p: p.name)
 def test_tables_are_lowered_only_by_superalgebra_coo(path):
     assert sc_lowerings(path.read_text()) == []
+
+
+def test_detects_matrices_brackets():
+    src = ("sc = commutator_table(djj.matrices, djj.span, check=False)\n"
+           "sc2 = algebra.commutator_table(T.derC.matrices, span)\n"
+           "sc3 = commutator_table(mats, span)\n")
+    assert matrices_brackets(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_spaces_bracket_their_own_matrices(path):
+    assert matrices_brackets(path.read_text()) == []
 
 
 # the oracles that may call algebra._jacobiator

@@ -5,7 +5,7 @@ import pytest
 
 from magma_tits.exact import (GF, QQ, Matrix, Subspace, basis_vector, vec_eq, vec_is_zero,
                               flatten_matrix)
-from magma_tits.algebra import LinearMap, is_derivation
+from magma_tits.algebra import LinearMap, centralizer, is_derivation
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
 from magma_tits.jordan import (
     JordanAlgebra, h3, find_normalized_traces, jordan_super_jvtheta, jordan_super_dt, d2,
@@ -187,6 +187,20 @@ def test_inner_derivation_matches_pointwise_oracle(field):
                 J.inner_derivation(mixed, alg.e(0))
             with pytest.raises(ValueError, match="parity-homogeneous"):
                 J.inner_derivation(alg.e(0), mixed)
+
+
+def test_inner_derivation_rejects_wrong_length():
+    J = h3(ground())                    # dimension 6
+    for x in ([1] * 7, [1] * 5):
+        with pytest.raises(ValueError, match="dimension 6"):
+            J.inner_derivation(x, [1] * 6)
+        with pytest.raises(ValueError, match="dimension 6"):
+            J.inner_derivation([1] * 6, x)
+        with pytest.raises(ValueError, match="dimension 6"):
+            centralizer(J.algebra, [x])
+    Jv = jordan_super_jvtheta()
+    with pytest.raises(ValueError, match="parity-homogeneous"):
+        Jv.inner_derivation([1, 1, 0], [1, 0, 0])
 
 
 def test_bracket_d1_d2(JC):
