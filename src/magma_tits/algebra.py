@@ -175,10 +175,13 @@ class SuperAlgebra:
         self.is_lie_claimed = is_lie_claimed
         self.is_jordan_claimed = is_jordan_claimed
         self.is_associative_claimed = is_associative_claimed
-        table = {}
+        table, n = {}, self.n
         for (i, j), row in sc.items():
             clean = {}
             for k, c in row.items():
+                if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                    raise ValueError("structure constant (%d,%d,%d) has an index outside "
+                                     "range(%d)" % (i, j, k, n))
                 c = field.of(c)
                 if not c:
                     continue

@@ -338,7 +338,10 @@ def cmd_coordinate_algebra(args):
 def cmd_decompose(args):
     if args.lie.endswith(".json") or os.path.exists(args.lie):
         with open(args.lie) as fh:
-            g = SuperAlgebra.from_json_dict(json.load(fh), name=args.lie)
+            try:
+                g = SuperAlgebra.from_json_dict(json.load(fh), name=args.lie)
+            except ValueError as exc:
+                raise SystemExit("%s: %s" % (args.lie, exc))
         triple = None
     else:
         g, triple = lie_with_triple(args.lie)

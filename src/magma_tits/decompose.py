@@ -22,29 +22,31 @@ the decomposition: the ad(d_i) are one join of the table with the triple,
 Omega + c is one fold of them joined with themselves on the middle index
 plus a c diagonal, and the kernels of ad(d0) inside the components and
 the synthesized generators Psi B Psi^{-1} are int_fast.matvec products.
-The so3/h tables of gl(W) are the nine invariant maps on the so3, h and
-z bases, built once per field.  The coefficient data (B1Data) stays in
-sparse tables {(j, k): {t: c}}, the form of SuperAlgebra.sc, from
-extraction through validate to assembly.
+gl(W) is one associative product table (gl_w), built once per field.  The
+nine invariant maps are rows (alpha, beta, gamma) of
+mu(A, B) = alpha AB + beta BA + gamma tr(AB) I, folded against it; their
+equivariance is algebra.map_failures under ad(D_i) and the S4
+conjugations; ad(D_i) on so3 and h and the trace form of h are read off
+the same table.  The coefficient data (B1Data) stays in sparse tables
+{(j, k): {t: c}}, the form of SuperAlgebra.sc, from extraction through
+validate to assembly.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .exact import (
-    QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix, commutator,
-)
+from .exact import QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix
 from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
-                      left_mults, nonzero_entries, outer_entries, sc_from_coo,
+                      left_mults, map_failures, nonzero_entries, outer_entries, sc_from_coo,
                       transpose_failures)
-from .int_fast import (bilinear, coo, fold, join, matrices_coo, matvec, rows_coo, table_coo,
-                       to_field)
+from .int_fast import (bilinear, coo, fold, join, lower, matrices_coo, matvec, rows_coo,
+                       table_coo, to_field)
 from .s4 import GroupAction, conjugation_block
 from .tits import inner_derivation_space
-
-W_LABELS = ["w1", "w2", "w0"]
 
 
 def hgd_matrices(field=QQ):
@@ -86,85 +88,132 @@ def s4_on_w(field=QQ):
     return GroupAction(None, tau1, tau2, phi, tau, name="S4 on W")
 
 
-def det3(M):
-    r = M.rows
-    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-
-
 # ---------------------------------------------------------------------------
-# the nine invariant maps
+# gl(W) as one product table and the nine invariant maps
+
+# the basis of gl(W) = so3 + h + z and the indices of each part
+GL_W = ("D0", "D1", "D2", "G0", "G1", "G2", "H0-H1", "H1-H2", "I")
+PARTS = {"so3": range(0, 3), "h": range(3, 8), "z": range(8, 9)}
+
+# the nine so3- and S4-equivariant bilinear maps on (so3, h, z), rows
+# (name, source, source, target, alpha, beta, gamma) of
+# mu(A, B) = alpha AB + beta BA + gamma tr(AB) I: the commutator,
+# anticommutator, traceless Jordan product, trace and zero
+INVARIANT_MAPS = (
+    ("so3xso3->so3", "so3", "so3", "so3", 1, -1, 0),
+    ("so3xso3->h", "so3", "so3", "h", 1, 1, Fraction(-2, 3)),
+    ("so3xso3->z", "so3", "so3", "z", 0, 0, 1),
+    ("so3xh->so3", "so3", "h", "so3", 1, 1, 0),
+    ("so3xh->h", "so3", "h", "h", 1, -1, 0),
+    ("so3xh->z", "so3", "h", "z", 0, 0, 0),
+    ("hxh->so3", "h", "h", "so3", 1, -1, 0),
+    ("hxh->h", "h", "h", "h", 1, 1, Fraction(-2, 3)),
+    ("hxh->z", "h", "h", "z", 0, 0, 1),
+)
 
 
+def _gl_w_basis(field):
+    """The basis GL_W as 3x3 matrices and the span of their flattenings."""
+    mats = so3_basis(field) + h_basis(field) + [Matrix.identity(3, field)]
+    return mats, Subspace.from_vectors([flatten_matrix(M) for M in mats], 9, field)
+
+
+@cache
+def gl_w(field=QQ):
+    """gl(W) = M3(k), associative, in the basis GL_W: the matrix-unit table
+    E_ab E_bc = E_ac transported to the basis matrices, so that coo holds
+    c^k_ij, the k-th coordinate of b_i b_j.  The invariant maps, their
+    check, ad(D_i) and the trace form of h read this one table.  Built once
+    per field and shared: callers only read it."""
+    units = SuperAlgebra(["E%d%d" % divmod(e, 3) for e in range(9)],
+                         {(3 * a + b, 3 * b + c): {3 * a + c: 1}
+                          for a in range(3) for b in range(3) for c in range(3)}, field=field)
+    U = Matrix.from_columns(_gl_w_basis(field)[1].basis, field)
+    return units.transported(U, new_labels=list(GL_W), name="gl(W)")
+
+
+def _map_algebras(gl):
+    """The algebra A_mu on gl(W) of each map of INVARIANT_MAPS: mu(b_i, b_j)
+    on its source pairs (i, j), zero on the others.  One fold of the table
+    c^k_ij of gl times alpha, its transpose c^k_ji times beta and its I
+    column (tr(b_i b_j) = 3 c^I_ij) times 3 gamma, the coefficients lowered
+    as field values (residues over GF(p))."""
+    f, n = gl.field, gl.n
+    (I, J, K), V, D = gl.coo
+    Dc, coef = lower([f.of(c) * w for row in INVARIANT_MAPS
+                      for c, w in zip(row[4:], (1, 1, 3))], f)
+    terms = []
+    for r, (_name, s1, s2, _dst, *_abc) in enumerate(INVARIANT_MAPS):
+        fwd = np.flatnonzero(np.isin(I, PARTS[s1]) & np.isin(J, PARTS[s2]))
+        bwd = np.flatnonzero(np.isin(J, PARTS[s1]) & np.isin(I, PARTS[s2]))
+        tr = fwd[np.isin(K[fwd], PARTS["z"])]
+        for e, (x, y), c in zip((fwd, bwd, tr), ((I, J), (J, I), (I, J)),
+                                coef[3 * r:3 * r + 3].tolist()):
+            terms.append((((r * n + x[e]) * n + y[e]) * n + K[e], [V[e], c]))
+    keys, sums, _path = fold(terms, f.p)
+    r, i, j, k = keys // n ** 3, keys // (n * n) % n, keys // n % n, keys % n
+    vals = np.array(to_field(sums, D * Dc, f), dtype=object)
+    return [SuperAlgebra(GL_W, sc_from_coo(i[r == m], j[r == m], k[r == m], vals[r == m]),
+                         field=f, name=row[0]) for m, row in enumerate(INVARIANT_MAPS)]
+
+
+@cache
 def invariant_maps(field=QQ):
-    """The nine so3- and S4-equivariant bilinear maps on (so3, h, z),
-    realized in gl(W); returned as (name, src1, src2, dst, function)."""
-    f = field
-    two3 = f.of(2) / f.of(3)
-    I3 = Matrix.identity(3, f)
-
-    def comm(A, B):
-        return A @ B - B @ A
-
-    def jordan_traceless(A, B):
-        AB = A @ B
-        BA = B @ A
-        return AB + BA - I3.scale(two3 * AB.trace())
-
-    def trace_part(A, B):
-        return I3.scale((A @ B).trace())
-
-    def zero_map(A, B):
-        return Matrix.zeros(3, 3, f)
-
-    return [
-        ("so3xso3->so3", "so3", "so3", "so3", comm),
-        ("so3xso3->h", "so3", "so3", "h", jordan_traceless),
-        ("so3xso3->z", "so3", "so3", "z", trace_part),
-        ("so3xh->so3", "so3", "h", "so3", lambda A, X: A @ X + X @ A),
-        ("so3xh->h", "so3", "h", "h", comm),
-        ("so3xh->z", "so3", "h", "z", zero_map),
-        ("hxh->so3", "h", "h", "so3", comm),
-        ("hxh->h", "h", "h", "h", jordan_traceless),
-        ("hxh->z", "h", "h", "z", trace_part),
-    ]
+    """The nine maps of INVARIANT_MAPS on the bases of so3, h and z: a
+    read-only mapping from name to read-only object arrays [i1, i2, m] of
+    the coordinates of the image (for the z targets [i1, i2], the multiple
+    of I), read off _map_algebras of gl_w inside the target.  Built once
+    per field and shared."""
+    tables = {}
+    for (name, s1, s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl_w(field))):
+        a, b, c = PARTS[s1], PARTS[s2], PARTS[dst]
+        t = np.full((len(a), len(b), len(c)), field.zero, dtype=object)
+        for (i, j), row in A.sc.items():
+            for k, v in row.items():
+                if k in c:
+                    t[i - a.start, j - b.start, k - c.start] = v
+        tables[name] = t[..., 0] if dst == "z" else t
+        tables[name].flags.writeable = False
+    return MappingProxyType(tables)
 
 
-def _space_basis(name, field):
-    if name == "so3":
-        return so3_basis(field)
-    if name == "h":
-        return h_basis(field)
-    return [Matrix.identity(3, field)]
+def _ad_so3(gl):
+    """ad(D_i), i = 0, 1, 2, on gl(W) as 9x9 Matrices with c^k_ij - c^k_ji
+    in row k and column j: one fold of the table of gl against its
+    transpose."""
+    f, n = gl.field, gl.n
+    (I, J, K), V, D = gl.coo
+    a, b = np.flatnonzero(I < 3), np.flatnonzero(J < 3)
+    keys, sums, _path = fold([((I[a] * n + K[a]) * n + J[a], [V[a]]),
+                              ((J[b] * n + K[b]) * n + I[b], [V[b], -1])], f.p)
+    i, k, j = keys // (n * n), keys // n % n, keys % n
+    vals = np.array(to_field(sums, D, f), dtype=object)
+    return [Matrix.from_entries(n, n, k[i == d], j[i == d], vals[i == d], f) for d in range(3)]
+
+
+def _conjugations(field):
+    """{g: rho(g)}: X -> P X P^{-1} on gl(W) in the basis GL_W for each
+    generator P of s4_on_w, one s4.conjugation_block each."""
+    mats, span = _gl_w_basis(field)
+    return {g: conjugation_block(span, mats, P, "gl(W)") for g, P in s4_on_w(field).gens.items()}
 
 
 def check_invariant_maps(field=QQ):
-    """so3- and S4-equivariance of all nine maps, checked exactly."""
-    maps = invariant_maps(field)
-    Ds = so3_basis(field)
-    act = s4_on_w(field)
+    """so3- and S4-equivariance of the nine maps on the table of gl_w,
+    checked exactly: the image of each lies in its target, every ad(D_i)
+    is a derivation of its algebra A_mu and every conjugation rho(g) an
+    endomorphism of A_mu (algebra.map_failures).  Returns the failing
+    (name, reason) pairs in the order of INVARIANT_MAPS."""
+    gl = gl_w(field)
+    ads, rhos = _ad_so3(gl), _conjugations(field)
     failures = []
-    for name, s1, s2, dst, fn in maps:
-        B1 = _space_basis(s1, field)
-        B2 = _space_basis(s2, field)
-        Bd = Subspace.from_vectors([flatten_matrix(M) for M in _space_basis(dst, field)],
-                                   9, field)
-        for A in B1:
-            for B in B2:
-                val = fn(A, B)
-                if not Bd.contains(flatten_matrix(val)):
-                    failures.append((name, "image outside target"))
-                for D in Ds:
-                    lhs = fn(commutator(D, A), B) + fn(A, commutator(D, B))
-                    rhs = commutator(D, val) if dst != "z" else Matrix.zeros(3, 3, field)
-                    if lhs != rhs:
-                        failures.append((name, "not so3-equivariant"))
-                for g in ("tau1", "tau2", "phi", "tau"):
-                    P = act[g]
-                    Pi = P.inverse()
-                    if fn(P @ A @ Pi, P @ B @ Pi) != P @ val @ Pi:
-                        failures.append((name, "not S4-equivariant under " + g))
+    for (name, _s1, _s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl)):
+        if any(k not in PARTS[dst] for row in A.sc.values() for k in row):
+            failures.append((name, "image outside target"))
+        if any(map_failures(A, A, ad, derivation=True, max_witnesses=1) for ad in ads):
+            failures.append((name, "not so3-equivariant"))
+        failures += [(name, "not S4-equivariant under " + g) for g, rho in rhos.items()
+                     if map_failures(A, A, rho, max_witnesses=1)]
     return failures
 
 
@@ -237,40 +286,16 @@ class B1Data:
 
 @cache
 def _so3_h(field):
-    """The so3 and h bases (Ds, Hs), their spans among the flattened 3x3
-    matrices and the actions ad(D_i) on both as coordinate matrices
-    (R3, R5), read off one commutator table of sl(W) = so3 + h.  Built once
-    per field and shared: callers only read them."""
-    Ds, Hs = so3_basis(field), h_basis(field)
-    so3_span, h_span, sl_span = (Subspace.from_vectors([flatten_matrix(M) for M in mats], 9,
-                                                       field) for mats in (Ds, Hs, Ds + Hs))
-    (s, t, k), values, _outside = commutator_table(Ds + Hs, sl_span)
-    sc = sc_from_coo(s, t, k, values)
+    """ad(D_i) on so3 and on h as coordinate matrices (R3, R5) and the
+    conjugations by the S4 generators on both ({g: (rho3, rho5)}): the so3
+    and h blocks of _ad_so3 of gl_w and of _conjugations.  Built once per
+    field and shared: callers only read them."""
+    def blocks(M):
+        return tuple(Matrix([row[p.start:p.stop] for row in M.rows[p.start:p.stop]], field)
+                     for p in (PARTS["so3"], PARTS["h"]))
 
-    def ad(i, part):
-        return Matrix([[sc.get((i, j), {}).get(k, field.zero) for j in part] for k in part],
-                      field)
-
-    R3 = [ad(i, range(3)) for i in range(3)]
-    R5 = [ad(i, range(3, 8)) for i in range(3)]
-    return Ds, Hs, so3_span, h_span, R3, R5
-
-
-@cache
-def _so3_structure(field):
-    """The nine invariant maps on the bases of so3, h and z, keyed by name,
-    as object arrays [i1, i2, m] of coordinates of the image (for the z
-    targets [i1, i2], the multiple of I).  Built once per field and shared:
-    callers only read them."""
-    spans = {s: Subspace.from_vectors([flatten_matrix(M) for M in _space_basis(s, field)], 9,
-                                      field) for s in ("so3", "h", "z")}
-    tables = {}
-    for name, s1, s2, dst, fn in invariant_maps(field):
-        t = np.array([[spans[dst].coords(flatten_matrix(fn(A, B)))
-                       for B in _space_basis(s2, field)] for A in _space_basis(s1, field)],
-                     dtype=object)
-        tables[name] = t[..., 0] if dst == "z" else t
-    return tables
+    R3, R5 = zip(*map(blocks, _ad_so3(gl_w(field))))
+    return R3, R5, {g: blocks(rho) for g, rho in _conjugations(field).items()}
 
 
 def assemble_b1(data, name="b1"):
@@ -288,7 +313,7 @@ def assemble_b1(data, name="b1"):
     H1-H2 per S-basis element), then the d basis.
     """
     f = data.field
-    st = _so3_structure(f)
+    st = invariant_maps(f)
     mh, ms, md = data.hdim, data.sdim, data.ddim
     n = 3 * mh + 5 * ms + md
     off_s = 3 * mh
@@ -518,7 +543,7 @@ def extract_b1(g, report):
     if (mh, ms, md) != (report.m_adjoint, report.m_h, report.m_trivial):
         raise ValueError("multiplicity-space extraction mismatch")
 
-    _Ds, _Hs, _so3_span, _h_span, R3, R5 = _so3_h(f)
+    R3, R5, _rho = _so3_h(f)
     ad_ops = [lambda v, d=d: g.multiply(d, v) for d in triple]
 
     # adjoint copies start from D0 = (1,0,0), five-dim copies from
@@ -609,28 +634,26 @@ def synthesize_s4(g, report, extraction=None):
     """The S4 action by conjugation on the so3 and h tensor factors,
     trivial on the centralizer, transported to g through Psi.
 
-    The conjugations rho on so3 and h are s4.conjugation_block
-    contractions; each generator Psi B Psi^{-1}, B block diagonal with
-    copies of rho, is two matvecs pushing the columns of Psi^{-1} through
-    B and then Psi."""
+    The conjugations rho on so3 and h are blocks of those on gl(W)
+    (_so3_h); each generator Psi B Psi^{-1}, B block diagonal with copies
+    of rho, is two matvecs pushing the columns of Psi^{-1} through B and
+    then Psi."""
     if extraction is None:
         extraction = extract_b1(g, report)
     f = g.field
     p = f.p
-    act = s4_on_w(f)
-    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
+    _R3, _R5, rho = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
     n = g.n
     psi, Vpsi, Dpsi = rows_coo(extraction.psi.rows, f)
     (qr, qc), Vq, Dq = rows_coo(extraction.psi_inv.rows, f)
     off, off_d = 3 * mh, 3 * mh + 5 * ms
     gens = {}
-    for name, P in act.gens.items():
+    for name, (rho3, rho5) in rho.items():
         entries = [((off_d + r, off_d + r), f.one) for r in range(md)]
-        for rho, width, start, copies in ((conjugation_block(so3_span, Ds, P, "so3"), 3, 0, mh),
-                                          (conjugation_block(h_span, Hs, P, "h"), 5, off, ms)):
+        for block, width, start, copies in ((rho3, 3, 0, mh), (rho5, 5, off, ms)):
             entries += [((start + width * j + x1, start + width * j + x2), c)
-                        for j in range(copies) for x1, row in enumerate(rho.rows)
+                        for j in range(copies) for x1, row in enumerate(block.rows)
                         for x2, c in enumerate(row) if c]
         B, Vb, Db = coo(entries, f, 2)
         (cols, rows), sums = matvec((psi, Vpsi), matvec((B, Vb), ((qc, qr), Vq), p), p)
@@ -662,12 +685,12 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
                         is_lie_claimed=True)
 
 
-def _embed(M3, N, field, row0=0, col0=0):
-    out = Matrix.zeros(N, N, field)
-    for i in range(M3.nrows):
-        for j in range(M3.ncols):
-            out[row0 + i, col0 + j] = M3[i, j]
-    return out
+def _matrix(N, entries, field):
+    """The N x N Matrix with c at (i, j) for each (i, j, c) in entries."""
+    M = Matrix.zeros(N, N, field)
+    for i, j, c in entries:
+        M[i, j] = c
+    return M
 
 
 def _form_algebra(S):
@@ -702,64 +725,31 @@ def classical_examples(kind, dimU, field=QQ):
     symplectic: sp(W + W* + U), dimU even.
     """
     f = field
-    Ds = so3_basis(f)
+    N, corners = 3 + dimU, (0,)
     if kind == "orthogonal":
-        N = 3 + dimU
-        mats = []
-        labels = []
-        for i in range(N):
-            for j in range(i + 1, N):
-                M = Matrix.zeros(N, N, f)
-                M[i, j] = f.one
-                M[j, i] = -f.one
-                mats.append(M)
-                labels.append("F%d%d" % (i, j))
-        g = lie_from_matrices(mats, labels, f, name="so%d" % N)
-        triple_mats = [_embed(D, N, f) for D in Ds]
+        pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+        mats = [_matrix(N, [(i, j, 1), (j, i, -1)], f) for i, j in pairs]
+        g = lie_from_matrices(mats, ["F%d%d" % ij for ij in pairs], f, name="so%d" % N)
     elif kind == "special":
-        N = 3 + dimU
-        mats = []
-        labels = []
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    M = Matrix.zeros(N, N, f)
-                    M[i, j] = f.one
-                    mats.append(M)
-                    labels.append("E%d%d" % (i, j))
-        for i in range(N - 1):
-            M = Matrix.zeros(N, N, f)
-            M[i, i] = f.one
-            M[i + 1, i + 1] = -f.one
-            mats.append(M)
-            labels.append("H%d" % i)
+        pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
+        mats = [_matrix(N, [(i, j, 1)], f) for i, j in pairs]
+        mats += [_matrix(N, [(i, i, 1), (i + 1, i + 1, -1)], f) for i in range(N - 1)]
+        labels = ["E%d%d" % ij for ij in pairs] + ["H%d" % i for i in range(N - 1)]
         g = lie_from_matrices(mats, labels, f, name="sl%d" % N)
-        triple_mats = [_embed(D, N, f) for D in Ds]
     elif kind == "symplectic":
         if dimU % 2:
             raise ValueError("symplectic requires even dimU")
-        N = 6 + dimU
-        J = Matrix.zeros(N, N, f)
-        for i in range(3):
-            J[i, 3 + i] = -f.one
-            J[3 + i, i] = f.one
-        for u in range(dimU // 2):
-            J[6 + 2 * u, 6 + 2 * u + 1] = f.one
-            J[6 + 2 * u + 1, 6 + 2 * u] = -f.one
-        mats = _form_algebra(J)
+        N, corners = 6 + dimU, (0, 3)
+        form = [e for i in range(3) for e in ((i, 3 + i, -1), (3 + i, i, 1))]
+        form += [e for u in range(6, N, 2) for e in ((u, u + 1, 1), (u + 1, u, -1))]
+        mats = _form_algebra(_matrix(N, form, f))
         g = lie_from_matrices(mats, None, f, name="sp%d" % N)
-        triple_mats = []
-        for D in Ds:
-            M = Matrix.zeros(N, N, f)
-            for i in range(3):
-                for j in range(3):
-                    M[i, j] = D[i, j]
-                    M[3 + i, 3 + j] = -D[j, i]
-            triple_mats.append(M)
     else:
         raise ValueError("unknown kind %r" % kind)
-    basis_mats = mats
-    triple = _triple_coords(g, basis_mats, triple_mats)
+    # D on W, and in sp on W* too, where -D^T = D as D is skew
+    triple = _triple_coords(g, mats, [
+        _matrix(N, [(c + i, c + j, D[i, j]) for c in corners for i in range(3) for j in range(3)],
+                f) for D in so3_basis(f)])
     if any(t is None for t in triple):
         raise ValueError("triple does not lie in the chosen basis span")
     return g, triple
@@ -777,14 +767,12 @@ def glw(field=QQ):
 def so_h_negative_control(field=QQ):
     """so(h, trace form) with the so3 acting through ad: as an so3-module
     this is V(6) + V(2), so the Casimir eigenvalue -12 occurs and
-    decompose must report failure-to-span."""
+    decompose must report failure-to-span.  The trace form
+    tr(XY) = 3 c^I_XY is the map hxh->z and the triple is ad(D_i) on h,
+    both read off gl_w."""
     f = field
-    _Ds, Hs, _so3_span, _h_span, _R3, rho = _so3_h(f)
-    S = Matrix.zeros(5, 5, f)
-    for i in range(5):
-        for j in range(5):
-            S[i, j] = (Hs[i] @ Hs[j]).trace()
-    mats = _form_algebra(S)
+    _R3, rho, _conj = _so3_h(f)
+    mats = _form_algebra(Matrix(invariant_maps(f)["hxh->z"].tolist(), f))
     g = lie_from_matrices(mats, None, f, name="so(h)")
     # the triple: ad(D_i) restricted to h
     return g, _triple_coords(g, mats, rho)

@@ -458,22 +458,10 @@ def rank(A):
     return A.rank()
 
 
-def commutator(A, B):
-    return A @ B - B @ A
-
-
 # -- vector helpers (vectors are plain lists of field elements) --------------
 
 def vec_zero(n, field=QQ):
     return [field.zero] * n
-
-
-def vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(c, a):
-    return [c * x for x in a]
 
 
 def vec_is_zero(a):
@@ -571,10 +559,14 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
+    def _check_length(self, v):
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector of length %d, the space has ambient dimension %d"
+                             % (len(v), self.ambient_dim))
+
     def add(self, v):
         """Add v to the span; returns True if it enlarged the space."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong ambient dimension")
+        self._check_length(v)
         if not _echelon_insert(self._rref_rows, self._pivots, v, self.field.of):
             return False
         self.basis.append(list(map(self.field.of, v)))
@@ -583,6 +575,7 @@ class Subspace:
         return True
 
     def contains(self, v):
+        self._check_length(v)
         return vec_is_zero(_reduce(self._rref_rows, self._pivots, list(map(self.field.of, v))))
 
     def _build_solver(self):
@@ -592,6 +585,7 @@ class Subspace:
 
     def coords(self, v, check=True):
         """Coordinates of v in the preferred basis; None if v is outside."""
+        self._check_length(v)
         if self.dim == 0:
             return [] if vec_is_zero(v) else None
         if self._coord_solver is None:

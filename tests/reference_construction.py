@@ -19,7 +19,10 @@ normalized-trace system, one triple of products at a time
 The S4 and so3 layers have dense Matrix oracles: word products and the
 relation check (word_matrix, relation_failures), the Klein components, the
 Casimir kernels from ads[i] @ ads[i], the kernels of ad(d0) inside a
-component and the synthesized generators Psi B Psi^{-1}.
+component and the synthesized generators Psi B Psi^{-1}.  The nine
+invariant maps on gl(W) are closures of dense 3x3 products
+(invariant_map_closures); invariant_maps_dense evaluates them on the so3,
+h and z bases and checks their equivariance one basis pair at a time.
 
 The B1 coefficient data has a dense oracle for its unit laws and
 (super)symmetries (b1_validate): the tables are expanded into nested lists
@@ -54,13 +57,25 @@ import numpy as np
 
 from magma_tits.algebra import EVEN, LinearMap, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
-from magma_tits.decompose import _so3_h, s4_on_w
-from magma_tits.exact import (Matrix, Subspace, basis_vector, commutator, flatten_matrix,
-                              vec_add, vec_eq, vec_is_zero, vec_scale)
+from magma_tits.decompose import h_basis, s4_on_w, so3_basis
+from magma_tits.exact import (Matrix, Subspace, basis_vector, flatten_matrix, vec_eq,
+                              vec_is_zero)
 from magma_tits.int_fast import bilinear, commutators, rows_coo
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
 from magma_tits.structurable import AlgebraWithInvolution
+
+
+def commutator(A, B):
+    return A @ B - B @ A
+
+
+def vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def vec_scale(c, a):
+    return [c * x for x in a]
 
 
 def left_mult(alg, x):
@@ -405,7 +420,9 @@ def synthesized_generators(extraction):
     the centralizer; all dense Matrix products."""
     data = extraction.data
     f = data.field
-    Ds, Hs, so3_span, h_span, _R3, _R5 = _so3_h(f)
+    Ds, Hs = so3_basis(f), h_basis(f)
+    so3_span, h_span = (Subspace.from_vectors([flatten_matrix(M) for M in mats], 9, f)
+                        for mats in (Ds, Hs))
     mh, ms, md = data.hdim, data.sdim, data.ddim
     n = extraction.psi.nrows
     gens = {}
@@ -423,6 +440,79 @@ def synthesized_generators(extraction):
             block[3 * mh + 5 * ms + r, 3 * mh + 5 * ms + r] = f.one
         gens[name] = extraction.psi @ block @ extraction.psi_inv
     return gens
+
+
+def invariant_map_closures(field):
+    """The nine invariant maps as (name, src1, src2, dst, function) of dense
+    3x3 Matrix products."""
+    f = field
+    two3 = f.of(2) / f.of(3)
+    I3 = Matrix.identity(3, f)
+
+    def jordan_traceless(A, B):
+        AB = A @ B
+        BA = B @ A
+        return AB + BA - I3.scale(two3 * AB.trace())
+
+    def trace_part(A, B):
+        return I3.scale((A @ B).trace())
+
+    def zero_map(A, B):
+        return Matrix.zeros(3, 3, f)
+
+    return [
+        ("so3xso3->so3", "so3", "so3", "so3", commutator),
+        ("so3xso3->h", "so3", "so3", "h", jordan_traceless),
+        ("so3xso3->z", "so3", "so3", "z", trace_part),
+        ("so3xh->so3", "so3", "h", "so3", lambda A, X: A @ X + X @ A),
+        ("so3xh->h", "so3", "h", "h", commutator),
+        ("so3xh->z", "so3", "h", "z", zero_map),
+        ("hxh->so3", "h", "h", "so3", commutator),
+        ("hxh->h", "h", "h", "h", jordan_traceless),
+        ("hxh->z", "h", "h", "z", trace_part),
+    ]
+
+
+def invariant_maps_dense(field, maps=None):
+    """({name: table}, failures) of the maps (invariant_map_closures by
+    default), one Matrix product at a time.  A table is the object array
+    [i1, i2, m] of the target coordinates of fn(A, B) on the so3, h and z
+    bases ([i1, i2], the multiple of I, for z), None if an image leaves the
+    target.  The failures are (name, reason) for every basis pair whose
+    image leaves the target, every D_i that breaks
+    [D, fn(A, B)] = fn([D, A], B) + fn(A, [D, B]) and every S4 generator P
+    that breaks fn(P A P^-1, P B P^-1) = P fn(A, B) P^-1."""
+    maps = invariant_map_closures(field) if maps is None else maps
+    bases = {"so3": so3_basis(field), "h": h_basis(field), "z": [Matrix.identity(3, field)]}
+    spans = {s: Subspace.from_vectors([flatten_matrix(M) for M in B], 9, field)
+             for s, B in bases.items()}
+    Ds = bases["so3"]
+    act = s4_on_w(field)
+    tables, failures = {}, []
+    for name, s1, s2, dst, fn in maps:
+        coords = []
+        for A in bases[s1]:
+            for B in bases[s2]:
+                val = fn(A, B)
+                coords.append(spans[dst].coords(flatten_matrix(val)))
+                if coords[-1] is None:
+                    failures.append((name, "image outside target"))
+                for D in Ds:
+                    lhs = fn(commutator(D, A), B) + fn(A, commutator(D, B))
+                    rhs = commutator(D, val) if dst != "z" else Matrix.zeros(3, 3, field)
+                    if lhs != rhs:
+                        failures.append((name, "not so3-equivariant"))
+                for g in ("tau1", "tau2", "phi", "tau"):
+                    P = act[g]
+                    Pi = P.inverse()
+                    if fn(P @ A @ Pi, P @ B @ Pi) != P @ val @ Pi:
+                        failures.append((name, "not S4-equivariant under " + g))
+        if None in coords:
+            tables[name] = None
+            continue
+        t = np.array(coords, dtype=object).reshape(len(bases[s1]), len(bases[s2]), -1)
+        tables[name] = t[..., 0] if dst == "z" else t
+    return tables, failures
 
 
 def b1_validate(data):

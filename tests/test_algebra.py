@@ -435,3 +435,14 @@ def test_gfp_jacobi():
     L = sl2(field=GF(7))
     assert check_super_jacobi(L).ok
     assert check_super_jacobi_reference(L).ok
+
+
+@pytest.mark.parametrize("entry", [[0, 0, 5, "1"], [0, -1, 0, "1"], [3, 0, 0, "1"]])
+def test_structure_constant_index_out_of_range(entry):
+    """An index outside range(n) is a ValueError naming (i, j, k) and n, not
+    an IndexError (k = 5) or a -1 that reaches the COO table (j = -1)."""
+    data = {"basis": ["a", "b", "c"], "sc": [[0, 1, 2, "1"], entry]}
+    with pytest.raises(ValueError, match=r"\(%d,%d,%d\).*range\(3\)" % tuple(entry[:3])):
+        SuperAlgebra.from_json_dict(data)
+    with pytest.raises(ValueError, match="outside range"):
+        SuperAlgebra(["a", "b", "c"], {(0, 0): {5: 1}})

@@ -163,3 +163,13 @@ def test_tits_cli(tmp_path, capsys):
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         cli.main(["magic-square", "--bogus"])
+
+
+@pytest.mark.parametrize("entry", [[0, 0, 5, "1"], [0, -1, 0, "1"]])
+def test_decompose_rejects_bad_json_index(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"basis": ["a", "b", "c"], "sc": [entry]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--lie", str(path), "--triple", "0,1,2"])
+    assert "(%d,%d,%d)" % tuple(entry[:3]) in str(exc.value)
+    assert "range(3)" in str(exc.value) and str(path) in str(exc.value)

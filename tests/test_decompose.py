@@ -1,27 +1,40 @@
 import dataclasses
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import GF, QQ, Matrix, commutator, vec_eq, basis_vector
-from magma_tits.algebra import check_super_jacobi, centralizer
+from magma_tits.exact import GF, QQ, Matrix, Subspace, basis_vector, flatten_matrix, vec_eq
+from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
 from magma_tits.composition import binarion, ground, invariant_quaternion, split_cayley
 from magma_tits.jordan import h3, jordan_super_dt, jordan_super_jvtheta
 from magma_tits.tits import tits, tits62_variant
 from magma_tits.s4 import coordinate_algebra, s4_on_tits_left, klein_grading
 from magma_tits.isomorphisms import theorem41_basis
 from magma_tits.decompose import (
-    hgd_matrices, so3_basis, h_basis, s4_on_w, det3, invariant_maps,
+    hgd_matrices, so3_basis, h_basis, s4_on_w, invariant_maps,
     check_invariant_maps, decompose, extract_b1, round_trip_matches,
     synthesize_s4, assemble_b1, b1data_from_jordan, classical_examples,
     glw, so_h_negative_control,
 )
 
-from reference_construction import b1_validate
+from reference_construction import (
+    b1_validate, commutator, invariant_map_closures, invariant_maps_dense,
+)
+
+# the package re-exports the function decompose() under its module's name
+decompose_module = importlib.import_module("magma_tits.decompose")
 
 FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
 # the coefficient maps B1Data.validate constrains
 CHECKED = ("circ_HH", "brk_HH", "brk_HS", "circ_HS", "circ_SS", "brk_SS", "d_HH", "d_SS")
+
+
+def det3(M):
+    r = M.rows
+    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
 def test_hgd_relations():
@@ -36,7 +49,6 @@ def test_hgd_relations():
         assert X.trace() == 0
         assert X.T == X
     # gl(W) = so3 + h + z: 3 + 5 + 1 = 9
-    from magma_tits.exact import Subspace, flatten_matrix
     S = Subspace(9)
     for M in so3_basis() + h_basis() + [Matrix.identity(3)]:
         assert S.add(flatten_matrix(M))
@@ -63,6 +75,52 @@ def test_invariant_maps():
     # [G1, G2] = D0
     assert commutator(m["G1"], m["G2"]) == m["D0"]
     assert (m["G1"] @ m["G2"]).trace() == 0
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_invariant_maps_match_dense_oracle(F):
+    """The nine tables read off gl_w, their verdict and ad(D_i) on so3 and h
+    equal the dense closures and Matrix loops of the oracle."""
+    tables, failures = invariant_maps_dense(F)
+    maps = invariant_maps(F)
+    assert list(maps) == list(tables)
+    for name, table in tables.items():
+        assert maps[name].shape == table.shape and maps[name].tolist() == table.tolist(), name
+        assert not maps[name].flags.writeable
+    assert check_invariant_maps(F) == failures == []
+    R3, R5, _rho = decompose_module._so3_h(F)
+    Ds = so3_basis(F)
+    for part, R in ((Ds, R3), (h_basis(F), R5)):
+        span = Subspace.from_vectors([flatten_matrix(X) for X in part], 9, F)
+        assert list(R) == [Matrix.from_columns([span.coords(flatten_matrix(commutator(D, X)))
+                                                for X in part], F) for D in Ds]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_invariant_maps_negative_controls(F, monkeypatch):
+    """AX + 2XA in place of AX + XA leaves so3 for both checkers; one
+    corrupted constant of the gl(W) table on each kind of source pair
+    breaks equivariance."""
+    monkeypatch.setattr(decompose_module, "INVARIANT_MAPS", tuple(
+        row[:4] + (1, 2, 0) if row[0] == "so3xh->so3" else row
+        for row in decompose_module.INVARIANT_MAPS))
+    closures = [m[:4] + (lambda A, X: A @ X + (X @ A).scale(2),) if m[0] == "so3xh->so3" else m
+                for m in invariant_map_closures(F)]
+    assert (check_invariant_maps(F) == sorted(set(invariant_maps_dense(F, closures)[1]))
+            == [("so3xh->so3", "image outside target")])
+    monkeypatch.undo()
+    gl = decompose_module.gl_w(F)
+    parts = decompose_module.PARTS
+    for s1, s2 in (("so3", "so3"), ("so3", "h"), ("h", "so3"), ("h", "h")):
+        (i, j), row = next(((i, j), row) for (i, j), row in gl.sc.items()
+                           if i in parts[s1] and j in parts[s2])
+        k = next(iter(row))
+        sc = {key: dict(r) for key, r in gl.sc.items()}
+        sc[i, j][k] += 1
+        bad = SuperAlgebra(gl.basis, sc, field=F)
+        monkeypatch.setattr(decompose_module, "gl_w", lambda _f, bad=bad: bad)
+        failures = check_invariant_maps(F)
+        assert any(reason.startswith("not ") for _name, reason in failures), (i, j, k)
 
 
 def test_decompose_glw():

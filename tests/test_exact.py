@@ -127,3 +127,14 @@ def test_subspace_greedy_basis():
     assert not S.contains([0, 0, 1])
     assert S.coords([Fraction(3), Fraction(2), Fraction(0)]) == [1, 2]
     assert S.coords(basis_vector(3, 2)) is None
+
+
+def test_subspace_rejects_wrong_length():
+    # a 2-dimensional span in k^3: contains and coords name the length, as add does
+    S = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]])
+    for v in ([1, 0], [1, 0, 0, 0]):
+        for method in (S.contains, S.coords, S.add):
+            with pytest.raises(ValueError, match="length %d.*dimension 3" % len(v)):
+                method(v)
+    with pytest.raises(ValueError, match="length 2"):
+        Subspace(3).coords([0, 0])

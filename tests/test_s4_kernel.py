@@ -201,7 +201,8 @@ def test_s4_and_so3_layers_use_no_dense_products(f4_decomposition, monkeypatch):
     def dense(*_args):
         raise AssertionError("dense Matrix arithmetic on the sparse S4/so3 path")
 
-    decompose_module._so3_h.cache_clear()
+    for cached in ("_so3_h", "gl_w", "invariant_maps"):
+        getattr(decompose_module, cached).cache_clear()
     for name in ("__matmul__", "__add__", "__sub__", "scale"):
         monkeypatch.setattr(Matrix, name, dense)
     with pytest.raises(AssertionError):
@@ -209,5 +210,11 @@ def test_s4_and_so3_layers_use_no_dense_products(f4_decomposition, monkeypatch):
     assert left.verify()
     klein_grading(left)
     rep = decompose_module.decompose(T.algebra, triple)
-    act = decompose_module.synthesize_s4(T.algebra, rep)
+    ext = decompose_module.extract_b1(T.algebra, rep)
+    act = decompose_module.synthesize_s4(T.algebra, rep, ext)
     assert act.verify()
+    # the gl(W) layer: assemble_b1, the invariant-map check and so(h)
+    assert decompose_module.round_trip_matches(T.algebra, ext)
+    assert decompose_module.check_invariant_maps() == []
+    g, triple = decompose_module.so_h_negative_control()
+    assert decompose_module.decompose(g, triple).residual_dim == 7
