@@ -19,8 +19,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, flatten_matrix, vec_zero
-from .int_fast import (bilinear, coo, commutators, distinct, fold, join, matrices_coo, matvec,
-                       rows_coo, table_coo, to_field)
+from .int_fast import (bilinear, coo, commutators, distinct, fold, fold_blocks, join, joined,
+                       matrices_coo, matvec, rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
 
@@ -265,10 +265,11 @@ class SuperAlgebra:
 
     # -- change of basis -------------------------------------------------
 
-    def transported(self, U, new_labels=None, new_parity=None, name=None):
+    def transported(self, U, new_labels=None, new_parity=None, name=None, U_inv=None):
         """The same algebra in the basis given by the columns of U: the
         products of all column pairs by int_fast.bilinear, their
-        coordinates U^{-1} by int_fast.matvec."""
+        coordinates U^{-1} by int_fast.matvec.  A caller that holds
+        U^{-1} already passes it as U_inv."""
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
         f, n = self.field, self.n
@@ -280,7 +281,7 @@ class SuperAlgebra:
                 raise ValueError("new basis vector of mixed parity")
         T, Vt, Dt = self.coo
         X, Vx, Dx = rows_coo(cols, f)
-        Ui, Vu, Du = rows_coo(U.inverse().rows, f)
+        Ui, Vu, Du = rows_coo((U.inverse() if U_inv is None else U_inv).rows, f)
         (i, j, k), sums, _path = bilinear((T, Vt), (X, Vx), (X, Vx), p)
         (ij, l), sums = matvec((Ui, Vu), ((i * n + j, k), sums), p)
         sc = sc_from_coo(ij // n, ij % n, l, to_field(sums, Dt * Dx * Dx * Du, f))
@@ -446,9 +447,12 @@ def check_super_jacobi(A, max_witnesses=10):
     Super-anticommutativity is checked first (transpose_failures).  Then,
     for pairs i <= j and every k, the coefficients of the Leibniz form
     [[b_i,b_j],b_k] - [b_i,[b_j,b_k]] + (-1)^{|i||j|} [b_j,[b_i,b_k]]
-    are summed exactly by int_fast.fold: the COO table is joined with
-    itself on the middle index and keys (i,j,k,l) are packed into one
-    int64.  The integers are denominator-cleared constants over QQ
+    are summed exactly by int_fast.fold_blocks: the COO table is joined
+    with itself on the middle index and keys (i,j,k,l) are packed into one
+    int64.  Both joins take l from the table row on their right, so a
+    contraction past fold_blocks' term budget (E7, E8) folds one block of l
+    at a time and memory follows the budget, not the 0.9 M (E7) or 3.9 M
+    (E8) terms.  The integers are denominator-cleared constants over QQ
     (residues over GF(p), sums reduced mod p).  The verdict is whether any
     sum is nonzero.  Witnesses are the first max_witnesses failing triples,
     formatted from the same sums: on a super-anticommutative table the
@@ -467,32 +471,31 @@ def check_super_jacobi(A, max_witnesses=10):
 
     # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j
     sel = np.flatnonzero(I <= J)
-    a, b = join(K[sel], I)
-    a = sel[a]
-    terms = [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])]
+
+    def outer(a, b):
+        a = sel[a]
+        return [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])]
+
     # [b_y,[b_x,b_k]] = sum_m c_xk^m c_ym^l serves both inner terms:
     # -[b_i,[b_j,b_k]] as (i, j) = (y, x) and (-1)^{|i||j|} [b_j,[b_i,b_k]]
     # as (i, j) = (x, y)
-    a, b = join(K, J)
-    x, y = I[a], I[b]
-    w = np.where(y <= x, -1, 0) + np.where(x <= y, np.where(par[x] & par[y], -1, 1), 0)
-    keep = np.flatnonzero(w)
-    a, b, x, y, w = a[keep], b[keep], x[keep], y[keep], w[keep]
-    terms.append((((np.minimum(x, y) * n + np.maximum(x, y)) * n + J[a]) * n + K[b],
-                  [V[a], V[b], w]))
-    del a, b, x, y, w, keep, sel
+    def inner(a, b):
+        x, y = I[a], I[b]
+        w = np.where(y <= x, -1, 0) + np.where(x <= y, np.where(par[x] & par[y], -1, 1), 0)
+        keep = np.flatnonzero(w)
+        a, b, x, y, w = a[keep], b[keep], x[keep], y[keep], w[keep]
+        return [(((np.minimum(x, y) * n + np.maximum(x, y)) * n + J[a]) * n + K[b],
+                 [V[a], V[b], w])]
 
-    keys, sums, path = fold(terms, f.p)
-    ijk = keys // n
-    bad = distinct(ijk)[:max_witnesses].tolist()
+    keys, sums, path = fold_blocks([joined(K[sel], I, K, outer), joined(K, J, K, inner)],
+                                   step=n, first=max(max_witnesses, 1), p=f.p)
     failures = []
-    if bad:
-        # the keys are sorted, so the first triples' entries are a prefix
-        upto = int(np.searchsorted(ijk, bad[-1], "right"))
-        t = ijk[:upto]
-        vals = to_field(sums[:upto] * np.where(par[t // (n * n)] & par[t % n], -1, 1), D * D, f)
-        jacs = {t: [f.zero] * n for t in bad}
-        for t, l, c in zip(t.tolist(), (keys[:upto] % n).tolist(), vals):
+    if max_witnesses and len(keys):
+        # the keys are those of the first max_witnesses failing triples
+        t = keys // n
+        vals = to_field(sums * np.where(par[t // (n * n)] & par[t % n], -1, 1), D * D, f)
+        jacs = {t: [f.zero] * n for t in distinct(t).tolist()}
+        for t, l, c in zip(t.tolist(), (keys % n).tolist(), vals):
             jacs[t][l] = c
         failures = [(t // (n * n), t // n % n, t % n, A.format_vector(jac))
                     for t, jac in jacs.items()]
@@ -512,10 +515,14 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
 
     One sparse exact contraction: the COO tables of src, tgt and M are
     joined on their shared indices, keys (i, j, k) are packed into one
-    int64 and int_fast.fold sums the terms.  Over QQ the terms are scaled
-    to one denominator (D_m D_t on M(b_i b_j) and D_s on M(b_i) M(b_j);
-    D_t and D_s for a derivation); over GF(p) they are residues and fold
-    reduces the sums mod p.  ValueError unless M is tgt.n x src.n.
+    int64 and int_fast.fold_blocks sums the terms.  Every term takes k from
+    the right-hand row of its join (an entry of M, or a row of tgt's
+    table), so a contraction past fold_blocks' term budget folds one block
+    of k at a time and keeps the first max_witnesses failing pairs of each.
+    Over QQ the terms are scaled to one denominator (D_m D_t on M(b_i b_j)
+    and D_s on M(b_i) M(b_j); D_t and D_s for a derivation); over GF(p)
+    they are residues and the sums are reduced mod p.  ValueError unless M
+    is tgt.n x src.n.
     """
     if M.nrows != tgt.n or M.ncols != src.n:
         raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
@@ -529,24 +536,30 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
         return (i * n + j) * nt + k
 
     # M(b_i b_j) = sum_k c^k_ij M(b_k)
-    a, b = join(K, C)
-    terms = [(key(I[a], J[a], R[b]), [Vs[a], Vm[b], Dt if derivation else Dm * Dt])]
+    groups = [joined(K, C, R, lambda a, b: [
+        (key(I[a], J[a], R[b]), [Vs[a], Vm[b], Dt if derivation else Dm * Dt])])]
     if derivation:
         # M(b_i) b_j = sum_p M_pi c^k_pj and b_i M(b_j) = sum_q M_qj c^k_iq
-        a, b = join(It, R)
-        terms.append((key(C[b], Jt[a], Kt[a]), [Vm[b], Vt[a], -Ds]))
-        a, b = join(Jt, R)
-        sign = np.where(np.array(tgt.parity, dtype=bool)[It[a]] & bool(odd), 1, -1)
-        terms.append((key(It[a], C[b], Kt[a]), [Vm[b], Vt[a], sign, Ds]))
+        odd_i = np.array(tgt.parity, dtype=bool) & bool(odd)
+        groups += [
+            joined(R, It, Kt, lambda b, a: [(key(C[b], Jt[a], Kt[a]), [Vm[b], Vt[a], -Ds])]),
+            joined(R, Jt, Kt, lambda b, a: [
+                (key(It[a], C[b], Kt[a]), [Vm[b], Vt[a], np.where(odd_i[It[a]], 1, -1), Ds])])]
     else:
-        # M(b_i) M(b_j) = sum_{p,q} M_pi M_qj c^k_pq
-        a, b = join(It, R)
-        t, c = join(Jt[a], R)
-        a, b = a[t], b[t]
-        terms.append((key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds]))
-    keys, _sums, _path = fold(terms, field.p)
-    pairs = distinct(keys // nt)[:max_witnesses].tolist()
-    return [(ij // n, ij % n) for ij in pairs]
+        # M(b_i) M(b_j) = sum_{p,q} M_pi M_qj c^k_pq: a row of tgt's table
+        # joins the entries of M in its row p, then those in its row q
+        cnt = np.bincount(R, minlength=nt)
+
+        def both(rows):
+            rows = np.arange(len(It)) if rows is None else rows
+            b, a = join(R, It[rows])
+            a = rows[a]
+            c, t = join(R, Jt[a])
+            a, b = a[t], b[t]
+            return [(key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds])]
+        groups.append((Kt, cnt[It] * cnt[Jt], both))
+    keys, _sums, _path = fold_blocks(groups, step=nt, first=max_witnesses, p=field.p)
+    return [(ij // n, ij % n) for ij in distinct(keys // nt)[:max_witnesses].tolist()]
 
 
 def is_automorphism(A, f):

@@ -624,9 +624,10 @@ def extract_b1(g, report):
 
 def round_trip_matches(g, extraction):
     """assemble_b1 of the extracted data must equal g transported through
-    Psi, structure constant by structure constant."""
+    Psi (with the extraction's Psi^{-1}), structure constant by structure
+    constant."""
     rebuilt = assemble_b1(extraction.data, name=g.name + "/b1")
-    transported = g.transported(extraction.psi, name=g.name + "/psi")
+    transported = g.transported(extraction.psi, name=g.name + "/psi", U_inv=extraction.psi_inv)
     return rebuilt.sc == transported.sc
 
 

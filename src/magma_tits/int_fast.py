@@ -5,13 +5,24 @@ data is its residues (`lower`).  Tables, maps and lists of matrices are
 stored as COO columns of such integers, joined on a shared index (`join`),
 each output index tuple packed into one int64 key, and equal keys summed
 with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
-its widest key group times its largest product, both read off the actual
-values, fits in int64, and on Python ints otherwise.  Field values are
-built back (`to_field`) only for the nonzero sums.  An algebra's table is
-lowered once, cached as SuperAlgebra.coo; `table_coo` serves the rest.
+every key group's size times its largest product fits in int64, read off
+the actual values; over GF(p) with (p-1)^2 in int64 it reduces each
+product mod p and sums in int64 past that (delayed reduction); on Python
+ints otherwise.  Field values are built back (`to_field`) only for the
+nonzero sums.  An algebra's table is lowered once, cached as
+SuperAlgebra.coo; `table_coo` serves the rest.
 
-On these helpers run the sparse checkers (super-Jacobi, structurable, the
-map checks of algebra.map_failures) and the construction itself: the
+A fold builds all its terms before it sorts them, so the bulk checks
+(super-Jacobi, the last fold of the structurable check, the Jordan
+identity, algebra.map_failures) go through `fold_blocks`: each of their
+term groups is a join whose right-hand row carries the output index, the
+exact join sizes are read first, and a contraction past a fixed budget of
+_TERM_BUDGET terms is folded one block of output indices at a time,
+keeping only the entries of the first failing prefixes of each block.
+Memory then follows the budget: the E8 Jacobi check's 3.9 M terms fold
+in blocks of at most about 65 K.
+
+On these helpers run the sparse checkers and the construction itself: the
 graded commutators of lists of matrices (`commutators`), the sparse
 products behind the inner derivations, the Tits brackets and the
 coordinate algebras, and the batched coordinates of Subspace.coords_many,
@@ -32,6 +43,11 @@ from math import lcm, prod
 import numpy as np
 
 INT64_MAX = (1 << 63) - 1
+
+# Terms that fold_blocks builds at once.  At about 100 bytes a term the
+# largest block stays near 7 MB; on a 2-core host, 2^15 to 2^17 terms gave
+# the fastest E7 and E8 Jacobi checks, 2^19 a third slower on E8.
+_TERM_BUDGET = 1 << 16
 
 
 def scaled_int_entries(values):
@@ -106,6 +122,31 @@ def _maxabs(f):
     return max(int(f.max()), -int(f.min())) if f.size else 0
 
 
+def _products(terms, dtype, p=None):
+    """The products of every term's factors, concatenated in term order:
+    in `dtype`, or, with p, each factor reduced mod p and the running
+    product reduced after each factor (int64 when (p-1)^2 fits)."""
+    if p is None:
+        return np.concatenate([
+            prod(f.astype(dtype, copy=False) if isinstance(f, np.ndarray) else f for f in factors)
+            for _k, factors in terms])
+    out = []
+    for _k, factors in terms:
+        acc = 1
+        for f in factors:
+            acc = acc * (f % p) % p
+        out.append(acc)
+    return np.concatenate(out).astype(np.int64, copy=False)
+
+
+def _groups_fit(vals, starts, counts):
+    """Whether every key group's size times its largest product magnitude
+    fits in int64: the bound on its partial sums, read group by group, so
+    a split of the keys into blocks gives each block the same answer."""
+    top = np.maximum.reduceat(np.abs(vals), starts)
+    return bool(np.all(top <= INT64_MAX // counts))
+
+
 def fold(terms, p=None):
     """Exact sums of products over equal keys.
 
@@ -115,6 +156,15 @@ def fold(terms, p=None):
     all terms, reduced mod p when p is given.  Returns the sorted distinct
     keys whose sum is nonzero, those sums, and the path the sums took,
     "int64" or "python-int".
+
+    The sums run in int64 when every key group's size times its largest
+    product magnitude fits, a bound read group by group; the widest group
+    times the product of the largest factors, read off the arrays before
+    any product is formed, settles the common case.  Over GF(p) with
+    (p-1)^2 in int64, past that bound, each product is reduced mod p after
+    each factor and the sums run in int64 while the widest group times
+    p - 1 fits (delayed reduction, as in FFLAS-FFPACK); a group would need
+    more than 3 * 10^9 terms to pass it.  Everything else runs on Python ints.
     """
     keys = np.concatenate([k for k, _f in terms])
     if not len(keys):
@@ -122,18 +172,105 @@ def fold(terms, p=None):
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    widest = int(np.diff(np.r_[starts, len(keys)]).max())
+    counts = np.diff(np.r_[starts, len(keys)])
+    widest = int(counts.max())
     top = max(prod(max(_maxabs(f), 1) for f in factors) for k, factors in terms if len(k))
-    fits = widest * top <= INT64_MAX
-    dtype = np.int64 if fits else object
-    vals = np.concatenate([
-        prod(f.astype(dtype, copy=False) if isinstance(f, np.ndarray) else f for f in factors)
-        for _k, factors in terms])[order]
+    fits = True
+    if widest * top <= INT64_MAX:
+        vals = _products(terms, np.int64)[order]
+    elif p is not None and (p - 1) ** 2 <= INT64_MAX and widest * (p - 1) <= INT64_MAX:
+        vals = _products(terms, np.int64, p)[order]
+    else:
+        vals = _products(terms, np.int64 if top <= INT64_MAX else object)[order]
+        fits = _groups_fit(vals, starts, counts)
+        vals = vals.astype(np.int64 if fits else object, copy=False)
     sums = np.add.reduceat(vals, starts)
     if p is not None:
         sums %= p
     nz = np.flatnonzero(sums != 0)
     return keys[starts[nz]], sums[nz], "int64" if fits else "python-int"
+
+
+def joined(left, right, out, make):
+    """A term group of fold_blocks: make(a, b) gives the (keys, factors)
+    terms of the pairs (a, b) with left[a] == right[b], and out[b] is the
+    output index of pair (a, b).  left and right hold indices >= 0; row b
+    of right pairs with the sizes[b] = np.bincount(left)[right[b]] rows of
+    left of its value.  A block's pairs come grouped by b, each group read
+    off left sorted once by value, so a block costs its own pairs and not
+    a search of all of left."""
+    width = int(max(left.max(initial=-1), right.max(initial=-1))) + 1
+    counts = np.bincount(left, minlength=width)
+    sizes = counts[right]
+    first = np.cumsum(counts) - counts
+    by_value = np.argsort(left, kind="stable")
+
+    def build(rows):
+        rows = np.arange(len(right)) if rows is None else rows
+        cnt = sizes[rows]
+        offset = np.repeat(first[right[rows]] - (np.cumsum(cnt) - cnt), cnt)
+        return make(by_value[np.arange(len(offset)) + offset], np.repeat(rows, cnt))
+    return out, sizes, build
+
+
+def fold_blocks(groups, step=1, first=None, p=None):
+    """fold of a contraction, in blocks of output index past a fixed term
+    budget: the sorted keys of its first `first` failing prefixes (all
+    when None), their nonzero sums and fold's path.
+
+    Each group is (out, sizes, build) over the rows of its driving array,
+    the right-hand side of its join (see `joined`): row r yields sizes[r]
+    terms whose keys all carry the output index out[r] >= 0 (a function of
+    the key, such as its last packed index), and build(rows) returns the
+    (keys, factors) terms of those rows, of all rows when rows is None.
+    The term count is read off `sizes` before any term is built.  Up to
+    _TERM_BUDGET terms fold in one block, which is fold itself.  Past it,
+    the output indices are cut into contiguous ranges of about
+    _TERM_BUDGET terms, and each block folds the rows whose output falls
+    in its range, so every key is summed whole in one block.  A block
+    keeps the entries of its first `first` prefixes key // step with a
+    nonzero sum: a prefix among the first `first` of the contraction is
+    among the first `first` of every block it appears in.  The kept
+    entries are sorted at the end, so keys, sums and their order are those
+    of the unblocked fold.  The path is "python-int" when any block took
+    it; fold reads its bounds per key group, so that is the unblocked
+    fold's path.
+    """
+    blocks = [[None] * len(groups)]
+    if sum(int(sizes.sum()) for _o, sizes, _b in groups) > _TERM_BUDGET:
+        weight = np.zeros(max(int(o.max(initial=-1)) for o, _s, _b in groups) + 1, np.int64)
+        for o, sizes, _b in groups:
+            np.add.at(weight, o, sizes)
+        # output l opens block (terms before l) // budget
+        block_of = (np.cumsum(weight) - weight) // _TERM_BUDGET
+        cuts = np.flatnonzero(np.diff(block_of)) + 1
+        blocks = [[np.flatnonzero((o >= lo) & (o < hi)) for o, _s, _b in groups]
+                  for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(weight)].tolist())]
+    kept, path = [], "int64"
+    for rows in blocks:
+        keys, sums, block_path = fold([t for (_o, _s, build), r in zip(groups, rows)
+                                       for t in build(r)], p)
+        # copies, so that no block's whole result stays referenced
+        kept.append([a.copy() for a in _first_prefixes(keys, sums, step, first)])
+        if block_path != "int64":
+            path = block_path
+    if len(kept) == 1:
+        return (*kept[0], path)
+    keys = np.concatenate([k for k, _s in kept])
+    order = np.argsort(keys)
+    sums = np.concatenate([s for _k, s in kept])[order]
+    return (*_first_prefixes(keys[order], sums, step, first), path)
+
+
+def _first_prefixes(keys, sums, step, first):
+    """The entries of sorted keys whose prefix key // step is among the
+    first `first` distinct ones (all when None)."""
+    if first is None:
+        return keys, sums
+    pre = keys // step
+    starts = np.flatnonzero(np.r_[True, pre[1:] != pre[:-1]]) if len(keys) else pre
+    upto = int(starts[first]) if len(starts) > first else len(keys)
+    return keys[:upto], sums[:upto]
 
 
 def commutators(S, R, C, V, odd, n, p=None):

@@ -29,7 +29,7 @@ import numpy as np
 from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
 from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
 from .composition import split_cayley
-from .int_fast import INT64_MAX, fold, join, to_field
+from .int_fast import INT64_MAX, fold, fold_blocks, join, joined, to_field
 from .tits import inner_derivation_pairs, inner_derivation_space, tits, verify_lie_conditions
 
 
@@ -358,8 +358,10 @@ def check_jordan_identity(J):
     first input) are joined with the table into x((yz)d) and
     -(-1)^{|x|(|y|+|z|)} (yz)(xd); each term counts, times (-1)^{|x||z|},
     at the keys (a, b, c, d, l) of the cyclic rotations (a, b, c) of
-    (x, y, z) with a <= b <= c.  The identity holds iff no key survives
-    the fold; ValueError when n^5 passes int64.
+    (x, y, z) with a <= b <= c.  Both joins take l from their right-hand
+    row, so int_fast.fold_blocks folds one block of l at a time past its
+    term budget.  The identity holds iff no key survives the fold;
+    ValueError when n^5 passes int64.
     """
     alg = J.algebra
     f, n = alg.field, alg.n
@@ -372,20 +374,24 @@ def check_jordan_identity(J):
     a, b = join(K, I)
     keys, P, _path = fold([(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])], p)
     Py, Pz, Pw, Pm = (keys // n ** e % n for e in (3, 2, 1, 0))
-    # x((yz)d) = sum_m P(y, z, d, m) c^l_xm and (yz)(xd) = sum_m c^m_xd P(y, z, m, l)
-    t, e = join(Pm, J)
-    g, h = join(K, Pw)
-    terms = []
-    for x, y, z, d, l, factors in (
-            (I[e], Py[t], Pz[t], Pw[t], K[e], [P[t], V[e]]),
-            (I[g], Py[h], Pz[h], J[g], Pm[h],
-             [V[g], P[h], np.where(odd[I[g]] & (odd[Py[h]] ^ odd[Pz[h]]), 1, -1)])):
+
+    # x((yz)d) = sum_m P(y, z, d, m) c^l_xm and (yz)(xd) = sum_m c^m_xd P(y, z, m, l),
+    # each taking l from the right-hand row of its join
+    def rotations(x, y, z, d, l, factors):
         factors.append(np.where(odd[x] & odd[z], -1, 1))
+        terms = []
         for r, q, u in ((x, y, z), (z, x, y), (y, z, x)):
             keep = np.flatnonzero((r <= q) & (q <= u))
             terms.append((((((r * n + q) * n + u) * n + d) * n + l)[keep],
                           [c[keep] for c in factors]))
-    keys, _sums, _path = fold(terms, p)
+        return terms
+
+    groups = [joined(Pm, J, K, lambda t, e: rotations(I[e], Py[t], Pz[t], Pw[t], K[e],
+                                                      [P[t], V[e]])),
+              joined(K, Pw, Pm, lambda g, h: rotations(
+                  I[g], Py[h], Pz[h], J[g], Pm[h],
+                  [V[g], P[h], np.where(odd[I[g]] & (odd[Py[h]] ^ odd[Pz[h]]), 1, -1)]))]
+    keys, _sums, _path = fold_blocks(groups, first=1, p=p)
     return not len(keys)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .exact import Matrix
 from .algebra import (SuperAlgebra, EVEN, map_failures, nonzero_entries, outer_entries,
                       sc_from_coo, trace_products)
-from .int_fast import INT64_MAX, coo, distinct, fold, join, to_field
+from .int_fast import INT64_MAX, coo, distinct, fold, fold_blocks, join, joined, to_field
 
 
 class AlgebraWithInvolution:
@@ -220,9 +220,13 @@ def check_structurable(AI, max_witnesses=10):
     Every stage is a sparse exact contraction (int_fast.join and
     int_fast.fold) of denominator-cleared integers over QQ, residues over
     GF(p): x sigma(y), then G, V, T_u and T_{sigma(u)}, then the identity
-    with keys (u,x,y,z,k).  The verdict is whether any coefficient is
-    nonzero; witnesses are the first max_witnesses of the sorted (u,x,y)
-    with a nonzero coefficient.
+    with keys (u,x,y,z,k).  That last and largest one goes through
+    int_fast.fold_blocks: each of its four joins takes k from its
+    right-hand row, so past the term budget (C x C^ from cayley x
+    quaternion up) it folds one block of k at a time and keeps the first
+    max_witnesses failing (u,x,y) of each.  The verdict is whether any
+    coefficient is nonzero; witnesses are the first max_witnesses of the
+    sorted (u,x,y) with a nonzero coefficient.
     """
     alg = AI.algebra
     n = alg.n
@@ -277,17 +281,20 @@ def check_structurable(AI, max_witnesses=10):
     keys, TS, _ = fold([(pack(Sq[s], Ti[t], To[t]), [T[t], S[s]])], p)
     Su, Si, So = unpack(keys, 3)
 
-    v, t = join(Vk, Ti)                 # T_u V_{x,y} z
-    terms = [(pack(Tu[t], Vx[v], Vy[v], Vz[v], To[t]), [V[v], T[t], Ds])]
-    v, t = join(Vz, To)                 # V_{x,y} T_u z
-    terms.append((pack(Tu[t], Vx[v], Vy[v], Ti[t], Vk[v]),
-                  [V[v], T[t], sign(par[Tu[t]] * (par[Vx[v]] + par[Vy[v]])), -Ds]))
-    v, t = join(Vx, To)                 # V_{T_u x, y} z
-    terms.append((pack(Tu[t], Ti[t], Vy[v], Vz[v], Vk[v]), [V[v], T[t], -Ds]))
-    v, s = join(Vy, So)                 # V_{x, T_{sigma u} y} z
-    terms.append((pack(Su[s], Vx[v], Si[s], Vz[v], Vk[v]),
-                  [V[v], TS[s], sign(par[Su[s]] * par[Vx[v]])]))
-    keys, _sums, path = fold(terms, p)
+    # every term takes k from the right-hand row of its join
+    groups = [
+        joined(Vk, Ti, To, lambda v, t: [       # T_u V_{x,y} z
+            (pack(Tu[t], Vx[v], Vy[v], Vz[v], To[t]), [V[v], T[t], Ds])]),
+        joined(To, Vz, Vk, lambda t, v: [       # V_{x,y} T_u z
+            (pack(Tu[t], Vx[v], Vy[v], Ti[t], Vk[v]),
+             [V[v], T[t], sign(par[Tu[t]] * (par[Vx[v]] + par[Vy[v]])), -Ds])]),
+        joined(To, Vx, Vk, lambda t, v: [       # V_{T_u x, y} z
+            (pack(Tu[t], Ti[t], Vy[v], Vz[v], Vk[v]), [V[v], T[t], -Ds])]),
+        joined(So, Vy, Vk, lambda s, v: [       # V_{x, T_{sigma u} y} z
+            (pack(Su[s], Vx[v], Si[s], Vz[v], Vk[v]),
+             [V[v], TS[s], sign(par[Su[s]] * par[Vx[v]])])]),
+    ]
+    keys, _sums, path = fold_blocks(groups, step=n * n, first=max(max_witnesses, 1), p=p)
     bad = distinct(keys // (n * n))[:max_witnesses]
     failures = list(zip(*(col.tolist() for col in unpack(bad, 3))))
     return StructurableReport(not len(keys), n, n ** 3, failures=failures, name=alg.name,

@@ -123,6 +123,34 @@ def test_invariant_maps_negative_controls(F, monkeypatch):
         assert any(reason.startswith("not ") for _name, reason in failures), (i, j, k)
 
 
+def associativity_failures(A, unit):
+    """The basis triples with (b_i b_j) b_k != b_i (b_j b_k) and the basis
+    elements b_i with u b_i != b_i or b_i u != b_i, from
+    SuperAlgebra.multiply alone."""
+    e = [A.e(i) for i in range(A.n)]
+    u, mul = A.e(unit), A.multiply
+    bad = [(i, j, k) for i in range(A.n) for j in range(A.n) for k in range(A.n)
+           if mul(mul(e[i], e[j]), e[k]) != mul(e[i], mul(e[j], e[k]))]
+    return bad + [i for i in range(A.n) if mul(u, e[i]) != e[i] or mul(e[i], u) != e[i]]
+
+
+@pytest.mark.parametrize("F", (QQ, GF(10007)), ids=str)
+def test_gl_w_is_associative_with_unit_i(F, monkeypatch):
+    """gl(W), which the invariant maps and their check read, is associative
+    with unit I; with c^{G0}_{G0,I} = 2 it is not, and only this check sees
+    it (check_invariant_maps reads no pair with an I factor)."""
+    gl = decompose_module.gl_w(F)
+    g0, unit = gl.index("G0"), gl.index("I")
+    assert associativity_failures(gl, unit) == []
+    sc = {key: dict(row) for key, row in gl.sc.items()}
+    sc[g0, unit][g0] = F.of(2)
+    bad = SuperAlgebra(gl.basis, sc, field=F)
+    failures = associativity_failures(bad, unit)
+    assert g0 in failures and (g0, unit, unit) in failures
+    monkeypatch.setattr(decompose_module, "gl_w", lambda _f: bad)
+    assert check_invariant_maps(F) == []
+
+
 def test_decompose_glw():
     g, triple = glw()
     assert check_super_jacobi(g).ok
@@ -199,6 +227,20 @@ def test_b1_roundtrip_glw():
     assert round_trip_matches(g, ext)
     act = synthesize_s4(g, rep, ext)
     act.verify()
+
+
+def test_round_trip_reuses_psi_inverse(monkeypatch):
+    """round_trip_matches transports g with the extraction's Psi^{-1}: the
+    same algebra as with a fresh inverse, and no Matrix.inverse call."""
+    g, triple = glw()
+    ext = extract_b1(g, decompose(g, triple))
+    fresh = g.transported(ext.psi)
+
+    def guard(_self):
+        raise AssertionError("Psi inverted again")
+    monkeypatch.setattr(Matrix, "inverse", guard)
+    assert g.transported(ext.psi, U_inv=ext.psi_inv).sc == fresh.sc
+    assert round_trip_matches(g, ext)
 
 
 def _b1_roundtrip_tits(J, name, multiplicities):
