@@ -166,15 +166,17 @@ def fold(terms, p=None):
     p - 1 fits (delayed reduction, as in FFLAS-FFPACK); a group would need
     more than 3 * 10^9 terms to pass it.  Everything else runs on Python ints.
     """
+    # a term without keys adds nothing, and its scalars bound no product
+    terms = [(k, factors) for k, factors in terms if len(k)]
+    if not terms:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), "int64"
     keys = np.concatenate([k for k, _f in terms])
-    if not len(keys):
-        return keys, np.zeros(0, dtype=np.int64), "int64"
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[starts, len(keys)])
     widest = int(counts.max())
-    top = max(prod(max(_maxabs(f), 1) for f in factors) for k, factors in terms if len(k))
+    top = max(prod(max(_maxabs(f), 1) for f in factors) for _k, factors in terms)
     fits = True
     if widest * top <= INT64_MAX:
         vals = _products(terms, np.int64)[order]

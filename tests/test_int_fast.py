@@ -131,6 +131,17 @@ def test_path_is_read_per_key_group():
     assert fold(terms)[2] == "python-int"
 
 
+def test_term_without_keys_is_dropped():
+    # a term with no keys adds nothing, whatever its scalar factor: 2^63
+    # does not fit in int64 and must not be multiplied into an int64 array
+    empty = np.array([], dtype=np.int64)
+    terms = [(empty, [empty, 2 ** 63]), (np.array([0]), [np.array([5])])]
+    for p in (None, P31):
+        keys, sums, path = fold(terms, p)
+        assert path == "int64" and keys.tolist() == [0] and sums.tolist() == [5]
+    assert [len(a) for a in fold([(empty, [empty, 2 ** 63])])[:2]] == [0, 0]
+
+
 def test_word_prime_checkers_run_in_int64():
     # over GF(2^31 - 1) every product of two residues nears 2^62, so the
     # checkers' folds passed int64 and ran on Python ints before delayed
