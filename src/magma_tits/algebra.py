@@ -4,7 +4,8 @@ A SuperAlgebra is a basis with a parity vector and a read-only sparse
 table b_i b_j = sum_k c^k_ij b_k, lowered once to integer COO (coo).  The
 checkers (super-Jacobi, automorphism, derivation, homomorphism, grading,
 centralizer) are exact.  The super-Jacobi check is a sparse integer
-contraction of the table with itself, the map checks (map_failures) one
+contraction of the table with itself onto the jacobiators of the sorted
+triples i <= j <= k, the map checks (map_failures) one
 of the table with the map's matrix, the graded (anti)symmetry check
 (transpose_failures) one fold of the table against its signed transpose
 and the multiplication matrices (left_mults) one join and fold, all summed
@@ -340,9 +341,6 @@ class LinearMap:
     def apply(self, v):
         return self.matrix.apply(v)
 
-    def is_invertible(self):
-        return _invertible(self.matrix)
-
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.matrix == other.matrix
 
@@ -441,22 +439,55 @@ def check_super_jacobi_reference(A, max_witnesses=10):
     return JacobiReport(not failures, n, count, failures=failures, name=A.name)
 
 
+def _jacobi_weight(code):
+    """Weight of the term [[b_x,b_y],b_z], x <= y, in the jacobiator of
+    (i,j,k) = sorted(x,y,z),
+    J(i,j,k) = (-1)^{|i||k|} [[b_i,b_j],b_k] + (-1)^{|i||j|} [[b_j,b_k],b_i]
+               - (-1)^{|j||k|+|i||k|} [[b_i,b_k],b_j]:
+    the sum of the coefficients of the roles it fills, given by its case
+    code r1 | r2 << 1 | r3 << 2 | |x| << 3 | |y| << 4 | |z| << 5, with
+    r1 = y <= z, r2 = z <= x and r3 = x <= z <= y (ties fill several)."""
+    r1, r2, r3, px, py, pz = ((code >> b) & 1 for b in range(6))
+    return (r1 + r2) * (-1) ** (px * pz) - r3 * (-1) ** (py * (px + pz))
+
+
+_JACOBI_WEIGHTS = np.array([_jacobi_weight(c) for c in range(64)], dtype=np.int64)
+
+
+def _sorted_triple_terms(x, y, z, par, n):
+    """Packed sorted triples (i * n + j) * n + k of the terms
+    [[b_x,b_y],b_z], x <= y, and their weights, read by case code from
+    _JACOBI_WEIGHTS; overwrites x and y."""
+    code = ((y <= z).view(np.uint8) | (z <= x).view(np.uint8) << 1
+            | ((x <= z) & (z <= y)).view(np.uint8) << 2 | par[x] << 3 | par[y] << 4 | par[z] << 5)
+    mid = np.clip(z, x, y)
+    key = np.minimum(x, z, out=x)
+    key *= n
+    key += mid
+    key *= n
+    key += np.maximum(y, z, out=y)
+    return key, _JACOBI_WEIGHTS[code]
+
+
 def check_super_jacobi(A, max_witnesses=10):
     """Exhaustive graded-Jacobi check.
 
-    Super-anticommutativity is checked first (transpose_failures).  Then,
-    for pairs i <= j and every k, the coefficients of the Leibniz form
-    [[b_i,b_j],b_k] - [b_i,[b_j,b_k]] + (-1)^{|i||j|} [b_j,[b_i,b_k]]
-    are summed exactly by int_fast.fold_blocks: the COO table is joined
-    with itself on the middle index and keys (i,j,k,l) are packed into one
-    int64.  Both joins take l from the table row on their right, so a
-    contraction past fold_blocks' term budget (E7, E8) folds one block of l
-    at a time and memory follows the budget, not the 0.9 M (E7) or 3.9 M
-    (E8) terms.  The integers are denominator-cleared constants over QQ
-    (residues over GF(p), sums reduced mod p).  The verdict is whether any
-    sum is nonzero.  Witnesses are the first max_witnesses failing triples,
-    formatted from the same sums: on a super-anticommutative table the
-    cyclic jacobiator is (-1)^{|i||k|} times the Leibniz form, over D^2.
+    Super-anticommutativity is checked first (transpose_failures).  On a
+    super-anticommutative table the graded jacobiator is super-alternating
+    (Kac, "Lie superalgebras", 1977), so the sorted triples i <= j <= k
+    decide the verdict.  Their cyclic jacobiators J(i,j,k) (_jacobi_weight)
+    are summed exactly by int_fast.fold_blocks from one join: each table
+    entry (x, y, m) with x <= y meets the rows (m, z, l), and the term
+    c^m_xy c^l_mz of [[b_x,b_y],b_z] counts at the key (sorted(x,y,z), l),
+    packed into one int64, with the weight of the roles it fills in J.
+    The join takes l from the table row on its right, so a contraction past
+    fold_blocks' term budget (E7, E8) folds one block of l at a time and
+    memory follows the budget, not the 0.3 M (E7) or 1.3 M (E8) terms.  The
+    integers are denominator-cleared constants over QQ (residues over
+    GF(p), sums reduced mod p).  The verdict is whether any sum is nonzero.
+    Witnesses are the first max_witnesses failing sorted triples, in the
+    order of check_super_jacobi_reference, formatted from the sums, which
+    are the jacobiators over D^2.
     """
     n, f = A.n, A.field
     n_triples = n * (n + 1) * (n + 2) // 6
@@ -467,33 +498,25 @@ def check_super_jacobi(A, max_witnesses=10):
     if not A.sc:
         return JacobiReport(True, n, n_triples, name=A.name)
 
-    par = np.array(A.parity, dtype=bool)
+    par = np.array(A.parity, dtype=np.uint8)
+    up = I <= J
+    Iu, Ju, Vu = I[up], J[up], V[up]
 
-    # [[b_i,b_j],b_k] = sum_m c_ij^m c_mk^l, i <= j
-    sel = np.flatnonzero(I <= J)
+    # [[b_x,b_y],b_z] = sum_m c_xy^m c_mz^l, x <= y; a zero weight (roles of
+    # a tie that cancel) leaves a zero sum, which fold drops
+    def terms(a, b):
+        key, w = _sorted_triple_terms(Iu[a], Ju[a], J[b], par, n)
+        key *= n
+        key += K[b]
+        return [(key, [Vu[a], V[b], w])]
 
-    def outer(a, b):
-        a = sel[a]
-        return [(((I[a] * n + J[a]) * n + J[b]) * n + K[b], [V[a], V[b]])]
-
-    # [b_y,[b_x,b_k]] = sum_m c_xk^m c_ym^l serves both inner terms:
-    # -[b_i,[b_j,b_k]] as (i, j) = (y, x) and (-1)^{|i||j|} [b_j,[b_i,b_k]]
-    # as (i, j) = (x, y)
-    def inner(a, b):
-        x, y = I[a], I[b]
-        w = np.where(y <= x, -1, 0) + np.where(x <= y, np.where(par[x] & par[y], -1, 1), 0)
-        keep = np.flatnonzero(w)
-        a, b, x, y, w = a[keep], b[keep], x[keep], y[keep], w[keep]
-        return [(((np.minimum(x, y) * n + np.maximum(x, y)) * n + J[a]) * n + K[b],
-                 [V[a], V[b], w])]
-
-    keys, sums, path = fold_blocks([joined(K[sel], I, K, outer), joined(K, J, K, inner)],
+    keys, sums, path = fold_blocks([joined(K[up], I, K, terms)],
                                    step=n, first=max(max_witnesses, 1), p=f.p)
     failures = []
     if max_witnesses and len(keys):
         # the keys are those of the first max_witnesses failing triples
         t = keys // n
-        vals = to_field(sums * np.where(par[t // (n * n)] & par[t % n], -1, 1), D * D, f)
+        vals = to_field(sums, D * D, f)
         jacs = {t: [f.zero] * n for t in distinct(t).tolist()}
         for t, l, c in zip(t.tolist(), (keys % n).tolist(), vals):
             jacs[t][l] = c

@@ -73,9 +73,6 @@ class InvolutionHomomorphism:
     def apply(self, v):
         return self.matrix.apply(v)
 
-    def inverse_matrix(self):
-        return self.matrix.inverse()
-
     def __repr__(self):
         return "InvolutionHomomorphism(%s: %s -> %s)" % (
             self.name, self.source.algebra.name, self.target.algebra.name)

@@ -26,7 +26,7 @@ batched, exactly checked coordinates.
 import numpy as np
 
 from .exact import Matrix, Subspace
-from .algebra import SuperAlgebra, LinearMap, Grading, is_automorphism, sc_from_coo
+from .algebra import SuperAlgebra, LinearMap, is_automorphism, sc_from_coo
 from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, to_field
 from .structurable import AlgebraWithInvolution
 
@@ -182,17 +182,6 @@ class KleinGrading:
                         return False
         return True
 
-    def as_transported_grading(self):
-        """(algebra in the component basis, Grading) for check_grading."""
-        g = self.action.target
-        cols, degrees = [], []
-        for key in self.KEYS:
-            for v in self.components[key]:
-                cols.append(v)
-                degrees.append(key)
-        U = Matrix.from_columns(cols, g.field)
-        return g.transported(U, name=g.name + "/klein"), Grading("Z2xZ2", degrees)
-
 
 def klein_grading(action):
     """Decompose the target into the four simultaneous tau1/tau2 eigenspaces.
@@ -250,9 +239,6 @@ class CoordinateAlgebra:
         phi, tau = act["phi"], act["tau"]
         br = g.multiply(phi.apply(X), phi.apply(phi.apply(Y)))
         return [-x for x in tau.apply(br)]
-
-    def conj_ambient(self, X):
-        return [-x for x in self.action["tau"].apply(X)]
 
     def ambient_vector(self, coords):
         return self.embedding.apply(coords)

@@ -72,11 +72,6 @@ class AlgebraWithInvolution:
             raise ValueError("%s: involution fails: %r" % (self.algebra.name, bad[:5]))
         return True
 
-    def hermitian_basis(self):
-        """Basis of {z : sigma(z) = z}."""
-        M = self.sigma - Matrix.identity(self.algebra.n, self.algebra.field)
-        return M.kernel_basis()
-
     def __repr__(self):
         return "AlgebraWithInvolution(%s)" % self.algebra.name
 

@@ -28,6 +28,11 @@ The B1 coefficient data has a dense oracle for its unit laws and
 (super)symmetries (b1_validate): the tables are expanded into nested lists
 and checked by vector loops.
 
+A few views that only tests take live here too: the conjugation of a
+coordinate algebra in ambient coordinates (conj_ambient), a Klein grading
+as an algebra in its component basis (as_transported_grading) and the
+hermitian part of an algebra with involution (hermitian_basis).
+
 The identities of the inputs have pointwise oracles: the graded
 (anti)symmetry of a table one pair of rows at a time
 (transpose_failures_reference), the linearized Jordan identity by dense
@@ -55,7 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from magma_tits.algebra import EVEN, LinearMap, SuperAlgebra, accumulate
+from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import h_basis, s4_on_w, so3_basis
 from magma_tits.exact import (Matrix, Subspace, basis_vector, flatten_matrix, vec_eq,
@@ -306,8 +311,32 @@ def coordinate_constants(ca):
                 raise ValueError("vector is not in the (1,0) component")
             for k, c in enumerate(coords):
                 accumulate(sc, i, j, k, c)
-    sigma = [span.coords(ca.conj_ambient(v)) for v in span.basis]
+    sigma = [span.coords(conj_ambient(ca, v)) for v in span.basis]
     return sc, sigma
+
+
+def conj_ambient(ca, X):
+    """The conjugation -tau X of a CoordinateAlgebra, in ambient coordinates."""
+    return [-x for x in ca.action["tau"].apply(X)]
+
+
+def as_transported_grading(kg):
+    """(algebra in the component basis, Grading) of a KleinGrading, for
+    check_grading."""
+    g = kg.action.target
+    cols, degrees = [], []
+    for key in kg.KEYS:
+        for v in kg.components[key]:
+            cols.append(v)
+            degrees.append(key)
+    U = Matrix.from_columns(cols, g.field)
+    return g.transported(U, name=g.name + "/klein"), Grading("Z2xZ2", degrees)
+
+
+def hermitian_basis(awi):
+    """Basis of {z : sigma(z) = z} of an AlgebraWithInvolution."""
+    M = awi.sigma - Matrix.identity(awi.algebra.n, awi.algebra.field)
+    return M.kernel_basis()
 
 
 def clean(sc):

@@ -1,23 +1,29 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from magma_tits import int_fast
 from magma_tits.exact import QQ, GF, Matrix, vec_eq
 from magma_tits.algebra import (
-    SuperAlgebra, LinearMap, Grading, ODD,
+    SuperAlgebra, LinearMap, Grading, ODD, _JACOBI_WEIGHTS, _invertible, _sorted_triple_terms,
     check_super_jacobi, check_super_jacobi_reference,
     is_automorphism, is_derivation, map_failures, check_grading, centralizer,
 )
 from magma_tits.composition import ground, split_cayley, split_quaternion
-from magma_tits.jordan import h3, jordan_super_jvtheta
+from magma_tits.jordan import d2, h3, jordan_super_jvtheta
 from magma_tits.structurable import a_of_j
 from magma_tits.tits import tits
 from magma_tits.s4 import s4_on_tits_right
 from magma_tits.isomorphisms import homomorphism_failures, jordan_to_aj_map, theorem41
 
 from reference_construction import left_mult
+from test_witnesses import corrupted_constant
 
 
 def sl2(field=QQ):
@@ -161,8 +167,8 @@ def _assert_witnesses_hold(A, rep):
 
 
 def _all_failing_triples(A):
-    """Every (i, j, k), i <= j, with a nonzero jacobiator, in sorted order."""
-    return [(i, j, k) for i in range(A.n) for j in range(i, A.n) for k in range(A.n)
+    """Every sorted triple i <= j <= k with a nonzero jacobiator, in order."""
+    return [(i, j, k) for i in range(A.n) for j in range(i, A.n) for k in range(j, A.n)
             if any(_cyclic_jacobiator(A, i, j, k))]
 
 
@@ -184,9 +190,90 @@ def test_jacobi_fast_agrees_with_reference():
             fast = check_super_jacobi(A, max_witnesses=A.n ** 3)
             assert fast.ok == check_super_jacobi_reference(A).ok
             assert [w[:3] for w in fast.failures] == _all_failing_triples(A)
+            assert fast.failures == check_super_jacobi_reference(A, max_witnesses=A.n ** 3).failures
             _assert_witnesses_hold(A, fast)
             verdicts.add(fast.ok)
         assert verdicts == {True, False}
+
+
+def _jacobiator_terms(i, j, k, p):
+    """J(i,j,k) = (-1)^{|i||k|} [[b_i,b_j],b_k] + (-1)^{|i||j|} [[b_j,b_k],b_i]
+    - (-1)^{|j||k|+|i||k|} [[b_i,b_k],b_j] as (sign, (x, y, z)) of its
+    terms [[b_x,b_y],b_z], for the parities p of the indices."""
+    return [((-1) ** (p[i] * p[k]), (i, j, k)), ((-1) ** (p[i] * p[j]), (j, k, i)),
+            (-(-1) ** (p[j] * p[k] + p[i] * p[k]), (i, k, j))]
+
+
+def test_sorted_triple_weights():
+    # the 64 weights rebuilt from J: role r puts the sorted triple (0, 1, 2)
+    # at the positions (x, y, z) of its term; the code holds the roles
+    # filled and the parities of x, y, z
+    for code in range(64):
+        pxyz = [(code >> b) & 1 for b in (3, 4, 5)]
+        weight = 0
+        for role, (_sign, positions) in enumerate(_jacobiator_terms(0, 1, 2, [0, 0, 0])):
+            if code >> role & 1:
+                p = [0, 0, 0]
+                for slot, index in enumerate(positions):
+                    p[index] = pxyz[slot]
+                weight += _jacobiator_terms(0, 1, 2, p)[role][0]
+        assert _JACOBI_WEIGHTS[code] == weight, code
+    # every term [[b_x,b_y],b_z], x <= y, ties included: its key is the
+    # sorted triple and its weight the sum of its signs in that jacobiator
+    xs, ys, zs = zip(*[(x, y, z) for x in range(3) for y in range(x, 3) for z in range(3)])
+    for parity in itertools.product((0, 1), repeat=3):
+        keys, weights = _sorted_triple_terms(np.array(xs), np.array(ys), np.array(zs),
+                                             np.array(parity, dtype=np.uint8), 3)
+        for x, y, z, key, weight in zip(xs, ys, zs, keys.tolist(), weights.tolist()):
+            i, j, k = sorted((x, y, z))
+            assert key == (i * 3 + j) * 3 + k
+            assert weight == sum(s for s, t in _jacobiator_terms(i, j, k, parity)
+                                 if t == (x, y, z)), (x, y, z, parity)
+
+
+SUPER_POOLS = (
+    (QQ, [Fraction(v) for v in (1, -1, 2, -3, 2 ** 70, -(2 ** 70))]
+     + [Fraction(1, 2 ** 70), Fraction(-5, 2 ** 70)]),
+    (GF(5), [1, 2, 3, 4]),
+    (GF(10007), [1, 2, 5003, 10006]),
+    (GF(2 ** 31 - 1), [1, 3, 2 ** 30, 2 ** 31 - 2]),
+)
+
+
+@st.composite
+def super_tables(draw):
+    """Super-anticommutative tables with n <= 6, so that ties i = j, j = k
+    and i = j = k and odd squares [b_x, b_x] != 0 are common."""
+    field, pool = draw(st.sampled_from(SUPER_POOLS))
+    n = draw(st.integers(1, 6))
+    parity = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sc = {}
+    for i in range(n):
+        for j in range(i, n):
+            ks = [k for k in range(n) if parity[k] == (parity[i] + parity[j]) % 2]
+            if not ks or (i == j and not parity[i]):
+                continue
+            row = draw(st.dictionaries(st.sampled_from(ks), st.sampled_from(pool), max_size=2))
+            row = {k: field.of(c) for k, c in row.items() if field.of(c)}
+            if row:
+                sign = -1 if parity[i] and parity[j] else 1
+                sc[(i, j)] = row
+                sc[(j, i)] = {k: -sign * c for k, c in row.items()}
+    return SuperAlgebra(["b%d" % i for i in range(n)], sc, parity=parity, field=field)
+
+
+@settings(max_examples=400, deadline=None)
+@given(super_tables(), st.sampled_from([0, 1, 3, "n^3"]), st.booleans())
+def test_jacobi_report_equals_reference(A, cap, one_term_budget):
+    cap = A.n ** 3 if cap == "n^3" else cap
+    ref = check_super_jacobi_reference(A, max_witnesses=cap)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_term_budget:
+            mp.setattr(int_fast, "_TERM_BUDGET", 1)
+        fast = check_super_jacobi(A, max_witnesses=cap)
+    # the reference counts the triples up to its last witness and reports no path
+    assert replace(fast, triples_checked=ref.triples_checked, path="") == ref
+    assert not fast.ok or fast.triples_checked == ref.triples_checked
 
 
 def test_jacobi_constants_past_int64():
@@ -275,7 +362,7 @@ def test_map_checks_agree_with_reference(field):
             assert homomorphism_failures(src, tgt, M) == ref[:5]
             if src is tgt:
                 f = LinearMap(src, tgt, M)
-                assert is_automorphism(src, f) == (not ref and f.is_invertible())
+                assert is_automorphism(src, f) == (not ref and _invertible(M))
         verdicts.add(not ref)
     assert verdicts == {True, False}
 
@@ -321,7 +408,7 @@ def test_dense_checks_past_int64():
         assert is_derivation(L, LinearMap(L, L, ad_e))
         assert not is_derivation(L, LinearMap(L, L, ident))
         assert homomorphism_failures(L, L, ident) == []
-        assert LinearMap(L, L, ad_e.scale(2 ** 70) + ident).is_invertible()
+        assert _invertible(ad_e.scale(2 ** 70) + ident)
         for M in (_corrupted(ident, rng), _corrupted(ident, rng)):
             assert homomorphism_failures(L, L, M, 9) == map_failures_reference(L, L, M)
             assert (map_failures(L, L, M, derivation=True)
@@ -429,6 +516,47 @@ def test_transport_round_trip():
     assert check_super_jacobi(L2).ok
     back = L2.transported(U.inverse())
     assert back.sc == L.sc
+
+
+def unimodular(parity, rng, field, steps):
+    """A seeded product U of integer transvections I + c E_ab, a != b of one
+    parity, and U^{-1}, the product of the I - c E_ab in reverse order:
+    both integral, and U preserves parity."""
+    n = len(parity)
+    U = [[int(r == c) for c in range(n)] for r in range(n)]
+    Ui = [row[:] for row in U]
+    for _ in range(steps):
+        a = rng.randrange(n)
+        b = rng.choice([b for b in range(n) if b != a and parity[b] == parity[a]])
+        c = rng.choice((-2, -1, 1, 2))
+        for row in U:               # U <- U (I + c E_ab): column b += c column a
+            row[b] += c * row[a]
+        Ui[a] = [x - c * y for x, y in zip(Ui[a], Ui[b])]   # U^-1 <- (I - c E_ab) U^-1
+    return Matrix(U, field), Matrix(Ui, field)
+
+
+def test_jacobi_verdicts_survive_unimodular_transport():
+    # transport by a parity-preserving U with integral inverse: the
+    # genuine G(3), F(4) and F4 stay Lie, a corrupted constant still fails,
+    # and the witnesses of the transported table are the reference's
+    rng = random.Random(17)
+    C = split_cayley()
+    for J, (i, j) in ((jordan_super_jvtheta(), (0, 20)), (d2(), (1, 30)), (h3(ground()), (0, 20))):
+        A = tits(C, J).algebra
+        k = next(k for k in range(A.n) if A.parity[k] == (A.parity[i] + A.parity[j]) % 2
+                 and k not in (i, j))
+        bad = corrupted_constant(A, i, j, k)
+        assert not check_super_jacobi(bad).ok
+        U, Ui = unimodular(A.parity, rng, A.field, steps=12)
+        assert U @ Ui == Matrix.identity(A.n, A.field)
+        for B, ok in ((A, True), (bad, False)):
+            Bt = B.transported(U, U_inv=Ui)
+            assert Bt.parity == B.parity and Bt.sc != B.sc
+            for cap in (1, 10):
+                rep = check_super_jacobi(Bt, max_witnesses=cap)
+                assert rep.ok is ok and not rep.anticom_failures
+                if not ok:
+                    assert rep.failures == check_super_jacobi_reference(Bt, cap).failures
 
 
 def test_gfp_jacobi():

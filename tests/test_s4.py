@@ -13,6 +13,8 @@ from magma_tits.s4 import (
     s4_on_h3, s4_on_tits_left, s4_on_tits_right,
 )
 
+from reference_construction import as_transported_grading
+
 
 @pytest.fixture(scope="module")
 def C():
@@ -97,7 +99,7 @@ def test_klein_grading_of_tits(Tk, left_action):
     assert dims[(1, 0)] == 14
     assert sum(dims.values()) == Tk.dim
     assert kg.generator_permutes_components()
-    A2, grading = kg.as_transported_grading()
+    A2, grading = as_transported_grading(kg)
     assert check_grading(A2, grading)
 
 

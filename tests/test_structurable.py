@@ -15,7 +15,8 @@ from magma_tits.structurable import (
     AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product, check_structurable,
 )
 
-from reference_construction import a_of_cubic_pointwise, a_of_j_pointwise, diag_transported
+from reference_construction import (a_of_cubic_pointwise, a_of_j_pointwise, diag_transported,
+                                    hermitian_basis)
 
 
 def test_a_of_j_products():
@@ -115,7 +116,7 @@ def test_hermitian_part_closed():
     J = h3(ground())
     AJ = a_of_j(J)
     alg = AJ.algebra
-    herm = AJ.hermitian_basis()
+    herm = hermitian_basis(AJ)
     S = Subspace(alg.n)
     for v in herm:
         S.add(v)
