@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import Subspace, flatten_matrix, vec_eq
 from .algebra import SuperAlgebra
-from .int_fast import einsum
+from .int_fast import fold, join, rotations
 from . import composition, structurable
 from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
@@ -122,15 +122,15 @@ def suite_csplit(args):
         deg2_ok = deg2_ok and vec_eq(lhs, rhs)
     _check(results, "degree-2 identity on the same sample", deg2_ok)
 
-    # D[i, j, l, c] / den is the b_l coefficient of D_{b_i,b_j}(b_c), and
-    # X[a, b, c] = D_{b_a b_b, b_c} over the common scale den * Dt
-    D, den = composition.inner_derivation_tensor(C)
-    skew_ok = not (D + D.transpose(1, 0, 2, 3)).any()
-    (I, J, K), V, Dt = alg.coo
-    T = np.zeros((8, 8, 8), dtype=object)
-    T[I, J, K] = V
-    X, _path = einsum("abm,mclx->abclx", T, D)
-    cyc_ok = not (X + X.transpose(1, 2, 0, 3, 4) + X.transpose(2, 0, 1, 3, 4)).any()
+    # D_{b_i,b_j}(b_c) at key ((i * 8 + j) * 8 + l) * 8 + c, against itself
+    # at (j, i, l, c); D_{b_a b_b, b_c} at the rotations of (a, b, c)
+    keys, D, _den = composition.inner_derivation_tensor(C)
+    i, j, lc = keys // 512, keys // 64 % 8, keys % 64
+    skew_ok = not len(fold([(keys, [D]), ((j * 8 + i) * 64 + lc, [D])])[0])
+    (I, J, K), V, _Dt = alg.coo
+    x, y = join(K, i)
+    cyc = np.concatenate(rotations(I[x], J[x], j[y], 8)) * 64 + np.tile(lc[y], 3)
+    cyc_ok = not len(fold([(cyc, [np.tile(V[x], 3), np.tile(D[y], 3)])])[0])
     _check(results, "D skew in its arguments", skew_ok)
     _check(results, "cyclic derivation identity on all triples", cyc_ok)
     derC = composition.derivation_algebra(C)

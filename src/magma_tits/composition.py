@@ -16,8 +16,8 @@ The split quaternion/binarion/ground algebras are its subalgebras; the
 S4-invariant (Hamilton-type) quaternion subalgebra span{1, u_i+v_i} is
 provided separately for the T(Q,J) variant.
 
-The inner derivations D_{b_i,b_j} on all basis pairs are exact integer
-contractions of the table (inner_derivation_tensor); der C is the
+The inner derivations D_{b_i,b_j} on all basis pairs are one exact integer
+contraction of the table (inner_derivation_tensor); der C is the
 algebra.DerivationSpace they span (the class of d_{J,J} too), bracketed
 by that space; inner_derivation(C, a, b) stays the pointwise
 field-arithmetic form.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
 from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, sc_from_coo
-from .int_fast import einsum
+from .int_fast import fold, join
 from .s4 import GroupAction
 
 
@@ -228,36 +228,39 @@ def inner_derivation(C, a, b):
 
 
 def inner_derivation_tensor(C):
-    """The integers and common denominator of D_{b_i,b_j}(b_c) on basis
-    triples: D[i, j, l, c] / den is the b_l coefficient.
+    """D_{b_i,b_j}(b_c) on all basis triples as COO (keys, sums, den): the
+    b_l coefficient is the sum at key ((i * n + j) * n + l) * n + c over
+    den, zero at a key without an entry.
 
-    D_{a,b}(c) = [[a,b],c] + 3((ac)b - a(cb)) is three exact contractions
-    (int_fast.einsum) of the dense table of C, dim C <= 8; each term is a
-    product of two constants, so den is the square of the table's."""
+    D_{a,b}(c) = [[a,b],c] + 3((ac)b - a(cb)) is one int_fast.fold of three
+    joins of the table of C: its skew part with itself, and its output index
+    with its first and with its second input index.  Each term is a product
+    of two constants, so den is the square of the table's denominator."""
     n = C.dim
-    p = C.field.p
     (I, J, K), V, D = C.algebra.coo
-    T = np.zeros((n, n, n), dtype=object)
-    T[I, J, K] = V
-    br = T - T.transpose(1, 0, 2)
-    # the terms are combined on Python ints, so the sum cannot overflow
-    terms = [einsum(spec, *ops, p=p)[0].astype(object) for spec, ops in
-             (("ijm,mcl->ijlc", (br, br)), ("icm,mjl->ijlc", (T, T)),
-              ("cjm,iml->ijlc", (T, T)))]
-    out = terms[0] + 3 * (terms[1] - terms[2])
-    return (out if p is None else out % p), D * D
+    bI, bJ, bK, bV = (np.concatenate(c) for c in ((I, J), (J, I), (K, K), (V, -V)))
+
+    def key(i, j, l, c):
+        return ((i * n + j) * n + l) * n + c
+    x, y = join(bK, bI)     # [b_i, b_j] = sum_m b_m, then [b_m, b_c]
+    terms = [(key(bI[x], bJ[x], bK[y], bJ[y]), [bV[x], bV[y]])]
+    x, y = join(K, I)       # b_i b_c = sum_m b_m, then b_m b_j
+    terms.append((key(I[x], J[y], K[y], J[x]), [V[x], V[y], 3]))
+    x, y = join(K, J)       # b_c b_j = sum_m b_m, then b_i b_m
+    terms.append((key(I[y], J[x], K[y], I[x]), [V[x], V[y], -3]))
+    keys, sums, _path = fold(terms, C.field.p)
+    return keys, sums, D * D
 
 
 def derivation_algebra(C):
-    """der C: the DerivationSpace of the D_{b_i,b_j}, fed from the nonzero
-    entries of inner_derivation_tensor, with its Lie algebra `lie` (basis
+    """der C: the DerivationSpace of the D_{b_i,b_j}, fed from the entries
+    of inner_derivation_tensor, with its Lie algebra `lie` (basis
     D[b_i,b_j]) read off the space's bracket; ValueError when a bracket
     leaves the span.  Cached on the (immutable) algebra instance."""
     if not hasattr(C, "_der_alg"):
         n, basis = C.dim, C.algebra.basis
-        D, den = inner_derivation_tensor(C)
-        i, j, l, c = np.nonzero(D)
-        der = DerivationSpace((i * n + j, l * n + c, D[i, j, l, c], den), n, n, C.field,
+        keys, sums, den = inner_derivation_tensor(C)
+        der = DerivationSpace((keys // (n * n), keys % (n * n), sums, den), n, n, C.field,
                               [EVEN] * n)
         (s, t, k), values, outside = der.bracket
         if outside:

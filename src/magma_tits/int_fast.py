@@ -23,18 +23,15 @@ Memory then follows the budget: the E8 Jacobi check's 1.3 M terms fold
 in blocks of at most about 65 K.
 
 On these helpers run the sparse checkers and the construction itself: the
-graded commutators of lists of matrices (`commutators`), the sparse
-products behind the inner derivations, the Tits brackets and the
+graded commutators of lists of matrices (`commutators`), the inner
+derivations, the Tits brackets, the Lie conditions of the construction
+(whose cyclic sums place each term at its triple's `rotations`), the
 coordinate algebras, and the batched coordinates of Subspace.coords_many,
 which fold the vectors' pivot entries against the span's lowered pivot-row
 inverse and check the reconstruction exactly.
 
-The dense Lie-conditions check contracts such integer tables with
-`einsum`, which bounds every result by the contraction length times the
-product of the largest operand magnitudes, read off the actual arrays.
-Under the int64 bound it runs in int64, past it on Python ints (object
-arrays); over GF(p) it reduces the result mod p.  No helper here uses
-floating point, approximates or overflows.
+Every exact contraction is a fold, under fold's one bound rule.  No
+helper here uses floating point, approximates or overflows.
 """
 
 from fractions import Fraction
@@ -173,8 +170,8 @@ def fold(terms, p=None):
     keys = np.concatenate([k for k, _f in terms])
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    counts = np.diff(np.r_[starts, len(keys)])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(np.concatenate((starts, [len(keys)])))
     widest = int(counts.max())
     top = max(prod(max(_maxabs(f), 1) for f in factors) for _k, factors in terms)
     fits = True
@@ -330,31 +327,16 @@ def bilinear(table, left, right, p=None):
     return (keys // (ny * nk), keys // nk % ny, keys % nk), sums, path
 
 
+def rotations(a, b, c, n):
+    """The packed triples (x * n + y) * n + z whose cyclic order r = 0, 1, 2
+    reads (a, b, c): (a, b, c), (c, a, b) and (b, c, a)."""
+    return [(x * n + y) * n + z for x, y, z in ((a, b, c), (c, a, b), (b, c, a))]
+
+
 def distinct(keys):
     """The distinct values of a sorted int64 array, such as fold's keys
     divided down to a prefix (np.unique would sort again)."""
-    return keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
-
-
-def einsum(spec, *ops, p=None):
-    """Exact np.einsum of integer arrays (int64 or object) -> (array, path).
-
-    `spec` names every index explicitly ("ab,bc->ac").  The result is
-    bounded by the contraction length times the product of the largest
-    operand magnitudes; it is computed in int64 when that bound fits and
-    on Python ints otherwise, and reduced mod p when p is given.  The path
-    is "int64" or "python-int"."""
-    inputs, output = spec.split("->")
-    size = {}
-    for letters, op in zip(inputs.split(","), ops):
-        size.update(zip(letters, op.shape))
-    length = prod(size[c] for c in set(size) - set(output))
-    fits = length * prod(max(_maxabs(op), 1) for op in ops) <= INT64_MAX
-    dtype = np.int64 if fits else object
-    out = np.einsum(spec, *(op.astype(dtype, copy=False) for op in ops))
-    if p is not None:
-        out %= p
-    return out, "int64" if fits else "python-int"
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
 def sc_to_dense_int(sc, n):

@@ -23,8 +23,9 @@ tables.
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
-them exhaustively over (C0 basis)^3 x (J0 basis)^3 by exact contractions of
-the tables of T, and reads its witnesses off the same integer arrays.  Its
+them exhaustively over (C0 basis)^3 x (J0 basis)^3, each side of a
+condition one exact fold of the sparse tables of T, and reads its
+witnesses off the same folds.  Its
 test oracle, verify_lie_conditions_reference, shares none of that code: it
 scans the cyclic jacobiator of the tensor basis triples, read off the table
 of T.algebra, and classifies each nonzero one by block.
@@ -41,8 +42,8 @@ from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, act_on_t
                       check_super_jacobi, commutator_table, dense_entries, left_mults,
                       nonzero_entries, outer_entries, sc_from_coo, trace_products)
 from .composition import derivation_algebra, inner_derivation
-from .int_fast import (bilinear, commutators, coo, einsum, fold, lower, matrices_coo, rows_coo,
-                       to_field)
+from .int_fast import (bilinear, commutators, coo, distinct, fold, join, lower, matrices_coo,
+                       rotations, rows_coo, to_field)
 
 
 def inner_derivation_pairs(J, vectors):
@@ -374,28 +375,14 @@ def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
     return LieConditionsReport(all(ok), T.algebra.name, *ok, witnesses)
 
 
-# OUT[j1,j2,j3] = A[j_{perm[0]}, j_{perm[1]}, j_{perm[2]}] needs the
-# inverse permutation as the numpy transpose axes
-_INV = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-
-
-def _cycs(A):
-    """A with its first three axes read in the cyclic orders (0, 1, 2),
-    (1, 2, 0) and (2, 0, 1), stacked on a new first axis."""
-    return np.stack([np.transpose(A, inv + tuple(range(3, A.ndim))) for inv in _INV])
-
-
-def _row_basis(rows, f):
+def _row_basis(rows, k, f):
     """Integer rows (denominator-cleared over QQ, residues over GF(p))
-    spanning the row space over f of the integer array `rows`."""
-    k = rows.shape[1]
+    spanning the row space over f of a nonempty set of integer k-tuples."""
     S = Subspace(k, f)
-    for row in set(map(tuple, rows.tolist())):
+    for row in rows:
         S.add([f.of(v) for v in row])
         if S.dim == k:
             break
-    if not S.basis:
-        return np.zeros((0, k), dtype=np.int64)
     return np.stack([lower(v, f)[1] for v in S.basis])
 
 
@@ -403,21 +390,26 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     """Exhaustive exact check of the Lie conditions of the construction.
 
     The three conditions are the d_{J,J}, der C and C0 x J0 components of
-    the graded Jacobiator of tensor-element triples (a1 x x1, ...), checked
-    over all (C0 basis)^3 x (J0 basis)^3 with the Koszul signs of the
-    graded cyclic Jacobi form.  Each component is a contraction of the
-    tables of T (denominator-cleared integers over QQ, one scale per table;
-    residues over GF(p)) by int_fast.einsum, which bounds every product and
-    sum and takes Python ints past int64.  (ii) and (iii) factor into
-    a-triple coefficients times x-triple objects and are tested on a basis
-    of the coefficient row space over the field.  The report's path is
-    "python-int" when any of these contractions passed int64.
+    the graded Jacobiator of tensor-element triples (a1 x x1, ...) over all
+    (C0 basis)^3 x (J0 basis)^3, with the Koszul signs of the graded cyclic
+    Jacobi form.  Each is a sum, over the cyclic orders of the triples, of
+    bracket terms: an a-side (a C0 triple and a C-object) times an x-side
+    (a J0 triple and a J-object).  (i): t([a1,a2]a3) times d_{x1*x2,x3};
+    (ii): D_{[a1,a2],a3} times t_J((x1*x2)x3); (iii): D_{a1,a2}(a3),
+    [[a1,a2],a3] and 2t(a1a2)a3 times t_J(x1x2)x3, (x1*x2)*x3 and
+    d_{x1,x2}(x3), on one common denominator.
 
-    Witnesses come from the same integer arrays: for each a-triple in
-    lexicographic order, the (i) component of every x-triple is
-    t([a_p,a_q]a_w) times its d_{J,J} object, the (ii) component the sigma*mu
-    scalars against D_{[a_p,a_q],a_w}, the (iii) component the nine
-    coefficients against the nine x-objects.  A witness is
+    Each side is one int_fast.fold of the sparse tables of T (cleared
+    integers over QQ, residues over GF(p)): each term joins two tables,
+    and every entry counts at the three triples whose cyclic order it is,
+    on the kind index k = 3 term + order, negated on the x-side where its
+    first and third x are odd.  A condition holds when every k-row of one
+    side is orthogonal to every k-row of the other: the _row_basis of the
+    side with fewer distinct rows is folded against the other's.  The
+    path is "python-int" when any fold passed int64.
+
+    Witnesses come from the same folds: for each a-triple in lexicographic
+    order, one fold of its a-rows against the x-sides.  A witness is
     (condition, a-triple, x-triple) for the first failing condition of a
     triple pair; the search stops at max_witnesses, and witnesses=False
     skips it (the verdict never depends on either).
@@ -431,88 +423,110 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     f = C.field
     p = f.p
     tb = T.tables
-    m, nd = T.der_dim, T.djj_dim
+    odd = np.array([T.J.algebra.parity_of_vector(x) for x in T.j0_basis], dtype=bool)
     paths = set()
 
-    def ein(spec, *ops):
-        out, path = einsum(spec, *ops, p=p)
+    def folded(terms):
+        keys, sums, path = fold(terms, p)
         paths.add(path)
-        return out
+        return keys, sums
 
     def table(t):
-        D, ints = lower(t.ravel().tolist(), f)
-        return ints.reshape(t.shape), D
+        """The nonzero entries of a table: three index columns, integers, D."""
+        cols, vals = nonzero_entries(t)
+        D, ints = lower(vals, f)
+        return (*cols, *[np.zeros(len(ints), dtype=np.int64)] * (3 - len(cols))), ints, D
 
-    DC, dDC = table(tb.DC)
-    brC, dbr = table(tb.brC)
-    trC, dtr = table(tb.trC)
-    tJ, dtJ = table(tb.tJ)
-    star, dst = table(tb.star)
-    dxy, ddxy = table(tb.dxy)
-    deract, dda = table(tb.der_act)
-    djjact, ddj = table(tb.djj_act)
+    def identity(count, value):
+        """value times the identity after a zero column: an outer product is a join on it."""
+        w = np.arange(count)
+        return (np.zeros_like(w), w, w), np.full(count, value), 1
 
-    # sig[r][x-triple]: Koszul sign of the r-th cyclic term, -1 when its
-    # first and last x are odd
-    par = np.array([T.J.algebra.parity_of_vector(x) for x in T.j0_basis], dtype=bool)
-    odd = np.broadcast_to(par[:, None, None] & par[None, None, :], (nj, nj, nj))
-    sig = np.where(_cycs(odd), -1, 1)
+    def contract(A, B, *scale):
+        """Entries (a, b, m) of A joined with (m, c, out) of B: a, b, c, out, factors."""
+        (ca, va, _Da), (cb, vb, _Db) = A, B
+        x, y = join(ca[2], cb[0])
+        return ca[0][x], ca[1][x], cb[1][y], cb[2][y], [va[x], vb[y], *scale]
 
-    # (i): t([a1,a2]a3) is cyclic-invariant, so it factors out of the sum
-    lam = ein("abm,mc->abc", brC, trC)
-    cond1_ok = True
-    if nd and np.any(lam != 0):
-        d_of_star = ein("abm,mcD->abcD", star, dxy)
-        jd = ein("rabc,rabcD->abcD", sig, _cycs(d_of_star)) != 0
-        cond1_ok = not np.any(jd)
+    def side(conditions, n, R, sign=False):
+        """One fold of one side of the conditions, a list of term lists
+        (a, b, c, out, factors): term t of condition q counts at key
+        ((q * n^3 + triple) * R + out) * 9 + 3t + r of each triple whose
+        cyclic order r reads (a, b, c); with sign, negated where a and c
+        are odd.  Returns the keys and sums of each condition."""
+        placed = []
+        for q, terms in enumerate(conditions):
+            for t, (a, b, c, out, factors) in enumerate(terms):
+                if sign:
+                    factors = factors + [np.where(odd[a] & odd[c], -1, 1)]
+                keys = [((q * n ** 3 + tri) * R + out) * 9 + 3 * t + r
+                        for r, tri in enumerate(rotations(a, b, c, n))]
+                placed.append((np.concatenate(keys), [np.tile(x, 3) if isinstance(x, np.ndarray)
+                                                      else x for x in factors]))
+        keys, sums = folded(placed)
+        cuts = np.searchsorted(keys, np.arange(4) * n ** 3 * R * 9).tolist()
+        return [(keys[lo:hi] - q * n ** 3 * R * 9, sums[lo:hi])
+                for q, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
 
-    # (ii): pair the span of the sigma*mu scalars against the D objects
-    cond2_ok = True
-    if m:
-        mu = ein("abm,mc->abc", star, tJ)
-        smu = ein("rabc,rabc->abcr", sig, _cycs(mu))
-        DD = _cycs(ein("abm,mcD->abcD", brC, DC))
-        W = _row_basis(smu.reshape(-1, 3), f)
-        cond2_ok = not np.any(ein("br,rpqwD->bpqwD", W, DD) != 0)
+    def distinct_rows(keys, sums, K):
+        """The distinct rows of the first K kinds of the entries row * 9 + k,
+        as a set of tuples."""
+        rows = keys // 9
+        dense = np.zeros((len(distinct(rows)), 9), dtype=sums.dtype)
+        dense[np.cumsum(np.concatenate(([0], rows[1:] != rows[:-1]))), keys % 9] = sums
+        return set(map(tuple, dense[:, :K].tolist()))
 
-    # (iii): nine (a-coefficient, x-object) columns, kind-major (D_{a,b}
-    # acting, [[a,b],c], 2 t(ab) c) and cyclic order minor; bal rescales
-    # each kind to the common denominator of all three
-    scales = (dDC * dda * dtJ, dbr * dbr * dst * dst, dtr * ddxy * ddj)
+    def orthogonal(A, X, K):
+        """Whether every row of side A is orthogonal to every row of side X:
+        the _row_basis of the side with fewer distinct rows folded against
+        the distinct rows of the other."""
+        if not (len(A[0]) and len(X[0])):
+            return True
+        few, many = sorted((distinct_rows(*A, K), distinct_rows(*X, K)), key=len)
+        W = _row_basis(few, K, f)
+        r, k = np.nonzero(W)
+        other = np.array(list(many))
+        x, y = np.nonzero(other)
+        a, b = join(y, k)
+        return not len(folded([(x[a] * len(W) + r[b], [other[x, y][a], W[r, k][b]])])[0])
+
+    brC, trC, DC, deract = (table(t) for t in (tb.brC, tb.trC, tb.DC, tb.der_act))
+    star, tJ, dxy, djjact = (table(t) for t in (tb.star, tb.tJ, tb.dxy, tb.djj_act))
+    scales = (DC[2] * deract[2] * tJ[2], brC[2] ** 2 * star[2] ** 2, trC[2] * dxy[2] * djjact[2])
     L = lcm(*scales)
-    bal = np.array([L // s for s in scales for _r in range(3)], dtype=object)
-    Dact = ein("pqr,rwm->pqwm", DC, deract)
-    brbr = ein("pqm,mwr->pqwr", brC, brC)
-    trI = ein("pq,wm->pqwm", trC, 2 * np.eye(nc, dtype=np.int64))
-    coeffs = ein("kpqwm,k->pqwmk",
-                 np.concatenate([_cycs(Dact), _cycs(brbr), _cycs(trI)]), bal)
-    tJI = ein("ab,cm->abcm", tJ, np.eye(nj, dtype=np.int64))
-    ss = ein("abm,mcr->abcr", star, star)
-    dact = ein("abs,scr->abcr", dxy, djjact)
-    G = ein("rabc,krabcm->krabcm", sig, np.stack([_cycs(tJI), _cycs(ss), _cycs(dact)]))
-    W = _row_basis(coeffs.reshape(-1, 9), f)
-    cond3_ok = not np.any(ein("bk,kx->bx", W, G.reshape(9, -1)) != 0)
-
-    ok = cond1_ok and cond2_ok and cond3_ok
-    path = "python-int" if "python-int" in paths else "int64"
-    G = G.reshape(9, nj, nj, nj, nj)
+    Ra, Rx = max(nc, T.der_dim), max(nj, T.djj_dim)
+    A = side([[contract(brC, trC)], [contract(brC, DC)],
+              [contract(DC, deract, L // scales[0]), contract(brC, brC, L // scales[1]),
+               contract(trC, identity(nc, 2), L // scales[2])]], nc, Ra)
+    X = side([[contract(star, dxy)], [contract(star, tJ)],
+              [contract(tJ, identity(nj, 1)), contract(star, star), contract(dxy, djjact)]],
+             nj, Rx, sign=True)
+    # t([a1,a2]a3) is cyclic-invariant: the a-rows of (i) are multiples of (1, 1, 1)
+    ones = (np.arange(3), np.ones(3, dtype=np.int64)) if len(A[0][0]) else A[0]
+    conds = [orthogonal(a, x, K) for a, x, K in zip([ones, *A[1:]], X, (3, 3, 9))]
 
     def failing():
         """(condition, a-triple, x-triple) of every failing triple pair."""
-        for at in product(range(nc), repeat=3):
-            bad = np.zeros((3, nj, nj, nj), dtype=bool)
-            if not cond1_ok and lam[at]:
-                bad[0] = jd.any(axis=3)
-            if not cond2_ok:
-                bad[1] = (ein("abcr,rD->abcD", smu, DD[(slice(None), *at)]) != 0).any(axis=3)
-            if not cond3_ok:
-                bad[2] = (ein("mk,kabcn->abcmn", coeffs[at], G) != 0).any(axis=(3, 4))
-            for xt in np.argwhere(bad.any(axis=0)).tolist():
-                which = bad[(slice(None), *xt)].tolist().index(True)
-                yield LIE_CONDITIONS[which], at, tuple(xt)
+        bounds = [np.searchsorted(a[0], np.arange(nc ** 3 + 1) * Ra * 9) for a in A]
+        for at in range(nc ** 3):
+            terms = []
+            for q, ((ka, sa), (kx, sx), bd) in enumerate(zip(A, X, bounds)):
+                if conds[q]:
+                    continue
+                ka, sa = ka[bd[at]:bd[at + 1]], sa[bd[at]:bd[at + 1]]
+                x, y = join(kx % 9, ka % 9)
+                xt, xout = np.divmod(kx[x] // 9, Rx)
+                terms.append((((xt * 3 + q) * Ra + ka[y] // 9 % Ra) * Rx + xout, [sx[x], sa[y]]))
+            keys = distinct(folded(terms)[0] // (Ra * Rx))
+            first = keys[np.diff(keys // 3, prepend=-1) != 0]     # the first q of each xt
+            for xt, q in zip(*(c.tolist() for c in np.divmod(first, 3))):
+                yield (LIE_CONDITIONS[q], (at // nc ** 2, at // nc % nc, at % nc),
+                       (xt // nj ** 2, xt // nj % nj, xt % nj))
 
+    ok = all(conds)
     found = list(islice(failing(), max_witnesses)) if not ok and witnesses else []
-    return LieConditionsReport(ok, name, cond1_ok, cond2_ok, cond3_ok, found, path)
+    path = "python-int" if "python-int" in paths else "int64"
+    return LieConditionsReport(ok, name, *conds, found, path)
 
 
 class Tits62Algebra:

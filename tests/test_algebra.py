@@ -16,13 +16,14 @@ from magma_tits.algebra import (
     is_automorphism, is_derivation, map_failures, check_grading, centralizer,
 )
 from magma_tits.composition import ground, split_cayley, split_quaternion
-from magma_tits.jordan import d2, h3, jordan_super_jvtheta
+from magma_tits.jordan import JordanAlgebra, d2, h3, jordan_super_jvtheta
 from magma_tits.structurable import a_of_j
-from magma_tits.tits import tits
+from magma_tits.tits import tits, verify_lie_conditions, verify_lie_conditions_reference
 from magma_tits.s4 import s4_on_tits_right
 from magma_tits.isomorphisms import homomorphism_failures, jordan_to_aj_map, theorem41
 
 from reference_construction import left_mult
+from test_tits import _lie_verdict, corrupted_h3k
 from test_witnesses import corrupted_constant
 
 
@@ -521,12 +522,14 @@ def test_transport_round_trip():
 def unimodular(parity, rng, field, steps):
     """A seeded product U of integer transvections I + c E_ab, a != b of one
     parity, and U^{-1}, the product of the I - c E_ab in reverse order:
-    both integral, and U preserves parity."""
+    both integral, and U preserves parity.  a is drawn from the parity
+    blocks of two or more elements (J(V, theta) has a one-element block)."""
     n = len(parity)
     U = [[int(r == c) for c in range(n)] for r in range(n)]
     Ui = [row[:] for row in U]
+    mixed = [a for a in range(n) if list(parity).count(parity[a]) > 1]
     for _ in range(steps):
-        a = rng.randrange(n)
+        a = rng.choice(mixed)
         b = rng.choice([b for b in range(n) if b != a and parity[b] == parity[a]])
         c = rng.choice((-2, -1, 1, 2))
         for row in U:               # U <- U (I + c E_ab): column b += c column a
@@ -557,6 +560,28 @@ def test_jacobi_verdicts_survive_unimodular_transport():
                 assert rep.ok is ok and not rep.anticom_failures
                 if not ok:
                     assert rep.failures == check_super_jacobi_reference(Bt, cap).failures
+
+
+@pytest.mark.parametrize("name", ["h3k", "d2", "h3bad", "jvtheta"])
+def test_lie_conditions_survive_unimodular_transport(name):
+    # J in the basis of the columns of a parity-preserving integral U with
+    # integral inverse, unit U^-1 u and trace row t U: the Lie conditions
+    # are identities, so the verdict and the three flags do not depend on
+    # the basis, and the witnesses are the reference's
+    J = {"h3k": lambda: h3(ground()), "d2": d2, "h3bad": corrupted_h3k,
+         "jvtheta": jordan_super_jvtheta}[name]()
+    Q = split_quaternion()
+    U, Ui = unimodular(J.algebra.parity, random.Random(23), J.field, steps=12)
+    Jt = JordanAlgebra(J.algebra.transported(U, U_inv=Ui), Ui.apply(J.unit),
+                       U.T.apply(J.trace_row), provenance="custom")
+    # the transvections of J(V, theta)'s odd pair lie in SL_2 and keep theta,
+    # so its table stays; its unit block of one element used to raise here
+    assert (Jt.algebra.sc != J.algebra.sc) is (name != "jvtheta")
+    T = tits(Q, Jt)
+    rep = verify_lie_conditions(Q, Jt, T=T)
+    assert _lie_verdict(rep) == _lie_verdict(verify_lie_conditions_reference(Q, Jt, T=T))
+    assert _lie_verdict(rep)[:4] == _lie_verdict(verify_lie_conditions(Q, J))[:4]
+    assert rep.ok is (name != "h3bad")
 
 
 def test_gfp_jacobi():

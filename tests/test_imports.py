@@ -7,7 +7,8 @@ lowers an algebra's table itself: SuperAlgebra.coo does that once.  Only
 the two test oracles call the jacobiator: the checkers take their
 witnesses from their own contractions.  No module outside algebra.py
 brackets the matrices of a span of inner derivations itself: the bracket
-of a DerivationSpace comes from the space."""
+of a DerivationSpace comes from the space.  No module calls einsum: every
+exact contraction is an int_fast fold, under its one bound rule."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,23 @@ def test_detects_jacobiator_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_oracles_call_the_jacobiator(path):
     assert jacobiator_calls(path.read_text()) == []
+
+
+def einsum_calls(source):
+    """Lines that call einsum, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "einsum")
+
+
+def test_detects_einsum_calls():
+    src = ("X = np.einsum('abm,mc->abc', T, D)\n"
+           "Y, path = einsum('ab,bc->ac', A, B)\n"
+           "Z = int_fast.fold(terms)\n"
+           "f = np.einsum\n")
+    assert einsum_calls(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_einsum(path):
+    assert einsum_calls(path.read_text()) == []

@@ -179,6 +179,37 @@ def test_lie_conditions_past_int64():
         assert _lie_verdict(rep) == _lie_verdict(verify_lie_conditions_reference(C, J, T=T))
 
 
+def test_lie_witnesses_name_the_first_failing_condition():
+    # H3(k) with c^0_13 = c^0_31 raised by one: 288 of its 954 failing
+    # triple pairs fail (ii) and (iii) together, and each witness names the
+    # first failing condition of its pair, as the reference does
+    J = h3(ground())
+    sc = {k: dict(v) for k, v in J.algebra.sc.items()}
+    for key in ((1, 3), (3, 1)):
+        sc.setdefault(key, {})[0] = sc[key].get(0, 0) + 1
+    bad = JordanAlgebra(SuperAlgebra(J.algebra.basis, sc, name="H3bad2"), J.unit, J.trace_row,
+                        provenance="custom")
+    Q = split_quaternion()
+    T = tits(Q, bad)
+    rep = verify_lie_conditions(Q, bad, T=T, max_witnesses=1000)
+    assert len(rep.witnesses) == 954
+    assert _lie_verdict(rep) == _lie_verdict(
+        verify_lie_conditions_reference(Q, bad, T=T, max_witnesses=1000))
+
+
+def test_lie_conditions_word_prime_path():
+    # over GF(2^31 - 1), (p - 1)^2 fits in int64: fold reduces each product
+    # mod p and sums in int64 (delayed reduction), for a passing and a
+    # failing input
+    F = GF(2 ** 31 - 1)
+    for C, J, ok in ((binarion(F), h3(ground(F)), True),
+                     (split_cayley(F), jordan_super_dt(3, F), False)):
+        T = tits(C, J)
+        rep = verify_lie_conditions(C, J, T=T)
+        assert rep.ok is ok and rep.path == "int64"
+        assert _lie_verdict(rep) == _lie_verdict(verify_lie_conditions_reference(C, J, T=T))
+
+
 def test_super_dimensions(C):
     Tg3 = tits(C, jordan_super_jvtheta())
     assert (Tg3.algebra.dim_even, Tg3.algebra.dim_odd) == (17, 14)
