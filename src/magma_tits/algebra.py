@@ -1,15 +1,18 @@
 """Finite-dimensional (super)algebras given by sparse structure constants.
 
 A SuperAlgebra is a basis with a parity vector and a read-only sparse
-table b_i b_j = sum_k c^k_ij b_k, lowered once to integer COO (coo).  The
-checkers (super-Jacobi, automorphism, derivation, homomorphism, grading,
-centralizer) are exact.  The super-Jacobi check is a sparse integer
-contraction of the table with itself onto the jacobiators of the sorted
-triples i <= j <= k, the map checks (map_failures) one
-of the table with the map's matrix, the graded (anti)symmetry check
-(transpose_failures) one fold of the table against its signed transpose
-and the multiplication matrices (left_mults) one join and fold, all summed
-by int_fast.fold.  The pure-field super-Jacobi triple loop is a test oracle.
+table b_i b_j = sum_k c^k_ij b_k, kept as canonical integer COO (coo):
+builders hand their folded integers to SuperAlgebra.from_coo, a
+hand-written table is lowered once, and the field-valued table (sc) is
+built from coo on first read.  The checkers (super-Jacobi, automorphism,
+derivation, homomorphism, grading, centralizer) are exact.  The
+super-Jacobi check is a sparse integer contraction of the table with
+itself onto the jacobiators of the sorted triples i <= j <= k, the map
+checks (map_failures) one of the table with the map's matrix, the graded
+(anti)symmetry check (transpose_failures) one fold of the table against
+its signed transpose and the multiplication matrices (left_mults) one
+join and fold, all summed by int_fast.fold.  The pure-field super-Jacobi
+triple loop is a test oracle.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -20,8 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, flatten_matrix, vec_zero
-from .int_fast import (bilinear, coo, commutators, distinct, fold, fold_blocks, join, joined,
-                       matrices_coo, matvec, rows_coo, table_coo, to_field)
+from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
+                       joined, matrices_coo, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
 
@@ -34,79 +37,49 @@ def accumulate(sc, i, j, k, c):
         row[k] = row[k] + c if k in row else c
 
 
-def sc_from_coo(I, J, K, values, sc=None):
-    """Add the entries c^{K[e]}_{I[e] J[e]} = values[e], whose index triples
-    are distinct, to the table sc (a new one when None)."""
-    sc = {} if sc is None else sc
-    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), values):
-        sc.setdefault((i, j), {})[k] = c
-    return sc
+def outer_block(A, B, place, factor=1, D=1):
+    """The int_fast.fold_table block of an outer product of two lowered
+    tables (index columns, integers, denominator): every entry x of A and
+    y of B give the product of their integers times factor / D at
+    place(columns of A at x, columns of B at y), an index triple."""
+    (ca, Va, Da), (cb, Vb, Db) = A, B
+    x, y = outer(len(Va), len(Vb))
+    return (*place(*(c[x] for c in ca), *(c[y] for c in cb)), [Va[x], Vb[y], factor], Da * Db * D)
 
 
-def dense_entries(shape, cols, values, zero):
-    """Object array of field values: values at the index columns, zero elsewhere."""
-    out = np.full(shape, zero, dtype=object)
-    out[tuple(cols)] = values
-    return out
-
-
-def nonzero_entries(t):
-    """Index columns and values of the nonzero entries of an object array
-    of field values, or of a table {(i, j): {k: c}} without zero entries."""
-    if isinstance(t, np.ndarray):
-        nz = np.nonzero(t)
-        return nz, t[nz].tolist()
-    entries = [((i, j, k), c) for (i, j), row in t.items() for k, c in row.items()]
-    cols = np.array([ix for ix, _c in entries], dtype=np.int64).reshape(-1, 3)
-    return tuple(cols.T), [c for _ix, c in entries]
-
-
-def outer_entries(A, B, scale=None):
-    """Index columns of A and of B at every pair of their entries, and the
-    products of the values (times scale): the COO of an outer product."""
-    (ca, va), (cb, vb) = A, B
-    ia = np.repeat(np.arange(len(va)), len(vb))
-    ib = np.tile(np.arange(len(vb)), len(va))
-    vals = [a * b for a in va for b in vb]
-    return [c[ia] for c in ca], [c[ib] for c in cb], vals if scale is None else [
-        scale * v for v in vals]
-
-
-def act_on_tensor(sc, acts, op_par, vec_par, copies, op, tensor):
-    """Add [d_s, w_c x v_j] = w_c x d_s(v_j) and the mirrored bracket, with
-    the Koszul sign, to the table sc for operators d_s acting on the v
-    factor of `copies` tensor copies; acts[s, j, k] (an object array or a
-    table {(s, j): {k: c}}) is the v_k coefficient of d_s(v_j), op(s) and
-    tensor(c, j) map to the table's indices."""
-    (s, j, k), vals = nonzero_entries(acts)
-    c = np.tile(np.arange(copies), len(vals))
-    s, j, k = (np.repeat(x, copies) for x in (s, j, k))
-    vals = [v for v in vals for _c in range(copies)]
-    odd = (np.asarray(op_par, dtype=bool)[s] & np.asarray(vec_par, dtype=bool)[j]).tolist()
-    sc_from_coo(op(s), tensor(c, j), tensor(c, k), vals, sc)
-    sc_from_coo(tensor(c, j), op(s), tensor(c, k), [v if o else -v for v, o in zip(vals, odd)],
-                sc)
+def tensor_action(acts, op_par, vec_par, copies, op, tensor):
+    """The int_fast.fold_table blocks of [d_s, w_c x v_j] = w_c x d_s(v_j)
+    and of the mirrored bracket, with the Koszul sign, for operators d_s
+    acting on the v factor of `copies` tensor copies: acts is the lowered
+    table ((s, j, k), integers, D) of the v_k coefficient of d_s(v_j);
+    op(s) and tensor(c, j) map to the table's indices."""
+    (s, j, k), V, D = acts
+    x, c = outer(len(V), copies)
+    s, j, k, V = s[x], j[x], k[x], V[x]
+    odd = np.asarray(op_par, dtype=bool)[s] & np.asarray(vec_par, dtype=bool)[j]
+    return [(op(s), tensor(c, j), tensor(c, k), [V], D),
+            (tensor(c, j), op(s), tensor(c, k), [V, np.where(odd, 1, -1)], D)]
 
 
 def commutator_table(mats, span, odd=None):
     """Structure constants of the graded commutators of a list of n x n
     matrices in the coordinates of span, a Subspace of flattened n x n
-    matrices, as COO columns (s, t, k) and values of c^k_st, and the pairs
-    (s, t) whose commutator lies outside span (its coordinates are then
-    those of the projection through the pivot rows).
+    matrices, as COO columns (s, t, k), integers and their denominator of
+    c^k_st, and the pairs (s, t) whose commutator lies outside span (its
+    coordinates are then those of the projection through the pivot rows).
 
     One int_fast.commutators join and fold for all pairs, then one batch
     of Subspace.coords_many."""
     m = len(mats)
     if not m:
         none = np.zeros(0, dtype=np.int64)
-        return (none, none, none), [], []
+        return (none, none, none), none, 1, []
     n = mats[0].nrows
     (S, R, C), V, D = matrices_coo(mats, span.field)
     odd = np.zeros(m, dtype=bool) if odd is None else np.array(odd, dtype=bool)
     keys, sums, _path = commutators(S, R, C, V, odd, n, span.field.p)
-    ids, ks, values, outside = span.coords_many(keys // (n * n), keys % (n * n), sums, D * D)
-    return (ids // m, ids % m, ks), values, [divmod(i, m) for i in outside.tolist()]
+    ids, ks, ints, den, outside = span.coords_many(keys // (n * n), keys % (n * n), sums, D * D)
+    return (ids // m, ids % m, ks), ints, den, [divmod(i, m) for i in outside.tolist()]
 
 
 class DerivationSpace:
@@ -148,7 +121,7 @@ class DerivationSpace:
     @cached_property
     def bracket(self):
         """commutator_table of the matrices in the span's coordinates:
-        ((s, t, k), values, pairs outside the span)."""
+        ((s, t, k), integers, denominator, pairs outside the span)."""
         return commutator_table(self.matrices, self.span, self.parities)
 
     def coords_matrix(self, M, check=True):
@@ -161,49 +134,83 @@ class DerivationSpace:
 
 
 class SuperAlgebra:
-    """Algebra by structure constants; immutable after construction."""
+    """Algebra by structure constants; immutable after construction.
 
-    def __init__(self, basis, sc, parity=None, field=QQ, name="algebra",
-                 is_lie_claimed=False, is_jordan_claimed=False,
-                 is_associative_claimed=False):
+    The table is kept as its canonical COO `coo`: sorted index columns
+    (I, J, K), nonzero integers V and their denominator D, with
+    c^{K[e]}_{I[e] J[e]} = V[e] / D, D the lcm of the reduced denominators
+    (1 over GF(p), where V holds residues).  The field-valued table `sc`
+    and the rows that `multiply` reads are built from it on first read."""
+
+    def __init__(self, basis, sc, parity=None, field=QQ, name="algebra", **claims):
+        """A hand-written table {(i, j): {k: c}}, c anything field.of takes,
+        lowered once and validated as from_coo does."""
+        self._setup(basis, *table_coo(sc, field), parity, field, name, **claims)
+
+    @classmethod
+    def from_coo(cls, basis, cols, V, D=1, parity=None, field=QQ, name="algebra", **claims):
+        """The algebra with c^{K[e]}_{I[e] J[e]} = V[e] / D summed over e,
+        for index columns cols = (I, J, K) and integers V (denominator-
+        cleared over QQ, any integers over GF(p)).  ValueError for an
+        index outside range(n) or a nonzero constant that violates parity;
+        the lexicographically first one is named."""
+        A = cls.__new__(cls)
+        A._setup(basis, cols, V, D, parity, field, name, **claims)
+        return A
+
+    def _setup(self, basis, cols, V, D, parity, field, name, is_lie_claimed=False,
+               is_jordan_claimed=False, is_associative_claimed=False):
+        """Validate and store the table: one fold sums equal (i, j, k) and
+        drops the zero sums, then int_fast.reduced puts it in lowest terms."""
         self.basis = list(basis)
-        self.n = len(self.basis)
+        self.n = n = len(self.basis)
         self.field = field
-        self.parity = list(parity) if parity is not None else [EVEN] * self.n
-        if len(self.parity) != self.n:
+        self.parity = list(parity) if parity is not None else [EVEN] * n
+        if len(self.parity) != n:
             raise ValueError("parity vector has wrong length")
+        for i, par in enumerate(self.parity):
+            if par not in (EVEN, ODD):
+                raise ValueError("parity %r of basis element %d is not 0 or 1" % (par, i))
         self.name = name
         self.is_lie_claimed = is_lie_claimed
         self.is_jordan_claimed = is_jordan_claimed
         self.is_associative_claimed = is_associative_claimed
-        table, n = {}, self.n
-        for (i, j), row in sc.items():
-            clean = {}
-            for k, c in row.items():
-                if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                    raise ValueError("structure constant (%d,%d,%d) has an index outside "
-                                     "range(%d)" % (i, j, k, n))
-                c = field.of(c)
-                if not c:
-                    continue
-                if self.parity[k] != (self.parity[i] + self.parity[j]) % 2:
-                    raise ValueError(
-                        "structure constant (%d,%d,%d) violates parity" % (i, j, k))
-                clean[k] = c
-            if clean:
-                table[(i, j)] = clean
-        self._rows = table          # for the inner loop of multiply; never handed out
-        self.sc = MappingProxyType({ij: MappingProxyType(row) for ij, row in table.items()})
         self._index = {lbl: i for i, lbl in enumerate(self.basis)}
+        I, J, K = (np.asarray(c, dtype=np.int64) for c in cols)
+        bad = np.flatnonzero((np.minimum(np.minimum(I, J), K) < 0)
+                             | (np.maximum(np.maximum(I, J), K) >= n))
+        if len(bad):
+            e = bad[np.lexsort((K[bad], J[bad], I[bad]))[0]]
+            raise ValueError("structure constant (%d,%d,%d) has an index outside range(%d)"
+                             % (I[e], J[e], K[e], n))
+        p = field.p
+        scale, D = (1, D) if p is None else (pow(D, -1, p), 1)    # residues over GF(p)
+        keys, V, _path = fold([((I * n + J) * n + K, [as_ints(V), scale])], p)
+        I, J, K = keys // (n * n), keys // n % n, keys % n
+        par = np.array(self.parity, dtype=np.int64)
+        bad = np.flatnonzero(par[K] != par[I] ^ par[J])
+        if len(bad):
+            e = bad[0]
+            raise ValueError("structure constant (%d,%d,%d) violates parity" % (I[e], J[e], K[e]))
+        V, D = reduced(V, D)
+        for a in (I, J, K, V):
+            a.setflags(write=False)
+        self.coo = (I, J, K), V, D
 
     @cached_property
-    def coo(self):
-        """The table lowered once by int_fast.table_coo: ((I, J, K), V, D)
-        with c^{K[e]}_{I[e] J[e]} = V[e] / D; the arrays are read-only."""
-        cols, V, D = table_coo(self._rows, self.field)
-        for a in (*cols, V):
-            a.setflags(write=False)
-        return cols, V, D
+    def _rows(self):
+        """The table as plain dicts {(i, j): {k: c}}, for the inner loop of
+        multiply; never handed out."""
+        (I, J, K), V, D = self.coo
+        rows = {}
+        for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), to_field(V, D, self.field)):
+            rows.setdefault((i, j), {})[k] = c
+        return rows
+
+    @cached_property
+    def sc(self):
+        """The read-only table {(i, j): {k: c}} of field values."""
+        return MappingProxyType({ij: MappingProxyType(row) for ij, row in self._rows.items()})
 
     # -- basic queries --------------------------------------------------
 
@@ -285,19 +292,16 @@ class SuperAlgebra:
         Ui, Vu, Du = rows_coo((U.inverse() if U_inv is None else U_inv).rows, f)
         (i, j, k), sums, _path = bilinear((T, Vt), (X, Vx), (X, Vx), p)
         (ij, l), sums = matvec((Ui, Vu), ((i * n + j, k), sums), p)
-        sc = sc_from_coo(ij // n, ij % n, l, to_field(sums, Dt * Dx * Dx * Du, f))
-        labels = new_labels or ["f%d" % i for i in range(n)]
-        return SuperAlgebra(labels, sc, parity=new_parity, field=f,
-                            name=name or (self.name + "'"))
+        return SuperAlgebra.from_coo(new_labels or ["f%d" % i for i in range(n)],
+                                     (ij // n, ij % n, l), sums, Dt * Dx * Dx * Du,
+                                     parity=new_parity, field=f, name=name or (self.name + "'"))
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
-        entries = []
-        for (i, j), row in self.sc.items():
-            for k, c in row.items():
-                entries.append([i, j, k, _scalar_str(c)])
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
+        (I, J, K), V, D = self.coo
+        entries = [[i, j, k, _scalar_str(c)] for i, j, k, c in
+                   zip(I.tolist(), J.tolist(), K.tolist(), to_field(V, D, self.field))]
         d = {"basis": list(self.basis), "parity": list(self.parity), "sc": entries}
         if not self.field.is_rational:
             d["field"] = self.field.p
@@ -387,7 +391,7 @@ class JacobiReport:
 
 def transpose_failures(table, parity, sign, field):
     """Sorted pairs (i, j), i <= j, with c^k_ij != sign (-1)^{|i||j|} c^k_ji
-    for some k, in a COO table ((I, J, K), V) of int_fast.table_coo over field.
+    for some k, in a COO table ((I, J, K), V) over field, such as SuperAlgebra.coo.
 
     One fold (mod p over GF(p)) of the entries with i <= j at (i, j, k)
     and those with j <= i at (j, i, k) times -sign (-1)^{|i||j|}; k is
@@ -495,7 +499,7 @@ def check_super_jacobi(A, max_witnesses=10):
     anticom = transpose_failures(((I, J, K), V), A.parity, -1, f)
     if anticom:
         return JacobiReport(False, n, 0, anticom_failures=anticom[:max_witnesses], name=A.name)
-    if not A.sc:
+    if not len(I):
         return JacobiReport(True, n, n_triples, name=A.name)
 
     par = np.array(A.parity, dtype=np.uint8)

@@ -26,7 +26,7 @@ field-arithmetic form.
 import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
-from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, sc_from_coo
+from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap
 from .int_fast import fold, join
 from .s4 import GroupAction
 
@@ -262,12 +262,12 @@ def derivation_algebra(C):
         keys, sums, den = inner_derivation_tensor(C)
         der = DerivationSpace((keys // (n * n), keys % (n * n), sums, den), n, n, C.field,
                               [EVEN] * n)
-        (s, t, k), values, outside = der.bracket
+        cols, V, D, outside = der.bracket
         if outside:
             raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
-        der.lie = SuperAlgebra(["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators],
-                               sc_from_coo(s, t, k, values), field=C.field,
-                               name="der(%s)" % C.name, is_lie_claimed=True)
+        der.lie = SuperAlgebra.from_coo(
+            ["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators], cols, V, D,
+            field=C.field, name="der(%s)" % C.name, is_lie_claimed=True)
         C._der_alg = der
     return C._der_alg
 

@@ -40,11 +40,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .exact import QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, act_on_tensor, commutator_table, dense_entries,
-                      left_mults, map_failures, nonzero_entries, outer_entries, sc_from_coo,
-                      transpose_failures)
-from .int_fast import (bilinear, coo, fold, join, lower, matrices_coo, matvec, rows_coo,
-                       table_coo, to_field)
+from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, map_failures,
+                      outer_block, tensor_action, transpose_failures)
+from .int_fast import (bilinear, coo, fold, fold_table, join, lower, matrices_coo, matvec,
+                       rows_coo, table_coo, to_field)
 from .s4 import GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
@@ -152,26 +151,36 @@ def _map_algebras(gl):
             terms.append((((r * n + x[e]) * n + y[e]) * n + K[e], [V[e], c]))
     keys, sums, _path = fold(terms, f.p)
     r, i, j, k = keys // n ** 3, keys // (n * n) % n, keys // n % n, keys % n
-    vals = np.array(to_field(sums, D * Dc, f), dtype=object)
-    return [SuperAlgebra(GL_W, sc_from_coo(i[r == m], j[r == m], k[r == m], vals[r == m]),
-                         field=f, name=row[0]) for m, row in enumerate(INVARIANT_MAPS)]
+    return [SuperAlgebra.from_coo(GL_W, (i[r == m], j[r == m], k[r == m]), sums[r == m], D * Dc,
+                                  field=f, name=row[0]) for m, row in enumerate(INVARIANT_MAPS)]
+
+
+@cache
+def _invariant_coo(field):
+    """The nine maps of INVARIANT_MAPS on the bases of so3, h and z, as a
+    read-only mapping from name to the lowered table ((i1, i2, m),
+    integers, D) of the coordinates of the image (m = 0 for the z targets:
+    the multiple of I), read off _map_algebras of gl_w inside the target.
+    Built once per field and shared."""
+    tables = {}
+    for (name, s1, s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl_w(field))):
+        (I, J, K), V, D = A.coo
+        a, b, c = PARTS[s1], PARTS[s2], PARTS[dst]
+        e = np.flatnonzero((K >= c.start) & (K < c.stop))
+        tables[name] = (I[e] - a.start, J[e] - b.start, K[e] - c.start), V[e], D
+    return MappingProxyType(tables)
 
 
 @cache
 def invariant_maps(field=QQ):
-    """The nine maps of INVARIANT_MAPS on the bases of so3, h and z: a
-    read-only mapping from name to read-only object arrays [i1, i2, m] of
-    the coordinates of the image (for the z targets [i1, i2], the multiple
-    of I), read off _map_algebras of gl_w inside the target.  Built once
-    per field and shared."""
+    """The maps of _invariant_coo as a read-only mapping from name to
+    read-only object arrays [i1, i2, m] of field values ([i1, i2] for the
+    z targets).  Built once per field and shared."""
     tables = {}
-    for (name, s1, s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl_w(field))):
-        a, b, c = PARTS[s1], PARTS[s2], PARTS[dst]
-        t = np.full((len(a), len(b), len(c)), field.zero, dtype=object)
-        for (i, j), row in A.sc.items():
-            for k, v in row.items():
-                if k in c:
-                    t[i - a.start, j - b.start, k - c.start] = v
+    for name, s1, s2, dst, *_abc in INVARIANT_MAPS:
+        (i, j, k), V, D = _invariant_coo(field)[name]
+        t = np.full((len(PARTS[s1]), len(PARTS[s2]), len(PARTS[dst])), field.zero, dtype=object)
+        t[i, j, k] = to_field(V, D, field)
         tables[name] = t[..., 0] if dst == "z" else t
         tables[name].flags.writeable = False
     return MappingProxyType(tables)
@@ -219,6 +228,16 @@ def check_invariant_maps(field=QQ):
 
 # ---------------------------------------------------------------------------
 # B1 coefficient data and assembly
+
+
+def sc_from_coo(I, J, K, values):
+    """The table {(j, k): {t: c}} of the entries c^{K[e]}_{I[e] J[e]} =
+    values[e] (field values), whose index triples are distinct: the form
+    of the B1Data maps."""
+    sc = {}
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), values):
+        sc.setdefault((i, j), {})[k] = c
+    return sc
 
 
 @dataclass
@@ -313,7 +332,7 @@ def assemble_b1(data, name="b1"):
     H1-H2 per S-basis element), then the d basis.
     """
     f = data.field
-    st = invariant_maps(f)
+    st = _invariant_coo(f)
     mh, ms, md = data.hdim, data.sdim, data.ddim
     n = 3 * mh + 5 * ms + md
     off_s = 3 * mh
@@ -332,41 +351,41 @@ def assemble_b1(data, name="b1"):
     parity += [data.s_parity[j] for j in range(ms) for _ in range(5)]
     parity += list(data.d_parity)
 
-    sc = {}
-    minus_half = -f.one / f.of(2)
-    par_h, par_s, par_d = (np.array(p, dtype=bool)
-                           for p in (data.h_parity, data.s_parity, data.d_parity))
+    par = np.array(parity, dtype=bool)
+    Dh, (minus_half,) = lower([-f.one / f.of(2)], f)
+    minus_half = int(minus_half)
 
-    def block(so3_table, data_table, scale=None):
-        """Outer product of an so3 table (i1, i2[, m]) and a data table (j1, j2, t)."""
-        return outer_entries(nonzero_entries(so3_table), nonzero_entries(data_table), scale)
+    def block(so3_table, data_table, place, factor=1, D=1):
+        """Outer product of an so3 table (i1, i2, m) and a data table (j1, j2, t)."""
+        return outer_block(so3_table, table_coo(data_table, f), place, factor, D)
 
     # adjoint x adjoint and h x h: [A,B] x (a o b) - (1/2) sym(A,B) x [a,b] + tr(AB) d_{a,b}
+    blocks = []
     for idx, src, (circ, brk, dd) in ((aidx, "so3xso3", (data.circ_HH, data.brk_HH, data.d_HH)),
                                       (hidx, "hxh", (data.circ_SS, data.brk_SS, data.d_SS))):
         comm, sym, tr = (st[src + "->" + dst] for dst in ("so3", "h", "z"))
-        (i1, i2, m), (j1, j2, t), vals = block(comm, circ)
-        sc_from_coo(idx(i1, j1), idx(i2, j2), aidx(m, t), vals, sc)
-        (i1, i2, m), (j1, j2, t), vals = block(sym, brk, minus_half)
-        sc_from_coo(idx(i1, j1), idx(i2, j2), hidx(m, t), vals, sc)
-        (i1, i2), (j1, j2, t), vals = block(tr, dd)
-        sc_from_coo(idx(i1, j1), idx(i2, j2), off_d + t, vals, sc)
+        blocks += [
+            block(comm, circ, lambda i1, i2, m, j1, j2, t: (idx(i1, j1), idx(i2, j2), aidx(m, t))),
+            block(sym, brk, lambda i1, i2, m, j1, j2, t: (idx(i1, j1), idx(i2, j2), hidx(m, t)),
+                  minus_half, Dh),
+            block(tr, dd, lambda i1, i2, _z, j1, j2, t: (idx(i1, j1), idx(i2, j2), off_d + t))]
     # adjoint x h and its mirror: -(AX + XA) x (1/2)[a,x] + [A,X] x (a o x)
-    for kind, ((i1, x2, m), (j1, j2, t), vals) in (
-            (aidx, block(st["so3xh->so3"], data.brk_HS, minus_half)),
-            (hidx, block(st["so3xh->h"], data.circ_HS))):
-        odd = (par_h[j1] & par_s[j2]).tolist()
-        sc_from_coo(aidx(i1, j1), hidx(x2, j2), kind(m, t), vals, sc)
-        sc_from_coo(hidx(x2, j2), aidx(i1, j1), kind(m, t),
-                    [c if o else -c for c, o in zip(vals, odd)], sc)
+    for kind, so3_table, table, scale in ((aidx, st["so3xh->so3"], data.brk_HS, (minus_half, Dh)),
+                                          (hidx, st["so3xh->h"], data.circ_HS, (1, 1))):
+        I, J, K, factors, D = block(so3_table, table, lambda i1, x2, m, j1, j2, t: (
+            aidx(i1, j1), hidx(x2, j2), kind(m, t)), *scale)
+        blocks += [(I, J, K, factors, D),
+                   (J, I, K, [*factors, np.where(par[I] & par[J], 1, -1)], D)]
     # d acting on both parts (with the Koszul sign on the mirror), d x d
-    for idx, width, act, par in ((aidx, 3, data.act_dH, par_h), (hidx, 5, data.act_dS, par_s)):
-        act_on_tensor(sc, act, par_d, par, width, lambda r: off_d + r, idx)
-    (r, s, t), vals = nonzero_entries(data.brk_dd)
-    sc_from_coo(off_d + r, off_d + s, off_d + t, vals, sc)
+    for idx, width, act, par_v in ((aidx, 3, data.act_dH, data.h_parity),
+                                   (hidx, 5, data.act_dS, data.s_parity)):
+        blocks += tensor_action(table_coo(act, f), data.d_parity, par_v, width,
+                                lambda r: off_d + r, idx)
+    (r, s, t), V, D = table_coo(data.brk_dd, f)
+    blocks.append((off_d + r, off_d + s, off_d + t, [V], D))
 
-    return SuperAlgebra(labels, sc, parity=parity, field=f, name=name,
-                        is_lie_claimed=True)
+    return SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
+                                 name=name, is_lie_claimed=True)
 
 
 def b1data_from_jordan(J):
@@ -379,16 +398,17 @@ def b1data_from_jordan(J):
     alg = J.algebra
     djj = inner_derivation_space(J, [alg.e(i) for i in range(nJ)])
     half = f.of(1) / f.of(2)
-    ids, ks, values, _out = djj.span.coords_many(*djj.pairs, check=False)
-    (s, k, j), V, D = matrices_coo(djj.matrices, f)
-    (r, t, u), brackets, _out = djj.bracket
+    ids, ks, V, D, _out = djj.span.coords_many(*djj.pairs, check=False)
+    (s, k, j), Vm, Dm = matrices_coo(djj.matrices, f)
+    (r, t, u), Vb, Db, _out = djj.bracket
     return B1Data(
         field=f, hdim=nJ, sdim=0, ddim=djj.dim, unit_h=list(J.unit),
         circ_HH={key: dict(row) for key, row in alg.sc.items()},
         brk_HH={}, brk_HS={}, circ_HS={}, circ_SS={}, brk_SS={},
-        d_HH=sc_from_coo(ids // nJ, ids % nJ, ks, [half * c for c in values]), d_SS={},
-        act_dH=sc_from_coo(s, j, k, to_field(V, D, f)), act_dS={},
-        brk_dd=sc_from_coo(r, t, u, brackets), h_parity=list(alg.parity), d_parity=djj.parities,
+        d_HH=sc_from_coo(ids // nJ, ids % nJ, ks, [half * c for c in to_field(V, D, f)]),
+        d_SS={}, act_dH=sc_from_coo(s, j, k, to_field(Vm, Dm, f)), act_dS={},
+        brk_dd=sc_from_coo(r, t, u, to_field(Vb, Db, f)), h_parity=list(alg.parity),
+        d_parity=djj.parities,
     )
 
 
@@ -560,8 +580,8 @@ def extract_b1(g, report):
                                       .inverse().rows, f)
             (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
             (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
-            cols[offset + width * j:offset + width * (j + 1)] = dense_entries(
-                (width, n), (i, k), to_field(sums, Dc * Da, f), f.zero).tolist()
+            cols[offset + width * j:offset + width * (j + 1)] = Matrix.from_entries(
+                width, n, i, k, to_field(sums, Dc * Da, f), f).rows
     off_d = 3 * mh + 5 * ms
     for r, d in enumerate(dvecs):
         cols[off_d + r] = list(d)
@@ -625,10 +645,11 @@ def extract_b1(g, report):
 def round_trip_matches(g, extraction):
     """assemble_b1 of the extracted data must equal g transported through
     Psi (with the extraction's Psi^{-1}), structure constant by structure
-    constant."""
+    constant: equal tables have equal canonical COO."""
     rebuilt = assemble_b1(extraction.data, name=g.name + "/b1")
     transported = g.transported(extraction.psi, name=g.name + "/psi", U_inv=extraction.psi_inv)
-    return rebuilt.sc == transported.sc
+    (a, Va, Da), (b, Vb, Db) = rebuilt.coo, transported.coo
+    return Da == Db and all(np.array_equal(x, y) for x, y in zip((*a, Va), (*b, Vb)))
 
 
 def synthesize_s4(g, report, extraction=None):
@@ -678,12 +699,11 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     for M in mats:
         if not span.add(flatten_matrix(M)):
             raise ValueError("matrices are not linearly independent")
-    (s, t, k), values, outside = commutator_table(mats, span)
+    cols, V, D, outside = commutator_table(mats, span)
     if outside:
         raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
-    labels = labels or ["m%d" % i for i in range(len(mats))]
-    return SuperAlgebra(labels, sc_from_coo(s, t, k, values), field=field, name=name,
-                        is_lie_claimed=True)
+    return SuperAlgebra.from_coo(labels or ["m%d" % i for i in range(len(mats))], cols, V, D,
+                                 field=field, name=name, is_lie_claimed=True)
 
 
 def _matrix(N, entries, field):

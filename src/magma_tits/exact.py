@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .int_fast import distinct, fold, join, rows_coo, to_field
+from .int_fast import as_ints, distinct, fold, join, rows_coo
 
 
 class GFElement:
@@ -619,16 +619,18 @@ class Subspace:
 
         Vector ids[e] has the integer vals[e] / D at ambient index cols[e]
         (denominator-cleared over QQ, residues with D = 1 over GF(p); equal
-        (id, index) entries add up).  The coordinates are one fold of the
-        pivot entries against the lowered pivot-row inverse.  Returns
-        (ids, basis indices, field values) of the nonzero coordinates and
-        the sorted ids of the vectors outside the span: those whose exact
-        integer reconstruction sum_k c_k b_k differs from the vector (none
-        are looked for when check is False; the coordinates are then those
-        of the projection through the pivot rows).
+        (id, index) entries add up); ids, cols and vals may be sequences.
+        The coordinates are one fold of the pivot entries against the
+        lowered pivot-row inverse.  Returns (ids, basis indices, integers,
+        their denominator) of the nonzero coordinates and the sorted ids of
+        the vectors outside the span: those whose exact integer
+        reconstruction sum_k c_k b_k differs from the vector (none are
+        looked for when check is False; the coordinates are then those of
+        the projection through the pivot rows).
         """
         p = self.field.p
         ids, cols = np.asarray(ids, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        vals = as_ints(vals)
         pos, ((K, Q), Vp, Dp), ((Kb, Cb), Vb, Db) = self._lower()
         m = max(self.dim, 1)
         sel = np.flatnonzero(pos[cols] >= 0)
@@ -643,4 +645,4 @@ class Subspace:
             bad, _s, _path = fold([(cid[a] * n + Cb[b], [sums[a], Vb[b]]),
                                    (ids * n + cols, [vals, -Dp * Db])], p)
             outside = distinct(bad // n)
-        return cid, ck, to_field(sums, D * Dp, self.field), outside
+        return cid, ck, sums, D * Dp, outside

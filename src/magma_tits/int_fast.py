@@ -8,9 +8,11 @@ with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
 every key group's size times its largest product fits in int64, read off
 the actual values; over GF(p) with (p-1)^2 in int64 it reduces each
 product mod p and sums in int64 past that (delayed reduction); on Python
-ints otherwise.  Field values are built back (`to_field`) only for the
-nonzero sums.  An algebra's table is lowered once, cached as
-SuperAlgebra.coo; `table_coo` serves the rest.
+ints otherwise.  An algebra is built from such integers: its builders
+fold their blocks into one table (`fold_table`) and hand it to
+SuperAlgebra.from_coo, which keeps it as SuperAlgebra.coo in lowest terms
+(`reduced`).  Field values are built back (`to_field`) only where field
+arithmetic follows, and a hand-written table is lowered once (`table_coo`).
 
 A fold builds all its terms before it sorts them, so the bulk checks
 (super-Jacobi, the last fold of the structurable check, the Jordan
@@ -35,7 +37,7 @@ helper here uses floating point, approximates or overflows.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -57,12 +59,30 @@ def _fits(ints):
     return all(-INT64_MAX <= v <= INT64_MAX for v in ints)
 
 
+def as_ints(ints):
+    """Integers (a list or array) as an array: int64 when they fit, Python
+    ints otherwise."""
+    if isinstance(ints, np.ndarray) and ints.dtype != object:
+        return ints.astype(np.int64, copy=False)
+    ints = list(ints)
+    return np.array(ints, dtype=np.int64 if _fits(ints) else object)
+
+
 def lower(values, field):
     """Field values -> (D, integer array): D*v with the common denominator D
     over QQ, residues with D = 1 over GF(p); int64 when they fit, Python
     ints otherwise."""
     D, ints = scaled_int_entries(values) if field.is_rational else (1, [c.v for c in values])
-    return D, np.array(ints, dtype=np.int64 if _fits(ints) else object)
+    return D, as_ints(ints)
+
+
+def reduced(ints, D):
+    """Integers over the denominator D in lowest terms: D and the integers
+    (as_ints) divided by their gcd, so that D is the lcm of the reduced
+    denominators of the values, the D that `lower` gives for them."""
+    ints = as_ints(ints)
+    g = gcd(D, *ints.tolist())
+    return (as_ints(ints // g) if len(ints) else ints), D // g
 
 
 def coo(entries, field, width):
@@ -89,9 +109,21 @@ def matrices_coo(mats, field):
 
 
 def table_coo(sc, field):
-    """`coo` of the entries (i, j, k) of a table {(i, j): {k: c}}."""
-    return coo([((i, j, k), c) for (i, j), row in sc.items() for k, c in row.items()],
+    """`coo` of the entries (i, j, k) of a table {(i, j): {k: c}}, each c
+    coerced into the field first."""
+    return coo([((i, j, k), field.of(c)) for (i, j), row in sc.items() for k, c in row.items()],
                field, 3)
+
+
+def fold_table(blocks, n, p=None):
+    """One fold of the blocks of a table on n basis elements: each block
+    (I, J, K, factors, D) adds the products of its factors over D to the
+    constants c^K_IJ.  Every block is scaled to the lcm L of the D's;
+    returns ((I, J, K), sums, L), the nonzero sums sorted by (I, J, K)."""
+    L = lcm(*(D for *_cols, D in blocks))
+    keys, sums, _path = fold([((I * n + J) * n + K, [*factors, L // D])
+                              for I, J, K, factors, D in blocks], p)
+    return (keys // (n * n), keys // n % n, keys % n), sums, L
 
 
 def to_field(ints, D, field):
@@ -101,6 +133,12 @@ def to_field(ints, D, field):
     if field.is_rational:
         return [Fraction(v, D) for v in ints]
     return [field.of(v) for v in ints]
+
+
+def outer(m, n):
+    """Every index pair (a, b), a < m, b < n, grouped by a: the join of two
+    zero columns, so that an outer product of two tables is a fold."""
+    return join(np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 def join(left, right):

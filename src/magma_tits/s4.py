@@ -26,7 +26,7 @@ batched, exactly checked coordinates.
 import numpy as np
 
 from .exact import Matrix, Subspace
-from .algebra import SuperAlgebra, LinearMap, is_automorphism, sc_from_coo
+from .algebra import SuperAlgebra, LinearMap, is_automorphism
 from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, to_field
 from .structurable import AlgebraWithInvolution
 
@@ -292,14 +292,14 @@ def coordinate_algebra(g, action, basis=None, name=None):
     cols, vals, Dg = g.coo
     (x, y, k), sums, _path = bilinear((cols, vals), A, B, p)
     (xy, l), sums = matvec(neg_tau, ((x * m + y, k), sums), p)
-    ids, ks, values, outside = span.coords_many(xy, l, sums, Dtau * Dg * Dphi ** 3 * DE * DE)
+    ids, ks, V, D, outside = span.coords_many(xy, l, sums, Dtau * Dg * Dphi ** 3 * DE * DE)
     (x, l), sums = matvec(neg_tau, E, p)
-    sids, sks, svalues, soutside = span.coords_many(x, l, sums, Dtau * DE)
+    sids, sks, sV, sD, soutside = span.coords_many(x, l, sums, Dtau * DE)
     if len(outside) or len(soutside):
         raise ValueError("vector is not in the (1,0) component")
-    alg = SuperAlgebra(["c%d" % i for i in range(m)], sc_from_coo(ids // m, ids % m, ks, values),
-                       parity=parity, field=f, name=name or ("coord(%s)" % g.name))
-    sigma = Matrix.from_entries(m, m, sks, sids, svalues, f)
+    alg = SuperAlgebra.from_coo(["c%d" % i for i in range(m)], (ids // m, ids % m, ks), V, D,
+                                parity=parity, field=f, name=name or ("coord(%s)" % g.name))
+    sigma = Matrix.from_entries(m, m, sks, sids, to_field(sV, sD, f), f)
     awi = AlgebraWithInvolution(alg, sigma)
     unit = _find_unit(alg)
     return CoordinateAlgebra(g, action, awi, embedding, span, unit)
@@ -309,18 +309,18 @@ def _find_unit(alg):
     """Solve u*x = x = x*u on the basis; None if the algebra is not unital.
 
     One equation sum_i u_i c_ij^k = delta_jk per (j, k) with a nonzero
-    coefficient, on each side, read off the sparse table; the (j, k) left
+    coefficient, on each side, read off the COO table; the (j, k) left
     out are 0 = 0 off the diagonal and 0 = 1 on it.
     """
     m = alg.n
     if m == 0:
         return None
     zero, one = alg.field.zero, alg.field.one
+    (I, J, K), V, D = alg.coo
     eqs = {}
-    for (i, j), row in alg.sc.items():
-        for k, c in row.items():
-            eqs.setdefault((0, j, k), {})[i] = c       # u b_j
-            eqs.setdefault((1, i, k), {})[j] = c       # b_i u
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), to_field(V, D, alg.field)):
+        eqs.setdefault((0, j, k), {})[i] = c       # u b_j
+        eqs.setdefault((1, i, k), {})[j] = c       # b_i u
     if any((side, j, j) not in eqs for side in (0, 1) for j in range(m)):
         return None
     system = {(tuple(sorted(row.items())), j == k): row for (_side, j, k), row in eqs.items()}
@@ -407,10 +407,10 @@ def conjugation_block(span, mats, P, what):
     pc, pv, DP = rows_coo(P.rows, f)
     (qr, qc), qv, DQ = rows_coo(P.inverse().rows, f)
     (i, l, s), sums, _path = bilinear(((R, C, S), V), (pc, pv), ((qc, qr), qv), f.p)
-    ids, ks, values, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
+    ids, ks, V, D, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
     if len(outside):
         raise ValueError("matrix is not in %s" % what)
-    return Matrix.from_entries(k, k, ks, ids, values, f)
+    return Matrix.from_entries(k, k, ks, ids, to_field(V, D, f), f)
 
 
 def s4_on_tits_left(T, base_action=None):

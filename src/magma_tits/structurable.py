@@ -20,10 +20,10 @@ contraction of the table, the involution and the unit over QQ or GF(p).
 
 The construction is a contraction too: A(J) is linear in J's table, its
 trace row and its unit, so the pairing and the cross product on all basis
-pairs are int_fast folds of their COO columns, and the four blocks of the
-2x2 table are placed with sc_from_coo.  C x C^ and its involution are
-outer products (algebra.outer_entries) of the two tables' entries and of
-the two conjugations' entries.
+pairs are int_fast folds of their COO columns, and the blocks of the 2x2
+table are one int_fast.fold_table handed to SuperAlgebra.from_coo.  C x C^
+and its involution are outer products (algebra.outer_block) of the two
+tables' COO and of the two conjugations' COO.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix
-from .algebra import (SuperAlgebra, EVEN, map_failures, nonzero_entries, outer_entries,
-                      sc_from_coo, trace_products)
-from .int_fast import INT64_MAX, coo, distinct, fold, fold_blocks, join, joined, to_field
+from .algebra import SuperAlgebra, EVEN, map_failures, outer_block, trace_products
+from .int_fast import (INT64_MAX, coo, distinct, fold, fold_blocks, fold_table, join, joined,
+                       outer, rows_coo, to_field)
 
 
 class AlgebraWithInvolution:
@@ -60,10 +60,10 @@ class AlgebraWithInvolution:
         out = []
         if sigma @ sigma != Matrix.identity(alg.n, alg.field):
             out.append("sigma^2 != id")
-        (I, J, K), values = nonzero_entries(alg.sc)
+        (I, J, K), V, D = alg.coo
         odd = np.array(alg.parity, dtype=bool)
-        sc = sc_from_coo(J, I, K, [-c if o else c for c, o in zip(values, odd[I] & odd[J])])
-        opposite = SuperAlgebra(alg.basis, sc, parity=alg.parity, field=alg.field)
+        opposite = SuperAlgebra.from_coo(alg.basis, (J, I, K), np.where(odd[I] & odd[J], -V, V), D,
+                                         parity=alg.parity, field=alg.field)
         return out + map_failures(alg, opposite, sigma)
 
     def verify_involution(self):
@@ -92,7 +92,7 @@ def a_of_j(J, name=None):
     (I, Jj, K), V, Dc = alg.coo
     (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(J.trace_row) if c], f, 1)
     (Ui,), U, Du = coo([((i,), f.of(c)) for i, c in enumerate(J.unit) if c], f, 1)
-    (Pi, Pj), P, _Dp = trace_products(alg, J.trace_row)
+    (Pi, Pj), P, Dp = trace_products(alg, J.trace_row)
     t, j = np.indices((len(T), n)).reshape(2, -1)
     s, r, u = np.indices((len(T), len(T), len(U))).reshape(3, -1)
     q, m = np.indices((len(P), len(U))).reshape(2, -1)
@@ -103,28 +103,27 @@ def a_of_j(J, name=None):
         ((Ti[s] * n + Ti[r]) * n + Ui[u], [T[s], T[r], U[u], 9 * Dc]),     # 9t(x)t(y)1
         ((Pi[q] * n + Pj[q]) * n + Ui[m], [P[q], U[m], -3 * Dt]),         # -3t(xy)1
     ], f.p)
-    return _two_by_two(alg, ((Pi, Pj), to_field(3 * P.astype(object), Dc * Dt, f)),
-                       ((keys // (n * n), keys // n % n, keys % n),
-                        to_field(sums, Dc * Dt * Dt * Du, f)), name)
+    return _two_by_two(alg, ((Pi, Pj), [P, 3], Dp),
+                       ((keys // (n * n), keys // n % n, keys % n), [sums], Dc * Dt * Dt * Du),
+                       name)
 
 
 def a_of_cubic(K, name=None):
     """The 2x2 construction over an admissible cubic algebra (cross = 2xy,
     diagonal pairing 3<x|y'>)."""
     alg = K.algebra
-    three, two = alg.field.of(3), alg.field.of(2)
-    form, F = nonzero_entries(np.array(K.trace_form_matrix.rows, dtype=object))
-    table, C = nonzero_entries(alg.sc)
-    return _two_by_two(alg, (form, [three * c for c in F]), (table, [two * c for c in C]),
-                       name)
+    form, F, Df = rows_coo(K.trace_form_matrix.rows, alg.field)
+    table, C, Dc = alg.coo
+    return _two_by_two(alg, (form, [F, 3], Df), (table, [C, 2], Dc), name)
 
 
 def _two_by_two(alg, pairing, cross, name):
     """The algebra {(alpha, x; y, beta)} over alg with the diagonal-swap
-    involution, given the COO ((i, j), scalars) of the pairing and
-    ((i, j, k), scalars) of the cross product on basis pairs: alpha/beta
-    act on their slots, x y' -> pairing alpha, y x' -> pairing beta,
-    y X y' into the x slot and x X x' into the y slot.
+    involution, given the COO ((i, j), factors, D) of the pairing and
+    ((i, j, k), factors, D) of the cross product on basis pairs, each
+    value the product of the factors over D: alpha/beta act on their
+    slots, x y' -> pairing alpha, y x' -> pairing beta, y X y' into the x
+    slot and x X x' into the y slot.
 
     Basis order: alpha slot, x slot (copy of alg), y slot (copy of alg),
     beta slot."""
@@ -139,17 +138,17 @@ def _two_by_two(alg, pairing, cross, name):
     y = x + nj
     a, b = np.full(nj, A_IDX), np.full(nj, B_IDX)
     ends = np.array([A_IDX, B_IDX])
-    sc = sc_from_coo(ends, ends, ends, [f.one, f.one])   # alpha alpha', beta beta'
-    for i, j, k in ((a, x, x), (b, y, y), (x, b, x), (y, a, y)):
-        sc_from_coo(i, j, k, [f.one] * nj, sc)          # alpha x', beta y', x beta', y alpha'
-    (Pi, Pj), P = pairing
-    sc_from_coo(1 + Pi, 1 + nj + Pj, np.full(len(P), A_IDX), P, sc)   # 3t(x y')
-    sc_from_coo(1 + nj + Pi, 1 + Pj, np.full(len(P), B_IDX), P, sc)   # 3t(y x')
-    (Ci, Cj, Ck), X = cross
-    sc_from_coo(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, sc)              # y X y'
-    sc_from_coo(1 + Ci, 1 + Cj, 1 + nj + Ck, X, sc)                   # x X x'
-    A = SuperAlgebra(labels, sc, parity=parity, field=f,
-                     name=name or ("A(%s)" % alg.name))
+    # alpha alpha', beta beta', then alpha x', beta y', x beta', y alpha'
+    blocks = [(i, j, k, [np.ones(len(i), dtype=np.int64)], 1)
+              for i, j, k in ((ends, ends, ends), (a, x, x), (b, y, y), (x, b, x), (y, a, y))]
+    (Pi, Pj), P, Dp = pairing
+    blocks += [(1 + Pi, 1 + nj + Pj, np.full(len(Pi), A_IDX), P, Dp),     # 3t(x y')
+               (1 + nj + Pi, 1 + Pj, np.full(len(Pi), B_IDX), P, Dp)]     # 3t(y x')
+    (Ci, Cj, Ck), X, Dx = cross
+    blocks += [(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, Dx),                # y X y'
+               (1 + Ci, 1 + Cj, 1 + nj + Ck, X, Dx)]                     # x X x'
+    A = SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
+                              name=name or ("A(%s)" % alg.name))
     sigma = Matrix.identity(n, f)
     sigma[A_IDX, A_IDX] = f.zero
     sigma[B_IDX, B_IDX] = f.zero
@@ -160,18 +159,21 @@ def _two_by_two(alg, pairing, cross, name):
 
 def tensor_product(C, Chat, name=None):
     """C x C^ with (a x x)(b x y) = ab x xy and conjugate a^bar x x^bar: the
-    table and sigma are outer products (algebra.outer_entries) of the
-    nonzero entries of the two tables and of the two conjugation matrices."""
+    table and sigma are outer products (algebra.outer_block) of the COO of
+    the two tables and of the two conjugation matrices."""
     f = C.field
     nd = Chat.dim
+    n = C.dim * nd
     labels = ["%s(x)%s" % (a, b) for a in C.algebra.basis for b in Chat.algebra.basis]
-    (i1, i2, kc), (j1, j2, kd), vals = outer_entries(nonzero_entries(C.algebra.sc),
-                                                     nonzero_entries(Chat.algebra.sc))
-    A = SuperAlgebra(labels, sc_from_coo(i1 * nd + j1, i2 * nd + j2, kc * nd + kd, vals),
-                     field=f, name=name or ("%s(x)%s" % (C.name, Chat.name)))
-    conj = [nonzero_entries(np.array(X.conj_matrix().rows, dtype=object)) for X in (C, Chat)]
-    (p, i), (q, j), vals = outer_entries(*conj)
-    sigma = Matrix.from_entries(A.n, A.n, p * nd + q, i * nd + j, vals, f)
+    block = outer_block(C.algebra.coo, Chat.algebra.coo,
+                        lambda i1, i2, kc, j1, j2, kd: (i1 * nd + j1, i2 * nd + j2, kc * nd + kd))
+    A = SuperAlgebra.from_coo(labels, *fold_table([block], n, f.p), field=f,
+                              name=name or ("%s(x)%s" % (C.name, Chat.name)))
+    (p, i), Vc, Dc = rows_coo(C.conj_matrix().rows, f)
+    (q, j), Vh, Dh = rows_coo(Chat.conj_matrix().rows, f)
+    x, y = outer(len(Vc), len(Vh))
+    keys, sums, _path = fold([((p[x] * nd + q[y]) * n + i[x] * nd + j[y], [Vc[x], Vh[y]])], f.p)
+    sigma = Matrix.from_entries(n, n, keys // n, keys % n, to_field(sums, Dc * Dh, f), f)
     return AlgebraWithInvolution(A, sigma)
 
 

@@ -17,16 +17,18 @@ bracket computed once.  The d_{x,y} of all pairs are one contraction
 
 The bracket is assembled from exact sparse contractions (int_fast): the
 tables of C and J are bilinear contractions with the C0 and J0 bases,
-their coordinates come in batches from Subspace.coords_many, and the
-blocks of the bracket are COO broadcasts and outer products of those
-tables.
+their coordinates come in batches from Subspace.coords_many and stay
+integers (the lowered COO of _Tables), and the blocks of the bracket,
+broadcasts and outer products of those tables, are one fold handed to
+SuperAlgebra.from_coo.  Field values are formed only to split a vector
+outside C0 or J0 (_split_coords, corrupted inputs).
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
 them exhaustively over (C0 basis)^3 x (J0 basis)^3, each side of a
-condition one exact fold of the sparse tables of T, and reads its
-witnesses off the same folds.  Its
-test oracle, verify_lie_conditions_reference, shares none of that code: it
+condition one exact fold of the lowered tables of T (T.tables), and
+reads its witnesses off the same folds.  Its test oracle,
+verify_lie_conditions_reference, shares none of that code: it
 scans the cyclic jacobiator of the tensor basis triples, read off the table
 of T.algebra, and classifies each nonzero one by block.
 """
@@ -38,12 +40,11 @@ from math import lcm
 import numpy as np
 
 from .exact import Subspace, vec_zero, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, act_on_tensor,
-                      check_super_jacobi, commutator_table, dense_entries, left_mults,
-                      nonzero_entries, outer_entries, sc_from_coo, trace_products)
+from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
+                      commutator_table, left_mults, outer_block, tensor_action, trace_products)
 from .composition import derivation_algebra, inner_derivation
-from .int_fast import (bilinear, commutators, coo, distinct, fold, join, lower, matrices_coo,
-                       rotations, rows_coo, to_field)
+from .int_fast import (bilinear, commutators, coo, distinct, fold, fold_table, join,
+                       lower, matrices_coo, reduced, rotations, rows_coo, to_field)
 
 
 def inner_derivation_pairs(J, vectors):
@@ -148,30 +149,42 @@ class TitsAlgebra:
 
 @dataclass
 class _Tables:
-    """Coordinate tables of the tensor-part bracket, object arrays of field
-    values indexed as below."""
-    DC: np.ndarray       # DC[i, k] = coords of D_{a_i, a_k} in der C
-    brC: np.ndarray      # [a_i, a_k] in C0 coords
-    trC: np.ndarray      # t(a_i a_k)
-    tJ: np.ndarray       # t_J(x_j x_l)
-    star: np.ndarray     # x_j * x_l in J0 coords
-    dxy: np.ndarray      # d_{x_j, x_l} in d_{J,J} coords
-    der_act: np.ndarray  # der_act[r, i] = D_r(a_i) in C0 coords
-    djj_act: np.ndarray  # djj_act[s, j] = d_s(x_j) in J0 coords
+    """Coordinate tables of the tensor-part bracket, each lowered COO
+    ((index columns), integers, D) in lowest terms (int_fast.reduced; the
+    integers and D of int_fast.lower on the values), with the index columns
+    below; a table of scalars has a zero third column."""
+    DC: tuple       # (i, k, r): r-th coord of D_{a_i, a_k} in der C
+    brC: tuple      # (i, k, m): [a_i, a_k] in C0 coords
+    trC: tuple      # (i, k, 0): t(a_i a_k)
+    tJ: tuple       # (j, l, 0): t_J(x_j x_l)
+    star: tuple     # (j, l, m): x_j * x_l in J0 coords
+    dxy: tuple      # (j, l, d): d_{x_j, x_l} in d_{J,J} coords
+    der_act: tuple  # (r, i, m): D_r(a_i) in C0 coords
+    djj_act: tuple  # (s, j, m): d_s(x_j) in J0 coords
 
 
-def _split_coords(span, batch, count, unit, trace):
-    """Coordinates of `count` vectors in span, a complement of k1 (C0 or
-    J0), as a count x dim array; batch is (ids, ambient index, integers, D).
+def _lowered(ids, ks, ints, D, count):
+    """A coords_many result over the pairs (or operator-vector pairs) of
+    `count` vectors, ids x * count + y, as the table ((x, y, ks), integers,
+    D) in lowest terms."""
+    return (ids // count, ids % count, ks), *reduced(ints, D)
+
+
+def _split_coords(span, batch, unit, trace):
+    """Coordinates in span, a complement of k1 (C0 or J0), of a batch of
+    vectors (ids, ambient index, integers, D), as coords_many gives them:
+    (ids, basis indices, integers, D).
 
     For well-formed inputs every vector already lies in the span.  A vector
     outside it (corrupted negative controls) is first split along
     v -> v - trace(v) 1, which keeps the assembly defined so the checkers
     can exhibit the failure; ValueError if that does not land in span."""
-    f = span.field
+    f, m = span.field, max(span.dim, 1)
     ids, cols, vals, D = batch
-    cid, ck, values, outside = span.coords_many(ids, cols, vals, D)
-    out = dense_entries((count, span.dim), (cid, ck), values, f.zero)
+    cid, ck, V, Dv, outside = span.coords_many(ids, cols, vals, D)
+    if not len(outside):
+        return cid, ck, V, Dv
+    entries = []
     for o in outside.tolist():
         v = [f.zero] * span.ambient_dim
         sel = np.flatnonzero(ids == o)
@@ -181,19 +194,23 @@ def _split_coords(span, batch, count, unit, trace):
         c = span.coords([x - t * u for x, u in zip(v, unit)])
         if c is None:
             raise ValueError("vector cannot be split into k1 + the trace-zero part")
-        out[o] = c
-    return out
+        entries += [((o, k), x) for k, x in enumerate(c) if x]
+    (oid, ok), Vo, Do = coo(entries, f, 2)
+    inside = np.isin(cid, outside, invert=True)
+    keys, sums, _path = fold([(cid[inside] * m + ck[inside], [V[inside], Do]),
+                              (oid * m + ok, [Vo, Dv])], f.p)
+    return keys // m, keys % m, sums, Dv * Do
 
 
 def _pair_coords(span, batch, count, check=False):
     """Coordinates in span of a batch over the count x count pairs of some
-    vectors, as a count x count x dim object array: projected through the
-    pivot rows, or ValueError when check finds a pair outside span."""
-    ids, ks, values, outside = span.coords_many(*batch, check=check)
+    vectors, as the table ((x, y, basis index), integers, D): projected
+    through the pivot rows, or ValueError when check finds a pair outside
+    span."""
+    ids, ks, V, D, outside = span.coords_many(*batch, check=check)
     if len(outside):
         raise ValueError("the pair (%d, %d) is not in the span" % divmod(int(outside[0]), count))
-    return dense_entries((count * count, span.dim), (ids, ks), values,
-                         span.field.zero).reshape(count, count, span.dim)
+    return _lowered(ids, ks, V, D, count)
 
 
 def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
@@ -203,8 +220,6 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     f = C.field
     p = f.p
     nc, nj = len(c0_basis), len(j0_basis)
-    m = derC.dim
-    zero = f.zero
     half = f.one / f.of(2)
     xc_cols, xc_vals, Dxc = rows_coo(c0_basis, f)
     xj_cols, xj_vals, Dxj = rows_coo(j0_basis, f)
@@ -224,24 +239,23 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
         return s * count + x, r, sums, D * Dx
 
     def scalars(tab, X, count, Dx):
-        """The scalars of a trace_products table over all pairs of X, count x count."""
+        """The scalars of a trace_products table over all pairs of X."""
         (a, b), vals, Dt = tab
-        ids, _k, sums, D = pairs(((a, b, np.zeros_like(a)), vals, Dt), X, count, Dx)
-        out = dense_entries((count * count,), (ids,), to_field(sums, D, f), zero)
-        return out.reshape(count, count)
+        return _lowered(*pairs(((a, b, np.zeros_like(a)), vals, Dt), X, count, Dx), count)
 
     def c0c(batch, count):
-        return _split_coords(c0_span, batch, count, C.unit, lambda v: C.trace(v) * half)
+        return _lowered(*_split_coords(c0_span, batch, C.unit, lambda v: C.trace(v) * half),
+                        count)
 
     def j0c(batch, count):
-        return _split_coords(j0_span, batch, count, J.unit, J.trace_of)
+        return _lowered(*_split_coords(j0_span, batch, J.unit, J.trace_of), count)
 
     # C: [b_a, b_b] = c^k_ab - c^k_ba and t(b_a b_b), J: t_J(b_a b_b) and
     # b_a * b_b = c^k_ab - t_J(b_a b_b) u_k over D_c D_t D_u, on basis pairs
     (I, Jc, K), V, Dc = C.algebra.coo
     br = ((np.concatenate((I, Jc)), np.concatenate((Jc, I)), np.concatenate((K, K))),
           np.concatenate((V, -V)), Dc)
-    brC = c0c(pairs(br, Xc, nc, Dxc), nc * nc).reshape(nc, nc, nc)
+    brC = c0c(pairs(br, Xc, nc, Dxc), nc)
     trC = scalars(trace_products(C.algebra, C.trace_row), Xc, nc, Dxc)
     n = J.dim
     (I, Jj, K), V, Dc = J.algebra.coo
@@ -252,7 +266,7 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     keys, st, _path = fold([((I * n + Jj) * n + K, [V, Dp // Dc * Du]),
                             ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], p)
     st_tab = (keys // (n * n), keys // n % n, keys % n), st, Dp * Du
-    star = j0c(pairs(st_tab, Xj, nj, Dxj), nj * nj).reshape(nj, nj, nj)
+    star = j0c(pairs(st_tab, Xj, nj, Dxj), nj)
     tJ = scalars(tJ_tab, Xj, nj, Dxj)
 
     # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows,
@@ -262,18 +276,20 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     ids, rc, d, den = derC.pairs
     DC = _pair_coords(derC.span, pairs(((ids // C.dim, ids % C.dim, rc), d, den), Xc, nc, Dxc),
                       nc, check=True)
-    djj_act = j0c(images(djj.matrices, Xj, nj, Dxj), djj.dim * nj).reshape(djj.dim, nj, nj)
-    der_act = c0c(images(derC.matrices, Xc, nc, Dxc), m * nc).reshape(m, nc, nc)
+    djj_act = j0c(images(djj.matrices, Xj, nj, Dxj), nj)
+    der_act = c0c(images(derC.matrices, Xc, nc, Dxc), nc)
     return _Tables(DC, brC, trC, tJ, star, dxy, der_act, djj_act)
 
 
 def tits(C, J, name=None):
     """Assemble T(C, J); Lie-ness is checked separately, never assumed.
 
-    The brackets are COO blocks: der C and d_{J,J} commutators, the
-    brackets of their algebra.DerivationSpaces (d_{J,J} projected through
-    the pivot rows), the actions on C0 x J0 broadcast from the tables, and the tensor x
-    tensor block as outer products of the tables of C and of J."""
+    The bracket is one int_fast.fold_table of integer blocks handed to
+    SuperAlgebra.from_coo: the brackets of the algebra.DerivationSpaces of
+    der C and d_{J,J} (d_{J,J} projected through the pivot rows), the
+    actions on C0 x J0 broadcast from the tables (algebra.tensor_action),
+    and the tensor x tensor block as outer products of the tables of C and
+    of J (algebra.outer_block)."""
     f = C.field
     if J.trace_row is None:
         raise ValueError("the Tits construction needs a normalized trace on J")
@@ -301,29 +317,27 @@ def tits(C, J, name=None):
         return m + i * nj + j
 
     # der C x der C and d_{J,J} x d_{J,J}, the brackets of the two spaces
-    (s, t, k), vals, _out = derC.bracket
-    sc = sc_from_coo(s, t, k, vals)
-    (s, t, k), vals, _out = djj.bracket
-    sc_from_coo(off + s, off + t, off + k, vals, sc)
+    (s, t, k), V, D, _out = derC.bracket
+    blocks = [(s, t, k, [V], D)]
+    (s, t, k), V, D, _out = djj.bracket
+    blocks.append((off + s, off + t, off + k, [V], D))
     # der C and d_{J,J} acting: [D_r, a_i x x_j] = D_r(a_i) x x_j,
     # [d_s, a_i x x_j] = a_i x d_s(x_j)
-    act_on_tensor(sc, tb.der_act, np.zeros(m), np.zeros(nc), nj, lambda r: r,
-                  lambda j, i: tidx(i, j))
-    act_on_tensor(sc, tb.djj_act, djj.parities, j0_par, nc, lambda s: off + s, tidx)
+    blocks += tensor_action(tb.der_act, np.zeros(m), np.zeros(nc), nj, lambda r: r,
+                            lambda j, i: tidx(i, j))
+    blocks += tensor_action(tb.djj_act, djj.parities, j0_par, nc, lambda s: off + s, tidx)
     # tensor x tensor: [a_i x x_j, a_k x x_l] = t_J(x_j x_l) D_{a_i,a_k}
     # + [a_i,a_k] x (x_j * x_l) + 2 t(a_i a_k) d_{x_j,x_l}
-    two = f.of(2)
-    (i, k, r), (j, l), vals = outer_entries(nonzero_entries(tb.DC), nonzero_entries(tb.tJ))
-    sc_from_coo(tidx(i, j), tidx(k, l), r, vals, sc)
-    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(tb.brC), nonzero_entries(tb.star))
-    sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
-    (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tb.trC), nonzero_entries(tb.dxy),
-                                            two)
-    sc_from_coo(tidx(i, j), tidx(k, l), off + d, vals, sc)
+    blocks += [
+        outer_block(tb.DC, tb.tJ, lambda i, k, r, j, l, _z: (tidx(i, j), tidx(k, l), r)),
+        outer_block(tb.brC, tb.star,
+                    lambda i, k, i2, j, l, j2: (tidx(i, j), tidx(k, l), tidx(i2, j2))),
+        outer_block(tb.trC, tb.dxy, lambda i, k, _z, j, l, d: (tidx(i, j), tidx(k, l), off + d),
+                    2)]
 
-    alg = SuperAlgebra(labels, sc, parity=parity, field=f,
-                       name=name or ("T(%s,%s)" % (C.name, J.name)),
-                       is_lie_claimed=True)
+    alg = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
+                                field=f, name=name or ("T(%s,%s)" % (C.name, J.name)),
+                                is_lie_claimed=True)
     T = TitsAlgebra(alg, C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
     T.tables = tb
     return T
@@ -431,12 +445,6 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
         paths.add(path)
         return keys, sums
 
-    def table(t):
-        """The nonzero entries of a table: three index columns, integers, D."""
-        cols, vals = nonzero_entries(t)
-        D, ints = lower(vals, f)
-        return (*cols, *[np.zeros(len(ints), dtype=np.int64)] * (3 - len(cols))), ints, D
-
     def identity(count, value):
         """value times the identity after a zero column: an outer product is a join on it."""
         w = np.arange(count)
@@ -490,8 +498,8 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
         a, b = join(y, k)
         return not len(folded([(x[a] * len(W) + r[b], [other[x, y][a], W[r, k][b]])])[0])
 
-    brC, trC, DC, deract = (table(t) for t in (tb.brC, tb.trC, tb.DC, tb.der_act))
-    star, tJ, dxy, djjact = (table(t) for t in (tb.star, tb.tJ, tb.dxy, tb.djj_act))
+    brC, trC, DC, deract = tb.brC, tb.trC, tb.DC, tb.der_act
+    star, tJ, dxy, djjact = tb.star, tb.tJ, tb.dxy, tb.djj_act
     scales = (DC[2] * deract[2] * tJ[2], brC[2] ** 2 * star[2] ** 2, trC[2] * dxy[2] * djjact[2])
     L = lcm(*scales)
     Ra, Rx = max(nc, T.der_dim), max(nj, T.djj_dim)
@@ -570,7 +578,7 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     if D_matrices is None:
         djj = inner_derivation_space(J, basis)
         span, pairs, mats, pars = djj.span, djj.pairs, djj.matrices, djj.parities
-        (s, t, k), d_vals, outside = djj.bracket
+        (s, t, k), d_V, d_D, outside = djj.bracket
     else:
         span = Subspace(nJ * nJ, f)
         pairs = inner_derivation_pairs(J, basis)
@@ -580,11 +588,11 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
                 mats.append(M)
                 pars.append(par)
         # D must contain the inner derivations
-        _i, _k, _v, outside = span.coords_many(*pairs)
+        *_coords, outside = span.coords_many(*pairs)
         missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
         if missing:
             raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
-        (s, t, k), d_vals, outside = commutator_table(mats, span, pars)
+        (s, t, k), d_V, d_D, outside = commutator_table(mats, span, pars)
     if outside:
         raise ValueError("D is not closed under the bracket")
     nd = span.dim
@@ -598,24 +606,27 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     def tidx(i, j):
         return i * nJ + j
 
-    two = f.of(2)
-    br = np.array([[q0_span.coords([x - y for x, y in zip(Q.product(a, b), Q.product(b, a))])
-                    for b in q0_basis] for a in q0_basis], dtype=object)
-    tr = np.array([[Q.trace(Q.product(a, b)) for b in q0_basis] for a in q0_basis], dtype=object)
-    dxy = _pair_coords(span, pairs, nJ)
-    # D x D, then the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
-    sc = sc_from_coo(off + s, off + t, off + k, d_vals)
-    (i, k, i2), (j, l, j2), vals = outer_entries(nonzero_entries(br), nonzero_entries(alg.sc))
-    sc_from_coo(tidx(i, j), tidx(k, l), tidx(i2, j2), vals, sc)
-    (i, k), (j, l, d), vals = outer_entries(nonzero_entries(tr), nonzero_entries(dxy), two)
-    sc_from_coo(tidx(i, j), tidx(k, l), off + d, vals, sc)
-    # D acting: [d_s, q x x_j] = q x d_s(x_j)
-    acts = np.array([M.T.rows for M in mats], dtype=object).reshape(nd, nJ, nJ)
-    act_on_tensor(sc, acts, pars, alg.parity, nq, lambda s: off + s, tidx)
+    br = coo([((i, k, i2), c) for i, a in enumerate(q0_basis) for k, b in enumerate(q0_basis)
+              for i2, c in enumerate(q0_span.coords([x - y for x, y in zip(Q.product(a, b),
+                                                                          Q.product(b, a))]))
+              if c], f, 3)
+    tr = coo([((i, k, 0), Q.trace(Q.product(a, b))) for i, a in enumerate(q0_basis)
+              for k, b in enumerate(q0_basis)], f, 3)
+    # D acting: d_s(x_j) has the x_k coefficient M_s[k, j]
+    (S, R, C), V, D = matrices_coo(mats, f)
+    blocks = [
+        (off + s, off + t, off + k, [d_V], d_D),          # D x D
+        # the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
+        outer_block(br, alg.coo,
+                    lambda i, k, i2, j, l, j2: (tidx(i, j), tidx(k, l), tidx(i2, j2))),
+        outer_block(tr, _pair_coords(span, pairs, nJ),
+                    lambda i, k, _z, j, l, d: (tidx(i, j), tidx(k, l), off + d), 2),
+        # [d_s, q x x_j] = q x d_s(x_j)
+        *tensor_action(((S, C, R), V, D), pars, alg.parity, nq, lambda s: off + s, tidx)]
 
-    out = SuperAlgebra(labels, sc, parity=parity, field=f,
-                       name=name or ("T62(%s,%s)" % (Q.name, J.name)),
-                       is_lie_claimed=True)
+    out = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
+                                field=f, name=name or ("T62(%s,%s)" % (Q.name, J.name)),
+                                is_lie_claimed=True)
     T = Tits62Algebra(out, Q, J, q0_basis, q0_span, span)
     T.matrices = mats
     return T

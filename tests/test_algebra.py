@@ -599,3 +599,99 @@ def test_structure_constant_index_out_of_range(entry):
         SuperAlgebra.from_json_dict(data)
     with pytest.raises(ValueError, match="outside range"):
         SuperAlgebra(["a", "b", "c"], {(0, 0): {5: 1}})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SuperAlgebra(["a", "b"], {(0, 0): {0: 1}}, parity=[0, 2]),
+    lambda: SuperAlgebra.from_coo(["a", "b"], ([0], [0], [0]), [1], parity=[0, 2]),
+], ids=["init", "from_coo"])
+def test_parity_entries_outside_0_1_rejected(build):
+    """A parity of 2 would give n = 2 but dim_even + dim_odd = 1."""
+    with pytest.raises(ValueError, match="parity 2 of basis element 1 is not 0 or 1"):
+        build()
+
+
+# fields and constant pools of the table property: denominators past 2^63
+# over QQ, and residues near p over GF(2^61 - 1)
+COO_POOLS = (
+    (QQ, [1, -2, Fraction(1, 3), Fraction(-5, 2 ** 64 + 13), Fraction(2 ** 70, 7), 2 ** 65]),
+    (GF(10007), [1, -1, 3, 5000, 10006]),
+    (GF(2 ** 61 - 1), [1, -1, 2 ** 60, 2 ** 61 - 2, 12345]),
+)
+
+
+@st.composite
+def coo_entries(draw):
+    """A random sparse table as entries (i, j, k, c) with repeated triples,
+    some of them cancelling, and its parity vector."""
+    field, pool = draw(st.sampled_from(COO_POOLS))
+    n = draw(st.integers(1, 5))
+    parity = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        ks = [k for k in range(n) if parity[k] == parity[i] ^ parity[j]]
+        if ks:
+            k, c = draw(st.sampled_from(ks)), field.of(draw(st.sampled_from(pool)))
+            entries.append((i, j, k, c))
+            if draw(st.booleans()):
+                entries.append((i, j, k, -c))
+    return field, n, parity, entries
+
+
+def _both_ways(field, n, parity, entries):
+    """SuperAlgebra from the summed table and from_coo from the raw entries
+    over their common denominator (any integers over GF(p): residues plus
+    multiples of p); each an algebra or the ValueError text it raised."""
+    sc = {}
+    for i, j, k, c in entries:
+        row = sc.setdefault((i, j), {})
+        row[k] = row.get(k, field.zero) + c
+    vals = [c for *_ijk, c in entries]
+    if field.is_rational:
+        D, ints = int_fast.scaled_int_entries(vals)
+    else:
+        D, ints = 1, [c.v + field.p * (e % 3 - 1) for e, c in enumerate(vals)]
+    cols = [[e[t] for e in entries] for t in range(3)]
+    out = []
+    for build in (lambda: SuperAlgebra(["b%d" % i for i in range(n)], sc, parity, field),
+                  lambda: SuperAlgebra.from_coo(["b%d" % i for i in range(n)], cols, ints, D,
+                                                parity, field)):
+        try:
+            out.append(build())
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_entries(), st.sampled_from(["none", "index", "parity"]), st.data())
+def test_from_coo_equals_init(table, defect, data):
+    field, n, parity, entries = table
+    if defect == "index":
+        # one or two triples with an index outside range(n), zero valued
+        for _ in range(data.draw(st.integers(1, 2))):
+            bad = data.draw(st.sampled_from([-1, n, n + 2]))
+            entries = entries + [(*data.draw(st.permutations([bad, 0, 0])), field.zero)]
+    elif defect == "parity":
+        wrong = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                 if parity[k] != parity[i] ^ parity[j]]
+        if wrong:
+            entries = entries + [(*data.draw(st.sampled_from(wrong)), field.one)]
+    A, B = _both_ways(field, n, parity, entries)
+    if isinstance(A, str) or isinstance(B, str):
+        assert A == B and defect != "none"
+        assert ("index outside" if defect == "index" else "violates parity") in A
+        return
+    (I, J, K), V, D = A.coo
+    assert D == B.coo[2] and all(np.array_equal(x, y) and x.dtype == y.dtype
+                                 for x, y in zip((I, J, K, V), (*B.coo[0], B.coo[1])))
+    assert A.sc == B.sc
+    # the canonical COO: sorted nonzero sums in lowest terms, as lower gives them
+    sums = {}
+    for i, j, k, c in entries:
+        sums[(i, j, k)] = sums.get((i, j, k), field.zero) + c
+    keys = sorted(ijk for ijk, c in sums.items() if c)
+    want_D, want_V = int_fast.lower([sums[ijk] for ijk in keys], field)
+    assert list(zip(I.tolist(), J.tolist(), K.tolist())) == keys
+    assert D == want_D and V.tolist() == want_V.tolist() and V.dtype == want_V.dtype

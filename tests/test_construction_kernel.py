@@ -4,7 +4,9 @@ tits(), tits62_variant, der C, matrix Lie algebras, coordinate algebras and
 C x C^ are built by int_fast contractions with batched Subspace
 coordinates; the oracles in reference_construction.py build the same
 tables one product and one Subspace.coords at a time.  Both must agree over
-QQ, GF(10007) and GF(2^31 - 1), and past int64.  The batch of inner
+QQ, GF(10007) and GF(2^31 - 1), and past int64; the integer assemblies of
+tits(), tits62_variant and C x C^ also over GF(2^61 - 1), where their
+outer products pass int64 before they are reduced.  The batch of inner
 derivations d_{x,y} is checked against its other contraction order.
 """
 
@@ -40,6 +42,7 @@ from test_tits import corrupted_h3k
 decompose_module = importlib.import_module("magma_tits.decompose")
 
 FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
+WIDE_FIELDS = FIELDS + [GF(2 ** 61 - 1)]
 COMPOSITIONS = ("ground", "binarion", "quaternion", "cayley")
 JORDANS = ("h3:ground", "h3:binarion", "h3:quaternion", "jvtheta", "d2", "dt:3")
 
@@ -48,7 +51,7 @@ def _reference_tits(C, J, T):
     return clean(tits_constants(C, J, T.derC, T.c0_basis, T.j0_basis))
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("F", WIDE_FIELDS, ids=str)
 def test_tits_matches_reference(F):
     for cname in COMPOSITIONS:
         for jname in JORDANS:
@@ -57,7 +60,7 @@ def test_tits_matches_reference(F):
             assert T.algebra.sc == _reference_tits(C, J, T), (cname, jname)
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("F", WIDE_FIELDS, ids=str)
 def test_tits62_matches_reference(F):
     Q = invariant_quaternion(F)
     for J in (h3(composition_by_name("ground", F)), h3(composition_by_name("binarion", F)),
@@ -103,7 +106,7 @@ def test_inner_derivation_pairs_match_basis_order(F):
                     == _batch(inner_derivation_pairs_by_basis(J, vectors))), J.name
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("F", WIDE_FIELDS, ids=str)
 def test_tensor_product_matches_reference(F):
     for a in COMPOSITIONS:
         for b in COMPOSITIONS:

@@ -138,3 +138,16 @@ def test_subspace_rejects_wrong_length():
                 method(v)
     with pytest.raises(ValueError, match="length 2"):
         Subspace(3).coords([0, 0])
+
+
+def test_coords_many_takes_sequences():
+    # ids, indices and integers as plain lists: vector 0 is 5 b_0, vector 1
+    # has 7 at index 2, outside span{b_0, b_1}; past int64 the integers stay exact
+    S = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3, QQ)
+    ids, ks, ints, D, outside = S.coords_many([0, 1], [0, 2], [5, 7])
+    assert (ids.tolist(), ks.tolist(), ints.tolist(), D) == ([0], [0], [5], 1)
+    assert outside.tolist() == [1]
+    big = 3 * 2 ** 70
+    ids, ks, ints, D, outside = S.coords_many([0, 0], [0, 1], [big, -big], D=4)
+    assert (ids.tolist(), ks.tolist(), ints.tolist(), D) == ([0, 0], [0, 1], [big, -big], 4)
+    assert not len(outside)

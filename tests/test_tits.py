@@ -5,6 +5,7 @@ import pytest
 
 from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
+from magma_tits.registry import composition_by_name, jordan_by_name
 from magma_tits.composition import (
     split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
 )
@@ -270,3 +271,12 @@ def test_json_round_trip_f4(C):
     back = SuperAlgebra.from_json_dict(d)
     assert back.sc == T.algebra.sc
     assert back.basis == T.algebra.basis
+
+
+def test_checks_read_the_integer_table_only():
+    """tits() hands its integers to SuperAlgebra.from_coo, and the Jacobi and
+    Lie-condition checks read coo: the field-valued table is never built."""
+    T = tits(composition_by_name("cayley"), jordan_by_name("h3:quaternion"))
+    assert check_super_jacobi(T.algebra).ok
+    assert verify_lie_conditions(T.C, T.J, T).ok
+    assert "sc" not in T.algebra.__dict__ and "_rows" not in T.algebra.__dict__
