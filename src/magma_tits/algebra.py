@@ -8,7 +8,8 @@ built from coo on first read.  The checkers (super-Jacobi, automorphism,
 derivation, homomorphism, grading, centralizer) are exact.  The
 super-Jacobi check is a sparse integer contraction of the table with
 itself onto the jacobiators of the sorted triples i <= j <= k, the map
-checks (map_failures) one of the table with the map's matrix, the graded
+checks one of the table with the map's lowered matrix (map_failures
+lowers a Matrix, lowered_map_failures takes the integers), the graded
 (anti)symmetry check (transpose_failures) one fold of the table against
 its signed transpose and the multiplication matrices (left_mults) one
 join and fold, all summed by int_fast.fold.  The pure-field super-Jacobi
@@ -24,7 +25,7 @@ import numpy as np
 
 from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, flatten_matrix, vec_zero
 from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
-                       joined, matrices_coo, matvec, outer, reduced, rows_coo, table_coo, to_field)
+                       joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
 
@@ -61,21 +62,20 @@ def tensor_action(acts, op_par, vec_par, copies, op, tensor):
             (tensor(c, j), op(s), tensor(c, k), [V, np.where(odd, 1, -1)], D)]
 
 
-def commutator_table(mats, span, odd=None):
-    """Structure constants of the graded commutators of a list of n x n
-    matrices in the coordinates of span, a Subspace of flattened n x n
-    matrices, as COO columns (s, t, k), integers and their denominator of
-    c^k_st, and the pairs (s, t) whose commutator lies outside span (its
-    coordinates are then those of the projection through the pivot rows).
+def commutator_table(mats, m, n, span, odd=None):
+    """Structure constants of the graded commutators of m n x n matrices,
+    given lowered as ((S, R, C), integers, D) (int_fast.matrices_coo), in
+    the coordinates of span, a Subspace of flattened n x n matrices, as COO
+    columns (s, t, k), integers and their denominator of c^k_st, and the
+    pairs (s, t) whose commutator lies outside span (its coordinates are
+    then those of the projection through the pivot rows).
 
     One int_fast.commutators join and fold for all pairs, then one batch
     of Subspace.coords_many."""
-    m = len(mats)
     if not m:
         none = np.zeros(0, dtype=np.int64)
         return (none, none, none), none, 1, []
-    n = mats[0].nrows
-    (S, R, C), V, D = matrices_coo(mats, span.field)
+    (S, R, C), V, D = mats
     odd = np.zeros(m, dtype=bool) if odd is None else np.array(odd, dtype=bool)
     keys, sums, _path = commutators(S, R, C, V, odd, n, span.field.p)
     ids, ks, ints, den, outside = span.coords_many(keys // (n * n), keys % (n * n), sums, D * D)
@@ -90,18 +90,23 @@ class DerivationSpace:
     `pairs` is the batch of every pair as Subspace.coords_many takes it:
     ids j * m + l in increasing order, flat index r * n + c of an n x n
     matrix, integers and their denominator.  The pairs j <= l are fed in
-    lexicographic order; those that enlarge the span give its `matrices`,
+    lexicographic order; those that enlarge the span are kept, with their
     `generators` (j, l) and `parities` (of each pair, the sum of its
-    generators' parities).
-    `bracket` is the commutator_table of the matrices, computed once."""
+    generators' parities).  `lowered` holds the kept pairs renumbered
+    0, 1, ... as the lowered list ((S, R, C), integers, D) in lowest terms,
+    what int_fast.matrices_coo gives for their matrices; the Matrix list
+    `matrices` is built from it on first read.  `bracket` is the
+    commutator_table of `lowered`, computed once."""
 
     def __init__(self, pairs, m, n, field, parities):
         self.pairs = pairs
+        self.n = n
+        self.field = field
         self.span = Subspace(n * n, field)
         ids, rc, d, D = pairs
         vals = to_field(d, D, field)
         bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
-        self.matrices, self.generators, self.parities = [], [], []
+        self.generators, self.parities, kept = [], [], []
         for j in range(m):
             # the diagonal d_{x,x} = 2 L_x^2 of d_{J,J} survives for odd x
             for l in range(j, m):
@@ -110,19 +115,31 @@ class DerivationSpace:
                 for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
                     v[e] = c
                 if self.span.add(v):
-                    self.matrices.append(Matrix([v[r * n:(r + 1) * n] for r in range(n)], field))
+                    kept.append(j * m + l)
                     self.generators.append((j, l))
                     self.parities.append((parities[j] + parities[l]) % 2)
+        number = np.full(m * m, -1, dtype=np.int64)
+        number[kept] = np.arange(len(kept))
+        sel = np.flatnonzero(number[ids] >= 0)
+        self.lowered = ((number[ids[sel]], rc[sel] // n, rc[sel] % n), *reduced(d[sel], D))
 
     @property
     def dim(self):
         return self.span.dim
 
     @cached_property
+    def matrices(self):
+        """The kept inner derivations as n x n Matrices."""
+        (S, R, C), V, D = self.lowered
+        bounds = np.searchsorted(S, np.arange(self.dim + 1)).tolist()
+        return [Matrix.from_coo(self.n, self.n, ((R[lo:hi], C[lo:hi]), V[lo:hi], D), self.field)
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
     def bracket(self):
-        """commutator_table of the matrices in the span's coordinates:
+        """commutator_table of the kept matrices in the span's coordinates:
         ((s, t, k), integers, denominator, pairs outside the span)."""
-        return commutator_table(self.matrices, self.span, self.parities)
+        return commutator_table(self.lowered, self.dim, self.n, self.span, self.parities)
 
     def coords_matrix(self, M, check=True):
         """Coordinates of the n x n Matrix M; ValueError if check and M is
@@ -538,7 +555,23 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
     """Sorted pairs (i, j) with M(b_i b_j) != M(b_i) M(b_j), or, as a
     derivation of src = tgt of parity |M| = odd, with
     M(b_i b_j) != M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); the first
-    max_witnesses of them, all when None.
+    max_witnesses of them, all when None: lowered_map_failures of the
+    Matrix M lowered once.  ValueError unless M is tgt.n x src.n over the
+    algebras' field.
+    """
+    if M.nrows != tgt.n or M.ncols != src.n:
+        raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
+                         % (M.nrows, M.ncols, tgt.n, src.n))
+    if not M.field == src.field == tgt.field:
+        raise ValueError("map matrix over %s, the algebras over %s and %s"
+                         % (M.field, src.field, tgt.field))
+    return lowered_map_failures(src, tgt, rows_coo(M.rows, src.field), derivation, odd,
+                                max_witnesses)
+
+
+def lowered_map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
+    """map_failures of the map M given lowered, ((rows, columns),
+    integers, D) as int_fast.rows_coo gives its tgt.n x src.n matrix.
 
     One sparse exact contraction: the COO tables of src, tgt and M are
     joined on their shared indices, keys (i, j, k) are packed into one
@@ -548,16 +581,12 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
     of k at a time and keeps the first max_witnesses failing pairs of each.
     Over QQ the terms are scaled to one denominator (D_m D_t on M(b_i b_j)
     and D_s on M(b_i) M(b_j); D_t and D_s for a derivation); over GF(p)
-    they are residues and the sums are reduced mod p.  ValueError unless M
-    is tgt.n x src.n.
+    they are residues and the sums are reduced mod p.
     """
-    if M.nrows != tgt.n or M.ncols != src.n:
-        raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
-                         % (M.nrows, M.ncols, tgt.n, src.n))
     field, n, nt = src.field, src.n, tgt.n
     (I, J, K), Vs, Ds = src.coo
     (It, Jt, Kt), Vt, Dt = tgt.coo
-    (R, C), Vm, Dm = rows_coo(M.rows, field)
+    (R, C), Vm, Dm = M
 
     def key(i, j, k):
         return (i * n + j) * nt + k

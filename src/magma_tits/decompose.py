@@ -39,12 +39,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exact import QQ, Matrix, Subspace, vec_eq, basis_vector, flatten_matrix
-from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, map_failures,
-                      outer_block, tensor_action, transpose_failures)
-from .int_fast import (bilinear, coo, fold, fold_table, join, lower, matrices_coo, matvec,
+from .exact import QQ, Matrix, Subspace, basis_vector, flatten_matrix
+from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, lowered_map_failures,
+                      map_failures, outer_block, tensor_action, transpose_failures)
+from .int_fast import (bilinear, fold, fold_table, join, lower, matrices_coo, matvec, outer,
                        rows_coo, table_coo, to_field)
-from .s4 import GroupAction, conjugation_block
+from .s4 import GEN_NAMES, GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
 
@@ -202,9 +202,10 @@ def _ad_so3(gl):
 
 def _conjugations(field):
     """{g: rho(g)}: X -> P X P^{-1} on gl(W) in the basis GL_W for each
-    generator P of s4_on_w, one s4.conjugation_block each."""
+    generator P of s4_on_w, lowered, one s4.conjugation_block each."""
     mats, span = _gl_w_basis(field)
-    return {g: conjugation_block(span, mats, P, "gl(W)") for g, P in s4_on_w(field).gens.items()}
+    w, lowered = s4_on_w(field), matrices_coo(mats, field)
+    return {g: conjugation_block(span, lowered, w, g, "gl(W)") for g in GEN_NAMES}
 
 
 def check_invariant_maps(field=QQ):
@@ -222,7 +223,7 @@ def check_invariant_maps(field=QQ):
         if any(map_failures(A, A, ad, derivation=True, max_witnesses=1) for ad in ads):
             failures.append((name, "not so3-equivariant"))
         failures += [(name, "not S4-equivariant under " + g) for g, rho in rhos.items()
-                     if map_failures(A, A, rho, max_witnesses=1)]
+                     if lowered_map_failures(A, A, rho, max_witnesses=1)]
     return failures
 
 
@@ -306,15 +307,22 @@ class B1Data:
 @cache
 def _so3_h(field):
     """ad(D_i) on so3 and on h as coordinate matrices (R3, R5) and the
-    conjugations by the S4 generators on both ({g: (rho3, rho5)}): the so3
-    and h blocks of _ad_so3 of gl_w and of _conjugations.  Built once per
-    field and shared: callers only read them."""
+    conjugations by the S4 generators on both ({g: (rho3, rho5)}, lowered):
+    the so3 and h blocks of _ad_so3 of gl_w and of _conjugations.  Built
+    once per field and shared: callers only read them."""
+    parts = (PARTS["so3"], PARTS["h"])
+
     def blocks(M):
         return tuple(Matrix([row[p.start:p.stop] for row in M.rows[p.start:p.stop]], field)
-                     for p in (PARTS["so3"], PARTS["h"]))
+                     for p in parts)
+
+    def lowered_blocks(rho):
+        (R, C), V, D = rho
+        sel = [np.flatnonzero(np.isin(R, p) & np.isin(C, p)) for p in parts]
+        return tuple(((R[e] - p.start, C[e] - p.start), V[e], D) for p, e in zip(parts, sel))
 
     R3, R5 = zip(*map(blocks, _ad_so3(gl_w(field))))
-    return R3, R5, {g: blocks(rho) for g, rho in _conjugations(field).items()}
+    return R3, R5, {g: lowered_blocks(rho) for g, rho in _conjugations(field).items()}
 
 
 def assemble_b1(data, name="b1"):
@@ -399,7 +407,7 @@ def b1data_from_jordan(J):
     djj = inner_derivation_space(J, [alg.e(i) for i in range(nJ)])
     half = f.of(1) / f.of(2)
     ids, ks, V, D, _out = djj.span.coords_many(*djj.pairs, check=False)
-    (s, k, j), Vm, Dm = matrices_coo(djj.matrices, f)
+    (s, k, j), Vm, Dm = djj.lowered
     (r, t, u), Vb, Db, _out = djj.bracket
     return B1Data(
         field=f, hdim=nJ, sdim=0, ddim=djj.dim, unit_h=list(J.unit),
@@ -473,10 +481,17 @@ def decompose(g, triple, name=None):
     if not f.is_rational:
         raise ValueError("the decomposer is restricted to the rational field")
     n = g.n
-    d0, d1, d2 = triple
-    for (a, b, c) in ((d0, d1, d2), (d1, d2, d0), (d2, d0, d1)):
-        if not vec_eq(g.multiply(a, b), c):
-            raise ValueError("triple does not satisfy [d_i, d_{i+1}] = d_{i+2}")
+    if len(triple) != 3:
+        raise ValueError("an so3 triple has three elements, not %d" % len(triple))
+    # [d_t, d_{t+1}] = d_{t+2}: the ad(d_t) of left_mults on the triple, one
+    # matvec, against D d_{t+2}
+    (tk, j), ad, D = left_mults(g, triple)
+    (xi, xa), xv, _Dx = rows_coo(triple, f)
+    (x, tk), sums = matvec(((tk, j), ad), ((xi, xa), xv))
+    e = np.flatnonzero(x == (tk // n + 1) % 3)
+    keys, _sums, _path = fold([(tk[e], [sums[e]]), ((xi + 1) % 3 * n + xa, [xv, -D])])
+    if len(keys):
+        raise ValueError("triple does not satisfy [d_i, d_{i+1}] = d_{i+2}")
     ker2, ker6, ker0 = _casimir_kernels(g, triple)
     total = len(ker2) + len(ker6) + len(ker0)
     bases = {"adjoint": ker2, "h": ker6, "trivial": ker0}
@@ -554,17 +569,27 @@ def extract_b1(g, report):
     n = g.n
     triple = report.triple
     p = f.p
-    ad0, ad, _D = left_mults(g, triple[:1])
+    # ad(d_t) = L_t / D, entry (t * n + k, j) of left_mults
+    (tk, j), ad, D = left_mults(g, triple)
+    ops = [((tk[e] % n, j[e]), ad[e]) for e in (np.flatnonzero(tk // n == t) for t in range(3))]
     # multiplicity-space representatives: kernels of ad(d0) inside components
-    hvecs = _kernel_within(g, (ad0, ad), report.bases["adjoint"])
-    svecs = _kernel_within(g, (ad0, ad), report.bases["h"])
+    hvecs = _kernel_within(g, ops[0], report.bases["adjoint"])
+    svecs = _kernel_within(g, ops[0], report.bases["h"])
     dvecs = report.bases["trivial"]
     mh, ms, md = len(hvecs), len(svecs), len(dvecs)
     if (mh, ms, md) != (report.m_adjoint, report.m_h, report.m_trivial):
         raise ValueError("multiplicity-space extraction mismatch")
 
     R3, R5, _rho = _so3_h(f)
-    ad_ops = [lambda v, d=d: g.multiply(d, v) for d in triple]
+
+    def ad_op(op):
+        """v -> ad(d_t) v on dense vectors: one matvec of the lowered v."""
+        def apply(v):
+            X, Vx, Dx = rows_coo([v], f)
+            (ids, rows), sums = matvec(op, (X, Vx), p)
+            return Matrix.from_coo(n, 1, ((rows, ids), sums, D * Dx), f).column(0)
+        return apply
+    ad_ops = [ad_op(op) for op in ops]
 
     # adjoint copies start from D0 = (1,0,0), five-dim copies from
     # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2)
@@ -670,18 +695,17 @@ def synthesize_s4(g, report, extraction=None):
     psi, Vpsi, Dpsi = rows_coo(extraction.psi.rows, f)
     (qr, qc), Vq, Dq = rows_coo(extraction.psi_inv.rows, f)
     off, off_d = 3 * mh, 3 * mh + 5 * ms
+    d = off_d + np.arange(md)
     gens = {}
     for name, (rho3, rho5) in rho.items():
-        entries = [((off_d + r, off_d + r), f.one) for r in range(md)]
-        for block, width, start, copies in ((rho3, 3, 0, mh), (rho5, 5, off, ms)):
-            entries += [((start + width * j + x1, start + width * j + x2), c)
-                        for j in range(copies) for x1, row in enumerate(block.rows)
-                        for x2, c in enumerate(row) if c]
-        B, Vb, Db = coo(entries, f, 2)
+        blocks = [(d, d, [np.ones(md, dtype=np.int64)], 1)]
+        for ((r, c), V, D), width, start, copies in ((rho3, 3, 0, mh), (rho5, 5, off, ms)):
+            x, j = outer(len(V), copies)
+            blocks.append((start + width * j + r[x], start + width * j + c[x], [V[x]], D))
+        B, Vb, Db = fold_table(blocks, n, p)
         (cols, rows), sums = matvec((psi, Vpsi), matvec((B, Vb), ((qc, qr), Vq), p), p)
-        gens[name] = Matrix.from_entries(n, n, rows, cols, to_field(sums, Dpsi * Db * Dq, f), f)
-    return GroupAction(g, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
-                       name="S4 on %s (synthesized)" % g.name)
+        gens[name] = (rows, cols), sums, Dpsi * Db * Dq
+    return GroupAction.from_coo(g, gens, n, f, name="S4 on %s (synthesized)" % g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +723,7 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     for M in mats:
         if not span.add(flatten_matrix(M)):
             raise ValueError("matrices are not linearly independent")
-    cols, V, D, outside = commutator_table(mats, span)
+    cols, V, D, outside = commutator_table(matrices_coo(mats, field), len(mats), nn, span)
     if outside:
         raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
     return SuperAlgebra.from_coo(labels or ["m%d" % i for i in range(len(mats))], cols, V, D,

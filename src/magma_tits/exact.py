@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .int_fast import as_ints, distinct, fold, join, rows_coo
+from .int_fast import as_ints, distinct, fold, join, rows_coo, to_field
 
 
 class GFElement:
@@ -256,6 +256,13 @@ class Matrix:
         for i, j, x in zip(rows.tolist(), cols.tolist(), values):
             M.rows[i][j] = x
         return M
+
+    @classmethod
+    def from_coo(cls, n, m, lowered, field=QQ):
+        """The n x m matrix of lowered COO ((rows, cols), integers, D), the
+        form int_fast.rows_coo gives."""
+        (rows, cols), V, D = lowered
+        return cls.from_entries(n, m, rows, cols, to_field(V, D, field), field)
 
     def copy(self):
         M = Matrix.__new__(Matrix)

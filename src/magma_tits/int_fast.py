@@ -28,9 +28,11 @@ On these helpers run the sparse checkers and the construction itself: the
 graded commutators of lists of matrices (`commutators`), the inner
 derivations, the Tits brackets, the Lie conditions of the construction
 (whose cyclic sums place each term at its triple's `rotations`), the
-coordinate algebras, and the batched coordinates of Subspace.coords_many,
-which fold the vectors' pivot entries against the span's lowered pivot-row
-inverse and check the reconstruction exactly.
+coordinate algebras, the products and equality tests of lowered matrices
+(`compose`, `same_map`) that S4 words and involutions reduce to, and the
+batched coordinates of Subspace.coords_many, which fold the vectors'
+pivot entries against the span's lowered pivot-row inverse and check the
+reconstruction exactly.
 
 Every exact contraction is a fold, under fold's one bound rule.  No
 helper here uses floating point, approximates or overflows.
@@ -117,13 +119,46 @@ def table_coo(sc, field):
 
 def fold_table(blocks, n, p=None):
     """One fold of the blocks of a table on n basis elements: each block
-    (I, J, K, factors, D) adds the products of its factors over D to the
-    constants c^K_IJ.  Every block is scaled to the lcm L of the D's;
-    returns ((I, J, K), sums, L), the nonzero sums sorted by (I, J, K)."""
+    (*index columns, factors, D) adds the products of its factors over D to
+    the entries at its index tuples, (I, J, K) of a table c^K_IJ or (rows,
+    columns) of an n x n matrix.  Every block is scaled to the lcm L of the
+    D's; returns (index columns, sums, L), the nonzero sums sorted by index
+    tuple."""
     L = lcm(*(D for *_cols, D in blocks))
-    keys, sums, _path = fold([((I * n + J) * n + K, [*factors, L // D])
-                              for I, J, K, factors, D in blocks], p)
-    return (keys // (n * n), keys // n % n, keys % n), sums, L
+    width = len(blocks[0]) - 2
+    terms = []
+    for *cols, factors, D in blocks:
+        key = cols[0]
+        for c in cols[1:]:
+            key = key * n + c
+        terms.append((key, [*factors, L // D]))
+    keys, sums, _path = fold(terms, p)
+    rest = [keys // n ** (width - 1 - w) % n for w in range(1, width)]
+    return (keys // n ** (width - 1), *rest), sums, L
+
+
+def identity_coo(n):
+    """The n x n identity, lowered: ((rows, columns), integers, D)."""
+    d = np.arange(n)
+    return (d, d), np.ones(n, dtype=np.int64), 1
+
+
+def compose(A, B, p=None):
+    """The product AB of two lowered matrices ((rows, columns), integers, D),
+    lowered, its entries sorted by column: the columns of B pushed through A
+    by one matvec."""
+    ((R, C), V, D), ((Rb, Cb), Vb, Db) = A, B
+    (c, r), sums = matvec(((R, C), V), ((Cb, Rb), Vb), p)
+    return (r, c), sums, D * Db
+
+
+def same_map(A, B, p=None):
+    """Whether two lowered matrices ((rows, columns), integers, D) are equal:
+    one fold of A D_B - B D_A, which fails iff a key survives."""
+    ((Ra, Ca), Va, Da), ((Rb, Cb), Vb, Db) = A, B
+    n = int(max(Ca.max(initial=-1), Cb.max(initial=-1))) + 1
+    keys, _sums, _path = fold([(Ra * n + Ca, [Va, Db]), (Rb * n + Cb, [Vb, -Da])], p)
+    return not len(keys)
 
 
 def to_field(ints, D, field):

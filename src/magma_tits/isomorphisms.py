@@ -21,9 +21,10 @@ Verification failure raises: these maps are theorems, and a failure means
 the tables, signs, or conventions upstream are wrong.
 """
 
-from .exact import QQ, Matrix, vec_zero
-from .algebra import _invertible, map_failures
-from .int_fast import fold, join, rows_coo, to_field
+from .exact import QQ, Matrix, Subspace, vec_zero
+from .algebra import _invertible, map_failures, outer_block
+from .int_fast import (compose, fold, fold_table, identity_coo, join, rows_coo, same_map,
+                       to_field)
 from .composition import split_cayley, invariant_quaternion, s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import h3, jordan_super_jvtheta, kaplansky
@@ -61,9 +62,11 @@ class InvolutionHomomorphism:
             raise IsomorphismError(
                 "%s: not multiplicative, first failing pair (%s, %s)"
                 % (self.name, src.basis[i], src.basis[j]))
-        lhs = M @ self.source.sigma
-        rhs = self.target.sigma @ M
-        if lhs != rhs:
+        # M sigma = sigma' M: one same_map fold of the two lowered products
+        f = src.field
+        Ml, sigma, sigma_t = (rows_coo(A.rows, f)
+                              for A in (M, self.source.sigma, self.target.sigma))
+        if not same_map(compose(Ml, sigma, f.p), compose(sigma_t, Ml, f.p), f.p):
             raise IsomorphismError("%s: does not intertwine the involutions" % self.name)
         if require_bijective:
             if src.n != tgt.n or not _invertible(M):
@@ -284,56 +287,48 @@ def tqj_maps(J):
 
 
 def _tqj_lie_iso(TQ, T62):
-    """D_{a,b} -> [a,b] x 1, a x x -> a x x, d -> d, verified Lie iso."""
+    """D_{a,b} -> [a,b] x 1, a x x -> a x x, d -> d, verified Lie iso.
+
+    Its blocks come from integers: der Q and d_{J,J} are their lowered
+    matrices in the coordinates of ad(Q0) and of the D of T62 (one
+    Subspace.coords_many each), the tensor block is the J0 basis, and
+    one int_fast.fold_table places them."""
     Q, J = TQ.C, TQ.J
     f = Q.field
-    nJ = J.dim
-    n = TQ.algebra.n
+    nJ, n = J.dim, TQ.algebra.n
     if T62.algebra.n != n:
         raise IsomorphismError("T62 variant has wrong dimension")
-    cols = []
-    # der Q block: solve D = ad_q, map to q x 1; column t of the stack is
-    # the flattened L_{q_t} - R_{q_t}, (L_q - R_q)[k][j] = sum_i q_i (c^k_ij - c^k_ji)
-    nq, nc = Q.dim, len(TQ.c0_basis)
+    # ad(Q0): the flattened L_q - R_q, (L_q - R_q)[k][j] = sum_i q_i (c^k_ij - c^k_ji)
+    nq, nc, nj0 = Q.dim, len(TQ.c0_basis), len(TQ.j0_basis)
     (I, Jq, K), V, Dq = Q.algebra.coo
     (t, x), xv, Dx = rows_coo(TQ.c0_basis, f)
     (a, b), (c, d) = join(I, x), join(Jq, x)
-    keys, sums, _path = fold([((K[a] * nq + Jq[a]) * nc + t[b], [V[a], xv[b]]),
-                              ((K[c] * nq + I[c]) * nc + t[d], [V[c], xv[d], -1])], f.p)
-    stack = Matrix.from_entries(nq * nq, nc, keys // nc, keys % nc, to_field(sums, Dq * Dx, f),
-                                f)
-    for D in TQ.derC.matrices:
-        flat = [D.rows[i][j] for i in range(Q.dim) for j in range(Q.dim)]
-        q = stack.solve(flat)
-        if q is None:
-            raise IsomorphismError("derivation of Q is not inner as ad")
-        col = vec_zero(n, f)
-        for i, ci in enumerate(q):
-            if ci:
-                for jj, cu in enumerate(J.unit):
-                    if cu:
-                        col[T62.tensor_index(i, jj)] = ci * cu
-        cols.append(col)
-    # tensor block: p_i x x_j with x_j expressed in the full J basis
-    for i in range(len(TQ.c0_basis)):
-        for j, x in enumerate(TQ.j0_basis):
-            col = vec_zero(n, f)
-            for jj, c in enumerate(x):
-                if c:
-                    col[T62.tensor_index(i, jj)] = c
-            cols.append(col)
-    # d_{J,J} block: identity on the space, change of chosen basis
-    off62 = T62.d_offset
-    for M in TQ.djj.matrices:
-        coords = T62.D_space.coords(
-            [M.rows[i][j] for i in range(nJ) for j in range(nJ)])
-        if coords is None:
-            raise IsomorphismError("d_{J,J} bases do not span the same space")
-        col = vec_zero(n, f)
-        for s, c in enumerate(coords):
-            col[off62 + s] = c
-        cols.append(col)
-    M = Matrix.from_columns(cols, f)
+    keys, sums, _path = fold([((t[b] * nq + K[a]) * nq + Jq[a], [V[a], xv[b]]),
+                              ((t[d] * nq + K[c]) * nq + I[c], [V[c], xv[d], -1])], f.p)
+    ad = Subspace.from_vectors(Matrix.from_entries(nc, nq * nq, keys // (nq * nq),
+                                                   keys % (nq * nq), to_field(sums, Dq * Dx, f),
+                                                   f).rows, nq * nq, f)
+
+    def coords(space, span, what):
+        """A DerivationSpace's lowered matrices in span coordinates, as the
+        lowered COO ((basis index, s), integers, D)."""
+        (S, R, C), V, D = space.lowered
+        ids, ks, V, D, outside = span.coords_many(S, R * space.n + C, V, D)
+        if len(outside):
+            raise IsomorphismError(what)
+        return (ks, ids), V, D
+
+    q = coords(TQ.derC, ad, "derivation of Q is not inner as ad")
+    (t, s), Vd, Dd = coords(TQ.djj, T62.D_space, "d_{J,J} bases do not span the same space")
+    M = fold_table([
+        # D_r = ad(sum_i q_i p_i) -> sum_i q_i p_i x 1
+        outer_block(q, rows_coo([J.unit], f), lambda i, r, _z, jj: (i * nJ + jj, r)),
+        # a_i x x_j -> a_i x x_j, x_j in the full J basis
+        outer_block(identity_coo(nc), rows_coo(TQ.j0_basis, f),
+                    lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),
+        # d -> d: a change of basis of the same space
+        (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)], n, f.p)
+    M = Matrix.from_coo(n, n, M, f)
     bad = homomorphism_failures(TQ.algebra, T62.algebra, M)
     if bad:
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not a homomorphism; "

@@ -1,6 +1,6 @@
 """S4 actions by automorphisms, Klein-four gradings, coordinate algebras.
 
-An action is stored as matrices for the four generators
+An action is given by its four generators
 
     tau1 = (12)(34),  tau2 = (23)(14),  phi = (123),  tau = (12),
 
@@ -12,22 +12,31 @@ The commuting involutions tau1, tau2 grade the target over Z2 x Z2; the
 (1,0) component {X : tau1 X = X, tau2 X = -X} carries the coordinate
 algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.
 
-Everything runs on the generators lowered once to COO integers
-(int_fast.rows_coo).  A word is a chain of int_fast.matvec products, the
-empty word the identity; a relation lhs = rhs is one fold of
-lhs D_rhs - rhs D_lhs, which fails iff a key survives; element() builds
-its Matrix from the same product.  The Klein components are kernels of
-rows folded from the generators' entries and shifted diagonals.  The
-coordinate algebra and the conjugation blocks of the actions on T(C, J)
-are single sparse exact contractions (int_fast.bilinear and matvec) with
-batched, exactly checked coordinates.
+A generator is stored as its lowered COO ((R, C), V, D), integers in
+lowest terms (GroupAction.from_coo; the constructor lowers hand-written
+Matrices once), and its Matrix is built only when a caller reads it.  A
+word is a chain of int_fast.compose products, the empty word the
+identity; a relation lhs = rhs is one int_fast.same_map fold of
+lhs D_rhs - rhs D_lhs, which fails iff a key survives; the automorphism
+check is algebra.lowered_map_failures on the stored integers, with the
+generator's order relation as its invertibility.  The Klein components
+are kernels of rows folded from the generators' entries and shifted
+diagonals.  The actions on T(C, J) are assembled from integers: the
+conjugation blocks of der C and d_{J,J} are single sparse exact
+contractions of their lowered matrices (conjugation_block), the C0 and
+J0 blocks are matvec images with batched, exactly checked coordinates,
+and the blocks are placed by index offsets in one int_fast.fold_table.
+The coordinate algebra is one int_fast.bilinear and matvec contraction.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .exact import Matrix, Subspace
-from .algebra import SuperAlgebra, LinearMap, is_automorphism
-from .int_fast import bilinear, fold, join, matrices_coo, matvec, rows_coo, to_field
+from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures, outer_block
+from .int_fast import (as_ints, bilinear, compose, fold, fold_table, identity_coo, matvec, reduced,
+                       rows_coo, same_map, to_field)
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -59,78 +68,115 @@ COMPONENT_PERMUTATION = {
 KLEIN_RELATIONS = [RELATIONS[0], RELATIONS[6], RELATIONS[7]]
 
 
+# the order relation of each generator: tau1^2 = tau2^2 = tau^2 = 1, phi^3 = 1
+ORDER_RELATIONS = dict(zip(("tau1", "tau2", "tau", "phi"), RELATIONS[6:10]))
+
+
 class GroupAction:
-    """Matrices for the four S4 generators acting on a target space; they
-    are lowered once, on first use (`lowered`), so treat them as fixed."""
+    """The four S4 generators acting on a target space of dimension dim,
+    each stored as its lowered COO ((R, C), V, D): V[e] / D at (R[e], C[e]),
+    sorted row-major, in lowest terms, what int_fast.rows_coo gives for its
+    Matrix.  Builders hand their integers to from_coo; the constructor lowers
+    hand-written Matrices once.  `gens` (and act[name]) are the Matrices,
+    built on first read."""
 
     def __init__(self, target, tau1, tau2, phi, tau, name="S4 action"):
-        self.target = target
-        self.gens = {"tau1": tau1, "tau2": tau2, "phi": phi, "tau": tau}
-        self.name = name
-        n = tau1.nrows
-        for g in self.gens.values():
-            if g.nrows != n or g.ncols != n:
+        mats = dict(zip(GEN_NAMES, (tau1, tau2, phi, tau)))
+        n, f = tau1.nrows, tau1.field
+        for M in mats.values():
+            if M.nrows != n or M.ncols != n:
                 raise ValueError("generator matrices must be square of equal size")
-        if target is not None and target.n != n:
-            raise ValueError("generators do not match the target dimension")
-        self.dim = n
-        self.field = tau1.field
+            if M.field != f:
+                raise ValueError("generator matrices over %s and %s" % (f, M.field))
+        self._setup(target, {g: rows_coo(M.rows, f) for g, M in mats.items()}, n, f, name)
+
+    @classmethod
+    def from_coo(cls, target, gens, dim, field, name="S4 action"):
+        """The action whose generator g is the dim x dim matrix with V[e] / D
+        at (R[e], C[e]), summed over e, for gens = {g: ((R, C), V, D)} over
+        the names GEN_NAMES (integers denominator-cleared over QQ, any
+        integers over GF(p))."""
+        act = cls.__new__(cls)
+        act._setup(target, gens, dim, field, name)
+        return act
+
+    def _setup(self, target, gens, dim, field, name):
+        """Validate and store the generators: one fold each sums equal
+        (row, column) and drops the zeros, then int_fast.reduced puts them in
+        lowest terms.  ValueError unless the names are GEN_NAMES, every index
+        lies in range(dim) and the target has dimension dim over field."""
+        if sorted(gens) != sorted(GEN_NAMES):
+            raise ValueError("generators %s, an S4 action needs %s"
+                             % (", ".join(sorted(gens)), ", ".join(GEN_NAMES)))
+        if target is not None and (target.n, target.field) != (dim, field):
+            raise ValueError("generators of dimension %d over %s, the target has dimension "
+                             "%d over %s" % (dim, field, target.n, target.field))
+        p = field.p
         self._lowered = {}
+        for g in GEN_NAMES:
+            (R, C), V, D = gens[g]
+            R, C = np.asarray(R, dtype=np.int64), np.asarray(C, dtype=np.int64)
+            if len(R) and min(R.min(), C.min(), dim - 1 - R.max(), dim - 1 - C.max()) < 0:
+                raise ValueError("generator %s has an entry outside range(%d)" % (g, dim))
+            scale, D = (1, D) if p is None else (pow(D, -1, p), 1)    # residues over GF(p)
+            keys, V, _path = fold([(R * dim + C, [as_ints(V), scale])], p)
+            V, D = reduced(V, D)
+            R, C = keys // dim, keys % dim
+            for a in (R, C, V):
+                a.setflags(write=False)
+            self._lowered[g] = (R, C), V, D
+        self.target, self.dim, self.field, self.name = target, dim, field, name
+
+    @cached_property
+    def gens(self):
+        """{name: Matrix} of the generators, built from `lowered` on first read."""
+        return {g: Matrix.from_coo(self.dim, self.dim, self._lowered[g], self.field)
+                for g in GEN_NAMES}
 
     def __getitem__(self, name):
         return self.gens[name]
 
     def lowered(self, name):
-        """Generator `name` as int_fast.rows_coo integers ((R, C), V, D)."""
-        if name not in self._lowered:
-            self._lowered[name] = rows_coo(self.gens[name].rows, self.field)
+        """Generator `name` as its stored integers ((R, C), V, D)."""
         return self._lowered[name]
 
     def _product(self, word):
-        """The matrix of a word as ((columns, rows), integers) over the
-        denominator D: the columns of the identity (the empty word) pushed
-        through the letters from right to left, one matvec each."""
-        diag = np.arange(self.dim)
-        X, D = ((diag, diag), np.ones(self.dim, dtype=np.int64)), 1
+        """The matrix of a word, lowered: the identity (the empty word) times
+        the letters from right to left, one int_fast.compose each.
+        ValueError for a letter outside GEN_NAMES."""
+        bad = [w for w in word if w not in GEN_NAMES]
+        if bad:
+            raise ValueError("unknown generator %r: the generators are %s"
+                             % (bad[0], ", ".join(GEN_NAMES)))
+        X = identity_coo(self.dim)
         for w in reversed(word):
-            M, V, Dw = self.lowered(w)
-            X = matvec((M, V), X, self.field.p)
-            D *= Dw
-        return X, D
+            X = compose(self.lowered(w), X, self.field.p)
+        return X
 
     def element(self, word):
         """Matrix of a word in the generators, e.g. ("phi", "tau1")."""
         if isinstance(word, str):
             word = tuple(w for w in word.replace("*", " ").split() if w)
-        ((cols, rows), vals), D = self._product(word)
-        return Matrix.from_entries(self.dim, self.dim, rows, cols,
-                                   to_field(vals, D, self.field), self.field)
+        return Matrix.from_coo(self.dim, self.dim, self._product(word), self.field)
 
     def word_failures(self, relations):
-        """The (lhs, rhs) word pairs whose matrices differ: one fold of
-        lhs D_rhs - rhs D_lhs per pair, which fails iff a key survives."""
-        n = self.dim
-        out = []
-        for lhs, rhs in relations:
-            ((lc, lr), lv), Dl = self._product(lhs)
-            ((rc, rr), rv), Dr = self._product(rhs)
-            keys, _sums, _path = fold([(lr * n + lc, [lv, Dr]), (rr * n + rc, [rv, -Dl])],
-                                      self.field.p)
-            if len(keys):
-                out.append((lhs, rhs))
-        return out
+        """The (lhs, rhs) word pairs whose matrices differ: one
+        int_fast.same_map fold of lhs D_rhs - rhs D_lhs per pair."""
+        return [(lhs, rhs) for lhs, rhs in relations
+                if not same_map(self._product(lhs), self._product(rhs), self.field.p)]
 
     def relation_failures(self):
         return self.word_failures(RELATIONS)
 
     def automorphism_failures(self):
+        """The generators that are not automorphisms of the target:
+        lowered_map_failures on the stored integers, and invertibility from
+        the order relation (ORDER_RELATIONS), a rank only where that fails."""
         if self.target is None:
             return []
-        out = []
-        for name, M in self.gens.items():
-            if not is_automorphism(self.target, LinearMap(self.target, self.target, M)):
-                out.append(name)
-        return out
+        return [g for g in GEN_NAMES
+                if lowered_map_failures(self.target, self.target, self.lowered(g), max_witnesses=1)
+                or (self.word_failures([ORDER_RELATIONS[g]]) and not _invertible(self[g]))]
 
     def verify(self):
         """Raise unless all defining relations and automorphism checks hold."""
@@ -265,13 +311,10 @@ def coordinate_algebra(g, action, basis=None, name=None):
         basis = klein_grading(action).components[(1, 0)]
     (xi, xa), xv, DE = rows_coo(basis, f)
     E = ((xi, xa), xv)
+    # tau1 X = X and tau2 X = -X, exactly, on the basis as matrix columns
     for gen, sign in (("tau1", 1), ("tau2", -1)):
-        # tau1 X = X and tau2 X = -X, exactly: sum_j M_ij X_j - sign D_M X_i = 0
-        (R, C), V, D = action.lowered(gen)
-        a, b = join(C, xa)
-        keys, _sums, _path = fold([(xi[b] * n + R[a], [V[a], xv[b]]),
-                                   (xi * n + xa, [xv, -sign * D])], p)
-        if len(keys):
+        if not same_map(compose(action.lowered(gen), ((xa, xi), xv, DE), p),
+                        ((xa, xi), sign * xv, DE), p):
             raise ValueError("proposed basis vector is not in the (1,0) component")
     span = Subspace(n, f)
     for v in basis:
@@ -330,14 +373,15 @@ def _find_unit(alg):
 
 def iota_maps(ca):
     """iota_0 = inclusion of the coordinate algebra, iota_1 = phi iota_0,
-    iota_2 = phi^2 iota_0, as maps into the ambient Lie algebra."""
-    g = ca.ambient
-    phi = ca.action["phi"]
+    iota_2 = phi^2 iota_0, as maps into the ambient Lie algebra: the
+    lowered embedding pushed through the lowered phi by int_fast.compose."""
+    g, f, E = ca.ambient, ca.ambient.field, ca.embedding
+    phi = ca.action.lowered("phi")
+    i1 = compose(phi, rows_coo(E.rows, f), f.p)
+    i2 = compose(phi, i1, f.p)
     src = ca.awi.algebra
-    i0 = LinearMap(src, g, ca.embedding)
-    i1 = LinearMap(src, g, phi @ ca.embedding)
-    i2 = LinearMap(src, g, phi @ (phi @ ca.embedding))
-    return i0, i1, i2
+    return (LinearMap(src, g, E), *(LinearMap(src, g, Matrix.from_coo(E.nrows, E.ncols, M, f))
+                                    for M in (i1, i2)))
 
 
 def s4_on_h3(J):
@@ -346,71 +390,75 @@ def s4_on_h3(J):
     tau swaps e1/e2 and conjugates the coordinates."""
     if getattr(J, "provenance", None) != "h3":
         raise ValueError("s4_on_h3 needs an H3-type Jordan algebra")
-    alg = J.algebra
-    f = alg.field
-    Chat = J.source
-    d = Chat.dim
-    n = alg.n
-    conj = Chat.conj_matrix()
+    alg, Chat = J.algebra, J.source
+    f, d = alg.field, Chat.dim
+    conj = rows_coo(Chat.conj_matrix().rows, f)
+    e = np.array([J.e_index(i) for i in range(3)])
+    iota = np.array([[J.iota_index(i, j) for j in range(d)] for i in range(3)])
 
     def build(e_images, iota_sign, iota_perm, conjugate):
-        M = Matrix.zeros(n, n, f)
-        for i in range(3):
-            M[J.e_index(e_images[i]), J.e_index(i)] = f.one
-        for i in range(3):
-            tgt = iota_perm[i]
-            for j in range(d):
-                src_col = J.iota_index(i, j)
-                img = conj.column(j) if conjugate else [f.one if t == j else f.zero for t in range(d)]
-                for t in range(d):
-                    if img[t]:
-                        M[J.iota_index(tgt, t), src_col] = f.of(iota_sign[i]) * img[t]
-        return M
+        """e_i -> e_{e_images[i]}, iota_i(x) -> iota_sign[i] iota_{iota_perm[i]}(x or
+        its conjugate), lowered: one int_fast.fold_table."""
+        (r, c), v, D = conj if conjugate else identity_coo(d)
+        return fold_table([(e[e_images], e, [np.ones(3, dtype=np.int64)], 1)]
+                          + [(iota[iota_perm[i]][r], iota[i][c], [v, iota_sign[i]], D)
+                             for i in range(3)], alg.n, f.p)
 
-    tau1 = build([0, 1, 2], [1, -1, -1], [0, 1, 2], False)
-    tau2 = build([0, 1, 2], [-1, 1, -1], [0, 1, 2], False)
-    phi = build([1, 2, 0], [1, 1, 1], [1, 2, 0], False)
-    tau = build([0, 2, 1], [1, 1, 1], [0, 2, 1], True)
-    return GroupAction(alg, tau1, tau2, phi, tau, name="S4 on H3(%s)" % Chat.name)
+    gens = {"tau1": build([0, 1, 2], [1, -1, -1], [0, 1, 2], False),
+            "tau2": build([0, 1, 2], [-1, 1, -1], [0, 1, 2], False),
+            "phi": build([1, 2, 0], [1, 1, 1], [1, 2, 0], False),
+            "tau": build([0, 2, 1], [1, 1, 1], [0, 2, 1], True)}
+    return GroupAction.from_coo(alg, gens, alg.n, f, name="S4 on H3(%s)" % Chat.name)
 
 
-def _block_action(T, der_block, c0_block, j0_block, djj_block):
-    """Assemble a generator matrix on T = der C + (C0 x J0) + d_{J,J} from blocks."""
-    f = T.algebra.field
-    M = Matrix.zeros(T.algebra.n, T.algebra.n, f)
-
-    def nonzero(B):
-        return [(i, j, c) for i, row in enumerate(B.rows) for j, c in enumerate(row) if c]
-
-    for i, j, c in nonzero(der_block):
-        M.rows[i][j] = c
-    j0_nz = nonzero(j0_block)
-    for ci2, ci, a in nonzero(c0_block):
-        for xj2, xj, b in j0_nz:
-            M.rows[T.tensor_index(ci2, xj2)][T.tensor_index(ci, xj)] = a * b
-    off = T.djj_offset
-    for i, j, c in nonzero(djj_block):
-        M.rows[off + i][off + j] = c
-    return M
-
-
-def conjugation_block(span, mats, P, what):
-    """The matrix whose column s holds the coordinates in span of
-    P mats[s] P^{-1}: one int_fast.bilinear contraction of the list with
-    the rows of P and the columns of P^{-1}, then Subspace.coords_many."""
-    f = P.field
-    k = len(mats)
-    if not k:
-        return Matrix.zeros(0, 0, f)
-    n = P.nrows
-    (S, R, C), V, D = matrices_coo(mats, f)
-    pc, pv, DP = rows_coo(P.rows, f)
-    (qr, qc), qv, DQ = rows_coo(P.inverse().rows, f)
-    (i, l, s), sums, _path = bilinear(((R, C, S), V), (pc, pv), ((qc, qr), qv), f.p)
+def conjugation_block(span, mats, action, name, what):
+    """The coordinates in span of P M_s P^{-1}, for P the generator `name`
+    of action and the lowered list mats ((S, R, C), integers, D) of the
+    matrices M_s, as the lowered COO ((basis index, s), integers, D) of the
+    matrix whose column s they are: one int_fast.bilinear contraction of the
+    list with the rows of P and the columns of P^{-1} (Matrix.inverse of
+    the small generator), then Subspace.coords_many.  ValueError naming
+    `what` when one of them leaves span."""
+    (S, R, C), V, D = mats
+    f, n = action.field, action.dim
+    (pr, pc), pv, DP = action.lowered(name)
+    (qr, qc), qv, DQ = rows_coo(action[name].inverse().rows, f)
+    (i, l, s), sums, _path = bilinear(((R, C, S), V), ((pr, pc), pv), ((qc, qr), qv), f.p)
     ids, ks, V, D, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
     if len(outside):
         raise ValueError("matrix is not in %s" % what)
-    return Matrix.from_entries(k, k, ks, ids, to_field(V, D, f), f)
+    return (ks, ids), V, D
+
+
+def _images_in(span, action, name, X, what):
+    """The coordinates in span of the images of the lowered vectors
+    X = ((ids, index), integers, D) under the generator `name` of action,
+    as the lowered COO ((basis index, id), integers, D) of the matrix whose
+    column id they are: one int_fast.matvec and Subspace.coords_many.
+    ValueError naming `what` when an image leaves span."""
+    (R, C), V, D = action.lowered(name)
+    (xi, xa), Vx, Dx = X
+    (ids, rows), sums = matvec(((R, C), V), ((xi, xa), Vx), action.field.p)
+    cid, ck, V, D, outside = span.coords_many(ids, rows, sums, D * Dx)
+    if len(outside):
+        raise ValueError("vector is not in %s" % what)
+    return (ck, cid), V, D
+
+
+def _on_tits(T, der, c0, j0, djj):
+    """A generator on T = der C + (C0 x J0) + d_{J,J} from its lowered
+    blocks: der on der C, the outer product of c0 and j0
+    (algebra.outer_block) on C0 x J0 and djj on d_{J,J}, placed by index
+    offsets in one int_fast.fold_table."""
+    m, nj, off = T.der_dim, len(T.j0_basis), T.djj_offset
+
+    def tidx(i, j):
+        return m + i * nj + j
+    (dr, dc), dv, dd = der
+    (sr, sc), sv, sd = djj
+    return fold_table([(dr, dc, [dv], dd), (off + sr, off + sc, [sv], sd),
+                       outer_block(c0, j0, lambda i2, i, j2, j: (tidx(i2, j2), tidx(i, j)))],
+                      T.dim, T.algebra.field.p)
 
 
 def s4_on_tits_left(T, base_action=None):
@@ -418,37 +466,35 @@ def s4_on_tits_left(T, base_action=None):
     psi(D + a x x + d) = psi D psi^{-1} + psi(a) x x + d.
 
     base_action defaults to the Cayley embedding; pass another action (for
-    instance on the invariant quaternion subalgebra) to restrict."""
+    instance on the invariant quaternion subalgebra) to restrict.  Each
+    generator is assembled from integers (_on_tits): its der C block by
+    conjugation_block, its C0 block from the lowered base generator
+    (_images_in), identities on J0 and d_{J,J}."""
     from .composition import s4_on_cayley
     C = T.C
-    actC = base_action if base_action is not None else s4_on_cayley(C)
+    act = base_action if base_action is not None else s4_on_cayley(C)
+    if (act.dim, act.field) != (C.dim, C.field):
+        raise ValueError("the base action has dimension %d over %s but C has dimension %d "
+                         "over %s" % (act.dim, act.field, C.dim, C.field))
     f = T.algebra.field
-    gens = {}
-    Idjj = Matrix.identity(T.djj_dim, f)
-    Ij0 = Matrix.identity(len(T.j0_basis), f)
-    for name, Mpsi in actC.gens.items():
-        der_block = conjugation_block(T.derC.span, T.derC.matrices, Mpsi, "der C")
-        c0_cols = [T.c0_coords(Mpsi.apply(a)) for a in T.c0_basis]
-        c0_block = (Matrix.from_columns(c0_cols, f) if T.c0_basis
-                    else Matrix.zeros(0, 0, f))
-        gens[name] = _block_action(T, der_block, c0_block, Ij0, Idjj)
-    return GroupAction(T.algebra, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
-                       name="S4 on T(%s,%s) left" % (C.name, T.J.name))
+    X = rows_coo(T.c0_basis, f)
+    j0, djj = identity_coo(len(T.j0_basis)), identity_coo(T.djj_dim)
+    gens = {g: _on_tits(T, conjugation_block(T.derC.span, T.derC.lowered, act, g, "der C"),
+                        _images_in(T.c0_span, act, g, X, "C0"), j0, djj) for g in GEN_NAMES}
+    return GroupAction.from_coo(T.algebra, gens, T.dim, f,
+                                name="S4 on T(%s,%s) left" % (C.name, T.J.name))
 
 
 def s4_on_tits_right(T):
     """S4 on T(C,J) through the Jordan factor H3(C^):
-    psi(D + a x x + d) = D + a x psi(x) + psi d psi^{-1}."""
-    actJ = s4_on_h3(T.J)
+    psi(D + a x x + d) = D + a x psi(x) + psi d psi^{-1}, assembled as in
+    s4_on_tits_left from the lowered generators of s4_on_h3."""
+    act = s4_on_h3(T.J)
     f = T.algebra.field
-    gens = {}
-    Ider = Matrix.identity(T.der_dim, f)
-    Ic0 = Matrix.identity(len(T.c0_basis), f)
-    for name, Mpsi in actJ.gens.items():
-        j0_cols = [T.j0_coords(Mpsi.apply(x)) for x in T.j0_basis]
-        j0_block = (Matrix.from_columns(j0_cols, f) if T.j0_basis
-                    else Matrix.zeros(0, 0, f))
-        djj_block = conjugation_block(T.djj.span, T.djj.matrices, Mpsi, "d_{J,J}")
-        gens[name] = _block_action(T, Ider, Ic0, j0_block, djj_block)
-    return GroupAction(T.algebra, gens["tau1"], gens["tau2"], gens["phi"], gens["tau"],
-                       name="S4 on T(%s,%s) right" % (T.C.name, T.J.name))
+    X = rows_coo(T.j0_basis, f)
+    der, c0 = identity_coo(T.der_dim), identity_coo(len(T.c0_basis))
+    gens = {g: _on_tits(T, der, c0, _images_in(T.j0_span, act, g, X, "J0"),
+                        conjugation_block(T.djj.span, T.djj.lowered, act, g, "d_{J,J}"))
+            for g in GEN_NAMES}
+    return GroupAction.from_coo(T.algebra, gens, T.dim, f,
+                                name="S4 on T(%s,%s) right" % (T.C.name, T.J.name))

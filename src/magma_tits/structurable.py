@@ -31,9 +31,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .exact import Matrix
-from .algebra import SuperAlgebra, EVEN, map_failures, outer_block, trace_products
-from .int_fast import (INT64_MAX, coo, distinct, fold, fold_blocks, fold_table, join, joined,
-                       outer, rows_coo, to_field)
+from .algebra import SuperAlgebra, EVEN, lowered_map_failures, outer_block, trace_products
+from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks, fold_table,
+                       identity_coo, join, joined, outer, rows_coo, same_map, to_field)
 
 
 class AlgebraWithInvolution:
@@ -42,6 +42,9 @@ class AlgebraWithInvolution:
     def __init__(self, algebra, sigma):
         if sigma.nrows != algebra.n or sigma.ncols != algebra.n:
             raise ValueError("involution matrix has wrong shape")
+        if sigma.field != algebra.field:
+            raise ValueError("involution matrix over %s, the algebra over %s"
+                             % (sigma.field, algebra.field))
         self.algebra = algebra
         self.sigma = sigma
 
@@ -55,16 +58,19 @@ class AlgebraWithInvolution:
     def involution_failures(self):
         """The entry "sigma^2 != id" unless sigma is involutive, then the pairs
         (i, j) with sigma(b_i b_j) != (-1)^{|i||j|} sigma(b_j) sigma(b_i), sorted:
-        the map failures of the even sigma into b_i o b_j = (-1)^{|i||j|} b_j b_i."""
-        alg, sigma = self.algebra, self.sigma
+        the map failures of the even sigma into b_i o b_j = (-1)^{|i||j|} b_j b_i.
+        sigma is lowered once; sigma^2 = id is one int_fast.same_map fold."""
+        alg = self.algebra
+        p = alg.field.p
+        sigma = rows_coo(self.sigma.rows, alg.field)
         out = []
-        if sigma @ sigma != Matrix.identity(alg.n, alg.field):
+        if not same_map(compose(sigma, sigma, p), identity_coo(alg.n), p):
             out.append("sigma^2 != id")
         (I, J, K), V, D = alg.coo
         odd = np.array(alg.parity, dtype=bool)
         opposite = SuperAlgebra.from_coo(alg.basis, (J, I, K), np.where(odd[I] & odd[J], -V, V), D,
                                          parity=alg.parity, field=alg.field)
-        return out + map_failures(alg, opposite, sigma)
+        return out + lowered_map_failures(alg, opposite, sigma)
 
     def verify_involution(self):
         bad = self.involution_failures()

@@ -231,10 +231,10 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
         (x, y, k), sums, _path = bilinear((cols, vals), X, X, p)
         return x * count + y, k, sums, Dt * Dx * Dx
 
-    def images(mats, X, count, Dx):
-        """M_s(x) for every matrix s and vector x, as a batch."""
-        (S, R, Cc), V, D = matrices_coo(mats, f)
-        s = np.arange(len(mats), dtype=np.int64)
+    def images(space, X, count, Dx):
+        """M_s(x) for every matrix s of a DerivationSpace and vector x, as a batch."""
+        (S, R, Cc), V, D = space.lowered
+        s = np.arange(space.dim, dtype=np.int64)
         (s, x, r), sums, _path = bilinear(((S, Cc, R), V), ((s, s), np.ones_like(s)), X, p)
         return s * count + x, r, sums, D * Dx
 
@@ -276,8 +276,8 @@ def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
     ids, rc, d, den = derC.pairs
     DC = _pair_coords(derC.span, pairs(((ids // C.dim, ids % C.dim, rc), d, den), Xc, nc, Dxc),
                       nc, check=True)
-    djj_act = j0c(images(djj.matrices, Xj, nj, Dxj), nj)
-    der_act = c0c(images(derC.matrices, Xc, nc, Dxc), nc)
+    djj_act = j0c(images(djj, Xj, nj, Dxj), nj)
+    der_act = c0c(images(derC, Xc, nc, Dxc), nc)
     return _Tables(DC, brC, trC, tJ, star, dxy, der_act, djj_act)
 
 
@@ -577,22 +577,23 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     basis = [alg.e(i) for i in range(nJ)]
     if D_matrices is None:
         djj = inner_derivation_space(J, basis)
-        span, pairs, mats, pars = djj.span, djj.pairs, djj.matrices, djj.parities
+        span, pairs, mats, pars = djj.span, djj.pairs, djj.lowered, djj.parities
         (s, t, k), d_V, d_D, outside = djj.bracket
     else:
         span = Subspace(nJ * nJ, f)
         pairs = inner_derivation_pairs(J, basis)
-        mats, pars = [], []
+        kept, pars = [], []
         for M, par in zip(D_matrices, D_parities or [EVEN] * len(D_matrices)):
             if span.add(flatten_matrix(M)):
-                mats.append(M)
+                kept.append(M)
                 pars.append(par)
         # D must contain the inner derivations
         *_coords, outside = span.coords_many(*pairs)
         missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
         if missing:
             raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
-        (s, t, k), d_V, d_D, outside = commutator_table(mats, span, pars)
+        mats = matrices_coo(kept, f)
+        (s, t, k), d_V, d_D, outside = commutator_table(mats, len(kept), nJ, span, pars)
     if outside:
         raise ValueError("D is not closed under the bracket")
     nd = span.dim
@@ -613,7 +614,7 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     tr = coo([((i, k, 0), Q.trace(Q.product(a, b))) for i, a in enumerate(q0_basis)
               for k, b in enumerate(q0_basis)], f, 3)
     # D acting: d_s(x_j) has the x_k coefficient M_s[k, j]
-    (S, R, C), V, D = matrices_coo(mats, f)
+    (S, R, C), V, D = mats
     blocks = [
         (off + s, off + t, off + k, [d_V], d_D),          # D x D
         # the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
@@ -627,6 +628,4 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     out = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
                                 field=f, name=name or ("T62(%s,%s)" % (Q.name, J.name)),
                                 is_lie_claimed=True)
-    T = Tits62Algebra(out, Q, J, q0_basis, q0_span, span)
-    T.matrices = mats
-    return T
+    return Tits62Algebra(out, Q, J, q0_basis, q0_span, span)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -53,6 +54,24 @@ def test_verify_json_reports_path(capsys):
     paths = {r["check"]: r.get("path") for r in json.loads(out)["results"]}
     for jname in ("h3:ground", "h3:binarion", "h3:quaternion", "h3:cayley", "jvtheta", "d2"):
         assert paths["Lie conditions for %s" % jname] == "int64"
+
+
+# md5 of the output of `magma-tits --format json verify <suite>` for the S4
+# suites: every check name, verdict, path and count, byte for byte.  When a
+# check name or a report field changes on purpose, regenerate each pin with
+#     magma-tits --format json verify <suite> | md5sum
+VERIFY_JSON_MD5 = {
+    "thm41": "fc4748bfd810410312de6f31542e11e9",
+    "thm61": "95ca67863cc1dba83db6e7e8c1998474",
+    "thm71": "e9801fd87a459396b13949e4bc22128e",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_JSON_MD5))
+def test_s4_suites_json_is_pinned(suite, capsys):
+    code, out = run(["--format", "json", "verify", suite], capsys)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == VERIFY_JSON_MD5[suite]
 
 
 def test_verify_thm41_single(capsys):

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from magma_tits.exact import Matrix, vec_eq, vec_is_zero
-from magma_tits.algebra import check_grading, is_automorphism, LinearMap
+from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
+from magma_tits.algebra import SuperAlgebra, check_grading, is_automorphism, LinearMap
+from magma_tits.structurable import AlgebraWithInvolution
 from magma_tits.composition import split_cayley, ground, binarion, s4_on_cayley
 from magma_tits.jordan import h3
 from magma_tits.tits import tits
 from magma_tits.registry import tits_by_name
 from magma_tits.s4 import (
-    GroupAction, klein_grading, coordinate_algebra, iota_maps,
+    GEN_NAMES, GroupAction, klein_grading, coordinate_algebra, iota_maps,
     s4_on_h3, s4_on_tits_left, s4_on_tits_right,
 )
 
@@ -111,12 +113,67 @@ def test_trivial_action_grading(C):
     assert kg.dims() == {(0, 0): 8, (1, 0): 0, (0, 1): 0, (1, 1): 0}
 
 
+def test_mismatched_fields_and_dimensions_are_named():
+    A3 = SuperAlgebra(["a", "b", "c"], {(0, 0): {0: 1}}, name="A3")
+    I, G = Matrix.identity(3), Matrix.identity(3, GF(7))
+    with pytest.raises(ValueError, match=r"over GF\(7\), the target has dimension 3 over QQ"):
+        GroupAction(A3, G, G, G, G).verify()
+    with pytest.raises(ValueError, match=r"generator matrices over QQ and GF\(7\)"):
+        GroupAction(A3, I, I, I, G).verify()
+    with pytest.raises(ValueError, match=r"involution matrix over GF\(7\), the algebra over QQ"):
+        AlgebraWithInvolution(A3, G).involution_failures()
+    with pytest.raises(ValueError, match="unknown generator 'foo'"):
+        GroupAction(A3, I, I, I, I).element("foo")
+    T = tits(split_cayley(), h3(ground()))
+    with pytest.raises(ValueError, match="base action has dimension 3 over QQ but C has "
+                                         "dimension 8"):
+        s4_on_tits_left(T, base_action=GroupAction(None, I, I, I, I))
+    # from_coo shares the validation
+    one = ((np.arange(3), np.arange(3)), [1, 1, 1], 1)
+    with pytest.raises(ValueError, match="an S4 action needs"):
+        GroupAction.from_coo(A3, {"tau1": one}, 3, QQ)
+    bad = {**dict.fromkeys(GEN_NAMES, one), "phi": (([0], [3]), [1], 1)}
+    with pytest.raises(ValueError, match=r"generator phi has an entry outside range\(3\)"):
+        GroupAction.from_coo(A3, bad, 3, QQ)
+    with pytest.raises(ValueError, match=r"over GF\(7\), the target has dimension 3 over QQ"):
+        GroupAction.from_coo(A3, dict.fromkeys(GEN_NAMES, one), 3, GF(7))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=str)
+def test_from_coo_stores_the_canonical_integers(F):
+    """Unsorted, repeated and cancelling entries over a common denominator
+    are summed, sorted row-major and put in lowest terms: the integers the
+    constructor lowers from the same Matrices."""
+    A3 = SuperAlgebra(["a", "b", "c"], {(0, 0): {0: 1}}, field=F, name="A3")
+    messy = (([2, 0, 1, 1, 0], [2, 0, 1, 1, 2]), [6, 6, 2, 4, 0], 6)
+    swap = (([1, 0, 2, 0], [0, 1, 2, 1]), [3, 3, 3, 0], 3)
+    act = GroupAction.from_coo(A3, {"tau1": messy, "tau2": messy, "phi": messy, "tau": swap},
+                               3, F)
+    I = Matrix.identity(3, F)
+    S = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], F)
+    want = GroupAction(A3, I, I, I, S)
+    for g in GEN_NAMES:
+        (R, C), V, D = act.lowered(g)
+        (Rw, Cw), Vw, Dw = want.lowered(g)
+        assert D == Dw and all(np.array_equal(x, y) for x, y in ((R, Rw), (C, Cw), (V, Vw)))
+        assert act[g] == want[g]
+    assert act.relation_failures() == [] and act.automorphism_failures() == ["tau"]
+
+
 def test_non_action_rejected(C):
     alg = C.algebra
     M = Matrix.identity(8)
     M[0, 1] = 1  # not an involution
     with pytest.raises(ValueError):
         klein_grading(GroupAction(alg, M, M, M, M))
+
+
+def test_basis_outside_the_component_rejected(Tk, left_action):
+    kg = klein_grading(left_action)
+    for key in ((0, 0), (0, 1), (1, 1)):
+        with pytest.raises(ValueError, match=r"not in the \(1,0\) component"):
+            coordinate_algebra(Tk.algebra, left_action,
+                               basis=theorem41_basis(Tk) + kg.components[key][:1])
 
 
 def test_coordinate_algebra_f4(Tk, ca_f4):

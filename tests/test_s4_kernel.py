@@ -10,19 +10,23 @@ sparse path must not fall back to dense Matrix arithmetic.
 """
 
 import importlib
+import pkgutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import magma_tits
+from magma_tits import int_fast
 from magma_tits.composition import (
     ground, invariant_quaternion, s4_on_invariant_quaternion, split_cayley,
 )
 from magma_tits.exact import GF, QQ, Matrix
-from magma_tits.isomorphisms import theorem41_basis
+from magma_tits.isomorphisms import ak_to_ajv, theorem41, theorem41_basis, theorem61, tqj_maps
 from magma_tits.jordan import h3
 from magma_tits.s4 import (
-    KLEIN_RELATIONS, RELATIONS, GroupAction, coordinate_algebra, klein_grading,
-    s4_on_tits_left, s4_on_tits_right,
+    GEN_NAMES, KLEIN_RELATIONS, RELATIONS, GroupAction, coordinate_algebra, iota_maps,
+    klein_grading, s4_on_tits_left, s4_on_tits_right,
 )
 from magma_tits.tits import tits
 
@@ -218,3 +222,95 @@ def test_s4_and_so3_layers_use_no_dense_products(f4_decomposition, monkeypatch):
     assert decompose_module.check_invariant_maps() == []
     g, triple = decompose_module.so_h_negative_control()
     assert decompose_module.decompose(g, triple).residual_dim == 7
+    # the theorem paths: InvolutionHomomorphism.verify, sigma^2 = id, iota_maps
+    J = h3(ground())
+    _T41, ca, _AJ, _hom = theorem41(J)
+    theorem61(split_cayley(), ground())
+    tqj_maps(J)
+    ak_to_ajv()
+    assert len(iota_maps(ca)) == 3
+
+
+def _same_coo(a, b):
+    """Equal lowered COO, array for array with equal dtypes, and equal D."""
+    (*ca, Va, Da), (*cb, Vb, Db) = ((*a[0], a[1], a[2]), (*b[0], b[1], b[2]))
+    return Da == Db and all(x.dtype == y.dtype and np.array_equal(x, y)
+                            for x, y in zip((*ca, Va), (*cb, Vb)))
+
+
+@pytest.mark.parametrize("F", FIELDS[:2] + [GF(2 ** 61 - 1)], ids=str)
+def test_stored_integers_are_the_lowered_matrices(F):
+    T, left, right, _basis = _setup("f4", F)
+    for act in (left, right):
+        for g in GEN_NAMES:
+            assert _same_coo(act.lowered(g), int_fast.rows_coo(act[g].rows, F)), (act.name, g)
+    for space in (T.derC, T.djj):
+        assert _same_coo(space.lowered, int_fast.matrices_coo(space.matrices, F))
+
+
+def test_synthesized_integers_are_the_lowered_matrices(f4_decomposition):
+    T, _left, _triple, rep = f4_decomposition
+    act = decompose_module.synthesize_s4(T.algebra, rep)
+    for g in GEN_NAMES:
+        assert _same_coo(act.lowered(g), int_fast.rows_coo(act[g].rows, QQ))
+
+
+def _patch_everywhere(monkeypatch, name, wrapper):
+    """Replace int_fast.<name> at every magma_tits module that binds it."""
+    real = getattr(int_fast, name)
+    for info in pkgutil.iter_modules(magma_tits.__path__):
+        module = importlib.import_module("magma_tits." + info.name)
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def test_s4_pipeline_scans_no_dense_generator(monkeypatch):
+    """The actions on T(C, J), their verification and the synthesized
+    action never lower a T.dim x T.dim Matrix but Psi and Psi^{-1}, never
+    lower a list of derivation matrices and never take the rank of a
+    T.dim-size Matrix: their generators and the derivation spaces keep
+    their integers."""
+    T, left, _right, basis = _setup("f4", QQ)
+    rep = decompose_module.decompose(T.algebra, _triple(T, left, basis))
+    ext = decompose_module.extract_b1(T.algebra, rep)
+    n = T.dim
+    square, lists, ranks = [], [], []
+    rows_coo, matrices_coo, rank = int_fast.rows_coo, int_fast.matrices_coo, Matrix.rank
+
+    def counted_rows(rows, field):
+        if len(rows) == n and all(len(r) == n for r in rows):
+            square.append(rows)
+        return rows_coo(rows, field)
+
+    def counted_mats(mats, field):
+        lists.append([M.nrows for M in mats])
+        return matrices_coo(mats, field)
+
+    def counted_rank(M):
+        ranks.append(M.nrows)
+        return rank(M)
+
+    _patch_everywhere(monkeypatch, "rows_coo", counted_rows)
+    _patch_everywhere(monkeypatch, "matrices_coo", counted_mats)
+    monkeypatch.setattr(Matrix, "rank", counted_rank)
+    actions = [s4_on_tits_left(T), s4_on_tits_right(T)]
+    assert all(act.verify() for act in actions)
+    assert square == [] and ranks == []
+    actions.append(decompose_module.synthesize_s4(T.algebra, rep, ext))
+    assert actions[-1].verify()
+    assert [id(rows) for rows in square] == [id(ext.psi.rows), id(ext.psi_inv.rows)]
+    assert n not in ranks
+    # only the 3 x 3 basis of gl(W) is lowered as a list, never der C or d_{J,J}
+    assert all(size == 3 for sizes in lists for size in sizes)
+    assert all("gens" not in act.__dict__ for act in actions)
+
+
+def test_s4_pipeline_leaves_the_table_rows_unbuilt():
+    """decompose, extract_b1 and synthesize_s4 read the lowered table only."""
+    T, left, _right, basis = _setup("f4", QQ)
+    triple = _triple(T, left, basis)
+    rep = decompose_module.decompose(T.algebra, triple)
+    ext = decompose_module.extract_b1(T.algebra, rep)
+    act = decompose_module.synthesize_s4(T.algebra, rep, ext)
+    assert act.verify()
+    assert "_rows" not in T.algebra.__dict__
