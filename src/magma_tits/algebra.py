@@ -291,22 +291,32 @@ class SuperAlgebra:
     # -- change of basis -------------------------------------------------
 
     def transported(self, U, new_labels=None, new_parity=None, name=None, U_inv=None):
-        """The same algebra in the basis given by the columns of U: the
-        products of all column pairs by int_fast.bilinear, their
-        coordinates U^{-1} by int_fast.matvec.  A caller that holds
-        U^{-1} already passes it as U_inv."""
+        """The same algebra in the basis given by the columns of the Matrix
+        U: transported_lowered of U and U^{-1}, each lowered once.  A caller
+        that holds U^{-1} already passes it as U_inv."""
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
+        f = self.field
+        return self.transported_lowered(
+            rows_coo(U.rows, f), rows_coo((U.inverse() if U_inv is None else U_inv).rows, f),
+            new_labels, new_parity, name)
+
+    def transported_lowered(self, U, U_inv, new_labels=None, new_parity=None, name=None):
+        """transported for U and U^{-1} given as lowered n x n matrices
+        ((rows, columns), integers, D), as int_fast.rows_coo gives them:
+        the products of all column pairs of U by int_fast.bilinear, their
+        coordinates U^{-1} by int_fast.matvec."""
         f, n = self.field, self.n
         p = f.p
-        cols = [U.column(j) for j in range(n)]
+        (R, C), Vx, Dx = U
         if new_parity is None:
-            new_parity = [self.parity_of_vector(c) for c in cols]
-            if None in new_parity:
+            odd = np.bincount(C, weights=np.asarray(self.parity)[R], minlength=n)
+            if np.any((odd > 0) & (odd < np.bincount(C, minlength=n))):
                 raise ValueError("new basis vector of mixed parity")
+            new_parity = [ODD if x else EVEN for x in odd.tolist()]
         T, Vt, Dt = self.coo
-        X, Vx, Dx = rows_coo(cols, f)
-        Ui, Vu, Du = rows_coo((U.inverse() if U_inv is None else U_inv).rows, f)
+        X = (C, R)                     # column j of U is vector j
+        Ui, Vu, Du = U_inv
         (i, j, k), sums, _path = bilinear((T, Vt), (X, Vx), (X, Vx), p)
         (ij, l), sums = matvec((Ui, Vu), ((i * n + j, k), sums), p)
         return SuperAlgebra.from_coo(new_labels or ["f%d" % i for i in range(n)],

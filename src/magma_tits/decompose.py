@@ -507,14 +507,20 @@ def decompose(g, triple, name=None):
 
 
 class B1Extraction:
-    """The equivariant identification Psi: (so3 x H) + (h x S) + d -> g."""
+    """The equivariant identification Psi: (so3 x H) + (h x S) + d -> g.
 
-    def __init__(self, g, report, data, psi, psi_inv, hvecs, svecs):
+    Psi and Psi^{-1} are kept both as Matrix objects and lowered once, as
+    int_fast.rows_coo gives them (psi_coo, psi_inv_coo), for the matvecs
+    of round_trip_matches and synthesize_s4."""
+
+    def __init__(self, g, report, data, psi, psi_inv, hvecs, svecs, psi_coo, psi_inv_coo):
         self.g = g
         self.report = report
         self.data = data
         self.psi = psi            # Matrix, columns in assemble_b1 order
         self.psi_inv = psi_inv
+        self.psi_coo = psi_coo
+        self.psi_inv_coo = psi_inv_coo
         self.hvecs = hvecs
         self.svecs = svecs
 
@@ -626,17 +632,25 @@ def extract_b1(g, report):
     unit_h = psi_inv.apply(triple[0])[0:3 * mh:3]
 
     table, Vt, Dt = g.coo
-    inv, Vi, Di = rows_coo(psi_inv.rows, f)
+    psi_coo, psi_inv_coo = rows_coo(psi.rows, f), rows_coo(psi_inv.rows, f)
+    (pr, pc), Vp, Dp = psi_coo
+    inv, Vi, Di = psi_inv_coo
+
+    def columns(A):
+        """The columns A of psi as the vectors 0, 1, ... of a batch, read
+        off psi_coo."""
+        number = np.full(n, -1, dtype=np.int64)
+        number[A] = np.arange(len(A))
+        sel = np.flatnonzero(number[pc] >= 0)
+        return (number[pc[sel]], pr[sel]), Vp[sel]
 
     def brackets(A, B):
         """psi^{-1} [cols[a], cols[b]] for a in A, b in B: one bilinear
         contraction of g's table and one matvec, as the COO (a, b, l) of
         the nonzero coordinates and their values."""
-        X, Vx, Dx = rows_coo([cols[a] for a in A], f)
-        Y, Vy, Dy = rows_coo([cols[b] for b in B], f)
-        (x, y, k), sums, _path = bilinear((table, Vt), (X, Vx), (Y, Vy), None)
+        (x, y, k), sums, _path = bilinear((table, Vt), columns(A), columns(B), None)
         (xy, l), sums = matvec((inv, Vi), ((x * len(B) + y, k), sums), p)
-        return (xy // len(B), xy % len(B), l), to_field(sums, Dt * Dx * Dy * Di, f)
+        return (xy // len(B), xy % len(B), l), to_field(sums, Dt * Dp * Dp * Di, f)
 
     half = f.of(1) / f.of(2)
     D0, D1 = [3 * j for j in range(mh)], [3 * j + 1 for j in range(mh)]
@@ -664,15 +678,16 @@ def extract_b1(g, report):
                   circ_HS=circ_HS, circ_SS=circ_SS, brk_SS=brk_SS,
                   d_HH=d_HH, d_SS=d_SS, act_dH=act_dH, act_dS=act_dS,
                   brk_dd=brk_dd)
-    return B1Extraction(g, report, data, psi, psi_inv, hvecs, svecs)
+    return B1Extraction(g, report, data, psi, psi_inv, hvecs, svecs, psi_coo, psi_inv_coo)
 
 
 def round_trip_matches(g, extraction):
     """assemble_b1 of the extracted data must equal g transported through
-    Psi (with the extraction's Psi^{-1}), structure constant by structure
-    constant: equal tables have equal canonical COO."""
+    Psi (with the extraction's lowered Psi and Psi^{-1}), structure constant
+    by structure constant: equal tables have equal canonical COO."""
     rebuilt = assemble_b1(extraction.data, name=g.name + "/b1")
-    transported = g.transported(extraction.psi, name=g.name + "/psi", U_inv=extraction.psi_inv)
+    transported = g.transported_lowered(extraction.psi_coo, extraction.psi_inv_coo,
+                                        name=g.name + "/psi")
     (a, Va, Da), (b, Vb, Db) = rebuilt.coo, transported.coo
     return Da == Db and all(np.array_equal(x, y) for x, y in zip((*a, Va), (*b, Vb)))
 
@@ -692,8 +707,8 @@ def synthesize_s4(g, report, extraction=None):
     _R3, _R5, rho = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
     n = g.n
-    psi, Vpsi, Dpsi = rows_coo(extraction.psi.rows, f)
-    (qr, qc), Vq, Dq = rows_coo(extraction.psi_inv.rows, f)
+    psi, Vpsi, Dpsi = extraction.psi_coo
+    (qr, qc), Vq, Dq = extraction.psi_inv_coo
     off, off_d = 3 * mh, 3 * mh + 5 * ms
     d = off_d + np.arange(md)
     gens = {}

@@ -25,10 +25,11 @@ from .exact import QQ, Matrix, Subspace, vec_zero
 from .algebra import _invertible, map_failures, outer_block
 from .int_fast import (compose, fold, fold_table, identity_coo, join, rows_coo, same_map,
                        to_field)
-from .composition import split_cayley, invariant_quaternion, s4_on_invariant_quaternion
+from .composition import s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
-from .jordan import h3, jordan_super_jvtheta, kaplansky
-from .tits import tits, tits62_variant
+from .jordan import jordan_super_jvtheta, kaplansky
+from .tits import tits62_variant
+from .registry import composition_for, h3_of, tits_of
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right
 
 
@@ -144,10 +145,12 @@ def phi_theorem41(ca, AJ, J):
 def theorem41(J, C=None, T=None):
     """Build everything for the first theorem and certify Phi.
 
+    Without T, C defaults to the split Cayley algebra and T to T(C, J),
+    both from the registry when J is a registry object (registry.tits_of).
     Returns (T, ca, AJ, hom); raises IsomorphismError on any failure.
     """
-    C = C or (T.C if T is not None else split_cayley(J.field))
-    T = T if T is not None else tits(C, J)
+    C = C or (T.C if T is not None else composition_for("cayley", J))
+    T = T if T is not None else tits_of(C, J)
     action = s4_on_tits_left(T)
     ca = coordinate_algebra(T.algebra, action, basis=theorem41_basis(T))
     AJ = a_of_j(J)
@@ -205,10 +208,12 @@ def phi_theorem61(ca, TP, T):
 def theorem61(C, Chat, T=None):
     """Build everything for the second theorem and certify Phi.
 
+    Without T, H3(C^) and T(C, H3(C^)) come from the registry when C and C^
+    are registry objects (registry.h3_of, registry.tits_of).
     Returns (T, ca, TP, hom).
     """
-    J = T.J if T is not None else h3(Chat)
-    T = T if T is not None else tits(C, J)
+    J = T.J if T is not None else h3_of(Chat)
+    T = T if T is not None else tits_of(C, J)
     action = s4_on_tits_right(T)
     ca = coordinate_algebra(T.algebra, action, basis=theorem61_basis(T))
     TP = tensor_product(C, Chat)
@@ -249,12 +254,14 @@ def tqj_maps(J):
     """The quaternionic coordinate algebra is J itself, and T(Q,J) is the
     trace-free variant (Q0 x J) + d_{J,J}.
 
+    Q and T(Q, J) come from the registry when J is a registry object
+    (registry.composition_for, registry.tits_of).
     Returns (hom_J_to_AJ, hom_ca_to_J, lie_iso_matrix, TQ, T62); all maps
     verified, IsomorphismError on failure.
     """
     f = J.field
-    Q = invariant_quaternion(f)
-    TQ = tits(Q, J)
+    Q = composition_for("quatq", J)
+    TQ = tits_of(Q, J)
     action = s4_on_tits_left(TQ, base_action=s4_on_invariant_quaternion(Q))
     qalg = Q.algebra
     basis = [TQ.der_vector(qalg.e("p1"), qalg.e("p2"))]

@@ -14,7 +14,8 @@ cross product
 
 The inner derivations d_{x,y} = [L_x, L_y] (graded commutator) of a list
 of vectors are one batch, tits.inner_derivation_pairs; d_{J,J} is the
-algebra.DerivationSpace they span (tits.inner_derivation_space), and
+algebra.DerivationSpace they span over the J0 basis (JordanAlgebra.djj,
+built once per J, as der C is once per C), and
 JordanAlgebra.inner_derivation is one pair of such a batch.
 
 Supercommutativity (algebra.transpose_failures), the linearized Jordan
@@ -50,6 +51,7 @@ class JordanAlgebra:
         self.source = source                # the coordinate composition algebra for h3
         self._index_maps = index_maps or {}
         self._j0 = None
+        self._djj = None
 
     @property
     def name(self):
@@ -71,6 +73,13 @@ class JordanAlgebra:
         if self._j0 is None:
             self._j0 = Matrix([self.trace_row], self.field).kernel_basis()
         return self._j0
+
+    def djj(self):
+        """d_{J,J}: the tits.inner_derivation_space of the J0 basis, built
+        once per J and shared by every T(C, J)."""
+        if self._djj is None:
+            self._djj = inner_derivation_space(self, self.j0_basis())
+        return self._djj
 
     def star(self, x, y):
         """x*y = xy - t(xy) 1 on trace-zero arguments."""
@@ -406,7 +415,7 @@ def h3_derivation_grading(J):
     alg = J.algebra
     f = J.field
     n = alg.n
-    span = inner_derivation_space(J, J.j0_basis()).span
+    span = J.djj().span
     # {d : d(e_i) = 0}: inside the span, solve for combinations killing the e_i
     rows = []
     for vec in span.basis:

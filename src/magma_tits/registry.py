@@ -5,6 +5,20 @@ Jordan: h3:<comp>, jvtheta, d2, dt:<num>/<den>, kaplansky.
 With involution: aj:<jordan>, tensor:<comp>:<comp>, ak.
 Lie algebras: tits:<comp>:<jordan>, t62:<jordan>, glw, so:<dimU>, sl:<dimU>,
 sp:<dimU>.
+
+`_CACHE` is the only process-wide cache of the package, keyed by name and
+field.  What is shared below it lives on the objects themselves: der C on
+its composition algebra (composition.derivation_algebra), the J0 basis and
+d_{J,J} on its Jordan algebra (JordanAlgebra.j0_basis, JordanAlgebra.djj),
+so every T(C, J) built from the same C and J shares them.  A T(C, J) is
+never kept on C or J: only `_CACHE` holds one.
+
+The theorems' default inputs come from here too (composition_for, h3_of,
+tits_of): when their arguments are objects this registry holds, matched by
+identity against `_CACHE`, never by name, they get the registry's C, Q,
+H3(C^) and T(C, J); otherwise these are built fresh and `_CACHE` is left as
+it is.  So a fresh or corrupted algebra that carries a registry algebra's
+name never gets that algebra's T or d_{J,J}.
 """
 
 from fractions import Fraction
@@ -29,20 +43,29 @@ def _cached(name, field, builder):
     return _CACHE[key]
 
 
-COMPOSITION_NAMES = ("cayley", "quaternion", "binarion", "ground", "quatq")
+def _held(obj, prefix):
+    """(name, field key) under which `_CACHE` holds obj itself, the prefix
+    stripped, or None: an identity match, never a name match."""
+    for (name, key), value in _CACHE.items():
+        if value is obj and name.startswith(prefix):
+            return name[len(prefix):], key
+    return None
+
+
+_COMPOSITIONS = {
+    "cayley": composition.split_cayley,
+    "quaternion": composition.split_quaternion,
+    "binarion": composition.binarion,
+    "ground": composition.ground,
+    "quatq": composition.invariant_quaternion,
+}
+COMPOSITION_NAMES = tuple(_COMPOSITIONS)
 
 
 def composition_by_name(name, field=QQ):
-    builders = {
-        "cayley": composition.split_cayley,
-        "quaternion": composition.split_quaternion,
-        "binarion": composition.binarion,
-        "ground": composition.ground,
-        "quatq": composition.invariant_quaternion,
-    }
-    if name not in builders:
+    if name not in _COMPOSITIONS:
         raise KeyError("unknown composition algebra %r" % name)
-    return _cached("comp:" + name, field, lambda: builders[name](field))
+    return _cached("comp:" + name, field, lambda: _COMPOSITIONS[name](field))
 
 
 def jordan_by_name(name, field=QQ):
@@ -67,6 +90,32 @@ def tits_by_name(comp_name, jordan_name, field=QQ):
         return build_tits(C, J)
 
     return _cached("tits:%s:%s" % (comp_name, jordan_name), field, build)
+
+
+def composition_for(name, J):
+    """The composition algebra `name` over the field of the Jordan algebra
+    J: the registry's when `_CACHE` holds J, else built fresh."""
+    if _held(J, "jordan:") is None:
+        return _COMPOSITIONS[name](J.field)
+    return composition_by_name(name, J.field)
+
+
+def h3_of(Chat):
+    """H3(C^): the registry's when `_CACHE` holds the composition algebra
+    C^, else built fresh."""
+    held = _held(Chat, "comp:")
+    if held is None:
+        return jordan.h3(Chat)
+    return jordan_by_name("h3:" + held[0], Chat.field)
+
+
+def tits_of(C, J):
+    """T(C, J): the registry's when `_CACHE` holds both C and J over one
+    field, else built fresh (and not cached)."""
+    c, j = _held(C, "comp:"), _held(J, "jordan:")
+    if c is None or j is None or c[1] != j[1]:
+        return build_tits(C, J)
+    return tits_by_name(c[0], j[0], C.field)
 
 
 def involution_algebra_by_name(name, field=QQ):

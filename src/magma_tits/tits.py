@@ -9,8 +9,9 @@ Bracket rules, for D in der C, d in d_{J,J}, a, b in C0, x, y in J0:
 
 Basis order: der C basis, then a_i x x_j in lexicographic (i, j), then the
 d_{J,J} basis.  der C (composition.derivation_algebra, over C basis pairs)
-and d_{J,J} (inner_derivation_space, over J0 basis pairs) are both an
-algebra.DerivationSpace: the span of the inner derivations on the pairs,
+and d_{J,J} (JordanAlgebra.djj: inner_derivation_space over J0 basis
+pairs) are both an algebra.DerivationSpace, kept on C and on J so that
+every T(C, J) shares them: the span of the inner derivations on the pairs,
 fed in lexicographic order (first independent subset kept), with its
 bracket computed once.  The d_{x,y} of all pairs are one contraction
 (inner_derivation_pairs: the graded commutators of the L_x).
@@ -298,7 +299,7 @@ def tits(C, J, name=None):
     c0_span = Subspace.from_vectors(c0_basis, C.dim, f) if c0_basis else Subspace(C.dim, f)
     j0_basis = J.j0_basis()
     j0_span = Subspace.from_vectors(j0_basis, J.dim, f) if j0_basis else Subspace(J.dim, f)
-    djj = inner_derivation_space(J, j0_basis)
+    djj = J.djj()
     tb = _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
 
     m = derC.dim

@@ -56,6 +56,28 @@ def test_verify_json_reports_path(capsys):
         assert paths["Lie conditions for %s" % jname] == "int64"
 
 
+def test_verify_all_builds_each_derivation_space_once(monkeypatch, capsys):
+    # der C once per C and d_{J,J} once per J, shared by every T(C, J):
+    # 5 composition algebras (csplit's own split Cayley algebra among them)
+    # and 6 Jordan algebras
+    from magma_tits import algebra, registry
+    from magma_tits.tits import TitsAlgebra
+    spaces = []
+    init = algebra.DerivationSpace.__init__
+
+    def counting(self, *args):
+        spaces.append(self)
+        init(self, *args)
+    monkeypatch.setattr(registry, "_CACHE", {})
+    monkeypatch.setattr(algebra.DerivationSpace, "__init__", counting)
+    code, _out = run(["--format", "json", "verify", "all"], capsys)
+    assert code == 0
+    assert len(spaces) == 11
+    Ts = [T for T in registry._CACHE.values() if isinstance(T, TitsAlgebra)]
+    assert len(Ts) == 18
+    assert all(T.djj is T.J.djj() and T.derC in spaces for T in Ts)
+
+
 # md5 of the output of `magma-tits --format json verify <suite>` for the S4
 # suites: every check name, verdict, path and count, byte for byte.  When a
 # check name or a report field changes on purpose, regenerate each pin with
@@ -87,7 +109,7 @@ def test_verify_thm61_single(capsys):
 def test_verify_builds_each_tits_algebra_once(monkeypatch, capsys):
     # thm41 and thm61 share T(cayley, h3:*): one process builds each (C, J)
     # once, and every structure-constant table is lowered at most once
-    from magma_tits import int_fast, isomorphisms, registry
+    from magma_tits import int_fast, registry
     counts = Counter()
     lowered, tables = Counter(), []
     table_coo = int_fast.table_coo
@@ -105,7 +127,6 @@ def test_verify_builds_each_tits_algebra_once(monkeypatch, capsys):
 
     monkeypatch.setattr(registry, "_CACHE", {})
     monkeypatch.setattr(registry, "build_tits", counting(registry.build_tits))
-    monkeypatch.setattr(isomorphisms, "tits", counting(isomorphisms.tits))
     for name, module in list(sys.modules.items()):
         if name.startswith("magma_tits.") and hasattr(module, "table_coo"):
             monkeypatch.setattr(module, "table_coo", lowering)

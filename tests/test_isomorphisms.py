@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import Matrix, vec_eq, vec_is_zero
+from magma_tits import registry
+from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import check_super_jacobi
 from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
 from magma_tits.jordan import h3, jordan_super_jvtheta, d2, JordanAlgebra
@@ -11,10 +12,11 @@ from magma_tits.isomorphisms import (
     IsomorphismError, InvolutionHomomorphism, theorem41, theorem61, tqj_maps,
     ak_to_ajv, phi_theorem41, theorem41_basis,
 )
-from magma_tits.tits import tits
+from magma_tits.tits import tits, verify_lie_conditions
 from magma_tits.s4 import coordinate_algebra, s4_on_tits_left
 
 from reference_construction import conj_ambient
+from test_tits import corrupted_h3k
 
 
 def test_theorem41_h3k():
@@ -203,3 +205,76 @@ def test_composite_t10_jv_to_ak():
     comp = homk.matrix.inverse() @ hom41.matrix
     AK = homk.source
     InvolutionHomomorphism(ca.awi, AK, comp, name="T10->AK").verify()
+
+
+def _count_builds(monkeypatch):
+    """An empty registry, and a list that records the (C, J) of every T
+    built through it or fresh."""
+    builds = []
+    build = registry.build_tits
+
+    def counting(C, J, *args):
+        builds.append((C, J))
+        return build(C, J, *args)
+    monkeypatch.setattr(registry, "_CACHE", {})
+    monkeypatch.setattr(registry, "build_tits", counting)
+    return builds
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007)], ids=str)
+def test_theorems_take_registry_constructions(monkeypatch, F):
+    """On registry inputs the theorems read C, Q, H3(C^) and T(C, J) off the
+    registry: a T the registry holds is never built again."""
+    builds = _count_builds(monkeypatch)
+    J = registry.jordan_by_name("h3:ground", F)
+    cayley, k = (registry.composition_by_name(c, F) for c in ("cayley", "ground"))
+    T = registry.tits_by_name("cayley", "h3:ground", F)
+    TQ = registry.tits_by_name("quatq", "h3:ground", F)
+    assert len(builds) == 2
+    assert theorem41(J)[0] is T
+    assert theorem61(cayley, k)[0] is T
+    assert tqj_maps(J)[3] is TQ
+    assert len(builds) == 2
+    # a registry input with no T held yet builds it once, into the registry
+    theorem61(registry.composition_by_name("binarion", F), k)
+    T2 = theorem61(registry.composition_by_name("binarion", F), k)[0]
+    assert len(builds) == 3 and T2 is registry.tits_by_name("binarion", "h3:ground", F)
+    assert T2.J is J and T2.djj is J.djj()
+
+
+def test_theorems_on_fresh_inputs_leave_the_registry_alone(monkeypatch):
+    """Fresh inputs get fresh constructions, even where the registry holds
+    algebras of the same names, and the registry is left as it was."""
+    builds = _count_builds(monkeypatch)
+    T = registry.tits_by_name("cayley", "h3:ground")
+    TQ = registry.tits_by_name("quatq", "h3:ground")
+    held = dict(registry._CACHE)
+    J = h3(ground())
+    assert J.name == T.J.name
+    T41 = theorem41(J)[0]
+    T61 = theorem61(split_cayley(), ground())[0]
+    TQ2 = tqj_maps(J)[3]
+    assert len(builds) == 2 + 3
+    assert not {id(x) for x in (T41, T61, TQ2)} & {id(T), id(TQ)}
+    assert T41.djj is J.djj() is TQ2.djj and T41.djj is not T.djj
+    assert registry._CACHE.keys() == held.keys()
+    assert all(registry._CACHE[key] is value for key, value in held.items())
+
+
+def test_registry_name_alone_shares_nothing(monkeypatch):
+    """A corrupted H3(k) that carries the registry H3(k)'s name gets its own
+    T and d_{J,J}, and the Lie conditions still fail on it with a witness."""
+    _count_builds(monkeypatch)
+    T = registry.tits_by_name("cayley", "h3:ground")
+    Jbad = corrupted_h3k()
+    Jbad.algebra.name = T.J.name
+    held = dict(registry._CACHE)
+    Tbad = theorem41(Jbad)[0]
+    assert Tbad is not T and Tbad.J is Jbad
+    assert Tbad.djj is Jbad.djj() and Tbad.djj is not T.djj
+    assert Tbad.algebra.name == T.algebra.name
+    assert all(registry._CACHE[key] is value for key, value in held.items())
+    rep = verify_lie_conditions(Tbad.C, Jbad, T=Tbad)
+    assert not rep.ok and rep.witnesses
+    assert not check_super_jacobi(Tbad.algebra).ok
+    assert verify_lie_conditions(T.C, T.J, T=T).ok

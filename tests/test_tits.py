@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -221,6 +223,21 @@ def test_super_dimensions(C):
 def test_super_jacobi_g3_f4(C):
     assert check_super_jacobi(tits(C, jordan_super_jvtheta()).algebra).ok
     assert check_super_jacobi(tits(C, d2()).algebra).ok
+
+
+def test_djj_is_built_once_per_jordan_algebra(C):
+    """Every T(C, J) over one J shares J's d_{J,J}, and nothing on J keeps
+    a T: a T is freed by reference counting alone, with no J <-> T cycle."""
+    J = h3(binarion())
+    T1, T2 = tits(C, J), tits(ground(), J)
+    assert T1.djj is T2.djj is J.djj()
+    assert T1.derC is not T2.derC
+    gc.disable()
+    try:
+        ref = weakref.ref(tits(C, J))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_tits_requires_trace(C):
