@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, flatten_matrix, vec_zero
+from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, vec_zero
 from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
                        joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
@@ -140,14 +140,6 @@ class DerivationSpace:
         """commutator_table of the kept matrices in the span's coordinates:
         ((s, t, k), integers, denominator, pairs outside the span)."""
         return commutator_table(self.lowered, self.dim, self.n, self.span, self.parities)
-
-    def coords_matrix(self, M, check=True):
-        """Coordinates of the n x n Matrix M; ValueError if check and M is
-        outside the span."""
-        c = self.span.coords(flatten_matrix(M), check=check)
-        if c is None:
-            raise ValueError("matrix is not in the span of the inner derivations")
-        return c
 
 
 class SuperAlgebra:
@@ -579,53 +571,63 @@ def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
                                 max_witnesses)
 
 
-def lowered_map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
+def lowered_map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None,
+                         copies=1):
     """map_failures of the map M given lowered, ((rows, columns),
     integers, D) as int_fast.rows_coo gives its tgt.n x src.n matrix.
+    With copies = k, M is block diagonal on k copies of src and of tgt
+    (copy g at rows g tgt.n and columns g src.n, as GroupAction.stacked),
+    and so are the pairs (i, j): i // src.n is the copy.
 
     One sparse exact contraction: the COO tables of src, tgt and M are
-    joined on their shared indices, keys (i, j, k) are packed into one
-    int64 and int_fast.fold_blocks sums the terms.  Every term takes k from
-    the right-hand row of its join (an entry of M, or a row of tgt's
-    table), so a contraction past fold_blocks' term budget folds one block
-    of k at a time and keeps the first max_witnesses failing pairs of each.
-    Over QQ the terms are scaled to one denominator (D_m D_t on M(b_i b_j)
-    and D_s on M(b_i) M(b_j); D_t and D_s for a derivation); over GF(p)
-    they are residues and the sums are reduced mod p.
+    joined on their shared indices, the copy riding along with the entries
+    of M, keys (i, j, k) are packed into one int64 and int_fast.fold_blocks
+    sums the terms.  Every term takes k, up to its copy, from the
+    right-hand row of its join (an entry of M, or a row of tgt's table), so
+    a contraction past fold_blocks' term budget folds one block of k at a
+    time and keeps the first max_witnesses failing pairs of each.  Over QQ
+    the terms are scaled to one denominator (D_m D_t on M(b_i b_j) and D_s
+    on M(b_i) M(b_j); D_t and D_s for a derivation); over GF(p) they are
+    residues and the sums are reduced mod p.
     """
-    field, n, nt = src.field, src.n, tgt.n
+    field, ns, nt = src.field, src.n, tgt.n
+    n, nk = copies * ns, copies * nt
     (I, J, K), Vs, Ds = src.coo
     (It, Jt, Kt), Vt, Dt = tgt.coo
     (R, C), Vm, Dm = M
+    r, gs, gt = R % nt, C // ns * ns, R // nt * nt     # local row, copy offsets
 
     def key(i, j, k):
-        return (i * n + j) * nt + k
+        return (i * n + j) * nk + k
 
     # M(b_i b_j) = sum_k c^k_ij M(b_k)
-    groups = [joined(K, C, R, lambda a, b: [
-        (key(I[a], J[a], R[b]), [Vs[a], Vm[b], Dt if derivation else Dm * Dt])])]
+    groups = [joined(K, C % ns, r, lambda a, b: [
+        (key(gs[b] + I[a], gs[b] + J[a], R[b]), [Vs[a], Vm[b], Dt if derivation else Dm * Dt])])]
     if derivation:
         # M(b_i) b_j = sum_p M_pi c^k_pj and b_i M(b_j) = sum_q M_qj c^k_iq
         odd_i = np.array(tgt.parity, dtype=bool) & bool(odd)
         groups += [
-            joined(R, It, Kt, lambda b, a: [(key(C[b], Jt[a], Kt[a]), [Vm[b], Vt[a], -Ds])]),
-            joined(R, Jt, Kt, lambda b, a: [
-                (key(It[a], C[b], Kt[a]), [Vm[b], Vt[a], np.where(odd_i[It[a]], 1, -1), Ds])])]
+            joined(r, It, Kt, lambda b, a: [
+                (key(C[b], gt[b] + Jt[a], gt[b] + Kt[a]), [Vm[b], Vt[a], -Ds])]),
+            joined(r, Jt, Kt, lambda b, a: [
+                (key(gt[b] + It[a], C[b], gt[b] + Kt[a]),
+                 [Vm[b], Vt[a], np.where(odd_i[It[a]], 1, -1), Ds])])]
     else:
         # M(b_i) M(b_j) = sum_{p,q} M_pi M_qj c^k_pq: a row of tgt's table
-        # joins the entries of M in its row p, then those in its row q
-        cnt = np.bincount(R, minlength=nt)
+        # joins the entries of M in its row p, then those of the same copy
+        # in its row q
+        cnt = np.bincount(R, minlength=nk).reshape(copies, nt)
 
         def both(rows):
             rows = np.arange(len(It)) if rows is None else rows
-            b, a = join(R, It[rows])
+            b, a = join(r, It[rows])
             a = rows[a]
-            c, t = join(R, Jt[a])
+            c, t = join(R, gt[b] + Jt[a])
             a, b = a[t], b[t]
-            return [(key(C[b], C[c], Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds])]
-        groups.append((Kt, cnt[It] * cnt[Jt], both))
-    keys, _sums, _path = fold_blocks(groups, step=nt, first=max_witnesses, p=field.p)
-    return [(ij // n, ij % n) for ij in distinct(keys // nt)[:max_witnesses].tolist()]
+            return [(key(C[b], C[c], gt[b] + Kt[a]), [Vm[b], Vm[c], Vt[a], -Ds])]
+        groups.append((Kt, (cnt[:, It] * cnt[:, Jt]).sum(axis=0), both))
+    keys, _sums, _path = fold_blocks(groups, step=nk, first=max_witnesses, p=field.p)
+    return [(ij // n, ij % n) for ij in distinct(keys // nk)[:max_witnesses].tolist()]
 
 
 def is_automorphism(A, f):

@@ -181,27 +181,33 @@ def invariant_quaternion(field=QQ):
     return CompositionAlgebra(alg, N, unit, "quatQ")
 
 
+def _signed_permutations(alg, images, name):
+    """The GroupAction whose generator GEN_NAMES[k] sends each basis element
+    b to coef times the basis element tgt, for images[k] = {b: (tgt,
+    coef)} by label: one block of the integers for all four."""
+    n, idx = alg.n, alg.index
+    entries = [(k * n + idx(tgt), k * n + idx(b), coef)
+               for k, gen in enumerate(images) for b, (tgt, coef) in gen.items()]
+    R, C, V = (np.array(a, dtype=np.int64) for a in zip(*entries))
+    return GroupAction.from_blocks(alg, [(R, C, [V], 1)], n, alg.field, name=name)
+
+
 def s4_on_invariant_quaternion(Q):
-    """S4 on span{1, p0, p1, p2}: the restriction of the Cayley action
-    (p_i = u_i + v_i transforms exactly like the 3-dimensional
+    """The S4 action on span{1, p0, p1, p2}: the restriction of the Cayley
+    action (p_i = u_i + v_i transforms exactly like the 3-dimensional
     standard-times-alternating representation)."""
     if Q.name != "quatQ":
         raise ValueError("expected the invariant quaternion algebra")
-    alg = Q.algebra
-    f = Q.field
 
     def act(images):
-        cols = [Q.unit]
-        for i in range(3):
-            tgt, coef = images[i]
-            cols.append([f.of(coef) * x for x in alg.e("p%d" % tgt)])
-        return Matrix.from_columns(cols, f)
-
-    tau1 = act({0: (0, 1), 1: (1, -1), 2: (2, -1)})
-    tau2 = act({0: (0, -1), 1: (1, 1), 2: (2, -1)})
-    phi = act({0: (1, 1), 1: (2, 1), 2: (0, 1)})
-    tau = act({0: (0, -1), 1: (2, -1), 2: (1, -1)})
-    return GroupAction(alg, tau1, tau2, phi, tau, name="S4 on Q")
+        return {"1": ("1", 1), **{"p%d" % i: ("p%d" % tgt, coef)
+                                  for i, (tgt, coef) in images.items()}}
+    return _signed_permutations(Q.algebra, [
+        act({0: (0, 1), 1: (1, -1), 2: (2, -1)}),       # tau1
+        act({0: (0, -1), 1: (1, 1), 2: (2, -1)}),       # tau2
+        act({0: (1, 1), 1: (2, 1), 2: (0, 1)}),         # phi
+        act({0: (0, -1), 1: (2, -1), 2: (1, -1)})],     # tau
+        "S4 on Q")
 
 
 def associator(C, a, b, c):
@@ -276,30 +282,20 @@ def s4_on_cayley(C):
     """The S4 embedding into Aut(split Cayley) on the distinguished basis."""
     if not C.has_cayley_labels or C.dim != 8:
         raise ValueError("s4_on_cayley needs the split Cayley algebra")
-    alg = C.algebra
-    f = C.field
-
-    def act(images):
-        cols = []
-        for lbl in alg.basis:
-            tgt, coef = images[lbl]
-            v = [f.of(coef) * x for x in alg.e(tgt)]
-            cols.append(v)
-        return Matrix.from_columns(cols, f)
-
     fixed = {"e1": ("e1", 1), "e2": ("e2", 1)}
-    tau1 = act({**fixed,
-                "u0": ("u0", 1), "v0": ("v0", 1),
-                "u1": ("u1", -1), "v1": ("v1", -1),
-                "u2": ("u2", -1), "v2": ("v2", -1)})
-    tau2 = act({**fixed,
-                "u0": ("u0", -1), "v0": ("v0", -1),
-                "u1": ("u1", 1), "v1": ("v1", 1),
-                "u2": ("u2", -1), "v2": ("v2", -1)})
-    phi = act({**fixed,
-               "u0": ("u1", 1), "u1": ("u2", 1), "u2": ("u0", 1),
-               "v0": ("v1", 1), "v1": ("v2", 1), "v2": ("v0", 1)})
-    tau = act({**fixed,
-               "u0": ("u0", -1), "u1": ("u2", -1), "u2": ("u1", -1),
-               "v0": ("v0", -1), "v1": ("v2", -1), "v2": ("v1", -1)})
-    return GroupAction(alg, tau1, tau2, phi, tau, name="S4 on C")
+    return _signed_permutations(C.algebra, [
+        {**fixed,                                               # tau1
+         "u0": ("u0", 1), "v0": ("v0", 1),
+         "u1": ("u1", -1), "v1": ("v1", -1),
+         "u2": ("u2", -1), "v2": ("v2", -1)},
+        {**fixed,                                               # tau2
+         "u0": ("u0", -1), "v0": ("v0", -1),
+         "u1": ("u1", 1), "v1": ("v1", 1),
+         "u2": ("u2", -1), "v2": ("v2", -1)},
+        {**fixed,                                               # phi
+         "u0": ("u1", 1), "u1": ("u2", 1), "u2": ("u0", 1),
+         "v0": ("v1", 1), "v1": ("v2", 1), "v2": ("v0", 1)},
+        {**fixed,                                               # tau
+         "u0": ("u0", -1), "u1": ("u2", -1), "u2": ("u1", -1),
+         "v0": ("v0", -1), "v1": ("v2", -1), "v2": ("v1", -1)}],
+        "S4 on C")

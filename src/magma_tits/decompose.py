@@ -43,7 +43,7 @@ from .exact import QQ, Matrix, Subspace, basis_vector, flatten_matrix
 from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, lowered_map_failures,
                       map_failures, outer_block, tensor_action, transpose_failures)
 from .int_fast import (bilinear, fold, fold_table, join, lower, matrices_coo, matvec, outer,
-                       rows_coo, table_coo, to_field)
+                       rows_coo, table_coo, tile, to_field)
 from .s4 import GEN_NAMES, GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
@@ -201,11 +201,12 @@ def _ad_so3(gl):
 
 
 def _conjugations(field):
-    """{g: rho(g)}: X -> P X P^{-1} on gl(W) in the basis GL_W for each
-    generator P of s4_on_w, lowered, one s4.conjugation_block each."""
+    """rho(g): X -> P X P^{-1} on gl(W) in the basis GL_W for the
+    generators P of s4_on_w, as a GroupAction on gl(W) from one
+    s4.conjugation_block."""
     mats, span = _gl_w_basis(field)
-    w, lowered = s4_on_w(field), matrices_coo(mats, field)
-    return {g: conjugation_block(span, lowered, w, g, "gl(W)") for g in GEN_NAMES}
+    (R, C), V, D = conjugation_block(span, matrices_coo(mats, field), s4_on_w(field), "gl(W)")
+    return GroupAction.from_blocks(None, [(R, C, [V], D)], span.dim, field, name="S4 on gl(W)")
 
 
 def check_invariant_maps(field=QQ):
@@ -215,15 +216,17 @@ def check_invariant_maps(field=QQ):
     endomorphism of A_mu (algebra.map_failures).  Returns the failing
     (name, reason) pairs in the order of INVARIANT_MAPS."""
     gl = gl_w(field)
-    ads, rhos = _ad_so3(gl), _conjugations(field)
+    ads, rho = _ad_so3(gl), _conjugations(field).stacked
     failures = []
     for (name, _s1, _s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl)):
         if any(k not in PARTS[dst] for row in A.sc.values() for k in row):
             failures.append((name, "image outside target"))
         if any(map_failures(A, A, ad, derivation=True, max_witnesses=1) for ad in ads):
             failures.append((name, "not so3-equivariant"))
-        failures += [(name, "not S4-equivariant under " + g) for g, rho in rhos.items()
-                     if lowered_map_failures(A, A, rho, max_witnesses=1)]
+        # the four conjugations at once, the generator carried by the copy
+        bad = {i // A.n for i, _j in lowered_map_failures(A, A, rho, copies=4)}
+        failures += [(name, "not S4-equivariant under " + g)
+                     for k, g in enumerate(GEN_NAMES) if k in bad]
     return failures
 
 
@@ -307,8 +310,8 @@ class B1Data:
 @cache
 def _so3_h(field):
     """ad(D_i) on so3 and on h as coordinate matrices (R3, R5) and the
-    conjugations by the S4 generators on both ({g: (rho3, rho5)}, lowered):
-    the so3 and h blocks of _ad_so3 of gl_w and of _conjugations.  Built
+    conjugations by the S4 generators on gl(W), stacked (the `stacked` map
+    of _conjugations), whose so3 and h blocks act on those parts.  Built
     once per field and shared: callers only read them."""
     parts = (PARTS["so3"], PARTS["h"])
 
@@ -316,13 +319,8 @@ def _so3_h(field):
         return tuple(Matrix([row[p.start:p.stop] for row in M.rows[p.start:p.stop]], field)
                      for p in parts)
 
-    def lowered_blocks(rho):
-        (R, C), V, D = rho
-        sel = [np.flatnonzero(np.isin(R, p) & np.isin(C, p)) for p in parts]
-        return tuple(((R[e] - p.start, C[e] - p.start), V[e], D) for p, e in zip(parts, sel))
-
     R3, R5 = zip(*map(blocks, _ad_so3(gl_w(field))))
-    return R3, R5, {g: lowered_blocks(rho) for g, rho in _conjugations(field).items()}
+    return R3, R5, _conjugations(field).stacked
 
 
 def assemble_b1(data, name="b1"):
@@ -696,10 +694,11 @@ def synthesize_s4(g, report, extraction=None):
     """The S4 action by conjugation on the so3 and h tensor factors,
     trivial on the centralizer, transported to g through Psi.
 
-    The conjugations rho on so3 and h are blocks of those on gl(W)
-    (_so3_h); each generator Psi B Psi^{-1}, B block diagonal with copies
-    of rho, is two matvecs pushing the columns of Psi^{-1} through B and
-    then Psi."""
+    The conjugations rho on so3 and h are blocks of the stacked ones on
+    gl(W) (_so3_h); the generators Psi B Psi^{-1}, B block diagonal with
+    copies of rho, are stacked on four copies of g: one fold_table of the
+    four B, then two matvecs pushing the columns of four copies of
+    Psi^{-1} through them and then through four copies of Psi."""
     if extraction is None:
         extraction = extract_b1(g, report)
     f = g.field
@@ -707,20 +706,25 @@ def synthesize_s4(g, report, extraction=None):
     _R3, _R5, rho = _so3_h(f)
     mh, ms, md = extraction.data.hdim, extraction.data.sdim, extraction.data.ddim
     n = g.n
-    psi, Vpsi, Dpsi = extraction.psi_coo
+    (pr, pc), Vpsi, Dpsi = extraction.psi_coo
     (qr, qc), Vq, Dq = extraction.psi_inv_coo
     off, off_d = 3 * mh, 3 * mh + 5 * ms
     d = off_d + np.arange(md)
-    gens = {}
-    for name, (rho3, rho5) in rho.items():
-        blocks = [(d, d, [np.ones(md, dtype=np.int64)], 1)]
-        for ((r, c), V, D), width, start, copies in ((rho3, 3, 0, mh), (rho5, 5, off, ms)):
-            x, j = outer(len(V), copies)
-            blocks.append((start + width * j + r[x], start + width * j + c[x], [V[x]], D))
-        B, Vb, Db = fold_table(blocks, n, p)
-        (cols, rows), sums = matvec((psi, Vpsi), matvec((B, Vb), ((qc, qr), Vq), p), p)
-        gens[name] = (rows, cols), sums, Dpsi * Db * Dq
-    return GroupAction.from_coo(g, gens, n, f, name="S4 on %s (synthesized)" % g.name)
+    # identity on the centralizer; copies of the so3 and h blocks of rho
+    (dr, dc), ones = tile((d, d), (n, n), np.ones(md, dtype=np.int64), 4)
+    blocks = [(dr, dc, [ones], 1)]
+    (R, C), V, D = rho
+    k, r, c = R // len(GL_W), R % len(GL_W), C % len(GL_W)
+    for part, width, start, count in ((PARTS["so3"], 3, 0, mh), (PARTS["h"], 5, off, ms)):
+        e = np.flatnonzero(np.isin(r, part) & np.isin(c, part))
+        x, j = outer(len(e), count)
+        e, at = e[x], start + width * j - part.start
+        blocks.append((k[e] * n + at + r[e], k[e] * n + at + c[e], [V[e]], D))
+    B, Vb, Db = fold_table(blocks, 4 * n, p)
+    Q = tile((qc, qr), (n, n), Vq, 4)
+    (cols, rows), sums = matvec(tile((pr, pc), (n, n), Vpsi, 4), matvec((B, Vb), Q, p), p)
+    return GroupAction.from_blocks(g, [(rows, cols, [sums], Dpsi * Db * Dq)], n, f,
+                                   name="S4 on %s (synthesized)" % g.name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .int_fast import as_ints, distinct, fold, join, rows_coo, to_field
+from .int_fast import as_ints, compose, distinct, fold, join, rows_coo, to_field
 
 
 class GFElement:
@@ -609,16 +609,18 @@ class Subspace:
         return c
 
     def _lower(self):
-        """The pivot map (ambient index -> pivot position or -1) and the COO
-        integers of the pivot-row inverse and of the basis, over their
-        common denominators."""
+        """The pivot map (ambient index -> pivot position or -1), the COO
+        integers of the pivot-row inverse Q and of P = B Q, B the basis as
+        columns, each over its denominator: Q takes a vector's pivot
+        entries to its coordinates, P to the vector they reconstruct."""
         if self._lowered is None:
             if self._coord_solver is None:
                 self._build_solver()
             pos = np.full(self.ambient_dim, -1, dtype=np.int64)
             pos[self._pivots] = np.arange(self.dim)
-            self._lowered = (pos, rows_coo(self._coord_solver.rows, self.field),
-                             rows_coo(self.basis, self.field))
+            Q = rows_coo(self._coord_solver.rows, self.field)
+            (K, C), V, D = rows_coo(self.basis, self.field)
+            self._lowered = (pos, Q, compose(((C, K), V, D), Q, self.field.p))
         return self._lowered
 
     def coords_many(self, ids, cols, vals, D=1, check=True):
@@ -627,29 +629,31 @@ class Subspace:
         Vector ids[e] has the integer vals[e] / D at ambient index cols[e]
         (denominator-cleared over QQ, residues with D = 1 over GF(p); equal
         (id, index) entries add up); ids, cols and vals may be sequences.
-        The coordinates are one fold of the pivot entries against the
-        lowered pivot-row inverse.  Returns (ids, basis indices, integers,
-        their denominator) of the nonzero coordinates and the sorted ids of
-        the vectors outside the span: those whose exact integer
-        reconstruction sum_k c_k b_k differs from the vector (none are
-        looked for when check is False; the coordinates are then those of
-        the projection through the pivot rows).
+        Returns (ids, basis indices, integers, their denominator) of the
+        nonzero coordinates and the sorted ids of the vectors outside the
+        span: those whose exact integer reconstruction sum_k c_k b_k differs
+        from the vector (none are looked for when check is False; the
+        coordinates are then those of the projection through the pivot
+        rows).  One join of the pivot entries with the rows of the lowered
+        Q, and of P below them when check, and one fold: the coordinates at
+        the rows of Q, the reconstruction minus the vector at those of P.
         """
         p = self.field.p
         ids, cols = np.asarray(ids, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         vals = as_ints(vals)
-        pos, ((K, Q), Vp, Dp), ((Kb, Cb), Vb, Db) = self._lower()
+        pos, ((K, Q), Vq, Dq), ((Pr, Pc), Vp, Dp) = self._lower()
         m = max(self.dim, 1)
+        width = m + self.ambient_dim if check else m
+        rows, piv, V = (np.concatenate((K, m + Pr)), np.concatenate((Q, Pc)),
+                        np.concatenate((Vq, Vp))) if check else (K, Q, Vq)
         sel = np.flatnonzero(pos[cols] >= 0)
-        a, b = join(pos[cols[sel]], Q)
+        a, b = join(pos[cols[sel]], piv)
         a = sel[a]
-        keys, sums, _path = fold([(ids[a] * m + K[b], [vals[a], Vp[b]])], p)
-        cid, ck = keys // m, keys % m
-        outside = np.zeros(0, dtype=np.int64)
+        terms = [(ids[a] * width + rows[b], [vals[a], V[b]])]
         if check:
-            n = self.ambient_dim
-            a, b = join(ck, Kb)
-            bad, _s, _path = fold([(cid[a] * n + Cb[b], [sums[a], Vb[b]]),
-                                   (ids * n + cols, [vals, -Dp * Db])], p)
-            outside = distinct(bad // n)
-        return cid, ck, sums, D * Dp, outside
+            terms.append((ids * width + m + cols, [vals, -Dp]))
+        keys, sums, _path = fold(terms, p)
+        coord = keys % width < m
+        outside = distinct(keys[~coord] // width)
+        keys, sums = keys[coord], sums[coord]
+        return keys // width, keys % width, sums, D * Dq, outside

@@ -29,10 +29,11 @@ graded commutators of lists of matrices (`commutators`), the inner
 derivations, the Tits brackets, the Lie conditions of the construction
 (whose cyclic sums place each term at its triple's `rotations`), the
 coordinate algebras, the products and equality tests of lowered matrices
-(`compose`, `same_map`) that S4 words and involutions reduce to, and the
-batched coordinates of Subspace.coords_many, which fold the vectors'
-pivot entries against the span's lowered pivot-row inverse and check the
-reconstruction exactly.
+(`compose`, `same_map`) that involutions reduce to, the block-diagonal
+copies (`tile`) on which the four S4 generators and their words run at
+once, and the batched coordinates of Subspace.coords_many, which fold
+the vectors' pivot entries against the span's lowered pivot-row inverse
+and, in the same fold, check the reconstruction exactly.
 
 Every exact contraction is a fold, under fold's one bound rule.  No
 helper here uses floating point, approximates or overflows.
@@ -141,6 +142,14 @@ def identity_coo(n):
     """The n x n identity, lowered: ((rows, columns), integers, D)."""
     d = np.arange(n)
     return (d, d), np.ones(n, dtype=np.int64), 1
+
+
+def tile(cols, sizes, V, k):
+    """k copies of COO entries, copy g with each index column shifted by g
+    times its size: the block-diagonal form of k equal blocks, as
+    (index columns, integers)."""
+    g = np.repeat(np.arange(k, dtype=np.int64), len(V))
+    return tuple(np.tile(c, k) + g * s for c, s in zip(cols, sizes)), np.tile(V, k)
 
 
 def compose(A, B, p=None):

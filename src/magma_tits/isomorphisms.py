@@ -92,17 +92,9 @@ def theorem41_basis(T):
     alg = T.C.algebra
     e1me2 = [a - b for a, b in zip(alg.e("e1"), alg.e("e2"))]
     e2me1 = [-x for x in e1me2]
-    basis = [
-        T.der_vector(alg.e("v1"), alg.e("u2")),
-        T.der_vector(alg.e("u1"), alg.e("v2")),
-        T.der_vector(e1me2, alg.e("u0")),
-        T.der_vector(e2me1, alg.e("v0")),
-    ]
-    for x in T.j0_basis:
-        basis.append(T.tensor_vector(alg.e("u0"), x))
-    for x in T.j0_basis:
-        basis.append(T.tensor_vector(alg.e("v0"), x))
-    return basis
+    return (T.der_vectors([(alg.e("v1"), alg.e("u2")), (alg.e("u1"), alg.e("v2")),
+                           (e1me2, alg.e("u0")), (e2me1, alg.e("v0"))])
+            + T.tensor_vectors([(alg.e(a), x) for a in ("u0", "v0") for x in T.j0_basis]))
 
 
 def phi_theorem41(ca, AJ, J):
@@ -168,14 +160,10 @@ def theorem61_basis(T):
     a_i x iota_0(c^_j) then d_0(c^_j)."""
     J = T.J
     Chat = J.source
-    basis = []
-    for a in T.c0_basis:
-        for j in range(Chat.dim):
-            basis.append(T.tensor_vector(a, J.iota(0, Chat.algebra.e(j))))
+    iotas = [J.iota(0, Chat.algebra.e(j)) for j in range(Chat.dim)]
     e1me2 = [x - y for x, y in zip(J.algebra.e(J.e_index(1)), J.algebra.e(J.e_index(2)))]
-    for j in range(Chat.dim):
-        basis.append(T.djj_vector(e1me2, J.iota(0, Chat.algebra.e(j))))
-    return basis
+    return (T.tensor_vectors([(a, x) for a in T.c0_basis for x in iotas])
+            + T.djj_vectors([(e1me2, x) for x in iotas]))
 
 
 def phi_theorem61(ca, TP, T):
@@ -264,9 +252,8 @@ def tqj_maps(J):
     TQ = tits_of(Q, J)
     action = s4_on_tits_left(TQ, base_action=s4_on_invariant_quaternion(Q))
     qalg = Q.algebra
-    basis = [TQ.der_vector(qalg.e("p1"), qalg.e("p2"))]
-    for x in TQ.j0_basis:
-        basis.append(TQ.tensor_vector(qalg.e("p0"), x))
+    basis = (TQ.der_vectors([(qalg.e("p1"), qalg.e("p2"))])
+             + TQ.tensor_vectors([(qalg.e("p0"), x) for x in TQ.j0_basis]))
     ca = coordinate_algebra(TQ.algebra, action, basis=basis)
 
     # (a) the explicit embedding J -> A(J) is an algebra-with-involution map

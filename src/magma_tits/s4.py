@@ -12,21 +12,19 @@ The commuting involutions tau1, tau2 grade the target over Z2 x Z2; the
 (1,0) component {X : tau1 X = X, tau2 X = -X} carries the coordinate
 algebra with X.Y = -tau([phi(X), phi^2(Y)]) and involution -tau.
 
-A generator is stored as its lowered COO ((R, C), V, D), integers in
-lowest terms (GroupAction.from_coo; the constructor lowers hand-written
-Matrices once), and its Matrix is built only when a caller reads it.  A
-word is a chain of int_fast.compose products, the empty word the
-identity; a relation lhs = rhs is one int_fast.same_map fold of
-lhs D_rhs - rhs D_lhs, which fails iff a key survives; the automorphism
-check is algebra.lowered_map_failures on the stored integers, with the
-generator's order relation as its invertibility.  The Klein components
-are kernels of rows folded from the generators' entries and shifted
-diagonals.  The actions on T(C, J) are assembled from integers: the
-conjugation blocks of der C and d_{J,J} are single sparse exact
-contractions of their lowered matrices (conjugation_block), the C0 and
-J0 blocks are matvec images with batched, exactly checked coordinates,
-and the blocks are placed by index offsets in one int_fast.fold_table.
-The coordinate algebra is one int_fast.bilinear and matvec contraction.
+An action is one lowered block-diagonal map on four copies of its target,
+generator k of GEN_NAMES in the block at k dim (GroupAction), so each
+stage runs once per action, not per generator or word: the builders hand
+over all four generators' blocks to one fold; word_failures evaluates
+every word of every relation in rounds, one int_fast.matvec per letter
+position, and one fold of lhs D_rhs - rhs D_lhs keyed by the relation;
+the automorphism check is one algebra.lowered_map_failures contraction on
+four copies of the target.  On T(C, J) the der C and d_{J,J} blocks are
+one contraction of their lowered matrices with the stacked generators
+(conjugation_block), the C0 and J0 blocks one matvec with batched, exactly
+checked coordinates (_images_in), placed by index offsets (_on_tits).
+The Klein components are kernels of rows folded from the generators'
+entries; the coordinate algebra is one bilinear and matvec contraction.
 """
 
 from functools import cached_property
@@ -34,9 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .exact import Matrix, Subspace
-from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures, outer_block
-from .int_fast import (as_ints, bilinear, compose, fold, fold_table, identity_coo, matvec, reduced,
-                       rows_coo, same_map, to_field)
+from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures
+from .int_fast import (as_ints, bilinear, compose, distinct, fold, fold_table,
+                       identity_coo, join, matvec, reduced, rows_coo, same_map, tile, to_field)
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -74,57 +72,83 @@ ORDER_RELATIONS = dict(zip(("tau1", "tau2", "tau", "phi"), RELATIONS[6:10]))
 
 class GroupAction:
     """The four S4 generators acting on a target space of dimension dim,
-    each stored as its lowered COO ((R, C), V, D): V[e] / D at (R[e], C[e]),
-    sorted row-major, in lowest terms, what int_fast.rows_coo gives for its
-    Matrix.  Builders hand their integers to from_coo; the constructor lowers
-    hand-written Matrices once.  `gens` (and act[name]) are the Matrices,
-    built on first read."""
+    stored as one lowered block-diagonal map on four copies of it: the
+    generator GEN_NAMES[k] is the diagonal block at rows and columns k dim,
+    and the entries are sorted by (generator, row, column).  Each
+    generator's slice keeps its own integers in lowest terms, so
+    lowered(name) is ((R, C), V, D), what int_fast.rows_coo gives for its
+    Matrix, and `stacked` is the whole map over the lcm of the four D's.
+    Builders hand their blocks to from_blocks; from_coo takes one COO per
+    generator and the constructor lowers hand-written Matrices once.
+    `gens` (and act[name]) are the Matrices, built on first read."""
 
     def __init__(self, target, tau1, tau2, phi, tau, name="S4 action"):
-        mats = dict(zip(GEN_NAMES, (tau1, tau2, phi, tau)))
+        mats = (tau1, tau2, phi, tau)
         n, f = tau1.nrows, tau1.field
-        for M in mats.values():
+        for M in mats:
             if M.nrows != n or M.ncols != n:
                 raise ValueError("generator matrices must be square of equal size")
             if M.field != f:
                 raise ValueError("generator matrices over %s and %s" % (f, M.field))
-        self._setup(target, {g: rows_coo(M.rows, f) for g, M in mats.items()}, n, f, name)
+        self._setup(target, [(R + k * n, C + k * n, [V], D) for k, ((R, C), V, D)
+                             in enumerate(rows_coo(M.rows, f) for M in mats)], n, f, name)
 
     @classmethod
     def from_coo(cls, target, gens, dim, field, name="S4 action"):
         """The action whose generator g is the dim x dim matrix with V[e] / D
         at (R[e], C[e]), summed over e, for gens = {g: ((R, C), V, D)} over
         the names GEN_NAMES (integers denominator-cleared over QQ, any
-        integers over GF(p))."""
-        act = cls.__new__(cls)
-        act._setup(target, gens, dim, field, name)
-        return act
-
-    def _setup(self, target, gens, dim, field, name):
-        """Validate and store the generators: one fold each sums equal
-        (row, column) and drops the zeros, then int_fast.reduced puts them in
-        lowest terms.  ValueError unless the names are GEN_NAMES, every index
-        lies in range(dim) and the target has dimension dim over field."""
+        integers over GF(p)).  ValueError unless the names are GEN_NAMES
+        and every index lies in range(dim)."""
         if sorted(gens) != sorted(GEN_NAMES):
             raise ValueError("generators %s, an S4 action needs %s"
                              % (", ".join(sorted(gens)), ", ".join(GEN_NAMES)))
-        if target is not None and (target.n, target.field) != (dim, field):
-            raise ValueError("generators of dimension %d over %s, the target has dimension "
-                             "%d over %s" % (dim, field, target.n, target.field))
-        p = field.p
-        self._lowered = {}
-        for g in GEN_NAMES:
+        blocks = []
+        for k, g in enumerate(GEN_NAMES):
             (R, C), V, D = gens[g]
             R, C = np.asarray(R, dtype=np.int64), np.asarray(C, dtype=np.int64)
             if len(R) and min(R.min(), C.min(), dim - 1 - R.max(), dim - 1 - C.max()) < 0:
                 raise ValueError("generator %s has an entry outside range(%d)" % (g, dim))
-            scale, D = (1, D) if p is None else (pow(D, -1, p), 1)    # residues over GF(p)
-            keys, V, _path = fold([(R * dim + C, [as_ints(V), scale])], p)
-            V, D = reduced(V, D)
-            R, C = keys // dim, keys % dim
-            for a in (R, C, V):
-                a.setflags(write=False)
-            self._lowered[g] = (R, C), V, D
+            blocks.append((R + k * dim, C + k * dim, [as_ints(V)], D))
+        return cls.from_blocks(target, blocks, dim, field, name)
+
+    @classmethod
+    def from_blocks(cls, target, blocks, dim, field, name="S4 action"):
+        """The action whose stacked map sums the blocks (rows, columns,
+        factors, D), as int_fast.fold_table takes them, on 4 dim rows and
+        columns: generator GEN_NAMES[k] is the diagonal block at k dim."""
+        act = cls.__new__(cls)
+        act._setup(target, blocks, dim, field, name)
+        return act
+
+    def _setup(self, target, blocks, dim, field, name):
+        """Validate and store the generators: one fold of all the blocks
+        sums equal (row, column) and drops the zeros, then int_fast.reduced
+        puts the stacked map and each generator's slice in lowest terms.
+        ValueError unless the target has dimension dim over field and every
+        entry lies in a diagonal block."""
+        if target is not None and (target.n, target.field) != (dim, field):
+            raise ValueError("generators of dimension %d over %s, the target has dimension "
+                             "%d over %s" % (dim, field, target.n, target.field))
+        p = field.p
+        if p is not None:       # residues over GF(p)
+            blocks = [(R, C, [*factors, pow(D, -1, p)], 1) for R, C, factors, D in blocks]
+        (R, C), V, D = fold_table(blocks, 4 * dim, p)
+        G = R // max(dim, 1)
+        off = np.flatnonzero(G != C // max(dim, 1))
+        if len(off):
+            raise ValueError("generator %s has an entry outside range(%d)"
+                             % (GEN_NAMES[G[off[0]]], dim))
+        V, D = reduced(V, D)
+        bounds = np.searchsorted(G, np.arange(5)).tolist()
+        local = (R - G * dim, C - G * dim)
+        self.stacked = (R, C), V, D
+        self._lowered = {}
+        for g, lo, hi in zip(GEN_NAMES, bounds, bounds[1:]):
+            Vg, Dg = reduced(V[lo:hi], D)
+            self._lowered[g] = (local[0][lo:hi], local[1][lo:hi]), Vg, Dg
+        for a in (R, C, V, *local, *(self._lowered[g][1] for g in GEN_NAMES)):
+            a.setflags(write=False)
         self.target, self.dim, self.field, self.name = target, dim, field, name
 
     @cached_property
@@ -140,43 +164,68 @@ class GroupAction:
         """Generator `name` as its stored integers ((R, C), V, D)."""
         return self._lowered[name]
 
-    def _product(self, word):
-        """The matrix of a word, lowered: the identity (the empty word) times
-        the letters from right to left, one int_fast.compose each.
-        ValueError for a letter outside GEN_NAMES."""
-        bad = [w for w in word if w not in GEN_NAMES]
+    def _words(self, words):
+        """The matrices of a list of words, lowered.  All are evaluated at
+        once, word k in the block at rows and columns k dim: round r is one
+        int_fast.matvec of the block-diagonal matrix of every word's r-th
+        letter from the right (the identity past its length) with the
+        columns so far, the identity's at the start.  ValueError for a
+        letter outside GEN_NAMES."""
+        bad = [w for word in words for w in word if w not in GEN_NAMES]
         if bad:
             raise ValueError("unknown generator %r: the generators are %s"
                              % (bad[0], ", ".join(GEN_NAMES)))
-        X = identity_coo(self.dim)
-        for w in reversed(word):
-            X = compose(self.lowered(w), X, self.field.p)
-        return X
+        n, one = self.dim, identity_coo(self.dim)
+        X = (np.arange(len(words) * n),) * 2, np.ones(len(words) * n, dtype=np.int64)
+        dens = [1] * len(words)
+        for r in range(max(map(len, words), default=0)):
+            mats = [self._lowered[w[-1 - r]] if r < len(w) else one for w in words]
+            R, C = (np.concatenate([M[0][i] + k * n for k, M in enumerate(mats)]) for i in (0, 1))
+            X = matvec(((R, C), np.concatenate([M[1] for M in mats])), X, self.field.p)
+            dens = [d * M[2] for d, M in zip(dens, mats)]
+        (cols, rows), V = X
+        b = np.searchsorted(cols, np.arange(len(words) + 1) * n).tolist()
+        return [((rows[lo:hi] - k * n, cols[lo:hi] - k * n), V[lo:hi], D)
+                for k, (lo, hi, D) in enumerate(zip(b, b[1:], dens))]
 
     def element(self, word):
         """Matrix of a word in the generators, e.g. ("phi", "tau1")."""
         if isinstance(word, str):
             word = tuple(w for w in word.replace("*", " ").split() if w)
-        return Matrix.from_coo(self.dim, self.dim, self._product(word), self.field)
+        return Matrix.from_coo(self.dim, self.dim, self._words([tuple(word)])[0], self.field)
 
     def word_failures(self, relations):
-        """The (lhs, rhs) word pairs whose matrices differ: one
-        int_fast.same_map fold of lhs D_rhs - rhs D_lhs per pair."""
-        return [(lhs, rhs) for lhs, rhs in relations
-                if not same_map(self._product(lhs), self._product(rhs), self.field.p)]
+        """The (lhs, rhs) word pairs whose matrices differ, in their order:
+        every word of every pair from one _words, then one fold of
+        lhs D_rhs - rhs D_lhs keyed by the pair, which fails iff one of its
+        keys survives."""
+        relations = [(tuple(lhs), tuple(rhs)) for lhs, rhs in relations]
+        words = list(dict.fromkeys(w for pair in relations for w in pair))
+        mats, n = dict(zip(words, self._words(words))), self.dim
+        terms = []
+        for i, (lhs, rhs) in enumerate(relations):
+            for word, other, sign in ((lhs, rhs, 1), (rhs, lhs, -1)):
+                (R, C), V, _D = mats[word]
+                terms.append((i * n * n + R * n + C, [V, sign * mats[other][2]]))
+        keys, _sums, _path = fold(terms, self.field.p)
+        return [relations[i] for i in distinct(keys // (n * n)).tolist()]
 
     def relation_failures(self):
         return self.word_failures(RELATIONS)
 
     def automorphism_failures(self):
-        """The generators that are not automorphisms of the target:
-        lowered_map_failures on the stored integers, and invertibility from
-        the order relation (ORDER_RELATIONS), a rank only where that fails."""
+        """The generators that are not automorphisms of the target: one
+        lowered_map_failures contraction of the stacked map on four copies
+        of the target, and invertibility from the order relations
+        (ORDER_RELATIONS), a rank only where one fails."""
         if self.target is None:
             return []
-        return [g for g in GEN_NAMES
-                if lowered_map_failures(self.target, self.target, self.lowered(g), max_witnesses=1)
-                or (self.word_failures([ORDER_RELATIONS[g]]) and not _invertible(self[g]))]
+        bad = {GEN_NAMES[i // self.dim] for i, _j in
+               lowered_map_failures(self.target, self.target, self.stacked, copies=4)}
+        rest = [g for g in GEN_NAMES if g not in bad]
+        orders = self.word_failures([ORDER_RELATIONS[g] for g in rest])
+        bad.update(g for g in rest if ORDER_RELATIONS[g] in orders and not _invertible(self[g]))
+        return [g for g in GEN_NAMES if g in bad]
 
     def verify(self):
         """Raise unless all defining relations and automorphism checks hold."""
@@ -236,26 +285,25 @@ def klein_grading(action):
     and D2 (tau2 - s2 I), s1 = (-1)^b, s2 = (-1)^a, Di the denominators of
     the lowered generators (scaling a row keeps the kernel and the reduced
     echelon form): one fold of the generators' entries and the shifted
-    diagonals per component."""
+    diagonals, component c in rows 2nc to 2n(c + 1)."""
     if action.word_failures(KLEIN_RELATIONS):
         raise ValueError("tau1, tau2 are not commuting involutions (not an action)")
     n, f = action.dim, action.field
     (R1, C1), V1, D1 = action.lowered("tau1")
     (R2, C2), V2, D2 = action.lowered("tau2")
-    diag = np.arange(n) * (n + 1)
+    diag, nn = np.arange(n) * (n + 1), n * n
+    terms = []
+    for c, (a, b) in enumerate(KleinGrading.KEYS):
+        top, low = 2 * c * nn, (2 * c + 1) * nn
+        terms += [(top + R1 * n + C1, [V1]), (top + diag, [np.full(n, -(-1) ** b * D1)]),
+                  (low + R2 * n + C2, [V2]), (low + diag, [np.full(n, -(-1) ** a * D2)])]
+    keys, sums, _path = fold(terms, f.p)
     components = {}
-    total = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            s1, s2 = (-1) ** b, (-1) ** a
-            keys, sums, _path = fold([(R1 * n + C1, [V1]), (diag, [np.full(n, -s1 * D1)]),
-                                      (n * n + R2 * n + C2, [V2]),
-                                      (n * n + diag, [np.full(n, -s2 * D2)])], action.field.p)
-            basis = Matrix.from_entries(2 * n, n, keys // n, keys % n, to_field(sums, 1, f),
-                                        f).kernel_basis()
-            components[(a, b)] = basis
-            total += len(basis)
-    if total != n:
+    for c, key in enumerate(KleinGrading.KEYS):
+        e = np.flatnonzero(keys // (2 * nn) == c)
+        components[key] = Matrix.from_entries(2 * n, n, keys[e] // n % (2 * n), keys[e] % n,
+                                              to_field(sums[e], 1, f), f).kernel_basis()
+    if sum(map(len, components.values())) != n:
         raise ValueError("tau1, tau2 are not simultaneously diagonalizable over {+1,-1}")
     return KleinGrading(action, components)
 
@@ -311,11 +359,12 @@ def coordinate_algebra(g, action, basis=None, name=None):
         basis = klein_grading(action).components[(1, 0)]
     (xi, xa), xv, DE = rows_coo(basis, f)
     E = ((xi, xa), xv)
-    # tau1 X = X and tau2 X = -X, exactly, on the basis as matrix columns
-    for gen, sign in (("tau1", 1), ("tau2", -1)):
-        if not same_map(compose(action.lowered(gen), ((xa, xi), xv, DE), p),
-                        ((xa, xi), sign * xv, DE), p):
-            raise ValueError("proposed basis vector is not in the (1,0) component")
+    # tau1 X = X and tau2 X = -X, exactly, on the basis as matrix columns: the
+    # columns copied into the tau1 and tau2 blocks of the stacked action
+    cols, V = tile((xa, xi), (n, len(basis)), xv, 2)
+    signed = V * np.repeat([1, -1], len(xv))
+    if not same_map(compose(action.stacked, (cols, V, DE), p), (cols, signed, DE), p):
+        raise ValueError("proposed basis vector is not in the (1,0) component")
     span = Subspace(n, f)
     for v in basis:
         if not span.add(v):
@@ -391,74 +440,100 @@ def s4_on_h3(J):
     if getattr(J, "provenance", None) != "h3":
         raise ValueError("s4_on_h3 needs an H3-type Jordan algebra")
     alg, Chat = J.algebra, J.source
-    f, d = alg.field, Chat.dim
+    f, d, n = alg.field, Chat.dim, alg.n
     conj = rows_coo(Chat.conj_matrix().rows, f)
     e = np.array([J.e_index(i) for i in range(3)])
     iota = np.array([[J.iota_index(i, j) for j in range(d)] for i in range(3)])
 
-    def build(e_images, iota_sign, iota_perm, conjugate):
-        """e_i -> e_{e_images[i]}, iota_i(x) -> iota_sign[i] iota_{iota_perm[i]}(x or
-        its conjugate), lowered: one int_fast.fold_table."""
+    def build(k, e_images, iota_sign, iota_perm, conjugate):
+        """Generator k: e_i -> e_{e_images[i]}, iota_i(x) -> iota_sign[i]
+        iota_{iota_perm[i]}(x or its conjugate), as blocks at offset k n."""
         (r, c), v, D = conj if conjugate else identity_coo(d)
-        return fold_table([(e[e_images], e, [np.ones(3, dtype=np.int64)], 1)]
-                          + [(iota[iota_perm[i]][r], iota[i][c], [v, iota_sign[i]], D)
-                             for i in range(3)], alg.n, f.p)
+        o = k * n
+        return [(o + e[e_images], o + e, [np.ones(3, dtype=np.int64)], 1)] + [
+            (o + iota[iota_perm[i]][r], o + iota[i][c], [v, iota_sign[i]], D) for i in range(3)]
 
-    gens = {"tau1": build([0, 1, 2], [1, -1, -1], [0, 1, 2], False),
-            "tau2": build([0, 1, 2], [-1, 1, -1], [0, 1, 2], False),
-            "phi": build([1, 2, 0], [1, 1, 1], [1, 2, 0], False),
-            "tau": build([0, 2, 1], [1, 1, 1], [0, 2, 1], True)}
-    return GroupAction.from_coo(alg, gens, alg.n, f, name="S4 on H3(%s)" % Chat.name)
+    blocks = (build(0, [0, 1, 2], [1, -1, -1], [0, 1, 2], False)        # tau1
+              + build(1, [0, 1, 2], [-1, 1, -1], [0, 1, 2], False)      # tau2
+              + build(2, [1, 2, 0], [1, 1, 1], [1, 2, 0], False)        # phi
+              + build(3, [0, 2, 1], [1, 1, 1], [0, 2, 1], True))        # tau
+    return GroupAction.from_blocks(alg, blocks, n, f, name="S4 on H3(%s)" % Chat.name)
 
 
-def conjugation_block(span, mats, action, name, what):
-    """The coordinates in span of P M_s P^{-1}, for P the generator `name`
-    of action and the lowered list mats ((S, R, C), integers, D) of the
-    matrices M_s, as the lowered COO ((basis index, s), integers, D) of the
-    matrix whose column s they are: one int_fast.bilinear contraction of the
-    list with the rows of P and the columns of P^{-1} (Matrix.inverse of
-    the small generator), then Subspace.coords_many.  ValueError naming
-    `what` when one of them leaves span."""
+def _signed_permutation(M, size, p):
+    """Whether the lowered size x size matrix M has one entry +-1 in each
+    row and each column."""
+    (R, C), V, D = M
+    return (len(V) == size and bool(np.isin(V, (D, -D) if p is None else (1, p - 1)).all())
+            and all(np.all(np.bincount(X, minlength=size) == 1) for X in (R, C)))
+
+
+def conjugation_block(span, mats, action, what):
+    """The coordinates in span of P M_s P^{-1}, for the four generators P of
+    action and the lowered list mats ((S, R, C), integers, D) of the
+    matrices M_s, a basis of span, as the lowered COO ((basis index, s),
+    integers, D) of the block-diagonal matrix whose column s in block k
+    they are for P = GEN_NAMES[k]: one int_fast.bilinear contraction of the
+    list, copied at each offset, with the rows of the stacked P and the
+    columns of the stacked P^{-1} (its transpose for a signed permutation,
+    else Matrix.inverse of each small generator), then one
+    Subspace.coords_many.  ValueError naming `what` when one of them
+    leaves span."""
     (S, R, C), V, D = mats
-    f, n = action.field, action.dim
-    (pr, pc), pv, DP = action.lowered(name)
-    (qr, qc), qv, DQ = rows_coo(action[name].inverse().rows, f)
+    f, n, m = action.field, action.dim, span.dim
+    P = (pr, pc), pv, DP = action.stacked
+    if _signed_permutation(P, 4 * n, f.p):        # P^{-1} is the transpose
+        (qc, qr), qv, DQ = P
+    else:
+        inverses = GroupAction(None, *(action[g].inverse() for g in GEN_NAMES))
+        (qr, qc), qv, DQ = inverses.stacked
+    (R, C, S), V = tile((R, C, S), (n, n, m), V, 4)
     (i, l, s), sums, _path = bilinear(((R, C, S), V), ((pr, pc), pv), ((qc, qr), qv), f.p)
-    ids, ks, V, D, outside = span.coords_many(s, i * n + l, sums, D * DP * DQ)
+    ids, ks, V, D, outside = span.coords_many(s, i % n * n + l % n, sums, D * DP * DQ)
     if len(outside):
         raise ValueError("matrix is not in %s" % what)
-    return (ks, ids), V, D
+    return (ids // m * m + ks, ids), V, D
 
 
-def _images_in(span, action, name, X, what):
+def _images_in(span, action, X, what):
     """The coordinates in span of the images of the lowered vectors
-    X = ((ids, index), integers, D) under the generator `name` of action,
-    as the lowered COO ((basis index, id), integers, D) of the matrix whose
-    column id they are: one int_fast.matvec and Subspace.coords_many.
-    ValueError naming `what` when an image leaves span."""
-    (R, C), V, D = action.lowered(name)
+    X = ((ids, index), integers, D), a basis of span, under the four
+    generators of action, as the lowered COO ((basis index, id), integers,
+    D) of the block-diagonal matrix whose column id in block k they are for
+    the generator GEN_NAMES[k]: one int_fast.matvec of the stacked action
+    with X copied at each offset and one Subspace.coords_many.  ValueError
+    naming `what` when an image leaves span."""
+    n, m = action.dim, span.dim
+    M, Vm, Dm = action.stacked
     (xi, xa), Vx, Dx = X
-    (ids, rows), sums = matvec(((R, C), V), ((xi, xa), Vx), action.field.p)
-    cid, ck, V, D, outside = span.coords_many(ids, rows, sums, D * Dx)
+    (ids, rows), sums = matvec((M, Vm), tile((xi, xa), (m, n), Vx, 4), action.field.p)
+    cid, ck, V, D, outside = span.coords_many(ids, rows % n, sums, Dm * Dx)
     if len(outside):
         raise ValueError("vector is not in %s" % what)
-    return (ck, cid), V, D
+    return (cid // m * m + ck, cid), V, D
 
 
-def _on_tits(T, der, c0, j0, djj):
-    """A generator on T = der C + (C0 x J0) + d_{J,J} from its lowered
-    blocks: der on der C, the outer product of c0 and j0
-    (algebra.outer_block) on C0 x J0 and djj on d_{J,J}, placed by index
-    offsets in one int_fast.fold_table."""
-    m, nj, off = T.der_dim, len(T.j0_basis), T.djj_offset
-
-    def tidx(i, j):
-        return m + i * nj + j
+def _on_tits(T, der, c0, j0, djj, name):
+    """The S4 action on T = der C + (C0 x J0) + d_{J,J} from the stacked
+    block-diagonal maps of its four generators on each part: der on der C,
+    the outer product of c0 and j0, joined on the generator, on C0 x J0
+    and djj on d_{J,J}, placed by index offsets as the blocks of one
+    GroupAction.from_blocks."""
+    m, nc, nj, nd, off, n = (T.der_dim, len(T.c0_basis), len(T.j0_basis), T.djj_dim,
+                             T.djj_offset, T.dim)
     (dr, dc), dv, dd = der
     (sr, sc), sv, sd = djj
-    return fold_table([(dr, dc, [dv], dd), (off + sr, off + sc, [sv], sd),
-                       outer_block(c0, j0, lambda i2, i, j2, j: (tidx(i2, j2), tidx(i, j)))],
-                      T.dim, T.algebra.field.p)
+    (ar, ac), av, Da = c0
+    (br, bc), bv, Db = j0
+    x, y = join(ar // nc, br // nj)
+
+    def tensor(a, b):
+        return a // nc * n + m + a % nc * nj + b % nj
+    blocks = [(dr // m * n + dr % m, dc // m * n + dc % m, [dv], dd),
+              (sr // nd * n + off + sr % nd, sc // nd * n + off + sc % nd, [sv], sd),
+              (tensor(ar[x], br[y]), tensor(ac[x], bc[y]), [av[x], bv[y]], Da * Db)]
+    return GroupAction.from_blocks(T.algebra, blocks, n, T.algebra.field,
+                                   name="S4 on T(%s,%s) %s" % (T.C.name, T.J.name, name))
 
 
 def s4_on_tits_left(T, base_action=None):
@@ -466,10 +541,10 @@ def s4_on_tits_left(T, base_action=None):
     psi(D + a x x + d) = psi D psi^{-1} + psi(a) x x + d.
 
     base_action defaults to the Cayley embedding; pass another action (for
-    instance on the invariant quaternion subalgebra) to restrict.  Each
-    generator is assembled from integers (_on_tits): its der C block by
-    conjugation_block, its C0 block from the lowered base generator
-    (_images_in), identities on J0 and d_{J,J}."""
+    instance on the invariant quaternion subalgebra) to restrict.  All four
+    generators are assembled at once from integers (_on_tits): their der C
+    blocks by conjugation_block, their C0 blocks from the stacked base
+    action (_images_in), identities on J0 and d_{J,J}."""
     from .composition import s4_on_cayley
     C = T.C
     act = base_action if base_action is not None else s4_on_cayley(C)
@@ -477,24 +552,17 @@ def s4_on_tits_left(T, base_action=None):
         raise ValueError("the base action has dimension %d over %s but C has dimension %d "
                          "over %s" % (act.dim, act.field, C.dim, C.field))
     f = T.algebra.field
-    X = rows_coo(T.c0_basis, f)
-    j0, djj = identity_coo(len(T.j0_basis)), identity_coo(T.djj_dim)
-    gens = {g: _on_tits(T, conjugation_block(T.derC.span, T.derC.lowered, act, g, "der C"),
-                        _images_in(T.c0_span, act, g, X, "C0"), j0, djj) for g in GEN_NAMES}
-    return GroupAction.from_coo(T.algebra, gens, T.dim, f,
-                                name="S4 on T(%s,%s) left" % (C.name, T.J.name))
+    return _on_tits(T, conjugation_block(T.derC.span, T.derC.lowered, act, "der C"),
+                    _images_in(T.c0_span, act, rows_coo(T.c0_basis, f), "C0"),
+                    identity_coo(4 * len(T.j0_basis)), identity_coo(4 * T.djj_dim), "left")
 
 
 def s4_on_tits_right(T):
     """S4 on T(C,J) through the Jordan factor H3(C^):
     psi(D + a x x + d) = D + a x psi(x) + psi d psi^{-1}, assembled as in
-    s4_on_tits_left from the lowered generators of s4_on_h3."""
+    s4_on_tits_left from the stacked generators of s4_on_h3."""
     act = s4_on_h3(T.J)
     f = T.algebra.field
-    X = rows_coo(T.j0_basis, f)
-    der, c0 = identity_coo(T.der_dim), identity_coo(len(T.c0_basis))
-    gens = {g: _on_tits(T, der, c0, _images_in(T.j0_span, act, g, X, "J0"),
-                        conjugation_block(T.djj.span, T.djj.lowered, act, g, "d_{J,J}"))
-            for g in GEN_NAMES}
-    return GroupAction.from_coo(T.algebra, gens, T.dim, f,
-                                name="S4 on T(%s,%s) right" % (T.C.name, T.J.name))
+    return _on_tits(T, identity_coo(4 * T.der_dim), identity_coo(4 * len(T.c0_basis)),
+                    _images_in(T.j0_span, act, rows_coo(T.j0_basis, f), "J0"),
+                    conjugation_block(T.djj.span, T.djj.lowered, act, "d_{J,J}"), "right")

@@ -43,7 +43,7 @@ import numpy as np
 from .exact import Subspace, vec_zero, flatten_matrix
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
                       commutator_table, left_mults, outer_block, tensor_action, trace_products)
-from .composition import derivation_algebra, inner_derivation
+from .composition import derivation_algebra
 from .int_fast import (bilinear, commutators, coo, distinct, fold, fold_table, join,
                        lower, matrices_coo, reduced, rotations, rows_coo, to_field)
 
@@ -68,6 +68,22 @@ def inner_derivation_space(J, vectors):
     parity-homogeneous vectors of J (a basis of J0 gives d_{J,J})."""
     return DerivationSpace(inner_derivation_pairs(J, vectors), len(vectors), J.dim, J.field,
                            [J.algebra.parity_of_vector(x) for x in vectors])
+
+
+def _pair_sums(space, m, A, B):
+    """The sums sum_{j,l} a_j b_l M_{j,l} of the matrices M_{j,l} of a
+    DerivationSpace on the pairs of m generators (space.pairs), for the
+    lowered coefficient vectors a_t of A and b_t of B ((t, j), integers,
+    D), as a Subspace.coords_many batch (t, flat index, integers, D): the
+    entries of a_t and b_t joined on t, then with the pair ids, and one
+    fold."""
+    ids, rc, d, D = space.pairs
+    ((ta, ja), Va, Da), ((tb, lb), Vb, Db) = A, B
+    x, y = join(ta, tb)
+    u, e = join(ja[x] * m + lb[y], ids)
+    x, y, size = x[u], y[u], space.n * space.n
+    keys, sums, _path = fold([(ta[x] * size + rc[e], [Va[x], Vb[y], d[e]])], space.field.p)
+    return keys // size, keys % size, sums, Da * Db * D
 
 
 class TitsAlgebra:
@@ -104,40 +120,74 @@ class TitsAlgebra:
     def tensor_index(self, ci, xj):
         return self.der_dim + ci * len(self.j0_basis) + xj
 
-    def c0_coords(self, a):
-        c = self.c0_span.coords(a)
-        if c is None:
-            raise ValueError("vector is not in C0")
-        return c
+    def _vectors(self, count, ids, index, V, D):
+        """count T-coordinate vectors, vector ids[e] holding V[e] / D at
+        index[e]."""
+        f = self.algebra.field
+        vecs = [vec_zero(self.dim, f) for _ in range(count)]
+        for t, k, c in zip(ids.tolist(), index.tolist(), to_field(V, D, f)):
+            vecs[t][k] = c
+        return vecs
 
-    def j0_coords(self, x):
-        c = self.j0_span.coords(x)
-        if c is None:
-            raise ValueError("vector is not in J0")
-        return c
+    def der_vectors(self, pairs):
+        """The elements D_{a,b} of der C for a list of pairs (a, b) of
+        vectors of C, as T-coordinate vectors: _pair_sums of der C, then one
+        coords_many in der C.  ValueError when one of them leaves der C."""
+        f = self.algebra.field
+        batch = _pair_sums(self.derC, self.C.dim, rows_coo([a for a, _b in pairs], f),
+                           rows_coo([b for _a, b in pairs], f))
+        ids, ks, V, D, outside = self.derC.span.coords_many(*batch)
+        if len(outside):
+            raise ValueError("matrix is not in the span of the inner derivations")
+        return self._vectors(len(pairs), ids, ks, V, D)
 
     def der_vector(self, a, b):
         """The element D_{a,b} of der C as a T-coordinate vector."""
-        coords = self.derC.coords_matrix(inner_derivation(self.C, a, b).matrix)
-        return coords + vec_zero(self.dim - self.der_dim, self.algebra.field)
+        return self.der_vectors([(a, b)])[0]
+
+    def tensor_vectors(self, pairs):
+        """The elements a x x for a list of pairs (a, x), a in C0 and x in
+        J0: one coords_many in C0 and one in J0, their products joined on
+        the pair and folded.  ValueError for an a outside C0 or an x
+        outside J0."""
+        f = self.algebra.field
+        coords = []
+        for span, vs, what in ((self.c0_span, [a for a, _x in pairs], "C0"),
+                               (self.j0_span, [x for _a, x in pairs], "J0")):
+            (ids, cols), V, D = rows_coo(vs, f)
+            *c, outside = span.coords_many(ids, cols, V, D)
+            if len(outside):
+                raise ValueError("vector is not in %s" % what)
+            coords.append(c)
+        (ta, ka, Va, Da), (tx, kx, Vx, Dx) = coords
+        a, x = join(ta, tx)
+        keys, sums, _path = fold([(ta[a] * self.dim + self.tensor_index(ka[a], kx[x]),
+                                   [Va[a], Vx[x]])], f.p)
+        return self._vectors(len(pairs), keys // self.dim, keys % self.dim, sums, Da * Dx)
 
     def tensor_vector(self, a, x):
         """The element a x x for a in C0, x in J0."""
-        ca = self.c0_coords(a)
-        cx = self.j0_coords(x)
-        v = vec_zero(self.dim, self.algebra.field)
-        for i, ci in enumerate(ca):
-            if not ci:
-                continue
-            for j, cj in enumerate(cx):
-                if cj:
-                    v[self.tensor_index(i, j)] = ci * cj
-        return v
+        return self.tensor_vectors([(a, x)])[0]
+
+    def djj_vectors(self, pairs):
+        """The elements d_{x,y} of d_{J,J} for a list of pairs (x, y) of
+        vectors of J: their J0 coordinates (_split_coords; d_{1,y} = 0),
+        _pair_sums of d_{J,J}, then one coords_many in d_{J,J}, projected
+        through its pivot rows."""
+        f, J = self.algebra.field, self.J
+
+        def j0(vectors):
+            (ids, cols), V, D = rows_coo(vectors, f)
+            ids, ks, V, D = _split_coords(self.j0_span, (ids, cols, V, D), J.unit, J.trace_of)
+            return (ids, ks), V, D
+        batch = _pair_sums(self.djj, len(self.j0_basis), j0([x for x, _y in pairs]),
+                           j0([y for _x, y in pairs]))
+        ids, ks, V, D, _outside = self.djj.span.coords_many(*batch, check=False)
+        return self._vectors(len(pairs), ids, self.djj_offset + ks, V, D)
 
     def djj_vector(self, x, y):
         """The element d_{x,y} of d_{J,J}."""
-        coords = self.djj.coords_matrix(self.J.inner_derivation(x, y).matrix, check=False)
-        return vec_zero(self.djj_offset, self.algebra.field) + coords
+        return self.djj_vectors([(x, y)])[0]
 
     def jacobi_report(self):
         if self._jacobi_report is None:

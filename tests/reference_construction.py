@@ -232,7 +232,7 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
     for i, a in enumerate(c0_basis):
         for k, b in enumerate(c0_basis):
             ab, ba = C.product(a, b), C.product(b, a)
-            DC = derC.coords_matrix(inner_derivation(C, a, b).matrix)
+            DC = derC.span.coords(flatten_matrix(inner_derivation(C, a, b).matrix))
             br = c0c([p - q for p, q in zip(ab, ba)])
             tr = C.trace(ab)
             for j, x in enumerate(j0_basis):

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -151,3 +152,42 @@ def test_coords_many_takes_sequences():
     ids, ks, ints, D, outside = S.coords_many([0, 0], [0, 1], [big, -big], D=4)
     assert (ids.tolist(), ks.tolist(), ints.tolist(), D) == ([0, 0], [0, 1], [big, -big], 4)
     assert not len(outside)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007), GF(2 ** 61 - 1)], ids=str)
+def test_coords_many_matches_coords(F):
+    """One join and one fold give, vector by vector, the coordinates of
+    Subspace.coords (projected through the pivot rows when check is off)
+    and flag exactly the vectors it finds outside the span; repeated
+    entries add up."""
+    import random
+    rng = random.Random(7)
+    n = 9
+    gens = [[F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) if rng.random() < 0.5
+             else F.zero for _ in range(n)] for _ in range(5)]
+    gens.append([a + 2 * b for a, b in zip(gens[0], gens[1])])
+    S = Subspace.from_vectors(gens, n, F)
+    vectors = [[sum((F.of(c) * x for c, x in zip(coef, col)), F.zero)
+                for col in zip(*S.basis)] for coef in
+               ([rng.randint(-2, 2) for _ in S.basis] for _ in range(6))]
+    vectors += [[F.of(rng.randint(-5, 5)) for _ in range(n)] for _ in range(4)]
+    vectors.append([F.zero] * n)
+    # the integers D x over D (residues over GF(p)), each split in two entries
+    D = lcm(*(x.denominator for v in vectors for x in v)) if F.is_rational else 1
+    ids, cols, vals = [], [], []
+    for t, v in enumerate(vectors):
+        for j, x in enumerate(v):
+            if x:
+                ints = int(x * D) if F.is_rational else x.v
+                ids += [t, t]
+                cols += [j, j]
+                vals += [ints - 1, 1]
+    outer = [t for t, v in enumerate(vectors) if S.coords(v) is None]
+    assert outer and len(outer) < len(vectors)
+    for check in (True, False):
+        got_ids, ks, ints, den, outside = S.coords_many(ids, cols, vals, D, check=check)
+        got = [[F.zero] * S.dim for _ in vectors]
+        for t, k, c in zip(got_ids.tolist(), ks.tolist(), ints.tolist()):
+            got[t][k] = F.of(Fraction(c, den)) if F.is_rational else F.of(c)
+        assert got == [S.coords(v, check=False) for v in vectors]
+        assert outside.tolist() == (outer if check else [])

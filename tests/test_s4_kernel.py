@@ -12,21 +12,23 @@ sparse path must not fall back to dense Matrix arithmetic.
 import importlib
 import pkgutil
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 import magma_tits
 from magma_tits import int_fast
+from magma_tits.algebra import LinearMap, is_automorphism
 from magma_tits.composition import (
-    ground, invariant_quaternion, s4_on_invariant_quaternion, split_cayley,
+    ground, invariant_quaternion, s4_on_cayley, s4_on_invariant_quaternion, split_cayley,
 )
-from magma_tits.exact import GF, QQ, Matrix
+from magma_tits.exact import GF, QQ, Matrix, flatten_matrix
 from magma_tits.isomorphisms import ak_to_ajv, theorem41, theorem41_basis, theorem61, tqj_maps
 from magma_tits.jordan import h3
 from magma_tits.s4 import (
-    GEN_NAMES, KLEIN_RELATIONS, RELATIONS, GroupAction, coordinate_algebra, iota_maps,
-    klein_grading, s4_on_tits_left, s4_on_tits_right,
+    GEN_NAMES, KLEIN_RELATIONS, ORDER_RELATIONS, RELATIONS, GroupAction, conjugation_block,
+    coordinate_algebra, iota_maps, klein_grading, s4_on_h3, s4_on_tits_left, s4_on_tits_right,
 )
 from magma_tits.tits import tits
 
@@ -238,14 +240,88 @@ def _same_coo(a, b):
                             for x, y in zip((*ca, Va), (*cb, Vb)))
 
 
+def _stacked_from_slices(act):
+    """The block-diagonal map of the lowered generators over the lcm of
+    their denominators, built from the slices one at a time."""
+    n, mats = act.dim, [act.lowered(g) for g in GEN_NAMES]
+    L = lcm(*(D for _rc, _V, D in mats))
+    R, C = ([int(x) + k * n for k, (rc, _V, _D) in enumerate(mats) for x in rc[i]]
+            for i in (0, 1))
+    return R, C, [int(v) * (L // D) for _rc, V, D in mats for v in V], L
+
+
 @pytest.mark.parametrize("F", FIELDS[:2] + [GF(2 ** 61 - 1)], ids=str)
 def test_stored_integers_are_the_lowered_matrices(F):
+    """Every builder stores each generator as the integers rows_coo gives
+    for its Matrix, D included, and the stacked map as those slices over
+    one denominator."""
     T, left, right, _basis = _setup("f4", F)
-    for act in (left, right):
+    Q = invariant_quaternion(F)
+    TQ = tits(Q, h3(ground(F)))
+    actions = [left, right, s4_on_cayley(split_cayley(F)), s4_on_h3(T.J),
+               s4_on_invariant_quaternion(Q), decompose_module.s4_on_w(F),
+               decompose_module._conjugations(F),
+               s4_on_tits_left(TQ, base_action=s4_on_invariant_quaternion(Q)),
+               s4_on_tits_right(TQ)]
+    for act in actions:
         for g in GEN_NAMES:
             assert _same_coo(act.lowered(g), int_fast.rows_coo(act[g].rows, F)), (act.name, g)
+        (R, C), V, D = act.stacked
+        assert (R.tolist(), C.tolist(), V.tolist(), D) == _stacked_from_slices(act), act.name
     for space in (T.derC, T.djj):
         assert _same_coo(space.lowered, int_fast.matrices_coo(space.matrices, F))
+
+
+def _per_generator_automorphisms(act):
+    """The generators that fail is_automorphism, one map check per generator."""
+    return [g for g in GEN_NAMES
+            if not is_automorphism(act.target, LinearMap(act.target, act.target, act[g]))]
+
+
+def test_batched_relations_and_automorphisms_match_oracles(case):
+    """The batched word_failures and the stacked automorphism check give
+    the dense oracle's list, in its order, on the valid actions and on two
+    corrupted ones: a scaled generator, and phi replaced by tau1 (every
+    generator an automorphism, relations failing)."""
+    _T, left, right, _basis = case
+    two = left.field.of(2)
+    scaled = GroupAction(left.target, left["tau1"], left["tau2"], left["phi"],
+                         Matrix([[two * x for x in row] for row in left["tau"].rows],
+                                left.field))
+    swapped = GroupAction(left.target, left["tau1"], left["tau2"], left["tau1"], left["tau"])
+    for act in (left, right, scaled, swapped):
+        for relations in (RELATIONS, KLEIN_RELATIONS, list(ORDER_RELATIONS.values())):
+            assert act.word_failures(relations) == relation_failures(act, relations)
+        assert act.automorphism_failures() == _per_generator_automorphisms(act)
+    assert scaled.relation_failures() and scaled.automorphism_failures() == ["tau"]
+    assert swapped.relation_failures() and swapped.automorphism_failures() == []
+
+
+def _conjugation_oracle(span, mats, action):
+    """The coordinates of P M_s P^{-1}, dense, per generator and matrix."""
+    return [[span.coords(flatten_matrix(action[g] @ M @ action[g].inverse())) for M in mats]
+            for g in GEN_NAMES]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_conjugation_block_matches_dense_conjugation(F):
+    """conjugation_block on gl(W) for the signed permutations of s4_on_w
+    (inverted by their transpose) and for the same action conjugated by
+    diag(1, 2, 3) (inverted by Matrix.inverse) equals the dense products."""
+    mats, span = decompose_module._gl_w_basis(F)
+    w = decompose_module.s4_on_w(F)
+    U = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], F)
+    scaled = GroupAction(None, *(U @ w[g] @ U.inverse() for g in GEN_NAMES))
+    for act in (w, scaled):
+        (rows, cols), V, D = conjugation_block(span, int_fast.matrices_coo(mats, F), act, "gl(W)")
+        got = Matrix.from_coo(4 * span.dim, 4 * span.dim, ((rows, cols), V, D), F)
+        m = span.dim
+        want = _conjugation_oracle(span, mats, act)
+        for k in range(4):
+            for s in range(m):
+                assert [got[k * m + r, k * m + s] for r in range(m)] == want[k][s]
+        assert not any(got[r, c] for r in range(4 * m) for c in range(4 * m)
+                       if r // m != c // m)
 
 
 def test_synthesized_integers_are_the_lowered_matrices(f4_decomposition):
@@ -314,3 +390,29 @@ def test_s4_pipeline_leaves_the_table_rows_unbuilt():
     act = decompose_module.synthesize_s4(T.algebra, rep, ext)
     assert act.verify()
     assert "_rows" not in T.algebra.__dict__
+
+
+def test_s4_layer_folds_once_per_action(monkeypatch):
+    """On F4 over GF(10007) the two actions on T(C, J) and their
+    verification make a fixed, small number of int_fast folds and joins,
+    not some per generator or per word (68, 72 and 116 in all when each
+    generator and each word had its own)."""
+    T, _left, _right, _basis = _setup("f4", GF(10007))
+    counts = {"fold": 0, "join": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(int_fast, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        _patch_everywhere(monkeypatch, name, counted)
+
+    def calls(run):
+        counts.update(fold=0, join=0)
+        out = run()
+        return counts["fold"], counts["join"], out
+    folds, joins, left = calls(lambda: s4_on_tits_left(T))
+    assert folds <= 8 and joins <= 8, (folds, joins)
+    folds, joins, right = calls(lambda: s4_on_tits_right(T))
+    assert folds <= 8 and joins <= 8, (folds, joins)
+    for act in (left, right):
+        folds, joins, ok = calls(act.verify)
+        assert ok and folds <= 10 and joins <= 10, (folds, joins)

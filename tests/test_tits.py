@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
+from magma_tits.exact import GF, QQ, Matrix, flatten_matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
 from magma_tits.registry import composition_by_name, jordan_by_name
 from magma_tits.composition import (
-    split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
+    split_cayley, split_quaternion, binarion, ground, inner_derivation, invariant_quaternion,
 )
 from magma_tits.jordan import (
     JordanAlgebra, h3, jordan_super_jvtheta, jordan_super_dt, d2,
@@ -297,3 +297,37 @@ def test_checks_read_the_integer_table_only():
     assert check_super_jacobi(T.algebra).ok
     assert verify_lie_conditions(T.C, T.J, T).ok
     assert "sc" not in T.algebra.__dict__ and "_rows" not in T.algebra.__dict__
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007), GF(2 ** 61 - 1)], ids=str)
+@pytest.mark.parametrize("make", [split_cayley, split_quaternion, binarion, ground],
+                         ids=lambda make: make.__name__)
+def test_batched_vectors_match_pointwise(make, F):
+    """der_vectors, tensor_vectors and djj_vectors, read off the integer
+    pair batches, equal the pointwise inner_derivation (of C, and of J on
+    every basis pair, the unit included) with its Subspace.coords, and the
+    products of the C0 and J0 coordinates, on all basis pairs."""
+    C, J = make(F), h3(ground(F))
+    T = tits(C, J)
+    f, n, zero = F, C.dim, F.zero
+    pairs = [(C.algebra.e(a), C.algebra.e(b)) for a in range(n) for b in range(n)]
+    want = [T.derC.span.coords(flatten_matrix(inner_derivation(C, a, b).matrix))
+            + [zero] * (T.dim - T.der_dim) for a, b in pairs]
+    assert T.der_vectors(pairs) == want
+    assert [T.der_vector(a, b) for a, b in pairs] == want
+    tensors = [(a, x) for a in T.c0_basis for x in T.j0_basis]
+    want = []
+    for a, x in tensors:
+        v = [zero] * T.dim
+        for i, ci in enumerate(T.c0_span.coords(a)):
+            for j, cj in enumerate(T.j0_span.coords(x)):
+                v[T.tensor_index(i, j)] += ci * cj
+        want.append(v)
+    assert T.tensor_vectors(tensors) == want
+    jpairs = [(J.algebra.e(a), J.algebra.e(b)) for a in range(J.dim) for b in range(J.dim)]
+    want = [[zero] * T.djj_offset
+            + T.djj.span.coords(flatten_matrix(J.inner_derivation(x, y).matrix), check=False)
+            for x, y in jpairs]
+    assert T.djj_vectors(jpairs) == want
+    with pytest.raises(ValueError, match="vector is not in C0"):
+        T.tensor_vectors([(C.unit, T.j0_basis[0])])
