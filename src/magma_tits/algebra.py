@@ -23,7 +23,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exact import QQ, FieldGF, Matrix, Subspace, basis_vector, vec_zero
+from .exact import (QQ, FieldGF, Matrix, Subspace, basis_vector, coo_rows, echelon, inverse_coo,
+                    kernel_of, vec_zero)
 from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
                        joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
@@ -104,20 +105,11 @@ class DerivationSpace:
         self.field = field
         self.span = Subspace(n * n, field)
         ids, rc, d, D = pairs
-        vals = to_field(d, D, field)
-        bounds = np.searchsorted(ids, np.arange(m * m + 1)).tolist()
-        self.generators, self.parities, kept = [], [], []
-        for j in range(m):
-            # the diagonal d_{x,x} = 2 L_x^2 of d_{J,J} survives for odd x
-            for l in range(j, m):
-                v = [field.zero] * (n * n)
-                lo, hi = bounds[j * m + l], bounds[j * m + l + 1]
-                for e, c in zip(rc[lo:hi].tolist(), vals[lo:hi]):
-                    v[e] = c
-                if self.span.add(v):
-                    kept.append(j * m + l)
-                    self.generators.append((j, l))
-                    self.parities.append((parities[j] + parities[l]) % 2)
+        # the diagonal d_{x,x} = 2 L_x^2 of d_{J,J} survives for odd x
+        upper = np.flatnonzero(ids // m <= ids % m)
+        kept = self.span.add_many(ids[upper], rc[upper], d[upper], D)
+        self.generators = [divmod(k, m) for k in kept]
+        self.parities = [(parities[j] + parities[l]) % 2 for j, l in self.generators]
         number = np.full(m * m, -1, dtype=np.int64)
         number[kept] = np.arange(len(kept))
         sel = np.flatnonzero(number[ids] >= 0)
@@ -284,14 +276,13 @@ class SuperAlgebra:
 
     def transported(self, U, new_labels=None, new_parity=None, name=None, U_inv=None):
         """The same algebra in the basis given by the columns of the Matrix
-        U: transported_lowered of U and U^{-1}, each lowered once.  A caller
-        that holds U^{-1} already passes it as U_inv."""
+        U: transported_lowered of U and U^{-1}, each lowered once (U^{-1} as
+        the inverse_coo of U's rows, unless a caller passes it as U_inv)."""
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
-        f = self.field
-        return self.transported_lowered(
-            rows_coo(U.rows, f), rows_coo((U.inverse() if U_inv is None else U_inv).rows, f),
-            new_labels, new_parity, name)
+        f, lowered = self.field, rows_coo(U.rows, self.field)
+        inv = inverse_coo(lowered, self.n, f.p) if U_inv is None else rows_coo(U_inv.rows, f)
+        return self.transported_lowered(lowered, inv, new_labels, new_parity, name)
 
     def transported_lowered(self, U, U_inv, new_labels=None, new_parity=None, name=None):
         """transported for U and U^{-1} given as lowered n x n matrices
@@ -548,9 +539,13 @@ def check_super_jacobi(A, max_witnesses=10):
     return JacobiReport(not len(keys), n, n_triples, failures=failures, name=A.name, path=path)
 
 
-def _invertible(M):
-    """Exact invertibility of a square Matrix."""
-    return M.nrows == M.ncols and M.rank() == M.nrows
+def _invertible(M, n=None, p=None):
+    """Exact invertibility of a square Matrix, or with n of the n x n
+    matrix M given lowered ((rows, columns), integers, D) over GF(p) (QQ
+    when p is None), by the integer echelon."""
+    if n is None:
+        return M.nrows == M.ncols and M.rank() == M.nrows
+    return len(echelon(coo_rows(M, n, p), p, n)[1]) == n
 
 
 def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
@@ -690,5 +685,4 @@ def trace_products(A, trace_row):
 def centralizer(L, S):
     """Basis of {x in L : [s, x] = 0 for all s in S}: the kernel of the stacked ad(s)."""
     (tk, j), sums, D = left_mults(L, S)
-    return Matrix.from_entries(len(S) * L.n, L.n, tk, j, to_field(sums, D, L.field),
-                               L.field).kernel_basis()
+    return kernel_of(((tk, j), sums, D), len(S) * L.n, L.n, L.field)

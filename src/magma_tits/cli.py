@@ -84,6 +84,15 @@ def _check(results, name, passed, witness=None, path=None):
     return bool(passed)
 
 
+def _attempt(results, name, run, error=IsomorphismError):
+    """_check that run() returns, with the message of its error as witness."""
+    try:
+        run()
+    except error as exc:
+        return _check(results, name, False, str(exc))
+    return _check(results, name, True)
+
+
 def suite_csplit(args):
     """Split Cayley fidelity: table, norm multiplicativity, degree-2
     identity, derivation identities, derivation-algebra dimensions."""
@@ -144,9 +153,7 @@ def suite_csplit(args):
             composition.inner_derivation(C, e2me1, alg.e("v0")).matrix,
             composition.inner_derivation(C, alg.e("u1"), alg.e("v2")).matrix,
             composition.inner_derivation(C, alg.e("v1"), alg.e("u2")).matrix]
-    S = Subspace(64)
-    for M in four:
-        S.add(flatten_matrix(M))
+    S = Subspace.from_vectors([flatten_matrix(M) for M in four], 64)
     _check(results, "dim (der C)_(1,0) = 4", S.dim == 4)
     return results
 
@@ -176,13 +183,8 @@ def suite_thm41(args):
     names = [args.jordan] if args.jordan else [
         "h3:ground", "h3:binarion", "h3:quaternion", "h3:cayley"]
     for jname in names:
-        J = jordan_by_name(jname)
-        try:
-            theorem41(J, T=tits_by_name("cayley", jname))
-            _check(results, "coordinate algebra of T(cayley,%s) = A(J)" % jname, True)
-        except IsomorphismError as exc:
-            _check(results, "coordinate algebra of T(cayley,%s) = A(J)" % jname,
-                   False, str(exc))
+        _attempt(results, "coordinate algebra of T(cayley,%s) = A(J)" % jname,
+                 lambda: theorem41(jordan_by_name(jname), T=tits_by_name("cayley", jname)))
     return results
 
 
@@ -191,12 +193,9 @@ def suite_thm61(args):
     pairs = ([(args.left, args.right)] if args.left and args.right
              else [(a, b) for a in COMP_ORDER for b in COMP_ORDER])
     for a, b in pairs:
-        try:
-            theorem61(composition_by_name(a), composition_by_name(b),
-                      T=tits_by_name(a, "h3:" + b))
-            _check(results, "T(%s, h3:%s)_(1,0) = %s x %s" % (a, b, a, b), True)
-        except IsomorphismError as exc:
-            _check(results, "T(%s, h3:%s)_(1,0) = %s x %s" % (a, b, a, b), False, str(exc))
+        _attempt(results, "T(%s, h3:%s)_(1,0) = %s x %s" % (a, b, a, b),
+                 lambda: theorem61(composition_by_name(a), composition_by_name(b),
+                                   T=tits_by_name(a, "h3:" + b)))
     return results
 
 
@@ -213,16 +212,9 @@ def suite_super(args):
     rep = Tf4.jacobi_report()
     _check(results, "super-Jacobi F(4) case", rep.ok, path=rep.path)
     for jname in ("jvtheta", "d2"):
-        try:
-            theorem41(jordan_by_name(jname), T=tits_by_name("cayley", jname))
-            _check(results, "super coordinate algebra = A(%s)" % jname, True)
-        except IsomorphismError as exc:
-            _check(results, "super coordinate algebra = A(%s)" % jname, False, str(exc))
-    try:
-        ak_to_ajv()
-        _check(results, "A(K) = A(J(V,theta))", True)
-    except IsomorphismError as exc:
-        _check(results, "A(K) = A(J(V,theta))", False, str(exc))
+        _attempt(results, "super coordinate algebra = A(%s)" % jname,
+                 lambda: theorem41(jordan_by_name(jname), T=tits_by_name("cayley", jname)))
+    _attempt(results, "A(K) = A(J(V,theta))", ak_to_ajv)
     for nm in ("aj:jvtheta", "aj:d2"):
         rep = structurable.check_structurable(involution_algebra_by_name(nm))
         _check(results, "structurable identity on %s" % nm, rep.ok,
@@ -254,11 +246,7 @@ def suite_thm71(args):
     _check(results, "round trip reproduces the bracket",
            round_trip_matches(T.algebra, ext))
     act2 = synthesize_s4(T.algebra, rep, ext)
-    try:
-        act2.verify()
-        _check(results, "synthesized action is by automorphisms", True)
-    except ValueError as exc:
-        _check(results, "synthesized action is by automorphisms", False, str(exc))
+    _attempt(results, "synthesized action is by automorphisms", act2.verify, ValueError)
     kg = klein_grading(act2)
     ca2 = coordinate_algebra(T.algebra, act2, basis=kg.components[(1, 0)])
     _check(results, "synthesized coordinate algebra unital", ca2.is_unital)

@@ -20,8 +20,10 @@ decomposition and the reassembled bracket are exact sparse contractions
 (algebra.commutator_table, int_fast.bilinear, COO outer products).  So is
 the decomposition: the ad(d_i) are one join of the table with the triple,
 Omega + c is one fold of them joined with themselves on the middle index
-plus a c diagonal, and the kernels of ad(d0) inside the components and
-the synthesized generators Psi B Psi^{-1} are int_fast.matvec products.
+plus a c diagonal, whose kernels, like those of ad(d0) inside the
+components and the inverses of the module copies and of Psi, come from
+the integer elimination of exact.py; the synthesized generators
+Psi B Psi^{-1} are int_fast.matvec products.
 gl(W) is one associative product table (gl_w), built once per field.  The
 nine invariant maps are rows (alpha, beta, gamma) of
 mu(A, B) = alpha AB + beta BA + gamma tr(AB) I, folded against it; their
@@ -34,16 +36,17 @@ validate to assembly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
 
-from .exact import QQ, Matrix, Subspace, basis_vector, flatten_matrix
+from .exact import (QQ, Matrix, Subspace, basis_vector, coo_rows, flatten_matrix, inverse_coo,
+                    kernel_coo, kernel_of)
 from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, lowered_map_failures,
                       map_failures, outer_block, tensor_action, transpose_failures)
 from .int_fast import (bilinear, fold, fold_table, join, lower, matrices_coo, matvec, outer,
-                       rows_coo, table_coo, tile, to_field)
+                       reduced, rows_coo, table_coo, tile, to_field)
 from .s4 import GEN_NAMES, GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
@@ -196,8 +199,7 @@ def _ad_so3(gl):
     keys, sums, _path = fold([((I[a] * n + K[a]) * n + J[a], [V[a]]),
                               ((J[b] * n + K[b]) * n + I[b], [V[b], -1])], f.p)
     i, k, j = keys // (n * n), keys // n % n, keys % n
-    vals = np.array(to_field(sums, D, f), dtype=object)
-    return [Matrix.from_entries(n, n, k[i == d], j[i == d], vals[i == d], f) for d in range(3)]
+    return [Matrix.from_coo(n, n, ((k[i == d], j[i == d]), sums[i == d], D), f) for d in range(3)]
 
 
 def _conjugations(field):
@@ -460,8 +462,7 @@ def _casimir_kernels(g, triple):
     kernels = []
     for c in (2, 6, 0):
         keys, sums, _path = fold([(square, [ad[a], ad[b]]), (diag, [np.full(n, c * D * D)])], p)
-        kernels.append(Matrix.from_entries(n, n, keys // n, keys % n, to_field(sums, 1, f),
-                                           f).kernel_basis())
+        kernels.append(kernel_of(((keys // n, keys % n), sums, 1), n, n, f))
     return kernels
 
 
@@ -507,58 +508,59 @@ def decompose(g, triple, name=None):
 class B1Extraction:
     """The equivariant identification Psi: (so3 x H) + (h x S) + d -> g.
 
-    Psi and Psi^{-1} are kept both as Matrix objects and lowered once, as
+    Psi (columns in assemble_b1 order) and Psi^{-1} are kept lowered, as
     int_fast.rows_coo gives them (psi_coo, psi_inv_coo), for the matvecs
-    of round_trip_matches and synthesize_s4."""
+    of round_trip_matches and synthesize_s4; the Matrices psi and psi_inv
+    are built from them on first read."""
 
-    def __init__(self, g, report, data, psi, psi_inv, hvecs, svecs, psi_coo, psi_inv_coo):
+    def __init__(self, g, report, data, hvecs, svecs, psi_coo, psi_inv_coo):
         self.g = g
         self.report = report
         self.data = data
-        self.psi = psi            # Matrix, columns in assemble_b1 order
-        self.psi_inv = psi_inv
         self.psi_coo = psi_coo
         self.psi_inv_coo = psi_inv_coo
         self.hvecs = hvecs
         self.svecs = svecs
 
+    @cached_property
+    def psi(self):
+        return Matrix.from_coo(self.g.n, self.g.n, self.psi_coo, self.g.field)
+
+    @cached_property
+    def psi_inv(self):
+        return Matrix.from_coo(self.g.n, self.g.n, self.psi_inv_coo, self.g.field)
+
 
 def _kernel_within(g, op, component):
     """Basis of {v in span(component) : op(v) = 0}, op a sparse integer
     matrix ((R, C), V): the images of the component by one matvec, as the
-    columns of a matrix whose kernel gives the combinations."""
+    columns of a matrix whose kernel_coo gives the combinations, pushed
+    through the component by a second matvec."""
     if not component:
         return []
     f = g.field
-    X, Vx, _Dx = rows_coo(component, f)
-    (ids, rows), sums = matvec(op, (X, Vx), f.p)
-    images = Matrix.from_entries(g.n, len(component), rows, ids, to_field(sums, 1, f), f)
-    B = Matrix.from_columns(component, f)
-    return [B.apply(c) for c in images.kernel_basis()]
+    (xi, xa), Vx, Dx = rows_coo(component, f)
+    (ids, rows), sums = matvec(op, ((xi, xa), Vx), f.p)
+    ((t, s), Vk, Dk), k = kernel_coo(coo_rows(((rows, ids), sums, 1), g.n, f.p),
+                                     len(component), f.p)
+    (t, a), sums = matvec(((xa, xi), Vx), ((t, s), Vk), f.p)
+    return Matrix.from_coo(k, g.n, ((t, a), sums, Dx * Dk), f).rows
 
 
 def _module_copy_map(R_mats, start_abstract, ad_ops, start_concrete, dim):
     """Generate a module copy in lockstep: returns the list of (abstract
     coords, concrete vector) spanning pairs, built by applying the abstract
-    operators R_i and the concrete operators ad_ops[i] simultaneously."""
+    operators R_i and the concrete operators ad_ops[i] simultaneously,
+    breadth first: the pairs are read while they are appended."""
     pairs = [(start_abstract, start_concrete)]
-    span = Subspace(dim, R_mats[0].field)
-    span.add(start_abstract)
-    frontier = [(start_abstract, start_concrete)]
-    while frontier and span.dim < dim:
-        new_frontier = []
-        for absv, conc in frontier:
-            for R, ad in zip(R_mats, ad_ops):
-                na = R.apply(absv)
-                if span.add(na):
-                    nc = ad(conc)
-                    pairs.append((na, nc))
-                    new_frontier.append((na, nc))
-                    if span.dim == dim:
-                        break
+    span = Subspace.from_vectors([start_abstract], dim, R_mats[0].field)
+    for absv, conc in pairs:
+        for R, ad in zip(R_mats, ad_ops):
             if span.dim == dim:
                 break
-        frontier = new_frontier
+            na = R.apply(absv)
+            if span.add(na):
+                pairs.append((na, ad(conc)))
     if span.dim != dim:
         raise ValueError("module copy is not generated by the starting vector")
     return pairs
@@ -596,26 +598,27 @@ def extract_b1(g, report):
     ad_ops = [ad_op(op) for op in ops]
 
     # adjoint copies start from D0 = (1,0,0), five-dim copies from
-    # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2)
-    cols = [None] * (3 * mh + 5 * ms + md)
+    # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2); Psi's columns are folded
+    # from their blocks (rows, columns, integers, D)
+    blocks = []
     zcoords = [f.zero, f.zero, f.zero, f.of(2), f.one]
     for R, start, vecs, width, offset in ((R3, basis_vector(3, 0, f), hvecs, 3, 0),
                                           (R5, zcoords, svecs, 5, 3 * mh)):
         for j, h in enumerate(vecs):
             pairs = _module_copy_map(R, start, ad_ops, h, width)
-            # column i of the copy is sum_s A[s][i] conc_s: one matvec of
+            # column i of the copy is sum_s A[s][i] conc_s, A^{-1} the
+            # inverse_coo of the abstract vectors as columns: one matvec of
             # the concrete vectors (as matrix columns) with the columns of A
-            (r, c), Va, Da = rows_coo(Matrix.from_columns([a for a, _c in pairs], f)
-                                      .inverse().rows, f)
+            (s, x), Va, Da = rows_coo([a for a, _c in pairs], f)
+            (r, c), Va, Da = inverse_coo(((x, s), Va, Da), width, p)
             (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
             (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
-            cols[offset + width * j:offset + width * (j + 1)] = Matrix.from_entries(
-                width, n, i, k, to_field(sums, Dc * Da, f), f).rows
+            blocks.append((k, offset + width * j + i, [sums], Dc * Da))
     off_d = 3 * mh + 5 * ms
-    for r, d in enumerate(dvecs):
-        cols[off_d + r] = list(d)
-    psi = Matrix.from_columns(cols, f)
-    psi_inv = psi.inverse()
+    (r, a), Vd, Dd = rows_coo(dvecs, f)
+    cols, V, D = fold_table(blocks + [(a, off_d + r, [Vd], Dd)], n, p)
+    psi_coo = (cols, *reduced(V, D))
+    psi_inv_coo = inverse_coo(psi_coo, n, p)
 
     def read(co, offset, block, width, count, scale=None):
         """The table {(a, b): {t: c}} of one (operator, multiplicity) slice:
@@ -626,13 +629,13 @@ def extract_b1(g, report):
         return sc_from_coo(a[sel], b[sel], t[sel],
                            [vals[e] if scale is None else scale * vals[e] for e in sel])
 
-    # unit of H: d0 = D0 x 1
-    unit_h = psi_inv.apply(triple[0])[0:3 * mh:3]
-
     table, Vt, Dt = g.coo
-    psi_coo, psi_inv_coo = rows_coo(psi.rows, f), rows_coo(psi_inv.rows, f)
     (pr, pc), Vp, Dp = psi_coo
     inv, Vi, Di = psi_inv_coo
+    # unit of H: d0 = D0 x 1, read off Psi^{-1} d0
+    X, V0, Du = rows_coo([triple[0]], f)
+    (x, l), sums = matvec((inv, Vi), (X, V0), p)
+    unit_h = Matrix.from_coo(1, n, ((x, l), sums, Di * Du), f).rows[0][0:3 * mh:3]
 
     def columns(A):
         """The columns A of psi as the vectors 0, 1, ... of a batch, read
@@ -676,7 +679,7 @@ def extract_b1(g, report):
                   circ_HS=circ_HS, circ_SS=circ_SS, brk_SS=brk_SS,
                   d_HH=d_HH, d_SS=d_SS, act_dH=act_dH, act_dS=act_dS,
                   brk_dd=brk_dd)
-    return B1Extraction(g, report, data, psi, psi_inv, hvecs, svecs, psi_coo, psi_inv_coo)
+    return B1Extraction(g, report, data, hvecs, svecs, psi_coo, psi_inv_coo)
 
 
 def round_trip_matches(g, extraction):
@@ -738,11 +741,11 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     if not mats:
         raise ValueError("empty basis")
     nn = mats[0].nrows
-    span = Subspace(nn * nn, field)
-    for M in mats:
-        if not span.add(flatten_matrix(M)):
-            raise ValueError("matrices are not linearly independent")
-    cols, V, D, outside = commutator_table(matrices_coo(mats, field), len(mats), nn, span)
+    span, lowered = Subspace(nn * nn, field), matrices_coo(mats, field)
+    (S, R, C), V, D = lowered
+    if len(span.add_many(S, R * nn + C, V, D)) != len(mats):
+        raise ValueError("matrices are not linearly independent")
+    cols, V, D, outside = commutator_table(lowered, len(mats), nn, span)
     if outside:
         raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
     return SuperAlgebra.from_coo(labels or ["m%d" % i for i in range(len(mats))], cols, V, D,
@@ -775,9 +778,8 @@ def _form_algebra(S):
 
 def _triple_coords(alg, span_mats, mats):
     """Coordinates of the embedded D-triple in the chosen matrix basis."""
-    span = Subspace(span_mats[0].nrows ** 2, alg.field)
-    for M in span_mats:
-        span.add(flatten_matrix(M))
+    span = Subspace.from_vectors([flatten_matrix(M) for M in span_mats],
+                                 span_mats[0].nrows ** 2, alg.field)
     return [span.coords(flatten_matrix(M)) for M in mats]
 
 

@@ -1,23 +1,31 @@
-"""Exact scalars (rationals or GF(p), p >= 5) and exact dense linear algebra.
+"""Exact scalars (rationals or GF(p), p >= 5) and exact linear algebra.
 
 Everything downstream computes over one of these fields; there is no
 floating-point tolerance anywhere.  The bulk checks and the construction
-lower these scalars to exact integers (see int_fast.py); a Subspace gives
-the coordinates of a whole batch of sparse integer vectors at once
-(Subspace.coords_many).
+lower these scalars to exact integers (see int_fast.py).
 
-One sparse Gauss-Jordan step (_echelon_insert: reduce a vector against
-sparse reduced rows, then clear its new pivot from them) is the only
-elimination: Subspace.add feeds it one vector at a time, and Matrix.rref
-feeds it the rows and sorts the result by pivot, so rank, kernel_basis,
-solve and inverse run on it too.
+Every span, kernel, solve and inverse is one sparse fraction-free
+Gauss-Jordan elimination on integer rows {column: int}, row k standing
+for itself over its entry at its pivot column (_append, echelon).  Over QQ
+each new or updated row is divided by the gcd of its entries; over GF(p)
+its entries are residues and its pivot is scaled to 1, the p switch of
+int_fast.fold.  No Fraction is added, multiplied or divided: a Matrix is
+lowered row by row (int_row) and its rref, kernel, solution or inverse is
+built back with Fraction(numerator, denominator).  Callers that hold
+integer COO hand it over directly (coo_rows, kernel_coo, solution,
+inverse_coo) and get lowered COO back.  A Subspace keeps its echelon rows
+as integers, takes vectors one at a time or as a batch (add_many), and
+gives the coordinates of a whole batch of sparse integer vectors at once
+(Subspace.coords_many).
 """
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
-from .int_fast import as_ints, compose, distinct, fold, join, rows_coo, to_field
+from .int_fast import as_ints, distinct, fold, join, reduced, rows_coo, to_field
 
 
 class GFElement:
@@ -79,8 +87,7 @@ class GFElement:
         if isinstance(other, GFElement):
             return self.p == other.p and self.v == other.v
         if isinstance(other, (int, Fraction)):
-            o = self._lift(other)
-            return self.v == o.v
+            return self.v == self._lift(other).v
         return NotImplemented
 
     def __hash__(self):
@@ -103,9 +110,7 @@ class FieldQ:
     def of(self, x):
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, (int, str)):
             return Fraction(x)
         raise TypeError("cannot coerce %r into QQ" % (x,))
 
@@ -232,9 +237,8 @@ class Matrix:
     @classmethod
     def identity(cls, n, field=QQ):
         M = cls.zeros(n, n, field)
-        one = field.one
         for i in range(n):
-            M.rows[i][i] = one
+            M.rows[i][i] = field.one
         return M
 
     @classmethod
@@ -249,20 +253,14 @@ class Matrix:
         return M
 
     @classmethod
-    def from_entries(cls, n, m, rows, cols, values, field=QQ):
-        """n x m matrix with values[e] (field values) at (rows[e], cols[e]),
-        zero elsewhere: a sparse result of int_fast built back."""
-        M = cls.zeros(n, m, field)
-        for i, j, x in zip(rows.tolist(), cols.tolist(), values):
-            M.rows[i][j] = x
-        return M
-
-    @classmethod
     def from_coo(cls, n, m, lowered, field=QQ):
         """The n x m matrix of lowered COO ((rows, cols), integers, D), the
-        form int_fast.rows_coo gives."""
+        form int_fast.rows_coo gives: a sparse result of int_fast built back."""
         (rows, cols), V, D = lowered
-        return cls.from_entries(n, m, rows, cols, to_field(V, D, field), field)
+        M = cls.zeros(n, m, field)
+        for i, j, x in zip(rows.tolist(), cols.tolist(), to_field(V, D, field)):
+            M.rows[i][j] = x
+        return M
 
     def copy(self):
         M = Matrix.__new__(Matrix)
@@ -282,36 +280,23 @@ class Matrix:
         return [r[j] for r in self.rows]
 
     def __add__(self, other):
-        self._shape_check(other)
-        M = self.copy()
-        for i in range(self.nrows):
-            ra, rb = M.rows[i], other.rows[i]
-            for j in range(self.ncols):
-                ra[j] = ra[j] + rb[j]
-        return M
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._shape_check(other)
-        M = self.copy()
-        for i in range(self.nrows):
-            ra, rb = M.rows[i], other.rows[i]
-            for j in range(self.ncols):
-                ra[j] = ra[j] - rb[j]
-        return M
+        return self._entrywise(other, operator.sub)
 
-    def _shape_check(self, other):
+    def _entrywise(self, other, op):
         if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError(
-                "shape mismatch: %dx%d vs %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
+            raise ValueError("shape mismatch: %dx%d vs %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
+        M = self.copy()
+        M.rows = [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
+        return M
 
     def scale(self, c):
         c = self.field.of(c)
         M = self.copy()
-        for r in M.rows:
-            for j in range(self.ncols):
-                r[j] = r[j] * c
+        M.rows = [[x * c for x in r] for r in self.rows]
         return M
 
     def __neg__(self):
@@ -320,7 +305,6 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        zero = self.field.zero
         out = Matrix.zeros(self.nrows, other.ncols, self.field)
         ocols = other.ncols
         for i in range(self.nrows):
@@ -364,10 +348,7 @@ class Matrix:
         return self.transpose()
 
     def trace(self):
-        t = self.field.zero
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.rows[i][i]
-        return t
+        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), self.field.zero)
 
     def is_zero(self):
         return all(not x for r in self.rows for x in r)
@@ -375,81 +356,40 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(self.rows[i][j] == other.rows[i][j]
-                    for i in range(self.nrows) for j in range(self.ncols))
-        )
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
 
     def __repr__(self):
         return "Matrix(%d x %d over %s)" % (self.nrows, self.ncols, self.field)
 
+    def _int_rows(self):
+        return [int_row(r, self.field)[0] for r in self.rows]
+
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        rows, pivots = [], []
-        for r in self.rows:
-            if len(pivots) == self.ncols:
-                break
-            _echelon_insert(rows, pivots, r)
-        order = sorted(range(len(pivots)), key=pivots.__getitem__)
-        R = Matrix.zeros(self.nrows, self.ncols, self.field)
-        for i, k in enumerate(order):
-            for j, x in rows[k].items():
-                R.rows[i][j] = x
-        return R, [pivots[k] for k in order]
+        rows, pivots = echelon(self._int_rows(), self.field.p, self.ncols)
+        R = _lowered([(w, w[c]) for w, c in zip(rows, pivots)], self.field.p)
+        return Matrix.from_coo(self.nrows, self.ncols, R, self.field), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(echelon(self._int_rows(), self.field.p, self.ncols)[1])
 
     def kernel_basis(self):
         """Exact basis of the right null space, as coordinate lists."""
-        R, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        zero, one = self.field.zero, self.field.one
-        basis = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for prow, pcol in enumerate(pivots):
-                v[pcol] = -R.rows[prow][f]
-            basis.append(v)
-        return basis
+        ker, k = kernel_coo(self._int_rows(), self.ncols, self.field.p)
+        return Matrix.from_coo(k, self.ncols, ker, self.field).rows
 
     def solve(self, b):
         """One exact solution of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("rhs length %d != %d rows" % (len(b), self.nrows))
-        aug = Matrix.zeros(self.nrows, self.ncols + 1, self.field)
-        for i in range(self.nrows):
-            aug.rows[i][: self.ncols] = self.rows[i][:]
-            aug.rows[i][self.ncols] = self.field.of(b[i])
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        zero = self.field.zero
-        x = [zero] * self.ncols
-        for prow, pcol in enumerate(pivots):
-            x[pcol] = R.rows[prow][self.ncols]
-        return x
+        return solution([int_row(r + [x], self.field)[0] for r, x in zip(self.rows, b)],
+                        self.ncols, self.field)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        n = self.nrows
-        aug = Matrix.zeros(n, 2 * n, self.field)
-        one = self.field.one
-        for i in range(n):
-            aug.rows[i][:n] = self.rows[i][:]
-            aug.rows[i][n + i] = one
-        R, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        out = Matrix.zeros(n, n, self.field)
-        for i in range(n):
-            out.rows[i] = R.rows[i][n:]
-        return out
+        return Matrix.from_coo(self.nrows, self.nrows, inverse_coo(
+            rows_coo(self.rows, self.field), self.nrows, self.field.p), self.field)
 
 
 def solve(A, b):
@@ -486,141 +426,253 @@ def basis_vector(n, i, field=QQ):
 
 
 def flatten_matrix(M):
-    out = []
-    for r in M.rows:
-        out.extend(r)
-    return out
+    return [x for r in M.rows for x in r]
 
 
-def _reduce(rows, pivots, v):
-    """v minus its components along the reduced rows ({column: value}, with
-    pivot column pivots[k] for rows[k]), as a new dense list."""
-    w = list(v)
-    for row, p in zip(rows, pivots):
-        c = w[p]
-        if c:
-            for j, b in row.items():
-                w[j] = w[j] - c * b
+def int_row(v, field):
+    """A dense vector of field values (or ints) as a sparse integer row
+    {index: int} and its scale: the vector times the lcm of its
+    denominators over QQ, its nonzero residues and 1 over GF(p)."""
+    if field.p is not None:
+        return {j: r for j, x in enumerate(v) if x and (r := field.of(x).v)}, 1
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    L = lcm(*(x.denominator for _j, x in nz))
+    return {j: x.numerator * (L // x.denominator) for j, x in nz}, L
+
+
+def coo_rows(lowered, n, p=None):
+    """The n sparse integer rows of a lowered matrix ((rows, columns),
+    integers, D), equal entries summed, mod p over GF(p).  D scales every
+    row alike: it changes neither their echelon nor their kernel."""
+    (R, C), V, _D = lowered
+    rows = [{} for _ in range(n)]
+    for i, j, x in zip(R.tolist(), C.tolist(), V.tolist()):
+        rows[i][j] = rows[i].get(j, 0) + x
+    return [{j: x % p if p else x for j, x in w.items() if (x % p if p else x)} for w in rows]
+
+
+def _combine(u, v, x, a, p):
+    """a u - x v for sparse integer rows, x = u[c] and a = v[c] at v's pivot
+    c, as a new row without zeros: over QQ a and x are divided by their gcd
+    first, over GF(p) (where a = 1) the entries are reduced mod p."""
+    if p is None:
+        g = gcd(a, x)
+        a, x = a // g, x // g
+    w = dict(u) if a == 1 else {j: a * y for j, y in u.items()}
+    for j, y in v.items():
+        z = w.get(j, 0) - x * y
+        if p is not None:
+            z %= p
+        if z:
+            w[j] = z
+        else:
+            del w[j]
     return w
 
 
-def _echelon_insert(rows, pivots, v, of=None):
-    """The one Gauss-Jordan step of the library: reduce v against the rows
-    of a reduced echelon form and, if a nonzero remains, scale it to pivot 1,
-    clear its pivot column from the other rows and append it.  Returns True
-    if v enlarged the row space.  With `of` (the field's coercion) a
-    remainder with a nonzero entry is coerced before its pivot is chosen, so
-    Python ints count and divide as field values; a vector that reduces to
-    zero is not coerced."""
-    w = _reduce(rows, pivots, v)
-    piv = next((j for j, x in enumerate(w) if x), None)
-    if piv is not None and of is not None:
-        w = list(map(of, w))
-        piv = next((j for j, x in enumerate(w) if x), None)
-    if piv is None:
+def _primitive(w, c, p):
+    """w over QQ divided by the gcd of its entries; over GF(p) scaled to 1 at c."""
+    if p is None:
+        g = gcd(*w.values())
+        return w if g == 1 else {j: y // g for j, y in w.items()}
+    s = pow(w[c], -1, p)
+    return w if s == 1 else {j: y * s % p for j, y in w.items()}
+
+
+def _remainder(rows, pivots, w, p):
+    """w minus its components along the echelon rows: a multiple of the
+    unique remainder, empty iff w lies in their span."""
+    for row, c in zip(rows, pivots):
+        if c in w:
+            w = _combine(w, row, w[c], row[c], p)
+    return w
+
+
+def _append(rows, pivots, w, p):
+    """The elimination step: if w has a remainder, make it primitive with
+    its first index as pivot, clear that column from the other rows and
+    append it.  True if w enlarged the row space."""
+    w = _remainder(rows, pivots, w, p)
+    if not w:
         return False
-    inv = w[piv]
-    new = {j: x / inv for j, x in enumerate(w) if x}
-    for row in rows:
-        c = row.get(piv)
-        if c:
-            for j, b in new.items():
-                x = row.get(j, 0) - c * b
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-    rows.append(new)
-    pivots.append(piv)
+    c = min(w)
+    w = _primitive(w, c, p)
+    for k, row in enumerate(rows):
+        if c in row:
+            rows[k] = _primitive(_combine(row, w, row[c], w[c], p), pivots[k], p)
+    rows.append(w)
+    pivots.append(c)
     return True
+
+
+def echelon(rows, p=None, width=None):
+    """The reduced row echelon form of sparse integer rows {column: int}
+    (cleared over QQ, residues over GF(p)), stopping at `width` pivots:
+    (rows, pivots) sorted by pivot, row k standing for rows[k] over
+    rows[k][pivots[k]]."""
+    out, pivots = [], []
+    for w in rows:
+        if len(pivots) == width:
+            break
+        _append(out, pivots, w, p)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [out[k] for k in order], [pivots[k] for k in order]
+
+
+def _lowered(rows, p):
+    """Sparse integer rows, each over its own denominator ({column: int}, d),
+    as one lowered matrix ((rows, columns), integers, D), sorted, D the lcm
+    of the d in lowest terms (1 over GF(p))."""
+    D = lcm(*(d for _w, d in rows))
+    entries = [(i, j, w[j] * (D // d)) for i, (w, d) in enumerate(rows) for j in sorted(w)]
+    R, C, V = zip(*entries) if entries else ((), (), ())
+    V, D = reduced(V, D) if p is None else (as_ints(V), 1)
+    return (np.array(R, dtype=np.int64), np.array(C, dtype=np.int64)), V, D
+
+
+def kernel_coo(rows, n, p=None):
+    """The echelon basis of the right kernel of sparse integer rows on n
+    columns (vector t is 1 at the t-th free column f, minus the echelon
+    entries of column f at the pivots), lowered ((vector, index), integers,
+    D), and the number of vectors."""
+    rows, pivots = echelon(rows, p, n)
+    D = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    free = {f: t for t, f in enumerate(sorted(set(range(n)) - set(pivots)))}
+    vecs = [({f: D}, D) for f in free]
+    for row, c in zip(rows, pivots):
+        for j, x in row.items():
+            if j != c:
+                vecs[free[j]][0][c] = -x * (D // row[c]) % p if p else -x * (D // row[c])
+    return _lowered(vecs, p), len(free)
+
+
+def kernel_of(lowered, m, n, field):
+    """Matrix.kernel_basis of the m x n matrix given lowered ((rows,
+    columns), integers, D), without building it."""
+    ker, k = kernel_coo(coo_rows(lowered, m, field.p), n, field.p)
+    return Matrix.from_coo(k, n, ker, field).rows
+
+
+def solution(rows, n, field):
+    """One solution x (field values) of the sparse integer rows with the
+    coefficients at columns 0..n-1 and the right-hand side at column n;
+    None if they are inconsistent."""
+    rows, pivots = echelon(rows, field.p, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [field.zero] * n
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row.get(n, 0), row[c]) if field.p is None else field.of(row.get(n, 0))
+    return x
+
+
+def inverse_coo(lowered, n, p=None):
+    """The inverse of the n x n matrix given lowered ((rows, columns),
+    integers, D), lowered in lowest terms: one echelon of the rows of
+    [D A | D I].  ValueError if it is singular."""
+    rows, pivots = echelon([{**w, n + i: lowered[2]} for i, w in enumerate(coo_rows(lowered, n, p))],
+                           p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return _lowered([({j - n: x for j, x in w.items() if j >= n}, w[k])
+                     for k, w in enumerate(rows)], p)
 
 
 class Subspace:
     """Span of a list of vectors with a deterministic preferred basis.
 
-    Vectors are fed in order; each one that increases the rank is kept as a
-    basis vector (so the basis is a subset of the generators, reproducible
-    across runs).  Coordinates w.r.t. that preferred basis are computed from
-    an invertible square submatrix selected by the first independent rows.
+    Vectors are fed in order, one at a time (add) or as an integer batch
+    (add_many); each one that increases the rank is kept as a basis vector,
+    so the basis is a subset of the generators, reproducible across runs.
+    The kept vectors and the echelon rows of the span are sparse integer
+    rows; the field-valued `basis` is built from them on first read.
+    Coordinates come from the inverse of the basis at the pivot coordinates
+    (the first independent rows), found by the same elimination.
     """
 
     def __init__(self, ambient_dim, field=QQ):
         self.ambient_dim = ambient_dim
         self.field = field
-        self.basis = []
-        self._rref_rows = []       # rref of the kept vectors, {index: value}
-        self._pivots = []          # pivot column of each rref row
-        self._coord_solver = None
-        self._lowered = None       # (pivot map, inverse COO, basis COO)
+        self._rows, self._pivots = [], []   # echelon rows of the span, in feed order
+        self._kept = []            # the kept vectors, ({index: int}, denominator)
+        self._basis = self._lowered = None
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim=None, field=QQ):
-        if ambient_dim is None:
-            ambient_dim = len(vectors[0])
-        S = cls(ambient_dim, field)
+        S = cls(len(vectors[0]) if ambient_dim is None else ambient_dim, field)
         for v in vectors:
             S.add(v)
         return S
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._kept)
+
+    @property
+    def basis(self):
+        """The kept vectors as lists of field values."""
+        if self._basis is None:
+            self._basis = Matrix.from_coo(self.dim, self.ambient_dim,
+                                          _lowered(self._kept, self.field.p), self.field).rows
+        return self._basis
 
     def _check_length(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector of length %d, the space has ambient dimension %d"
                              % (len(v), self.ambient_dim))
 
+    def _keep(self, w, d):
+        if not _append(self._rows, self._pivots, w, self.field.p):
+            return False
+        self._kept.append((w, d))
+        self._basis = self._lowered = None
+        return True
+
     def add(self, v):
         """Add v to the span; returns True if it enlarged the space."""
         self._check_length(v)
-        if not _echelon_insert(self._rref_rows, self._pivots, v, self.field.of):
-            return False
-        self.basis.append(list(map(self.field.of, v)))
-        self._coord_solver = None
-        self._lowered = None
-        return True
+        return self._keep(*int_row(v, self.field))
+
+    def add_many(self, ids, cols, vals, D=1):
+        """add of a batch as coords_many takes it (vector ids[e] has vals[e] / D
+        at index cols[e]), fed in increasing id; returns the kept ids."""
+        S = np.asarray(ids, dtype=np.int64)
+        kept = coo_rows(((S, np.asarray(cols, dtype=np.int64)), as_ints(vals), D),
+                        int(S.max(initial=-1)) + 1, self.field.p)
+        return [i for i, w in enumerate(kept) if w and self._keep(w, 1 if self.field.p else D)]
 
     def contains(self, v):
         self._check_length(v)
-        return vec_is_zero(_reduce(self._rref_rows, self._pivots, list(map(self.field.of, v))))
-
-    def _build_solver(self):
-        # rows of the basis matrix at the pivot coordinates are invertible
-        B = Matrix([[b[p] for b in self.basis] for p in self._pivots], self.field)
-        self._coord_solver = B.inverse()
+        return not _remainder(self._rows, self._pivots, int_row(v, self.field)[0], self.field.p)
 
     def coords(self, v, check=True):
-        """Coordinates of v in the preferred basis; None if v is outside."""
+        """Coordinates of v in the preferred basis; None if v is outside
+        (with check False, those of its projection through the pivot rows)."""
         self._check_length(v)
-        if self.dim == 0:
-            return [] if vec_is_zero(v) else None
-        if self._coord_solver is None:
-            self._build_solver()
-        c = self._coord_solver.apply([v[p] for p in self._pivots])
-        if check:
-            zero = self.field.zero
-            recon = [zero] * self.ambient_dim
-            for ci, b in zip(c, self.basis):
-                if ci:
-                    recon = [r + ci * x for r, x in zip(recon, b)]
-            if not vec_eq(recon, list(v)):
-                return None
-        return c
+        w, d = int_row(v, self.field)
+        if check and _remainder(self._rows, self._pivots, w, self.field.p):
+            return None
+        _pos, ((K, I), Vq, Dq), _P = self._lower()
+        c = [0] * self.dim
+        for k, i, q in zip(K.tolist(), I.tolist(), Vq.tolist()):
+            c[k] += q * w.get(self._pivots[i], 0)
+        return to_field(c, Dq * d, self.field)
 
     def _lower(self):
-        """The pivot map (ambient index -> pivot position or -1), the COO
-        integers of the pivot-row inverse Q and of P = B Q, B the basis as
-        columns, each over its denominator: Q takes a vector's pivot
-        entries to its coordinates, P to the vector they reconstruct."""
+        """The pivot map (ambient index -> pivot position or -1) and, lowered,
+        the inverse Q of the basis B (as columns) at the pivot coordinates
+        and P = B Q: Q takes a vector's pivot entries to its coordinates, P
+        to the vector they reconstruct.  Q is the inverse_coo of the pivot
+        rows of B; column k of P is the echelon row of pivot position k."""
         if self._lowered is None:
-            if self._coord_solver is None:
-                self._build_solver()
+            p = self.field.p
             pos = np.full(self.ambient_dim, -1, dtype=np.int64)
             pos[self._pivots] = np.arange(self.dim)
-            Q = rows_coo(self._coord_solver.rows, self.field)
-            (K, C), V, D = rows_coo(self.basis, self.field)
-            self._lowered = (pos, Q, compose(((C, K), V, D), Q, self.field.p))
+            L = lcm(*(d for _w, d in self._kept))
+            Q = inverse_coo(_lowered([({k: w[c] * (L // d) for k, (w, d) in enumerate(self._kept)
+                                        if c in w}, L) for c in self._pivots], p), self.dim, p)
+            (k, a), V, D = _lowered([(w, w[c]) for w, c in zip(self._rows, self._pivots)], p)
+            self._lowered = (pos, Q, ((a, k), V, D))
         return self._lowered
 
     def coords_many(self, ids, cols, vals, D=1, check=True):

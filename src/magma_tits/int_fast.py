@@ -1,39 +1,26 @@
-"""Bulk exact arithmetic helpers.
+"""Bulk exact arithmetic helpers: contractions of integer COO.
 
 Rational data with a common denominator cleared is integer data; GF(p)
 data is its residues (`lower`).  Tables, maps and lists of matrices are
 stored as COO columns of such integers, joined on a shared index (`join`),
 each output index tuple packed into one int64 key, and equal keys summed
 with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
-every key group's size times its largest product fits in int64, read off
-the actual values; over GF(p) with (p-1)^2 in int64 it reduces each
-product mod p and sums in int64 past that (delayed reduction); on Python
-ints otherwise.  An algebra is built from such integers: its builders
-fold their blocks into one table (`fold_table`) and hand it to
-SuperAlgebra.from_coo, which keeps it as SuperAlgebra.coo in lowest terms
-(`reduced`).  Field values are built back (`to_field`) only where field
-arithmetic follows, and a hand-written table is lowered once (`table_coo`).
+every key group's size times its largest product fits, read off the
+actual values; over GF(p) with (p-1)^2 in int64 it reduces each product
+mod p and sums in int64 past that (delayed reduction); on Python ints
+otherwise.  Builders fold their blocks into one table (`fold_table`) for
+SuperAlgebra.from_coo, which keeps it in lowest terms (`reduced`); field
+values are built back (`to_field`) only where field arithmetic follows.
 
-A fold builds all its terms before it sorts them, so the bulk checks
-(super-Jacobi, the last fold of the structurable check, the Jordan
-identity, algebra.map_failures) go through `fold_blocks`: each of their
-term groups is a join whose right-hand row carries the output index, the
-exact join sizes are read first, and a contraction past a fixed budget of
-_TERM_BUDGET terms is folded one block of output indices at a time,
-keeping only the entries of the first failing prefixes of each block.
-Memory then follows the budget: the E8 Jacobi check's 1.3 M terms fold
-in blocks of at most about 65 K.
-
-On these helpers run the sparse checkers and the construction itself: the
-graded commutators of lists of matrices (`commutators`), the inner
-derivations, the Tits brackets, the Lie conditions of the construction
-(whose cyclic sums place each term at its triple's `rotations`), the
-coordinate algebras, the products and equality tests of lowered matrices
-(`compose`, `same_map`) that involutions reduce to, the block-diagonal
-copies (`tile`) on which the four S4 generators and their words run at
-once, and the batched coordinates of Subspace.coords_many, which fold
-the vectors' pivot entries against the span's lowered pivot-row inverse
-and, in the same fold, check the reconstruction exactly.
+A contraction past _TERM_BUDGET terms (the bulk checks: super-Jacobi,
+structurable, Jordan identity, algebra.map_failures) is folded one block
+of output indices at a time (`fold_blocks`), keeping only the first
+failing prefixes of each block, so memory follows the budget.  The other
+helpers are the folds of the construction and the S4 layer: graded
+commutators (`commutators`), matvecs and bilinear maps, products and
+equality tests of lowered matrices (`compose`, `same_map`) and
+block-diagonal copies (`tile`).  Spans, kernels, solves and inverses are
+not folds: exact.py eliminates on the same integers, row by row.
 
 Every exact contraction is a fold, under fold's one bound rule.  No
 helper here uses floating point, approximates or overflows.

@@ -23,8 +23,7 @@ the tables, signs, or conventions upstream are wrong.
 
 from .exact import QQ, Matrix, Subspace, vec_zero
 from .algebra import _invertible, map_failures, outer_block
-from .int_fast import (compose, fold, fold_table, identity_coo, join, rows_coo, same_map,
-                       to_field)
+from .int_fast import compose, fold, fold_table, identity_coo, join, rows_coo, same_map
 from .composition import s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import jordan_super_jvtheta, kaplansky
@@ -105,33 +104,26 @@ def phi_theorem41(ca, AJ, J):
     j0 = J.j0_basis()
     if m != 4 + 2 * len(j0):
         raise ValueError("coordinate algebra does not carry the distinguished basis")
-    n_t = AJ.algebra.n
 
     def aj_vec(alpha, xvec, yvec, beta):
-        v = vec_zero(n_t, f)
-        v[0] = f.of(alpha)
-        v[n_t - 1] = f.of(beta)
-        if xvec is not None:
-            for i, c in enumerate(xvec):
-                v[1 + i] = c
-        if yvec is not None:
-            for i, c in enumerate(yvec):
-                v[1 + nj + i] = c
-        return v
+        """(alpha, x; y, beta) in the basis of A(J) = k + J + J + k."""
+        return [f.of(alpha), *(xvec or vec_zero(nj, f)), *(yvec or vec_zero(nj, f)), f.of(beta)]
 
-    two = f.of(2)
-    cols = [
-        aj_vec(3, None, None, 0),
-        aj_vec(0, None, None, 3),
-        aj_vec(0, [two * u for u in J.unit], None, 0),
-        aj_vec(0, None, [two * u for u in J.unit], 0),
-    ]
-    for x in j0:
-        cols.append(aj_vec(0, x, None, 0))
-    for x in j0:
-        cols.append(aj_vec(0, None, x, 0))
+    unit2 = [f.of(2) * u for u in J.unit]
+    cols = [aj_vec(3, None, None, 0), aj_vec(0, None, None, 3), aj_vec(0, unit2, None, 0),
+            aj_vec(0, None, unit2, 0)]
+    cols += [aj_vec(0, x, None, 0) for x in j0] + [aj_vec(0, None, x, 0) for x in j0]
     Phi = Matrix.from_columns(cols, f)
     return InvolutionHomomorphism(ca.awi, AJ, Phi, name="Phi41")
+
+
+def _require_jordan(J):
+    """IsomorphismError naming the first basis triple on which J breaks the
+    Jordan identity (JordanAlgebra.jordan_failure), if there is one."""
+    if J.jordan_failure is not None:
+        raise IsomorphismError("%s is not a Jordan algebra: the Jordan identity fails on the "
+                               "basis triple (%s, %s, %s)"
+                               % (J.name, *(J.algebra.basis[i] for i in J.jordan_failure)))
 
 
 def theorem41(J, C=None, T=None):
@@ -141,6 +133,7 @@ def theorem41(J, C=None, T=None):
     both from the registry when J is a registry object (registry.tits_of).
     Returns (T, ca, AJ, hom); raises IsomorphismError on any failure.
     """
+    _require_jordan(J)
     C = C or (T.C if T is not None else composition_for("cayley", J))
     T = T if T is not None else tits_of(C, J)
     action = s4_on_tits_left(T)
@@ -183,12 +176,8 @@ def phi_theorem61(ca, TP, T):
                 v[p * d + j] = scale * cp
         return v
 
-    cols = []
-    for i in range(nc):
-        for j in range(d):
-            cols.append(tp_vec(T.c0_basis[i], j, f.of(-1)))
-    for j in range(d):
-        cols.append(tp_vec(C.unit, j, -half))
+    cols = [tp_vec(T.c0_basis[i], j, f.of(-1)) for i in range(nc) for j in range(d)]
+    cols += [tp_vec(C.unit, j, -half) for j in range(d)]
     Phi = Matrix.from_columns(cols, f)
     return InvolutionHomomorphism(ca.awi, TP, Phi, name="Phi61")
 
@@ -218,21 +207,13 @@ def jordan_to_aj_map(J, AJ):
     """alpha 1 + x -> (3a/4, -a/4 + x/2; -a/4 + x/2, 3a/4), J -> A(J)."""
     f = J.field
     nj = J.dim
-    n_t = AJ.algebra.n
     q34, q14, half = f.of(3) / f.of(4), f.of(1) / f.of(4), f.of(1) / f.of(2)
     cols = []
     for b in range(nj):
         v = J.algebra.e(b)
         alpha = J.trace_of(v)
-        x = [c - alpha * u for c, u in zip(v, J.unit)]
-        col = vec_zero(n_t, f)
-        col[0] = q34 * alpha
-        col[n_t - 1] = q34 * alpha
-        for i in range(nj):
-            slotval = -q14 * alpha * J.unit[i] + half * x[i]
-            col[1 + i] = slotval
-            col[1 + nj + i] = slotval
-        cols.append(col)
+        slot = [-q14 * alpha * u + half * (c - alpha * u) for c, u in zip(v, J.unit)]
+        cols.append([q34 * alpha, *slot, *slot, q34 * alpha])    # A(J) = k + J + J + k
     M = Matrix.from_columns(cols, f)
     JI = AlgebraWithInvolution(J.algebra, Matrix.identity(nj, f))
     return InvolutionHomomorphism(JI, AJ, M, name="J->S")
@@ -247,6 +228,7 @@ def tqj_maps(J):
     Returns (hom_J_to_AJ, hom_ca_to_J, lie_iso_matrix, TQ, T62); all maps
     verified, IsomorphismError on failure.
     """
+    _require_jordan(J)
     f = J.field
     Q = composition_for("quatq", J)
     TQ = tits_of(Q, J)
@@ -265,10 +247,7 @@ def tqj_maps(J):
 
     # (b) psi: ca -> J with D_{p1,p2} -> 4*1 and p0 x x -> 2x certifies
     # that the coordinate algebra is J itself
-    j0 = J.j0_basis()
-    cols = [[f.of(4) * u for u in J.unit]]
-    for x in j0:
-        cols.append([f.of(2) * c for c in x])
+    cols = [[f.of(4) * u for u in J.unit]] + [[f.of(2) * c for c in x] for x in J.j0_basis()]
     psi = Matrix.from_columns(cols, f)
     JI = AlgebraWithInvolution(J.algebra, Matrix.identity(J.dim, f))
     hom_b = InvolutionHomomorphism(ca.awi, JI, psi, name="T(Q,J)10->J")
@@ -299,9 +278,8 @@ def _tqj_lie_iso(TQ, T62):
     (a, b), (c, d) = join(I, x), join(Jq, x)
     keys, sums, _path = fold([((t[b] * nq + K[a]) * nq + Jq[a], [V[a], xv[b]]),
                               ((t[d] * nq + K[c]) * nq + I[c], [V[c], xv[d], -1])], f.p)
-    ad = Subspace.from_vectors(Matrix.from_entries(nc, nq * nq, keys // (nq * nq),
-                                                   keys % (nq * nq), to_field(sums, Dq * Dx, f),
-                                                   f).rows, nq * nq, f)
+    ad = Subspace(nq * nq, f)
+    ad.add_many(keys // (nq * nq), keys % (nq * nq), sums, Dq * Dx)
 
     def coords(space, span, what):
         """A DerivationSpace's lowered matrices in span coordinates, as the
@@ -322,12 +300,12 @@ def _tqj_lie_iso(TQ, T62):
                     lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),
         # d -> d: a change of basis of the same space
         (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)], n, f.p)
-    M = Matrix.from_coo(n, n, M, f)
+    lowered, M = M, Matrix.from_coo(n, n, M, f)
     bad = homomorphism_failures(TQ.algebra, T62.algebra, M)
     if bad:
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not a homomorphism; "
                                "first failing pair %s" % (bad[0],))
-    if not _invertible(M):
+    if not _invertible(lowered, n, f.p):
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not bijective")
     return M
 

@@ -24,13 +24,14 @@ contractions of the table with itself on int_fast.join and fold.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .exact import QQ, Matrix, Subspace, vec_zero, basis_vector, flatten_matrix
+from .exact import QQ, Matrix, Subspace, basis_vector, kernel_of, vec_zero
 from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
 from .composition import split_cayley
-from .int_fast import INT64_MAX, fold, fold_blocks, join, joined, to_field
+from .int_fast import INT64_MAX, fold, fold_blocks, join, joined
 from .tits import inner_derivation_pairs, inner_derivation_space, tits, verify_lie_conditions
 
 
@@ -74,6 +75,11 @@ class JordanAlgebra:
             self._j0 = Matrix([self.trace_row], self.field).kernel_basis()
         return self._j0
 
+    @cached_property
+    def jordan_failure(self):
+        """jordan_identity_failure of J, computed once per J."""
+        return jordan_identity_failure(self)
+
     def djj(self):
         """d_{J,J}: the tits.inner_derivation_space of the J0 basis, built
         once per J and shared by every T(C, J)."""
@@ -107,7 +113,7 @@ class JordanAlgebra:
         alg, f, n = self.algebra, self.field, self.dim
         ids, rc, d, D = inner_derivation_pairs(self, [x, y])
         sel = np.flatnonzero(ids == 1)
-        M = Matrix.from_entries(n, n, rc[sel] // n, rc[sel] % n, to_field(d[sel], D, f), f)
+        M = Matrix.from_coo(n, n, ((rc[sel] // n, rc[sel] % n), d[sel], D), f)
         parity = (alg.parity_of_vector(x) + alg.parity_of_vector(y)) % 2
         return LinearMap(alg, alg, M, parity=parity)
 
@@ -355,7 +361,13 @@ def check_supercommutative(algebra):
 
 
 def check_jordan_identity(J):
-    """Linearized (super) Jordan identity on basis triples a <= b <= c:
+    """Whether J satisfies the Jordan identity (jordan_identity_failure)."""
+    return jordan_identity_failure(J) is None
+
+
+def jordan_identity_failure(J):
+    """The first basis triple a <= b <= c on which the linearized (super)
+    Jordan identity fails, None if it holds on all of them:
 
         sum_cyc (-1)^{|a||c|} [L_a, L_{b o c}] = 0
 
@@ -369,8 +381,8 @@ def check_jordan_identity(J):
     at the keys (a, b, c, d, l) of the cyclic rotations (a, b, c) of
     (x, y, z) with a <= b <= c.  Both joins take l from their right-hand
     row, so int_fast.fold_blocks folds one block of l at a time past its
-    term budget.  The identity holds iff no key survives the fold;
-    ValueError when n^5 passes int64.
+    term budget, keeping the first triple whose keys survive; ValueError
+    when n^5 passes int64.
     """
     alg = J.algebra
     f, n = alg.field, alg.n
@@ -400,8 +412,9 @@ def check_jordan_identity(J):
               joined(K, Pw, Pm, lambda g, h: rotations(
                   I[g], Py[h], Pz[h], J[g], Pm[h],
                   [V[g], P[h], np.where(odd[I[g]] & (odd[Py[h]] ^ odd[Pz[h]]), 1, -1)]))]
-    keys, _sums, _path = fold_blocks(groups, first=1, p=p)
-    return not len(keys)
+    keys, _sums, _path = fold_blocks(groups, step=n * n, first=1, p=p)
+    abc = int(keys[0]) // (n * n) if len(keys) else None
+    return None if abc is None else (abc // (n * n), abc // n % n, abc % n)
 
 
 def h3_derivation_grading(J):
@@ -415,24 +428,20 @@ def h3_derivation_grading(J):
     alg = J.algebra
     f = J.field
     n = alg.n
-    span = J.djj().span
-    # {d : d(e_i) = 0}: inside the span, solve for combinations killing the e_i
-    rows = []
-    for vec in span.basis:
-        M = Matrix([vec[i * n:(i + 1) * n] for i in range(n)], f)
-        cols = []
-        for i in range(3):
-            cols.extend(M.apply(alg.e(J.e_index(i))))
-        rows.append(cols)
-    zero_part = Matrix(rows, f).T.kernel_basis() if span.dim else []
-    blocks = []
-    d = J.source.dim
+    djj = J.djj()
+    span = djj.span
+    # {d : d(e_i) = 0}: the combinations of the lowered d_s killing the e_i,
+    # the kernel of the rows (i, k) of the entries d_s[k, e_i]
+    (S, R, C), V, D = djj.lowered
+    e = np.full(n, -1, dtype=np.int64)
+    e[[J.e_index(i) for i in range(3)]] = np.arange(3)
+    sel = np.flatnonzero(e[C] >= 0)
+    zero_part = kernel_of(((e[C[sel]] * n + R[sel], S[sel]), V[sel], D), 3 * n, span.dim, f)
+    blocks, d = [], J.source.dim
     for i in range(3):
-        Si = Subspace(n * n, f)
-        ei = [x - y for x, y in zip(alg.e(J.e_index((i + 1) % 3)),
-                                    alg.e(J.e_index((i + 2) % 3)))]
-        for jj in range(d):
-            x = J.iota(i, basis_vector(d, jj, f))
-            Si.add(flatten_matrix(J.inner_derivation(ei, x).matrix))
-        blocks.append(Si)
+        ei = [x - y for x, y in zip(alg.e(J.e_index((i + 1) % 3)), alg.e(J.e_index((i + 2) % 3)))]
+        ids, rc, dv, Dd = inner_derivation_pairs(J, [ei] + [J.iota(i, basis_vector(d, jj, f))
+                                                           for jj in range(d)])
+        blocks.append(Subspace(n * n, f))
+        blocks[-1].add_many(ids[ids <= d], rc[ids <= d], dv[ids <= d], Dd)    # d_{e_i, iota_i}
     return span, zero_part, blocks

@@ -31,10 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import Matrix, Subspace
+from .exact import Matrix, Subspace, inverse_coo, kernel_of, solution
 from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures
 from .int_fast import (as_ints, bilinear, compose, distinct, fold, fold_table,
-                       identity_coo, join, matvec, reduced, rows_coo, same_map, tile, to_field)
+                       identity_coo, join, matvec, reduced, rows_coo, same_map, tile)
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -213,26 +213,29 @@ class GroupAction:
     def relation_failures(self):
         return self.word_failures(RELATIONS)
 
-    def automorphism_failures(self):
+    def automorphism_failures(self, orders_hold=False):
         """The generators that are not automorphisms of the target: one
         lowered_map_failures contraction of the stacked map on four copies
         of the target, and invertibility from the order relations
-        (ORDER_RELATIONS), a rank only where one fails."""
+        (ORDER_RELATIONS), evaluated unless orders_hold says they hold, an
+        integer rank of the lowered generator only where one fails."""
         if self.target is None:
             return []
         bad = {GEN_NAMES[i // self.dim] for i, _j in
                lowered_map_failures(self.target, self.target, self.stacked, copies=4)}
         rest = [g for g in GEN_NAMES if g not in bad]
-        orders = self.word_failures([ORDER_RELATIONS[g] for g in rest])
-        bad.update(g for g in rest if ORDER_RELATIONS[g] in orders and not _invertible(self[g]))
+        orders = [] if orders_hold else self.word_failures([ORDER_RELATIONS[g] for g in rest])
+        bad.update(g for g in rest if ORDER_RELATIONS[g] in orders
+                   and not _invertible(self._lowered[g], self.dim, self.field.p))
         return [g for g in GEN_NAMES if g in bad]
 
     def verify(self):
-        """Raise unless all defining relations and automorphism checks hold."""
+        """Raise unless all defining relations and automorphism checks hold;
+        the order relations, among them, are evaluated once."""
         rel = self.relation_failures()
         if rel:
             raise ValueError("%s: defining relations fail: %r" % (self.name, rel))
-        aut = self.automorphism_failures()
+        aut = self.automorphism_failures(orders_hold=True)
         if aut:
             raise ValueError("%s: generators are not automorphisms: %r" % (self.name, aut))
         return True
@@ -260,22 +263,14 @@ class KleinGrading:
         return {k: len(v) for k, v in self.components.items()}
 
     def component_subspace(self, key):
-        S = Subspace(self.action.dim, self.action.field)
-        for v in self.components[key]:
-            S.add(v)
-        return S
+        return Subspace.from_vectors(self.components[key], self.action.dim, self.action.field)
 
     def generator_permutes_components(self):
         """Check every generator maps each component into the predicted one."""
         subs = {k: self.component_subspace(k) for k in self.KEYS}
-        for name, M in self.action.gens.items():
-            perm = COMPONENT_PERMUTATION[name]
-            for key in self.KEYS:
-                tgt = subs[perm(*key)]
-                for v in self.components[key]:
-                    if not tgt.contains(M.apply(v)):
-                        return False
-        return True
+        return all(subs[COMPONENT_PERMUTATION[name](*key)].contains(M.apply(v))
+                   for name, M in self.action.gens.items() for key in self.KEYS
+                   for v in self.components[key])
 
 
 def klein_grading(action):
@@ -301,8 +296,8 @@ def klein_grading(action):
     components = {}
     for c, key in enumerate(KleinGrading.KEYS):
         e = np.flatnonzero(keys // (2 * nn) == c)
-        components[key] = Matrix.from_entries(2 * n, n, keys[e] // n % (2 * n), keys[e] % n,
-                                              to_field(sums[e], 1, f), f).kernel_basis()
+        components[key] = kernel_of(((keys[e] // n % (2 * n), keys[e] % n), sums[e], 1),
+                                    2 * n, n, f)
     if sum(map(len, components.values())) != n:
         raise ValueError("tau1, tau2 are not simultaneously diagonalizable over {+1,-1}")
     return KleinGrading(action, components)
@@ -366,12 +361,11 @@ def coordinate_algebra(g, action, basis=None, name=None):
     if not same_map(compose(action.stacked, (cols, V, DE), p), (cols, signed, DE), p):
         raise ValueError("proposed basis vector is not in the (1,0) component")
     span = Subspace(n, f)
-    for v in basis:
-        if not span.add(v):
-            raise ValueError("proposed basis is linearly dependent")
-    m = span.dim
-    embedding = Matrix.from_columns(span.basis, f) if m else Matrix.zeros(n, 0, f)
-    parity = [g.parity_of_vector(v) for v in span.basis]
+    m = len(basis)
+    if len(span.add_many(xi, xa, xv, DE)) != m:
+        raise ValueError("proposed basis is linearly dependent")
+    embedding = Matrix.from_coo(n, m, ((xa, xi), xv, DE), f)
+    parity = [g.parity_of_vector(v) for v in basis]
     if any(par is None for par in parity):
         raise ValueError("component basis vectors must be parity homogeneous")
 
@@ -391,7 +385,7 @@ def coordinate_algebra(g, action, basis=None, name=None):
         raise ValueError("vector is not in the (1,0) component")
     alg = SuperAlgebra.from_coo(["c%d" % i for i in range(m)], (ids // m, ids % m, ks), V, D,
                                 parity=parity, field=f, name=name or ("coord(%s)" % g.name))
-    sigma = Matrix.from_entries(m, m, sks, sids, to_field(sV, sD, f), f)
+    sigma = Matrix.from_coo(m, m, ((sks, sids), sV, sD), f)
     awi = AlgebraWithInvolution(alg, sigma)
     unit = _find_unit(alg)
     return CoordinateAlgebra(g, action, awi, embedding, span, unit)
@@ -407,17 +401,16 @@ def _find_unit(alg):
     m = alg.n
     if m == 0:
         return None
-    zero, one = alg.field.zero, alg.field.one
     (I, J, K), V, D = alg.coo
     eqs = {}
-    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), to_field(V, D, alg.field)):
-        eqs.setdefault((0, j, k), {})[i] = c       # u b_j
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), V.tolist()):
+        eqs.setdefault((0, j, k), {})[i] = c       # u b_j, times D
         eqs.setdefault((1, i, k), {})[j] = c       # b_i u
     if any((side, j, j) not in eqs for side in (0, 1) for j in range(m)):
         return None
     system = {(tuple(sorted(row.items())), j == k): row for (_side, j, k), row in eqs.items()}
-    return Matrix([[row.get(i, zero) for i in range(m)] for row in system.values()],
-                  alg.field).solve([one if diag else zero for _row, diag in system])
+    return solution([{**row, m: D} if diag else row for (_r, diag), row in system.items()],
+                    m, alg.field)
 
 
 def iota_maps(ca):
@@ -476,7 +469,7 @@ def conjugation_block(span, mats, action, what):
     they are for P = GEN_NAMES[k]: one int_fast.bilinear contraction of the
     list, copied at each offset, with the rows of the stacked P and the
     columns of the stacked P^{-1} (its transpose for a signed permutation,
-    else Matrix.inverse of each small generator), then one
+    else the inverse_coo of each small generator), then one
     Subspace.coords_many.  ValueError naming `what` when one of them
     leaves span."""
     (S, R, C), V, D = mats
@@ -485,7 +478,8 @@ def conjugation_block(span, mats, action, what):
     if _signed_permutation(P, 4 * n, f.p):        # P^{-1} is the transpose
         (qc, qr), qv, DQ = P
     else:
-        inverses = GroupAction(None, *(action[g].inverse() for g in GEN_NAMES))
+        inverses = GroupAction.from_coo(
+            None, {g: inverse_coo(action.lowered(g), n, f.p) for g in GEN_NAMES}, n, f)
         (qr, qc), qv, DQ = inverses.stacked
     (R, C, S), V = tile((R, C, S), (n, n, m), V, 4)
     (i, l, s), sums, _path = bilinear(((R, C, S), V), ((pr, pc), pv), ((qc, qr), qv), f.p)

@@ -33,7 +33,7 @@ import numpy as np
 from .exact import Matrix
 from .algebra import SuperAlgebra, EVEN, lowered_map_failures, outer_block, trace_products
 from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks, fold_table,
-                       identity_coo, join, joined, outer, rows_coo, same_map, to_field)
+                       identity_coo, join, joined, outer, rows_coo, same_map)
 
 
 class AlgebraWithInvolution:
@@ -179,7 +179,7 @@ def tensor_product(C, Chat, name=None):
     (q, j), Vh, Dh = rows_coo(Chat.conj_matrix().rows, f)
     x, y = outer(len(Vc), len(Vh))
     keys, sums, _path = fold([((p[x] * nd + q[y]) * n + i[x] * nd + j[y], [Vc[x], Vh[y]])], f.p)
-    sigma = Matrix.from_entries(n, n, keys // n, keys % n, to_field(sums, Dc * Dh, f), f)
+    sigma = Matrix.from_coo(n, n, ((keys // n, keys % n), sums, Dc * Dh), f)
     return AlgebraWithInvolution(A, sigma)
 
 

@@ -40,12 +40,12 @@ from math import lcm
 
 import numpy as np
 
-from .exact import Subspace, vec_zero, flatten_matrix
+from .exact import Subspace, echelon, int_row, vec_zero
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
                       commutator_table, left_mults, outer_block, tensor_action, trace_products)
 from .composition import derivation_algebra
-from .int_fast import (bilinear, commutators, coo, distinct, fold, fold_table, join,
-                       lower, matrices_coo, reduced, rotations, rows_coo, to_field)
+from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, fold_table, join,
+                       matrices_coo, reduced, rotations, rows_coo, to_field)
 
 
 def inner_derivation_pairs(J, vectors):
@@ -442,13 +442,10 @@ def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
 
 def _row_basis(rows, k, f):
     """Integer rows (denominator-cleared over QQ, residues over GF(p))
-    spanning the row space over f of a nonempty set of integer k-tuples."""
-    S = Subspace(k, f)
-    for row in rows:
-        S.add([f.of(v) for v in row])
-        if S.dim == k:
-            break
-    return np.stack([lower(v, f)[1] for v in S.basis])
+    spanning the row space over f of a nonempty set of integer k-tuples:
+    their echelon rows."""
+    ech, _pivots = echelon((int_row(row, f)[0] for row in rows), f.p, k)
+    return np.stack([as_ints([w.get(j, 0) for j in range(k)]) for w in ech])
 
 
 def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
@@ -633,17 +630,15 @@ def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
     else:
         span = Subspace(nJ * nJ, f)
         pairs = inner_derivation_pairs(J, basis)
-        kept, pars = [], []
-        for M, par in zip(D_matrices, D_parities or [EVEN] * len(D_matrices)):
-            if span.add(flatten_matrix(M)):
-                kept.append(M)
-                pars.append(par)
+        (S, R, C), V, D = matrices_coo(D_matrices, f)
+        kept = span.add_many(S, R * nJ + C, V, D)
+        pars = [(D_parities or [EVEN] * len(D_matrices))[s] for s in kept]
         # D must contain the inner derivations
         *_coords, outside = span.coords_many(*pairs)
         missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
         if missing:
             raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
-        mats = matrices_coo(kept, f)
+        mats = matrices_coo([D_matrices[s] for s in kept], f)
         (s, t, k), d_V, d_D, outside = commutator_table(mats, len(kept), nJ, span, pars)
     if outside:
         raise ValueError("D is not closed under the bracket")

@@ -614,7 +614,14 @@ def transpose_failures_reference(sc, parity, sign, field, max_witnesses=None):
 
 def jordan_identity(J):
     """sum_cyc (-1)^{|a||c|} [L_a, L_{b o c}] = 0 on every basis triple
-    a <= b <= c, by dense Matrix products and graded commutators."""
+    a <= b <= c (jordan_identity_failure finds none)."""
+    return jordan_identity_failure(J) is None
+
+
+def jordan_identity_failure(J):
+    """The first basis triple a <= b <= c, in lexicographic order, with
+    sum_cyc (-1)^{|a||c|} [L_a, L_{b o c}] != 0, by dense Matrix products
+    and graded commutators; None if there is none."""
     alg = J.algebra
     n = alg.n
     L = [left_mult(alg, alg.e(i)) for i in range(n)]
@@ -637,8 +644,8 @@ def jordan_identity(J):
                     term = graded_comm(L[x], Lyz, par[x], pyz)
                     total = (total + term) if sign > 0 else (total - term)
                 if not total.is_zero():
-                    return False
-    return True
+                    return a, b, c
+    return None
 
 
 def involution_failures(AI):

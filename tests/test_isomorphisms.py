@@ -63,6 +63,20 @@ def test_theorem41_negative_control():
         bad.verify()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+def test_theorems_reject_a_jordan_algebra_that_is_not_one(field):
+    """The corrupted H3(k) (iota_0 iota_1 = 5/2 iota_2) breaks the Jordan
+    identity: theorem41 and tqj_maps refuse it, naming the first failing
+    basis triple, as the Lie conditions of T(C, Jbad) fail."""
+    Jbad = corrupted_h3k(field)
+    assert Jbad.jordan_failure == (0, 3, 4)
+    for run in (theorem41, tqj_maps):
+        with pytest.raises(IsomorphismError, match=r"fails on the basis triple \(E0, i0\(1\), "
+                                                   r"i1\(1\)\)"):
+            run(Jbad)
+    assert not verify_lie_conditions(split_quaternion(field), Jbad).ok
+
+
 def test_involution_homomorphism_must_intertwine():
     AJ = a_of_j(h3(ground()))
     n = AJ.dim
@@ -263,13 +277,17 @@ def test_theorems_on_fresh_inputs_leave_the_registry_alone(monkeypatch):
 
 def test_registry_name_alone_shares_nothing(monkeypatch):
     """A corrupted H3(k) that carries the registry H3(k)'s name gets its own
-    T and d_{J,J}, and the Lie conditions still fail on it with a witness."""
+    T and d_{J,J}, and the Lie conditions still fail on it with a witness.
+    theorem41 refuses it (it breaks the Jordan identity); its T comes from
+    the registry lookup that theorem41 makes."""
     _count_builds(monkeypatch)
     T = registry.tits_by_name("cayley", "h3:ground")
     Jbad = corrupted_h3k()
     Jbad.algebra.name = T.J.name
     held = dict(registry._CACHE)
-    Tbad = theorem41(Jbad)[0]
+    with pytest.raises(IsomorphismError, match="not a Jordan algebra"):
+        theorem41(Jbad)
+    Tbad = registry.tits_of(registry.composition_for("cayley", Jbad), Jbad)
     assert Tbad is not T and Tbad.J is Jbad
     assert Tbad.djj is Jbad.djj() and Tbad.djj is not T.djj
     assert Tbad.algebra.name == T.algebra.name
