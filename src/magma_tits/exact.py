@@ -10,9 +10,9 @@ for itself over its entry at its pivot column (_append, echelon).  Over QQ
 each new or updated row is divided by the gcd of its entries; over GF(p)
 its entries are residues and its pivot is scaled to 1, the p switch of
 int_fast.fold.  No Fraction is added, multiplied or divided: a Matrix is
-lowered row by row (int_row) and its rref, kernel, solution or inverse is
-built back with Fraction(numerator, denominator).  Callers that hold
-integer COO hand it over directly (coo_rows, kernel_coo, solution,
+lowered (int_row, int_fast.rows_coo) and its rref, kernel, solution or
+inverse is built back with Fraction(numerator, denominator).  Callers that
+hold integer COO hand it over (coo_rows, kernel_coo, kernel_of, solution,
 inverse_coo) and get lowered COO back.  A Subspace keeps its echelon rows
 as integers, takes vectors one at a time or as a batch (add_many), and
 gives the coordinates of a whole batch of sparse integer vectors at once
