@@ -609,8 +609,8 @@ def extract_b1(g, report):
             # column i of the copy is sum_s A[s][i] conc_s, A^{-1} the
             # inverse_coo of the abstract vectors as columns: one matvec of
             # the concrete vectors (as matrix columns) with the columns of A
-            (s, x), Va, Da = rows_coo([a for a, _c in pairs], f)
-            (r, c), Va, Da = inverse_coo(((x, s), Va, Da), width, p)
+            (s, x), Vs, Ds = rows_coo([a for a, _c in pairs], f)
+            (r, c), Va, Da = inverse_coo(((x, s), Vs, Ds), width, p)
             (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
             (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
             blocks.append((k, offset + width * j + i, [sums], Dc * Da))

@@ -292,7 +292,7 @@ def _tqj_lie_iso(TQ, T62):
 
     q = coords(TQ.derC, ad, "derivation of Q is not inner as ad")
     (t, s), Vd, Dd = coords(TQ.djj, T62.D_space, "d_{J,J} bases do not span the same space")
-    M = fold_table([
+    lowered = fold_table([
         # D_r = ad(sum_i q_i p_i) -> sum_i q_i p_i x 1
         outer_block(q, rows_coo([J.unit], f), lambda i, r, _z, jj: (i * nJ + jj, r)),
         # a_i x x_j -> a_i x x_j, x_j in the full J basis
@@ -300,7 +300,7 @@ def _tqj_lie_iso(TQ, T62):
                     lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),
         # d -> d: a change of basis of the same space
         (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)], n, f.p)
-    lowered, M = M, Matrix.from_coo(n, n, M, f)
+    M = Matrix.from_coo(n, n, lowered, f)
     bad = homomorphism_failures(TQ.algebra, T62.algebra, M)
     if bad:
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not a homomorphism; "
