@@ -18,7 +18,7 @@ triple loop is a test oracle.
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -29,6 +29,19 @@ from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold
                        joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
 EVEN, ODD = 0, 1
+
+
+def once_per_factor(build):
+    """build(F), run once per object F and kept on it (as the attribute
+    _<name of build>): what every T(C, J) over one C or one J shares."""
+    attr = "_" + build.__name__
+
+    @wraps(build)
+    def kept(F):
+        if attr not in F.__dict__:
+            setattr(F, attr, build(F))
+        return F.__dict__[attr]
+    return kept
 
 
 def accumulate(sc, i, j, k, c):

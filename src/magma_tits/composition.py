@@ -26,7 +26,7 @@ field-arithmetic form.
 import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
-from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap
+from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor
 from .int_fast import fold, join
 from .s4 import GroupAction
 
@@ -192,10 +192,11 @@ def _signed_permutations(alg, images, name):
     return GroupAction.from_blocks(alg, [(R, C, [V], 1)], n, alg.field, name=name)
 
 
+@once_per_factor
 def s4_on_invariant_quaternion(Q):
     """The S4 action on span{1, p0, p1, p2}: the restriction of the Cayley
     action (p_i = u_i + v_i transforms exactly like the 3-dimensional
-    standard-times-alternating representation)."""
+    standard-times-alternating representation).  Built once per Q."""
     if Q.name != "quatQ":
         raise ValueError("expected the invariant quaternion algebra")
 
@@ -258,28 +259,29 @@ def inner_derivation_tensor(C):
     return keys, sums, D * D
 
 
+@once_per_factor
 def derivation_algebra(C):
     """der C: the DerivationSpace of the D_{b_i,b_j}, fed from the entries
     of inner_derivation_tensor, with its Lie algebra `lie` (basis
     D[b_i,b_j]) read off the space's bracket; ValueError when a bracket
-    leaves the span.  Cached on the (immutable) algebra instance."""
-    if not hasattr(C, "_der_alg"):
-        n, basis = C.dim, C.algebra.basis
-        keys, sums, den = inner_derivation_tensor(C)
-        der = DerivationSpace((keys // (n * n), keys % (n * n), sums, den), n, n, C.field,
-                              [EVEN] * n)
-        cols, V, D, outside = der.bracket
-        if outside:
-            raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
-        der.lie = SuperAlgebra.from_coo(
-            ["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators], cols, V, D,
-            field=C.field, name="der(%s)" % C.name, is_lie_claimed=True)
-        C._der_alg = der
-    return C._der_alg
+    leaves the span.  Built once per (immutable) C and kept on it."""
+    n, basis = C.dim, C.algebra.basis
+    keys, sums, den = inner_derivation_tensor(C)
+    der = DerivationSpace((keys // (n * n), keys % (n * n), sums, den), n, n, C.field,
+                          [EVEN] * n)
+    cols, V, D, outside = der.bracket
+    if outside:
+        raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
+    der.lie = SuperAlgebra.from_coo(
+        ["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators], cols, V, D,
+        field=C.field, name="der(%s)" % C.name, is_lie_claimed=True)
+    return der
 
 
+@once_per_factor
 def s4_on_cayley(C):
-    """The S4 embedding into Aut(split Cayley) on the distinguished basis."""
+    """The S4 embedding into Aut(split Cayley) on the distinguished basis,
+    built once per C."""
     if not C.has_cayley_labels or C.dim != 8:
         raise ValueError("s4_on_cayley needs the split Cayley algebra")
     fixed = {"e1": ("e1", 1), "e2": ("e2", 1)}

@@ -45,8 +45,8 @@ from .exact import (QQ, Matrix, Subspace, basis_vector, coo_rows, flatten_matrix
                     kernel_coo, kernel_of)
 from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, lowered_map_failures,
                       map_failures, outer_block, tensor_action, transpose_failures)
-from .int_fast import (bilinear, fold, fold_table, join, lower, matrices_coo, matvec, outer,
-                       reduced, rows_coo, table_coo, tile, to_field)
+from .int_fast import (as_ints, bilinear, fold, fold_table, join, lower, matrices_coo, matvec,
+                       outer, reduced, rows_coo, table_coo, tile, to_field)
 from .s4 import GEN_NAMES, GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
@@ -547,23 +547,49 @@ def _kernel_within(g, op, component):
     return Matrix.from_coo(k, g.n, ((t, a), sums, Dx * Dk), f).rows
 
 
-def _module_copy_map(R_mats, start_abstract, ad_ops, start_concrete, dim):
-    """Generate a module copy in lockstep: returns the list of (abstract
-    coords, concrete vector) spanning pairs, built by applying the abstract
-    operators R_i and the concrete operators ad_ops[i] simultaneously,
-    breadth first: the pairs are read while they are appended."""
-    pairs = [(start_abstract, start_concrete)]
-    span = Subspace.from_vectors([start_abstract], dim, R_mats[0].field)
-    for absv, conc in pairs:
-        for R, ad in zip(R_mats, ad_ops):
-            if span.dim == dim:
+def _copy_columns(R_mats, start, ops, D, vecs, width, offset, f):
+    """The columns of Psi for every module copy of one width, as one
+    int_fast.fold_table block: copy j, generated from the concrete vector
+    vecs[j], is columns offset + width j + i, i < width.
+
+    The abstract walk depends only on R_mats and start, so it runs once,
+    breadth first: each R_t applied to each abstract vector in turn, every
+    image that enlarges their span kept as a step (parent, t).  Each step
+    pushes the concrete vectors of all copies through ad(d_t) (ops[t] over
+    D) by one int_fast.matvec.  Column i of a copy is sum_s A^{-1}[s][i]
+    conc_s, A the abstract vectors as columns: one inverse_coo of A, its
+    row s scaled to the largest concrete denominator, copied for every
+    copy and pushed through all concrete vectors by one matvec.
+    ValueError when start does not generate the abstract module."""
+    walk, steps = [start], []
+    span = Subspace.from_vectors([start], width, f)
+    for k, a in enumerate(walk):
+        for t, R in enumerate(R_mats):
+            if span.dim == width:
                 break
-            na = R.apply(absv)
-            if span.add(na):
-                pairs.append((na, ad(conc)))
-    if span.dim != dim:
+            image = R.apply(a)
+            if span.add(image):
+                walk.append(image)
+                steps.append((k, t))
+    if span.dim != width:
         raise ValueError("module copy is not generated by the starting vector")
-    return pairs
+    if not vecs:
+        return []
+    p = f.p
+    X, V, Dc = rows_coo(vecs, f)
+    conc, dens = [(X, V)], [Dc]
+    for k, t in steps:
+        conc.append(matvec(ops[t], conc[k], p))
+        dens.append(dens[k] * D)
+    L = max(dens)           # dens[s] is Dc D^depth(s), so each divides L
+    (s, x), Vs, Ds = rows_coo(walk, f)
+    (r, c), Va, Da = inverse_coo(((x, s), Vs, Ds), width, p)
+    Va = as_ints([v * (L // dens[s]) for v, s in zip(Va.tolist(), r.tolist())])
+    cols = np.concatenate([ids * width + s for s, ((ids, _x), _v) in enumerate(conc)])
+    rows = np.concatenate([x for (_ids, x), _v in conc])
+    (col, row), sums = matvec(((rows, cols), np.concatenate([v for _X, v in conc])),
+                              tile((c, r), (width, width), Va, len(vecs)), p)
+    return [(row, offset + col, [sums], L * Da)]
 
 
 def extract_b1(g, report):
@@ -587,33 +613,12 @@ def extract_b1(g, report):
         raise ValueError("multiplicity-space extraction mismatch")
 
     R3, R5, _rho = _so3_h(f)
-
-    def ad_op(op):
-        """v -> ad(d_t) v on dense vectors: one matvec of the lowered v."""
-        def apply(v):
-            X, Vx, Dx = rows_coo([v], f)
-            (ids, rows), sums = matvec(op, (X, Vx), p)
-            return Matrix.from_coo(n, 1, ((rows, ids), sums, D * Dx), f).column(0)
-        return apply
-    ad_ops = [ad_op(op) for op in ops]
-
     # adjoint copies start from D0 = (1,0,0), five-dim copies from
     # Z = 2 H0 - H1 - H2 = 2 (H0-H1) + (H1-H2); Psi's columns are folded
     # from their blocks (rows, columns, integers, D)
-    blocks = []
     zcoords = [f.zero, f.zero, f.zero, f.of(2), f.one]
-    for R, start, vecs, width, offset in ((R3, basis_vector(3, 0, f), hvecs, 3, 0),
-                                          (R5, zcoords, svecs, 5, 3 * mh)):
-        for j, h in enumerate(vecs):
-            pairs = _module_copy_map(R, start, ad_ops, h, width)
-            # column i of the copy is sum_s A[s][i] conc_s, A^{-1} the
-            # inverse_coo of the abstract vectors as columns: one matvec of
-            # the concrete vectors (as matrix columns) with the columns of A
-            (s, x), Vs, Ds = rows_coo([a for a, _c in pairs], f)
-            (r, c), Va, Da = inverse_coo(((x, s), Vs, Ds), width, p)
-            (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
-            (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
-            blocks.append((k, offset + width * j + i, [sums], Dc * Da))
+    blocks = (_copy_columns(R3, basis_vector(3, 0, f), ops, D, hvecs, 3, 0, f)
+              + _copy_columns(R5, zcoords, ops, D, svecs, 5, 3 * mh, f))
     off_d = 3 * mh + 5 * ms
     (r, a), Vd, Dd = rows_coo(dvecs, f)
     cols, V, D = fold_table(blocks + [(a, off_d + r, [Vd], Dd)], n, p)

@@ -587,7 +587,8 @@ class Subspace:
     The kept vectors and the echelon rows of the span are sparse integer
     rows; the field-valued `basis` is built from them on first read.
     Coordinates come from the inverse of the basis at the pivot coordinates
-    (the first independent rows), found by the same elimination.
+    (the first independent rows), found by the same elimination.  A
+    frozen span (freeze) refuses to grow.
     """
 
     def __init__(self, ambient_dim, field=QQ):
@@ -596,6 +597,7 @@ class Subspace:
         self._rows, self._pivots = [], []   # echelon rows of the span, in feed order
         self._kept = []            # the kept vectors, ({index: int}, denominator)
         self._basis = self._lowered = None
+        self.frozen = False
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim=None, field=QQ):
@@ -621,7 +623,15 @@ class Subspace:
             raise ValueError("vector of length %d, the space has ambient dimension %d"
                              % (len(v), self.ambient_dim))
 
+    def freeze(self):
+        """Refuse every later add or add_many (of a nonzero vector) with
+        ValueError, for a span that many constructions share; returns self."""
+        self.frozen = True
+        return self
+
     def _keep(self, w, d):
+        if self.frozen:
+            raise ValueError("the span is frozen: it is shared and cannot grow")
         if not _append(self._rows, self._pivots, w, self.field.p):
             return False
         self._kept.append((w, d))

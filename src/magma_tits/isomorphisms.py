@@ -28,7 +28,7 @@ from .composition import s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import jordan_super_jvtheta, kaplansky
 from .tits import tits62_variant
-from .registry import composition_for, h3_of, tits_of
+from .registry import aj_of, composition_for, h3_of, tits_of
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right
 
 
@@ -130,7 +130,8 @@ def theorem41(J, C=None, T=None):
     """Build everything for the first theorem and certify Phi.
 
     Without T, C defaults to the split Cayley algebra and T to T(C, J),
-    both from the registry when J is a registry object (registry.tits_of).
+    both from the registry when J is a registry object (registry.tits_of),
+    as A(J) is (registry.aj_of).
     Returns (T, ca, AJ, hom); raises IsomorphismError on any failure.
     """
     _require_jordan(J)
@@ -138,7 +139,7 @@ def theorem41(J, C=None, T=None):
     T = T if T is not None else tits_of(C, J)
     action = s4_on_tits_left(T)
     ca = coordinate_algebra(T.algebra, action, basis=theorem41_basis(T))
-    AJ = a_of_j(J)
+    AJ = aj_of(J)
     hom = phi_theorem41(ca, AJ, J)
     hom.verify()
     return T, ca, AJ, hom
@@ -223,8 +224,9 @@ def tqj_maps(J):
     """The quaternionic coordinate algebra is J itself, and T(Q,J) is the
     trace-free variant (Q0 x J) + d_{J,J}.
 
-    Q and T(Q, J) come from the registry when J is a registry object
-    (registry.composition_for, registry.tits_of).
+    Q, T(Q, J) and A(J) come from the registry when J is a registry object
+    (registry.composition_for, registry.tits_of, registry.aj_of); the
+    action on Q is built once per Q, so T(Q, J) over one Q share its blocks.
     Returns (hom_J_to_AJ, hom_ca_to_J, lie_iso_matrix, TQ, T62); all maps
     verified, IsomorphismError on failure.
     """
@@ -239,7 +241,7 @@ def tqj_maps(J):
     ca = coordinate_algebra(TQ.algebra, action, basis=basis)
 
     # (a) the explicit embedding J -> A(J) is an algebra-with-involution map
-    AJ = a_of_j(J)
+    AJ = aj_of(J)
     hom_a = jordan_to_aj_map(J, AJ)
     hom_a.verify(require_bijective=False)
     if Matrix.from_columns([hom_a.matrix.column(j) for j in range(J.dim)], f).rank() != J.dim:

@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .exact import QQ, Matrix, Subspace, basis_vector, kernel_of, vec_zero
-from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, accumulate, transpose_failures
+from .algebra import (SuperAlgebra, LinearMap, EVEN, ODD, accumulate, once_per_factor,
+                      transpose_failures)
 from .composition import split_cayley
 from .int_fast import INT64_MAX, fold, fold_blocks, join, joined
 from .tits import inner_derivation_pairs, inner_derivation_space, tits, verify_lie_conditions
@@ -51,8 +52,6 @@ class JordanAlgebra:
         self.provenance = provenance
         self.source = source                # the coordinate composition algebra for h3
         self._index_maps = index_maps or {}
-        self._j0 = None
-        self._djj = None
 
     @property
     def name(self):
@@ -69,23 +68,21 @@ class JordanAlgebra:
     def multiply(self, x, y):
         return self.algebra.multiply(x, y)
 
+    @once_per_factor
     def j0_basis(self):
-        """Deterministic basis of J0 = ker t_J (RREF order)."""
-        if self._j0 is None:
-            self._j0 = Matrix([self.trace_row], self.field).kernel_basis()
-        return self._j0
+        """Deterministic basis of J0 = ker t_J (RREF order), built once per J."""
+        return Matrix([self.trace_row], self.field).kernel_basis()
 
     @cached_property
     def jordan_failure(self):
         """jordan_identity_failure of J, computed once per J."""
         return jordan_identity_failure(self)
 
+    @once_per_factor
     def djj(self):
         """d_{J,J}: the tits.inner_derivation_space of the J0 basis, built
         once per J and shared by every T(C, J)."""
-        if self._djj is None:
-            self._djj = inner_derivation_space(self, self.j0_basis())
-        return self._djj
+        return inner_derivation_space(self, self.j0_basis())
 
     def star(self, x, y):
         """x*y = xy - t(xy) 1 on trace-zero arguments."""

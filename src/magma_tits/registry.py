@@ -7,18 +7,20 @@ Lie algebras: tits:<comp>:<jordan>, t62:<jordan>, glw, so:<dimU>, sl:<dimU>,
 sp:<dimU>.
 
 `_CACHE` is the only process-wide cache of the package, keyed by name and
-field.  What is shared below it lives on the objects themselves: der C on
-its composition algebra (composition.derivation_algebra), the J0 basis and
-d_{J,J} on its Jordan algebra (JordanAlgebra.j0_basis, JordanAlgebra.djj),
-so every T(C, J) built from the same C and J shares them.  A T(C, J) is
-never kept on C or J: only `_CACHE` holds one.
+field.  What is shared below it lives on the objects themselves, built
+once per object (algebra.once_per_factor): on C, der C, its S4 action and
+its share of every T(C, J) (tits.composition_side: C0, the C-side tables
+and S4 blocks); on J, J0, d_{J,J}, the S4 action on H3(C^) and its share
+(tits.jordan_side).  So every T(C, J) over the same C or J shares them.
+A T(C, J) is never kept on C or J: only `_CACHE` holds one.
 
 The theorems' default inputs come from here too (composition_for, h3_of,
-tits_of): when their arguments are objects this registry holds, matched by
-identity against `_CACHE`, never by name, they get the registry's C, Q,
-H3(C^) and T(C, J); otherwise these are built fresh and `_CACHE` is left as
-it is.  So a fresh or corrupted algebra that carries a registry algebra's
-name never gets that algebra's T or d_{J,J}.
+tits_of, aj_of): when their arguments are objects this registry holds,
+matched by identity against `_CACHE`, never by name, they get the
+registry's C, Q, H3(C^), T(C, J) and A(J); otherwise these are built fresh
+and `_CACHE` is left as it is.  So a fresh or corrupted algebra that
+carries a registry algebra's name never gets that algebra's T, d_{J,J} or
+A(J).
 """
 
 from fractions import Fraction
@@ -116,6 +118,15 @@ def tits_of(C, J):
     if c is None or j is None or c[1] != j[1]:
         return build_tits(C, J)
     return tits_by_name(c[0], j[0], C.field)
+
+
+def aj_of(J):
+    """A(J): the registry's aj:<name> when `_CACHE` holds the Jordan
+    algebra J, else built fresh (and not cached)."""
+    held = _held(J, "jordan:")
+    if held is None:
+        return structurable.a_of_j(J)
+    return involution_algebra_by_name("aj:" + held[0], J.field)
 
 
 def involution_algebra_by_name(name, field=QQ):

@@ -22,7 +22,9 @@ the automorphism check is one algebra.lowered_map_failures contraction on
 four copies of the target.  On T(C, J) the der C and d_{J,J} blocks are
 one contraction of their lowered matrices with the stacked generators
 (conjugation_block), the C0 and J0 blocks one matvec with batched, exactly
-checked coordinates (_images_in), placed by index offsets (_on_tits).
+checked coordinates (_images_in): each acts through one factor, so both
+are kept on that factor's side (tits.FactorSide), once per base action
+(_side_blocks), and _on_tits only places them by index offsets.
 The Klein components are kernels of rows folded from the generators'
 entries; the coordinate algebra is one bilinear and matvec contraction.
 """
@@ -32,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .exact import Matrix, Subspace, inverse_coo, kernel_of, solution
-from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures
+from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures, once_per_factor
 from .int_fast import (as_ints, bilinear, compose, distinct, fold, fold_table,
                        identity_coo, join, matvec, reduced, rows_coo, same_map, tile)
 from .structurable import AlgebraWithInvolution
@@ -426,10 +428,11 @@ def iota_maps(ca):
                                     for M in (i1, i2)))
 
 
+@once_per_factor
 def s4_on_h3(J):
     """The S4 action on the Jordan algebra H3(C^) of hermitian 3x3 matrices:
     tau1, tau2 flip signs of two iota-blocks, phi cycles e_i and iota_i,
-    tau swaps e1/e2 and conjugates the coordinates."""
+    tau swaps e1/e2 and conjugates the coordinates.  Built once per J."""
     if getattr(J, "provenance", None) != "h3":
         raise ValueError("s4_on_h3 needs an H3-type Jordan algebra")
     alg, Chat = J.algebra, J.source
@@ -507,6 +510,19 @@ def _images_in(span, action, X, what):
     return (cid // m * m + ck, cid), V, D
 
 
+def _side_blocks(side, action, what):
+    """The blocks of the four generators of action, an S4 action on one
+    factor of T(C, J), on that factor's share (a tits.FactorSide): the
+    conjugation_block of its derivation space and the _images_in of its
+    basis, computed once per side and action and kept on the side.  what
+    names the space and the span in a ValueError."""
+    if action not in side.s4:
+        side.s4[action] = (
+            conjugation_block(side.space.span, side.space.lowered, action, what[0]),
+            _images_in(side.span, action, rows_coo(side.basis, action.field), what[1]))
+    return side.s4[action]
+
+
 def _on_tits(T, der, c0, j0, djj, name):
     """The S4 action on T = der C + (C0 x J0) + d_{J,J} from the stacked
     block-diagonal maps of its four generators on each part: der on der C,
@@ -534,29 +550,27 @@ def s4_on_tits_left(T, base_action=None):
     """S4 on T(C,J) through the left composition factor:
     psi(D + a x x + d) = psi D psi^{-1} + psi(a) x x + d.
 
-    base_action defaults to the Cayley embedding; pass another action (for
-    instance on the invariant quaternion subalgebra) to restrict.  All four
-    generators are assembled at once from integers (_on_tits): their der C
-    blocks by conjugation_block, their C0 blocks from the stacked base
-    action (_images_in), identities on J0 and d_{J,J}."""
+    base_action defaults to the Cayley embedding (s4_on_cayley, built once
+    per C); pass another action (for instance on the invariant quaternion
+    subalgebra) to restrict.  All four generators are assembled at once
+    from integers (_on_tits): their der C and C0 blocks from C's side, kept
+    there per base action (_side_blocks), identities on J0 and d_{J,J}."""
     from .composition import s4_on_cayley
     C = T.C
     act = base_action if base_action is not None else s4_on_cayley(C)
     if (act.dim, act.field) != (C.dim, C.field):
         raise ValueError("the base action has dimension %d over %s but C has dimension %d "
                          "over %s" % (act.dim, act.field, C.dim, C.field))
-    f = T.algebra.field
-    return _on_tits(T, conjugation_block(T.derC.span, T.derC.lowered, act, "der C"),
-                    _images_in(T.c0_span, act, rows_coo(T.c0_basis, f), "C0"),
-                    identity_coo(4 * len(T.j0_basis)), identity_coo(4 * T.djj_dim), "left")
+    der, c0 = _side_blocks(T.sides[0], act, ("der C", "C0"))
+    return _on_tits(T, der, c0, identity_coo(4 * len(T.j0_basis)), identity_coo(4 * T.djj_dim),
+                    "left")
 
 
 def s4_on_tits_right(T):
     """S4 on T(C,J) through the Jordan factor H3(C^):
     psi(D + a x x + d) = D + a x psi(x) + psi d psi^{-1}, assembled as in
-    s4_on_tits_left from the stacked generators of s4_on_h3."""
-    act = s4_on_h3(T.J)
-    f = T.algebra.field
-    return _on_tits(T, identity_coo(4 * T.der_dim), identity_coo(4 * len(T.c0_basis)),
-                    _images_in(T.j0_span, act, rows_coo(T.j0_basis, f), "J0"),
-                    conjugation_block(T.djj.span, T.djj.lowered, act, "d_{J,J}"), "right")
+    s4_on_tits_left, its d_{J,J} and J0 blocks from J's side under
+    s4_on_h3 (built once per J)."""
+    djj, j0 = _side_blocks(T.sides[1], s4_on_h3(T.J), ("d_{J,J}", "J0"))
+    return _on_tits(T, identity_coo(4 * T.der_dim), identity_coo(4 * len(T.c0_basis)), j0, djj,
+                    "right")

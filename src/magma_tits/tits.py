@@ -10,24 +10,29 @@ Bracket rules, for D in der C, d in d_{J,J}, a, b in C0, x, y in J0:
 Basis order: der C basis, then a_i x x_j in lexicographic (i, j), then the
 d_{J,J} basis.  der C (composition.derivation_algebra, over C basis pairs)
 and d_{J,J} (JordanAlgebra.djj: inner_derivation_space over J0 basis
-pairs) are both an algebra.DerivationSpace, kept on C and on J so that
-every T(C, J) shares them: the span of the inner derivations on the pairs,
-fed in lexicographic order (first independent subset kept), with its
-bracket computed once.  The d_{x,y} of all pairs are one contraction
-(inner_derivation_pairs: the graded commutators of the L_x).
+pairs) are both an algebra.DerivationSpace: the span of the inner
+derivations on the pairs, fed in lexicographic order (first independent
+subset kept), with its bracket computed once.  The d_{x,y} of all pairs
+are one contraction (inner_derivation_pairs: the graded commutators of the
+L_x).
 
-The bracket is assembled from exact sparse contractions (int_fast): the
-tables of C and J are bilinear contractions with the C0 and J0 bases,
-their coordinates come in batches from Subspace.coords_many and stay
-integers (the lowered COO of _Tables), and the blocks of the bracket,
-broadcasts and outer products of those tables, are one fold handed to
-SuperAlgebra.from_coo.  Field values are formed only to split a vector
-outside C0 or J0 (_split_coords, corrupted inputs).
+Every piece of the bracket comes from one factor, so each factor's share
+is a FactorSide, built once per factor by factor_side and kept on it
+(composition_side on C, jordan_side on J): the C0 or J0 basis and its
+frozen span, der C or d_{J,J}, and four tables, the C-side [a,b], t(ab),
+D_{a,b} and D(a), the J-side x*y, t_J(xy), d_{x,y} and d(x).  The tables
+are exact sparse contractions (int_fast) of the tables of C and J with
+the C0 and J0 bases, their coordinates from Subspace.coords_many, kept as
+integers (lowered COO).  tits() only assembles: the blocks of the bracket,
+broadcasts and outer products of the two sides' tables, are one fold
+handed to SuperAlgebra.from_coo.  Field values are formed only to split a
+vector outside C0 or J0 (_split_coords, corrupted inputs).  A side also
+keeps the S4 blocks of its factor, per base action (s4._side_blocks).
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
 them exhaustively over (C0 basis)^3 x (J0 basis)^3, each side of a
-condition one exact fold of the lowered tables of T (T.tables), and
+condition one exact fold of the tables of T's two sides (T.sides), and
 reads its witnesses off the same folds.  Its test oracle,
 verify_lie_conditions_reference, shares none of that code: it
 scans the cyclic jacobiator of the tensor basis triples, read off the table
@@ -37,12 +42,14 @@ of T.algebra, and classifies each nonzero one by block.
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice, product
 from math import lcm
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .exact import Subspace, echelon, int_row, vec_zero
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
-                      commutator_table, left_mults, outer_block, tensor_action, trace_products)
+                      commutator_table, left_mults, once_per_factor, outer_block, tensor_action,
+                      trace_products)
 from .composition import derivation_algebra
 from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, fold_table, join,
                        matrices_coo, reduced, rotations, rows_coo, to_field)
@@ -87,18 +94,15 @@ def _pair_sums(space, m, A, B):
 
 
 class TitsAlgebra:
-    """T(C, J) with its component bookkeeping."""
+    """T(C, J) with its component bookkeeping, read off the two FactorSides."""
 
-    def __init__(self, algebra, C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
+    def __init__(self, algebra, C, J, c_side, j_side):
         self.algebra = algebra
         self.C = C
         self.J = J
-        self.derC = derC
-        self.c0_basis = c0_basis
-        self.c0_span = c0_span
-        self.j0_basis = j0_basis
-        self.j0_span = j0_span
-        self.djj = djj
+        self.sides = (c_side, j_side)
+        self.derC, self.c0_basis, self.c0_span = c_side.space, c_side.basis, c_side.span
+        self.djj, self.j0_basis, self.j0_span = j_side.space, j_side.basis, j_side.span
         self._jacobi_report = None
 
     @property
@@ -198,22 +202,6 @@ class TitsAlgebra:
         return "TitsAlgebra(%s)" % self.algebra
 
 
-@dataclass
-class _Tables:
-    """Coordinate tables of the tensor-part bracket, each lowered COO
-    ((index columns), integers, D) in lowest terms (int_fast.reduced; the
-    integers and D of int_fast.lower on the values), with the index columns
-    below; a table of scalars has a zero third column."""
-    DC: tuple       # (i, k, r): r-th coord of D_{a_i, a_k} in der C
-    brC: tuple      # (i, k, m): [a_i, a_k] in C0 coords
-    trC: tuple      # (i, k, 0): t(a_i a_k)
-    tJ: tuple       # (j, l, 0): t_J(x_j x_l)
-    star: tuple     # (j, l, m): x_j * x_l in J0 coords
-    dxy: tuple      # (j, l, d): d_{x_j, x_l} in d_{J,J} coords
-    der_act: tuple  # (r, i, m): D_r(a_i) in C0 coords
-    djj_act: tuple  # (s, j, m): d_s(x_j) in J0 coords
-
-
 def _lowered(ids, ks, ints, D, count):
     """A coords_many result over the pairs (or operator-vector pairs) of
     `count` vectors, ids x * count + y, as the table ((x, y, ks), integers,
@@ -264,134 +252,137 @@ def _pair_coords(span, batch, count, check=False):
     return _lowered(ids, ks, V, D, count)
 
 
-def _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj):
-    """The tables of T(C, J): contractions of the tables of C and J (and of
-    D_{b_p,b_q}, d_r) with the C0 and J0 bases by int_fast.bilinear, their
-    coordinates by Subspace.coords_many, split along k1 by _split_coords."""
-    f = C.field
-    p = f.p
-    nc, nj = len(c0_basis), len(j0_basis)
-    half = f.one / f.of(2)
-    xc_cols, xc_vals, Dxc = rows_coo(c0_basis, f)
-    xj_cols, xj_vals, Dxj = rows_coo(j0_basis, f)
-    Xc, Xj = (xc_cols, xc_vals), (xj_cols, xj_vals)
+@dataclass(eq=False)
+class FactorSide:
+    """One factor's share of T(C, J): built once per composition algebra
+    (composition_side) or Jordan algebra (jordan_side) and kept on it.
+    Each table is lowered COO ((index columns), integers, D) in lowest
+    terms; a table of scalars has a zero third column."""
+    basis: list             # the C0 or J0 basis
+    span: Subspace          # its span, frozen: every T over the factor shares it
+    space: DerivationSpace  # der C or d_{J,J}
+    odd: np.ndarray         # the parities of the basis
+    product: tuple          # (i, k, m): [a_i, a_k] or x_i * x_k in basis coords
+    trace: tuple            # (i, k, 0): t(a_i a_k) or t_J(x_i x_k)
+    pairs: tuple            # (i, k, r): D_{a_i,a_k} or d_{x_i,x_k} in space coords
+    act: tuple              # (r, i, m): D_r(a_i) or d_r(x_i) in basis coords
+    s4: WeakKeyDictionary = dataclass_field(default_factory=WeakKeyDictionary)
 
-    def pairs(tab, X, count, Dx):
-        """The table's sums over all pairs of the vectors X, as a batch."""
+
+def factor_side(alg, unit, trace, basis, space, product, traces, over_basis):
+    """The FactorSide of a factor with table alg, unit, normalized trace
+    function (to split along k1), trace-zero basis and DerivationSpace, and
+    the product and trace_products tables ((I, J, K) and (I, J), integers,
+    D) on the basis of alg: contractions with the basis by
+    int_fast.bilinear, coordinates by Subspace.coords_many, split along k1
+    by _split_coords.  The space's pairs are over the basis itself when
+    over_basis, else over the basis of alg (then D_{a_i,a_k} is checked to
+    lie in the space)."""
+    p = alg.field.p
+    count = len(basis)
+    span = Subspace.from_vectors(basis, alg.n, alg.field) if basis else Subspace(alg.n, alg.field)
+    cols, vals, Dx = rows_coo(basis, alg.field)
+    X = (cols, vals)
+
+    def pairs(tab):
+        """The table's sums over all pairs of the basis, as a batch."""
         cols, vals, Dt = tab
         (x, y, k), sums, _path = bilinear((cols, vals), X, X, p)
         return x * count + y, k, sums, Dt * Dx * Dx
 
-    def images(space, X, count, Dx):
-        """M_s(x) for every matrix s of a DerivationSpace and vector x, as a batch."""
-        (S, R, Cc), V, D = space.lowered
-        s = np.arange(space.dim, dtype=np.int64)
-        (s, x, r), sums, _path = bilinear(((S, Cc, R), V), ((s, s), np.ones_like(s)), X, p)
-        return s * count + x, r, sums, D * Dx
+    def coords(batch):
+        return _lowered(*_split_coords(span, batch, unit, trace), count)
 
-    def scalars(tab, X, count, Dx):
-        """The scalars of a trace_products table over all pairs of X."""
-        (a, b), vals, Dt = tab
-        return _lowered(*pairs(((a, b, np.zeros_like(a)), vals, Dt), X, count, Dx), count)
+    # M_s(x) for every matrix s of the space and basis vector x
+    (S, R, C), V, D = space.lowered
+    s = np.arange(space.dim, dtype=np.int64)
+    (s, x, r), sums, _path = bilinear(((S, C, R), V), ((s, s), np.ones_like(s)), X, p)
+    act = coords((s * count + x, r, sums, D * Dx))
+    (a, b), V, D = traces
+    scalars = _lowered(*pairs(((a, b, np.zeros_like(a)), V, D)), count)
+    ids, rc, d, den = space.pairs
+    batch = space.pairs if over_basis else pairs(((ids // alg.n, ids % alg.n, rc), d, den))
+    odd = np.array([alg.parity_of_vector(v) for v in basis], dtype=bool)
+    return FactorSide(basis, span.freeze(), space, odd, coords(pairs(product)), scalars,
+                      _pair_coords(space.span, batch, count, check=not over_basis), act)
 
-    def c0c(batch, count):
-        return _lowered(*_split_coords(c0_span, batch, C.unit, lambda v: C.trace(v) * half),
-                        count)
 
-    def j0c(batch, count):
-        return _lowered(*_split_coords(j0_span, batch, J.unit, J.trace_of), count)
+@once_per_factor
+def composition_side(C):
+    """C's share of every T(C, J): C0 (composition.traceless_basis) with
+    der C, the bracket [b_a, b_b] = c^k_ab - c^k_ba and t(ab) = n(ab, 1)."""
+    (I, J, K), V, D = C.algebra.coo
+    bracket = ((np.concatenate((I, J)), np.concatenate((J, I)), np.concatenate((K, K))),
+               np.concatenate((V, -V)), D)
+    half = C.field.one / C.field.of(2)
+    return factor_side(C.algebra, C.unit, lambda v: C.trace(v) * half, C.traceless_basis(),
+                       derivation_algebra(C), bracket, trace_products(C.algebra, C.trace_row),
+                       False)
 
-    # C: [b_a, b_b] = c^k_ab - c^k_ba and t(b_a b_b), J: t_J(b_a b_b) and
-    # b_a * b_b = c^k_ab - t_J(b_a b_b) u_k over D_c D_t D_u, on basis pairs
-    (I, Jc, K), V, Dc = C.algebra.coo
-    br = ((np.concatenate((I, Jc)), np.concatenate((Jc, I)), np.concatenate((K, K))),
-          np.concatenate((V, -V)), Dc)
-    brC = c0c(pairs(br, Xc, nc, Dxc), nc)
-    trC = scalars(trace_products(C.algebra, C.trace_row), Xc, nc, Dxc)
-    n = J.dim
+
+@once_per_factor
+def jordan_side(J):
+    """J's share of every T(C, J): J0 (JordanAlgebra.j0_basis) with d_{J,J},
+    the star product b_a * b_b = c^k_ab - t_J(b_a b_b) u_k and t_J."""
+    f, n = J.field, J.dim
     (I, Jj, K), V, Dc = J.algebra.coo
-    tJ_tab = trace_products(J.algebra, J.trace_row)
-    (Pa, Pb), P, Dp = tJ_tab
+    traces = (Pa, Pb), P, Dp = trace_products(J.algebra, J.trace_row)
     (Ui,), U, Du = coo([((k,), f.of(u)) for k, u in enumerate(J.unit) if u], f, 1)
     q, u = np.indices((len(P), len(U))).reshape(2, -1)
     keys, st, _path = fold([((I * n + Jj) * n + K, [V, Dp // Dc * Du]),
-                            ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], p)
-    st_tab = (keys // (n * n), keys // n % n, keys % n), st, Dp * Du
-    star = j0c(pairs(st_tab, Xj, nj, Dxj), nj)
-    tJ = scalars(tJ_tab, Xj, nj, Dxj)
-
-    # d_{x_j,x_l} in d_{J,J} coordinates, projected through the pivot rows,
-    # D_{a_i,a_k} in der C coordinates (the pairs of the D_{b_p,b_q} over the
-    # C0 basis), and the actions d_s(x_j), D_r(a_i) in J0 and C0 coordinates
-    dxy = _pair_coords(djj.span, djj.pairs, nj)
-    ids, rc, d, den = derC.pairs
-    DC = _pair_coords(derC.span, pairs(((ids // C.dim, ids % C.dim, rc), d, den), Xc, nc, Dxc),
-                      nc, check=True)
-    djj_act = j0c(images(djj, Xj, nj, Dxj), nj)
-    der_act = c0c(images(derC, Xc, nc, Dxc), nc)
-    return _Tables(DC, brC, trC, tJ, star, dxy, der_act, djj_act)
+                            ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], f.p)
+    star = (keys // (n * n), keys // n % n, keys % n), st, Dp * Du
+    return factor_side(J.algebra, J.unit, J.trace_of, J.j0_basis(), J.djj(), star, traces, True)
 
 
 def tits(C, J, name=None):
     """Assemble T(C, J); Lie-ness is checked separately, never assumed.
 
     The bracket is one int_fast.fold_table of integer blocks handed to
-    SuperAlgebra.from_coo: the brackets of the algebra.DerivationSpaces of
-    der C and d_{J,J} (d_{J,J} projected through the pivot rows), the
-    actions on C0 x J0 broadcast from the tables (algebra.tensor_action),
-    and the tensor x tensor block as outer products of the tables of C and
-    of J (algebra.outer_block)."""
+    SuperAlgebra.from_coo, all read off the FactorSides of C and J: the
+    brackets of the algebra.DerivationSpaces of der C and d_{J,J} (d_{J,J}
+    projected through the pivot rows), the actions on C0 x J0 broadcast
+    from the tables (algebra.tensor_action), and the tensor x tensor block
+    as outer products of the tables of C and of J (algebra.outer_block)."""
     f = C.field
     if J.trace_row is None:
         raise ValueError("the Tits construction needs a normalized trace on J")
-    derC = derivation_algebra(C)
-    c0_basis = C.traceless_basis()
-    c0_span = Subspace.from_vectors(c0_basis, C.dim, f) if c0_basis else Subspace(C.dim, f)
-    j0_basis = J.j0_basis()
-    j0_span = Subspace.from_vectors(j0_basis, J.dim, f) if j0_basis else Subspace(J.dim, f)
-    djj = J.djj()
-    tb = _build_tables(C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
-
-    m = derC.dim
-    nc, nj = len(c0_basis), len(j0_basis)
-    nd = djj.dim
+    c, j = composition_side(C), jordan_side(J)
+    m, nc, nj, nd = c.space.dim, len(c.basis), len(j.basis), j.space.dim
     off = m + nc * nj
 
-    j0_par = np.array([J.algebra.parity_of_vector(x) for x in j0_basis], dtype=bool)
-    labels = list(derC.lie.basis)
-    labels += ["a%d(x)x%d" % (i, j) for i in range(nc) for j in range(nj)]
+    labels = list(c.space.lie.basis)
+    labels += ["a%d(x)x%d" % (i, jj) for i in range(nc) for jj in range(nj)]
     labels += ["d%d" % s for s in range(nd)]
-    parity = [EVEN] * m + [int(j0_par[j]) for _i in range(nc) for j in range(nj)]
-    parity += list(djj.parities)
+    parity = [EVEN] * m + [int(odd) for _i in range(nc) for odd in j.odd]
+    parity += list(j.space.parities)
 
-    def tidx(i, j):
-        return m + i * nj + j
+    def tidx(i, jj):
+        return m + i * nj + jj
 
     # der C x der C and d_{J,J} x d_{J,J}, the brackets of the two spaces
-    (s, t, k), V, D, _out = derC.bracket
+    (s, t, k), V, D, _out = c.space.bracket
     blocks = [(s, t, k, [V], D)]
-    (s, t, k), V, D, _out = djj.bracket
+    (s, t, k), V, D, _out = j.space.bracket
     blocks.append((off + s, off + t, off + k, [V], D))
     # der C and d_{J,J} acting: [D_r, a_i x x_j] = D_r(a_i) x x_j,
     # [d_s, a_i x x_j] = a_i x d_s(x_j)
-    blocks += tensor_action(tb.der_act, np.zeros(m), np.zeros(nc), nj, lambda r: r,
-                            lambda j, i: tidx(i, j))
-    blocks += tensor_action(tb.djj_act, djj.parities, j0_par, nc, lambda s: off + s, tidx)
+    blocks += tensor_action(c.act, c.space.parities, c.odd, nj, lambda r: r,
+                            lambda jj, i: tidx(i, jj))
+    blocks += tensor_action(j.act, j.space.parities, j.odd, nc, lambda s: off + s, tidx)
     # tensor x tensor: [a_i x x_j, a_k x x_l] = t_J(x_j x_l) D_{a_i,a_k}
     # + [a_i,a_k] x (x_j * x_l) + 2 t(a_i a_k) d_{x_j,x_l}
     blocks += [
-        outer_block(tb.DC, tb.tJ, lambda i, k, r, j, l, _z: (tidx(i, j), tidx(k, l), r)),
-        outer_block(tb.brC, tb.star,
-                    lambda i, k, i2, j, l, j2: (tidx(i, j), tidx(k, l), tidx(i2, j2))),
-        outer_block(tb.trC, tb.dxy, lambda i, k, _z, j, l, d: (tidx(i, j), tidx(k, l), off + d),
-                    2)]
+        outer_block(c.pairs, j.trace, lambda i, k, r, jj, l, _z: (tidx(i, jj), tidx(k, l), r)),
+        outer_block(c.product, j.product,
+                    lambda i, k, i2, jj, l, j2: (tidx(i, jj), tidx(k, l), tidx(i2, j2))),
+        outer_block(c.trace, j.pairs,
+                    lambda i, k, _z, jj, l, d: (tidx(i, jj), tidx(k, l), off + d), 2)]
 
     alg = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
                                 field=f, name=name or ("T(%s,%s)" % (C.name, J.name)),
                                 is_lie_claimed=True)
-    T = TitsAlgebra(alg, C, J, derC, c0_basis, c0_span, j0_basis, j0_span, djj)
-    T.tables = tb
-    return T
+    return TitsAlgebra(alg, C, J, c, j)
 
 
 @dataclass
@@ -484,8 +475,8 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
         return LieConditionsReport(True, name, True, True, True)
     f = C.field
     p = f.p
-    tb = T.tables
-    odd = np.array([T.J.algebra.parity_of_vector(x) for x in T.j0_basis], dtype=bool)
+    cs, js = T.sides
+    odd = js.odd
     paths = set()
 
     def folded(terms):
@@ -546,8 +537,8 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
         a, b = join(y, k)
         return not len(folded([(x[a] * len(W) + r[b], [other[x, y][a], W[r, k][b]])])[0])
 
-    brC, trC, DC, deract = tb.brC, tb.trC, tb.DC, tb.der_act
-    star, tJ, dxy, djjact = tb.star, tb.tJ, tb.dxy, tb.djj_act
+    brC, trC, DC, deract = cs.product, cs.trace, cs.pairs, cs.act
+    star, tJ, dxy, djjact = js.product, js.trace, js.pairs, js.act
     scales = (DC[2] * deract[2] * tJ[2], brC[2] ** 2 * star[2] ** 2, trC[2] * dxy[2] * djjact[2])
     L = lcm(*scales)
     Ra, Rx = max(nc, T.der_dim), max(nj, T.djj_dim)

@@ -24,6 +24,11 @@ invariant maps on gl(W) are closures of dense 3x3 products
 (invariant_map_closures); invariant_maps_dense evaluates them on the so3,
 h and z bases and checks their equivariance one basis pair at a time.
 
+The columns of Psi for the module copies of extract_b1 have a per-vector
+oracle (copy_columns_per_vector): each copy walked on its own, one
+concrete vector at a time (module_copy_map), with its own inverse of the
+abstract vectors.
+
 The B1 coefficient data has a dense oracle for its unit laws and
 (super)symmetries (b1_validate): the tables are expanded into nested lists
 and checked by vector loops.
@@ -63,9 +68,9 @@ import numpy as np
 from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, accumulate
 from magma_tits.composition import inner_derivation
 from magma_tits.decompose import h_basis, s4_on_w, so3_basis
-from magma_tits.exact import (Matrix, Subspace, basis_vector, flatten_matrix, vec_eq,
-                              vec_is_zero)
-from magma_tits.int_fast import bilinear, commutators, rows_coo
+from magma_tits.exact import (Matrix, Subspace, basis_vector, flatten_matrix, inverse_coo,
+                              vec_eq, vec_is_zero)
+from magma_tits.int_fast import bilinear, commutators, matvec, rows_coo
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
 from magma_tits.structurable import AlgebraWithInvolution
@@ -441,6 +446,51 @@ def kernel_within(op, component, field):
         return []
     B = Matrix.from_columns(component, field)
     return [B.apply(c) for c in (op @ B).kernel_basis()]
+
+
+def module_copy_map(R_mats, start_abstract, ad_ops, start_concrete, dim):
+    """Generate one module copy in lockstep: the list of (abstract coords,
+    concrete vector) spanning pairs, built by applying the abstract
+    operators R_i and the concrete operators ad_ops[i] together, breadth
+    first: the pairs are read while they are appended."""
+    pairs = [(start_abstract, start_concrete)]
+    span = Subspace.from_vectors([start_abstract], dim, R_mats[0].field)
+    for absv, conc in pairs:
+        for R, ad in zip(R_mats, ad_ops):
+            if span.dim == dim:
+                break
+            na = R.apply(absv)
+            if span.add(na):
+                pairs.append((na, ad(conc)))
+    if span.dim != dim:
+        raise ValueError("module copy is not generated by the starting vector")
+    return pairs
+
+
+def copy_columns_per_vector(R_mats, start, ops, D, vecs, width, offset, f):
+    """Oracle of decompose._copy_columns, with its arguments and result:
+    each copy walked by module_copy_map, each concrete vector lowered, pushed
+    through one ad(d_t) = ops[t] / D and raised back to field values on its
+    own, and each copy's columns sum_s A^{-1}[s][i] conc_s from its own
+    inverse of the abstract vectors A."""
+    p = f.p
+
+    def ad_op(op):
+        def apply(v):
+            X, Vx, Dx = rows_coo([v], f)
+            (ids, rows), sums = matvec(op, (X, Vx), p)
+            return Matrix.from_coo(len(v), 1, ((rows, ids), sums, D * Dx), f).column(0)
+        return apply
+    ad_ops = [ad_op(op) for op in ops]
+    blocks = []
+    for j, h in enumerate(vecs):
+        pairs = module_copy_map(R_mats, start, ad_ops, h, width)
+        (s, x), Vs, Ds = rows_coo([a for a, _c in pairs], f)
+        (r, c), Va, Da = inverse_coo(((x, s), Vs, Ds), width, p)
+        (s, x), Vc, Dc = rows_coo([conc for _a, conc in pairs], f)
+        (i, k), sums = matvec(((x, s), Vc), ((c, r), Va), p)
+        blocks.append((k, offset + width * j + i, [sums], Dc * Da))
+    return blocks
 
 
 def synthesized_generators(extraction):

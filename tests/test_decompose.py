@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from magma_tits.exact import GF, QQ, Matrix, Subspace, basis_vector, flatten_matrix, vec_eq
@@ -18,8 +19,11 @@ from magma_tits.decompose import (
     glw, so_h_negative_control,
 )
 
+from magma_tits import registry
+
 from reference_construction import (
-    b1_validate, commutator, invariant_map_closures, invariant_maps_dense,
+    b1_validate, commutator, copy_columns_per_vector, invariant_map_closures,
+    invariant_maps_dense,
 )
 
 # the package re-exports the function decompose() under its module's name
@@ -382,3 +386,44 @@ def test_synthesized_action_unital_coordinate_algebra_so():
     kg = klein_grading(act)
     ca = coordinate_algebra(g, act, basis=kg.components[(1, 0)])
     assert ca.is_unital
+
+
+def _f4_with_triple():
+    """T(cayley, h3:ground) with the so3 triple (1, phi 1, phi^2 1) of the
+    left action's coordinate algebra."""
+    T = tits(split_cayley(), h3(ground()))
+    action = s4_on_tits_left(T)
+    ca = coordinate_algebra(T.algebra, action, basis=theorem41_basis(T))
+    one = ca.ambient_vector(ca.unit)
+    d1 = action["phi"].apply(one)
+    return T.algebra, [one, d1, action["phi"].apply(d1)]
+
+
+@pytest.mark.parametrize("name", ["glw", "sp:0", "sp:2", "sl:2", "so:2", "f4"])
+def test_module_copies_match_per_vector_oracle(name, monkeypatch):
+    """extract_b1 walks each width's module copies once and pushes all
+    copies through one matvec per step: Psi, Psi^{-1} and the B1 data equal
+    those of the per-vector walk, one copy and one vector at a time."""
+    g, triple = _f4_with_triple() if name == "f4" else registry.lie_with_triple(name)
+    rep = decompose(g, triple)
+    ext = extract_b1(g, rep)
+    monkeypatch.setattr(decompose_module, "_copy_columns", copy_columns_per_vector)
+    ref = extract_b1(g, rep)
+    for mine, theirs in ((ext.psi_coo, ref.psi_coo), (ext.psi_inv_coo, ref.psi_inv_coo)):
+        (a, Va, Da), (b, Vb, Db) = mine, theirs
+        assert Da == Db and all(np.array_equal(x, y) for x, y in zip((*a, Va), (*b, Vb)))
+    assert ext.data == ref.data
+
+
+@pytest.mark.parametrize("copy_columns", [decompose_module._copy_columns,
+                                          copy_columns_per_vector], ids=["walk", "oracle"])
+def test_module_copy_needs_a_generating_start(copy_columns):
+    """A start vector that does not generate the abstract module raises:
+    the zero vector, and a basis vector that the operators kill."""
+    R3, _R5, _rho = decompose_module._so3_h(QQ)
+    ops = [((np.zeros(0, dtype=np.int64),) * 2, np.zeros(0, dtype=np.int64))] * 3
+    vecs = [[QQ.one, QQ.zero]]
+    for R_mats, start in ((R3, [QQ.zero] * 3), ([Matrix.zeros(3, 3, QQ)] * 3,
+                                                 basis_vector(3, 0, QQ))):
+        with pytest.raises(ValueError, match="not generated by the starting vector"):
+            copy_columns(R_mats, start, ops, 1, vecs, 3, 0, QQ)

@@ -12,7 +12,7 @@ from magma_tits.isomorphisms import (
     IsomorphismError, InvolutionHomomorphism, theorem41, theorem61, tqj_maps,
     ak_to_ajv, phi_theorem41, theorem41_basis,
 )
-from magma_tits.tits import tits, verify_lie_conditions
+from magma_tits.tits import jordan_side, tits, verify_lie_conditions
 from magma_tits.s4 import coordinate_algebra, s4_on_tits_left
 
 from reference_construction import conj_ambient
@@ -275,9 +275,44 @@ def test_theorems_on_fresh_inputs_leave_the_registry_alone(monkeypatch):
     assert all(registry._CACHE[key] is value for key, value in held.items())
 
 
+def test_theorems_share_a_of_j_with_the_registry(monkeypatch):
+    """theorem41 and tqj_maps take A(J) off the registry when it holds J,
+    matched by identity: the aj:<J> that the structurable checks use."""
+    _count_builds(monkeypatch)
+    J = registry.jordan_by_name("h3:ground")
+    AJ = registry.involution_algebra_by_name("aj:h3:ground")
+    assert theorem41(J)[2] is AJ and registry.aj_of(J) is AJ
+    assert tqj_maps(J)[0].target is AJ
+    fresh = h3(ground())
+    assert registry.aj_of(fresh) is not AJ and theorem41(fresh)[2] is not AJ
+
+
+def test_shared_spans_stay_read_only(monkeypatch):
+    """The C0 and J0 spans are frozen: every T over one factor shares them,
+    so no add may grow them, and thm41, thm61 and tqj on two T over one C
+    (and one Q) leave each span object and its dimension as they were."""
+    _count_builds(monkeypatch)
+    Ts = [registry.tits_by_name("cayley", j) for j in ("h3:ground", "h3:binarion")]
+    TQs = [registry.tits_by_name("quatq", j) for j in ("h3:ground", "jvtheta")]
+
+    def spans():
+        return [(S, S.dim) for T in Ts + TQs for S in (T.c0_span, T.j0_span)]
+    before = spans()
+    assert Ts[0].c0_span is Ts[1].c0_span and TQs[0].c0_span is TQs[1].c0_span
+    for T in Ts:
+        theorem41(T.J)
+        theorem61(T.C, T.J.source)
+    for T in TQs:
+        tqj_maps(T.J)
+    assert spans() == before and all(S.frozen for S, _dim in before)
+    with pytest.raises(ValueError, match="frozen"):
+        Ts[0].c0_span.add(Ts[0].C.unit)
+
+
 def test_registry_name_alone_shares_nothing(monkeypatch):
     """A corrupted H3(k) that carries the registry H3(k)'s name gets its own
-    T and d_{J,J}, and the Lie conditions still fail on it with a witness.
+    T, d_{J,J}, J-side and A(J), and the Lie conditions still fail on it
+    with a witness.
     theorem41 refuses it (it breaks the Jordan identity); its T comes from
     the registry lookup that theorem41 makes."""
     _count_builds(monkeypatch)
@@ -290,6 +325,9 @@ def test_registry_name_alone_shares_nothing(monkeypatch):
     Tbad = registry.tits_of(registry.composition_for("cayley", Jbad), Jbad)
     assert Tbad is not T and Tbad.J is Jbad
     assert Tbad.djj is Jbad.djj() and Tbad.djj is not T.djj
+    assert Tbad.sides[1] is jordan_side(Jbad) and Tbad.sides[1] is not T.sides[1]
+    assert Tbad.j0_span is not T.j0_span
+    assert registry.aj_of(Jbad) is not registry.aj_of(T.J)
     assert Tbad.algebra.name == T.algebra.name
     assert all(registry._CACHE[key] is value for key, value in held.items())
     rep = verify_lie_conditions(Tbad.C, Jbad, T=Tbad)

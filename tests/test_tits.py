@@ -1,12 +1,15 @@
 import copy
 import gc
+import importlib
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from magma_tits.exact import GF, QQ, Matrix, flatten_matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
+from magma_tits import registry
 from magma_tits.registry import composition_by_name, jordan_by_name
 from magma_tits.composition import (
     split_cayley, split_quaternion, binarion, ground, inner_derivation, invariant_quaternion,
@@ -15,8 +18,10 @@ from magma_tits.jordan import (
     JordanAlgebra, h3, jordan_super_jvtheta, jordan_super_dt, d2,
 )
 from magma_tits.tits import (
-    tits, verify_lie_conditions, verify_lie_conditions_reference, tits62_variant,
+    composition_side, jordan_side, tits, verify_lie_conditions, verify_lie_conditions_reference,
+    tits62_variant,
 )
+from magma_tits.s4 import s4_on_tits_left, s4_on_tits_right
 
 from reference_construction import diag_transported
 
@@ -238,6 +243,75 @@ def test_djj_is_built_once_per_jordan_algebra(C):
         assert ref() is None
     finally:
         gc.enable()
+
+
+COMPOSITIONS = ("ground", "binarion", "quaternion", "cayley")
+# the package re-exports the function tits() under its module's name
+# (magma_tits.tits), so the modules are imported by name
+tits_module, s4_module = (importlib.import_module("magma_tits." + m) for m in ("tits", "s4"))
+
+
+def test_each_factor_side_is_built_once(monkeypatch):
+    """The 16 magic-square T(C, h3:C') from the registry compute 4 C-sides
+    and 4 J-sides, kept on C and J and shared by every T over them, and
+    each factor's S4 blocks once: the left blocks of cayley, the right
+    blocks of the four H3(C'), however often the actions are built."""
+    sides, blocks = [], []
+    factor_side, conjugation_block = tits_module.factor_side, s4_module.conjugation_block
+
+    def counting_side(alg, *args):
+        sides.append(alg)
+        return factor_side(alg, *args)
+
+    def counting_blocks(span, mats, action, what):
+        blocks.append(what)
+        return conjugation_block(span, mats, action, what)
+    monkeypatch.setattr(registry, "_CACHE", {})
+    monkeypatch.setattr(tits_module, "factor_side", counting_side)
+    monkeypatch.setattr(s4_module, "conjugation_block", counting_blocks)
+    Ts = {(c, j): registry.tits_by_name(c, "h3:" + j) for c in COMPOSITIONS for j in COMPOSITIONS}
+    for _round in range(2):
+        for (c, _j), T in Ts.items():
+            s4_on_tits_right(T)
+            if c == "cayley":
+                s4_on_tits_left(T)
+    assert len(sides) == 8 and len({id(alg) for alg in sides}) == 8
+    assert sorted(blocks) == ["d_{J,J}"] * 4 + ["der C"]
+    for (c, j), T in Ts.items():
+        left, right = Ts[(c, "ground")], Ts[("ground", j)]
+        assert T.sides[0] is composition_side(T.C) is left.sides[0]
+        assert T.sides[1] is jordan_side(T.J) is right.sides[1]
+        assert T.c0_span is left.c0_span and T.j0_span is right.j0_span
+
+
+def _same(a, b):
+    """Equal nested tuples of arrays and integers."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007)], ids=str)
+def test_shared_sides_give_the_fresh_construction(monkeypatch, F):
+    """A T built once its factors' sides and S4 blocks were shared equals a
+    T built from fresh C and J: the table, the sides' tables and the
+    stacked generators of both actions."""
+    monkeypatch.setattr(registry, "_CACHE", {})
+    for c, j in (("cayley", "h3:ground"), ("ground", "h3:binarion")):
+        T0 = registry.tits_by_name(c, j, F)
+        s4_on_tits_right(T0)
+        if c == "cayley":
+            s4_on_tits_left(T0)
+    T = registry.tits_by_name("cayley", "h3:binarion", F)
+    assert T.sides[0] is registry.tits_by_name("cayley", "h3:ground", F).sides[0]
+    assert T.sides[1] is registry.tits_by_name("ground", "h3:binarion", F).sides[1]
+    fresh = tits(split_cayley(F), h3(binarion(F)))
+    assert _same(T.algebra.coo, fresh.algebra.coo)
+    for mine, theirs in zip(T.sides, fresh.sides):
+        assert all(_same(getattr(mine, t), getattr(theirs, t))
+                   for t in ("product", "trace", "pairs", "act"))
+    for action in (s4_on_tits_left, s4_on_tits_right):
+        assert _same(action(T).stacked, action(fresh).stacked)
 
 
 def test_tits_requires_trace(C):
