@@ -13,10 +13,10 @@ int_fast.fold.  No Fraction is added, multiplied or divided: a Matrix is
 lowered (int_row, int_fast.rows_coo) and its rref, kernel, solution or
 inverse is built back with Fraction(numerator, denominator).  Callers that
 hold integer COO hand it over (coo_rows, kernel_coo, kernel_of, solution,
-inverse_coo) and get lowered COO back.  A Subspace keeps its echelon rows
-as integers, takes vectors one at a time or as a batch (add_many), and
-gives the coordinates of a whole batch of sparse integer vectors at once
-(Subspace.coords_many).
+solution_space, inverse_coo) and get lowered COO back.  A Subspace keeps
+its echelon rows as integers, takes vectors one at a time or as a batch
+(add_many), and gives the coordinates of a whole batch of sparse integer
+vectors at once (Subspace.coords_many).
 """
 
 import operator
@@ -114,13 +114,8 @@ class FieldQ:
             return Fraction(x)
         raise TypeError("cannot coerce %r into QQ" % (x,))
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # shared constants, so that equal entries of zero matrices are one object
+    zero, one = Fraction(0), Fraction(1)
 
     def __repr__(self):
         return "QQ"
@@ -174,6 +169,7 @@ class FieldGF:
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.name = "GF(%d)" % p
+        self.zero, self.one = GFElement(p, 0), GFElement(p, 1)
 
     def of(self, x):
         if isinstance(x, GFElement):
@@ -187,14 +183,6 @@ class FieldGF:
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
-
-    @property
-    def zero(self):
-        return GFElement(self.p, 0)
-
-    @property
-    def one(self):
-        return GFElement(self.p, 1)
 
     def __repr__(self):
         return self.name
@@ -535,13 +523,17 @@ def kernel_coo(rows, n, p=None):
     columns (vector t is 1 at the t-th free column f, minus the echelon
     entries of column f at the pivots), lowered ((vector, index), integers,
     D), and the number of vectors."""
-    rows, pivots = echelon(rows, p, n)
+    return _kernel(*echelon(rows, p, n), n, p)
+
+
+def _kernel(rows, pivots, n, p):
+    """kernel_coo of echelon rows, read at their columns below n."""
     D = lcm(*(row[c] for row, c in zip(rows, pivots)))
     free = {f: t for t, f in enumerate(sorted(set(range(n)) - set(pivots)))}
     vecs = [({f: D}, D) for f in free]
     for row, c in zip(rows, pivots):
         for j, x in row.items():
-            if j != c:
+            if j != c and j < n:
                 vecs[free[j]][0][c] = -x * (D // row[c]) % p if p else -x * (D // row[c])
     return _lowered(vecs, p), len(free)
 
@@ -557,7 +549,23 @@ def solution(rows, n, field):
     """One solution x (field values) of the sparse integer rows with the
     coefficients at columns 0..n-1 and the right-hand side at column n;
     None if they are inconsistent."""
+    return _point(*echelon(rows, field.p, n + 1), n, field)
+
+
+def solution_space(rows, n, field):
+    """`solution` of sparse integer rows and the kernel_basis of their
+    coefficients (columns 0..n-1), both read off one echelon; None if the
+    rows are inconsistent."""
     rows, pivots = echelon(rows, field.p, n + 1)
+    x = _point(rows, pivots, n, field)
+    if x is None:
+        return None
+    ker, k = _kernel(rows, pivots, n, field.p)
+    return x, Matrix.from_coo(k, n, ker, field).rows
+
+
+def _point(rows, pivots, n, field):
+    """`solution` of echelon rows."""
     if pivots and pivots[-1] == n:
         return None
     x = [field.zero] * n

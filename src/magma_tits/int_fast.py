@@ -4,13 +4,16 @@ Rational data with a common denominator cleared is integer data; GF(p)
 data is its residues (`lower`).  Tables, maps and lists of matrices are
 stored as COO columns of such integers, joined on a shared index (`join`),
 each output index tuple packed into one int64 key, and equal keys summed
-with sort and np.add.reduceat (`fold`).  A fold sums in int64 only when
-every key group's size times its largest product fits, read off the
-actual values; over GF(p) with (p-1)^2 in int64 it reduces each product
-mod p and sums in int64 past that (delayed reduction); on Python ints
-otherwise.  Builders fold their blocks into one table (`fold_table`) for
-SuperAlgebra.from_coo, which keeps it in lowest terms (`reduced`); field
-values are built back (`to_field`) only where field arithmetic follows.
+with sort and np.add.reduceat (`fold`).  Over QQ a fold sums in int64
+only when every key group's size times its largest product fits, a bound
+read off the factors, and on Python ints otherwise.  Over GF(p) with
+(p-1)^2 in int64 it reads no factor: each is reduced mod p once, so a
+product of k of them is at most (p-1)^k, and the sums run in int64 with
+delayed reduction; a larger p reads its bound as QQ does.  Builders fold
+their blocks into one table (`fold_table`) for SuperAlgebra.from_coo,
+which keeps it in lowest terms (`reduced`); field values are built back
+(`to_field`, each distinct integer once) only where field arithmetic
+follows.
 
 A contraction past _TERM_BUDGET terms (the bulk checks: super-Jacobi,
 structurable, Jordan identity, algebra.map_failures) is folded one block
@@ -161,56 +164,64 @@ def to_field(ints, D, field):
     """Integers (an array or list) over the common denominator D -> field
     values: Fraction(v, D) over QQ, residues over GF(p) (D is 1 there)."""
     ints = ints.tolist() if isinstance(ints, np.ndarray) else ints
-    if field.is_rational:
-        return [Fraction(v, D) for v in ints]
-    return [field.of(v) for v in ints]
+    make = (lambda v: Fraction(v, D)) if field.is_rational else field.of
+    # each distinct integer is built once, and its entries share the value
+    value = {v: make(v) for v in set(ints)}
+    return list(map(value.__getitem__, ints))
 
 
 def outer(m, n):
-    """Every index pair (a, b), a < m, b < n, grouped by a: the join of two
-    zero columns, so that an outer product of two tables is a fold."""
-    return join(np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    """Every index pair (a, b), a < m, b < n, grouped by a (the join of two
+    zero columns), so that an outer product of two tables is a fold."""
+    return np.arange(m).repeat(n), np.tile(np.arange(n), m)
 
 
 def join(left, right):
     """All index pairs (a, b) with left[a] == right[b], grouped by a."""
-    order = np.argsort(right, kind="stable")
-    lo = np.searchsorted(right[order], left, "left")
-    cnt = np.searchsorted(right[order], left, "right") - lo
-    a = np.repeat(np.arange(len(left)), cnt)
-    offset = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    order = right.argsort(kind="stable")
+    ordered = right[order]
+    lo = ordered.searchsorted(left, "left")
+    cnt = ordered.searchsorted(left, "right") - lo
+    a = np.arange(len(left)).repeat(cnt)
+    offset = (lo - (cnt.cumsum() - cnt)).repeat(cnt)
     return a, order[np.arange(len(a)) + offset]
 
 
 def _maxabs(f):
     if not isinstance(f, np.ndarray):
         return abs(f)
-    return max(int(f.max()), -int(f.min())) if f.size else 0
+    return max(int(np.maximum.reduce(f)), -int(np.minimum.reduce(f))) if f.size else 0
 
 
-def _products(terms, dtype, p=None):
-    """The products of every term's factors, concatenated in term order:
-    in `dtype`, or, with p, each factor reduced mod p and the running
-    product reduced after each factor (int64 when (p-1)^2 fits)."""
-    if p is None:
-        return np.concatenate([
-            prod(f.astype(dtype, copy=False) if isinstance(f, np.ndarray) else f for f in factors)
-            for _k, factors in terms])
+def _products(terms, dtype):
+    """The products of every term's factors in `dtype`, concatenated in
+    term order."""
+    out = [prod(f.astype(dtype, copy=False) if isinstance(f, np.ndarray) else f for f in factors)
+           for _k, factors in terms]
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _residue_products(terms, p, cap):
+    """The products of every term's factors mod p, (p-1)^2 in int64, in
+    term order: a running product is reduced only where one more factor
+    could pass int64, a whole one only where its bound (p-1)^k passes cap."""
     out = []
     for _k, factors in terms:
-        acc = 1
-        for f in factors:
-            acc = acc * (f % p) % p
-        out.append(acc)
-    return np.concatenate(out).astype(np.int64, copy=False)
+        acc, top = factors[0] % p, p - 1
+        for f in factors[1:]:
+            if top > INT64_MAX // (p - 1):
+                acc, top = acc % p, p - 1
+            acc, top = acc * (f % p), top * (p - 1)
+        out.append(acc if top <= cap else acc % p)
+    return (out[0] if len(out) == 1 else np.concatenate(out)).astype(np.int64, copy=False)
 
 
-def _groups_fit(vals, starts, counts):
+def _groups_fit(vals, starts):
     """Whether every key group's size times its largest product magnitude
     fits in int64: the bound on its partial sums, read group by group, so
     a split of the keys into blocks gives each block the same answer."""
     top = np.maximum.reduceat(np.abs(vals), starts)
-    return bool(np.all(top <= INT64_MAX // counts))
+    return bool(np.all(top <= INT64_MAX // np.diff(starts, append=len(vals))))
 
 
 def fold(terms, p=None):
@@ -223,39 +234,42 @@ def fold(terms, p=None):
     keys whose sum is nonzero, those sums, and the path the sums took,
     "int64" or "python-int".
 
-    The sums run in int64 when every key group's size times its largest
-    product magnitude fits, a bound read group by group; the widest group
-    times the product of the largest factors, read off the arrays before
-    any product is formed, settles the common case.  Over GF(p) with
-    (p-1)^2 in int64, past that bound, each product is reduced mod p after
-    each factor and the sums run in int64 while the widest group times
-    p - 1 fits (delayed reduction, as in FFLAS-FFPACK); a group would need
-    more than 3 * 10^9 terms to pass it.  Everything else runs on Python ints.
+    Over QQ, and GF(p) with (p-1)^2 past int64, the sums run in int64 when
+    every key group's size times its largest product magnitude fits, a
+    bound read group by group; the widest group times the product of the
+    largest factors, read off the arrays, settles the common case.  Over
+    GF(p) with (p-1)^2 in int64 no array is read: each factor is reduced
+    mod p once, so k of them multiply to at most (p-1)^k, reduced mod p
+    only where int64 or the widest group's sum needs it, and the sums run
+    in int64 while the widest group times p - 1 fits (delayed reduction,
+    as in FFLAS-FFPACK; a group would need 3 * 10^9 terms to pass it).
+    Everything else runs on Python ints.
     """
     # a term without keys adds nothing, and its scalars bound no product
     terms = [(k, factors) for k, factors in terms if len(k)]
     if not terms:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), "int64"
-    keys = np.concatenate([k for k, _f in terms])
-    order = np.argsort(keys)
+    keys = terms[0][0] if len(terms) == 1 else np.concatenate([k for k, _f in terms])
+    order = keys.argsort()
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    counts = np.diff(np.concatenate((starts, [len(keys)])))
-    widest = int(counts.max())
-    top = max(prod(max(_maxabs(f), 1) for f in factors) for _k, factors in terms)
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    widest = int(np.maximum.reduce(starts[1:] - starts[:-1], initial=len(keys) - starts[-1]))
     fits = True
-    if widest * top <= INT64_MAX:
-        vals = _products(terms, np.int64)[order]
-    elif p is not None and (p - 1) ** 2 <= INT64_MAX and widest * (p - 1) <= INT64_MAX:
-        vals = _products(terms, np.int64, p)[order]
+    if p is not None and (p - 1) ** 2 <= INT64_MAX and widest * (p - 1) <= INT64_MAX:
+        vals = _residue_products(terms, p, INT64_MAX // widest)[order]
     else:
+        top = max(prod(max(_maxabs(f), 1) for f in factors) for _k, factors in terms)
         vals = _products(terms, np.int64 if top <= INT64_MAX else object)[order]
-        fits = _groups_fit(vals, starts, counts)
-        vals = vals.astype(np.int64 if fits else object, copy=False)
+        if widest * top > INT64_MAX:
+            fits = _groups_fit(vals, starts)
+            vals = vals.astype(np.int64 if fits else object, copy=False)
     sums = np.add.reduceat(vals, starts)
     if p is not None:
         sums %= p
-    nz = np.flatnonzero(sums != 0)
+    nz = sums.nonzero()[0]
     return keys[starts[nz]], sums[nz], "int64" if fits else "python-int"
 
 

@@ -23,12 +23,12 @@ identity and the associator rows of the trace system are sparse exact
 contractions of the table with itself on int_fast.join and fold.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .exact import QQ, Matrix, Subspace, basis_vector, kernel_of, vec_zero
+from .exact import (QQ, Matrix, Subspace, basis_vector, int_row, kernel_of, solution_space,
+                    vec_zero)
 from .algebra import (SuperAlgebra, LinearMap, EVEN, ODD, accumulate, once_per_factor,
                       transpose_failures)
 from .composition import split_cayley
@@ -215,11 +215,11 @@ def find_normalized_traces(algebra, unit, construction_filter=True):
     system alone is solvable for every t outside {0, -1}.
     """
     f = algebra.field
-    M = Matrix([unit] + _associator_rows(algebra), f)
-    point = M.solve([f.one] + [f.zero] * (M.nrows - 1))
-    if point is None:
+    found = solution_space([int_row(list(unit) + [f.one], f)[0], *_associator_rows(algebra)[0]],
+                           algebra.n, f)
+    if found is None:
         return None
-    kernel = M.kernel_basis()
+    point, kernel = found
     if construction_filter and algebra.dim_odd and not kernel:
         if not _trace_tits_compatible(algebra, unit, point):
             return None
@@ -228,7 +228,8 @@ def find_normalized_traces(algebra, unit, construction_filter=True):
 
 def _associator_rows(algebra):
     """The distinct nonzero rows (b_i b_j) b_k - b_i (b_j b_k), in (i, j, k)
-    order: one contraction of the table with itself, like the super-Jacobi
+    order, as sparse integer rows {l: int} over the denominator D^2, and
+    D^2: one contraction of the table with itself, like the super-Jacobi
     check.  (b_i b_j) b_k sums c^m_ij c^l_mk (the output index of one entry
     joined with the first input of another), b_i (b_j b_k) sums
     c^m_jk c^l_im (joined with the second input); both fold on the keys
@@ -243,13 +244,7 @@ def _associator_rows(algebra):
     rows = {}
     for ijk, l, x in zip((keys // n).tolist(), (keys % n).tolist(), sums.tolist()):
         rows.setdefault(ijk, []).append((l, x))
-    out = []
-    for entries in dict.fromkeys(map(tuple, rows.values())):
-        row = [0] * n
-        for l, x in entries:
-            row[l] = Fraction(x, D * D)
-        out.append(row)
-    return out
+    return [dict(entries) for entries in dict.fromkeys(map(tuple, rows.values()))], D * D
 
 
 def _trace_tits_compatible(algebra, unit, trace_row):

@@ -5,9 +5,12 @@ path it reports must follow its rule: int64 when every key group's size
 times its largest product fits, or, over GF(p) with (p-1)^2 in int64,
 when the widest group times p - 1 fits (delayed reduction).  fold_blocks
 under a tiny term budget must give the keys, sums and path of the
-one-block fold."""
+one-block fold.  join must give the pairs of a Python double loop, outer
+the join of two zero columns, and to_field the field values entry by
+entry."""
 
 from collections import defaultdict
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -16,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from magma_tits import int_fast
 from magma_tits.algebra import check_super_jacobi, check_super_jacobi_reference
 from magma_tits.composition import ground, split_cayley
-from magma_tits.exact import GF
-from magma_tits.int_fast import INT64_MAX, fold, fold_blocks, joined
+from magma_tits.exact import GF, QQ, FieldQ, Matrix
+from magma_tits.int_fast import INT64_MAX, fold, fold_blocks, join, joined, outer, to_field
 from magma_tits.jordan import h3
 from magma_tits.structurable import a_of_j, check_structurable
 from magma_tits.tits import tits
@@ -222,3 +225,74 @@ def test_blocks_follow_the_budget(monkeypatch):
     blocked = fold_blocks([group], first=None)
     assert calls == [10, 10, 10, 10]
     assert blocked[0].tolist() == keys.tolist() and blocked[1].tolist() == sums.tolist()
+
+
+# values that repeat, and values packed past 2^32 as keys are
+PACKED = st.one_of(st.integers(0, 4), st.integers(0, 4).map(lambda v: v * 2 ** 33 + 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PACKED, max_size=12), st.lists(PACKED, max_size=12))
+def test_join_equals_double_loop(left, right):
+    a, b = join(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+    assert list(zip(a.tolist(), b.tolist())) == [
+        (x, y) for x in range(len(left)) for y in range(len(right)) if left[x] == right[y]]
+
+
+def test_outer_equals_join_of_zero_columns():
+    for m in range(4):
+        for n in range(4):
+            got = outer(m, n)
+            want = join(np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64))
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert all(g.dtype == np.int64 for g in got)
+
+
+def test_kernel_takes_read_only_inputs():
+    # the coo of SuperAlgebra is read-only: fold and join must not write to
+    # their inputs
+    k = np.array([3, 1, 3, 0], dtype=np.int64)
+    v = np.array([2, -5, 7, INT64_MAX], dtype=np.int64)
+    big = np.array([2 ** 70, 1, -1, 3], dtype=object)
+    for a in (k, v, big):
+        a.setflags(write=False)
+    terms = [(k, [v, 3]), (k, [big])]
+    for p in PRIMES:
+        keys, sums, _path = fold(terms, p)
+        assert list(zip(keys.tolist(), [int(s) for s in sums])) == reference(terms, p)
+    a, b = join(k, k)
+    assert list(zip(a.tolist(), b.tolist())) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (3, 3)]
+
+
+def test_single_term_fold_shares_no_memory():
+    # a single term skips the concatenation; its results must still be new
+    # arrays, not views of the caller's keys or factors
+    k = np.array([0, 1, 2], dtype=np.int64)
+    v = np.array([4, 5, 6], dtype=np.int64)
+    for p in PRIMES:
+        keys, sums, _path = fold([(k, [v])], p)
+        assert keys.tolist() == [0, 1, 2] and sums.tolist() == [4, 5, 6]
+        assert not any(np.shares_memory(out, a) for out in (keys, sums) for a in (k, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)), max_size=12),
+       st.integers(1, 2 ** 66))
+def test_to_field_equals_entrywise(ints, D):
+    for values in (ints, column(ints)):
+        got = to_field(values, D, QQ)
+        assert got == [Fraction(v, D) for v in ints]
+        assert all(isinstance(x, Fraction) for x in got)
+        for F in (GF(10007), GF(2 ** 61 - 1)):
+            assert to_field(values, 1, F) == [F.of(v) for v in ints]
+
+
+def test_field_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one and FieldQ().zero is QQ.zero
+    F = GF(10007)
+    assert F.zero is F.zero and F.one is F.one
+    assert F.zero == 0 and F.one == 1 and F.zero.p == F.p
+    # equal zero matrices hold one object, so they compare by identity
+    for field in (QQ, F):
+        A, B = Matrix.zeros(3, 4, field), Matrix.zeros(3, 4, field)
+        assert all(x is field.zero for r in A.rows + B.rows for x in r) and A == B

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from magma_tits import exact
 from magma_tits.exact import (GF, QQ, Matrix, Subspace, basis_vector, vec_eq, vec_is_zero,
                               flatten_matrix)
 from magma_tits.algebra import LinearMap, centralizer, is_derivation
@@ -286,6 +287,40 @@ def test_dt_trace_sweep():
         raw = find_normalized_traces(J.algebra, J.unit, construction_filter=False)
         assert (raw is not None) == (t != -1)
     assert hits == [Fraction(1, 2), Fraction(2, 1)]
+
+
+# find_normalized_traces as it read when it solved a dense Fraction Matrix
+# and took its kernel in a second elimination: (point, kernel) over QQ, the
+# same with and without the construction filter except where noted, None
+# where no trace exists; over GF(10007) the residues of the same values
+_TRACES = {
+    "D_2": ([Fraction(2, 3), Fraction(1, 3), 0, 0], []),
+    "D_1/2": ([Fraction(1, 3), Fraction(2, 3), 0, 0], []),
+    "D_3": ([Fraction(3, 4), Fraction(1, 4), 0, 0], []),     # None under the filter
+    "D_-1": None,
+    "h3k": ([Fraction(1, 3)] * 3 + [0] * 3, []),
+    "binarion": ([1, 0], [[-1, 1]]),
+    "split_quaternion": ([1, 0, 0, 0], [[-1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+def test_normalized_traces_equal_dense_solver(field, monkeypatch):
+    cases = {"D_%s" % t: jordan_super_dt(t, field) for t in (2, Fraction(1, 2), 3, -1)}
+    cases.update(h3k=h3(ground(field)), binarion=binarion(field),
+                 split_quaternion=split_quaternion(field))
+    echelons = []
+    real = exact.echelon
+    monkeypatch.setattr(exact, "echelon", lambda *a, **k: echelons.append(1) or real(*a, **k))
+    for name, J in cases.items():
+        want = _TRACES[name]
+        if want is not None:
+            want = ([field.of(x) for x in want[0]], [[field.of(x) for x in v] for v in want[1]])
+        echelons.clear()
+        assert find_normalized_traces(J.algebra, J.unit, construction_filter=False) == want, name
+        assert len(echelons) == 1, name         # the point and the kernel off one echelon
+        filtered = None if name == "D_3" else want
+        assert find_normalized_traces(J.algebra, J.unit) == filtered, name
 
 
 def test_kaplansky():

@@ -418,3 +418,5 @@ def test_s4_layer_folds_once_per_action(monkeypatch):
     for act in (left, right):
         folds, joins, ok = calls(act.verify)
         assert ok and folds <= 5 and joins <= 5, (folds, joins)
+    # an outer product's pairs are a repeat and a tile, not a join
+    assert calls(lambda: int_fast.outer(3, 4))[:2] == (0, 0)
