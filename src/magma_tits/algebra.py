@@ -8,8 +8,8 @@ built from coo on first read.  The checkers (super-Jacobi, automorphism,
 derivation, homomorphism, grading, centralizer) are exact.  The
 super-Jacobi check is a sparse integer contraction of the table with
 itself onto the jacobiators of the sorted triples i <= j <= k, the map
-checks one of the table with the map's lowered matrix (map_failures
-lowers a Matrix, lowered_map_failures takes the integers), the graded
+checks (lowered_map_failures) one of the table with the lowered matrix
+that a LinearMap holds, the graded
 (anti)symmetry check (transpose_failures) one fold of the table against
 its signed transpose and the multiplication matrices (left_mults) one
 join and fold, all summed by int_fast.fold.  The pure-field super-Jacobi
@@ -114,7 +114,7 @@ class DerivationSpace:
 
     def __init__(self, pairs, m, n, field, parities):
         self.pairs = pairs
-        self.n = n
+        self.m, self.n = m, n
         self.field = field
         self.span = Subspace(n * n, field)
         ids, rc, d, D = pairs
@@ -145,6 +145,20 @@ class DerivationSpace:
         """commutator_table of the kept matrices in the span's coordinates:
         ((s, t, k), integers, denominator, pairs outside the span)."""
         return commutator_table(self.lowered, self.dim, self.n, self.span, self.parities)
+
+    def pair_sums(self, A, B):
+        """The sums sum_{j,l} a_j b_l M_{j,l} of the matrices M_{j,l} on
+        the pairs of generators (pairs), for the lowered coefficient
+        vectors a_t of A and b_t of B ((t, j), integers, D), as a
+        Subspace.coords_many batch (t, flat index, integers, D): the entries
+        of a_t and b_t joined on t, then with the pair ids, and one fold."""
+        ids, rc, d, D = self.pairs
+        ((ta, ja), Va, Da), ((tb, lb), Vb, Db) = A, B
+        x, y = join(ta, tb)
+        u, e = join(ja[x] * self.m + lb[y], ids)
+        x, y, size = x[u], y[u], self.n * self.n
+        keys, sums, _path = fold([(ta[x] * size + rc[e], [Va[x], Vb[y], d[e]])], self.field.p)
+        return keys // size, keys % size, sums, Da * Db * D
 
 
 class SuperAlgebra:
@@ -350,26 +364,62 @@ def _scalar_str(c):
     return str(c.v)
 
 
+def lowered_matrix(M, nrows, ncols, field, what="map"):
+    """The Matrix M lowered once by int_fast.rows_coo; ValueError unless
+    M is nrows x ncols over field (what names it in the message)."""
+    if (M.nrows, M.ncols) != (nrows, ncols):
+        raise ValueError("%s matrix is %dx%d, the algebras need %dx%d"
+                         % (what, M.nrows, M.ncols, nrows, ncols))
+    if M.field != field:
+        raise ValueError("%s matrix over %s, the algebra over %s" % (what, M.field, field))
+    return rows_coo(M.rows, field)
+
+
 class LinearMap:
-    """Linear map between algebras, stored as an exact matrix."""
+    """Linear map between algebras, held lowered: `coo` is its codomain.n x
+    domain.n matrix ((rows, columns), integers, D) as int_fast.rows_coo
+    gives it, read-only.  Builders hand their integers to from_coo, the
+    constructor lowers a Matrix once, and the Matrix `matrix` is built from
+    coo on first read."""
 
     def __init__(self, domain, codomain, matrix, parity=EVEN):
-        if matrix.ncols != domain.n or matrix.nrows != codomain.n:
-            raise ValueError("matrix shape does not match the algebras")
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.parity = parity
+        self._setup(domain, codomain,
+                    lowered_matrix(matrix, codomain.n, domain.n, domain.field), parity)
 
     @classmethod
-    def from_columns(cls, domain, codomain, cols, parity=EVEN):
-        return cls(domain, codomain, Matrix.from_columns(cols, domain.field), parity)
+    def from_coo(cls, domain, codomain, lowered, parity=EVEN):
+        """The map with V[e] / D at (R[e], C[e]), summed over e, for
+        lowered = ((R, C), V, D) (integers denominator-cleared over QQ, any
+        integers over GF(p)).  ValueError for an entry outside the shape."""
+        f = cls.__new__(cls)
+        f._setup(domain, codomain, lowered, parity)
+        return f
+
+    def _setup(self, domain, codomain, lowered, parity):
+        """One fold sums equal (row, column) and drops the zeros, residues
+        with D = 1 over GF(p), then int_fast.reduced: lowest terms."""
+        m, n, p = codomain.n, domain.n, domain.field.p
+        if codomain.field != domain.field:
+            raise ValueError("map from an algebra over %s to one over %s"
+                             % (domain.field, codomain.field))
+        (R, C), V, D = lowered
+        R, C, w = np.asarray(R, dtype=np.int64), np.asarray(C, dtype=np.int64), max(n, 1)
+        if len(R) and min(R.min(), C.min(), m - 1 - R.max(), n - 1 - C.max()) < 0:
+            raise ValueError("map entry outside a %dx%d matrix" % (m, n))
+        scale, D = (1, int(D)) if p is None else (pow(int(D), -1, p), 1)
+        keys, V, _path = fold([(R * w + C, [as_ints(V), scale])], p)
+        self.coo = (keys // w, keys % w), *reduced(V, D)
+        for a in (*self.coo[0], self.coo[1]):
+            a.setflags(write=False)
+        self.domain, self.codomain, self.parity = domain, codomain, parity
+
+    @cached_property
+    def matrix(self):
+        """The map as a Matrix, built from coo on first read."""
+        return Matrix.from_coo(self.codomain.n, self.domain.n, self.coo, self.domain.field)
 
     def apply(self, v):
         return self.matrix.apply(v)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and self.matrix == other.matrix
 
     def __repr__(self):
         return "LinearMap(%s -> %s)" % (self.domain.name, self.codomain.name)
@@ -552,38 +602,21 @@ def check_super_jacobi(A, max_witnesses=10):
     return JacobiReport(not len(keys), n, n_triples, failures=failures, name=A.name, path=path)
 
 
-def _invertible(M, n=None, p=None):
-    """Exact invertibility of a square Matrix, or with n of the n x n
-    matrix M given lowered ((rows, columns), integers, D) over GF(p) (QQ
-    when p is None), by the integer echelon."""
-    if n is None:
-        return M.nrows == M.ncols and M.rank() == M.nrows
+def _invertible(M, n, p=None):
+    """Exact invertibility of the n x n matrix M given lowered ((rows,
+    columns), integers, D) over GF(p) (QQ when p is None), by the integer
+    echelon."""
     return len(echelon(coo_rows(M, n, p), p, n)[1]) == n
-
-
-def map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None):
-    """Sorted pairs (i, j) with M(b_i b_j) != M(b_i) M(b_j), or, as a
-    derivation of src = tgt of parity |M| = odd, with
-    M(b_i b_j) != M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); the first
-    max_witnesses of them, all when None: lowered_map_failures of the
-    Matrix M lowered once.  ValueError unless M is tgt.n x src.n over the
-    algebras' field.
-    """
-    if M.nrows != tgt.n or M.ncols != src.n:
-        raise ValueError("map matrix is %dx%d, the algebras need %dx%d"
-                         % (M.nrows, M.ncols, tgt.n, src.n))
-    if not M.field == src.field == tgt.field:
-        raise ValueError("map matrix over %s, the algebras over %s and %s"
-                         % (M.field, src.field, tgt.field))
-    return lowered_map_failures(src, tgt, rows_coo(M.rows, src.field), derivation, odd,
-                                max_witnesses)
 
 
 def lowered_map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses=None,
                          copies=1):
-    """map_failures of the map M given lowered, ((rows, columns),
-    integers, D) as int_fast.rows_coo gives its tgt.n x src.n matrix.
-    With copies = k, M is block diagonal on k copies of src and of tgt
+    """Sorted pairs (i, j) with M(b_i b_j) != M(b_i) M(b_j), or, as a
+    derivation of src = tgt of parity |M| = odd, with
+    M(b_i b_j) != M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); the first
+    max_witnesses of them, all when None, for the tgt.n x src.n matrix M
+    given lowered, ((rows, columns), integers, D), as LinearMap.coo holds
+    it.  With copies = k, M is block diagonal on k copies of src and of tgt
     (copy g at rows g tgt.n and columns g src.n, as GroupAction.stacked),
     and so are the pairs (i, j): i // src.n is the copy.
 
@@ -639,17 +672,17 @@ def lowered_map_failures(src, tgt, M, derivation=False, odd=False, max_witnesses
 
 
 def is_automorphism(A, f):
-    """True iff f is an invertible even map with f(xy) = f(x)f(y)."""
-    M = f.matrix
-    return (f.parity == EVEN and M.nrows == A.n and M.ncols == A.n and _invertible(M)
-            and not map_failures(A, A, M))
+    """True iff the LinearMap f is an invertible even map of A with
+    f(xy) = f(x)f(y)."""
+    return (f.parity == EVEN and f.domain.n == f.codomain.n == A.n
+            and _invertible(f.coo, A.n, A.field.p) and not lowered_map_failures(A, A, f.coo))
 
 
 def is_derivation(A, f):
-    """True iff f(xy) = f(x)y + (-1)^{|f||x|} x f(y) on all basis pairs."""
-    M = f.matrix
-    return (M.nrows == A.n and M.ncols == A.n
-            and not map_failures(A, A, M, derivation=True, odd=f.parity == ODD))
+    """True iff the LinearMap f of A has f(xy) = f(x)y + (-1)^{|f||x|} x f(y)
+    on all basis pairs."""
+    return (f.domain.n == f.codomain.n == A.n
+            and not lowered_map_failures(A, A, f.coo, derivation=True, odd=f.parity == ODD))
 
 
 def check_grading(A, grading):

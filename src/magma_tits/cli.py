@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Subspace, flatten_matrix, vec_eq
+from .exact import Subspace, vec_eq
 from .algebra import SuperAlgebra
-from .int_fast import fold, join, rotations
+from .int_fast import fold, join, rotations, rows_coo
 from . import composition, structurable
 from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
@@ -144,16 +144,13 @@ def suite_csplit(args):
     _check(results, "cyclic derivation identity on all triples", cyc_ok)
     derC = composition.derivation_algebra(C)
     _check(results, "dim der C = 14", derC.dim == 14)
-    act = composition.s4_on_cayley(C)
-    kg = klein_grading(act)
-    # (1,0) component of der C under conjugation
+    # (1,0) component of der C under conjugation: the four D_{a,b}, lowered
     e1me2 = [a - b for a, b in zip(alg.e("e1"), alg.e("e2"))]
     e2me1 = [-x for x in e1me2]
-    four = [composition.inner_derivation(C, e1me2, alg.e("u0")).matrix,
-            composition.inner_derivation(C, e2me1, alg.e("v0")).matrix,
-            composition.inner_derivation(C, alg.e("u1"), alg.e("v2")).matrix,
-            composition.inner_derivation(C, alg.e("v1"), alg.e("u2")).matrix]
-    S = Subspace.from_vectors([flatten_matrix(M) for M in four], 64)
+    a, b = zip((e1me2, alg.e("u0")), (e2me1, alg.e("v0")), (alg.e("u1"), alg.e("v2")),
+               (alg.e("v1"), alg.e("u2")))
+    S = Subspace(64, alg.field)
+    S.add_many(*derC.pair_sums(rows_coo(a, alg.field), rows_coo(b, alg.field)))
     _check(results, "dim (der C)_(1,0) = 4", S.dim == 4)
     return results
 

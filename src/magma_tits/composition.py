@@ -19,15 +19,15 @@ provided separately for the T(Q,J) variant.
 The inner derivations D_{b_i,b_j} on all basis pairs are one exact integer
 contraction of the table (inner_derivation_tensor); der C is the
 algebra.DerivationSpace they span (the class of d_{J,J} too), bracketed
-by that space; inner_derivation(C, a, b) stays the pointwise
-field-arithmetic form.
+by that space; inner_derivation(C, a, b) is the space's pair_sums on
+the coefficients of a and b.
 """
 
 import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
 from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor
-from .int_fast import fold, join
+from .int_fast import fold, join, rows_coo
 from .s4 import GroupAction
 
 
@@ -211,27 +211,12 @@ def s4_on_invariant_quaternion(Q):
         "S4 on Q")
 
 
-def associator(C, a, b, c):
-    """(a, b, c) = (ab)c - a(bc)."""
-    alg = C.algebra
-    return [x - y for x, y in zip(alg.multiply(alg.multiply(a, b), c),
-                                  alg.multiply(a, alg.multiply(b, c)))]
-
-
 def inner_derivation(C, a, b):
-    """D_{a,b} : c -> [[a,b],c] + 3 (a,c,b)."""
-    alg = C.algebra
-    ab = alg.multiply(a, b)
-    ba = alg.multiply(b, a)
-    comm = [x - y for x, y in zip(ab, ba)]
-    three = C.field.of(3)
-    cols = []
-    for i in range(C.dim):
-        c = alg.e(i)
-        t1 = [x - y for x, y in zip(alg.multiply(comm, c), alg.multiply(c, comm))]
-        asc = associator(C, a, c, b)
-        cols.append([x + three * y for x, y in zip(t1, asc)])
-    return LinearMap(alg, alg, Matrix.from_columns(cols, C.field))
+    """D_{a,b} : c -> [[a,b],c] + 3 (a,c,b), a LinearMap held lowered: the
+    pair_sums of der C on the coefficients of a and b."""
+    alg, f, n = C.algebra, C.field, C.dim
+    _t, rc, V, D = derivation_algebra(C).pair_sums(rows_coo([a], f), rows_coo([b], f))
+    return LinearMap.from_coo(alg, alg, ((rc // n, rc % n), V, D))
 
 
 def inner_derivation_tensor(C):

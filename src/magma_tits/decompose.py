@@ -27,9 +27,9 @@ Psi B Psi^{-1} are int_fast.matvec products.
 gl(W) is one associative product table (gl_w), built once per field.  The
 nine invariant maps are rows (alpha, beta, gamma) of
 mu(A, B) = alpha AB + beta BA + gamma tr(AB) I, folded against it; their
-equivariance is algebra.map_failures under ad(D_i) and the S4
-conjugations; ad(D_i) on so3 and h and the trace form of h are read off
-the same table.  The coefficient data (B1Data) stays in sparse tables
+equivariance is algebra.lowered_map_failures of the lowered ad(D_i) and
+S4 conjugations; ad(D_i) on so3 and h and the trace form of h are read
+off the same table.  The coefficient data (B1Data) stays in sparse tables
 {(j, k): {t: c}}, the form of SuperAlgebra.sc, from extraction through
 validate to assembly.
 """
@@ -43,8 +43,8 @@ import numpy as np
 
 from .exact import (QQ, Matrix, Subspace, basis_vector, coo_rows, flatten_matrix, inverse_coo,
                     kernel_coo, kernel_of)
-from .algebra import (SuperAlgebra, EVEN, commutator_table, left_mults, lowered_map_failures,
-                      map_failures, outer_block, tensor_action, transpose_failures)
+from .algebra import (SuperAlgebra, EVEN, LinearMap, commutator_table, left_mults,
+                      lowered_map_failures, outer_block, tensor_action, transpose_failures)
 from .int_fast import (as_ints, bilinear, fold, fold_table, join, lower, matrices_coo, matvec,
                        outer, reduced, rows_coo, table_coo, tile, to_field)
 from .s4 import GEN_NAMES, GroupAction, conjugation_block
@@ -190,8 +190,8 @@ def invariant_maps(field=QQ):
 
 
 def _ad_so3(gl):
-    """ad(D_i), i = 0, 1, 2, on gl(W) as 9x9 Matrices with c^k_ij - c^k_ji
-    in row k and column j: one fold of the table of gl against its
+    """ad(D_i), i = 0, 1, 2, on gl(W) as LinearMaps, c^k_ij - c^k_ji in
+    row k and column j, held from one fold of the table of gl against its
     transpose."""
     f, n = gl.field, gl.n
     (I, J, K), V, D = gl.coo
@@ -199,7 +199,7 @@ def _ad_so3(gl):
     keys, sums, _path = fold([((I[a] * n + K[a]) * n + J[a], [V[a]]),
                               ((J[b] * n + K[b]) * n + I[b], [V[b], -1])], f.p)
     i, k, j = keys // (n * n), keys // n % n, keys % n
-    return [Matrix.from_coo(n, n, ((k[i == d], j[i == d]), sums[i == d], D), f) for d in range(3)]
+    return [LinearMap.from_coo(gl, gl, ((k[i == d], j[i == d]), sums[i == d], D)) for d in range(3)]
 
 
 def _conjugations(field):
@@ -215,15 +215,16 @@ def check_invariant_maps(field=QQ):
     """so3- and S4-equivariance of the nine maps on the table of gl_w,
     checked exactly: the image of each lies in its target, every ad(D_i)
     is a derivation of its algebra A_mu and every conjugation rho(g) an
-    endomorphism of A_mu (algebra.map_failures).  Returns the failing
-    (name, reason) pairs in the order of INVARIANT_MAPS."""
+    endomorphism of A_mu (algebra.lowered_map_failures of the lowered
+    maps).  Returns the failing (name, reason) pairs in the order of
+    INVARIANT_MAPS."""
     gl = gl_w(field)
     ads, rho = _ad_so3(gl), _conjugations(field).stacked
     failures = []
     for (name, _s1, _s2, dst, *_abc), A in zip(INVARIANT_MAPS, _map_algebras(gl)):
         if any(k not in PARTS[dst] for row in A.sc.values() for k in row):
             failures.append((name, "image outside target"))
-        if any(map_failures(A, A, ad, derivation=True, max_witnesses=1) for ad in ads):
+        if any(lowered_map_failures(A, A, ad.coo, derivation=True, max_witnesses=1) for ad in ads):
             failures.append((name, "not so3-equivariant"))
         # the four conjugations at once, the generator carried by the copy
         bad = {i // A.n for i, _j in lowered_map_failures(A, A, rho, copies=4)}
@@ -317,8 +318,8 @@ def _so3_h(field):
     once per field and shared: callers only read them."""
     parts = (PARTS["so3"], PARTS["h"])
 
-    def blocks(M):
-        return tuple(Matrix([row[p.start:p.stop] for row in M.rows[p.start:p.stop]], field)
+    def blocks(ad):
+        return tuple(Matrix([row[p.start:p.stop] for row in ad.matrix.rows[p.start:p.stop]], field)
                      for p in parts)
 
     R3, R5 = zip(*map(blocks, _ad_so3(gl_w(field))))

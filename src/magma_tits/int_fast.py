@@ -16,7 +16,7 @@ which keeps it in lowest terms (`reduced`); field values are built back
 follows.
 
 A contraction past _TERM_BUDGET terms (the bulk checks: super-Jacobi,
-structurable, Jordan identity, algebra.map_failures) is folded one block
+structurable, Jordan identity, algebra.lowered_map_failures) is folded one block
 of output indices at a time (`fold_blocks`), keeping only the first
 failing prefixes of each block, so memory follows the budget.  The other
 helpers are the folds of the construction and the S4 layer: graded

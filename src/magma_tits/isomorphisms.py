@@ -21,8 +21,10 @@ Verification failure raises: these maps are theorems, and a failure means
 the tables, signs, or conventions upstream are wrong.
 """
 
-from .exact import QQ, Matrix, Subspace, vec_zero
-from .algebra import _invertible, map_failures, outer_block
+import numpy as np
+
+from .exact import QQ, Subspace, coo_rows, echelon
+from .algebra import LinearMap, _invertible, lowered_map_failures, outer_block
 from .int_fast import compose, fold, fold_table, identity_coo, join, rows_coo, same_map
 from .composition import s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
@@ -39,42 +41,48 @@ class IsomorphismError(AssertionError):
 def homomorphism_failures(src, tgt, M, max_witnesses=5):
     """The first max_witnesses pairs (i, j), sorted, where
     M(b_i b_j) != M(b_i) M(b_j) (no extra signs: the maps verified here are
-    even); ValueError unless M is tgt.n x src.n."""
-    return map_failures(src, tgt, M, max_witnesses=max_witnesses)
+    even), for M lowered as LinearMap.coo holds it (lowered_map_failures)."""
+    return lowered_map_failures(src, tgt, M, max_witnesses=max_witnesses)
 
 
-class InvolutionHomomorphism:
-    """A linear map of algebras with involution, verified exactly."""
+def _rows(f, vectors):
+    """int_fast.rows_coo of vectors whose entries field.of takes."""
+    return rows_coo([[f.of(c) for c in v] for v in vectors], f)
+
+
+class InvolutionHomomorphism(LinearMap):
+    """A linear map of algebras with involution, verified exactly: the
+    LinearMap of their algebras, held lowered, with the two
+    AlgebraWithInvolution it maps between."""
 
     def __init__(self, source, target, matrix, name="Phi"):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self.name = name
+        super().__init__(source.algebra, target.algebra, matrix)
+        self.source, self.target, self.name = source, target, name
+
+    @classmethod
+    def from_coo(cls, source, target, lowered, name="Phi"):
+        """The map of the lowered ((R, C), V, D), as LinearMap.from_coo."""
+        hom = super().from_coo(source.algebra, target.algebra, lowered)
+        hom.source, hom.target, hom.name = source, target, name
+        return hom
 
     def verify(self, require_bijective=True):
-        src, tgt, M = self.source.algebra, self.target.algebra, self.matrix
-        if M.nrows != tgt.n or M.ncols != src.n:
-            raise IsomorphismError("%s: matrix shape mismatch" % self.name)
+        """IsomorphismError unless the held map is multiplicative, commutes
+        with the held involutions and, if require_bijective, is invertible."""
+        src, tgt, M, p = self.domain, self.codomain, self.coo, self.domain.field.p
         bad = homomorphism_failures(src, tgt, M)
         if bad:
             i, j = bad[0]
             raise IsomorphismError(
                 "%s: not multiplicative, first failing pair (%s, %s)"
                 % (self.name, src.basis[i], src.basis[j]))
-        # M sigma = sigma' M: one same_map fold of the two lowered products
-        f = src.field
-        Ml, sigma, sigma_t = (rows_coo(A.rows, f)
-                              for A in (M, self.source.sigma, self.target.sigma))
-        if not same_map(compose(Ml, sigma, f.p), compose(sigma_t, Ml, f.p), f.p):
+        # M sigma = sigma' M: one same_map fold of the two products
+        if not same_map(compose(M, self.source.involution.coo, p),
+                        compose(self.target.involution.coo, M, p), p):
             raise IsomorphismError("%s: does not intertwine the involutions" % self.name)
-        if require_bijective:
-            if src.n != tgt.n or not _invertible(M):
-                raise IsomorphismError("%s: not bijective" % self.name)
+        if require_bijective and (src.n != tgt.n or not _invertible(M, src.n, p)):
+            raise IsomorphismError("%s: not bijective" % self.name)
         return True
-
-    def apply(self, v):
-        return self.matrix.apply(v)
 
     def __repr__(self):
         return "InvolutionHomomorphism(%s: %s -> %s)" % (
@@ -97,24 +105,22 @@ def theorem41_basis(T):
 
 
 def phi_theorem41(ca, AJ, J):
-    """The six-row map on a coordinate algebra built over theorem41_basis."""
+    """The six-row map on a coordinate algebra built over theorem41_basis,
+    folded from the blocks of its columns in A(J) = k + J + J + k."""
     f = AJ.algebra.field
-    nj = J.dim
-    m = ca.dim
+    nj, n, m = J.dim, AJ.algebra.n, ca.dim
     j0 = J.j0_basis()
     if m != 4 + 2 * len(j0):
         raise ValueError("coordinate algebra does not carry the distinguished basis")
-
-    def aj_vec(alpha, xvec, yvec, beta):
-        """(alpha, x; y, beta) in the basis of A(J) = k + J + J + k."""
-        return [f.of(alpha), *(xvec or vec_zero(nj, f)), *(yvec or vec_zero(nj, f)), f.of(beta)]
-
-    unit2 = [f.of(2) * u for u in J.unit]
-    cols = [aj_vec(3, None, None, 0), aj_vec(0, None, None, 3), aj_vec(0, unit2, None, 0),
-            aj_vec(0, None, unit2, 0)]
-    cols += [aj_vec(0, x, None, 0) for x in j0] + [aj_vec(0, None, x, 0) for x in j0]
-    Phi = Matrix.from_columns(cols, f)
-    return InvolutionHomomorphism(ca.awi, AJ, Phi, name="Phi41")
+    (_z, u), U, Du = _rows(f, [J.unit])
+    (t, x), X, Dx = _rows(f, j0)
+    blocks = [(np.array([0, n - 1]), np.array([0, 1]), [np.array([3, 3])], 1),  # diag(3,0), (0,3)
+              (1 + u, np.full_like(u, 2), [U, 2], Du),             # 2 in the x slot
+              (1 + nj + u, np.full_like(u, 3), [U, 2], Du),        # 2 in the y slot
+              (1 + x, 4 + t, [X], Dx),                             # u0 x J0 -> x slot
+              (1 + nj + x, 4 + len(j0) + t, [X], Dx)]              # v0 x J0 -> y slot
+    return InvolutionHomomorphism.from_coo(ca.awi, AJ, fold_table(blocks, max(n, m), f.p),
+                                           name="Phi41")
 
 
 def _require_jordan(J):
@@ -161,26 +167,19 @@ def theorem61_basis(T):
 
 
 def phi_theorem61(ca, TP, T):
-    """a x iota_0(x) -> -a x x, d_0(x) -> -(1/2) 1 x x."""
-    J = T.J
-    Chat = J.source
-    C = T.C
+    """a x iota_0(x) -> -a x x, d_0(x) -> -(1/2) 1 x x: the outer products
+    (algebra.outer_block) of the C0 basis and of the unit with the identity
+    on C^."""
+    C, d, nc = T.C, T.J.source.dim, len(T.c0_basis)
     f = C.field
-    d = Chat.dim
-    nc = len(T.c0_basis)
-    half = f.of(1) / f.of(2)
 
-    def tp_vec(cvec, j, scale):
-        v = vec_zero(C.dim * d, f)
-        for p, cp in enumerate(cvec):
-            if cp:
-                v[p * d + j] = scale * cp
-        return v
-
-    cols = [tp_vec(T.c0_basis[i], j, f.of(-1)) for i in range(nc) for j in range(d)]
-    cols += [tp_vec(C.unit, j, -half) for j in range(d)]
-    Phi = Matrix.from_columns(cols, f)
-    return InvolutionHomomorphism(ca.awi, TP, Phi, name="Phi61")
+    def place(offset):
+        """Entry q of vector i, copy j of C^, at (q x j, (offset + i) x j)."""
+        return lambda i, q, j, _j: (q * d + j, (offset + i) * d + j)
+    blocks = [outer_block(_rows(f, T.c0_basis), identity_coo(d), place(0), -1),
+              outer_block(_rows(f, [C.unit]), identity_coo(d), place(nc), -1, 2)]
+    return InvolutionHomomorphism.from_coo(ca.awi, TP, fold_table(blocks, max(TP.dim, ca.dim), f.p),
+                                           name="Phi61")
 
 
 def theorem61(C, Chat, T=None):
@@ -205,19 +204,20 @@ def theorem61(C, Chat, T=None):
 
 
 def jordan_to_aj_map(J, AJ):
-    """alpha 1 + x -> (3a/4, -a/4 + x/2; -a/4 + x/2, 3a/4), J -> A(J)."""
-    f = J.field
-    nj = J.dim
-    q34, q14, half = f.of(3) / f.of(4), f.of(1) / f.of(4), f.of(1) / f.of(2)
-    cols = []
-    for b in range(nj):
-        v = J.algebra.e(b)
-        alpha = J.trace_of(v)
-        slot = [-q14 * alpha * u + half * (c - alpha * u) for c, u in zip(v, J.unit)]
-        cols.append([q34 * alpha, *slot, *slot, q34 * alpha])    # A(J) = k + J + J + k
-    M = Matrix.from_columns(cols, f)
-    JI = AlgebraWithInvolution(J.algebra, Matrix.identity(nj, f))
-    return InvolutionHomomorphism(JI, AJ, M, name="J->S")
+    """alpha 1 + x -> (3a/4, -a/4 + x/2; -a/4 + x/2, 3a/4), J -> A(J): on
+    b_j, with a = t_j, the rows alpha and beta 3t_j/4 and each slot
+    b_j/2 - 3t_j/4 1, folded from the trace row, the identity and the
+    outer product (algebra.outer_block) of the trace row with the unit."""
+    f, nj, n = J.field, J.dim, AJ.algebra.n
+    trace, unit = _rows(f, [J.trace_row]), _rows(f, [J.unit])
+    (_z, t), T, Dt = trace
+    d = np.arange(nj)
+    blocks = [(np.zeros_like(t), t, [T, 3], 4 * Dt), (np.full_like(t, n - 1), t, [T, 3], 4 * Dt)]
+    for slot in (1, 1 + nj):
+        blocks += [(slot + d, d, [np.ones(nj, dtype=np.int64)], 2),
+                   outer_block(trace, unit, lambda _z, t, _w, u: (slot + u, t), -3, 4)]
+    JI = AlgebraWithInvolution.from_coo(J.algebra, identity_coo(nj))
+    return InvolutionHomomorphism.from_coo(JI, AJ, fold_table(blocks, n, f.p), name="J->S")
 
 
 def tqj_maps(J):
@@ -227,8 +227,8 @@ def tqj_maps(J):
     Q, T(Q, J) and A(J) come from the registry when J is a registry object
     (registry.composition_for, registry.tits_of, registry.aj_of); the
     action on Q is built once per Q, so T(Q, J) over one Q share its blocks.
-    Returns (hom_J_to_AJ, hom_ca_to_J, lie_iso_matrix, TQ, T62); all maps
-    verified, IsomorphismError on failure.
+    Returns (hom_J_to_AJ, hom_ca_to_J, lie_iso, TQ, T62), lie_iso a
+    LinearMap; all maps verified, IsomorphismError on failure.
     """
     _require_jordan(J)
     f = J.field
@@ -244,15 +244,15 @@ def tqj_maps(J):
     AJ = aj_of(J)
     hom_a = jordan_to_aj_map(J, AJ)
     hom_a.verify(require_bijective=False)
-    if Matrix.from_columns([hom_a.matrix.column(j) for j in range(J.dim)], f).rank() != J.dim:
+    (R, C), V, D = hom_a.coo            # injective: its transpose has rank dim J
+    if len(echelon(coo_rows(((C, R), V, D), J.dim, f.p), f.p, AJ.dim)[1]) != J.dim:
         raise IsomorphismError("J -> S embedding is not injective")
 
     # (b) psi: ca -> J with D_{p1,p2} -> 4*1 and p0 x x -> 2x certifies
     # that the coordinate algebra is J itself
-    cols = [[f.of(4) * u for u in J.unit]] + [[f.of(2) * c for c in x] for x in J.j0_basis()]
-    psi = Matrix.from_columns(cols, f)
-    JI = AlgebraWithInvolution(J.algebra, Matrix.identity(J.dim, f))
-    hom_b = InvolutionHomomorphism(ca.awi, JI, psi, name="T(Q,J)10->J")
+    (t, r), V, D = _rows(f, [J.unit] + J.j0_basis())
+    psi = fold_table([(r, t, [V, np.where(t == 0, 4, 2)], D)], J.dim, f.p)
+    hom_b = InvolutionHomomorphism.from_coo(ca.awi, hom_a.source, psi, name="T(Q,J)10->J")
     hom_b.verify()
 
     # (c) the Lie isomorphism T(Q,J) -> (Q0 x J) + d_{J,J}
@@ -302,14 +302,14 @@ def _tqj_lie_iso(TQ, T62):
                     lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),
         # d -> d: a change of basis of the same space
         (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)], n, f.p)
-    M = Matrix.from_coo(n, n, lowered, f)
-    bad = homomorphism_failures(TQ.algebra, T62.algebra, M)
+    lie = LinearMap.from_coo(TQ.algebra, T62.algebra, lowered)
+    bad = homomorphism_failures(TQ.algebra, T62.algebra, lie.coo)
     if bad:
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not a homomorphism; "
                                "first failing pair %s" % (bad[0],))
-    if not _invertible(lowered, n, f.p):
+    if not _invertible(lie.coo, n, f.p):
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not bijective")
-    return M
+    return lie
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +325,8 @@ def ak_to_ajv(field=None):
     JV = jordan_super_jvtheta(f)
     AK = a_of_cubic(K)
     AJV = a_of_j(JV)
-    n = AK.algebra.n
-    M = Matrix.zeros(n, n, f)
-    M[0, 0] = f.one
-    M[n - 1, n - 1] = f.one
-    two = f.of(2)
-    # slot bases are ordered e, x, y and 1, u, v
-    for slot in (0, 1):
-        off = 1 + slot * 3
-        sgn = f.one if slot == 1 else -f.one
-        M[off + 0, off + 0] = f.one           # e -> 1
-        M[off + 1, off + 1] = sgn             # x -> -u upper, +u lower
-        M[off + 2, off + 2] = -sgn * two      # y -> 2v upper, -2v lower
-    hom = InvolutionHomomorphism(AK, AJV, M, name="AK->AJV")
+    # basis alpha, (e, x, y), (e, x, y), beta onto alpha, (1, u, v), (1, u, v), beta
+    d, scale = np.arange(AK.algebra.n), np.array([1, 1, -1, 2, 1, 1, -2, 1])
+    hom = InvolutionHomomorphism.from_coo(AK, AJV, ((d, d), scale, 1), name="AK->AJV")
     hom.verify()
     return hom

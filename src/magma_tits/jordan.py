@@ -107,12 +107,11 @@ class JordanAlgebra:
     def inner_derivation(self, x, y):
         """d_{x,y} = L_x L_y - (-1)^{|x||y|} L_y L_x (graded commutator): the
         pair (0, 1) of tits.inner_derivation_pairs(self, [x, y])."""
-        alg, f, n = self.algebra, self.field, self.dim
+        alg, n = self.algebra, self.dim
         ids, rc, d, D = inner_derivation_pairs(self, [x, y])
         sel = np.flatnonzero(ids == 1)
-        M = Matrix.from_coo(n, n, ((rc[sel] // n, rc[sel] % n), d[sel], D), f)
         parity = (alg.parity_of_vector(x) + alg.parity_of_vector(y)) % 2
-        return LinearMap(alg, alg, M, parity=parity)
+        return LinearMap.from_coo(alg, alg, ((rc[sel] // n, rc[sel] % n), d[sel], D), parity=parity)
 
     # -- H3 index helpers -------------------------------------------------
 

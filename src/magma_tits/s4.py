@@ -306,15 +306,23 @@ def klein_grading(action):
 
 
 class CoordinateAlgebra:
-    """The (1,0) component of g with X.Y = -tau([phi X, phi^2 Y]), Xbar = -tau X."""
+    """The (1,0) component of g with X.Y = -tau([phi X, phi^2 Y]), Xbar = -tau X.
 
-    def __init__(self, ambient, action, awi, embedding, span, unit):
+    Its inclusion into g is held as the LinearMap `inclusion`, built from
+    the lowered basis vectors (its columns); the Matrix `embedding` is
+    built on first read."""
+
+    def __init__(self, ambient, action, awi, inclusion, span, unit):
         self.ambient = ambient
         self.action = action
         self.awi = awi                    # AlgebraWithInvolution on the component
-        self.embedding = embedding        # dim_g x dim_ca matrix
+        self.inclusion = inclusion        # LinearMap of awi.algebra into ambient
         self.span = span                  # Subspace with the chosen basis
         self.unit = unit                  # coordinates in the component basis, or None
+
+    @property
+    def embedding(self):
+        return self.inclusion.matrix
 
     @property
     def dim(self):
@@ -366,7 +374,6 @@ def coordinate_algebra(g, action, basis=None, name=None):
     m = len(basis)
     if len(span.add_many(xi, xa, xv, DE)) != m:
         raise ValueError("proposed basis is linearly dependent")
-    embedding = Matrix.from_coo(n, m, ((xa, xi), xv, DE), f)
     parity = [g.parity_of_vector(v) for v in basis]
     if any(par is None for par in parity):
         raise ValueError("component basis vectors must be parity homogeneous")
@@ -387,10 +394,9 @@ def coordinate_algebra(g, action, basis=None, name=None):
         raise ValueError("vector is not in the (1,0) component")
     alg = SuperAlgebra.from_coo(["c%d" % i for i in range(m)], (ids // m, ids % m, ks), V, D,
                                 parity=parity, field=f, name=name or ("coord(%s)" % g.name))
-    sigma = Matrix.from_coo(m, m, ((sks, sids), sV, sD), f)
-    awi = AlgebraWithInvolution(alg, sigma)
-    unit = _find_unit(alg)
-    return CoordinateAlgebra(g, action, awi, embedding, span, unit)
+    awi = AlgebraWithInvolution.from_coo(alg, ((sks, sids), sV, sD))
+    inclusion = LinearMap.from_coo(alg, g, ((xa, xi), xv, DE))
+    return CoordinateAlgebra(g, action, awi, inclusion, span, _find_unit(alg))
 
 
 def _find_unit(alg):
@@ -417,15 +423,12 @@ def _find_unit(alg):
 
 def iota_maps(ca):
     """iota_0 = inclusion of the coordinate algebra, iota_1 = phi iota_0,
-    iota_2 = phi^2 iota_0, as maps into the ambient Lie algebra: the
-    lowered embedding pushed through the lowered phi by int_fast.compose."""
-    g, f, E = ca.ambient, ca.ambient.field, ca.embedding
-    phi = ca.action.lowered("phi")
-    i1 = compose(phi, rows_coo(E.rows, f), f.p)
-    i2 = compose(phi, i1, f.p)
-    src = ca.awi.algebra
-    return (LinearMap(src, g, E), *(LinearMap(src, g, Matrix.from_coo(E.nrows, E.ncols, M, f))
-                                    for M in (i1, i2)))
+    iota_2 = phi^2 iota_0, as LinearMaps into the ambient Lie algebra: the
+    held inclusion pushed through the lowered phi by int_fast.compose."""
+    g, p, phi = ca.ambient, ca.ambient.field.p, ca.action.lowered("phi")
+    i1 = compose(phi, ca.inclusion.coo, p)
+    return (ca.inclusion, *(LinearMap.from_coo(ca.awi.algebra, g, M)
+                            for M in (i1, compose(phi, i1, p))))
 
 
 @once_per_factor

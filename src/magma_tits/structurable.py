@@ -30,23 +30,33 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .exact import Matrix
-from .algebra import SuperAlgebra, EVEN, lowered_map_failures, outer_block, trace_products
+from .algebra import (SuperAlgebra, EVEN, LinearMap, lowered_map_failures, lowered_matrix,
+                      outer_block, trace_products)
 from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks, fold_table,
                        identity_coo, join, joined, outer, rows_coo, same_map)
 
 
 class AlgebraWithInvolution:
-    """A SuperAlgebra together with an involutive superantiautomorphism."""
+    """A SuperAlgebra together with an involutive superantiautomorphism,
+    held as the LinearMap `involution` of the algebra: builders hand its
+    lowered matrix to from_coo, the constructor lowers a Matrix once, and
+    the Matrix `sigma` is built on first read."""
 
     def __init__(self, algebra, sigma):
-        if sigma.nrows != algebra.n or sigma.ncols != algebra.n:
-            raise ValueError("involution matrix has wrong shape")
-        if sigma.field != algebra.field:
-            raise ValueError("involution matrix over %s, the algebra over %s"
-                             % (sigma.field, algebra.field))
         self.algebra = algebra
-        self.sigma = sigma
+        self.involution = LinearMap.from_coo(algebra, algebra, lowered_matrix(
+            sigma, algebra.n, algebra.n, algebra.field, "involution"))
+
+    @classmethod
+    def from_coo(cls, algebra, lowered):
+        """The algebra with the involution LinearMap.from_coo(lowered)."""
+        AI = cls.__new__(cls)
+        AI.algebra, AI.involution = algebra, LinearMap.from_coo(algebra, algebra, lowered)
+        return AI
+
+    @property
+    def sigma(self):
+        return self.involution.matrix
 
     @property
     def dim(self):
@@ -58,11 +68,11 @@ class AlgebraWithInvolution:
     def involution_failures(self):
         """The entry "sigma^2 != id" unless sigma is involutive, then the pairs
         (i, j) with sigma(b_i b_j) != (-1)^{|i||j|} sigma(b_j) sigma(b_i), sorted:
-        the map failures of the even sigma into b_i o b_j = (-1)^{|i||j|} b_j b_i.
-        sigma is lowered once; sigma^2 = id is one int_fast.same_map fold."""
+        the map failures of the even sigma into b_i o b_j = (-1)^{|i||j|} b_j b_i,
+        read off the held involution; sigma^2 = id is one int_fast.same_map fold."""
         alg = self.algebra
         p = alg.field.p
-        sigma = rows_coo(self.sigma.rows, alg.field)
+        sigma = self.involution.coo
         out = []
         if not same_map(compose(sigma, sigma, p), identity_coo(alg.n), p):
             out.append("sigma^2 != id")
@@ -155,12 +165,9 @@ def _two_by_two(alg, pairing, cross, name):
                (1 + Ci, 1 + Cj, 1 + nj + Ck, X, Dx)]                     # x X x'
     A = SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
                               name=name or ("A(%s)" % alg.name))
-    sigma = Matrix.identity(n, f)
-    sigma[A_IDX, A_IDX] = f.zero
-    sigma[B_IDX, B_IDX] = f.zero
-    sigma[A_IDX, B_IDX] = f.one
-    sigma[B_IDX, A_IDX] = f.one
-    return AlgebraWithInvolution(A, sigma)
+    swap = np.arange(n)
+    swap[[A_IDX, B_IDX]] = B_IDX, A_IDX
+    return AlgebraWithInvolution.from_coo(A, ((swap, np.arange(n)), np.ones(n, dtype=np.int64), 1))
 
 
 def tensor_product(C, Chat, name=None):
@@ -179,8 +186,7 @@ def tensor_product(C, Chat, name=None):
     (q, j), Vh, Dh = rows_coo(Chat.conj_matrix().rows, f)
     x, y = outer(len(Vc), len(Vh))
     keys, sums, _path = fold([((p[x] * nd + q[y]) * n + i[x] * nd + j[y], [Vc[x], Vh[y]])], f.p)
-    sigma = Matrix.from_coo(n, n, ((keys // n, keys % n), sums, Dc * Dh), f)
-    return AlgebraWithInvolution(A, sigma)
+    return AlgebraWithInvolution.from_coo(A, ((keys // n, keys % n), sums, Dc * Dh))
 
 
 @dataclass
@@ -258,8 +264,7 @@ def check_structurable(AI, max_witnesses=10):
         return 1 - 2 * (odd % 2)
 
     (I, J, K), C, _Dt = alg.coo
-    (Sw, Sq), S, Ds = coo([((w, q), c) for w, row in enumerate(AI.sigma.rows)
-                           for q, c in enumerate(row) if c], f, 2)
+    (Sw, Sq), S, Ds = AI.involution.coo
     (Ui,), U, _Du = coo([((i,), c) for i, c in enumerate(unit) if c], f, 1)
 
     # x sigma(y) = sum_q S[q,y] b_x b_q, then G(p,q,r) = (b_p sigma(b_q)) b_r

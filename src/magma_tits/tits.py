@@ -77,22 +77,6 @@ def inner_derivation_space(J, vectors):
                            [J.algebra.parity_of_vector(x) for x in vectors])
 
 
-def _pair_sums(space, m, A, B):
-    """The sums sum_{j,l} a_j b_l M_{j,l} of the matrices M_{j,l} of a
-    DerivationSpace on the pairs of m generators (space.pairs), for the
-    lowered coefficient vectors a_t of A and b_t of B ((t, j), integers,
-    D), as a Subspace.coords_many batch (t, flat index, integers, D): the
-    entries of a_t and b_t joined on t, then with the pair ids, and one
-    fold."""
-    ids, rc, d, D = space.pairs
-    ((ta, ja), Va, Da), ((tb, lb), Vb, Db) = A, B
-    x, y = join(ta, tb)
-    u, e = join(ja[x] * m + lb[y], ids)
-    x, y, size = x[u], y[u], space.n * space.n
-    keys, sums, _path = fold([(ta[x] * size + rc[e], [Va[x], Vb[y], d[e]])], space.field.p)
-    return keys // size, keys % size, sums, Da * Db * D
-
-
 class TitsAlgebra:
     """T(C, J) with its component bookkeeping, read off the two FactorSides."""
 
@@ -135,11 +119,11 @@ class TitsAlgebra:
 
     def der_vectors(self, pairs):
         """The elements D_{a,b} of der C for a list of pairs (a, b) of
-        vectors of C, as T-coordinate vectors: _pair_sums of der C, then one
+        vectors of C, as T-coordinate vectors: the pair_sums of der C, then one
         coords_many in der C.  ValueError when one of them leaves der C."""
         f = self.algebra.field
-        batch = _pair_sums(self.derC, self.C.dim, rows_coo([a for a, _b in pairs], f),
-                           rows_coo([b for _a, b in pairs], f))
+        batch = self.derC.pair_sums(rows_coo([a for a, _b in pairs], f),
+                                    rows_coo([b for _a, b in pairs], f))
         ids, ks, V, D, outside = self.derC.span.coords_many(*batch)
         if len(outside):
             raise ValueError("matrix is not in the span of the inner derivations")
@@ -176,7 +160,7 @@ class TitsAlgebra:
     def djj_vectors(self, pairs):
         """The elements d_{x,y} of d_{J,J} for a list of pairs (x, y) of
         vectors of J: their J0 coordinates (_split_coords; d_{1,y} = 0),
-        _pair_sums of d_{J,J}, then one coords_many in d_{J,J}, projected
+        the pair_sums of d_{J,J}, then one coords_many in d_{J,J}, projected
         through its pivot rows."""
         f, J = self.algebra.field, self.J
 
@@ -184,8 +168,7 @@ class TitsAlgebra:
             (ids, cols), V, D = rows_coo(vectors, f)
             ids, ks, V, D = _split_coords(self.j0_span, (ids, cols, V, D), J.unit, J.trace_of)
             return (ids, ks), V, D
-        batch = _pair_sums(self.djj, len(self.j0_basis), j0([x for x, _y in pairs]),
-                           j0([y for _x, y in pairs]))
+        batch = self.djj.pair_sums(j0([x for x, _y in pairs]), j0([y for _x, y in pairs]))
         ids, ks, V, D, _outside = self.djj.span.coords_many(*batch, check=False)
         return self._vectors(len(pairs), ids, self.djj_offset + ks, V, D)
 

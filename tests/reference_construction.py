@@ -58,18 +58,30 @@ batch of d_{x,y}: the graded commutators [L_{b_a}, L_{b_b}] of all basis
 pairs first, then one bilinear contraction with the vectors.
 
 diag_transported moves a Jordan algebra to a diagonally rescaled basis,
-the input of the past-int64 tests.
+the input of the past-int64 tests; unimodular draws a parity-preserving
+integral change of basis with integral inverse, the input of the
+metamorphic tests.
+
+The maps that the library holds lowered have their dense builders here,
+column by column in field arithmetic: the inner derivation D_{a,b} of a
+composition algebra (inner_derivation_pointwise, from associators), Phi of
+the two coordinate-algebra theorems (phi41_dense, phi61_dense), the
+quaternionic maps (jordan_to_aj_dense, psi_dense), the Kaplansky map
+(ak_to_ajv_dense) and the inclusion of a coordinate algebra with its
+images under phi and phi^2 (iota_dense).  The involutions have theirs in
+two_by_two, tensor_product_pointwise and coordinate_constants.  lowered
+and invertible take a Matrix to the lowered form that the map checks
+read.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, accumulate
-from magma_tits.composition import inner_derivation
+from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, _invertible, accumulate
 from magma_tits.decompose import h_basis, s4_on_w, so3_basis
-from magma_tits.exact import (Matrix, Subspace, basis_vector, flatten_matrix, inverse_coo,
-                              vec_eq, vec_is_zero)
+from magma_tits.exact import (QQ, Matrix, Subspace, basis_vector, flatten_matrix, inverse_coo,
+                              vec_eq, vec_is_zero, vec_zero)
 from magma_tits.int_fast import bilinear, commutators, matvec, rows_coo
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
@@ -98,6 +110,29 @@ def left_mult(alg, x):
             for k, c in alg.product_basis(i, j).items():
                 L.rows[k][j] = L.rows[k][j] + xi * c
     return L
+
+
+def associator(C, a, b, c):
+    """(a, b, c) = (ab)c - a(bc)."""
+    alg = C.algebra
+    return [x - y for x, y in zip(alg.multiply(alg.multiply(a, b), c),
+                                  alg.multiply(a, alg.multiply(b, c)))]
+
+
+def inner_derivation_pointwise(C, a, b):
+    """D_{a,b} : c -> [[a,b],c] + 3 (a,c,b), one basis vector c at a time."""
+    alg = C.algebra
+    ab = alg.multiply(a, b)
+    ba = alg.multiply(b, a)
+    comm = [x - y for x, y in zip(ab, ba)]
+    three = C.field.of(3)
+    cols = []
+    for i in range(C.dim):
+        c = alg.e(i)
+        t1 = [x - y for x, y in zip(alg.multiply(comm, c), alg.multiply(c, comm))]
+        asc = associator(C, a, c, b)
+        cols.append([x + three * y for x, y in zip(t1, asc)])
+    return LinearMap(alg, alg, Matrix.from_columns(cols, C.field))
 
 
 def jordan_inner_derivation(J, x, y):
@@ -138,7 +173,7 @@ def derivation_constants(C):
     mats, gens = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            D = inner_derivation(C, C.algebra.e(i), C.algebra.e(j))
+            D = inner_derivation_pointwise(C, C.algebra.e(i), C.algebra.e(j))
             if span.add(flatten_matrix(D.matrix)):
                 mats.append(D.matrix)
                 gens.append((i, j))
@@ -237,7 +272,7 @@ def tits_constants(C, J, derC, c0_basis, j0_basis):
     for i, a in enumerate(c0_basis):
         for k, b in enumerate(c0_basis):
             ab, ba = C.product(a, b), C.product(b, a)
-            DC = derC.span.coords(flatten_matrix(inner_derivation(C, a, b).matrix))
+            DC = derC.span.coords(flatten_matrix(inner_derivation_pointwise(C, a, b).matrix))
             br = c0c([p - q for p, q in zip(ab, ba)])
             tr = C.trace(ab)
             for j, x in enumerate(j0_basis):
@@ -830,3 +865,115 @@ def tensor_product_pointwise(C, Chat):
                 for q in range(nd):
                     sigma[idx(p, q), idx(i, j)] = CC[p, i] * CD[q, j]
     return sc, sigma
+
+
+def unimodular(parity, rng, field, steps):
+    """A seeded product U of integer transvections I + c E_ab, a != b of one
+    parity, and U^{-1}, the product of the I - c E_ab in reverse order:
+    both integral, and U preserves parity.  a is drawn from the parity
+    blocks of two or more elements (J(V, theta) has a one-element block)."""
+    n = len(parity)
+    U = [[int(r == c) for c in range(n)] for r in range(n)]
+    Ui = [row[:] for row in U]
+    mixed = [a for a in range(n) if list(parity).count(parity[a]) > 1]
+    for _ in range(steps):
+        a = rng.choice(mixed)
+        b = rng.choice([b for b in range(n) if b != a and parity[b] == parity[a]])
+        c = rng.choice((-2, -1, 1, 2))
+        for row in U:               # U <- U (I + c E_ab): column b += c column a
+            row[b] += c * row[a]
+        Ui[a] = [x - c * y for x, y in zip(Ui[a], Ui[b])]   # U^-1 <- (I - c E_ab) U^-1
+    return Matrix(U, field), Matrix(Ui, field)
+
+
+# -- dense builders of the held maps -----------------------------------------
+
+def lowered(M):
+    """A Matrix lowered as the map checks read it (int_fast.rows_coo)."""
+    return rows_coo(M.rows, M.field)
+
+
+def invertible(M):
+    """Whether a Matrix is square and invertible: algebra._invertible of it
+    lowered."""
+    return M.nrows == M.ncols and _invertible(lowered(M), M.nrows, M.field.p)
+
+
+def phi41_dense(ca, AJ, J):
+    """Phi of the first theorem, column by column: D_{v1,u2} -> diag(3,0),
+    D_{u1,v2} -> diag(0,3), D_{e1-e2,u0} -> 2 in the x slot,
+    D_{e2-e1,v0} -> 2 in the y slot, u0 x x -> x slot, v0 x x -> y slot."""
+    f = AJ.algebra.field
+    nj = J.dim
+
+    def aj_vec(alpha, xvec, yvec, beta):
+        """(alpha, x; y, beta) in the basis of A(J) = k + J + J + k."""
+        return [f.of(alpha), *(xvec or vec_zero(nj, f)), *(yvec or vec_zero(nj, f)), f.of(beta)]
+
+    unit2 = [f.of(2) * u for u in J.unit]
+    cols = [aj_vec(3, None, None, 0), aj_vec(0, None, None, 3), aj_vec(0, unit2, None, 0),
+            aj_vec(0, None, unit2, 0)]
+    cols += [aj_vec(0, x, None, 0) for x in J.j0_basis()]
+    cols += [aj_vec(0, None, x, 0) for x in J.j0_basis()]
+    return Matrix.from_columns(cols, f)
+
+
+def phi61_dense(T):
+    """Phi of the second theorem, column by column:
+    a x iota_0(x) -> -a x x, d_0(x) -> -(1/2) 1 x x."""
+    C, d = T.C, T.J.source.dim
+    f = C.field
+    half = f.of(1) / f.of(2)
+
+    def tp_vec(cvec, j, scale):
+        v = vec_zero(C.dim * d, f)
+        for p, cp in enumerate(cvec):
+            if cp:
+                v[p * d + j] = scale * cp
+        return v
+
+    cols = [tp_vec(a, j, f.of(-1)) for a in T.c0_basis for j in range(d)]
+    cols += [tp_vec(C.unit, j, -half) for j in range(d)]
+    return Matrix.from_columns(cols, f)
+
+
+def jordan_to_aj_dense(J):
+    """alpha 1 + x -> (3a/4, -a/4 + x/2; -a/4 + x/2, 3a/4), column by column."""
+    f = J.field
+    q34, q14, half = f.of(3) / f.of(4), f.of(1) / f.of(4), f.of(1) / f.of(2)
+    cols = []
+    for b in range(J.dim):
+        v = J.algebra.e(b)
+        alpha = J.trace_of(v)
+        slot = [-q14 * alpha * u + half * (c - alpha * u) for c, u in zip(v, J.unit)]
+        cols.append([q34 * alpha, *slot, *slot, q34 * alpha])
+    return Matrix.from_columns(cols, f)
+
+
+def psi_dense(J):
+    """psi: T(Q,J)_(1,0) -> J, D_{p1,p2} -> 4*1 and p0 x x -> 2x."""
+    f = J.field
+    cols = [[f.of(4) * u for u in J.unit]] + [[f.of(2) * c for c in x] for x in J.j0_basis()]
+    return Matrix.from_columns(cols, f)
+
+
+def ak_to_ajv_dense(field=QQ):
+    """The Kaplansky map A(K) -> A(J(V, theta)) entry by entry: the ends
+    fixed, e -> 1, x -> -u, y -> 2v in the upper slot and e -> 1,
+    x -> u, y -> -2v in the lower one."""
+    f = field
+    M = Matrix.zeros(8, 8, f)
+    M[0, 0] = M[7, 7] = f.one
+    for off, sgn in ((1, -f.one), (4, f.one)):
+        M[off, off] = f.one
+        M[off + 1, off + 1] = sgn
+        M[off + 2, off + 2] = -sgn * f.of(2)
+    return M
+
+
+def iota_dense(ca, basis):
+    """The inclusion of a coordinate algebra with the given basis, as the
+    Matrix of its columns, and its products with phi and phi^2."""
+    E = Matrix.from_columns(basis, ca.ambient.field)
+    phi = ca.action["phi"]
+    return [E, phi @ E, phi @ (phi @ E)]

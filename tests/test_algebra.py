@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from magma_tits import int_fast
 from magma_tits.exact import QQ, GF, Matrix, vec_eq
 from magma_tits.algebra import (
-    SuperAlgebra, LinearMap, Grading, ODD, _JACOBI_WEIGHTS, _invertible, _sorted_triple_terms,
+    SuperAlgebra, LinearMap, Grading, ODD, _JACOBI_WEIGHTS, _sorted_triple_terms,
     check_super_jacobi, check_super_jacobi_reference,
-    is_automorphism, is_derivation, map_failures, check_grading, centralizer,
+    is_automorphism, is_derivation, lowered_map_failures, check_grading, centralizer,
 )
 from magma_tits.composition import ground, split_cayley, split_quaternion
 from magma_tits.jordan import JordanAlgebra, d2, h3, jordan_super_jvtheta
@@ -22,7 +22,7 @@ from magma_tits.tits import tits, verify_lie_conditions, verify_lie_conditions_r
 from magma_tits.s4 import s4_on_tits_right
 from magma_tits.isomorphisms import homomorphism_failures, jordan_to_aj_map, theorem41
 
-from reference_construction import left_mult
+from reference_construction import invertible, left_mult, lowered, unimodular
 from test_tits import _lie_verdict, corrupted_h3k
 from test_witnesses import corrupted_constant
 
@@ -294,6 +294,12 @@ def test_jacobi_constants_past_int64():
         assert not check_super_jacobi_reference(bad).ok
 
 
+def map_failures(src, tgt, M, **kwargs):
+    """lowered_map_failures of the Matrix M, lowered as the LinearMap of
+    src and tgt holds it (which rejects a wrong shape or field)."""
+    return lowered_map_failures(src, tgt, LinearMap(src, tgt, M).coo, **kwargs)
+
+
 def map_failures_reference(src, tgt, M, derivation=False, odd=False):
     """Every pair (i, j), sorted, where M(b_i b_j) differs from M(b_i) M(b_j),
     or for a derivation from M(b_i) b_j + (-1)^{|M||i|} b_i M(b_j); pure
@@ -359,11 +365,11 @@ def test_map_checks_agree_with_reference(field):
             assert map_failures(src, tgt, M, derivation=True) == ref
             assert is_derivation(src, LinearMap(src, tgt, M)) == (not ref)
         else:
-            assert homomorphism_failures(src, tgt, M, max_witnesses=src.n ** 2) == ref
-            assert homomorphism_failures(src, tgt, M) == ref[:5]
+            assert homomorphism_failures(src, tgt, lowered(M), max_witnesses=src.n ** 2) == ref
+            assert homomorphism_failures(src, tgt, lowered(M)) == ref[:5]
             if src is tgt:
                 f = LinearMap(src, tgt, M)
-                assert is_automorphism(src, f) == (not ref and _invertible(M))
+                assert is_automorphism(src, f) == (not ref and invertible(M))
         verdicts.add(not ref)
     assert verdicts == {True, False}
 
@@ -389,10 +395,12 @@ def test_odd_derivations():
 def test_map_checks_reject_wrong_shape():
     for field in (QQ, GF(7)):
         L = sl2(field)
-        with pytest.raises(ValueError):
-            homomorphism_failures(L, L, Matrix.identity(2, field))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="map matrix is 2x2, the algebras need 3x3"):
+            LinearMap(L, L, Matrix.identity(2, field))
+        with pytest.raises(ValueError, match="map matrix is 3x2"):
             map_failures(L, L, Matrix.zeros(3, 2, field), derivation=True)
+        with pytest.raises(ValueError, match="map entry outside a 3x3 matrix"):
+            LinearMap.from_coo(L, L, ((np.array([0]), np.array([3])), np.array([1]), 1))
 
 
 def test_dense_checks_past_int64():
@@ -408,10 +416,10 @@ def test_dense_checks_past_int64():
         assert is_automorphism(L, LinearMap(L, L, ident))
         assert is_derivation(L, LinearMap(L, L, ad_e))
         assert not is_derivation(L, LinearMap(L, L, ident))
-        assert homomorphism_failures(L, L, ident) == []
-        assert _invertible(ad_e.scale(2 ** 70) + ident)
+        assert homomorphism_failures(L, L, lowered(ident)) == []
+        assert invertible(ad_e.scale(2 ** 70) + ident)
         for M in (_corrupted(ident, rng), _corrupted(ident, rng)):
-            assert homomorphism_failures(L, L, M, 9) == map_failures_reference(L, L, M)
+            assert homomorphism_failures(L, L, lowered(M), 9) == map_failures_reference(L, L, M)
             assert (map_failures(L, L, M, derivation=True)
                     == map_failures_reference(L, L, M, derivation=True))
 
@@ -517,25 +525,6 @@ def test_transport_round_trip():
     assert check_super_jacobi(L2).ok
     back = L2.transported(U.inverse())
     assert back.sc == L.sc
-
-
-def unimodular(parity, rng, field, steps):
-    """A seeded product U of integer transvections I + c E_ab, a != b of one
-    parity, and U^{-1}, the product of the I - c E_ab in reverse order:
-    both integral, and U preserves parity.  a is drawn from the parity
-    blocks of two or more elements (J(V, theta) has a one-element block)."""
-    n = len(parity)
-    U = [[int(r == c) for c in range(n)] for r in range(n)]
-    Ui = [row[:] for row in U]
-    mixed = [a for a in range(n) if list(parity).count(parity[a]) > 1]
-    for _ in range(steps):
-        a = rng.choice(mixed)
-        b = rng.choice([b for b in range(n) if b != a and parity[b] == parity[a]])
-        c = rng.choice((-2, -1, 1, 2))
-        for row in U:               # U <- U (I + c E_ab): column b += c column a
-            row[b] += c * row[a]
-        Ui[a] = [x - c * y for x, y in zip(Ui[a], Ui[b])]   # U^-1 <- (I - c E_ab) U^-1
-    return Matrix(U, field), Matrix(Ui, field)
 
 
 def test_jacobi_verdicts_survive_unimodular_transport():

@@ -78,19 +78,22 @@ def test_verify_all_builds_each_derivation_space_once(monkeypatch, capsys):
     assert all(T.djj is T.J.djj() and T.derC in spaces for T in Ts)
 
 
-# md5 of the output of `magma-tits --format json verify <suite>` for the S4
-# suites: every check name, verdict, path and count, byte for byte.  When a
+# md5 of the output of `magma-tits --format json verify <suite>` for each
+# suite: every check name, verdict, path and count, byte for byte.  When a
 # check name or a report field changes on purpose, regenerate each pin with
 #     magma-tits --format json verify <suite> | md5sum
 VERIFY_JSON_MD5 = {
+    "csplit": "386890441e244d6ad89c10e047786a15",
+    "tits": "dd270790933b1703fbe0aa3ae40b5a2a",
     "thm41": "fc4748bfd810410312de6f31542e11e9",
     "thm61": "95ca67863cc1dba83db6e7e8c1998474",
+    "super": "be1962d6e1c3d3ecbc54a98a10b9e26e",
     "thm71": "e9801fd87a459396b13949e4bc22128e",
 }
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_JSON_MD5))
-def test_s4_suites_json_is_pinned(suite, capsys):
+def test_suite_json_is_pinned(suite, capsys):
     code, out = run(["--format", "json", "verify", suite], capsys)
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == VERIFY_JSON_MD5[suite]

@@ -7,7 +7,7 @@ from magma_tits.exact import QQ, GF, Matrix, Subspace, vec_eq, vec_is_zero, flat
 from magma_tits.algebra import LinearMap, Grading, check_grading, is_automorphism, is_derivation
 from magma_tits.composition import (
     split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
-    inner_derivation, derivation_algebra, s4_on_cayley, associator,
+    inner_derivation, derivation_algebra, s4_on_cayley,
 )
 from magma_tits.s4 import klein_grading
 

@@ -1,6 +1,6 @@
 """The one exact elimination against the dense Gauss-Jordan oracle.
 
-Matrix.rref, rank, kernel_basis, solve and inverse, algebra._invertible,
+Matrix.rref, rank, kernel_basis, solve and inverse, algebra._invertible (of a lowered Matrix),
 the normalized-trace solver and Subspace all run on the fraction-free
 integer elimination of exact.py.  Each is compared with what the dense
 Fraction loop of reference_construction.dense_rref gives, over QQ,
@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magma_tits.algebra import _invertible
 from magma_tits.exact import GF, QQ, Matrix, Subspace
 from magma_tits.int_fast import rows_coo
 from magma_tits.jordan import (
@@ -25,7 +24,7 @@ from magma_tits.jordan import (
 )
 from magma_tits.registry import composition_by_name
 
-from reference_construction import associator_rows, dense_rref
+from reference_construction import associator_rows, dense_rref, invertible
 
 FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
 BIG = 2 ** 70
@@ -127,13 +126,13 @@ def test_solve_and_inverse_equal_dense_oracle(field):
 
 def test_invertible_is_exact_rank():
     q = 2147483629 * 2147483587
-    assert _invertible(Matrix([[q, 0], [0, 1]]))
+    assert invertible(Matrix([[q, 0], [0, 1]]))
     a, b = Fraction(BIG + 3, BIG - 1), Fraction(-BIG, 7)
-    assert not _invertible(Matrix([[a, b], [2 * a, 2 * b]]))
-    assert not _invertible(Matrix([[1, 0, 0], [0, 1, 0]]))
+    assert not invertible(Matrix([[a, b], [2 * a, 2 * b]]))
+    assert not invertible(Matrix([[1, 0, 0], [0, 1, 0]]))
     F = GF(10007)
-    assert not _invertible(Matrix([[1, 2], [3, 6]], F))
-    assert _invertible(Matrix([[1, 2], [3, 5]], F))
+    assert not invertible(Matrix([[1, 2], [3, 6]], F))
+    assert invertible(Matrix([[1, 2], [3, 5]], F))
 
 
 def _jordans(field):
@@ -254,10 +253,10 @@ def test_inverse_equal_dense_oracle(field, data):
     if pivots[:n] != list(range(n)):
         with pytest.raises(ValueError, match="singular"):
             M.inverse()
-        assert not _invertible(M)
+        assert not invertible(M)
     else:
         want = Matrix([r[n:] for r in R.rows], field) if n else Matrix.zeros(0, 0, field)
-        assert M.inverse() == want and _invertible(M)
+        assert M.inverse() == want and invertible(M)
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)

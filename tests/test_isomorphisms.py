@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,17 +7,22 @@ import pytest
 from magma_tits import registry
 from magma_tits.exact import GF, QQ, Matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import check_super_jacobi
-from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
+from magma_tits.composition import (split_cayley, split_quaternion, binarion, ground,
+                                    inner_derivation)
 from magma_tits.jordan import h3, jordan_super_jvtheta, d2, JordanAlgebra
-from magma_tits.structurable import AlgebraWithInvolution, a_of_j, a_of_cubic
+from magma_tits.structurable import (AlgebraWithInvolution, a_of_j, a_of_cubic,
+                                     check_structurable)
 from magma_tits.isomorphisms import (
     IsomorphismError, InvolutionHomomorphism, theorem41, theorem61, tqj_maps,
     ak_to_ajv, phi_theorem41, theorem41_basis,
 )
 from magma_tits.tits import jordan_side, tits, verify_lie_conditions
-from magma_tits.s4 import coordinate_algebra, s4_on_tits_left
+from magma_tits.s4 import coordinate_algebra, iota_maps, s4_on_tits_left
 
-from reference_construction import conj_ambient
+from reference_construction import (a_of_j_pointwise, ak_to_ajv_dense, conj_ambient,
+                                    coordinate_constants, inner_derivation_pointwise, iota_dense,
+                                    jordan_inner_derivation, jordan_to_aj_dense, phi41_dense,
+                                    phi61_dense, psi_dense, tensor_product_pointwise, unimodular)
 from test_tits import corrupted_h3k
 
 
@@ -334,3 +341,89 @@ def test_registry_name_alone_shares_nothing(monkeypatch):
     assert not rep.ok and rep.witnesses
     assert not check_super_jacobi(Tbad.algebra).ok
     assert verify_lie_conditions(T.C, T.J, T=T).ok
+
+
+# -- the held maps: their dense oracles, no dense round trip, transport ------
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+def test_held_maps_equal_dense_oracles(field):
+    """Every map built as lowered COO is, as a Matrix, what its dense
+    column-by-column builder gives: Phi41, Phi61, J -> S, psi, AK -> AJV,
+    the three involutions, the embedding with its iota maps and both inner
+    derivations."""
+    J = h3(ground(field))
+    T, ca, AJ, hom41 = theorem41(J)
+    assert hom41.matrix == phi41_dense(ca, AJ, J)
+    T61, ca61, TP, hom61 = theorem61(split_quaternion(field), binarion(field))
+    assert hom61.matrix == phi61_dense(T61)
+    hom_a, hom_b, _lie, _TQ, _T62 = tqj_maps(J)
+    assert hom_a.matrix == jordan_to_aj_dense(J)
+    assert hom_b.matrix == psi_dense(J)
+    assert ak_to_ajv(field).matrix == ak_to_ajv_dense(field)
+    assert AJ.sigma == a_of_j_pointwise(J).sigma
+    assert TP.sigma == tensor_product_pointwise(T61.C, T61.J.source)[1]
+    assert [ca.awi.sigma.column(j) for j in range(ca.dim)] == coordinate_constants(ca)[1]
+    iotas = iota_dense(ca, theorem41_basis(T))
+    assert ca.embedding == iotas[0]
+    assert [i.matrix for i in iota_maps(ca)] == iotas
+    C = split_cayley(field)
+    e = C.algebra.e
+    mixed = [a + field.of(2) * b for a, b in zip(e("e1"), e("v2"))]
+    for a, b in ((e("u1"), e("v2")), (mixed, e("u0")), (C.unit, e("v1"))):
+        assert inner_derivation(C, a, b).matrix == inner_derivation_pointwise(C, a, b).matrix
+    x, y = J.j0_basis()[0], J.j0_basis()[3]
+    assert J.inner_derivation(x, y).matrix == jordan_inner_derivation(J, x, y).matrix
+
+
+def test_held_map_checks_build_no_dense_matrix(monkeypatch):
+    """On maps built beforehand, verify, involution_failures,
+    check_structurable and iota_maps read the held integers: with
+    int_fast.rows_coo (in every module that imports it) and the dense
+    Matrix constructors raising, all of them still pass."""
+    J = h3(ground())
+    _T, ca, AJ, hom41 = theorem41(J)
+    _T61, _ca61, TP, hom61 = theorem61(split_cayley(), ground())
+    hom_a, hom_b, _lie, _TQ, _T62 = tqj_maps(J)
+    hom_k = ak_to_ajv()
+
+    def dense(*_args, **_kwargs):
+        raise AssertionError("a held map was lowered again or built dense")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("magma_tits") and hasattr(module, "rows_coo"):
+            monkeypatch.setattr(module, "rows_coo", dense)
+    for name in ("from_columns", "from_coo", "zeros"):
+        monkeypatch.setattr(Matrix, name, dense)
+    for hom in (hom41, hom61, hom_b, hom_k):
+        assert hom.verify()
+    assert hom_a.verify(require_bijective=False)
+    for AI in (AJ, TP, ca.awi, hom_k.source):
+        assert AI.involution_failures() == []
+        assert check_structurable(AI).ok
+    assert len(iota_maps(ca)) == 3
+
+
+def _transported(AI, rng):
+    """AI in the basis of a parity-preserving unimodular U, its involution
+    conjugated to U^-1 sigma U; with U and U^-1."""
+    U, Ui = unimodular(AI.algebra.parity, rng, AI.algebra.field, steps=12)
+    return AlgebraWithInvolution(AI.algebra.transported(U, U_inv=Ui), Ui @ AI.sigma @ U), U, Ui
+
+
+@pytest.mark.parametrize("J", [h3(ground()), jordan_super_jvtheta()], ids=["h3k", "jvtheta"])
+def test_phi41_verdicts_survive_unimodular_transport(J):
+    """With source and target each moved to the basis of a
+    parity-preserving unimodular U, Phi' = U_t^-1 Phi U_s still verifies,
+    and with one entry corrupted it still fails."""
+    rng = random.Random(41)
+    _T, ca, AJ, hom = theorem41(J)
+    (src, Us, _Usi), (tgt, _Ut, Uti) = _transported(ca.awi, rng), _transported(AJ, rng)
+    assert src.algebra.sc != ca.awi.algebra.sc and tgt.algebra.sc != AJ.algebra.sc
+    Phi = Uti @ hom.matrix @ Us
+    assert InvolutionHomomorphism(src, tgt, Phi, name="Phi41'").verify()
+    for _trial in range(3):
+        bad = Phi.copy()
+        r, c = rng.randrange(bad.nrows), rng.randrange(bad.ncols)
+        bad[r, c] = bad[r, c] + 1
+        with pytest.raises(IsomorphismError):
+            InvolutionHomomorphism(src, tgt, bad, name="Phi41'/bad").verify()

@@ -16,7 +16,7 @@ from magma_tits.structurable import (
 )
 
 from reference_construction import (a_of_cubic_pointwise, a_of_j_pointwise, diag_transported,
-                                    hermitian_basis)
+                                    hermitian_basis, unimodular)
 
 
 def test_a_of_j_products():
@@ -299,6 +299,21 @@ def test_structurable_constants_past_int64():
         rep = check_structurable(moved, max_witnesses=n ** 3)
         assert rep.ok is ok and rep.path == "python-int"
         assert rep.failures == check_structurable(src, max_witnesses=n ** 3).failures
+
+
+@pytest.mark.parametrize("name", ["aj:h3:ground", "aj:jvtheta"])
+def test_structurable_verdicts_survive_unimodular_transport(name):
+    # the table in the basis of a parity-preserving unimodular U and sigma
+    # conjugated to U^-1 sigma U: the identity holds in every basis, so the
+    # genuine A(J) still passes and a corrupted table still fails
+    rng = random.Random(29)
+    AI = involution_algebra_by_name(name)
+    bad = _corrupt(AI, rng)
+    U, Ui = unimodular(AI.algebra.parity, rng, AI.algebra.field, steps=12)
+    for src, ok in ((AI, True), (bad, False)):
+        moved = AlgebraWithInvolution(src.algebra.transported(U, U_inv=Ui), Ui @ src.sigma @ U)
+        assert moved.algebra.sc != src.algebra.sc
+        assert check_structurable(src).ok is ok and check_structurable(moved).ok is ok
 
 
 # -- the 2x2 construction against its pointwise oracle -----------------------

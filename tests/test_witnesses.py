@@ -15,13 +15,14 @@ import pytest
 
 from magma_tits import algebra, int_fast, registry
 from magma_tits.algebra import (SuperAlgebra, _jacobiator, check_super_jacobi,
-                                check_super_jacobi_reference, map_failures)
+                                check_super_jacobi_reference, lowered_map_failures)
 from magma_tits.composition import binarion, ground, split_cayley, split_quaternion
 from magma_tits.exact import Matrix
 from magma_tits.jordan import h3, jordan_super_jvtheta
 from magma_tits.structurable import AlgebraWithInvolution, a_of_j, check_structurable
 from magma_tits.tits import tits, verify_lie_conditions, verify_lie_conditions_reference
 
+from reference_construction import lowered
 from test_tits import corrupted_h3k
 
 
@@ -130,7 +131,7 @@ def corrupted_g3():
 
 def corrupted_maps():
     """On E6: the identity with one entry changed, as a homomorphism, and
-    ad(b_0) with one entry changed, as a derivation."""
+    ad(b_0) with one entry changed, as a derivation, both lowered."""
     A = tits(split_cayley(), h3(binarion())).algebra
     n = A.n
     one = Matrix.identity(n, A.field)
@@ -138,7 +139,7 @@ def corrupted_maps():
     ad = Matrix([[A.sc.get((0, j), {}).get(k, 0) for j in range(n)] for k in range(n)],
                 A.field)
     ad[2, 40] = ad[2, 40] + 1
-    return A, one, ad
+    return A, lowered(one), lowered(ad)
 
 
 def blocking(monkeypatch):
@@ -163,8 +164,8 @@ def test_blocked_checkers_give_the_same_reports(monkeypatch):
     def reports():
         return ([check_super_jacobi(B, max_witnesses=cap) for B in (E6bad, G3bad) for cap in caps]
                 + [check_structurable(corrupt3(), max_witnesses=cap) for cap in caps]
-                + [map_failures(A, A, one, max_witnesses=cap) for cap in (None, 1, 5)]
-                + [map_failures(A, A, ad, derivation=True, max_witnesses=cap)
+                + [lowered_map_failures(A, A, one, max_witnesses=cap) for cap in (None, 1, 5)]
+                + [lowered_map_failures(A, A, ad, derivation=True, max_witnesses=cap)
                    for cap in (None, 1, 5)]
                 + [check_super_jacobi(leibniz(), max_witnesses=0)])
 
