@@ -24,7 +24,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exact import (QQ, FieldGF, Matrix, Subspace, basis_vector, coo_rows, echelon, inverse_coo,
-                    kernel_of, vec_zero)
+                    kernel_of, solution, vec_zero)
 from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
                        joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
 
@@ -168,26 +168,27 @@ class SuperAlgebra:
     (I, J, K), nonzero integers V and their denominator D, with
     c^{K[e]}_{I[e] J[e]} = V[e] / D, D the lcm of the reduced denominators
     (1 over GF(p), where V holds residues).  The field-valued table `sc`
-    and the rows that `multiply` reads are built from it on first read."""
+    and the rows that `multiply` reads are built from it on first read.
+    An algebra records no claim about itself (Lie, Jordan, associative):
+    every such property is checked on the table."""
 
-    def __init__(self, basis, sc, parity=None, field=QQ, name="algebra", **claims):
+    def __init__(self, basis, sc, parity=None, field=QQ, name="algebra"):
         """A hand-written table {(i, j): {k: c}}, c anything field.of takes,
         lowered once and validated as from_coo does."""
-        self._setup(basis, *table_coo(sc, field), parity, field, name, **claims)
+        self._setup(basis, *table_coo(sc, field), parity, field, name)
 
     @classmethod
-    def from_coo(cls, basis, cols, V, D=1, parity=None, field=QQ, name="algebra", **claims):
+    def from_coo(cls, basis, cols, V, D=1, parity=None, field=QQ, name="algebra"):
         """The algebra with c^{K[e]}_{I[e] J[e]} = V[e] / D summed over e,
         for index columns cols = (I, J, K) and integers V (denominator-
         cleared over QQ, any integers over GF(p)).  ValueError for an
         index outside range(n) or a nonzero constant that violates parity;
         the lexicographically first one is named."""
         A = cls.__new__(cls)
-        A._setup(basis, cols, V, D, parity, field, name, **claims)
+        A._setup(basis, cols, V, D, parity, field, name)
         return A
 
-    def _setup(self, basis, cols, V, D, parity, field, name, is_lie_claimed=False,
-               is_jordan_claimed=False, is_associative_claimed=False):
+    def _setup(self, basis, cols, V, D, parity, field, name):
         """Validate and store the table: one fold sums equal (i, j, k) and
         drops the zero sums, then int_fast.reduced puts it in lowest terms."""
         self.basis = list(basis)
@@ -200,9 +201,6 @@ class SuperAlgebra:
             if par not in (EVEN, ODD):
                 raise ValueError("parity %r of basis element %d is not 0 or 1" % (par, i))
         self.name = name
-        self.is_lie_claimed = is_lie_claimed
-        self.is_jordan_claimed = is_jordan_claimed
-        self.is_associative_claimed = is_associative_claimed
         self._index = {lbl: i for i, lbl in enumerate(self.basis)}
         I, J, K = (np.asarray(c, dtype=np.int64) for c in cols)
         bad = np.flatnonzero((np.minimum(np.minimum(I, J), K) < 0)
@@ -301,29 +299,28 @@ class SuperAlgebra:
 
     # -- change of basis -------------------------------------------------
 
-    def transported(self, U, new_labels=None, new_parity=None, name=None, U_inv=None):
+    def transported(self, U, new_labels=None, name=None):
         """The same algebra in the basis given by the columns of the Matrix
-        U: transported_lowered of U and U^{-1}, each lowered once (U^{-1} as
-        the inverse_coo of U's rows, unless a caller passes it as U_inv)."""
+        U: transported_lowered of U and of U^{-1}, the inverse_coo of U's
+        rows, each lowered once."""
         if U.nrows != self.n or U.ncols != self.n:
             raise ValueError("change of basis must be square of the algebra dimension")
-        f, lowered = self.field, rows_coo(U.rows, self.field)
-        inv = inverse_coo(lowered, self.n, f.p) if U_inv is None else rows_coo(U_inv.rows, f)
-        return self.transported_lowered(lowered, inv, new_labels, new_parity, name)
+        lowered = rows_coo(U.rows, self.field)
+        return self.transported_lowered(lowered, inverse_coo(lowered, self.n, self.field.p),
+                                        new_labels, name)
 
-    def transported_lowered(self, U, U_inv, new_labels=None, new_parity=None, name=None):
+    def transported_lowered(self, U, U_inv, new_labels=None, name=None):
         """transported for U and U^{-1} given as lowered n x n matrices
         ((rows, columns), integers, D), as int_fast.rows_coo gives them:
         the products of all column pairs of U by int_fast.bilinear, their
-        coordinates U^{-1} by int_fast.matvec."""
+        coordinates U^{-1} by int_fast.matvec.  Each new basis vector takes
+        the parity of its support; ValueError for one of mixed parity."""
         f, n = self.field, self.n
         p = f.p
         (R, C), Vx, Dx = U
-        if new_parity is None:
-            odd = np.bincount(C, weights=np.asarray(self.parity)[R], minlength=n)
-            if np.any((odd > 0) & (odd < np.bincount(C, minlength=n))):
-                raise ValueError("new basis vector of mixed parity")
-            new_parity = [ODD if x else EVEN for x in odd.tolist()]
+        odd = np.bincount(C, weights=np.asarray(self.parity)[R], minlength=n)
+        if np.any((odd > 0) & (odd < np.bincount(C, minlength=n))):
+            raise ValueError("new basis vector of mixed parity")
         T, Vt, Dt = self.coo
         X = (C, R)                     # column j of U is vector j
         Ui, Vu, Du = U_inv
@@ -331,7 +328,8 @@ class SuperAlgebra:
         (ij, l), sums = matvec((Ui, Vu), ((i * n + j, k), sums), p)
         return SuperAlgebra.from_coo(new_labels or ["f%d" % i for i in range(n)],
                                      (ij // n, ij % n, l), sums, Dt * Dx * Dx * Du,
-                                     parity=new_parity, field=f, name=name or (self.name + "'"))
+                                     parity=[ODD if x else EVEN for x in odd.tolist()], field=f,
+                                     name=name or (self.name + "'"))
 
     # -- serialization ----------------------------------------------------
 
@@ -732,3 +730,25 @@ def centralizer(L, S):
     """Basis of {x in L : [s, x] = 0 for all s in S}: the kernel of the stacked ad(s)."""
     (tk, j), sums, D = left_mults(L, S)
     return kernel_of(((tk, j), sums, D), len(S) * L.n, L.n, L.field)
+
+
+def _find_unit(alg):
+    """Solve u*x = x = x*u on the basis; None if the algebra is not unital.
+
+    One equation sum_i u_i c_ij^k = delta_jk per (j, k) with a nonzero
+    coefficient, on each side, read off the COO table; the (j, k) left
+    out are 0 = 0 off the diagonal and 0 = 1 on it.
+    """
+    m = alg.n
+    if m == 0:
+        return None
+    (I, J, K), V, D = alg.coo
+    eqs = {}
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), V.tolist()):
+        eqs.setdefault((0, j, k), {})[i] = c       # u b_j, times D
+        eqs.setdefault((1, i, k), {})[j] = c       # b_i u
+    if any((side, j, j) not in eqs for side in (0, 1) for j in range(m)):
+        return None
+    system = {(tuple(sorted(row.items())), j == k): row for (_side, j, k), row in eqs.items()}
+    return solution([{**row, m: D} if diag else row for (_r, diag), row in system.items()],
+                    m, alg.field)

@@ -259,7 +259,7 @@ def derivation_algebra(C):
         raise ValueError("matrix is not in der C: [D%d, D%d]" % outside[0])
     der.lie = SuperAlgebra.from_coo(
         ["D[%s,%s]" % (basis[a], basis[b]) for a, b in der.generators], cols, V, D,
-        field=C.field, name="der(%s)" % C.name, is_lie_claimed=True)
+        field=C.field, name="der(%s)" % C.name)
     return der
 
 

@@ -394,7 +394,7 @@ def assemble_b1(data, name="b1"):
     blocks.append((off_d + r, off_d + s, off_d + t, [V], D))
 
     return SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
-                                 name=name, is_lie_claimed=True)
+                                 name=name)
 
 
 def b1data_from_jordan(J):
@@ -755,7 +755,7 @@ def lie_from_matrices(mats, labels=None, field=QQ, name="matrix-lie"):
     if outside:
         raise ValueError("not closed under commutator: [m%d, m%d]" % outside[0])
     return SuperAlgebra.from_coo(labels or ["m%d" % i for i in range(len(mats))], cols, V, D,
-                                 field=field, name=name, is_lie_claimed=True)
+                                 field=field, name=name)
 
 
 def _matrix(N, entries, field):

@@ -243,11 +243,17 @@ class Matrix:
     @classmethod
     def from_coo(cls, n, m, lowered, field=QQ):
         """The n x m matrix of lowered COO ((rows, cols), integers, D), the
-        form int_fast.rows_coo gives: a sparse result of int_fast built back."""
+        form int_fast.rows_coo gives: a sparse result of int_fast built back.
+        Repeated (row, column) entries add up: one fold sums them, times
+        D^{-1} mod p over GF(p), as LinearMap does."""
         (rows, cols), V, D = lowered
+        w, p = max(m, 1), field.p
+        scale, D = (1, int(D)) if p is None else (pow(int(D), -1, p), 1)
+        keys = np.asarray(rows, dtype=np.int64) * w + cols
+        keys, V, _path = fold([(keys, [as_ints(V), scale])], p)
         M = cls.zeros(n, m, field)
-        for i, j, x in zip(rows.tolist(), cols.tolist(), to_field(V, D, field)):
-            M.rows[i][j] = x
+        for k, x in zip(keys.tolist(), to_field(V, D, field)):
+            M.rows[k // w][k % w] = x
         return M
 
     def copy(self):

@@ -132,17 +132,16 @@ def _require_jordan(J):
                                % (J.name, *(J.algebra.basis[i] for i in J.jordan_failure)))
 
 
-def theorem41(J, C=None, T=None):
+def theorem41(J, T=None):
     """Build everything for the first theorem and certify Phi.
 
-    Without T, C defaults to the split Cayley algebra and T to T(C, J),
-    both from the registry when J is a registry object (registry.tits_of),
-    as A(J) is (registry.aj_of).
+    Without T, T is T(C, J) over the split Cayley algebra C, both from the
+    registry when J is a registry object (registry.composition_for,
+    registry.tits_of), as A(J) is (registry.aj_of).
     Returns (T, ca, AJ, hom); raises IsomorphismError on any failure.
     """
     _require_jordan(J)
-    C = C or (T.C if T is not None else composition_for("cayley", J))
-    T = T if T is not None else tits_of(C, J)
+    T = T if T is not None else tits_of(composition_for("cayley", J), J)
     action = s4_on_tits_left(T)
     ca = coordinate_algebra(T.algebra, action, basis=theorem41_basis(T))
     AJ = aj_of(J)

@@ -134,7 +134,7 @@ class JordanAlgebra:
             self.name, self.algebra.dim_even, self.algebra.dim_odd)
 
 
-def h3(Chat, name=None):
+def h3(Chat):
     """Hermitian 3x3 matrices over a unital composition algebra.
 
     Basis: e0, e1, e2 then iota_0, iota_1, iota_2 blocks (one per basis
@@ -189,8 +189,7 @@ def h3(Chat, name=None):
                         k = iota_idx[ip2][t]
                         accumulate(sc, iota_idx[i][a], iota_idx[ip1][b], k, half * c)
                         accumulate(sc, iota_idx[ip1][b], iota_idx[i][a], k, half * c)
-    alg = SuperAlgebra(labels, sc, field=f, name=name or ("H3(%s)" % Chat.name),
-                       is_jordan_claimed=True)
+    alg = SuperAlgebra(labels, sc, field=f, name="H3(%s)" % Chat.name)
     unit = vec_zero(n, f)
     for i in range(3):
         unit[e_idx[i]] = f.one
@@ -264,7 +263,7 @@ def jordan_super_jvtheta(field=QQ):
         (1, 2): {0: 1}, (2, 1): {0: -1},
     }
     alg = SuperAlgebra(["1", "u", "v"], sc, parity=[EVEN, ODD, ODD], field=field,
-                       name="J(V,theta)", is_jordan_claimed=True)
+                       name="J(V,theta)")
     unit = basis_vector(3, 0, field)
     trace = [field.one, field.zero, field.zero]
     return JordanAlgebra(alg, unit, trace, provenance="jvtheta")
@@ -291,7 +290,7 @@ def jordan_super_dt(t, field=QQ):
         (2, 3): {0: 1, 1: t}, (3, 2): {0: -1, 1: -t},
     }
     alg = SuperAlgebra(["e1", "e2", "x", "y"], sc, parity=[EVEN, EVEN, ODD, ODD],
-                       field=field, name="D_%s" % t, is_jordan_claimed=True)
+                       field=field, name="D_%s" % t)
     unit = [field.one, field.one, field.zero, field.zero]
     # carry the bare associative trace when one exists (t != -1), so that
     # T(C, D_t) can be assembled and shown non-Lie for t outside {2, 1/2};
@@ -338,7 +337,7 @@ def kaplansky(field=QQ):
         (1, 2): {0: 1}, (2, 1): {0: -1},
     }
     alg = SuperAlgebra(["e", "x", "y"], sc, parity=[EVEN, ODD, ODD], field=field,
-                       name="kaplansky", is_jordan_claimed=True)
+                       name="kaplansky")
     F = Matrix.zeros(3, 3, field)
     F[0, 0] = field.one
     F[1, 2] = field.of(2)

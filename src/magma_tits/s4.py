@@ -33,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import Matrix, Subspace, inverse_coo, kernel_of, solution
-from .algebra import SuperAlgebra, LinearMap, _invertible, lowered_map_failures, once_per_factor
+from .exact import Matrix, Subspace, inverse_coo, kernel_of
+from .algebra import (SuperAlgebra, LinearMap, _find_unit, _invertible, lowered_map_failures,
+                      once_per_factor)
 from .int_fast import (as_ints, bilinear, compose, distinct, fold, fold_table,
                        identity_coo, join, matvec, reduced, rows_coo, same_map, tile)
 from .structurable import AlgebraWithInvolution
@@ -343,13 +344,11 @@ class CoordinateAlgebra:
         return self.embedding.apply(coords)
 
 
-def coordinate_algebra(g, action, basis=None, name=None):
-    """Coordinate algebra of g under an S4 action.
-
-    basis: optional list of ambient vectors to use as the preferred basis
-    of the (1,0) component (each is verified to lie there).  Without it the
-    component basis comes from klein_grading, which is fine for moderate
-    dimensions; large constructions should pass their distinguished basis.
+def coordinate_algebra(g, action, basis):
+    """Coordinate algebra of g under an S4 action, in a basis of the (1,0)
+    component given as ambient vectors (a klein_grading component, or a
+    distinguished basis such as theorem41_basis); each is verified to lie
+    there.
 
     The products X.Y = -tau([phi X, phi^2 Y]) of all basis pairs are one
     sparse exact contraction: phi E and phi^2 E by int_fast.matvec, the
@@ -360,8 +359,6 @@ def coordinate_algebra(g, action, basis=None, name=None):
     f = g.field
     p = f.p
     n = g.n
-    if basis is None:
-        basis = klein_grading(action).components[(1, 0)]
     (xi, xa), xv, DE = rows_coo(basis, f)
     E = ((xi, xa), xv)
     # tau1 X = X and tau2 X = -X, exactly, on the basis as matrix columns: the
@@ -393,32 +390,10 @@ def coordinate_algebra(g, action, basis=None, name=None):
     if len(outside) or len(soutside):
         raise ValueError("vector is not in the (1,0) component")
     alg = SuperAlgebra.from_coo(["c%d" % i for i in range(m)], (ids // m, ids % m, ks), V, D,
-                                parity=parity, field=f, name=name or ("coord(%s)" % g.name))
+                                parity=parity, field=f, name="coord(%s)" % g.name)
     awi = AlgebraWithInvolution.from_coo(alg, ((sks, sids), sV, sD))
     inclusion = LinearMap.from_coo(alg, g, ((xa, xi), xv, DE))
     return CoordinateAlgebra(g, action, awi, inclusion, span, _find_unit(alg))
-
-
-def _find_unit(alg):
-    """Solve u*x = x = x*u on the basis; None if the algebra is not unital.
-
-    One equation sum_i u_i c_ij^k = delta_jk per (j, k) with a nonzero
-    coefficient, on each side, read off the COO table; the (j, k) left
-    out are 0 = 0 off the diagonal and 0 = 1 on it.
-    """
-    m = alg.n
-    if m == 0:
-        return None
-    (I, J, K), V, D = alg.coo
-    eqs = {}
-    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), V.tolist()):
-        eqs.setdefault((0, j, k), {})[i] = c       # u b_j, times D
-        eqs.setdefault((1, i, k), {})[j] = c       # b_i u
-    if any((side, j, j) not in eqs for side in (0, 1) for j in range(m)):
-        return None
-    system = {(tuple(sorted(row.items())), j == k): row for (_side, j, k), row in eqs.items()}
-    return solution([{**row, m: D} if diag else row for (_r, diag), row in system.items()],
-                    m, alg.field)
 
 
 def iota_maps(ca):

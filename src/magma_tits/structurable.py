@@ -30,8 +30,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .algebra import (SuperAlgebra, EVEN, LinearMap, lowered_map_failures, lowered_matrix,
-                      outer_block, trace_products)
+from .algebra import (SuperAlgebra, EVEN, LinearMap, _find_unit, lowered_map_failures,
+                      lowered_matrix, outer_block, trace_products)
 from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks, fold_table,
                        identity_coo, join, joined, outer, rows_coo, same_map)
 
@@ -92,7 +92,7 @@ class AlgebraWithInvolution:
         return "AlgebraWithInvolution(%s)" % self.algebra.name
 
 
-def a_of_j(J, name=None):
+def a_of_j(J):
     """The 2x2 construction over a Jordan (super)algebra with normalized
     trace: pairing 3t(x y'), cross product x X y'.
 
@@ -120,20 +120,19 @@ def a_of_j(J, name=None):
         ((Pi[q] * n + Pj[q]) * n + Ui[m], [P[q], U[m], -3 * Dt]),         # -3t(xy)1
     ], f.p)
     return _two_by_two(alg, ((Pi, Pj), [P, 3], Dp),
-                       ((keys // (n * n), keys // n % n, keys % n), [sums], Dc * Dt * Dt * Du),
-                       name)
+                       ((keys // (n * n), keys // n % n, keys % n), [sums], Dc * Dt * Dt * Du))
 
 
-def a_of_cubic(K, name=None):
+def a_of_cubic(K):
     """The 2x2 construction over an admissible cubic algebra (cross = 2xy,
     diagonal pairing 3<x|y'>)."""
     alg = K.algebra
     form, F, Df = rows_coo(K.trace_form_matrix.rows, alg.field)
     table, C, Dc = alg.coo
-    return _two_by_two(alg, (form, [F, 3], Df), (table, [C, 2], Dc), name)
+    return _two_by_two(alg, (form, [F, 3], Df), (table, [C, 2], Dc))
 
 
-def _two_by_two(alg, pairing, cross, name):
+def _two_by_two(alg, pairing, cross):
     """The algebra {(alpha, x; y, beta)} over alg with the diagonal-swap
     involution, given the COO ((i, j), factors, D) of the pairing and
     ((i, j, k), factors, D) of the cross product on basis pairs, each
@@ -164,13 +163,13 @@ def _two_by_two(alg, pairing, cross, name):
     blocks += [(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, Dx),                # y X y'
                (1 + Ci, 1 + Cj, 1 + nj + Ck, X, Dx)]                     # x X x'
     A = SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
-                              name=name or ("A(%s)" % alg.name))
+                              name="A(%s)" % alg.name)
     swap = np.arange(n)
     swap[[A_IDX, B_IDX]] = B_IDX, A_IDX
     return AlgebraWithInvolution.from_coo(A, ((swap, np.arange(n)), np.ones(n, dtype=np.int64), 1))
 
 
-def tensor_product(C, Chat, name=None):
+def tensor_product(C, Chat):
     """C x C^ with (a x x)(b x y) = ab x xy and conjugate a^bar x x^bar: the
     table and sigma are outer products (algebra.outer_block) of the COO of
     the two tables and of the two conjugation matrices."""
@@ -181,7 +180,7 @@ def tensor_product(C, Chat, name=None):
     block = outer_block(C.algebra.coo, Chat.algebra.coo,
                         lambda i1, i2, kc, j1, j2, kd: (i1 * nd + j1, i2 * nd + j2, kc * nd + kd))
     A = SuperAlgebra.from_coo(labels, *fold_table([block], n, f.p), field=f,
-                              name=name or ("%s(x)%s" % (C.name, Chat.name)))
+                              name="%s(x)%s" % (C.name, Chat.name))
     (p, i), Vc, Dc = rows_coo(C.conj_matrix().rows, f)
     (q, j), Vh, Dh = rows_coo(Chat.conj_matrix().rows, f)
     x, y = outer(len(Vc), len(Vh))
@@ -243,7 +242,6 @@ def check_structurable(AI, max_witnesses=10):
         return StructurableReport(True, 0, 0, name=alg.name)
     if n ** 5 > INT64_MAX:
         raise ValueError("dimension %d too large for int64 keys (u,x,y,z,k)" % n)
-    from .s4 import _find_unit
     unit = _find_unit(alg)
     if unit is None:
         raise ValueError("%s is not unital" % alg.name)

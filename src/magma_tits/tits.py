@@ -48,11 +48,10 @@ import numpy as np
 
 from .exact import Subspace, echelon, int_row, vec_zero
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
-                      commutator_table, left_mults, once_per_factor, outer_block, tensor_action,
-                      trace_products)
+                      left_mults, once_per_factor, outer_block, tensor_action, trace_products)
 from .composition import derivation_algebra
 from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, fold_table, join,
-                       matrices_coo, reduced, rotations, rows_coo, to_field)
+                       reduced, rotations, rows_coo, to_field)
 
 
 def inner_derivation_pairs(J, vectors):
@@ -318,7 +317,7 @@ def jordan_side(J):
     return factor_side(J.algebra, J.unit, J.trace_of, J.j0_basis(), J.djj(), star, traces, True)
 
 
-def tits(C, J, name=None):
+def tits(C, J):
     """Assemble T(C, J); Lie-ness is checked separately, never assumed.
 
     The bracket is one int_fast.fold_table of integer blocks handed to
@@ -363,8 +362,7 @@ def tits(C, J, name=None):
                     lambda i, k, _z, jj, l, d: (tidx(i, jj), tidx(k, l), off + d), 2)]
 
     alg = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
-                                field=f, name=name or ("T(%s,%s)" % (C.name, J.name)),
-                                is_lie_claimed=True)
+                                field=f, name="T(%s,%s)" % (C.name, J.name))
     return TitsAlgebra(alg, C, J, c, j)
 
 
@@ -559,93 +557,54 @@ def verify_lie_conditions(C, J, T=None, max_witnesses=6, witnesses=True):
     return LieConditionsReport(ok, name, *conds, found, path)
 
 
+@dataclass
 class Tits62Algebra:
-    """(Q0 x J) + D with [a x x, b x y] = [a,b] x xy + 2 t(ab) d_{x,y}."""
-
-    def __init__(self, algebra, Q, J, q0_basis, q0_span, D_space):
-        self.algebra = algebra
-        self.Q = Q
-        self.J = J
-        self.q0_basis = q0_basis
-        self.q0_span = q0_span
-        self.D_space = D_space
-
-    def tensor_index(self, qi, ji):
-        return qi * self.J.dim + ji
-
-    @property
-    def d_offset(self):
-        return len(self.q0_basis) * self.J.dim
+    """(Q0 x J) + d_{J,J} with [a x x, b x y] = [a,b] x xy + 2 t(ab) d_{x,y}:
+    the algebra, the span of d_{J,J} (flattened J x J matrices) and the
+    index of its first basis element in the algebra."""
+    algebra: SuperAlgebra
+    D_space: Subspace
+    d_offset: int
 
 
-def tits62_variant(Q, J, D_matrices=None, D_parities=None, name=None):
-    """The bracket of the quaternion-and-Jordan construction: on
-    (Q0 x J) + D, with J any Jordan (super)algebra (no trace needed) and D a
-    Lie algebra of derivations of J containing all inner derivations.
-
-    With D omitted, D = d_{J,J}, the inner_derivation_space of the J basis,
-    and the brackets in D are that space's; a given D is bracketed by
-    algebra.commutator_table.  The inner derivations come from
-    inner_derivation_pairs, and the tensor x tensor block is outer
-    products of the tables of Q and J, as in tits().
-    """
+def tits62_variant(Q, J):
+    """The quaternion-and-Jordan construction (Q0 x J) + d_{J,J}, for J any
+    Jordan (super)algebra (no trace needed) and d_{J,J} the
+    inner_derivation_space of the full J basis, with that space's bracket.
+    Q0, [a_i, a_k] in Q0 coordinates and t(a_i a_k) are Q's FactorSide
+    (composition_side), shared with every T(Q, J); the tensor x tensor
+    block is outer products of its tables with J's table and with the
+    pairs of d_{J,J}, as in tits()."""
     f = Q.field
     if Q.dim != 4:
         raise ValueError("the left factor must be a quaternion algebra")
-    q0_basis = Q.traceless_basis()
-    q0_span = Subspace.from_vectors(q0_basis, Q.dim, f)
-    nJ = J.dim
-    alg = J.algebra
-    basis = [alg.e(i) for i in range(nJ)]
-    if D_matrices is None:
-        djj = inner_derivation_space(J, basis)
-        span, pairs, mats, pars = djj.span, djj.pairs, djj.lowered, djj.parities
-        (s, t, k), d_V, d_D, outside = djj.bracket
-    else:
-        span = Subspace(nJ * nJ, f)
-        pairs = inner_derivation_pairs(J, basis)
-        (S, R, C), V, D = matrices_coo(D_matrices, f)
-        kept = span.add_many(S, R * nJ + C, V, D)
-        pars = [(D_parities or [EVEN] * len(D_matrices))[s] for s in kept]
-        # D must contain the inner derivations
-        *_coords, outside = span.coords_many(*pairs)
-        missing = [divmod(o, nJ) for o in outside.tolist() if o // nJ <= o % nJ]
-        if missing:
-            raise ValueError("D does not contain the inner derivation d_{%d,%d}" % missing[0])
-        mats = matrices_coo([D_matrices[s] for s in kept], f)
-        (s, t, k), d_V, d_D, outside = commutator_table(mats, len(kept), nJ, span, pars)
+    q = composition_side(Q)
+    alg, nJ = J.algebra, J.dim
+    djj = inner_derivation_space(J, [alg.e(i) for i in range(nJ)])
+    (s, t, k), d_V, d_D, outside = djj.bracket
     if outside:
-        raise ValueError("D is not closed under the bracket")
-    nd = span.dim
-
-    nq = len(q0_basis)
+        raise ValueError("d_{J,J} is not closed under the bracket")
+    nq, nd = len(q.basis), djj.dim
     off = nq * nJ
     labels = ["q%d(x)%s" % (i, alg.basis[j]) for i in range(nq) for j in range(nJ)]
     labels += ["d%d" % s for s in range(nd)]
-    parity = [alg.parity[j] for i in range(nq) for j in range(nJ)] + list(pars)
+    parity = list(alg.parity) * nq + list(djj.parities)
 
     def tidx(i, j):
         return i * nJ + j
 
-    br = coo([((i, k, i2), c) for i, a in enumerate(q0_basis) for k, b in enumerate(q0_basis)
-              for i2, c in enumerate(q0_span.coords([x - y for x, y in zip(Q.product(a, b),
-                                                                          Q.product(b, a))]))
-              if c], f, 3)
-    tr = coo([((i, k, 0), Q.trace(Q.product(a, b))) for i, a in enumerate(q0_basis)
-              for k, b in enumerate(q0_basis)], f, 3)
-    # D acting: d_s(x_j) has the x_k coefficient M_s[k, j]
-    (S, R, C), V, D = mats
+    # d_s(x_j) has the x_k coefficient M_s[k, j]
+    (S, R, C), V, D = djj.lowered
     blocks = [
-        (off + s, off + t, off + k, [d_V], d_D),          # D x D
+        (off + s, off + t, off + k, [d_V], d_D),          # d_{J,J} x d_{J,J}
         # the tensor x tensor block: [a,b] x xy + 2 t(ab) d_{x,y}
-        outer_block(br, alg.coo,
+        outer_block(q.product, alg.coo,
                     lambda i, k, i2, j, l, j2: (tidx(i, j), tidx(k, l), tidx(i2, j2))),
-        outer_block(tr, _pair_coords(span, pairs, nJ),
+        outer_block(q.trace, _pair_coords(djj.span, djj.pairs, nJ),
                     lambda i, k, _z, j, l, d: (tidx(i, j), tidx(k, l), off + d), 2),
         # [d_s, q x x_j] = q x d_s(x_j)
-        *tensor_action(((S, C, R), V, D), pars, alg.parity, nq, lambda s: off + s, tidx)]
+        *tensor_action(((S, C, R), V, D), djj.parities, alg.parity, nq, lambda s: off + s, tidx)]
 
     out = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
-                                field=f, name=name or ("T62(%s,%s)" % (Q.name, J.name)),
-                                is_lie_claimed=True)
-    return Tits62Algebra(out, Q, J, q0_basis, q0_span, span)
+                                field=f, name="T62(%s,%s)" % (Q.name, J.name))
+    return Tits62Algebra(out, djj.span, off)

@@ -34,7 +34,7 @@ def sl2(field=QQ):
         (2, 0): {0: 2}, (0, 2): {0: -2},
         (2, 1): {1: -2}, (1, 2): {1: 2},
     }
-    return SuperAlgebra(["e", "f", "h"], sc, field=field, name="sl2", is_lie_claimed=True)
+    return SuperAlgebra(["e", "f", "h"], sc, field=field, name="sl2")
 
 
 def bad_two_dim():
@@ -542,7 +542,7 @@ def test_jacobi_verdicts_survive_unimodular_transport():
         U, Ui = unimodular(A.parity, rng, A.field, steps=12)
         assert U @ Ui == Matrix.identity(A.n, A.field)
         for B, ok in ((A, True), (bad, False)):
-            Bt = B.transported(U, U_inv=Ui)
+            Bt = B.transported(U)
             assert Bt.parity == B.parity and Bt.sc != B.sc
             for cap in (1, 10):
                 rep = check_super_jacobi(Bt, max_witnesses=cap)
@@ -561,7 +561,7 @@ def test_lie_conditions_survive_unimodular_transport(name):
          "jvtheta": jordan_super_jvtheta}[name]()
     Q = split_quaternion()
     U, Ui = unimodular(J.algebra.parity, random.Random(23), J.field, steps=12)
-    Jt = JordanAlgebra(J.algebra.transported(U, U_inv=Ui), Ui.apply(J.unit),
+    Jt = JordanAlgebra(J.algebra.transported(U), Ui.apply(J.unit),
                        U.T.apply(J.trace_row), provenance="custom")
     # the transvections of J(V, theta)'s odd pair lie in SL_2 and keep theta,
     # so its table stays; its unit block of one element used to raise here

@@ -191,3 +191,11 @@ def test_coords_many_matches_coords(F):
             got[t][k] = F.of(Fraction(c, den)) if F.is_rational else F.of(c)
         assert got == [S.coords(v, check=False) for v in vectors]
         assert outside.tolist() == (outer if check else [])
+
+
+def test_from_coo_sums_repeated_entries_and_divides_by_d():
+    # a repeated (row, column) adds up, and over GF(p) the integers are
+    # divided by D: 1 / 2 = 4 mod 7
+    assert Matrix.from_coo(1, 1, (([0, 0], [0, 0]), [1, 1], 1), QQ).rows == [[Fraction(2)]]
+    F = GF(7)
+    assert Matrix.from_coo(1, 1, (([0], [0]), [1], 2), F).rows == [[F.of(4)]]

@@ -407,7 +407,7 @@ def _transported(AI, rng):
     """AI in the basis of a parity-preserving unimodular U, its involution
     conjugated to U^-1 sigma U; with U and U^-1."""
     U, Ui = unimodular(AI.algebra.parity, rng, AI.algebra.field, steps=12)
-    return AlgebraWithInvolution(AI.algebra.transported(U, U_inv=Ui), Ui @ AI.sigma @ U), U, Ui
+    return AlgebraWithInvolution(AI.algebra.transported(U), Ui @ AI.sigma @ U), U, Ui
 
 
 @pytest.mark.parametrize("J", [h3(ground()), jordan_super_jvtheta()], ids=["h3k", "jvtheta"])

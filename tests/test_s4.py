@@ -25,7 +25,7 @@ def C():
 
 @pytest.fixture(scope="module")
 def Tk(C):
-    return tits(C, h3(ground()), name="f4")
+    return tits(C, h3(ground()))
 
 
 @pytest.fixture(scope="module")

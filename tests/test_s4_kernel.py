@@ -48,7 +48,7 @@ def _setup(kind, F):
     """(T, left action, right action, coordinate-algebra basis of the left one)."""
     J = h3(ground(F))
     if kind == "f4":
-        T = tits(split_cayley(F), J, name="f4")
+        T = tits(split_cayley(F), J)
         return T, s4_on_tits_left(T), s4_on_tits_right(T), theorem41_basis(T)
     Q = invariant_quaternion(F)
     T = tits(Q, J)

@@ -311,7 +311,7 @@ def test_structurable_verdicts_survive_unimodular_transport(name):
     bad = _corrupt(AI, rng)
     U, Ui = unimodular(AI.algebra.parity, rng, AI.algebra.field, steps=12)
     for src, ok in ((AI, True), (bad, False)):
-        moved = AlgebraWithInvolution(src.algebra.transported(U, U_inv=Ui), Ui @ src.sigma @ U)
+        moved = AlgebraWithInvolution(src.algebra.transported(U), Ui @ src.sigma @ U)
         assert moved.algebra.sc != src.algebra.sc
         assert check_structurable(src).ok is ok and check_structurable(moved).ok is ok
 

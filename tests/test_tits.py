@@ -1,13 +1,15 @@
 import copy
 import gc
+import hashlib
 import importlib
+import json
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from magma_tits.exact import GF, QQ, Matrix, flatten_matrix, vec_eq, vec_is_zero
+from magma_tits.exact import GF, QQ, Matrix, Subspace, flatten_matrix, vec_eq, vec_is_zero
 from magma_tits.algebra import SuperAlgebra, check_super_jacobi, centralizer
 from magma_tits import registry
 from magma_tits.registry import composition_by_name, jordan_by_name
@@ -292,6 +294,31 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("F", [QQ, GF(10007)], ids=str)
+def test_tits62_builds_from_integers_only(monkeypatch, F):
+    """tits62_variant reads Q0, [a, b] and t(ab) off Q's FactorSide: with
+    pointwise products and single-vector coordinates refused it still
+    builds, and T62 over one Q compute Q's side once."""
+    Js = [jordan_by_name(name, F) for name in ("h3:ground", "jvtheta", "d2")]
+    Q = invariant_quaternion(F)
+    sides = []
+    factor_side = tits_module.factor_side
+
+    def counting_side(alg, *args):
+        sides.append(alg)
+        return factor_side(alg, *args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise product or coordinates in T62")
+    monkeypatch.setattr(tits_module, "factor_side", counting_side)
+    monkeypatch.setattr(SuperAlgebra, "multiply", refuse)
+    monkeypatch.setattr(Subspace, "coords", refuse)
+    for J in Js:
+        T = tits62_variant(Q, J)
+        assert T.d_offset == 3 * J.dim and T.algebra.n == T.d_offset + T.D_space.dim
+    assert sides == [Q.algebra]
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007)], ids=str)
 def test_shared_sides_give_the_fresh_construction(monkeypatch, F):
     """A T built once its factors' sides and S4 blocks were shared equals a
     T built from fresh C and J: the table, the sides' tables and the
@@ -347,13 +374,21 @@ def test_tits62_dt_family():
         assert check_super_jacobi(T.algebra).ok
 
 
-def test_tits62_rejects_bad_D():
-    Q = invariant_quaternion()
-    J = h3(ground())
-    # the zero derivation alone does not contain the inner derivations
-    Z = Matrix.zeros(J.dim, J.dim)
-    with pytest.raises(ValueError):
-        tits62_variant(Q, J, D_matrices=[Z])
+# md5 of json.dumps(A.to_json_dict(), separators=(",", ":")) of each export;
+# D_{-1} has no normalized trace, so only the trace-free variant takes it
+T62_EXPORT_MD5 = {
+    "t62:h3:ground": "f0da53bfdda333207a2c31a0878e2598",
+    "t62:jvtheta": "ed5e6cc9989dc51cc65107697b61bda4",
+    "t62:d2": "8d1f9c3dc276b6bcdd7e33de7d058a50",
+    "t62:h3:binarion": "76e88b104dfe9e0aa94222fba5a3f096",
+    "t62:dt:-1": "3d48aced0ab447812496f44b90118b93",
+}
+
+
+@pytest.mark.parametrize("name", sorted(T62_EXPORT_MD5))
+def test_t62_exports_are_pinned(name):
+    text = json.dumps(registry.superalgebra_by_name(name).to_json_dict(), separators=(",", ":"))
+    assert hashlib.md5(text.encode()).hexdigest() == T62_EXPORT_MD5[name]
 
 
 def test_json_round_trip_f4(C):
