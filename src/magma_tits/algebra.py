@@ -1,9 +1,9 @@
 """Finite-dimensional (super)algebras given by sparse structure constants.
 
 A SuperAlgebra is a basis with a parity vector and a read-only sparse
-table b_i b_j = sum_k c^k_ij b_k, kept as canonical integer COO (coo):
-builders hand their folded integers to SuperAlgebra.from_coo, a
-hand-written table is lowered once, and the field-valued table (sc) is
+table b_i b_j = sum_k c^k_ij b_k, kept as canonical integer COO (coo,
+int_fast.canonical): builders hand their blocks to SuperAlgebra.from_blocks,
+a hand-written table is lowered once, and the field-valued table (sc) is
 built from coo on first read.  The checkers (super-Jacobi, automorphism,
 derivation, homomorphism, grading, centralizer) are exact.  The
 super-Jacobi check is a sparse integer contraction of the table with
@@ -25,8 +25,9 @@ import numpy as np
 
 from .exact import (QQ, FieldGF, Matrix, Subspace, basis_vector, coo_rows, echelon, inverse_coo,
                     kernel_of, solution, vec_zero)
-from .int_fast import (as_ints, bilinear, coo, commutators, distinct, fold, fold_blocks, join,
-                       joined, matvec, outer, reduced, rows_coo, table_coo, to_field)
+from .int_fast import (OutOfRange, bilinear, canonical, coo, commutators, distinct, fold,
+                       fold_blocks, join, joined, matvec, outer, reduced, rows_coo, table_coo,
+                       to_field)
 
 EVEN, ODD = 0, 1
 
@@ -52,8 +53,18 @@ def accumulate(sc, i, j, k, c):
         row[k] = row[k] + c if k in row else c
 
 
+def sc_from_coo(I, J, K, values):
+    """The table {(i, j): {k: c}} of the entries c^{K[e]}_{I[e] J[e]} =
+    values[e] (field values), whose index triples are distinct: the form
+    of SuperAlgebra.sc and of the B1Data maps."""
+    sc = {}
+    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), values):
+        sc.setdefault((i, j), {})[k] = c
+    return sc
+
+
 def outer_block(A, B, place, factor=1, D=1):
-    """The int_fast.fold_table block of an outer product of two lowered
+    """The int_fast.canonical block of an outer product of two lowered
     tables (index columns, integers, denominator): every entry x of A and
     y of B give the product of their integers times factor / D at
     place(columns of A at x, columns of B at y), an index triple."""
@@ -63,7 +74,7 @@ def outer_block(A, B, place, factor=1, D=1):
 
 
 def tensor_action(acts, op_par, vec_par, copies, op, tensor):
-    """The int_fast.fold_table blocks of [d_s, w_c x v_j] = w_c x d_s(v_j)
+    """The int_fast.canonical blocks of [d_s, w_c x v_j] = w_c x d_s(v_j)
     and of the mirrored bracket, with the Koszul sign, for operators d_s
     acting on the v factor of `copies` tensor copies: acts is the lowered
     table ((s, j, k), integers, D) of the v_k coefficient of d_s(v_j);
@@ -175,22 +186,27 @@ class SuperAlgebra:
     def __init__(self, basis, sc, parity=None, field=QQ, name="algebra"):
         """A hand-written table {(i, j): {k: c}}, c anything field.of takes,
         lowered once and validated as from_coo does."""
-        self._setup(basis, *table_coo(sc, field), parity, field, name)
+        cols, V, D = table_coo(sc, field)
+        self._setup(basis, [(*cols, [V], D)], parity, field, name)
 
     @classmethod
     def from_coo(cls, basis, cols, V, D=1, parity=None, field=QQ, name="algebra"):
         """The algebra with c^{K[e]}_{I[e] J[e]} = V[e] / D summed over e,
-        for index columns cols = (I, J, K) and integers V (denominator-
-        cleared over QQ, any integers over GF(p)).  ValueError for an
-        index outside range(n) or a nonzero constant that violates parity;
-        the lexicographically first one is named."""
+        for cols = (I, J, K): from_blocks of one block."""
+        return cls.from_blocks(basis, [(*cols, [V], D)], parity, field, name)
+
+    @classmethod
+    def from_blocks(cls, basis, blocks, parity=None, field=QQ, name="algebra"):
+        """The algebra whose table sums the blocks (I, J, K, factors, D) of
+        int_fast.canonical.  ValueError naming the lexicographically first
+        index outside range(n), or the first nonzero constant that violates
+        parity, or for an input that canonical rejects."""
         A = cls.__new__(cls)
-        A._setup(basis, cols, V, D, parity, field, name)
+        A._setup(basis, blocks, parity, field, name)
         return A
 
-    def _setup(self, basis, cols, V, D, parity, field, name):
-        """Validate and store the table: one fold sums equal (i, j, k) and
-        drops the zero sums, then int_fast.reduced puts it in lowest terms."""
+    def _setup(self, basis, blocks, parity, field, name):
+        """Validate and store the table: int_fast.canonical, then parity."""
         self.basis = list(basis)
         self.n = n = len(self.basis)
         self.field = field
@@ -202,36 +218,24 @@ class SuperAlgebra:
                 raise ValueError("parity %r of basis element %d is not 0 or 1" % (par, i))
         self.name = name
         self._index = {lbl: i for i, lbl in enumerate(self.basis)}
-        I, J, K = (np.asarray(c, dtype=np.int64) for c in cols)
-        bad = np.flatnonzero((np.minimum(np.minimum(I, J), K) < 0)
-                             | (np.maximum(np.maximum(I, J), K) >= n))
-        if len(bad):
-            e = bad[np.lexsort((K[bad], J[bad], I[bad]))[0]]
+        try:
+            self.coo = canonical(blocks, (n, n, n), field.p)
+        except OutOfRange as err:
             raise ValueError("structure constant (%d,%d,%d) has an index outside range(%d)"
-                             % (I[e], J[e], K[e], n))
-        p = field.p
-        scale, D = (1, D) if p is None else (pow(D, -1, p), 1)    # residues over GF(p)
-        keys, V, _path = fold([((I * n + J) * n + K, [as_ints(V), scale])], p)
-        I, J, K = keys // (n * n), keys // n % n, keys % n
+                             % (*err.entry, n)) from None
+        (I, J, K), _V, _D = self.coo
         par = np.array(self.parity, dtype=np.int64)
         bad = np.flatnonzero(par[K] != par[I] ^ par[J])
         if len(bad):
             e = bad[0]
             raise ValueError("structure constant (%d,%d,%d) violates parity" % (I[e], J[e], K[e]))
-        V, D = reduced(V, D)
-        for a in (I, J, K, V):
-            a.setflags(write=False)
-        self.coo = (I, J, K), V, D
 
     @cached_property
     def _rows(self):
         """The table as plain dicts {(i, j): {k: c}}, for the inner loop of
         multiply; never handed out."""
         (I, J, K), V, D = self.coo
-        rows = {}
-        for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), to_field(V, D, self.field)):
-            rows.setdefault((i, j), {})[k] = c
-        return rows
+        return sc_from_coo(I, J, K, to_field(V, D, self.field))
 
     @cached_property
     def sc(self):
@@ -375,40 +379,40 @@ def lowered_matrix(M, nrows, ncols, field, what="map"):
 
 class LinearMap:
     """Linear map between algebras, held lowered: `coo` is its codomain.n x
-    domain.n matrix ((rows, columns), integers, D) as int_fast.rows_coo
-    gives it, read-only.  Builders hand their integers to from_coo, the
-    constructor lowers a Matrix once, and the Matrix `matrix` is built from
-    coo on first read."""
+    domain.n matrix ((rows, columns), integers, D) in the canonical form of
+    int_fast.canonical, read-only.  Builders hand their blocks to
+    from_blocks, the constructor lowers a Matrix once, and the Matrix
+    `matrix` is built from coo on first read."""
 
     def __init__(self, domain, codomain, matrix, parity=EVEN):
-        self._setup(domain, codomain,
-                    lowered_matrix(matrix, codomain.n, domain.n, domain.field), parity)
+        (R, C), V, D = lowered_matrix(matrix, codomain.n, domain.n, domain.field)
+        self._setup(domain, codomain, [(R, C, [V], D)], parity)
 
     @classmethod
     def from_coo(cls, domain, codomain, lowered, parity=EVEN):
         """The map with V[e] / D at (R[e], C[e]), summed over e, for
-        lowered = ((R, C), V, D) (integers denominator-cleared over QQ, any
-        integers over GF(p)).  ValueError for an entry outside the shape."""
+        lowered = ((R, C), V, D): from_blocks of one block."""
+        (R, C), V, D = lowered
+        return cls.from_blocks(domain, codomain, [(R, C, [V], D)], parity)
+
+    @classmethod
+    def from_blocks(cls, domain, codomain, blocks, parity=EVEN):
+        """The map that sums the blocks (rows, columns, factors, D) of
+        int_fast.canonical; ValueError for an entry outside the matrix or
+        an input that canonical rejects."""
         f = cls.__new__(cls)
-        f._setup(domain, codomain, lowered, parity)
+        f._setup(domain, codomain, blocks, parity)
         return f
 
-    def _setup(self, domain, codomain, lowered, parity):
-        """One fold sums equal (row, column) and drops the zeros, residues
-        with D = 1 over GF(p), then int_fast.reduced: lowest terms."""
-        m, n, p = codomain.n, domain.n, domain.field.p
+    def _setup(self, domain, codomain, blocks, parity):
+        m, n = codomain.n, domain.n
         if codomain.field != domain.field:
             raise ValueError("map from an algebra over %s to one over %s"
                              % (domain.field, codomain.field))
-        (R, C), V, D = lowered
-        R, C, w = np.asarray(R, dtype=np.int64), np.asarray(C, dtype=np.int64), max(n, 1)
-        if len(R) and min(R.min(), C.min(), m - 1 - R.max(), n - 1 - C.max()) < 0:
-            raise ValueError("map entry outside a %dx%d matrix" % (m, n))
-        scale, D = (1, int(D)) if p is None else (pow(int(D), -1, p), 1)
-        keys, V, _path = fold([(R * w + C, [as_ints(V), scale])], p)
-        self.coo = (keys // w, keys % w), *reduced(V, D)
-        for a in (*self.coo[0], self.coo[1]):
-            a.setflags(write=False)
+        try:
+            self.coo = canonical(blocks, (m, n), domain.field.p)
+        except OutOfRange:
+            raise ValueError("map entry outside a %dx%d matrix" % (m, n)) from None
         self.domain, self.codomain, self.parity = domain, codomain, parity
 
     @cached_property

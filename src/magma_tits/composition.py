@@ -185,11 +185,11 @@ def _signed_permutations(alg, images, name):
     """The GroupAction whose generator GEN_NAMES[k] sends each basis element
     b to coef times the basis element tgt, for images[k] = {b: (tgt,
     coef)} by label: one block of the integers for all four."""
-    n, idx = alg.n, alg.index
-    entries = [(k * n + idx(tgt), k * n + idx(b), coef)
+    idx = alg.index
+    entries = [(k, idx(tgt), idx(b), coef)
                for k, gen in enumerate(images) for b, (tgt, coef) in gen.items()]
-    R, C, V = (np.array(a, dtype=np.int64) for a in zip(*entries))
-    return GroupAction.from_blocks(alg, [(R, C, [V], 1)], n, alg.field, name=name)
+    G, R, C, V = (np.array(a, dtype=np.int64) for a in zip(*entries))
+    return GroupAction.from_blocks(alg, [(G, R, C, [V], 1)], alg.n, alg.field, name=name)
 
 
 @once_per_factor

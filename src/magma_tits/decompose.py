@@ -44,9 +44,10 @@ import numpy as np
 from .exact import (QQ, Matrix, Subspace, basis_vector, coo_rows, flatten_matrix, inverse_coo,
                     kernel_coo, kernel_of)
 from .algebra import (SuperAlgebra, EVEN, LinearMap, commutator_table, left_mults,
-                      lowered_map_failures, outer_block, tensor_action, transpose_failures)
-from .int_fast import (as_ints, bilinear, fold, fold_table, join, lower, matrices_coo, matvec,
-                       outer, reduced, rows_coo, table_coo, tile, to_field)
+                      lowered_map_failures, outer_block, sc_from_coo, tensor_action,
+                      transpose_failures)
+from .int_fast import (as_ints, bilinear, canonical, fold, join, lower, matrices_coo, matvec,
+                       outer, read_only, rows_coo, table_coo, tile, to_field)
 from .s4 import GEN_NAMES, GroupAction, conjugation_block
 from .tits import inner_derivation_space
 
@@ -136,26 +137,24 @@ def gl_w(field=QQ):
 
 def _map_algebras(gl):
     """The algebra A_mu on gl(W) of each map of INVARIANT_MAPS: mu(b_i, b_j)
-    on its source pairs (i, j), zero on the others.  One fold of the table
-    c^k_ij of gl times alpha, its transpose c^k_ji times beta and its I
-    column (tr(b_i b_j) = 3 c^I_ij) times 3 gamma, the coefficients lowered
-    as field values (residues over GF(p))."""
-    f, n = gl.field, gl.n
+    on its source pairs (i, j), zero on the others: the blocks of the
+    table c^k_ij of gl times alpha, its transpose c^k_ji times beta and its
+    I column (tr(b_i b_j) = 3 c^I_ij) times 3 gamma, the coefficients
+    lowered as field values (residues over GF(p))."""
+    f = gl.field
     (I, J, K), V, D = gl.coo
     Dc, coef = lower([f.of(c) * w for row in INVARIANT_MAPS
                       for c, w in zip(row[4:], (1, 1, 3))], f)
-    terms = []
-    for r, (_name, s1, s2, _dst, *_abc) in enumerate(INVARIANT_MAPS):
+    out = []
+    for r, (name, s1, s2, _dst, *_abc) in enumerate(INVARIANT_MAPS):
         fwd = np.flatnonzero(np.isin(I, PARTS[s1]) & np.isin(J, PARTS[s2]))
         bwd = np.flatnonzero(np.isin(J, PARTS[s1]) & np.isin(I, PARTS[s2]))
         tr = fwd[np.isin(K[fwd], PARTS["z"])]
-        for e, (x, y), c in zip((fwd, bwd, tr), ((I, J), (J, I), (I, J)),
-                                coef[3 * r:3 * r + 3].tolist()):
-            terms.append((((r * n + x[e]) * n + y[e]) * n + K[e], [V[e], c]))
-    keys, sums, _path = fold(terms, f.p)
-    r, i, j, k = keys // n ** 3, keys // (n * n) % n, keys // n % n, keys % n
-    return [SuperAlgebra.from_coo(GL_W, (i[r == m], j[r == m], k[r == m]), sums[r == m], D * Dc,
-                                  field=f, name=row[0]) for m, row in enumerate(INVARIANT_MAPS)]
+        out.append(SuperAlgebra.from_blocks(GL_W, [
+            (x[e], y[e], K[e], [V[e], c], D * Dc) for e, (x, y), c in
+            zip((fwd, bwd, tr), ((I, J), (J, I), (I, J)), coef[3 * r:3 * r + 3].tolist())],
+            field=f, name=name))
+    return out
 
 
 @cache
@@ -185,21 +184,18 @@ def invariant_maps(field=QQ):
         t = np.full((len(PARTS[s1]), len(PARTS[s2]), len(PARTS[dst])), field.zero, dtype=object)
         t[i, j, k] = to_field(V, D, field)
         tables[name] = t[..., 0] if dst == "z" else t
-        tables[name].flags.writeable = False
+        read_only(tables[name])
     return MappingProxyType(tables)
 
 
 def _ad_so3(gl):
     """ad(D_i), i = 0, 1, 2, on gl(W) as LinearMaps, c^k_ij - c^k_ji in
-    row k and column j, held from one fold of the table of gl against its
+    row k and column j: the blocks of the table of gl and of its
     transpose."""
-    f, n = gl.field, gl.n
     (I, J, K), V, D = gl.coo
-    a, b = np.flatnonzero(I < 3), np.flatnonzero(J < 3)
-    keys, sums, _path = fold([((I[a] * n + K[a]) * n + J[a], [V[a]]),
-                              ((J[b] * n + K[b]) * n + I[b], [V[b], -1])], f.p)
-    i, k, j = keys // (n * n), keys // n % n, keys % n
-    return [LinearMap.from_coo(gl, gl, ((k[i == d], j[i == d]), sums[i == d], D)) for d in range(3)]
+    return [LinearMap.from_blocks(gl, gl, [(K[I == d], J[I == d], [V[I == d]], D),
+                                           (K[J == d], I[J == d], [V[J == d], -1], D)])
+            for d in range(3)]
 
 
 def _conjugations(field):
@@ -208,7 +204,9 @@ def _conjugations(field):
     s4.conjugation_block."""
     mats, span = _gl_w_basis(field)
     (R, C), V, D = conjugation_block(span, matrices_coo(mats, field), s4_on_w(field), "gl(W)")
-    return GroupAction.from_blocks(None, [(R, C, [V], D)], span.dim, field, name="S4 on gl(W)")
+    m = span.dim
+    return GroupAction.from_blocks(None, [(R // m, R % m, C % m, [V], D)], m, field,
+                                   name="S4 on gl(W)")
 
 
 def check_invariant_maps(field=QQ):
@@ -235,16 +233,6 @@ def check_invariant_maps(field=QQ):
 
 # ---------------------------------------------------------------------------
 # B1 coefficient data and assembly
-
-
-def sc_from_coo(I, J, K, values):
-    """The table {(j, k): {t: c}} of the entries c^{K[e]}_{I[e] J[e]} =
-    values[e] (field values), whose index triples are distinct: the form
-    of the B1Data maps."""
-    sc = {}
-    for i, j, k, c in zip(I.tolist(), J.tolist(), K.tolist(), values):
-        sc.setdefault((i, j), {})[k] = c
-    return sc
 
 
 @dataclass
@@ -343,7 +331,6 @@ def assemble_b1(data, name="b1"):
     f = data.field
     st = _invariant_coo(f)
     mh, ms, md = data.hdim, data.sdim, data.ddim
-    n = 3 * mh + 5 * ms + md
     off_s = 3 * mh
     off_d = 3 * mh + 5 * ms
 
@@ -393,8 +380,7 @@ def assemble_b1(data, name="b1"):
     (r, s, t), V, D = table_coo(data.brk_dd, f)
     blocks.append((off_d + r, off_d + s, off_d + t, [V], D))
 
-    return SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
-                                 name=name)
+    return SuperAlgebra.from_blocks(labels, blocks, parity=parity, field=f, name=name)
 
 
 def b1data_from_jordan(J):
@@ -550,7 +536,7 @@ def _kernel_within(g, op, component):
 
 def _copy_columns(R_mats, start, ops, D, vecs, width, offset, f):
     """The columns of Psi for every module copy of one width, as one
-    int_fast.fold_table block: copy j, generated from the concrete vector
+    int_fast.canonical block: copy j, generated from the concrete vector
     vecs[j], is columns offset + width j + i, i < width.
 
     The abstract walk depends only on R_mats and start, so it runs once,
@@ -622,8 +608,7 @@ def extract_b1(g, report):
               + _copy_columns(R5, zcoords, ops, D, svecs, 5, 3 * mh, f))
     off_d = 3 * mh + 5 * ms
     (r, a), Vd, Dd = rows_coo(dvecs, f)
-    cols, V, D = fold_table(blocks + [(a, off_d + r, [Vd], Dd)], n, p)
-    psi_coo = (cols, *reduced(V, D))
+    psi_coo = canonical(blocks + [(a, off_d + r, [Vd], Dd)], (n, n), p)
     psi_inv_coo = inverse_coo(psi_coo, n, p)
 
     def read(co, offset, block, width, count, scale=None):
@@ -705,7 +690,7 @@ def synthesize_s4(g, report, extraction=None):
 
     The conjugations rho on so3 and h are blocks of the stacked ones on
     gl(W) (_so3_h); the generators Psi B Psi^{-1}, B block diagonal with
-    copies of rho, are stacked on four copies of g: one fold_table of the
+    copies of rho, are stacked on four copies of g: one int_fast.canonical of the
     four B, then two matvecs pushing the columns of four copies of
     Psi^{-1} through them and then through four copies of Psi."""
     if extraction is None:
@@ -729,11 +714,11 @@ def synthesize_s4(g, report, extraction=None):
         x, j = outer(len(e), count)
         e, at = e[x], start + width * j - part.start
         blocks.append((k[e] * n + at + r[e], k[e] * n + at + c[e], [V[e]], D))
-    B, Vb, Db = fold_table(blocks, 4 * n, p)
+    B, Vb, Db = canonical(blocks, (4 * n, 4 * n), p)
     Q = tile((qc, qr), (n, n), Vq, 4)
     (cols, rows), sums = matvec(tile((pr, pc), (n, n), Vpsi, 4), matvec((B, Vb), Q, p), p)
-    return GroupAction.from_blocks(g, [(rows, cols, [sums], Dpsi * Db * Dq)], n, f,
-                                   name="S4 on %s (synthesized)" % g.name)
+    return GroupAction.from_blocks(g, [(rows // n, rows % n, cols % n, [sums], Dpsi * Db * Dq)],
+                                   n, f, name="S4 on %s (synthesized)" % g.name)
 
 
 # ---------------------------------------------------------------------------

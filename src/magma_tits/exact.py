@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .int_fast import as_ints, distinct, fold, join, reduced, rows_coo, to_field
+from .int_fast import as_ints, canonical, distinct, fold, join, reduced, rows_coo, to_field
 
 
 class GFElement:
@@ -244,16 +244,13 @@ class Matrix:
     def from_coo(cls, n, m, lowered, field=QQ):
         """The n x m matrix of lowered COO ((rows, cols), integers, D), the
         form int_fast.rows_coo gives: a sparse result of int_fast built back.
-        Repeated (row, column) entries add up: one fold sums them, times
-        D^{-1} mod p over GF(p), as LinearMap does."""
+        Repeated (row, column) entries add up: int_fast.canonical sums them,
+        as LinearMap does; ValueError for an entry outside n x m."""
         (rows, cols), V, D = lowered
-        w, p = max(m, 1), field.p
-        scale, D = (1, int(D)) if p is None else (pow(int(D), -1, p), 1)
-        keys = np.asarray(rows, dtype=np.int64) * w + cols
-        keys, V, _path = fold([(keys, [as_ints(V), scale])], p)
+        (R, C), V, D = canonical([(rows, cols, [V], D)], (n, m), field.p)
         M = cls.zeros(n, m, field)
-        for k, x in zip(keys.tolist(), to_field(V, D, field)):
-            M.rows[k // w][k % w] = x
+        for i, j, x in zip(R.tolist(), C.tolist(), to_field(V, D, field)):
+            M.rows[i][j] = x
         return M
 
     def copy(self):

@@ -9,11 +9,12 @@ only when every key group's size times its largest product fits, a bound
 read off the factors, and on Python ints otherwise.  Over GF(p) with
 (p-1)^2 in int64 it reads no factor: each is reduced mod p once, so a
 product of k of them is at most (p-1)^k, and the sums run in int64 with
-delayed reduction; a larger p reads its bound as QQ does.  Builders fold
-their blocks into one table (`fold_table`) for SuperAlgebra.from_coo,
-which keeps it in lowest terms (`reduced`); field values are built back
-(`to_field`, each distinct integer once) only where field arithmetic
-follows.
+delayed reduction; a larger p reads its bound as QQ does.  Every table
+and map is held in one canonical form (`canonical`): its blocks checked
+against its shape and folded once, in lowest terms (`reduced`), read-only;
+builders hand their blocks to the holders (SuperAlgebra, LinearMap,
+GroupAction), which call it.  Field values are built back (`to_field`,
+each distinct integer once) only where field arithmetic follows.
 
 A contraction past _TERM_BUDGET terms (the bulk checks: super-Jacobi,
 structurable, Jordan identity, algebra.lowered_map_failures) is folded one block
@@ -31,6 +32,7 @@ helper here uses floating point, approximates or overflows.
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import index
 
 import numpy as np
 
@@ -54,10 +56,14 @@ def _fits(ints):
 
 def as_ints(ints):
     """Integers (a list or array) as an array: int64 when they fit, Python
-    ints otherwise."""
-    if isinstance(ints, np.ndarray) and ints.dtype != object:
+    ints otherwise.  ValueError for a value that is not an integer (a float
+    or a Fraction, even an integral one), which would otherwise be cut."""
+    if isinstance(ints, np.ndarray) and ints.dtype.kind in "biu" and ints.dtype != np.uint64:
         return ints.astype(np.int64, copy=False)
-    ints = list(ints)
+    try:
+        ints = list(map(index, ints))
+    except TypeError as err:        # "'float' object cannot be interpreted as an integer"
+        raise ValueError(str(err)) from None
     return np.array(ints, dtype=np.int64 if _fits(ints) else object)
 
 
@@ -74,8 +80,8 @@ def reduced(ints, D):
     (as_ints) divided by their gcd, so that D is the lcm of the reduced
     denominators of the values, the D that `lower` gives for them."""
     ints = as_ints(ints)
-    g = gcd(D, *ints.tolist())
-    return (as_ints(ints // g) if len(ints) else ints), D // g
+    g = 1 if D == 1 else gcd(D, *ints.tolist())
+    return (as_ints(ints // g) if len(ints) and g != 1 else ints), D // g
 
 
 def coo(entries, field, width):
@@ -108,24 +114,58 @@ def table_coo(sc, field):
                field, 3)
 
 
-def fold_table(blocks, n, p=None):
-    """One fold of the blocks of a table on n basis elements: each block
-    (*index columns, factors, D) adds the products of its factors over D to
-    the entries at its index tuples, (I, J, K) of a table c^K_IJ or (rows,
-    columns) of an n x n matrix.  Every block is scaled to the lcm L of the
-    D's; returns (index columns, sums, L), the nonzero sums sorted by index
-    tuple."""
-    L = lcm(*(D for *_cols, D in blocks))
-    width = len(blocks[0]) - 2
+class OutOfRange(ValueError):
+    """The lexicographically first index tuple (`entry`) outside a shape."""
+
+    def __init__(self, entry, shape):
+        super().__init__("index %r outside shape %r" % (entry, shape))
+        self.entry = entry
+
+
+def read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def canonical(blocks, shape, p=None):
+    """The canonical COO of the table or map that sums the blocks (*index
+    columns, factors, D), each the products of its factors over D at its
+    index tuples, one column per axis of shape: ((I, J, K) of c^K_IJ or
+    (rows, columns)).  Every integer passes as_ints and every index, of
+    zero-valued entries too, is checked against shape (OutOfRange); a D
+    that is 0 (mod p) is a ValueError.  One fold over the lcm L of the |D|
+    (D^{-1} mod p over GF(p), L = 1); returns (index columns, V, D), the
+    nonzero sums sorted by index tuple, in lowest terms (`reduced`, so
+    D > 0), every array read-only."""
+    blocks = [([as_ints(c) for c in cols],
+               [as_ints(f) if isinstance(f, (list, np.ndarray)) else index(f) for f in factors],
+               index(D))
+              for *cols, factors, D in blocks]
+    # the uint64 view of a negative int64 is past 2^63: one compare per axis
+    bad = [e for cols, _f, _D in blocks
+           if any(c.dtype == object or len(c) and np.maximum.reduce(c.view(np.uint64)) >= s
+                  for c, s in zip(cols, shape))
+           for e in zip(*(c.tolist() for c in cols))
+           if any(not 0 <= i < s for i, s in zip(e, shape))]
+    if bad:
+        raise OutOfRange(min(bad), tuple(shape))
+    L = 1 if p is not None else lcm(*(D for *_c, D in blocks))
     terms = []
-    for *cols, factors, D in blocks:
+    for cols, factors, D in blocks:
+        if (D if p is None else D % p) == 0:
+            raise ValueError("denominator D = %d" % D
+                             + ("" if p is None else " is 0 mod p = %d" % p))
         key = cols[0]
-        for c in cols[1:]:
-            key = key * n + c
-        terms.append((key, [*factors, L // D]))
+        for c, s in zip(cols[1:], shape[1:]):
+            key = key * s + c
+        terms.append((key, [*factors, L // D if p is None else pow(D, -1, p)]))
     keys, sums, _path = fold(terms, p)
-    rest = [keys // n ** (width - 1 - w) % n for w in range(1, width)]
-    return (keys // n ** (width - 1), *rest), sums, L
+    cols = [keys]
+    for s in reversed(shape[1:]):       # split off the last column, then the one before
+        cols[:1] = np.divmod(cols[0], s)
+    V, D = reduced(sums, L)
+    read_only(*cols, V)
+    return tuple(cols), V, D
 
 
 def identity_coo(n):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exact import QQ, Subspace, coo_rows, echelon
 from .algebra import LinearMap, _invertible, lowered_map_failures, outer_block
-from .int_fast import compose, fold, fold_table, identity_coo, join, rows_coo, same_map
+from .int_fast import compose, fold, identity_coo, join, rows_coo, same_map
 from .composition import s4_on_invariant_quaternion
 from .structurable import AlgebraWithInvolution, a_of_j, a_of_cubic, tensor_product
 from .jordan import jordan_super_jvtheta, kaplansky
@@ -60,9 +60,9 @@ class InvolutionHomomorphism(LinearMap):
         self.source, self.target, self.name = source, target, name
 
     @classmethod
-    def from_coo(cls, source, target, lowered, name="Phi"):
-        """The map of the lowered ((R, C), V, D), as LinearMap.from_coo."""
-        hom = super().from_coo(source.algebra, target.algebra, lowered)
+    def from_blocks(cls, source, target, blocks, name="Phi"):
+        """The map of the blocks (rows, columns, factors, D), as LinearMap."""
+        hom = super().from_blocks(source.algebra, target.algebra, blocks)
         hom.source, hom.target, hom.name = source, target, name
         return hom
 
@@ -119,8 +119,7 @@ def phi_theorem41(ca, AJ, J):
               (1 + nj + u, np.full_like(u, 3), [U, 2], Du),        # 2 in the y slot
               (1 + x, 4 + t, [X], Dx),                             # u0 x J0 -> x slot
               (1 + nj + x, 4 + len(j0) + t, [X], Dx)]              # v0 x J0 -> y slot
-    return InvolutionHomomorphism.from_coo(ca.awi, AJ, fold_table(blocks, max(n, m), f.p),
-                                           name="Phi41")
+    return InvolutionHomomorphism.from_blocks(ca.awi, AJ, blocks, name="Phi41")
 
 
 def _require_jordan(J):
@@ -177,8 +176,7 @@ def phi_theorem61(ca, TP, T):
         return lambda i, q, j, _j: (q * d + j, (offset + i) * d + j)
     blocks = [outer_block(_rows(f, T.c0_basis), identity_coo(d), place(0), -1),
               outer_block(_rows(f, [C.unit]), identity_coo(d), place(nc), -1, 2)]
-    return InvolutionHomomorphism.from_coo(ca.awi, TP, fold_table(blocks, max(TP.dim, ca.dim), f.p),
-                                           name="Phi61")
+    return InvolutionHomomorphism.from_blocks(ca.awi, TP, blocks, name="Phi61")
 
 
 def theorem61(C, Chat, T=None):
@@ -215,8 +213,8 @@ def jordan_to_aj_map(J, AJ):
     for slot in (1, 1 + nj):
         blocks += [(slot + d, d, [np.ones(nj, dtype=np.int64)], 2),
                    outer_block(trace, unit, lambda _z, t, _w, u: (slot + u, t), -3, 4)]
-    JI = AlgebraWithInvolution.from_coo(J.algebra, identity_coo(nj))
-    return InvolutionHomomorphism.from_coo(JI, AJ, fold_table(blocks, n, f.p), name="J->S")
+    JI = AlgebraWithInvolution.from_blocks(J.algebra, [(d, d, [np.ones(nj, np.int64)], 1)])
+    return InvolutionHomomorphism.from_blocks(JI, AJ, blocks, name="J->S")
 
 
 def tqj_maps(J):
@@ -250,8 +248,9 @@ def tqj_maps(J):
     # (b) psi: ca -> J with D_{p1,p2} -> 4*1 and p0 x x -> 2x certifies
     # that the coordinate algebra is J itself
     (t, r), V, D = _rows(f, [J.unit] + J.j0_basis())
-    psi = fold_table([(r, t, [V, np.where(t == 0, 4, 2)], D)], J.dim, f.p)
-    hom_b = InvolutionHomomorphism.from_coo(ca.awi, hom_a.source, psi, name="T(Q,J)10->J")
+    hom_b = InvolutionHomomorphism.from_blocks(ca.awi, hom_a.source,
+                                               [(r, t, [V, np.where(t == 0, 4, 2)], D)],
+                                               name="T(Q,J)10->J")
     hom_b.verify()
 
     # (c) the Lie isomorphism T(Q,J) -> (Q0 x J) + d_{J,J}
@@ -266,7 +265,7 @@ def _tqj_lie_iso(TQ, T62):
     Its blocks come from integers: der Q and d_{J,J} are their lowered
     matrices in the coordinates of ad(Q0) and of the D of T62 (one
     Subspace.coords_many each), the tensor block is the J0 basis, and
-    one int_fast.fold_table places them."""
+    LinearMap.from_blocks places them."""
     Q, J = TQ.C, TQ.J
     f = Q.field
     nJ, n = J.dim, TQ.algebra.n
@@ -293,15 +292,14 @@ def _tqj_lie_iso(TQ, T62):
 
     q = coords(TQ.derC, ad, "derivation of Q is not inner as ad")
     (t, s), Vd, Dd = coords(TQ.djj, T62.D_space, "d_{J,J} bases do not span the same space")
-    lowered = fold_table([
+    lie = LinearMap.from_blocks(TQ.algebra, T62.algebra, [
         # D_r = ad(sum_i q_i p_i) -> sum_i q_i p_i x 1
         outer_block(q, rows_coo([J.unit], f), lambda i, r, _z, jj: (i * nJ + jj, r)),
         # a_i x x_j -> a_i x x_j, x_j in the full J basis
         outer_block(identity_coo(nc), rows_coo(TQ.j0_basis, f),
                     lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),
         # d -> d: a change of basis of the same space
-        (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)], n, f.p)
-    lie = LinearMap.from_coo(TQ.algebra, T62.algebra, lowered)
+        (T62.d_offset + t, TQ.djj_offset + s, [Vd], Dd)])
     bad = homomorphism_failures(TQ.algebra, T62.algebra, lie.coo)
     if bad:
         raise IsomorphismError("T(Q,J) -> (Q0 x J) + d_{J,J} is not a homomorphism; "
@@ -326,6 +324,6 @@ def ak_to_ajv(field=None):
     AJV = a_of_j(JV)
     # basis alpha, (e, x, y), (e, x, y), beta onto alpha, (1, u, v), (1, u, v), beta
     d, scale = np.arange(AK.algebra.n), np.array([1, 1, -1, 2, 1, 1, -2, 1])
-    hom = InvolutionHomomorphism.from_coo(AK, AJV, ((d, d), scale, 1), name="AK->AJV")
+    hom = InvolutionHomomorphism.from_blocks(AK, AJV, [(d, d, [scale], 1)], name="AK->AJV")
     hom.verify()
     return hom

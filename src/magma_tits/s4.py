@@ -36,8 +36,8 @@ import numpy as np
 from .exact import Matrix, Subspace, inverse_coo, kernel_of
 from .algebra import (SuperAlgebra, LinearMap, _find_unit, _invertible, lowered_map_failures,
                       once_per_factor)
-from .int_fast import (as_ints, bilinear, compose, distinct, fold, fold_table,
-                       identity_coo, join, matvec, reduced, rows_coo, same_map, tile)
+from .int_fast import (OutOfRange, bilinear, canonical, compose, distinct, fold, identity_coo,
+                       join, matvec, read_only, reduced, rows_coo, same_map, tile)
 from .structurable import AlgebraWithInvolution
 
 GEN_NAMES = ("tau1", "tau2", "phi", "tau")
@@ -93,7 +93,7 @@ class GroupAction:
                 raise ValueError("generator matrices must be square of equal size")
             if M.field != f:
                 raise ValueError("generator matrices over %s and %s" % (f, M.field))
-        self._setup(target, [(R + k * n, C + k * n, [V], D) for k, ((R, C), V, D)
+        self._setup(target, [(np.full(len(R), k), R, C, [V], D) for k, ((R, C), V, D)
                              in enumerate(rows_coo(M.rows, f) for M in mats)], n, f, name)
 
     @classmethod
@@ -101,57 +101,40 @@ class GroupAction:
         """The action whose generator g is the dim x dim matrix with V[e] / D
         at (R[e], C[e]), summed over e, for gens = {g: ((R, C), V, D)} over
         the names GEN_NAMES (integers denominator-cleared over QQ, any
-        integers over GF(p)).  ValueError unless the names are GEN_NAMES
-        and every index lies in range(dim)."""
+        integers over GF(p)): from_blocks of one block per generator.
+        ValueError unless the names are GEN_NAMES."""
         if sorted(gens) != sorted(GEN_NAMES):
             raise ValueError("generators %s, an S4 action needs %s"
                              % (", ".join(sorted(gens)), ", ".join(GEN_NAMES)))
-        blocks = []
-        for k, g in enumerate(GEN_NAMES):
-            (R, C), V, D = gens[g]
-            R, C = np.asarray(R, dtype=np.int64), np.asarray(C, dtype=np.int64)
-            if len(R) and min(R.min(), C.min(), dim - 1 - R.max(), dim - 1 - C.max()) < 0:
-                raise ValueError("generator %s has an entry outside range(%d)" % (g, dim))
-            blocks.append((R + k * dim, C + k * dim, [as_ints(V)], D))
-        return cls.from_blocks(target, blocks, dim, field, name)
+        return cls.from_blocks(target, [(np.full(len(R), k), R, C, [V], D) for k, ((R, C), V, D)
+                                        in enumerate(map(gens.get, GEN_NAMES))], dim, field, name)
 
     @classmethod
     def from_blocks(cls, target, blocks, dim, field, name="S4 action"):
-        """The action whose stacked map sums the blocks (rows, columns,
-        factors, D), as int_fast.fold_table takes them, on 4 dim rows and
-        columns: generator GEN_NAMES[k] is the diagonal block at k dim."""
+        """The action whose generator GEN_NAMES[k] sums the entries at k of
+        the blocks (generators, rows, columns, factors, D) of
+        int_fast.canonical.  ValueError unless the target has dimension dim
+        over field, for an entry outside range(dim) or a rejected input."""
         act = cls.__new__(cls)
         act._setup(target, blocks, dim, field, name)
         return act
 
     def _setup(self, target, blocks, dim, field, name):
-        """Validate and store the generators: one fold of all the blocks
-        sums equal (row, column) and drops the zeros, then int_fast.reduced
-        puts the stacked map and each generator's slice in lowest terms.
-        ValueError unless the target has dimension dim over field and every
-        entry lies in a diagonal block."""
+        """Validate and store the generators: int_fast.canonical of all the
+        blocks, then each generator's slice put in its own lowest terms."""
         if target is not None and (target.n, target.field) != (dim, field):
             raise ValueError("generators of dimension %d over %s, the target has dimension "
                              "%d over %s" % (dim, field, target.n, target.field))
-        p = field.p
-        if p is not None:       # residues over GF(p)
-            blocks = [(R, C, [*factors, pow(D, -1, p)], 1) for R, C, factors, D in blocks]
-        (R, C), V, D = fold_table(blocks, 4 * dim, p)
-        G = R // max(dim, 1)
-        off = np.flatnonzero(G != C // max(dim, 1))
-        if len(off):
+        try:
+            (G, R, C), V, D = canonical(blocks, (4, dim, dim), field.p)
+        except OutOfRange as err:
             raise ValueError("generator %s has an entry outside range(%d)"
-                             % (GEN_NAMES[G[off[0]]], dim))
-        V, D = reduced(V, D)
+                             % (GEN_NAMES[err.entry[0]], dim)) from None
+        self.stacked = (G * dim + R, G * dim + C), V, D
         bounds = np.searchsorted(G, np.arange(5)).tolist()
-        local = (R - G * dim, C - G * dim)
-        self.stacked = (R, C), V, D
-        self._lowered = {}
-        for g, lo, hi in zip(GEN_NAMES, bounds, bounds[1:]):
-            Vg, Dg = reduced(V[lo:hi], D)
-            self._lowered[g] = (local[0][lo:hi], local[1][lo:hi]), Vg, Dg
-        for a in (R, C, V, *local, *(self._lowered[g][1] for g in GEN_NAMES)):
-            a.setflags(write=False)
+        self._lowered = {g: ((R[lo:hi], C[lo:hi]), *reduced(V[lo:hi], D))
+                         for g, lo, hi in zip(GEN_NAMES, bounds, bounds[1:])}
+        read_only(*self.stacked[0], *(self._lowered[g][1] for g in GEN_NAMES))
         self.target, self.dim, self.field, self.name = target, dim, field, name
 
     @cached_property
@@ -391,7 +374,7 @@ def coordinate_algebra(g, action, basis):
         raise ValueError("vector is not in the (1,0) component")
     alg = SuperAlgebra.from_coo(["c%d" % i for i in range(m)], (ids // m, ids % m, ks), V, D,
                                 parity=parity, field=f, name="coord(%s)" % g.name)
-    awi = AlgebraWithInvolution.from_coo(alg, ((sks, sids), sV, sD))
+    awi = AlgebraWithInvolution.from_blocks(alg, [(sks, sids, [sV], sD)])
     inclusion = LinearMap.from_coo(alg, g, ((xa, xi), xv, DE))
     return CoordinateAlgebra(g, action, awi, inclusion, span, _find_unit(alg))
 
@@ -421,11 +404,11 @@ def s4_on_h3(J):
 
     def build(k, e_images, iota_sign, iota_perm, conjugate):
         """Generator k: e_i -> e_{e_images[i]}, iota_i(x) -> iota_sign[i]
-        iota_{iota_perm[i]}(x or its conjugate), as blocks at offset k n."""
+        iota_{iota_perm[i]}(x or its conjugate), as its blocks."""
         (r, c), v, D = conj if conjugate else identity_coo(d)
-        o = k * n
-        return [(o + e[e_images], o + e, [np.ones(3, dtype=np.int64)], 1)] + [
-            (o + iota[iota_perm[i]][r], o + iota[i][c], [v, iota_sign[i]], D) for i in range(3)]
+        return [(np.full(3, k), e[e_images], e, [np.ones(3, dtype=np.int64)], 1)] + [
+            (np.full(len(r), k), iota[iota_perm[i]][r], iota[i][c], [v, iota_sign[i]], D)
+            for i in range(3)]
 
     blocks = (build(0, [0, 1, 2], [1, -1, -1], [0, 1, 2], False)        # tau1
               + build(1, [0, 1, 2], [-1, 1, -1], [0, 1, 2], False)      # tau2
@@ -516,10 +499,10 @@ def _on_tits(T, der, c0, j0, djj, name):
     x, y = join(ar // nc, br // nj)
 
     def tensor(a, b):
-        return a // nc * n + m + a % nc * nj + b % nj
-    blocks = [(dr // m * n + dr % m, dc // m * n + dc % m, [dv], dd),
-              (sr // nd * n + off + sr % nd, sc // nd * n + off + sc % nd, [sv], sd),
-              (tensor(ar[x], br[y]), tensor(ac[x], bc[y]), [av[x], bv[y]], Da * Db)]
+        return m + a % nc * nj + b % nj
+    blocks = [(dr // m, dr % m, dc % m, [dv], dd),
+              (sr // nd, off + sr % nd, off + sc % nd, [sv], sd),
+              (ar[x] // nc, tensor(ar[x], br[y]), tensor(ac[x], bc[y]), [av[x], bv[y]], Da * Db)]
     return GroupAction.from_blocks(T.algebra, blocks, n, T.algebra.field,
                                    name="S4 on T(%s,%s) %s" % (T.C.name, T.J.name, name))
 

@@ -21,7 +21,7 @@ contraction of the table, the involution and the unit over QQ or GF(p).
 The construction is a contraction too: A(J) is linear in J's table, its
 trace row and its unit, so the pairing and the cross product on all basis
 pairs are int_fast folds of their COO columns, and the blocks of the 2x2
-table are one int_fast.fold_table handed to SuperAlgebra.from_coo.  C x C^
+table are handed to SuperAlgebra.from_blocks.  C x C^
 and its involution are outer products (algebra.outer_block) of the two
 tables' COO and of the two conjugations' COO.
 """
@@ -32,14 +32,14 @@ import numpy as np
 
 from .algebra import (SuperAlgebra, EVEN, LinearMap, _find_unit, lowered_map_failures,
                       lowered_matrix, outer_block, trace_products)
-from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks, fold_table,
-                       identity_coo, join, joined, outer, rows_coo, same_map)
+from .int_fast import (INT64_MAX, compose, coo, distinct, fold, fold_blocks,
+                       identity_coo, join, joined, rows_coo, same_map)
 
 
 class AlgebraWithInvolution:
     """A SuperAlgebra together with an involutive superantiautomorphism,
     held as the LinearMap `involution` of the algebra: builders hand its
-    lowered matrix to from_coo, the constructor lowers a Matrix once, and
+    blocks to from_blocks, the constructor lowers a Matrix once, and
     the Matrix `sigma` is built on first read."""
 
     def __init__(self, algebra, sigma):
@@ -48,10 +48,10 @@ class AlgebraWithInvolution:
             sigma, algebra.n, algebra.n, algebra.field, "involution"))
 
     @classmethod
-    def from_coo(cls, algebra, lowered):
-        """The algebra with the involution LinearMap.from_coo(lowered)."""
+    def from_blocks(cls, algebra, blocks):
+        """The algebra with the involution LinearMap.from_blocks(blocks)."""
         AI = cls.__new__(cls)
-        AI.algebra, AI.involution = algebra, LinearMap.from_coo(algebra, algebra, lowered)
+        AI.algebra, AI.involution = algebra, LinearMap.from_blocks(algebra, algebra, blocks)
         return AI
 
     @property
@@ -99,8 +99,7 @@ def a_of_j(J):
     One contraction of J's COO table c, trace row t and unit u (each over
     its own denominator D_c, D_t, D_u; residues with D = 1 over GF(p)):
     t(b_i b_j) = sum_k c^k_ij t_k is algebra.trace_products over D_c D_t,
-    and the cross product one fold of its five terms on the keys (i, j, k)
-    over D_c D_t^2 D_u."""
+    and the cross product the blocks of its five terms."""
     alg = J.algebra
     if J.trace_row is None:
         raise ValueError("%s carries no normalized trace" % alg.name)
@@ -112,15 +111,12 @@ def a_of_j(J):
     t, j = np.indices((len(T), n)).reshape(2, -1)
     s, r, u = np.indices((len(T), len(T), len(U))).reshape(3, -1)
     q, m = np.indices((len(P), len(U))).reshape(2, -1)
-    keys, sums, _path = fold([
-        ((I * n + Jj) * n + K, [V, 2 * Dt * Dt * Du]),                    # 2xy
-        ((Ti[t] * n + j) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(x)y
-        ((j * n + Ti[t]) * n + j, [T[t], -3 * Dc * Dt * Du]),             # -3t(y)x
-        ((Ti[s] * n + Ti[r]) * n + Ui[u], [T[s], T[r], U[u], 9 * Dc]),     # 9t(x)t(y)1
-        ((Pi[q] * n + Pj[q]) * n + Ui[m], [P[q], U[m], -3 * Dt]),         # -3t(xy)1
-    ], f.p)
-    return _two_by_two(alg, ((Pi, Pj), [P, 3], Dp),
-                       ((keys // (n * n), keys // n % n, keys % n), [sums], Dc * Dt * Dt * Du))
+    return _two_by_two(alg, ((Pi, Pj), [P, 3], Dp), [
+        (I, Jj, K, [V, 2], Dc),                                         # 2xy
+        (Ti[t], j, j, [T[t], -3], Dt),                                  # -3t(x)y
+        (j, Ti[t], j, [T[t], -3], Dt),                                  # -3t(y)x
+        (Ti[s], Ti[r], Ui[u], [T[s], T[r], U[u], 9], Dt * Dt * Du),     # 9t(x)t(y)1
+        (Pi[q], Pj[q], Ui[m], [P[q], U[m], -3], Dp * Du)])              # -3t(xy)1
 
 
 def a_of_cubic(K):
@@ -129,13 +125,13 @@ def a_of_cubic(K):
     alg = K.algebra
     form, F, Df = rows_coo(K.trace_form_matrix.rows, alg.field)
     table, C, Dc = alg.coo
-    return _two_by_two(alg, (form, [F, 3], Df), (table, [C, 2], Dc))
+    return _two_by_two(alg, (form, [F, 3], Df), [(*table, [C, 2], Dc)])
 
 
 def _two_by_two(alg, pairing, cross):
     """The algebra {(alpha, x; y, beta)} over alg with the diagonal-swap
-    involution, given the COO ((i, j), factors, D) of the pairing and
-    ((i, j, k), factors, D) of the cross product on basis pairs, each
+    involution, given the COO ((i, j), factors, D) of the pairing and the
+    blocks (i, j, k, factors, D) of the cross product on basis pairs, each
     value the product of the factors over D: alpha/beta act on their
     slots, x y' -> pairing alpha, y x' -> pairing beta, y X y' into the x
     slot and x X x' into the y slot.
@@ -159,14 +155,13 @@ def _two_by_two(alg, pairing, cross):
     (Pi, Pj), P, Dp = pairing
     blocks += [(1 + Pi, 1 + nj + Pj, np.full(len(Pi), A_IDX), P, Dp),     # 3t(x y')
                (1 + nj + Pi, 1 + Pj, np.full(len(Pi), B_IDX), P, Dp)]     # 3t(y x')
-    (Ci, Cj, Ck), X, Dx = cross
-    blocks += [(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, Dx),                # y X y'
-               (1 + Ci, 1 + Cj, 1 + nj + Ck, X, Dx)]                     # x X x'
-    A = SuperAlgebra.from_coo(labels, *fold_table(blocks, n, f.p), parity=parity, field=f,
-                              name="A(%s)" % alg.name)
+    for Ci, Cj, Ck, X, Dx in cross:
+        blocks += [(1 + nj + Ci, 1 + nj + Cj, 1 + Ck, X, Dx),            # y X y'
+                   (1 + Ci, 1 + Cj, 1 + nj + Ck, X, Dx)]                 # x X x'
+    A = SuperAlgebra.from_blocks(labels, blocks, parity=parity, field=f, name="A(%s)" % alg.name)
     swap = np.arange(n)
     swap[[A_IDX, B_IDX]] = B_IDX, A_IDX
-    return AlgebraWithInvolution.from_coo(A, ((swap, np.arange(n)), np.ones(n, dtype=np.int64), 1))
+    return AlgebraWithInvolution.from_blocks(A, [(swap, np.arange(n), [np.ones(n, np.int64)], 1)])
 
 
 def tensor_product(C, Chat):
@@ -175,17 +170,13 @@ def tensor_product(C, Chat):
     the two tables and of the two conjugation matrices."""
     f = C.field
     nd = Chat.dim
-    n = C.dim * nd
     labels = ["%s(x)%s" % (a, b) for a in C.algebra.basis for b in Chat.algebra.basis]
     block = outer_block(C.algebra.coo, Chat.algebra.coo,
                         lambda i1, i2, kc, j1, j2, kd: (i1 * nd + j1, i2 * nd + j2, kc * nd + kd))
-    A = SuperAlgebra.from_coo(labels, *fold_table([block], n, f.p), field=f,
-                              name="%s(x)%s" % (C.name, Chat.name))
-    (p, i), Vc, Dc = rows_coo(C.conj_matrix().rows, f)
-    (q, j), Vh, Dh = rows_coo(Chat.conj_matrix().rows, f)
-    x, y = outer(len(Vc), len(Vh))
-    keys, sums, _path = fold([((p[x] * nd + q[y]) * n + i[x] * nd + j[y], [Vc[x], Vh[y]])], f.p)
-    return AlgebraWithInvolution.from_coo(A, ((keys // n, keys % n), sums, Dc * Dh))
+    A = SuperAlgebra.from_blocks(labels, [block], field=f, name="%s(x)%s" % (C.name, Chat.name))
+    sigma = outer_block(rows_coo(C.conj_matrix().rows, f), rows_coo(Chat.conj_matrix().rows, f),
+                        lambda p, i, q, j: (p * nd + q, i * nd + j))
+    return AlgebraWithInvolution.from_blocks(A, [sigma])
 
 
 @dataclass

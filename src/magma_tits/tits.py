@@ -24,10 +24,11 @@ D_{a,b} and D(a), the J-side x*y, t_J(xy), d_{x,y} and d(x).  The tables
 are exact sparse contractions (int_fast) of the tables of C and J with
 the C0 and J0 bases, their coordinates from Subspace.coords_many, kept as
 integers (lowered COO).  tits() only assembles: the blocks of the bracket,
-broadcasts and outer products of the two sides' tables, are one fold
-handed to SuperAlgebra.from_coo.  Field values are formed only to split a
-vector outside C0 or J0 (_split_coords, corrupted inputs).  A side also
-keeps the S4 blocks of its factor, per base action (s4._side_blocks).
+broadcasts and outer products of the two sides' tables, are handed to
+SuperAlgebra.from_blocks, which folds them once.  Field values are formed
+only to split a vector outside C0 or J0 (_split_coords, corrupted inputs).
+A side also keeps the S4 blocks of its factor, per base action
+(s4._side_blocks).
 
 The Lie conditions of the construction are the three components of the
 graded Jacobiator of tensor-element triples; verify_lie_conditions checks
@@ -50,7 +51,7 @@ from .exact import Subspace, echelon, int_row, vec_zero
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
                       left_mults, once_per_factor, outer_block, tensor_action, trace_products)
 from .composition import derivation_algebra
-from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, fold_table, join,
+from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, join,
                        reduced, rotations, rows_coo, to_field)
 
 
@@ -320,8 +321,8 @@ def jordan_side(J):
 def tits(C, J):
     """Assemble T(C, J); Lie-ness is checked separately, never assumed.
 
-    The bracket is one int_fast.fold_table of integer blocks handed to
-    SuperAlgebra.from_coo, all read off the FactorSides of C and J: the
+    The bracket is the integer blocks handed to SuperAlgebra.from_blocks,
+    all read off the FactorSides of C and J: the
     brackets of the algebra.DerivationSpaces of der C and d_{J,J} (d_{J,J}
     projected through the pivot rows), the actions on C0 x J0 broadcast
     from the tables (algebra.tensor_action), and the tensor x tensor block
@@ -361,8 +362,8 @@ def tits(C, J):
         outer_block(c.trace, j.pairs,
                     lambda i, k, _z, jj, l, d: (tidx(i, jj), tidx(k, l), off + d), 2)]
 
-    alg = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
-                                field=f, name="T(%s,%s)" % (C.name, J.name))
+    alg = SuperAlgebra.from_blocks(labels, blocks, parity=parity, field=f,
+                                   name="T(%s,%s)" % (C.name, J.name))
     return TitsAlgebra(alg, C, J, c, j)
 
 
@@ -605,6 +606,6 @@ def tits62_variant(Q, J):
         # [d_s, q x x_j] = q x d_s(x_j)
         *tensor_action(((S, C, R), V, D), djj.parities, alg.parity, nq, lambda s: off + s, tidx)]
 
-    out = SuperAlgebra.from_coo(labels, *fold_table(blocks, off + nd, f.p), parity=parity,
-                                field=f, name="T62(%s,%s)" % (Q.name, J.name))
+    out = SuperAlgebra.from_blocks(labels, blocks, parity=parity, field=f,
+                                   name="T62(%s,%s)" % (Q.name, J.name))
     return Tits62Algebra(out, djj.span, off)

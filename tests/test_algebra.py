@@ -401,6 +401,11 @@ def test_map_checks_reject_wrong_shape():
             map_failures(L, L, Matrix.zeros(3, 2, field), derivation=True)
         with pytest.raises(ValueError, match="map entry outside a 3x3 matrix"):
             LinearMap.from_coo(L, L, ((np.array([0]), np.array([3])), np.array([1]), 1))
+        # a zero-valued entry is checked too, and D = 0 is no denominator
+        with pytest.raises(ValueError, match="map entry outside a 3x3 matrix"):
+            LinearMap.from_coo(L, L, (([0, -1], [0, 0]), [1, 0], 1))
+        with pytest.raises(ValueError, match="denominator D = 0"):
+            LinearMap.from_coo(L, L, (([0], [0]), [1], 0))
 
 
 def test_dense_checks_past_int64():
@@ -628,10 +633,11 @@ def coo_entries(draw):
     return field, n, parity, entries
 
 
-def _both_ways(field, n, parity, entries):
+def _both_ways(field, n, parity, entries, given):
     """SuperAlgebra from the summed table and from_coo from the raw entries
     over their common denominator (any integers over GF(p): residues plus
-    multiples of p); each an algebra or the ValueError text it raised."""
+    multiples of p), the columns, integers and D passed through `given`;
+    each an algebra or the ValueError text it raised."""
     sc = {}
     for i, j, k, c in entries:
         row = sc.setdefault((i, j), {})
@@ -641,7 +647,7 @@ def _both_ways(field, n, parity, entries):
         D, ints = int_fast.scaled_int_entries(vals)
     else:
         D, ints = 1, [c.v + field.p * (e % 3 - 1) for e, c in enumerate(vals)]
-    cols = [[e[t] for e in entries] for t in range(3)]
+    cols, ints, D = given([[e[t] for e in entries] for t in range(3)], ints, D)
     out = []
     for build in (lambda: SuperAlgebra(["b%d" % i for i in range(n)], sc, parity, field),
                   lambda: SuperAlgebra.from_coo(["b%d" % i for i in range(n)], cols, ints, D,
@@ -653,10 +659,19 @@ def _both_ways(field, n, parity, entries):
     return out
 
 
+# values of a type that is not an integer's, Fraction(4, 2) too: none is cut
+# to an integer
+NON_INTEGERS = (Fraction(1, 2), 1.5, np.float64(2.7), Fraction(4, 2))
+
+
 @settings(max_examples=300, deadline=None)
-@given(coo_entries(), st.sampled_from(["none", "index", "parity"]), st.data())
+@given(coo_entries(), st.sampled_from(["none", "index", "parity", "zero D", "negative D",
+                                       "non-integer V"]), st.data())
 def test_from_coo_equals_init(table, defect, data):
     field, n, parity, entries = table
+
+    def given(cols, ints, D):
+        return cols, ints, D
     if defect == "index":
         # one or two triples with an index outside range(n), zero valued
         for _ in range(data.draw(st.integers(1, 2))):
@@ -667,7 +682,31 @@ def test_from_coo_equals_init(table, defect, data):
                  if parity[k] != parity[i] ^ parity[j]]
         if wrong:
             entries = entries + [(*data.draw(st.sampled_from(wrong)), field.one)]
-    A, B = _both_ways(field, n, parity, entries)
+    elif defect == "negative D":
+        # -V over -D is the same table, stored as the same canonical COO
+        def given(cols, ints, D):
+            return cols, [-v for v in ints], -D
+    elif defect == "zero D":
+        # D = 0 (a multiple of p over GF(p)) is rejected, on an empty table too
+        zero = data.draw(st.sampled_from([0] if field.is_rational else [0, field.p, -3 * field.p]))
+        want = "denominator D = %d" % zero + ("" if field.is_rational else
+                                               " is 0 mod p = %d" % field.p)
+
+        def given(cols, ints, D):
+            return cols, ints, zero
+    elif defect == "non-integer V":
+        # one more entry, at (0, 0, 0), in a list or a float array
+        bad = data.draw(st.sampled_from(NON_INTEGERS))
+        as_array = not isinstance(bad, Fraction) and data.draw(st.booleans())
+        want = "cannot be interpreted as an integer"
+
+        def given(cols, ints, D):
+            V = list(ints) + [bad]
+            return [c + [0] for c in cols], np.array(V, dtype=float) if as_array else V, D
+    A, B = _both_ways(field, n, parity, entries, given)
+    if defect in ("zero D", "non-integer V"):
+        assert not isinstance(A, str) and isinstance(B, str) and want in B, (A, B)
+        return
     if isinstance(A, str) or isinstance(B, str):
         assert A == B and defect != "none"
         assert ("index outside" if defect == "index" else "violates parity") in A

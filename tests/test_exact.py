@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from magma_tits.exact import (
@@ -199,3 +200,10 @@ def test_from_coo_sums_repeated_entries_and_divides_by_d():
     assert Matrix.from_coo(1, 1, (([0, 0], [0, 0]), [1, 1], 1), QQ).rows == [[Fraction(2)]]
     F = GF(7)
     assert Matrix.from_coo(1, 1, (([0], [0]), [1], 2), F).rows == [[F.of(4)]]
+    # a negative D is a denominator like any other; D = 7 is 0 in GF(7)
+    assert Matrix.from_coo(1, 1, (([0], [0]), [1], -2), F).rows == [[F.of(3)]]
+    with pytest.raises(ValueError, match=r"denominator D = 7 is 0 mod p = 7"):
+        Matrix.from_coo(1, 1, (([0], [0]), [1], 7), F)
+    # a uint64 past int64 is kept whole, not wrapped to a negative int64
+    big = np.array([2 ** 63], dtype=np.uint64)
+    assert Matrix.from_coo(1, 1, (([0], [0]), big, 1), QQ).rows == [[Fraction(2 ** 63)]]

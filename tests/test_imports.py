@@ -8,7 +8,9 @@ the two test oracles call the jacobiator: the checkers take their
 witnesses from their own contractions.  No module outside algebra.py
 brackets the matrices of a span of inner derivations itself: the bracket
 of a DerivationSpace comes from the space.  No module calls einsum: every
-exact contraction is an int_fast fold, under its one bound rule."""
+exact contraction is an int_fast fold, under its one bound rule.  No module
+names fold_table, and only int_fast.py marks arrays read-only: every table
+and map is canonicalized by int_fast.canonical alone."""
 
 import ast
 from pathlib import Path
@@ -162,3 +164,39 @@ def test_detects_einsum_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_calls_einsum(path):
     assert einsum_calls(path.read_text()) == []
+
+
+def names(source, name):
+    """Lines that name `name`: as a variable, an attribute, an imported
+    name or a definition."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))
+                  and hasattr(node, "lineno"))
+
+
+def read_only_marks(source):
+    """Lines that call setflags or set the writeable flag of an array."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("setflags", "writeable"))
+
+
+def test_detects_fold_table_and_read_only_marks():
+    src = ("from .int_fast import fold_table\n"
+           "cols, V, D = int_fast.fold_table(blocks, n)\n"
+           "def fold_table(blocks):\n    V.setflags(write=False)\n"
+           "T.flags.writeable = False\n"
+           "x = canonical(blocks, (n, n), p)\n")
+    assert names(src, "fold_table") == [1, 2, 3]
+    assert read_only_marks(src) == [4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_fold_table(path):
+    assert names(path.read_text(), "fold_table") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "int_fast.py"],
+                         ids=lambda p: p.name)
+def test_only_int_fast_marks_arrays_read_only(path):
+    assert read_only_marks(path.read_text()) == []

@@ -158,6 +158,9 @@ def test_from_coo_stores_the_canonical_integers(F):
         assert D == Dw and all(np.array_equal(x, y) for x, y in ((R, Rw), (C, Cw), (V, Vw)))
         assert act[g] == want[g]
     assert act.relation_failures() == [] and act.automorphism_failures() == ["tau"]
+    # D = 0 is rejected (it raised ZeroDivisionError inside the fold)
+    with pytest.raises(ValueError, match="denominator D = 0"):
+        GroupAction.from_coo(A3, {**dict.fromkeys(GEN_NAMES, messy), "tau": (*swap[:2], 0)}, 3, F)
 
 
 def test_non_action_rejected(C):

@@ -400,7 +400,7 @@ def test_json_round_trip_f4(C):
 
 
 def test_checks_read_the_integer_table_only():
-    """tits() hands its integers to SuperAlgebra.from_coo, and the Jacobi and
+    """tits() hands its blocks to SuperAlgebra.from_blocks, and the Jacobi and
     Lie-condition checks read coo: the field-valued table is never built."""
     T = tits(composition_by_name("cayley"), jordan_by_name("h3:quaternion"))
     assert check_super_jacobi(T.algebra).ok
