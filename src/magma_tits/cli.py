@@ -2,22 +2,19 @@
 
 Subcommands: magic-square, verify, export, coordinate-algebra, decompose,
 tits.  Text output is aligned tables; --format json emits the machine
-contract.  Exit code 0 iff there are no failing witnesses.  Sampled property
-checks use a seeded generator (--seed, default 0).
+contract.  Exit code 0 iff there are no failing witnesses.
 """
 
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import Subspace, vec_eq
+from .exact import Subspace
 from .algebra import SuperAlgebra
-from .int_fast import fold, join, rotations, rows_coo
+from .int_fast import distinct, fold, join, rotations, rows_coo
 from . import composition, structurable
 from .tits import verify_lie_conditions
 from .s4 import coordinate_algebra, s4_on_tits_left, s4_on_tits_right, klein_grading
@@ -94,54 +91,50 @@ def _attempt(results, name, run, error=IsomorphismError):
 
 
 def suite_csplit(args):
-    """Split Cayley fidelity: table, norm multiplicativity, degree-2
-    identity, derivation identities, derivation-algebra dimensions."""
+    """Split Cayley fidelity: table, norm multiplicativity and degree-2
+    identity on all basis tuples, derivation identities, derivation-algebra
+    dimensions.  All but the dimensions read the candidate table, which
+    --corrupt corrupts; the dimensions read C, since derivation_algebra
+    raises ValueError on the candidate (its D_{a,b} leave their span)."""
     results = []
     C = composition.split_cayley()
     alg = C.algebra
     sc = {k: dict(v) for k, v in alg.sc.items()}
     if args.corrupt:
-        i, j = alg.index("u0"), alg.index("u1")
-        sc[(i, j)] = {alg.index("v0"): Fraction(1)}   # should be v2
+        sc[(alg.index("u0"), alg.index("u1"))] = {alg.index("v0"): 1}   # should be v2
     cand = SuperAlgebra(alg.basis, sc, field=alg.field, name="csplit-candidate")
-    bad_products = []
-    for i in range(8):
-        for j in range(8):
-            want = alg.product_basis(i, j)
-            got = cand.product_basis(i, j)
-            if want != got:
-                bad_products.append({"pair": [alg.basis[i], alg.basis[j]],
-                                     "expected": {str(k): str(c) for k, c in want.items()},
-                                     "got": {str(k): str(c) for k, c in got.items()}})
-    _check(results, "table: 64 products match", not bad_products, bad_products[:3])
-    rng = random.Random(args.seed)
+    cand_C = composition.CompositionAlgebra(cand, C.norm_polar, C.unit, cand.name)
 
-    def rand_vec():
-        return [Fraction(rng.randint(-4, 4)) for _ in range(8)]
+    def heads(keys, step, width):
+        """The distinct basis tuples key // step of a fold's sorted keys."""
+        return list(zip(*np.unravel_index(distinct(keys // step), (8,) * width)))
 
-    norm_ok = all(
-        C.norm(cand.multiply(a, b)) == C.norm(a) * C.norm(b)
-        for a, b in ((rand_vec(), rand_vec()) for _ in range(100)))
-    _check(results, "norm multiplicativity on 100 seeded pairs", norm_ok)
-    deg2_ok = True
-    for _ in range(100):
-        a = rand_vec()
-        lhs = cand.multiply(a, a)
-        rhs = [C.trace(a) * x - C.norm(a) * u for x, u in zip(a, C.unit)]
-        deg2_ok = deg2_ok and vec_eq(lhs, rhs)
-    _check(results, "degree-2 identity on the same sample", deg2_ok)
+    def named(tuples):
+        return [[alg.basis[i] for i in t] for t in tuples[:3]]
+    (I, J, K), V, Da = alg.coo
+    (Ic, Jc, Kc), Vc, Dc = cand.coo
+    keys, _s, _path = fold([((I * 8 + J) * 8 + K, [V, Dc]), ((Ic * 8 + Jc) * 8 + Kc, [Vc, -Da])])
+    _check(results, "table: 64 products match", not len(keys), [
+        {"pair": [alg.basis[i] for i in ij],
+         "expected": {str(k): str(c) for k, c in alg.product_basis(*ij).items()},
+         "got": {str(k): str(c) for k, c in cand.product_basis(*ij).items()}}
+        for ij in heads(keys, 8, 2)[:3]])
+    quads, pairs = composition.identity_failures(cand_C)
+    _check(results, "norm multiplicativity on all 4096 basis quadruples", not quads,
+           named(quads))
+    _check(results, "degree-2 identity on all 64 basis pairs", not pairs, named(pairs))
 
     # D_{b_i,b_j}(b_c) at key ((i * 8 + j) * 8 + l) * 8 + c, against itself
     # at (j, i, l, c); D_{b_a b_b, b_c} at the rotations of (a, b, c)
-    keys, D, _den = composition.inner_derivation_tensor(C)
+    keys, D, _den = composition.inner_derivation_tensor(cand_C)
     i, j, lc = keys // 512, keys // 64 % 8, keys % 64
-    skew_ok = not len(fold([(keys, [D]), ((j * 8 + i) * 64 + lc, [D])])[0])
-    (I, J, K), V, _Dt = alg.coo
-    x, y = join(K, i)
-    cyc = np.concatenate(rotations(I[x], J[x], j[y], 8)) * 64 + np.tile(lc[y], 3)
-    cyc_ok = not len(fold([(cyc, [np.tile(V[x], 3), np.tile(D[y], 3)])])[0])
-    _check(results, "D skew in its arguments", skew_ok)
-    _check(results, "cyclic derivation identity on all triples", cyc_ok)
+    skew, _s, _path = fold([(keys, [D]), ((j * 8 + i) * 64 + lc, [D])])
+    x, y = join(Kc, i)
+    cyc = np.concatenate(rotations(Ic[x], Jc[x], j[y], 8)) * 64 + np.tile(lc[y], 3)
+    cyc, _s, _path = fold([(cyc, [np.tile(Vc[x], 3), np.tile(D[y], 3)])])
+    _check(results, "D skew in its arguments", not len(skew), named(heads(skew, 64, 2)))
+    _check(results, "cyclic derivation identity on all triples", not len(cyc),
+           named(heads(cyc, 64, 3)))
     derC = composition.derivation_algebra(C)
     _check(results, "dim der C = 14", derC.dim == 14)
     # (1,0) component of der C under conjugation: the four D_{a,b}, lowered
@@ -365,8 +358,6 @@ def cmd_tits(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="magma-tits", description=__doc__)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled property checks (default 0)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("magic-square", help="dimensions (and Jacobi) of the 16 constructions")

@@ -16,6 +16,7 @@ The split quaternion/binarion/ground algebras are its subalgebras; the
 S4-invariant (Hamilton-type) quaternion subalgebra span{1, u_i+v_i} is
 provided separately for the T(Q,J) variant.
 
+identity_failures proves both composition identities on all basis tuples.
 The inner derivations D_{b_i,b_j} on all basis pairs are one exact integer
 contraction of the table (inner_derivation_tensor); der C is the
 algebra.DerivationSpace they span (the class of d_{J,J} too), bracketed
@@ -23,11 +24,13 @@ by that space; inner_derivation(C, a, b) is the space's pair_sums on
 the coefficients of a and b.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
 from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor
-from .int_fast import fold, join, rows_coo
+from .int_fast import distinct, fold, join, outer, rows_coo
 from .s4 import GroupAction
 
 
@@ -41,7 +44,10 @@ class CompositionAlgebra:
         self.unit = unit                    # coordinates of 1
         self.name = name
         self.has_cayley_labels = cayley_labels
-        self.trace_row = norm_polar.apply(unit)   # t(a) = n(a, 1)
+
+    @cached_property
+    def trace_row(self):
+        return self.norm_polar.apply(self.unit)     # t(a) = n(a, 1)
 
     @property
     def dim(self):
@@ -87,6 +93,40 @@ class CompositionAlgebra:
 
     def __repr__(self):
         return "CompositionAlgebra(%s, dim %d)" % (self.name, self.dim)
+
+
+def identity_failures(C):
+    """The sorted basis quadruples (x, y, z, w) with n(xy, zw) + n(xw, zy) !=
+    n(x, z) n(y, w) and pairs (x, y) with xy + yx - t(x) y - t(y) x + n(x, y) 1
+    != 0: the polarizations of n(xy) = n(x) n(y) and x^2 - t(x) x + n(x) 1 = 0,
+    which in characteristic != 2 hold on C iff they hold on all basis tuples
+    (Springer-Veldkamp, Octonions, Jordan Algebras and Exceptional Groups,
+    ch. 1).  Each is one int_fast.fold of the table, the polar norm and the
+    unit (t(x) = n(x, 1)) over a common denominator."""
+    n, p = C.dim, C.field.p
+    (I, J, K), V, Dt = C.algebra.coo
+    (R, S), N, Dn = rows_coo(C.norm_polar.rows, C.field)
+    (_r, U), W, Du = rows_coo([C.unit], C.field)
+
+    def key(*idx):
+        return np.ravel_multi_index(idx, (n,) * len(idx))
+    # n(b_x b_y, b_z b_w) = (b_x b_y)_k n(b_k, b_l) (b_z b_w)_l at (x, y, z, w)
+    a, b = join(K, R)
+    c, d = join(S[b], K)
+    x, y, z, w, f = I[a[c]], J[a[c]], I[d], J[d], [V[a[c]], N[b[c]], V[d], Dn]
+    a, b = outer(len(N), len(N))
+    quads, _s, _path = fold([(key(x, y, z, w), f), (key(x, w, z, y), f),
+                             (key(R[a], R[b], S[a], S[b]), [N[a], N[b], -Dt * Dt])], p)
+    # xy + yx, -t(x) y, -t(y) x and n(x, y) 1 at (x, y, k); t(b_x) = n(b_x, b_l) 1_l
+    a, b = join(S, U)
+    c, y = outer(len(a), n)
+    x, f = R[a[c]], [N[a[c]], W[b[c]], -Dt]
+    a, b = outer(len(N), len(U))
+    pairs, _s, _path = fold([(key(I, J, K), [V, Dn * Du]), (key(J, I, K), [V, Dn * Du]),
+                             (key(x, y, y), f), (key(y, x, y), f),
+                             (key(R[a], S[a], U[b]), [N[a], W[b], Dt])], p)
+    return tuple(list(zip(*(c.tolist() for c in np.unravel_index(keys, (n,) * width))))
+                 for keys, width in ((quads, 4), (distinct(pairs // n), 2)))
 
 
 def _cayley_table(labels):

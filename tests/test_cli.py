@@ -42,6 +42,32 @@ def test_verify_csplit_corrupt_exits_nonzero(capsys):
     assert "witness" in out
 
 
+def test_verify_csplit_corrupt_names_a_witness_for_every_check_on_the_table(capsys):
+    code, out = run(["--format", "json", "verify", "csplit", "--corrupt"], capsys)
+    assert code == 1
+    results = {r["check"]: r for r in json.loads(out)["results"]}
+    failed = [name for name, r in results.items() if not r["ok"]]
+    assert failed == ["table: 64 products match",
+                      "norm multiplicativity on all 4096 basis quadruples",
+                      "degree-2 identity on all 64 basis pairs",
+                      "D skew in its arguments",
+                      "cyclic derivation identity on all triples"]
+    assert results[failed[0]]["witness"] == [
+        {"pair": ["u0", "u1"], "expected": {"7": "1"}, "got": {"5": "1"}}]
+    assert results[failed[2]]["witness"] == [["u0", "u1"], ["u1", "u0"]]
+    labels = {"e1", "e2", "u0", "u1", "u2", "v0", "v1", "v2"}
+    for name, width in zip(failed[1:], (4, 2, 2, 3)):
+        witness = results[name]["witness"]
+        assert 1 <= len(witness) <= 3
+        assert all(len(t) == width and set(t) <= labels for t in witness)
+
+
+def test_seed_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "0", "verify", "csplit"])
+    assert exc.value.code == 2
+
+
 def test_verify_json_reports_path(capsys):
     code, out = run(["--format", "json", "verify", "super"], capsys)
     assert code == 0
@@ -83,7 +109,7 @@ def test_verify_all_builds_each_derivation_space_once(monkeypatch, capsys):
 # check name or a report field changes on purpose, regenerate each pin with
 #     magma-tits --format json verify <suite> | md5sum
 VERIFY_JSON_MD5 = {
-    "csplit": "386890441e244d6ad89c10e047786a15",
+    "csplit": "d62b933e5c927cea6fdfe8557f639447",
     "tits": "dd270790933b1703fbe0aa3ae40b5a2a",
     "thm41": "fc4748bfd810410312de6f31542e11e9",
     "thm61": "95ca67863cc1dba83db6e7e8c1998474",

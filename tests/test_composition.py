@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magma_tits.exact import QQ, GF, Matrix, Subspace, vec_eq, vec_is_zero, flatten_matrix
-from magma_tits.algebra import LinearMap, Grading, check_grading, is_automorphism, is_derivation
+from magma_tits.algebra import (LinearMap, Grading, SuperAlgebra, check_grading,
+                                is_automorphism, is_derivation)
 from magma_tits.composition import (
-    split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
-    inner_derivation, derivation_algebra, s4_on_cayley,
+    CompositionAlgebra, split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
+    inner_derivation, derivation_algebra, s4_on_cayley, identity_failures,
 )
 from magma_tits.s4 import klein_grading
 
@@ -76,6 +79,56 @@ def test_degree_two_identity_seeded(C):
         n = C.norm(a)
         rhs = [t * x - n * u for x, u in zip(a, C.unit)]
         assert vec_eq(lhs, rhs)
+
+
+def halved_cayley(field):
+    """Split Cayley in the basis b_i / 2, so that its table, norm and unit
+    all carry denominators (1/2, 1/4 and 2)."""
+    C = split_cayley(field)
+    half = field.of(Fraction(1, 2))
+    N = Matrix([[x * half * half for x in row] for row in C.norm_polar.rows], field)
+    return CompositionAlgebra(C.algebra.transported(Matrix.identity(8, field).scale(half)),
+                              N, [x + x for x in C.unit], "halved cayley")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+@pytest.mark.parametrize("make", [split_cayley, split_quaternion, binarion, ground,
+                                  invariant_quaternion, halved_cayley],
+                         ids=lambda make: make.__name__)
+def test_identities_hold_on_every_basis_tuple(make, field):
+    assert identity_failures(make(field)) == ([], [])
+
+
+def pointwise_failures(C):
+    """The basis quadruples and pairs at which C fails the polarized norm
+    multiplicativity and degree-2 identity, each evaluated in the field."""
+    n, nb = C.dim, C.norm_bilinear
+    e = [C.algebra.e(x) for x in range(n)]
+    xy = [[C.product(a, b) for b in e] for a in e]
+    quads = [(x, y, z, w) for x, y, z, w in product(range(n), repeat=4)
+             if nb(xy[x][y], xy[z][w]) + nb(xy[x][w], xy[z][y]) != nb(e[x], e[z]) * nb(e[y], e[w])]
+    pairs = [(x, y) for x, y in product(range(n), repeat=2)
+             if any(xy[x][y][k] + xy[y][x][k] - C.trace(e[x]) * e[y][k] - C.trace(e[y]) * e[x][k]
+                    + nb(e[x], e[y]) * C.unit[k] for k in range(n))]
+    return quads, pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([split_cayley, split_quaternion]), st.sampled_from([QQ, GF(10007)]),
+       st.data())
+def test_identity_failures_match_pointwise_evaluation(make, field, data):
+    # one table entry changed by a nonzero integer
+    C = make(field)
+    alg = C.algebra
+    i, j, k = (data.draw(st.integers(0, C.dim - 1)) for _ in range(3))
+    sc = {ij: dict(row) for ij, row in alg.sc.items()}
+    row = sc.setdefault((i, j), {})
+    row[k] = row.get(k, field.zero) + field.of(data.draw(st.integers(-3, 3).filter(bool)))
+    cand = CompositionAlgebra(SuperAlgebra(alg.basis, sc, field=field), C.norm_polar, C.unit,
+                              "candidate")
+    quads, pairs = identity_failures(cand)
+    assert (quads, pairs) == pointwise_failures(cand)
+    assert quads or pairs
 
 
 def test_conjugation_antiautomorphism(C):

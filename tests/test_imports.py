@@ -10,7 +10,8 @@ brackets the matrices of a span of inner derivations itself: the bracket
 of a DerivationSpace comes from the space.  No module calls einsum: every
 exact contraction is an int_fast fold, under its one bound rule.  No module
 names fold_table, and only int_fast.py marks arrays read-only: every table
-and map is canonicalized by int_fast.canonical alone."""
+and map is canonicalized by int_fast.canonical alone.  No module imports
+random: no verdict rests on a sample."""
 
 import ast
 from pathlib import Path
@@ -200,3 +201,24 @@ def test_no_module_names_fold_table(path):
                          ids=lambda p: p.name)
 def test_only_int_fast_marks_arrays_read_only(path):
     assert read_only_marks(path.read_text()) == []
+
+
+def imports_of(source, module):
+    """Lines that import `module`, a submodule of it or a name from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(a.name.split(".")[0] == module for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and not node.level
+                  and node.module.split(".")[0] == module)
+
+
+def test_detects_imports_of_random():
+    src = ("import random\nfrom random import Random\nimport os, random as r\n"
+           "import randomness\nfrom numpy import random_sample\n")
+    assert imports_of(src, "random") == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(Path(magma_tits.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    assert imports_of(path.read_text(), "random") == []
