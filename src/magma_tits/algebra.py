@@ -4,16 +4,16 @@ A SuperAlgebra is a basis with a parity vector and a read-only sparse
 table b_i b_j = sum_k c^k_ij b_k, kept as canonical integer COO (coo,
 int_fast.canonical): builders hand their blocks to SuperAlgebra.from_blocks,
 a hand-written table is lowered once, and the field-valued table (sc) is
-built from coo on first read.  The checkers (super-Jacobi, automorphism,
-derivation, homomorphism, grading, centralizer) are exact.  The
-super-Jacobi check is a sparse integer contraction of the table with
+built from coo on each read, not kept.  The checkers (super-Jacobi,
+automorphism, derivation, homomorphism, grading, centralizer) are exact.
+The super-Jacobi check is a sparse integer contraction of the table with
 itself onto the jacobiators of the sorted triples i <= j <= k, the map
 checks (lowered_map_failures) one of the table with the lowered matrix
-that a LinearMap holds, the graded
-(anti)symmetry check (transpose_failures) one fold of the table against
-its signed transpose and the multiplication matrices (left_mults) one
-join and fold, all summed by int_fast.fold.  The pure-field super-Jacobi
-triple loop is a test oracle.
+that a LinearMap holds, the graded (anti)symmetry check
+(transpose_failures) one fold of the table against its signed transpose
+and the multiplication matrices (left_mults) one join and fold, all
+summed by int_fast.fold.  The pure-field super-Jacobi triple loop is a
+test oracle.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -178,8 +178,8 @@ class SuperAlgebra:
     The table is kept as its canonical COO `coo`: sorted index columns
     (I, J, K), nonzero integers V and their denominator D, with
     c^{K[e]}_{I[e] J[e]} = V[e] / D, D the lcm of the reduced denominators
-    (1 over GF(p), where V holds residues).  The field-valued table `sc`
-    and the rows that `multiply` reads are built from it on first read.
+    (1 over GF(p), where V holds residues).  The field-valued table `sc` is
+    built from it on each read, not kept; the rows that `multiply` reads, once.
     An algebra records no claim about itself (Lie, Jordan, associative):
     every such property is checked on the table."""
 
@@ -233,14 +233,16 @@ class SuperAlgebra:
     @cached_property
     def _rows(self):
         """The table as plain dicts {(i, j): {k: c}}, for the inner loop of
-        multiply; never handed out."""
+        multiply; product_basis hands out read-only rows of it."""
         (I, J, K), V, D = self.coo
         return sc_from_coo(I, J, K, to_field(V, D, self.field))
 
-    @cached_property
+    @property
     def sc(self):
-        """The read-only table {(i, j): {k: c}} of field values."""
-        return MappingProxyType({ij: MappingProxyType(row) for ij, row in self._rows.items()})
+        """A read-only table {(i, j): {k: c}} of field values, built from coo on each read."""
+        (I, J, K), V, D = self.coo
+        rows = sc_from_coo(I, J, K, to_field(V, D, self.field))
+        return MappingProxyType({ij: MappingProxyType(row) for ij, row in rows.items()})
 
     # -- basic queries --------------------------------------------------
 
@@ -265,7 +267,8 @@ class SuperAlgebra:
         return basis_vector(self.n, i, self.field)
 
     def product_basis(self, i, j):
-        return self.sc.get((i, j), {})
+        """The read-only row {k: c} of b_i b_j."""
+        return MappingProxyType(self._rows.get((i, j), {}))
 
     def multiply(self, x, y):
         """Bilinear extension of the structure constants to coordinate vectors."""
@@ -481,15 +484,15 @@ def transpose_failures(table, parity, sign, field):
     return [divmod(ij, n) for ij in distinct(keys // nk).tolist()]
 
 
-def _jacobiator(A, i, j, k):
-    """Cyclic graded jacobiator of three basis elements, read off the rows
-    of A.sc: the sum of (-1)^{|x||z|} [[b_x, b_y], b_z] over the cyclic
-    orders (x, y, z) of (i, j, k).  Only the two test oracles call it."""
+def _jacobiator(A, sc, i, j, k):
+    """Cyclic graded jacobiator of three basis elements, read off sc (A.sc,
+    read once by the caller): the sum of (-1)^{|x||z|} [[b_x, b_y], b_z] over
+    the cyclic orders (x, y, z) of (i, j, k).  Only the two test oracles call it."""
     p, out = A.parity, [A.field.zero] * A.n
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
         s = -1 if p[x] and p[z] else 1
-        for m, c in A.sc.get((x, y), {}).items():
-            for l, d in A.sc.get((m, z), {}).items():
+        for m, c in sc.get((x, y), {}).items():
+            for l, d in sc.get((m, z), {}).items():
                 out[l] = out[l] + s * c * d
     return out
 
@@ -503,13 +506,12 @@ def check_super_jacobi_reference(A, max_witnesses=10):
     anticom = transpose_failures(A.coo[:2], A.parity, -1, A.field)
     if anticom:
         return JacobiReport(False, n, 0, anticom_failures=anticom[:max_witnesses], name=A.name)
-    failures = []
-    count = 0
+    failures, count, sc = [], 0, A.sc
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 count += 1
-                jac = _jacobiator(A, i, j, k)
+                jac = _jacobiator(A, sc, i, j, k)
                 if any(jac):
                     failures.append((i, j, k, A.format_vector(jac)))
                     if len(failures) >= max(max_witnesses, 1):
@@ -692,12 +694,9 @@ def check_grading(A, grading):
     deg = grading.degrees
     if len(deg) != A.n:
         raise ValueError("grading has wrong length")
-    for (i, j), row in A.sc.items():
-        want = grading.add(deg[i], deg[j])
-        for k in row:
-            if deg[k] != want:
-                return False
-    return True
+    (I, J, K), _V, _D = A.coo
+    return all(deg[k] == grading.add(deg[i], deg[j])
+               for i, j, k in zip(I.tolist(), J.tolist(), K.tolist()))
 
 
 def left_mults(A, vectors):

@@ -38,10 +38,11 @@ import numpy as np
 
 INT64_MAX = (1 << 63) - 1
 
-# Terms that fold_blocks builds at once.  At about 100 bytes a term the
-# largest block stays near 7 MB; on a 2-core host, 2^15 to 2^17 terms gave
-# the fastest E7 and E8 Jacobi checks, 2^19 a third slower on E8.
-_TERM_BUDGET = 1 << 16
+# Terms that fold_blocks builds at once.  On a 2-core host, E7 and E8
+# Jacobi took 0.025 and 0.11 s at 2^15 and at 2^16 terms (2^17 as fast,
+# 2^19 a third slower on E8), at tracemalloc peaks of 2.58 and 3.29 MB at
+# 2^15, 4.65 and 5.51 MB at 2^16.
+_TERM_BUDGET = 1 << 15
 
 
 def scaled_int_entries(values):

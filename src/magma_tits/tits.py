@@ -401,10 +401,10 @@ def verify_lie_conditions_reference(C, J, T=None, max_witnesses=6):
         T = tits(C, J)
     nc, nj = len(T.c0_basis), len(T.j0_basis)
     blocks = (slice(T.djj_offset, T.dim), slice(0, T.der_dim), slice(T.der_dim, T.djj_offset))
-    ok, witnesses = [True] * 3, []
+    ok, witnesses, sc = [True] * 3, [], T.algebra.sc
     for at in product(range(nc), repeat=3):
         for xt in product(range(nj), repeat=3):
-            jac = _jacobiator(T.algebra, *(T.tensor_index(a, x) for a, x in zip(at, xt)))
+            jac = _jacobiator(T.algebra, sc, *(T.tensor_index(a, x) for a, x in zip(at, xt)))
             bad = [any(jac[b]) for b in blocks]
             if any(bad):
                 ok = [o and not b for o, b in zip(ok, bad)]

@@ -79,6 +79,28 @@ def test_multiply_bilinear():
     assert L.coo is L.coo
 
 
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=str)
+def test_table_view_is_built_on_each_read_and_never_kept(field):
+    A = sl2(field)
+    first, second = A.sc, A.sc
+    assert first is not second and first == second
+    assert not {"sc", "_rows"} & set(vars(A))
+    with pytest.raises(TypeError):
+        first[(0, 0)] = {0: field.of(1)}
+    with pytest.raises(TypeError):
+        first[(0, 1)][2] = field.of(5)
+    # product_basis reads the kept rows of multiply, read-only
+    pairs = list(itertools.product(range(A.n), repeat=2))
+    assert [A.product_basis(i, j) for i, j in pairs] == [first.get(ij, {}) for ij in pairs]
+    assert "_rows" in vars(A) and "sc" not in vars(A)
+    for ij in ((0, 1), (0, 0)):
+        with pytest.raises(TypeError):
+            A.product_basis(*ij)[2] = field.of(5)
+    B = sl2(field)
+    assert B.multiply(B.e(0), B.e(1)) == B.e(2)
+    assert "_rows" in vars(B) and "sc" not in vars(B) and B.sc == first
+
+
 def test_multiply_dimension_mismatch():
     L = sl2()
     with pytest.raises(ValueError):

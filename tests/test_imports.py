@@ -8,10 +8,11 @@ the two test oracles call the jacobiator: the checkers take their
 witnesses from their own contractions.  No module outside algebra.py
 brackets the matrices of a span of inner derivations itself: the bracket
 of a DerivationSpace comes from the space.  No module calls einsum: every
-exact contraction is an int_fast fold, under its one bound rule.  No module
-names fold_table, and only int_fast.py marks arrays read-only: every table
-and map is canonicalized by int_fast.canonical alone.  No module imports
-random: no verdict rests on a sample."""
+exact contraction is an int_fast fold, under its one bound rule.  No loop
+reads an algebra's .sc, which builds the table's view on each read.  No
+module names fold_table, and only int_fast.py marks arrays read-only:
+every table and map is canonicalized by int_fast.canonical alone.  No
+module imports random: no verdict rests on a sample."""
 
 import ast
 from pathlib import Path
@@ -145,6 +146,46 @@ def test_detects_jacobiator_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_oracles_call_the_jacobiator(path):
     assert jacobiator_calls(path.read_text()) == []
+
+
+def loop_sc_reads(source):
+    """Lines that read a .sc attribute once per pass of a loop: in the body
+    or condition of a for or while loop, or in the element, a condition or
+    a later iterable of a comprehension.  The iterable of a for loop and the
+    first iterable of a comprehension are read once and allowed."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated = node.body
+        elif isinstance(node, ast.While):
+            repeated = [node.test, *node.body]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            gens = node.generators
+            repeated = ([node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt])
+            repeated += [g.iter for g in gens[1:]] + [c for g in gens for c in g.ifs]
+        else:
+            continue
+        lines.update(n.lineno for part in repeated for n in ast.walk(part)
+                     if isinstance(n, ast.Attribute) and n.attr == "sc")
+    return sorted(lines)
+
+
+def test_detects_loop_sc_reads():
+    src = ("sc = A.sc\n"
+           "for key, row in A.sc.items():\n    x = B.sc[key]\n"
+           "while A.sc:\n    pass\n"
+           "rows = [r for r in A.sc.values()]\n"
+           "ks = [k for r in A.sc.values() for k in B.sc[r]]\n"
+           "d = {i: A.sc.get(i) for i in range(3)}\n"
+           "e = [i for i in range(3) if A.sc]\n"
+           "f = [A.coo for i in range(3)]\n")
+    assert loop_sc_reads(src) == [3, 4, 7, 8, 9]
+
+
+@pytest.mark.parametrize("path", sorted(Path(magma_tits.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_loop_reads_sc(path):
+    assert loop_sc_reads(path.read_text()) == []
 
 
 def einsum_calls(source):

@@ -5,10 +5,12 @@ path it reports must follow its rule: int64 when every key group's size
 times its largest product fits, or, over GF(p) with (p-1)^2 in int64,
 when the widest group times p - 1 fits (delayed reduction).  fold_blocks
 under a tiny term budget must give the keys, sums and path of the
-one-block fold.  join must give the pairs of a Python double loop, outer
-the join of two zero columns, and to_field the field values entry by
-entry."""
+one-block fold, and the bulk checks on E7 and on A(H3(quaternion)) must
+stay under a traced peak that only the 2^15-term budget keeps.  join
+must give the pairs of a Python double loop, outer the join of two zero
+columns, and to_field the field values entry by entry."""
 
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import prod
@@ -16,7 +18,7 @@ from math import prod
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from magma_tits import int_fast
+from magma_tits import int_fast, registry
 from magma_tits.algebra import check_super_jacobi, check_super_jacobi_reference
 from magma_tits.composition import ground, split_cayley
 from magma_tits.exact import GF, QQ, FieldQ, Matrix
@@ -225,6 +227,21 @@ def test_blocks_follow_the_budget(monkeypatch):
     blocked = fold_blocks([group], first=None)
     assert calls == [10, 10, 10, 10]
     assert blocked[0].tolist() == keys.tolist() and blocked[1].tolist() == sums.tolist()
+
+
+def test_bulk_check_peaks_follow_the_budget():
+    # tracemalloc peaks: 2.58 (E7 Jacobi) and 2.86 MB (structurable) at a
+    # budget of 2^15 terms, 4.65 and 4.86 MB at 2^16
+    cases = [(check_super_jacobi, registry.tits_by_name("cayley", "h3:quaternion").algebra),
+             (check_structurable, registry.involution_algebra_by_name("aj:h3:quaternion"))]
+    for check, A in cases:
+        tracemalloc.start()
+        try:
+            assert check(A).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2 ** 20, (check.__name__, peak)
 
 
 # values that repeat, and values packed past 2^32 as keys are

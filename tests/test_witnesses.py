@@ -106,8 +106,9 @@ def test_witnesses_come_from_the_contraction(monkeypatch):
     before = reports()
     assert all(not rep.ok and found(rep) for rep in before)
     for A, rep in zip((E6bad, T.algebra), before):
+        sc = A.sc
         for i, j, k, shown in rep.failures:
-            assert shown == A.format_vector(_jacobiator(A, i, j, k))
+            assert shown == A.format_vector(_jacobiator(A, sc, i, j, k))
     assert replace(before[2], path="") == verify_lie_conditions_reference(Q, Jbad, T=T)
 
     def guard(*_args):
@@ -136,8 +137,8 @@ def corrupted_maps():
     n = A.n
     one = Matrix.identity(n, A.field)
     one[7, 3] = 1
-    ad = Matrix([[A.sc.get((0, j), {}).get(k, 0) for j in range(n)] for k in range(n)],
-                A.field)
+    sc = A.sc
+    ad = Matrix([[sc.get((0, j), {}).get(k, 0) for j in range(n)] for k in range(n)], A.field)
     ad[2, 40] = ad[2, 40] + 1
     return A, lowered(one), lowered(ad)
 
