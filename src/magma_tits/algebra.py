@@ -25,7 +25,7 @@ import numpy as np
 
 from .exact import (QQ, FieldGF, Matrix, Subspace, basis_vector, coo_rows, echelon, inverse_coo,
                     kernel_of, solution, vec_zero)
-from .int_fast import (OutOfRange, bilinear, canonical, coo, commutators, distinct, fold,
+from .int_fast import (OutOfRange, bilinear, canonical, commutators, distinct, fold,
                        fold_blocks, join, joined, matvec, outer, reduced, rows_coo, table_coo,
                        to_field)
 
@@ -43,14 +43,6 @@ def once_per_factor(build):
             setattr(F, attr, build(F))
         return F.__dict__[attr]
     return kept
-
-
-def accumulate(sc, i, j, k, c):
-    """sc[(i, j)][k] += c on a table under construction; SuperAlgebra drops
-    the zero sums and empty rows."""
-    if c:
-        row = sc.setdefault((i, j), {})
-        row[k] = row[k] + c if k in row else c
 
 
 def sc_from_coo(I, J, K, values):
@@ -716,16 +708,16 @@ def left_mults(A, vectors):
     return (keys // n, keys % n), sums, Dt * Dx
 
 
-def trace_products(A, trace_row):
+def trace_products(A, trace):
     """t(b_i b_j) = sum_k c^k_ij t_k on all basis pairs, for a linear form
-    t given by its row on the basis, as the COO ((i, j), integers, D): one
-    join of the table's output index with the form's support and one fold
-    over D = D_c D_t."""
-    f, n = A.field, A.n
+    t held lowered ((indices,), integers, D) as a factor's trace_coo, as the
+    COO ((i, j), integers, D): one join of the table's output index with
+    the form's support and one fold over D = D_c D_t."""
+    n = A.n
     (I, J, K), V, Dc = A.coo
-    (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(trace_row) if c], f, 1)
+    (Ti,), T, Dt = trace
     a, b = join(K, Ti)
-    ij, sums, _path = fold([(I[a] * n + J[a], [V[a], T[b]])], f.p)
+    ij, sums, _path = fold([(I[a] * n + J[a], [V[a], T[b]])], A.field.p)
     return (ij // n, ij % n), sums, Dc * Dt
 
 

@@ -16,6 +16,10 @@ The split quaternion/binarion/ground algebras are its subalgebras; the
 S4-invariant (Hamilton-type) quaternion subalgebra span{1, u_i+v_i} is
 provided separately for the T(Q,J) variant.
 
+Each CompositionAlgebra lowers its unit, its trace t(b_j) = n(b_j, 1) and
+its conjugation a -> t(a) 1 - a once and holds them as canonical COO
+(unit_coo, trace_coo, conj_coo), which every builder reads; the pointwise
+conj, trace and norm evaluate the same forms in the field, for the tests.
 identity_failures proves both composition identities on all basis tuples.
 The inner derivations D_{b_i,b_j} on all basis pairs are one exact integer
 contraction of the table (inner_derivation_tensor); der C is the
@@ -29,15 +33,25 @@ from functools import cached_property
 import numpy as np
 
 from .exact import QQ, Matrix, vec_zero, basis_vector
-from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor
-from .int_fast import distinct, fold, join, outer, rows_coo
+from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor, outer_block
+from .int_fast import (canonical, distinct, fold, identity_coo, join, outer, rows_coo,
+                       vector_coo)
 from .s4 import GroupAction
 
 
 class CompositionAlgebra:
-    """A unital composition algebra: product table, polar norm, trace, conjugation."""
+    """A unital composition algebra: product table, polar norm, and its
+    unit, trace and conjugation, each held lowered once.  ValueError for a
+    polar form or unit whose size or field is not the algebra's."""
 
     def __init__(self, algebra, norm_polar, unit, name, cayley_labels=False):
+        n, shape = algebra.n, (norm_polar.nrows, norm_polar.ncols)
+        if shape != (n, n) or len(unit) != n:
+            raise ValueError("polar form %dx%d and unit of length %d, the algebra has dimension %d"
+                             % (*shape, len(unit), n))
+        if norm_polar.field != algebra.field:
+            raise ValueError("polar form over %s, the algebra is over %s"
+                             % (norm_polar.field, algebra.field))
         self.algebra = algebra
         self.field = algebra.field
         self.norm_polar = norm_polar        # matrix of n(b_i, b_j)
@@ -48,6 +62,28 @@ class CompositionAlgebra:
     @cached_property
     def trace_row(self):
         return self.norm_polar.apply(self.unit)     # t(a) = n(a, 1)
+
+    @cached_property
+    def unit_coo(self):
+        """The unit, lowered: ((indices,), integers, D) (int_fast.vector_coo)."""
+        return vector_coo(self.unit, self.field)
+
+    @cached_property
+    def trace_coo(self):
+        """t(b_j) = n(b_j, 1), lowered as unit_coo is: one fold of the polar
+        form against the unit."""
+        (R, S), N, Dn = rows_coo(self.norm_polar.rows, self.field)
+        (U,), W, Du = self.unit_coo
+        a, b = join(S, U)
+        return canonical([(R[a], [N[a], W[b]], Dn * Du)], (self.dim,), self.field.p)
+
+    @cached_property
+    def conj_coo(self):
+        """The matrix of a -> t(a) 1 - a, lowered ((rows, columns), integers,
+        D): one int_fast.canonical of unit x t - I."""
+        (d, _d), ones, _one = identity_coo(self.dim)
+        return canonical([outer_block(self.unit_coo, self.trace_coo, lambda i, j: (i, j)),
+                          (d, d, [ones, -1], 1)], (self.dim,) * 2, self.field.p)
 
     @property
     def dim(self):
@@ -72,10 +108,6 @@ class CompositionAlgebra:
         """Canonical involution a -> t(a) 1 - a."""
         t = self.trace(x)
         return [t * u - xi for u, xi in zip(self.unit, x)]
-
-    def conj_matrix(self):
-        cols = [self.conj(self.algebra.e(i)) for i in range(self.dim)]
-        return Matrix.from_columns(cols, self.field)
 
     def traceless_basis(self):
         """Deterministic basis of C^0 = {a : t(a) = 0}.
@@ -102,11 +134,11 @@ def identity_failures(C):
     which in characteristic != 2 hold on C iff they hold on all basis tuples
     (Springer-Veldkamp, Octonions, Jordan Algebras and Exceptional Groups,
     ch. 1).  Each is one int_fast.fold of the table, the polar norm and the
-    unit (t(x) = n(x, 1)) over a common denominator."""
+    held unit and trace over a common denominator."""
     n, p = C.dim, C.field.p
     (I, J, K), V, Dt = C.algebra.coo
     (R, S), N, Dn = rows_coo(C.norm_polar.rows, C.field)
-    (_r, U), W, Du = rows_coo([C.unit], C.field)
+    ((U,), W, Du), ((Ti,), T, Dr) = C.unit_coo, C.trace_coo
 
     def key(*idx):
         return np.ravel_multi_index(idx, (n,) * len(idx))
@@ -117,10 +149,9 @@ def identity_failures(C):
     a, b = outer(len(N), len(N))
     quads, _s, _path = fold([(key(x, y, z, w), f), (key(x, w, z, y), f),
                              (key(R[a], R[b], S[a], S[b]), [N[a], N[b], -Dt * Dt])], p)
-    # xy + yx, -t(x) y, -t(y) x and n(x, y) 1 at (x, y, k); t(b_x) = n(b_x, b_l) 1_l
-    a, b = join(S, U)
-    c, y = outer(len(a), n)
-    x, f = R[a[c]], [N[a[c]], W[b[c]], -Dt]
+    # xy + yx, -t(x) y, -t(y) x and n(x, y) 1 at (x, y, k), over Dt Dn Du
+    c, y = outer(len(T), n)
+    x, f = Ti[c], [T[c], -Dt * (Dn * Du // Dr)]
     a, b = outer(len(N), len(U))
     pairs, _s, _path = fold([(key(I, J, K), [V, Dn * Du]), (key(J, I, K), [V, Dn * Du]),
                              (key(x, y, y), f), (key(y, x, y), f),

@@ -102,6 +102,13 @@ def rows_coo(rows, field):
                field, 2)
 
 
+def vector_coo(v, field):
+    """The canonical COO ((indices,), integers, D) of one vector, each entry
+    coerced into the field first: how a factor holds its unit and trace."""
+    (i,), V, D = coo([((i,), field.of(c)) for i, c in enumerate(v) if c], field, 1)
+    return canonical([(i, [V], D)], (len(v),), field.p)
+
+
 def matrices_coo(mats, field):
     """`coo` of the nonzero entries (matrix, row, column) of a list of Matrix."""
     return coo([((s, i, j), x) for s, M in enumerate(mats)

@@ -45,11 +45,6 @@ def homomorphism_failures(src, tgt, M, max_witnesses=5):
     return lowered_map_failures(src, tgt, M, max_witnesses=max_witnesses)
 
 
-def _rows(f, vectors):
-    """int_fast.rows_coo of vectors whose entries field.of takes."""
-    return rows_coo([[f.of(c) for c in v] for v in vectors], f)
-
-
 class InvolutionHomomorphism(LinearMap):
     """A linear map of algebras with involution, verified exactly: the
     LinearMap of their algebras, held lowered, with the two
@@ -106,14 +101,14 @@ def theorem41_basis(T):
 
 def phi_theorem41(ca, AJ, J):
     """The six-row map on a coordinate algebra built over theorem41_basis,
-    folded from the blocks of its columns in A(J) = k + J + J + k."""
-    f = AJ.algebra.field
+    folded from the blocks of its columns in A(J) = k + J + J + k, with
+    J's held unit."""
     nj, n, m = J.dim, AJ.algebra.n, ca.dim
     j0 = J.j0_basis()
     if m != 4 + 2 * len(j0):
         raise ValueError("coordinate algebra does not carry the distinguished basis")
-    (_z, u), U, Du = _rows(f, [J.unit])
-    (t, x), X, Dx = _rows(f, j0)
+    (u,), U, Du = J.unit_coo
+    (t, x), X, Dx = rows_coo(j0, J.field)
     blocks = [(np.array([0, n - 1]), np.array([0, 1]), [np.array([3, 3])], 1),  # diag(3,0), (0,3)
               (1 + u, np.full_like(u, 2), [U, 2], Du),             # 2 in the x slot
               (1 + nj + u, np.full_like(u, 3), [U, 2], Du),        # 2 in the y slot
@@ -166,16 +161,13 @@ def theorem61_basis(T):
 
 def phi_theorem61(ca, TP, T):
     """a x iota_0(x) -> -a x x, d_0(x) -> -(1/2) 1 x x: the outer products
-    (algebra.outer_block) of the C0 basis and of the unit with the identity
-    on C^."""
+    (algebra.outer_block) of the C0 basis and of the held unit with the
+    identity on C^, entry q of copy j at row q x j."""
     C, d, nc = T.C, T.J.source.dim, len(T.c0_basis)
-    f = C.field
-
-    def place(offset):
-        """Entry q of vector i, copy j of C^, at (q x j, (offset + i) x j)."""
-        return lambda i, q, j, _j: (q * d + j, (offset + i) * d + j)
-    blocks = [outer_block(_rows(f, T.c0_basis), identity_coo(d), place(0), -1),
-              outer_block(_rows(f, [C.unit]), identity_coo(d), place(nc), -1, 2)]
+    blocks = [outer_block(rows_coo(T.c0_basis, C.field), identity_coo(d),
+                          lambda i, q, j, _j: (q * d + j, i * d + j), -1),
+              outer_block(C.unit_coo, identity_coo(d), lambda q, j, _j: (q * d + j, nc * d + j),
+                          -1, 2)]
     return InvolutionHomomorphism.from_blocks(ca.awi, TP, blocks, name="Phi61")
 
 
@@ -203,16 +195,15 @@ def theorem61(C, Chat, T=None):
 def jordan_to_aj_map(J, AJ):
     """alpha 1 + x -> (3a/4, -a/4 + x/2; -a/4 + x/2, 3a/4), J -> A(J): on
     b_j, with a = t_j, the rows alpha and beta 3t_j/4 and each slot
-    b_j/2 - 3t_j/4 1, folded from the trace row, the identity and the
-    outer product (algebra.outer_block) of the trace row with the unit."""
-    f, nj, n = J.field, J.dim, AJ.algebra.n
-    trace, unit = _rows(f, [J.trace_row]), _rows(f, [J.unit])
-    (_z, t), T, Dt = trace
+    b_j/2 - 3t_j/4 1, folded from the held trace, the identity and the
+    outer product (algebra.outer_block) of the held trace and unit."""
+    nj, n = J.dim, AJ.algebra.n
+    trace = (t,), T, Dt = J.trace_coo
     d = np.arange(nj)
     blocks = [(np.zeros_like(t), t, [T, 3], 4 * Dt), (np.full_like(t, n - 1), t, [T, 3], 4 * Dt)]
     for slot in (1, 1 + nj):
         blocks += [(slot + d, d, [np.ones(nj, dtype=np.int64)], 2),
-                   outer_block(trace, unit, lambda _z, t, _w, u: (slot + u, t), -3, 4)]
+                   outer_block(trace, J.unit_coo, lambda t, u: (slot + u, t), -3, 4)]
     JI = AlgebraWithInvolution.from_blocks(J.algebra, [(d, d, [np.ones(nj, np.int64)], 1)])
     return InvolutionHomomorphism.from_blocks(JI, AJ, blocks, name="J->S")
 
@@ -247,10 +238,9 @@ def tqj_maps(J):
 
     # (b) psi: ca -> J with D_{p1,p2} -> 4*1 and p0 x x -> 2x certifies
     # that the coordinate algebra is J itself
-    (t, r), V, D = _rows(f, [J.unit] + J.j0_basis())
-    hom_b = InvolutionHomomorphism.from_blocks(ca.awi, hom_a.source,
-                                               [(r, t, [V, np.where(t == 0, 4, 2)], D)],
-                                               name="T(Q,J)10->J")
+    ((u,), U, Du), ((t, r), V, D) = J.unit_coo, rows_coo(J.j0_basis(), f)
+    hom_b = InvolutionHomomorphism.from_blocks(ca.awi, hom_a.source, [
+        (u, 0 * u, [U, 4], Du), (r, 1 + t, [V, 2], D)], name="T(Q,J)10->J")
     hom_b.verify()
 
     # (c) the Lie isomorphism T(Q,J) -> (Q0 x J) + d_{J,J}
@@ -294,7 +284,7 @@ def _tqj_lie_iso(TQ, T62):
     (t, s), Vd, Dd = coords(TQ.djj, T62.D_space, "d_{J,J} bases do not span the same space")
     lie = LinearMap.from_blocks(TQ.algebra, T62.algebra, [
         # D_r = ad(sum_i q_i p_i) -> sum_i q_i p_i x 1
-        outer_block(q, rows_coo([J.unit], f), lambda i, r, _z, jj: (i * nJ + jj, r)),
+        outer_block(q, J.unit_coo, lambda i, r, jj: (i * nJ + jj, r)),
         # a_i x x_j -> a_i x x_j, x_j in the full J basis
         outer_block(identity_coo(nc), rows_coo(TQ.j0_basis, f),
                     lambda i, _i, j, jj: (i * nJ + jj, TQ.der_dim + i * nj0 + j)),

@@ -29,10 +29,9 @@ import numpy as np
 
 from .exact import (QQ, Matrix, Subspace, basis_vector, int_row, kernel_of, solution_space,
                     vec_zero)
-from .algebra import (SuperAlgebra, LinearMap, EVEN, ODD, accumulate, once_per_factor,
-                      transpose_failures)
+from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, once_per_factor, transpose_failures
 from .composition import split_cayley
-from .int_fast import INT64_MAX, fold, fold_blocks, join, joined
+from .int_fast import INT64_MAX, fold, fold_blocks, join, joined, vector_coo
 from .tits import inner_derivation_pairs, inner_derivation_space, tits, verify_lie_conditions
 
 
@@ -60,6 +59,16 @@ class JordanAlgebra:
     @property
     def dim(self):
         return self.algebra.n
+
+    @cached_property
+    def unit_coo(self):
+        """The unit, lowered once: ((indices,), integers, D) (int_fast.vector_coo)."""
+        return vector_coo(self.unit, self.field)
+
+    @cached_property
+    def trace_coo(self):
+        """t_J, lowered as unit_coo is; None without a normalized trace."""
+        return None if self.trace_row is None else vector_coo(self.trace_row, self.field)
 
     def trace_of(self, x):
         return sum((c * xc for c, xc in zip(self.trace_row, x)),
@@ -146,57 +155,39 @@ def h3(Chat):
         iota_i(x) o iota_{i+1}(y) = 1/2 iota_{i+2}(conj(xy)),
         iota_i(x) o iota_i(y) = 1/2 t(x conj(y)) (e_{i+1} + e_{i+2}),
 
-    normalized trace t(e_i) = 1/3, t(iota) = 0.
+    normalized trace t(e_i) = 1/3, t(iota) = 0.  The table is integer
+    blocks handed to SuperAlgebra.from_blocks, read off the table of C^ and
+    its held trace_coo and conj_coo: t(b_a conj(b_b)) = c^k_am conj_mb t_k
+    is two joins, conj(b_a b_b) = c^k_ab conj_tk one, and from_blocks folds.
     """
-    f = Chat.field
-    d = Chat.dim
-    n = 3 + 3 * d
-    labels = ["E0", "E1", "E2"]
-    for i in range(3):
-        labels += ["i%d(%s)" % (i, b) for b in Chat.algebra.basis]
-    e_idx = [0, 1, 2]
+    f, d = Chat.field, Chat.dim
+    labels = ["E0", "E1", "E2"] + ["i%d(%s)" % (i, b) for i in range(3)
+                                   for b in Chat.algebra.basis]
     iota_idx = [[3 + i * d + j for j in range(d)] for i in range(3)]
-    half = f.of(1) / f.of(2)
-    sc = {}
+    (I, J, K), V, Dc = Chat.algebra.coo
+    ((Ti,), T, Dt), ((R, S), W, Dw) = Chat.trace_coo, Chat.conj_coo
+    a, b = join(J, R)       # b_a conj(b_b) = c^k_am conj_mb b_k, then t(b_k)
+    c, t = join(K[a], Ti)
+    a, b = a[c], b[c]
+    x, y = join(K, S)       # conj(b_a b_b) = c^k_ab conj_tk b_t
 
+    def iota(i, j):
+        return 3 + (i % 3) * d + j
+    e, j, ones = np.arange(3), np.arange(d), np.ones(d, dtype=np.int64)
+    blocks = [(e, e, e, [np.ones(3, dtype=np.int64)], 1)]
     for i in range(3):
-        accumulate(sc, e_idx[i], e_idx[i], e_idx[i], f.one)
-    # e_j o iota_i(x)
-    for i in range(3):
-        for j in range(d):
-            col = iota_idx[i][j]
-            for off in (1, 2):
-                accumulate(sc, e_idx[(i + off) % 3], col, col, half)
-                accumulate(sc, col, e_idx[(i + off) % 3], col, half)
-    # iota_i o iota_i
-    tbar = [[Chat.trace(Chat.product(basis_vector(d, a, f), Chat.conj(basis_vector(d, b, f))))
-             for b in range(d)] for a in range(d)]
-    for i in range(3):
-        for a in range(d):
-            for b in range(d):
-                c = half * tbar[a][b]
-                if c:
-                    accumulate(sc, iota_idx[i][a], iota_idx[i][b], e_idx[(i + 1) % 3], c)
-                    accumulate(sc, iota_idx[i][a], iota_idx[i][b], e_idx[(i + 2) % 3], c)
-    # iota_i(x) o iota_{i+1}(y) = 1/2 iota_{i+2}(conj(x y)); commutative mirror
-    for i in range(3):
-        ip1, ip2 = (i + 1) % 3, (i + 2) % 3
-        for a in range(d):
-            for b in range(d):
-                prod = Chat.conj(Chat.product(basis_vector(d, a, f), basis_vector(d, b, f)))
-                for t, c in enumerate(prod):
-                    if c:
-                        k = iota_idx[ip2][t]
-                        accumulate(sc, iota_idx[i][a], iota_idx[ip1][b], k, half * c)
-                        accumulate(sc, iota_idx[ip1][b], iota_idx[i][a], k, half * c)
-    alg = SuperAlgebra(labels, sc, field=f, name="H3(%s)" % Chat.name)
-    unit = vec_zero(n, f)
-    for i in range(3):
-        unit[e_idx[i]] = f.one
-    third = f.of(1) / f.of(3)
-    trace_row = [third if i < 3 else f.zero for i in range(n)]
-    return JordanAlgebra(alg, unit, trace_row, provenance="h3", source=Chat,
-                         index_maps={"e": e_idx, "iota": iota_idx})
+        for k in ((i + 1) % 3, (i + 2) % 3):
+            blocks += [(np.full(d, k), iota(i, j), iota(i, j), [ones], 2),
+                       (iota(i, j), np.full(d, k), iota(i, j), [ones], 2),
+                       (iota(i, I[a]), iota(i, S[b]), np.full(len(a), k), [V[a], W[b], T[t]],
+                        2 * Dc * Dw * Dt)]
+        blocks += [(iota(i, I[x]), iota(i + 1, J[x]), iota(i + 2, R[y]), [V[x], W[y]], 2 * Dc * Dw),
+                   (iota(i + 1, J[x]), iota(i, I[x]), iota(i + 2, R[y]), [V[x], W[y]], 2 * Dc * Dw)]
+    alg = SuperAlgebra.from_blocks(labels, blocks, field=f, name="H3(%s)" % Chat.name)
+    third = f.one / f.of(3)
+    return JordanAlgebra(alg, [f.one] * 3 + [f.zero] * 3 * d, [third] * 3 + [f.zero] * 3 * d,
+                         provenance="h3", source=Chat,
+                         index_maps={"e": [0, 1, 2], "iota": iota_idx})
 
 
 def find_normalized_traces(algebra, unit, construction_filter=True):

@@ -398,7 +398,7 @@ def s4_on_h3(J):
         raise ValueError("s4_on_h3 needs an H3-type Jordan algebra")
     alg, Chat = J.algebra, J.source
     f, d, n = alg.field, Chat.dim, alg.n
-    conj = rows_coo(Chat.conj_matrix().rows, f)
+    conj = Chat.conj_coo
     e = np.array([J.e_index(i) for i in range(3)])
     iota = np.array([[J.iota_index(i, j) for j in range(d)] for i in range(3)])
 

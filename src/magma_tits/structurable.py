@@ -23,7 +23,7 @@ trace row and its unit, so the pairing and the cross product on all basis
 pairs are int_fast folds of their COO columns, and the blocks of the 2x2
 table are handed to SuperAlgebra.from_blocks.  C x C^
 and its involution are outer products (algebra.outer_block) of the two
-tables' COO and of the two conjugations' COO.
+tables' COO and of the two held conjugations (conj_coo).
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -96,18 +96,18 @@ def a_of_j(J):
     """The 2x2 construction over a Jordan (super)algebra with normalized
     trace: pairing 3t(x y'), cross product x X y'.
 
-    One contraction of J's COO table c, trace row t and unit u (each over
-    its own denominator D_c, D_t, D_u; residues with D = 1 over GF(p)):
+    One contraction of J's COO table c and held trace t and unit u
+    (trace_coo, unit_coo; each over its own denominator D_c, D_t, D_u,
+    residues with D = 1 over GF(p)):
     t(b_i b_j) = sum_k c^k_ij t_k is algebra.trace_products over D_c D_t,
     and the cross product the blocks of its five terms."""
     alg = J.algebra
     if J.trace_row is None:
         raise ValueError("%s carries no normalized trace" % alg.name)
-    f, n = alg.field, alg.n
+    n = alg.n
     (I, Jj, K), V, Dc = alg.coo
-    (Ti,), T, Dt = coo([((i,), f.of(c)) for i, c in enumerate(J.trace_row) if c], f, 1)
-    (Ui,), U, Du = coo([((i,), f.of(c)) for i, c in enumerate(J.unit) if c], f, 1)
-    (Pi, Pj), P, Dp = trace_products(alg, J.trace_row)
+    ((Ti,), T, Dt), ((Ui,), U, Du) = J.trace_coo, J.unit_coo
+    (Pi, Pj), P, Dp = trace_products(alg, J.trace_coo)
     t, j = np.indices((len(T), n)).reshape(2, -1)
     s, r, u = np.indices((len(T), len(T), len(U))).reshape(3, -1)
     q, m = np.indices((len(P), len(U))).reshape(2, -1)
@@ -167,15 +167,14 @@ def _two_by_two(alg, pairing, cross):
 def tensor_product(C, Chat):
     """C x C^ with (a x x)(b x y) = ab x xy and conjugate a^bar x x^bar: the
     table and sigma are outer products (algebra.outer_block) of the COO of
-    the two tables and of the two conjugation matrices."""
+    the two tables and of the two held conjugations (conj_coo)."""
     f = C.field
     nd = Chat.dim
     labels = ["%s(x)%s" % (a, b) for a in C.algebra.basis for b in Chat.algebra.basis]
     block = outer_block(C.algebra.coo, Chat.algebra.coo,
                         lambda i1, i2, kc, j1, j2, kd: (i1 * nd + j1, i2 * nd + j2, kc * nd + kd))
     A = SuperAlgebra.from_blocks(labels, [block], field=f, name="%s(x)%s" % (C.name, Chat.name))
-    sigma = outer_block(rows_coo(C.conj_matrix().rows, f), rows_coo(Chat.conj_matrix().rows, f),
-                        lambda p, i, q, j: (p * nd + q, i * nd + j))
+    sigma = outer_block(C.conj_coo, Chat.conj_coo, lambda p, i, q, j: (p * nd + q, i * nd + j))
     return AlgebraWithInvolution.from_blocks(A, [sigma])
 
 

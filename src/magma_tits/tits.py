@@ -25,8 +25,9 @@ are exact sparse contractions (int_fast) of the tables of C and J with
 the C0 and J0 bases, their coordinates from Subspace.coords_many, kept as
 integers (lowered COO).  tits() only assembles: the blocks of the bracket,
 broadcasts and outer products of the two sides' tables, are handed to
-SuperAlgebra.from_blocks, which folds them once.  Field values are formed
-only to split a vector outside C0 or J0 (_split_coords, corrupted inputs).
+SuperAlgebra.from_blocks, which folds them once.  A vector outside C0 or
+J0 (corrupted inputs) is split along k1 by one fold of the factor's held
+unit and normalized trace (_split_coords).
 A side also keeps the S4 blocks of its factor, per base action
 (s4._side_blocks).
 
@@ -51,7 +52,7 @@ from .exact import Subspace, echelon, int_row, vec_zero
 from .algebra import (SuperAlgebra, EVEN, DerivationSpace, _jacobiator, check_super_jacobi,
                       left_mults, once_per_factor, outer_block, tensor_action, trace_products)
 from .composition import derivation_algebra
-from .int_fast import (as_ints, bilinear, commutators, coo, distinct, fold, join,
+from .int_fast import (as_ints, bilinear, canonical, commutators, distinct, fold, join, outer,
                        reduced, rotations, rows_coo, to_field)
 
 
@@ -166,7 +167,8 @@ class TitsAlgebra:
 
         def j0(vectors):
             (ids, cols), V, D = rows_coo(vectors, f)
-            ids, ks, V, D = _split_coords(self.j0_span, (ids, cols, V, D), J.unit, J.trace_of)
+            ids, ks, V, D = _split_coords(self.j0_span, (ids, cols, V, D), J.unit_coo,
+                                          J.trace_coo)
             return (ids, ks), V, D
         batch = self.djj.pair_sums(j0([x for x, _y in pairs]), j0([y for _x, y in pairs]))
         ids, ks, V, D, _outside = self.djj.span.coords_many(*batch, check=False)
@@ -197,31 +199,27 @@ def _split_coords(span, batch, unit, trace):
     vectors (ids, ambient index, integers, D), as coords_many gives them:
     (ids, basis indices, integers, D).
 
-    For well-formed inputs every vector already lies in the span.  A vector
-    outside it (corrupted negative controls) is first split along
-    v -> v - trace(v) 1, which keeps the assembly defined so the checkers
-    can exhibit the failure; ValueError if that does not land in span."""
-    f, m = span.field, max(span.dim, 1)
+    For well-formed inputs every vector already lies in the span, the
+    kernel of the normalized trace t.  A batch with a vector outside it
+    (corrupted negative controls) is split along v -> v - t(v) 1, which
+    leaves the vectors of the span as they are and keeps the assembly
+    defined so the checkers can exhibit the failure: one fold of the batch
+    with the unit and t, both held lowered ((indices,), integers, D), then
+    one coords_many; ValueError if that does not land in span."""
     ids, cols, vals, D = batch
-    cid, ck, V, Dv, outside = span.coords_many(ids, cols, vals, D)
+    *coords, outside = span.coords_many(ids, cols, vals, D)
     if not len(outside):
-        return cid, ck, V, Dv
-    entries = []
-    for o in outside.tolist():
-        v = [f.zero] * span.ambient_dim
-        sel = np.flatnonzero(ids == o)
-        for e, c in zip(cols[sel].tolist(), to_field(vals[sel], D, f)):
-            v[e] = v[e] + c
-        t = trace(v)
-        c = span.coords([x - t * u for x, u in zip(v, unit)])
-        if c is None:
-            raise ValueError("vector cannot be split into k1 + the trace-zero part")
-        entries += [((o, k), x) for k, x in enumerate(c) if x]
-    (oid, ok), Vo, Do = coo(entries, f, 2)
-    inside = np.isin(cid, outside, invert=True)
-    keys, sums, _path = fold([(cid[inside] * m + ck[inside], [V[inside], Do]),
-                              (oid * m + ok, [Vo, Dv])], f.p)
-    return keys // m, keys % m, sums, Dv * Do
+        return coords
+    n, ((Ui,), U, Du), ((Ti,), T, Dt) = span.ambient_dim, unit, trace
+    a, b = join(cols, Ti)       # t(v) = v_k t_k, then t(v) u_l at (v, l)
+    x, u = outer(len(a), len(U))
+    a, b = a[x], b[x]
+    keys, sums, _path = fold([(ids * n + cols, [vals, Dt * Du]),
+                              (ids[a] * n + Ui[u], [vals[a], T[b], U[u], -1])], span.field.p)
+    *coords, outside = span.coords_many(keys // n, keys % n, sums, D * Dt * Du)
+    if len(outside):
+        raise ValueError("vector cannot be split into k1 + the trace-zero part")
+    return coords
 
 
 def _pair_coords(span, batch, count, check=False):
@@ -253,8 +251,8 @@ class FactorSide:
 
 
 def factor_side(alg, unit, trace, basis, space, product, traces, over_basis):
-    """The FactorSide of a factor with table alg, unit, normalized trace
-    function (to split along k1), trace-zero basis and DerivationSpace, and
+    """The FactorSide of a factor with table alg, unit and normalized trace
+    (held lowered, to split along k1), trace-zero basis and DerivationSpace, and
     the product and trace_products tables ((I, J, K) and (I, J), integers,
     D) on the basis of alg: contractions with the basis by
     int_fast.bilinear, coordinates by Subspace.coords_many, split along k1
@@ -293,29 +291,31 @@ def factor_side(alg, unit, trace, basis, space, product, traces, over_basis):
 @once_per_factor
 def composition_side(C):
     """C's share of every T(C, J): C0 (composition.traceless_basis) with
-    der C, the bracket [b_a, b_b] = c^k_ab - c^k_ba and t(ab) = n(ab, 1)."""
+    der C, the bracket [b_a, b_b] = c^k_ab - c^k_ba and t(ab) = n(ab, 1);
+    the normalized trace is t/2, trace_coo over twice its D."""
     (I, J, K), V, D = C.algebra.coo
     bracket = ((np.concatenate((I, J)), np.concatenate((J, I)), np.concatenate((K, K))),
                np.concatenate((V, -V)), D)
-    half = C.field.one / C.field.of(2)
-    return factor_side(C.algebra, C.unit, lambda v: C.trace(v) * half, C.traceless_basis(),
-                       derivation_algebra(C), bracket, trace_products(C.algebra, C.trace_row),
-                       False)
+    (Ti,), T, Dt = C.trace_coo
+    half = canonical([(Ti, [T], 2 * Dt)], (C.dim,), C.field.p)
+    return factor_side(C.algebra, C.unit_coo, half, C.traceless_basis(), derivation_algebra(C),
+                       bracket, trace_products(C.algebra, C.trace_coo), False)
 
 
 @once_per_factor
 def jordan_side(J):
     """J's share of every T(C, J): J0 (JordanAlgebra.j0_basis) with d_{J,J},
     the star product b_a * b_b = c^k_ab - t_J(b_a b_b) u_k and t_J."""
-    f, n = J.field, J.dim
+    n = J.dim
     (I, Jj, K), V, Dc = J.algebra.coo
-    traces = (Pa, Pb), P, Dp = trace_products(J.algebra, J.trace_row)
-    (Ui,), U, Du = coo([((k,), f.of(u)) for k, u in enumerate(J.unit) if u], f, 1)
+    traces = (Pa, Pb), P, Dp = trace_products(J.algebra, J.trace_coo)
+    (Ui,), U, Du = J.unit_coo
     q, u = np.indices((len(P), len(U))).reshape(2, -1)
     keys, st, _path = fold([((I * n + Jj) * n + K, [V, Dp // Dc * Du]),
-                            ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], f.p)
+                            ((Pa[q] * n + Pb[q]) * n + Ui[u], [P[q], U[u], -1])], J.field.p)
     star = (keys // (n * n), keys // n % n, keys % n), st, Dp * Du
-    return factor_side(J.algebra, J.unit, J.trace_of, J.j0_basis(), J.djj(), star, traces, True)
+    return factor_side(J.algebra, J.unit_coo, J.trace_coo, J.j0_basis(), J.djj(), star, traces,
+                       True)
 
 
 def tits(C, J):

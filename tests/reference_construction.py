@@ -51,7 +51,9 @@ cross product J.cross and one pairing 3t(b_i b_j), or 2 b_i b_j and
 
 The tensor product C x C^ of composition algebras has a pointwise oracle
 (tensor_product_pointwise): the four-deep loops over pairs of table rows
-and over the columns of the two conjugations.
+and over the columns of the two conjugations, each column a pointwise
+C.conj of a basis vector.  H3(C^) has one too (h3_pointwise): its table
+one accumulate at a time, from pointwise products, C.conj and C.trace.
 
 inner_derivation_pairs_by_basis is the other contraction order of the
 batch of d_{x,y}: the graded commutators [L_{b_a}, L_{b_b}] of all basis
@@ -78,7 +80,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, _invertible, accumulate
+from magma_tits.algebra import EVEN, Grading, LinearMap, SuperAlgebra, _invertible
 from magma_tits.decompose import h_basis, s4_on_w, so3_basis
 from magma_tits.exact import (QQ, Matrix, Subspace, basis_vector, flatten_matrix, inverse_coo,
                               vec_eq, vec_is_zero, vec_zero)
@@ -86,6 +88,14 @@ from magma_tits.int_fast import bilinear, commutators, matvec, rows_coo
 from magma_tits.jordan import JordanAlgebra
 from magma_tits.s4 import RELATIONS
 from magma_tits.structurable import AlgebraWithInvolution
+
+
+def accumulate(sc, i, j, k, c):
+    """sc[(i, j)][k] += c on a table under construction; SuperAlgebra drops
+    the zero sums and empty rows."""
+    if c:
+        row = sc.setdefault((i, j), {})
+        row[k] = row[k] + c if k in row else c
 
 
 def commutator(A, B):
@@ -857,14 +867,54 @@ def tensor_product_pointwise(C, Chat):
                     for kc, cc in row_c.items():
                         for kd, cd in Chat.algebra.product_basis(j1, j2).items():
                             accumulate(sc, idx(i1, j1), idx(i2, j2), idx(kc, kd), cc * cd)
-    CC, CD = C.conj_matrix(), Chat.conj_matrix()
+    CC, CD = ([X.conj(X.algebra.e(i)) for i in range(X.dim)] for X in (C, Chat))
     sigma = Matrix.zeros(nc * nd, nc * nd, f)
     for i in range(nc):
         for j in range(nd):
             for p in range(nc):
                 for q in range(nd):
-                    sigma[idx(p, q), idx(i, j)] = CC[p, i] * CD[q, j]
+                    sigma[idx(p, q), idx(i, j)] = CC[i][p] * CD[j][q]
     return sc, sigma
+
+
+def h3_pointwise(Chat):
+    """(structure constants, unit, trace row) of H3(C^) in the basis order
+    of jordan.h3, one product at a time: e_i o e_i = e_i, e_{i+1} and
+    e_{i+2} act on iota_i(x) by 1/2, iota_i(x) o iota_i(y) = 1/2 t(x conj(y))
+    (e_{i+1} + e_{i+2}) and iota_i(x) o iota_{i+1}(y) = 1/2 iota_{i+2}(conj(xy)),
+    with its commutative mirror; C.conj and C.trace pointwise."""
+    f, d = Chat.field, Chat.dim
+    n = 3 + 3 * d
+    iota_idx = [[3 + i * d + j for j in range(d)] for i in range(3)]
+    half = f.of(1) / f.of(2)
+    sc = {}
+    for i in range(3):
+        accumulate(sc, i, i, i, f.one)
+        for j in range(d):
+            col = iota_idx[i][j]
+            for off in (1, 2):
+                accumulate(sc, (i + off) % 3, col, col, half)
+                accumulate(sc, col, (i + off) % 3, col, half)
+    tbar = [[Chat.trace(Chat.product(basis_vector(d, a, f), Chat.conj(basis_vector(d, b, f))))
+             for b in range(d)] for a in range(d)]
+    for i in range(3):
+        for a in range(d):
+            for b in range(d):
+                c = half * tbar[a][b]
+                accumulate(sc, iota_idx[i][a], iota_idx[i][b], (i + 1) % 3, c)
+                accumulate(sc, iota_idx[i][a], iota_idx[i][b], (i + 2) % 3, c)
+    for i in range(3):
+        ip1, ip2 = (i + 1) % 3, (i + 2) % 3
+        for a in range(d):
+            for b in range(d):
+                prod = Chat.conj(Chat.product(basis_vector(d, a, f), basis_vector(d, b, f)))
+                for t, c in enumerate(prod):
+                    k = iota_idx[ip2][t]
+                    accumulate(sc, iota_idx[i][a], iota_idx[ip1][b], k, half * c)
+                    accumulate(sc, iota_idx[ip1][b], iota_idx[i][a], k, half * c)
+    unit = [f.one if i < 3 else f.zero for i in range(n)]
+    third = f.of(1) / f.of(3)
+    return sc, unit, [third if i < 3 else f.zero for i in range(n)]
 
 
 def unimodular(parity, rng, field, steps):

@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from magma_tits.composition import (
     CompositionAlgebra, split_cayley, split_quaternion, binarion, ground, invariant_quaternion,
     inner_derivation, derivation_algebra, s4_on_cayley, identity_failures,
 )
+from magma_tits.int_fast import compose, identity_coo, same_map
 from magma_tits.s4 import klein_grading
 
 from reference_construction import as_transported_grading
@@ -139,8 +142,48 @@ def test_conjugation_antiautomorphism(C):
         # n(a) = a abar read off the unit coordinate
         aab = C.product(a, C.conj(a))
         assert vec_eq(aab, [C.norm(a) * u for u in C.unit])
-    cm = C.conj_matrix()
-    assert cm @ cm == Matrix.identity(8)
+    p = C.field.p
+    assert same_map(compose(C.conj_coo, C.conj_coo, p), identity_coo(8), p)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007), GF(2 ** 61 - 1)], ids=str)
+@pytest.mark.parametrize("make", [split_cayley, split_quaternion, binarion, ground,
+                                  invariant_quaternion, halved_cayley],
+                         ids=lambda make: make.__name__)
+def test_held_forms_match_pointwise(make, field):
+    # unit_coo, trace_coo and conj_coo expand to the unit, the trace row
+    # and the columns of the pointwise conj on basis vectors
+    C = make(field)
+    n, p = C.dim, field.p
+
+    def dense(lowered):
+        cols, V, D = lowered
+        if len(cols) == 1:
+            return Matrix.from_coo(1, n, ((np.zeros_like(cols[0]), cols[0]), V, D), field)
+        return Matrix.from_coo(n, n, lowered, field)
+    assert dense(C.unit_coo).rows == [C.unit]
+    assert dense(C.trace_coo).rows == [C.trace_row]
+    assert dense(C.conj_coo) == Matrix.from_columns(
+        [C.conj(C.algebra.e(i)) for i in range(n)], field)
+    for held in (C.unit_coo, C.trace_coo, C.conj_coo):
+        *cols, V, D = held
+        assert not any(a.flags.writeable for a in (*cols[0], V)) and (p is None or D == 1)
+    assert same_map(compose(C.conj_coo, C.conj_coo, p), identity_coo(n), p)
+
+
+def test_composition_algebra_checks_its_inputs():
+    # each used to be accepted: identity_failures then reported 122
+    # quadruples and 12 pairs for the 4x4 form, nothing for either unit,
+    # and an AttributeError on GFElement.denominator for the GF(7) form
+    C = split_cayley()
+    cases = [(Matrix.identity(4), C.unit, "polar form 4x4 and unit of length 8"),
+             (C.norm_polar, C.unit + [Fraction(0)], "unit of length 9"),
+             (C.norm_polar, C.unit[:7], "unit of length 7"),
+             (Matrix(C.norm_polar.rows, GF(7)), C.unit, "polar form over GF(7), the algebra is "
+              "over QQ")]
+    for N, unit, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CompositionAlgebra(C.algebra, N, unit, "bad")
 
 
 def test_nondegenerate_norm(C):

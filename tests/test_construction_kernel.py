@@ -23,13 +23,14 @@ from magma_tits.composition import (
 from magma_tits.decompose import classical_examples, glw
 from magma_tits.exact import GF, QQ, Matrix
 from magma_tits.isomorphisms import theorem41_basis, theorem61_basis
-from magma_tits.jordan import d2, h3, jordan_super_dt, jordan_super_jvtheta
+from magma_tits.jordan import JordanAlgebra, d2, h3, jordan_super_dt, jordan_super_jvtheta
 from magma_tits.registry import composition_by_name, jordan_by_name
 from magma_tits.s4 import (
     GroupAction, coordinate_algebra, klein_grading, s4_on_tits_left, s4_on_tits_right,
 )
 from magma_tits.structurable import tensor_product
-from magma_tits.tits import inner_derivation_pairs, tits, tits62_variant
+from magma_tits.tits import (inner_derivation_pairs, tits, tits62_variant, verify_lie_conditions,
+                              verify_lie_conditions_reference)
 
 from reference_construction import (
     clean, coordinate_constants, derivation_constants, diag_transported,
@@ -40,6 +41,7 @@ from test_tits import corrupted_h3k
 
 # the package re-exports the function decompose() under its module's name
 decompose_module = importlib.import_module("magma_tits.decompose")
+tits_module = importlib.import_module("magma_tits.tits")
 
 FIELDS = [QQ, GF(10007), GF(2 ** 31 - 1)]
 WIDE_FIELDS = FIELDS + [GF(2 ** 61 - 1)]
@@ -224,6 +226,36 @@ def test_basis_outside_component_rejected(F):
     outside = klein_grading(act).components[(0, 1)][0]
     with pytest.raises(ValueError, match="not in the \\(1,0\\) component"):
         coordinate_algebra(T.algebra, act, basis=theorem41_basis(T)[:-1] + [outside])
+
+
+@pytest.mark.parametrize("F", [QQ, GF(10007)], ids=str)
+def test_lowered_split_matches_reference(F, monkeypatch):
+    # H3(k) whose iota_0 iota_1 also carries an E0 term: a d_{x,y} of it
+    # moves J0 basis vectors out of J0, so _split_coords splits them along
+    # k1 with its fold of J's held unit and trace, and T's table still
+    # equals the oracle's, which splits one vector at a time
+    J = h3(composition_by_name("ground", F))
+    sc = {k: dict(v) for k, v in J.algebra.sc.items()}
+    for key in ((J.iota_index(0, 0), J.iota_index(1, 0)), (J.iota_index(1, 0), J.iota_index(0, 0))):
+        sc[key][J.e_index(0)] = F.one
+    Jbad = JordanAlgebra(SuperAlgebra(J.algebra.basis, sc, field=F, name="H3bad3"), J.unit,
+                         J.trace_row, provenance="custom")
+    split, outside = tits_module._split_coords, []
+
+    def spy(span, batch, unit, trace):
+        outside.append(len(span.coords_many(*batch)[-1]))
+        return split(span, batch, unit, trace)
+    monkeypatch.setattr(tits_module, "_split_coords", spy)
+    Q = split_quaternion(F)
+    T = tits(Q, Jbad)
+    assert outside == [0, 0, 8, 0]
+    assert T.algebra.sc == _reference_tits(Q, Jbad, T)
+    rep = verify_lie_conditions(Q, Jbad, T=T, max_witnesses=1000)
+    assert (rep.ok, rep.cond1_ok, rep.cond2_ok, rep.cond3_ok) == (False, False, False, True)
+    assert len(rep.witnesses) == 708 and rep.witnesses[:2] == [
+        ("(ii)", (0, 0, 1), (0, 2, 3)), ("(ii)", (0, 0, 1), (0, 3, 2))]
+    ref = verify_lie_conditions_reference(Q, Jbad, T=T, max_witnesses=1000)
+    assert (ref.ok, ref.witnesses) == (rep.ok, rep.witnesses)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)

@@ -12,7 +12,11 @@ exact contraction is an int_fast fold, under its one bound rule.  No loop
 reads an algebra's .sc, which builds the table's view on each read.  No
 module names fold_table, and only int_fast.py marks arrays read-only:
 every table and map is canonicalized by int_fast.canonical alone.  No
-module imports random: no verdict rests on a sample."""
+module imports random: no verdict rests on a sample.  Only composition.py
+and jordan.py lower a factor's unit, trace or polar form (coo, rows_coo or
+vector_coo of a .unit, .trace_row or .norm_polar): every other module reads
+the held unit_coo, trace_coo and conj_coo, and no module names
+conj_matrix."""
 
 import ast
 from pathlib import Path
@@ -242,6 +246,46 @@ def test_no_module_names_fold_table(path):
                          ids=lambda p: p.name)
 def test_only_int_fast_marks_arrays_read_only(path):
     assert read_only_marks(path.read_text()) == []
+
+
+FACTOR_FORMS = {"unit", "trace_row", "norm_polar"}
+
+
+def factor_form_lowerings(source):
+    """Lines that call coo, rows_coo or vector_coo (by name or as an
+    attribute) with an argument that reads a .unit, .trace_row or
+    .norm_polar attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("coo", "rows_coo", "vector_coo")
+                  and any(isinstance(n, ast.Attribute) and n.attr in FACTOR_FORMS
+                          for arg in node.args for n in ast.walk(arg)))
+
+
+def test_detects_factor_form_lowerings_and_conj_matrix():
+    src = ("u = rows_coo([J.unit], f)\n"
+           "t = int_fast.coo([((i,), f.of(c)) for i, c in enumerate(J.trace_row) if c], f, 1)\n"
+           "n = rows_coo(C.norm_polar.rows, f)\n"
+           "v = vector_coo(C.unit, C.field)\n"
+           "w = rows_coo(T.c0_basis, f)\n"
+           "x = J.unit_coo\n"
+           "y = coo([((i,), c) for i, c in enumerate(unit) if c], f, 1)\n"
+           "cm = C.conj_matrix()\n")
+    assert factor_form_lowerings(src) == [1, 2, 3, 4]
+    assert names(src, "conj_matrix") == [8]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("composition.py", "jordan.py")],
+                         ids=lambda p: p.name)
+def test_factors_lower_their_forms_once(path):
+    assert factor_form_lowerings(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_conj_matrix(path):
+    assert names(path.read_text(), "conj_matrix") == []
 
 
 def imports_of(source, module):

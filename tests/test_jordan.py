@@ -1,19 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from magma_tits import exact
 from magma_tits.exact import (GF, QQ, Matrix, Subspace, basis_vector, vec_eq, vec_is_zero,
                               flatten_matrix)
-from magma_tits.algebra import LinearMap, centralizer, is_derivation
-from magma_tits.composition import split_cayley, split_quaternion, binarion, ground
+from magma_tits.algebra import LinearMap, SuperAlgebra, centralizer, is_derivation
+from magma_tits.composition import (split_cayley, split_quaternion, binarion, ground,
+                                    invariant_quaternion)
 from magma_tits.jordan import (
     JordanAlgebra, h3, find_normalized_traces, jordan_super_jvtheta, jordan_super_dt, d2,
     kaplansky, check_supercommutative, check_jordan_identity, h3_derivation_grading,
 )
 
-from reference_construction import diag_transported, jordan_inner_derivation
+from reference_construction import diag_transported, h3_pointwise, jordan_inner_derivation
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,26 @@ def test_h3_product_rules(JC):
     t = Chat.trace(Chat.product(x, Chat.conj(y)))
     rhs = [half * t * (a + b) for a, b in zip(alg.e(JC.e_index(1)), alg.e(JC.e_index(2)))]
     assert vec_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10007), GF(2 ** 61 - 1)], ids=str)
+@pytest.mark.parametrize("make", [split_cayley, split_quaternion, binarion, ground,
+                                  invariant_quaternion], ids=lambda make: make.__name__)
+def test_h3_equals_pointwise_oracle(make, field):
+    # the integer blocks of h3 against the table built one pointwise
+    # product, conj and trace at a time, then J's held unit and trace
+    Chat = make(field)
+    J = h3(Chat)
+    sc, unit, trace_row = h3_pointwise(Chat)
+    (cols, V, D), (ocols, oV, oD) = J.algebra.coo, SuperAlgebra(J.algebra.basis, sc,
+                                                                field=field).coo
+    assert all(map(np.array_equal, (*cols, V), (*ocols, oV))) and (V.dtype, D) == (oV.dtype, oD)
+    assert (J.unit, J.trace_row) == (unit, trace_row)
+    third = (1, 3) if field.p is None else (pow(3, -1, field.p), 1)
+    (u,), U, Du = J.unit_coo
+    (t,), T, Dt = J.trace_coo
+    assert (u.tolist(), U.tolist(), Du) == ([0, 1, 2], [1, 1, 1], 1)
+    assert (t.tolist(), T.tolist(), Dt) == ([0, 1, 2], [third[0]] * 3, third[1])
 
 
 def test_h3_unit_and_trace(JC):
