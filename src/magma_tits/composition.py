@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import QQ, Matrix, vec_zero, basis_vector
+from .exact import QQ, Matrix, check_vector_field, vec_zero, basis_vector
 from .algebra import EVEN, DerivationSpace, SuperAlgebra, LinearMap, once_per_factor, outer_block
 from .int_fast import (canonical, distinct, fold, identity_coo, join, outer, rows_coo,
                        vector_coo)
@@ -52,6 +52,7 @@ class CompositionAlgebra:
         if norm_polar.field != algebra.field:
             raise ValueError("polar form over %s, the algebra is over %s"
                              % (norm_polar.field, algebra.field))
+        check_vector_field(unit, algebra.field, "unit")
         self.algebra = algebra
         self.field = algebra.field
         self.norm_polar = norm_polar        # matrix of n(b_i, b_j)

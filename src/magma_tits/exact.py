@@ -420,6 +420,14 @@ def flatten_matrix(M):
     return [x for r in M.rows for x in r]
 
 
+def check_vector_field(v, field, what):
+    """ValueError naming both fields when an entry of v is a residue of
+    another field than `field`; ints and Fractions coerce into any field."""
+    other = {c.p for c in v if isinstance(c, GFElement)} - {field.p}
+    if other:
+        raise ValueError("%s over GF(%d), the algebra is over %s" % (what, min(other), field))
+
+
 def int_row(v, field):
     """A dense vector of field values (or ints) as a sparse integer row
     {index: int} and its scale: the vector times the lcm of its

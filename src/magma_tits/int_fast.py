@@ -18,8 +18,9 @@ each distinct integer once) only where field arithmetic follows.
 
 A contraction past _TERM_BUDGET terms (the bulk checks: super-Jacobi,
 structurable, Jordan identity, algebra.lowered_map_failures) is folded one block
-of output indices at a time (`fold_blocks`), keeping only the first
-failing prefixes of each block, so memory follows the budget.  The other
+of output indices at a time (`fold_blocks`), so memory follows the
+budget; structurable cuts its blocks on the key's leading index and
+stops at the block that holds its first witnesses.  The other
 helpers are the folds of the construction and the S4 layer: graded
 commutators (`commutators`), matvecs and bilinear maps, products and
 equality tests of lowered matrices (`compose`, `same_map`) and
@@ -345,7 +346,7 @@ def joined(left, right, out, make):
     return out, sizes, build
 
 
-def fold_blocks(groups, step=1, first=None, p=None):
+def fold_blocks(groups, step=1, first=None, p=None, leading=False):
     """fold of a contraction, in blocks of output index past a fixed term
     budget: the sorted keys of its first `first` failing prefixes (all
     when None), their nonzero sums and fold's path.
@@ -353,20 +354,22 @@ def fold_blocks(groups, step=1, first=None, p=None):
     Each group is (out, sizes, build) over the rows of its driving array,
     the right-hand side of its join (see `joined`): row r yields sizes[r]
     terms whose keys all carry the output index out[r] >= 0 (a function of
-    the key, such as its last packed index), and build(rows) returns the
-    (keys, factors) terms of those rows, of all rows when rows is None.
-    The term count is read off `sizes` before any term is built.  Up to
-    _TERM_BUDGET terms fold in one block, which is fold itself.  Past it,
-    the output indices are cut into contiguous ranges of about
-    _TERM_BUDGET terms, and each block folds the rows whose output falls
-    in its range, so every key is summed whole in one block.  A block
-    keeps the entries of its first `first` prefixes key // step with a
-    nonzero sum: a prefix among the first `first` of the contraction is
-    among the first `first` of every block it appears in.  The kept
-    entries are sorted at the end, so keys, sums and their order are those
-    of the unblocked fold.  The path is "python-int" when any block took
-    it; fold reads its bounds per key group, so that is the unblocked
-    fold's path.
+    the key: its leading packed index when `leading`, else any, such as
+    its last), and build(rows) returns the (keys, factors) terms of those
+    rows, of all rows when rows is None.  The term count is read off
+    `sizes` before any term is built.  Up to _TERM_BUDGET terms fold in
+    one block, which is fold itself.  Past it, the output indices are cut
+    into contiguous ranges of about _TERM_BUDGET terms, and each block
+    folds the rows whose output falls in its range, so every key is summed
+    whole in one block.  A block keeps the entries of its first `first`
+    prefixes key // step with a nonzero sum: a prefix among the first
+    `first` of the contraction is among the first `first` of every block
+    it appears in.  The kept entries are sorted at the end, so keys, sums
+    and their order are those of the unblocked fold.  With `leading`, the
+    blocks come in key order, and the fold stops after the block at which
+    the kept prefixes reach `first`.  The path is "python-int" when any
+    folded block took it; fold reads its bounds per key group, so a fold
+    of every block takes the unblocked fold's path.
     """
     blocks = [[None] * len(groups)]
     if sum(int(sizes.sum()) for _o, sizes, _b in groups) > _TERM_BUDGET:
@@ -377,8 +380,9 @@ def fold_blocks(groups, step=1, first=None, p=None):
         block_of = (np.cumsum(weight) - weight) // _TERM_BUDGET
         cuts = np.flatnonzero(np.diff(block_of)) + 1
         blocks = [[np.flatnonzero((o >= lo) & (o < hi)) for o, _s, _b in groups]
-                  for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(weight)].tolist())]
-    kept, path = [], "int64"
+                  for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(weight)].tolist())
+                  if weight[lo:hi].any()]
+    kept, path, found = [], "int64", 0
     for rows in blocks:
         keys, sums, block_path = fold([t for (_o, _s, build), r in zip(groups, rows)
                                        for t in build(r)], p)
@@ -386,6 +390,10 @@ def fold_blocks(groups, step=1, first=None, p=None):
         kept.append([a.copy() for a in _first_prefixes(keys, sums, step, first)])
         if block_path != "int64":
             path = block_path
+        if leading and first is not None:
+            found += len(distinct(kept[-1][0] // step))
+            if found >= first:
+                break
     if len(kept) == 1:
         return (*kept[0], path)
     keys = np.concatenate([k for k, _s in kept])

@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import (QQ, Matrix, Subspace, basis_vector, int_row, kernel_of, solution_space,
-                    vec_zero)
+from .exact import (QQ, Matrix, Subspace, basis_vector, check_vector_field, int_row, kernel_of,
+                    solution_space, vec_zero)
 from .algebra import SuperAlgebra, LinearMap, EVEN, ODD, once_per_factor, transpose_failures
 from .composition import split_cayley
 from .int_fast import INT64_MAX, fold, fold_blocks, join, joined, vector_coo
@@ -44,6 +44,7 @@ class JordanAlgebra:
             if v is not None and len(v) != algebra.n:
                 raise ValueError("%s has length %d, the algebra has dimension %d"
                                  % (what, len(v), algebra.n))
+            check_vector_field([] if v is None else v, algebra.field, what)
         self.algebra = algebra
         self.field = algebra.field
         self.unit = unit

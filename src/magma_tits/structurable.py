@@ -219,10 +219,11 @@ def check_structurable(AI, max_witnesses=10):
     int_fast.fold) of denominator-cleared integers over QQ, residues over
     GF(p): x sigma(y), then G, V, T_u and T_{sigma(u)}, then the identity
     with keys (u,x,y,z,k).  That last and largest one goes through
-    int_fast.fold_blocks: each of its four joins takes k from its
-    right-hand row, so past the term budget (C x C^ from cayley x
-    quaternion up) it folds one block of k at a time and keeps the first
-    max_witnesses failing (u,x,y) of each.  The verdict is whether any
+    int_fast.fold_blocks: each of its four joins is driven by a T_u or
+    T_{sigma(u)} entry and takes u from it, so past the term budget (C x C^
+    from cayley x quaternion up) it folds one block of u at a time, in
+    order, and stops at the block where max_witnesses failing (u,x,y) are
+    known.  The verdict is whether any
     coefficient is nonzero; witnesses are the first max_witnesses of the
     sorted (u,x,y) with a nonzero coefficient.
     """
@@ -277,20 +278,21 @@ def check_structurable(AI, max_witnesses=10):
     keys, TS, _ = fold([(pack(Sq[s], Ti[t], To[t]), [T[t], S[s]])], p)
     Su, Si, So = unpack(keys, 3)
 
-    # every term takes k from the right-hand row of its join
+    # every term takes u from the right-hand row of its join, a T_u or T_{sigma u} entry
     groups = [
-        joined(Vk, Ti, To, lambda v, t: [       # T_u V_{x,y} z
+        joined(Vk, Ti, Tu, lambda v, t: [       # T_u V_{x,y} z
             (pack(Tu[t], Vx[v], Vy[v], Vz[v], To[t]), [V[v], T[t], Ds])]),
-        joined(To, Vz, Vk, lambda t, v: [       # V_{x,y} T_u z
+        joined(Vz, To, Tu, lambda v, t: [       # V_{x,y} T_u z
             (pack(Tu[t], Vx[v], Vy[v], Ti[t], Vk[v]),
              [V[v], T[t], sign(par[Tu[t]] * (par[Vx[v]] + par[Vy[v]])), -Ds])]),
-        joined(To, Vx, Vk, lambda t, v: [       # V_{T_u x, y} z
+        joined(Vx, To, Tu, lambda v, t: [       # V_{T_u x, y} z
             (pack(Tu[t], Ti[t], Vy[v], Vz[v], Vk[v]), [V[v], T[t], -Ds])]),
-        joined(So, Vy, Vk, lambda s, v: [       # V_{x, T_{sigma u} y} z
+        joined(Vy, So, Su, lambda v, s: [       # V_{x, T_{sigma u} y} z
             (pack(Su[s], Vx[v], Si[s], Vz[v], Vk[v]),
              [V[v], TS[s], sign(par[Su[s]] * par[Vx[v]])])]),
     ]
-    keys, _sums, path = fold_blocks(groups, step=n * n, first=max(max_witnesses, 1), p=p)
+    keys, _sums, path = fold_blocks(groups, step=n * n, first=max(max_witnesses, 1), p=p,
+                                    leading=True)
     bad = distinct(keys // (n * n))[:max_witnesses]
     failures = list(zip(*(col.tolist() for col in unpack(bad, 3))))
     return StructurableReport(not len(keys), n, n ** 3, failures=failures, name=alg.name,

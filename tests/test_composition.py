@@ -186,6 +186,21 @@ def test_composition_algebra_checks_its_inputs():
             CompositionAlgebra(C.algebra, N, unit, "bad")
 
 
+def test_composition_algebra_checks_its_unit_field():
+    # a GF(7) unit used to construct, and the first read of unit_coo then
+    # raised TypeError: cannot coerce 1#7 into QQ
+    F7 = GF(7)
+    C, C5 = split_cayley(), split_cayley(GF(5))
+    for D, unit, message in ((C, [F7.of(int(c)) for c in C.unit], "over QQ"),
+                             (C5, [F7.of(c.v) for c in C5.unit], "over GF(5)")):
+        with pytest.raises(ValueError, match=re.escape("unit over GF(7), the algebra is " + message)):
+            CompositionAlgebra(D.algebra, D.norm_polar, unit, "bad")
+    # genuine inputs, and an int unit over GF(5), still construct
+    for D, unit in ((C, C.unit), (C5, C5.unit), (C5, [c.v for c in C5.unit])):
+        again = CompositionAlgebra(D.algebra, D.norm_polar, unit, D.name)
+        assert same_map(again.conj_coo, D.conj_coo, D.field.p)
+
+
 def test_nondegenerate_norm(C):
     assert C.norm_polar.rank() == 8
 

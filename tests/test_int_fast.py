@@ -5,8 +5,10 @@ path it reports must follow its rule: int64 when every key group's size
 times its largest product fits, or, over GF(p) with (p-1)^2 in int64,
 when the widest group times p - 1 fits (delayed reduction).  fold_blocks
 under a tiny term budget must give the keys, sums and path of the
-one-block fold, and the bulk checks on E7 and on A(H3(quaternion)) must
-stay under a traced peak that only the 2^15-term budget keeps.  join
+one-block fold, and, when the output leads the key, stop after the
+block that holds the first prefixes with the same keys and sums.  The
+bulk checks on E7 and on A(H3(quaternion)) must stay under a traced
+peak that only the 2^15-term budget keeps.  join
 must give the pairs of a Python double loop, outer the join of two zero
 columns, and to_field the field values entry by entry."""
 
@@ -22,7 +24,8 @@ from magma_tits import int_fast, registry
 from magma_tits.algebra import check_super_jacobi, check_super_jacobi_reference
 from magma_tits.composition import ground, split_cayley
 from magma_tits.exact import GF, QQ, FieldQ, Matrix
-from magma_tits.int_fast import INT64_MAX, fold, fold_blocks, join, joined, outer, to_field
+from magma_tits.int_fast import (INT64_MAX, distinct, fold, fold_blocks, join, joined, outer,
+                                 to_field)
 from magma_tits.jordan import h3
 from magma_tits.structurable import a_of_j, check_structurable
 from magma_tits.tits import tits
@@ -162,9 +165,10 @@ def test_word_prime_checkers_run_in_int64():
 
 
 @st.composite
-def contractions(draw):
+def contractions(draw, leading=False):
     """Join groups of fold_blocks: left rows (prefix, value), right rows
-    (output, value), joined on a shared index; keys prefix * 5 + output."""
+    (output, value), joined on a shared index; keys prefix * 5 + output,
+    or output * 5 + prefix with `leading`, so that the output leads."""
     groups = []
     for _g in range(draw(st.integers(1, 3))):
         nl, nr = draw(st.integers(0, 10)), draw(st.integers(0, 10))
@@ -177,7 +181,8 @@ def contractions(draw):
         scale = draw(st.sampled_from([1, -1, 3]))
 
         def make(a, b, pre=pre, out=out, vl=vl, vr=vr, scale=scale):
-            return [(pre[a] * 5 + out[b], [vl[a], vr[b], scale])]
+            key = out[b] * 5 + pre[a] if leading else pre[a] * 5 + out[b]
+            return [(key, [vl[a], vr[b], scale])]
         groups.append(joined(left, right, out, make))
     return groups
 
@@ -208,6 +213,46 @@ def test_blocked_fold_equals_one_block(groups, p, first, budget):
     assert one[0].tolist() == keys[:upto].tolist() and one[2] == path
 
 
+@settings(max_examples=300, deadline=None)
+@given(contractions(leading=True), st.sampled_from(PRIMES), st.sampled_from([None, 0, 1, 2]),
+       st.integers(1, 4), st.sampled_from([1, 5]))
+def test_early_stop_equals_one_block(groups, p, first, budget, step):
+    # output-led blocks come in key order and stop at `first` prefixes:
+    # the one-block fold cut to its first prefixes, on the path of the
+    # blocks folded, which is the one-block path when every block is
+    keys, sums, path = fold([t for _o, _s, build in groups for t in build(None)], p)
+    firsts = distinct(keys // step)[:first]
+    upto = int(np.isin(keys // step, firsts).sum())
+    split = blocked(budget, groups, step=step, first=first, p=p, leading=True)
+    assert split[0].tolist() == keys[:upto].tolist()
+    assert [int(s) for s in split[1]] == [int(s) for s in sums[:upto]]
+    if first is None:
+        assert split[2] == path
+    assert split[2] == "int64" or path == "python-int"
+
+
+def test_early_stop_builds_one_block(monkeypatch):
+    # 40 output indices of 10 terms, each its own prefix, 10 per block
+    out = np.arange(40, dtype=np.int64)
+    calls = []
+
+    def build(rows):
+        calls.append(len(rows))
+        keys = np.repeat(out[rows], 10)
+        return [(keys, [np.ones(len(keys), dtype=np.int64)])]
+    monkeypatch.setattr(int_fast, "_TERM_BUDGET", 100)
+    group = (out, np.full(40, 10, dtype=np.int64), build)
+    for first, built in ((0, [10]), (1, [10]), (10, [10]), (11, [10, 10]), (None, [10] * 4)):
+        calls.clear()
+        keys, sums, _path = fold_blocks([group], first=first, leading=True)
+        assert calls == built and keys.tolist() == out[:first].tolist(), first
+        assert sums.tolist() == [10] * len(keys)
+    # a caller whose output trails folds every block
+    calls.clear()
+    fold_blocks([group], first=1)
+    assert calls == [10] * 4
+
+
 def test_blocks_follow_the_budget(monkeypatch):
     # 40 output indices of 10 terms each: one block under the budget, one
     # per 100 terms past it
@@ -230,8 +275,8 @@ def test_blocks_follow_the_budget(monkeypatch):
 
 
 def test_bulk_check_peaks_follow_the_budget():
-    # tracemalloc peaks: 2.58 (E7 Jacobi) and 2.86 MB (structurable) at a
-    # budget of 2^15 terms, 4.65 and 4.86 MB at 2^16
+    # tracemalloc peaks: 2.58 (E7 Jacobi) and 2.69 MB (structurable) at a
+    # budget of 2^15 terms, 4.65 and 4.59 MB at 2^16
     cases = [(check_super_jacobi, registry.tits_by_name("cayley", "h3:quaternion").algebra),
              (check_structurable, registry.involution_algebra_by_name("aj:h3:quaternion"))]
     for check, A in cases:

@@ -268,6 +268,26 @@ def test_unit_and_trace_row_lengths_are_checked(Jk):
             JordanAlgebra(alg, unit, trace_row)
 
 
+def test_unit_and_trace_row_fields_are_checked(Jk):
+    # a GF(7) unit used to construct, and the first read of unit_coo then
+    # raised TypeError: cannot coerce 1#7 into QQ
+    alg, F7 = Jk.algebra, GF(7)
+    to7 = [F7.of(int(c * 3)) for c in Jk.trace_row]
+    for unit, trace_row, wrong in (([F7.of(int(c)) for c in Jk.unit], Jk.trace_row, "unit"),
+                                   (Jk.unit, to7, "trace row")):
+        with pytest.raises(ValueError, match=wrong + " over GF\\(7\\), the algebra is over QQ"):
+            JordanAlgebra(alg, unit, trace_row)
+    J5 = h3(ground(GF(5)))
+    with pytest.raises(ValueError, match="unit over GF\\(7\\), the algebra is over GF\\(5\\)"):
+        JordanAlgebra(J5.algebra, [F7.of(c.v) for c in J5.unit], J5.trace_row)
+    # genuine inputs, and ints and Fractions, which coerce, still construct
+    for J in (Jk, J5, h3(split_cayley(GF(7)))):
+        again = JordanAlgebra(J.algebra, J.unit, J.trace_row)
+        assert again.unit_coo[1].tolist() == J.unit_coo[1].tolist()
+    ints = JordanAlgebra(J5.algebra, [int(c.v) for c in J5.unit], [Fraction(1, 3)] * 3 + [0] * 3)
+    assert ints.unit_coo[1].tolist() == J5.unit_coo[1].tolist()
+
+
 def test_jvtheta():
     J = jordan_super_jvtheta()
     alg = J.algebra

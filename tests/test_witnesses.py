@@ -4,17 +4,20 @@ A verdict never depends on the witness cap, and the witnesses come from
 the contraction that decided the verdict: with SuperAlgebra.multiply and
 the jacobiator oracle made to raise, the checkers give the same reports on
 the negative controls as before.  Folded in blocks of output index (a term
-budget of one term), they give the same reports again, and the E7 Jacobi
-check and the E8 Lie conditions stay within their measured memory."""
+budget of one term), they give the same reports again; the structurable
+check folds one leading index per block, in order, and stops early when
+it fails.  The E7 Jacobi check and the E8 Lie conditions stay within
+their measured memory."""
 
 import tracemalloc
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from magma_tits import algebra, int_fast, registry
-from magma_tits.algebra import (SuperAlgebra, _jacobiator, check_super_jacobi,
+from magma_tits.algebra import (SuperAlgebra, _find_unit, _jacobiator, check_super_jacobi,
                                 check_super_jacobi_reference, lowered_map_failures)
 from magma_tits.composition import binarion, ground, split_cayley, split_quaternion
 from magma_tits.exact import Matrix
@@ -143,13 +146,25 @@ def corrupted_maps():
     return A, lowered(one), lowered(ad)
 
 
+def corrupted_product(AI, i, j, k):
+    """AI with b_i b_j raised by b_k: i and j lie outside the unit's
+    support, so the unit stays the unit."""
+    A = AI.algebra
+    sc = {key: dict(row) for key, row in A.sc.items()}
+    row = sc.setdefault((i, j), {})
+    row[k] = row.get(k, A.field.zero) + 1
+    bad = SuperAlgebra(A.basis, sc, parity=A.parity, field=A.field, name=A.name + "/bad")
+    return AlgebraWithInvolution(bad, AI.sigma)
+
+
 def blocking(monkeypatch):
     """A term budget of one term, so that every contraction of more than
-    one term folds one output index per block; the fold calls are counted."""
+    one term folds one output index per block; the keys of every fold call
+    are recorded."""
     calls = []
 
     def counted(terms, p=None, fold=int_fast.fold):
-        calls.append(len(terms))
+        calls.append(np.concatenate([k for k, _f in terms]))
         return fold(terms, p)
     monkeypatch.setattr(int_fast, "_TERM_BUDGET", 1)
     monkeypatch.setattr(int_fast, "fold", counted)
@@ -173,10 +188,30 @@ def test_blocked_checkers_give_the_same_reports(monkeypatch):
     before = reports()
     assert not any(rep.ok for rep in before[:15] + before[-1:])
     assert all(before[15:-1]) and before[15][:1] == before[16]
+    AH3q = a_of_j(h3(split_quaternion()))
+    unit = _find_unit(AH3q.algebra)
+    outside = [m for m in range(AH3q.algebra.n) if not unit[m]]
+    AH3qbad = corrupted_product(AH3q, outside[3], outside[5], outside[7])
     calls = blocking(monkeypatch)
     assert reports() == before
-    # E6 alone folds its 78 output indices in 78 blocks
+    # the map checks fold the 78 output indices of E6 in 78 blocks each
     assert len(calls) > 5 * 78
+
+    def blocks(check, B, n, width):
+        """The number of blocks that check(B) folds.  At a budget of one
+        term each block's output range holds one output with terms, so its
+        keys must share that leading index, rising from block to block."""
+        calls.clear()
+        assert check(B).ok is (B is AH3q)
+        leads = [np.unique(keys // n ** (width - 1)).tolist() for keys in calls]
+        assert all(len(lead) == 1 for lead in leads), leads
+        firsts = [lead[0] for lead in leads]
+        assert firsts == sorted(set(firsts)), firsts
+        return len(calls)
+
+    blocks(check_structurable, corrupt3(), 3, 5)
+    # a failing check stops at the block that holds its first witnesses
+    assert blocks(check_structurable, AH3qbad, 32, 5) < blocks(check_structurable, AH3q, 32, 5)
 
 
 def test_e7_jacobi_peak_allocation():
